@@ -1,16 +1,15 @@
 """qroute: entanglement routing simulator for lattice quantum-repeater networks."""
 
-from .netmodel import (Edge, EdgeState, Network, Request, ScenarioParams,
-                       build_lattice, deactivate_low_capacity_edges,
+from .netmodel import (Edge, EdgeState, InvariantError, Network, Request,
+                       ScenarioParams, build_lattice, deactivate_low_capacity_edges,
                        generate_requests, inject_failures, sample_edge_states)
 from .purification import PurificationOutcome, pump_fidelity, purify_edge, purify_network
-from .pathfinder import (Path, PathInfoEntry, PathInfoSet, PathKey,
-                         build_path_info, collect_path_edges, k_shortest_paths,
-                         path_lengths)
+from .pathfinder import (Path, PathInfoEntry, PathKey, PathSet,
+                         build_path_info, k_shortest_paths, truncate_edge_paths)
 from .scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams, ScheduleTable,
                         compute_f_min, flow_determination, progressive_filling,
                         propagatory_update, proportional_share, run_algorithm,
-                        truncate_edge_paths, two_stage_weights)
+                        two_stage_weights)
 from .metrics import MetricsReport, evaluate, jain_paths, jain_requests, min_flow
 from .metrics import throughput, utilization_stats, stretch_factor, evaluate_demand
 from .harness import (ExperimentConfig, ObjectiveWeights, RequestSpec,
@@ -22,15 +21,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS", "ConfigError", "Edge", "EdgeState", "ExperimentConfig",
-    "MetricsReport", "Network", "ObjectiveWeights", "Path", "PathInfoEntry",
-    "PathInfoSet", "PathKey", "PurificationOutcome", "Request", "RequestSpec",
-    "RoutingOutcome", "RoutingParams", "ScenarioParams", "ScheduleTable",
-    "TrialRecord", "build_lattice", "build_path_info", "collect_path_edges",
-    "compute_f_min", "deactivate_low_capacity_edges", "evaluate",
-    "evaluate_demand", "failure_experiment", "flow_determination",
+    "InvariantError", "MetricsReport", "Network", "ObjectiveWeights", "Path",
+    "PathInfoEntry", "PathKey", "PathSet", "PurificationOutcome", "Request",
+    "RequestSpec", "RoutingOutcome", "RoutingParams", "ScenarioParams",
+    "ScheduleTable", "TrialRecord", "build_lattice",
+    "build_path_info", "compute_f_min", "deactivate_low_capacity_edges",
+    "evaluate", "evaluate_demand", "failure_experiment", "flow_determination",
     "generate_requests", "grid_search_parameters", "inject_failures",
     "jain_paths", "jain_requests", "k_shortest_paths", "load_config",
-    "min_flow", "path_lengths", "progressive_filling", "propagatory_update",
+    "min_flow", "progressive_filling", "propagatory_update",
     "proportional_share", "pump_fidelity", "purify_edge", "purify_network",
     "replicate", "request_sweep", "run_algorithm", "run_trial",
     "sample_edge_states", "stretch_factor", "swap_monte_carlo", "throughput",

@@ -77,6 +77,10 @@ def build_parser() -> _Parser:
 
 
 def _load(args) -> harness.ExperimentConfig:
+    try:
+        harness.worker_count()
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     config = load_config(args.config)
     algorithms = None
     if args.algorithms:

@@ -159,16 +159,26 @@ def config_from_mapping(doc: dict, lines: dict[str, int] | None = None,
 
     count, p = get("requests", "count", 2)
     count = _scalar(count, p, lines, int, lo=1)
-    distance, p = get("requests", "distance", 3)
-    if distance is not None:
-        distance = _scalar(distance, p, lines, int, lo=1)
     pairs, p = get("requests", "pairs", None)
     if pairs is not None:
         if (not isinstance(pairs, list) or not pairs
                 or not all(isinstance(pair, list) and len(pair) == 2
                            and all(isinstance(n, int) for n in pair) for pair in pairs)):
             _fail(p, lines, "expected a list of [source, terminal] node pairs")
+        for s, t in pairs:
+            for node in (s, t):
+                if not 0 <= node < rows * cols:
+                    _fail(p, lines, f"node {node} is outside the {rows}x{cols} lattice")
+            if s == t:
+                _fail(p, lines, f"source and terminal must differ, got [{s}, {t}]")
         pairs = tuple((s, t) for s, t in pairs)
+    distance, p = get("requests", "distance", 3)
+    if distance is not None:
+        distance = _scalar(distance, p, lines, int, lo=1)
+        # the distance only matters when requests are drawn, not pinned
+        if pairs is None and distance > min(rows, cols) - 1:
+            _fail(p, lines, f"no node pair at offset ({distance}, {distance}) "
+                            f"in a {rows}x{cols} lattice")
     demand, p = get("requests", "demand", 10)
     demand = _scalar(demand, p, lines, int, lo=1)
     weight, p = get("requests", "weight", 1.0)

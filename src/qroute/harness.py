@@ -165,12 +165,13 @@ def prepare_trial(config: ExperimentConfig, seed: int) -> TrialContext:
 def route_all(net: Network, paths: Sequence[Path], requests: Sequence[Request],
               params: RoutingParams, algorithms: Sequence[str],
               p_in: float) -> dict[str, AlgorithmResult]:
-    """Steps 3-5 for every selected algorithm on one realized network."""
+    """Steps 3-5 for every selected algorithm on one realized network; the
+    outcomes share the window's one PathSet."""
     info = build_path_info(paths)
     results: dict[str, AlgorithmResult] = {}
     for name in algorithms:
         t0 = time.perf_counter()
-        outcome = run_algorithm(name, net, info, params, requests)
+        outcome = run_algorithm(name, net, info, params)
         dt = time.perf_counter() - t0
         results[name] = AlgorithmResult(outcome, evaluate(outcome, net, requests, p_in), dt)
     return results
@@ -213,10 +214,18 @@ def _trial_task(args: tuple[ExperimentConfig, int]) -> TrialRecord:
     return run_trial(*args)
 
 
+def worker_count() -> int:
+    """Replication worker processes: QROUTE_WORKERS, a positive integer (default 1)."""
+    text = os.environ.get(WORKERS_ENV, "1")
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise ValueError(f"{WORKERS_ENV} must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def run_trials(config: ExperimentConfig, seeds: Sequence[int]) -> list[TrialRecord]:
     """Trials are independent work units; QROUTE_WORKERS > 1 fans them out to
     processes. Results always come back in seed order."""
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
+    workers = worker_count()
     if workers > 1 and len(seeds) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_trial_task, [(config, s) for s in seeds]))

@@ -11,6 +11,10 @@ TOPOLOGIES = ("square", "hexagonal", "triangular")
 Edge = tuple[int, int]
 
 
+class InvariantError(RuntimeError):
+    """A pipeline invariant failed; raised, not asserted, so it holds under -O."""
+
+
 def node_id(x: int, y: int, cols: int) -> int:
     return y * cols + x
 

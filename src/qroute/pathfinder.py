@@ -3,10 +3,11 @@ path information set."""
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .netmodel import Edge, Network, Request
+from .netmodel import Edge, Network
 
 #: (request_id, path rank) identifies one enumerated path
 PathKey = tuple[int, int]
@@ -48,10 +49,6 @@ class PathInfoEntry:
     @property
     def key(self) -> PathKey:
         return (self.request_id, self.path_rank)
-
-
-#: H: edge -> entries for every (request, path) traversal of that edge
-PathInfoSet = dict[Edge, list[PathInfoEntry]]
 
 
 def _lex_shortest(adj: dict[int, list[int]], s: int, t: int,
@@ -132,37 +129,57 @@ def k_shortest_paths(net: Network, s: int, t: int, k: int,
     return [Path(request_id, rank, nodes) for rank, nodes in enumerate(accepted)]
 
 
-def find_request_paths(net: Network, requests: Iterable[Request],
-                       k: int) -> dict[int, list[Path]]:
-    """k shortest paths per request; a disconnected request maps to []."""
-    return {r.id: k_shortest_paths(net, r.source, r.terminal, k, request_id=r.id)
-            for r in requests}
+def truncate_edge_paths(entries: Sequence[PathInfoEntry], l_max: int) -> list[PathInfoEntry]:
+    """Keep at most l_max entries of one edge's list, preferring short paths.
+
+    An entry that is its request's only entry on this edge is kept
+    unconditionally, evicting the longest non-sole entries instead; if sole
+    entries alone exceed l_max the shortest of them win. Result is sorted by
+    (request_id, rank).
+    """
+    order = lambda h: (h.request_id, h.path_rank)
+    if len(entries) <= l_max:
+        return sorted(entries, key=order)
+    counts = Counter(h.request_id for h in entries)
+    priority = lambda h: (h.path_length, h.request_id, h.path_rank)
+    soles = sorted((h for h in entries if counts[h.request_id] == 1), key=priority)
+    others = sorted((h for h in entries if counts[h.request_id] > 1), key=priority)
+    if len(soles) >= l_max:
+        kept = soles[:l_max]
+    else:
+        kept = soles + others[:l_max - len(soles)]
+    return sorted(kept, key=order)
 
 
-def build_path_info(paths: Iterable[Path]) -> PathInfoSet:
+class PathSet(dict[Edge, list[PathInfoEntry]]):
+    """One window's paths, built once: H (this mapping, edge -> entries) plus
+    the per-path views, keyed in PathKey order, that every scheduler, the
+    metrics and the trial record share."""
+
+    def __init__(self, path_edges: dict[PathKey, tuple[Edge, ...]],
+                 lengths: dict[PathKey, int]) -> None:
+        super().__init__()
+        self.path_edges = dict(sorted(path_edges.items()))
+        self.lengths = {key: lengths[key] for key in self.path_edges}
+        self._kept: dict[int, tuple] = {}
+        for (r, l), edges in self.path_edges.items():
+            for order, e in enumerate(edges):
+                self.setdefault(e, []).append(PathInfoEntry(r, l, lengths[r, l], order))
+
+    def kept(self, l_max: int) -> tuple[dict[Edge, list[PathInfoEntry]], frozenset[PathKey]]:
+        """H truncated to l_max entries per edge (edges sorted), and the paths
+        kept on every edge they traverse; computed once per l_max."""
+        if l_max not in self._kept:
+            entries = {e: truncate_edge_paths(self[e], l_max) for e in sorted(self)}
+            kept_on = {e: {h.key for h in hs} for e, hs in entries.items()}
+            live = frozenset(key for key, edges in self.path_edges.items()
+                             if all(key in kept_on[e] for e in edges))
+            self._kept[l_max] = (entries, live)
+        return self._kept[l_max]
+
+
+def build_path_info(paths: Iterable[Path]) -> PathSet:
     """Assemble H: one entry per (request, path) traversal of each edge."""
-    info: PathInfoSet = {}
-    for path in sorted(paths, key=lambda p: p.key):
-        d = path.length
-        for order, e in enumerate(path.edge_keys()):
-            info.setdefault(e, []).append(
-                PathInfoEntry(path.request_id, path.rank, d, order))
-    return info
-
-
-def collect_path_edges(info: PathInfoSet) -> dict[PathKey, tuple[Edge, ...]]:
-    """Recover each path's traversal-ordered edge list from H."""
-    acc: dict[PathKey, list[tuple[int, Edge]]] = {}
-    for e, entries in info.items():
-        for h in entries:
-            acc.setdefault(h.key, []).append((h.edge_order, e))
-    return {key: tuple(e for _, e in sorted(pairs))
-            for key, pairs in sorted(acc.items())}
-
-
-def path_lengths(info: PathInfoSet) -> dict[PathKey, int]:
-    lengths: dict[PathKey, int] = {}
-    for entries in info.values():
-        for h in entries:
-            lengths[h.key] = h.path_length
-    return dict(sorted(lengths.items()))
+    paths = list(paths)
+    return PathSet({p.key: p.edge_keys() for p in paths},
+                   {p.key: p.length for p in paths})

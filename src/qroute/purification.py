@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .netmodel import Network
+from .netmodel import InvariantError, Network
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,8 @@ def purify_network(net: Network, f_th: float) -> Network:
         edge.capacity = result.capacity
         if edge.capacity == 0:
             edge.active = False
-        else:
-            assert edge.fidelity >= f_th
+        elif edge.fidelity < f_th:
+            raise InvariantError(
+                f"edge {edge.key} kept at fidelity {edge.fidelity} below f_th {f_th}")
     out.phase = "purified"
     return out

@@ -100,12 +100,10 @@ def _decode_edge(text: str) -> tuple[int, int]:
 
 
 def outcome_to_dict(outcome: RoutingOutcome) -> dict:
+    """Flows and schedule; the paths are written once per record."""
     data = {
         "algorithm": outcome.algorithm,
         "flows": {_encode_pathkey(k): v for k, v in sorted(outcome.flows.items())},
-        "lengths": {_encode_pathkey(k): v for k, v in sorted(outcome.lengths.items())},
-        "path_edges": {_encode_pathkey(k): [_encode_edge(e) for e in edges]
-                       for k, edges in sorted(outcome.path_edges.items())},
     }
     if outcome.schedule is not None:
         data["schedule"] = {
@@ -119,7 +117,7 @@ def outcome_to_dict(outcome: RoutingOutcome) -> dict:
     return data
 
 
-def outcome_from_dict(data: dict) -> RoutingOutcome:
+def outcome_from_dict(data: dict, lengths: dict, path_edges: dict) -> RoutingOutcome:
     schedule = None
     if "schedule" in data:
         raw = data["schedule"]
@@ -132,10 +130,7 @@ def outcome_from_dict(data: dict) -> RoutingOutcome:
     return RoutingOutcome(
         algorithm=data["algorithm"],
         flows={_decode_pathkey(k): v for k, v in data["flows"].items()},
-        lengths={_decode_pathkey(k): v for k, v in data["lengths"].items()},
-        path_edges={_decode_pathkey(k): tuple(_decode_edge(e) for e in edges)
-                    for k, edges in data["path_edges"].items()},
-        schedule=schedule)
+        lengths=lengths, path_edges=path_edges, schedule=schedule)
 
 
 def report_to_dict(report: MetricsReport) -> dict:
@@ -172,6 +167,8 @@ def report_from_dict(data: dict) -> MetricsReport:
 
 
 def record_to_dict(record: TrialRecord) -> dict:
+    # a record's outcomes share one path set, so its paths are written once
+    shared = next(iter(record.results.values())).outcome
     return {
         "seed": record.seed,
         "params": {"k": record.params.k, "l_max": record.params.l_max,
@@ -181,6 +178,11 @@ def record_to_dict(record: TrialRecord) -> dict:
                       "demand": r.demand, "weight": r.weight}
                      for r in record.requests],
         "network": vars(record.network).copy(),
+        "paths": {
+            "lengths": {_encode_pathkey(k): v for k, v in sorted(shared.lengths.items())},
+            "path_edges": {_encode_pathkey(k): [_encode_edge(e) for e in edges]
+                           for k, edges in sorted(shared.path_edges.items())},
+        },
         "results": {name: {"outcome": outcome_to_dict(res.outcome),
                            "report": report_to_dict(res.report),
                            "schedule_seconds": res.schedule_seconds}
@@ -191,12 +193,16 @@ def record_to_dict(record: TrialRecord) -> dict:
 
 
 def record_from_dict(data: dict) -> TrialRecord:
+    lengths = {_decode_pathkey(k): v for k, v in data["paths"]["lengths"].items()}
+    path_edges = {_decode_pathkey(k): tuple(_decode_edge(e) for e in edges)
+                  for k, edges in data["paths"]["path_edges"].items()}
     return TrialRecord(
         seed=data["seed"],
         params=RoutingParams(**data["params"]),
         requests=tuple(Request(**r) for r in data["requests"]),
         network=NetworkSummary(**data["network"]),
-        results={name: AlgorithmResult(outcome_from_dict(res["outcome"]),
+        results={name: AlgorithmResult(outcome_from_dict(res["outcome"], lengths,
+                                                         path_edges),
                                        report_from_dict(res["report"]),
                                        res["schedule_seconds"])
                  for name, res in data["results"].items()},

@@ -3,13 +3,11 @@ filling (PF), propagatory update (PU), and the short-board flow determination.""
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .netmodel import Edge, Network
-from .pathfinder import (PathInfoEntry, PathInfoSet, PathKey,
-                         collect_path_edges, path_lengths)
+from .netmodel import Edge, InvariantError, Network
+from .pathfinder import PathInfoEntry, PathKey, PathSet
 
 ALGORITHMS = ("PS", "PF", "PU")
 
@@ -38,7 +36,7 @@ class RoutingParams:
 
 @dataclass
 class ScheduleTable:
-    """Per-edge, per-path allocated capacities; PU also keeps the desired table."""
+    """PS/PU per-edge, per-path allocated capacities; PU also keeps the desired table."""
 
     allocations: dict[Edge, dict[PathKey, int]]
     desired: dict[PathKey, int] | None = None
@@ -81,38 +79,6 @@ def compute_f_min(net: Network, l_max: int) -> int:
     return min(caps) // l_max
 
 
-def truncate_edge_paths(entries: Sequence[PathInfoEntry], l_max: int) -> list[PathInfoEntry]:
-    """Keep at most l_max entries of one edge's list, preferring short paths.
-
-    An entry that is its request's only entry on this edge is kept
-    unconditionally, evicting the longest non-sole entries instead; if sole
-    entries alone exceed l_max the shortest of them win. Result is sorted by
-    (request_id, rank).
-    """
-    order = lambda h: (h.request_id, h.path_rank)
-    if len(entries) <= l_max:
-        return sorted(entries, key=order)
-    counts = Counter(h.request_id for h in entries)
-    priority = lambda h: (h.path_length, h.request_id, h.path_rank)
-    soles = sorted((h for h in entries if counts[h.request_id] == 1), key=priority)
-    others = sorted((h for h in entries if counts[h.request_id] > 1), key=priority)
-    if len(soles) >= l_max:
-        kept = soles[:l_max]
-    else:
-        kept = soles + others[:l_max - len(soles)]
-    return sorted(kept, key=order)
-
-
-def fully_kept_paths(info: PathInfoSet, l_max: int) -> set[PathKey]:
-    """Paths that survive truncation on every edge they traverse."""
-    kept_on: dict[Edge, set[PathKey]] = {
-        e: {h.key for h in truncate_edge_paths(entries, l_max)}
-        for e, entries in info.items()}
-    path_edges = collect_path_edges(info)
-    return {key for key, edges in path_edges.items()
-            if all(key in kept_on[e] for e in edges)}
-
-
 def two_stage_weights(entries: Sequence[PathInfoEntry], alpha: float,
                       beta: float) -> dict[PathKey, float]:
     """Real-valued per-entry weights: request share ~ n_r^beta, then within a
@@ -137,7 +103,8 @@ def largest_remainder(quotas: Sequence[float], total: int) -> list[int]:
     """Hamilton apportionment of ``total`` units; ties favor earlier positions."""
     base = [math.floor(q) for q in quotas]
     short = total - sum(base)
-    assert 0 <= short <= len(base), "quotas do not sum to total"
+    if not 0 <= short <= len(base):
+        raise InvariantError(f"quotas {list(quotas)} do not sum to total {total}")
     order = sorted(range(len(base)), key=lambda i: (base[i] - quotas[i], i))
     for i in order[:short]:
         base[i] += 1
@@ -169,32 +136,28 @@ def _apportion_two_stage(entries: Sequence[PathInfoEntry], total: int,
     return shares
 
 
-def proportional_share(net: Network, info: PathInfoSet,
+def proportional_share(net: Network, info: PathSet,
                        params: RoutingParams) -> ScheduleTable:
     """Edge-local allocation: every kept entry gets the f_min floor, the rest
     of the capacity is split by the two-stage proportional rule."""
     f_min = params.require_f_min()
     caps = net.capacity_map()
     allocations: dict[Edge, dict[PathKey, int]] = {}
-    for e in sorted(info):
-        entries = info[e]
-        if not entries:
-            continue
-        kept = truncate_edge_paths(entries, params.l_max)
+    for e, kept in info.kept(params.l_max)[0].items():
         spare = caps[e] - f_min * len(kept)
-        assert spare >= 0, "edge kept below l_max * f_min; was Step 1 skipped?"
+        if spare < 0:
+            raise InvariantError(
+                f"edge {e} kept below l_max * f_min; was Step 1 skipped?")
         extra = _apportion_two_stage(kept, spare, -params.alpha, params.beta)
         allocations[e] = {h.key: f_min + extra[h.key] for h in kept}
     return ScheduleTable(allocations)
 
 
-def flow_determination(table: ScheduleTable, info: PathInfoSet) -> RoutingOutcome:
+def flow_determination(table: ScheduleTable, info: PathSet) -> RoutingOutcome:
     """Short-board constraint: a path's flow is its minimum per-edge allocation."""
-    path_edges = collect_path_edges(info)
-    lengths = path_lengths(info)
     flows = {key: min(table.allocations.get(e, {}).get(key, 0) for e in edges)
-             for key, edges in path_edges.items()}
-    return RoutingOutcome("PS", flows, lengths, path_edges, schedule=table)
+             for key, edges in info.path_edges.items()}
+    return RoutingOutcome("PS", flows, info.lengths, info.path_edges, schedule=table)
 
 
 def _progressive_fill(path_edges: dict[PathKey, tuple[Edge, ...]],
@@ -226,19 +189,11 @@ def _progressive_fill(path_edges: dict[PathKey, tuple[Edge, ...]],
     return flows
 
 
-def progressive_filling(net: Network, info: PathInfoSet,
-                        requests=None) -> RoutingOutcome:
+def progressive_filling(net: Network, info: PathSet) -> RoutingOutcome:
     """Round-based water filling over all enumerated paths (no truncation,
     no f_min); the short-board constraint is built in."""
-    path_edges = collect_path_edges(info)
-    lengths = path_lengths(info)
-    flows = _progressive_fill(path_edges, net.capacity_map())
-    allocations: dict[Edge, dict[PathKey, int]] = {}
-    for key, edges in path_edges.items():
-        for e in edges:
-            allocations.setdefault(e, {})[key] = flows[key]
-    table = ScheduleTable({e: allocations[e] for e in sorted(allocations)})
-    return RoutingOutcome("PF", flows, lengths, path_edges, schedule=table)
+    flows = _progressive_fill(info.path_edges, net.capacity_map())
+    return RoutingOutcome("PF", flows, info.lengths, info.path_edges)
 
 
 def _propagatory_core(capacity: dict[Edge, int],
@@ -308,7 +263,7 @@ def _propagatory_core(capacity: dict[Edge, int],
     return f_max
 
 
-def propagatory_update(net: Network, info: PathInfoSet, requests,
+def propagatory_update(net: Network, info: PathSet,
                        params: RoutingParams) -> RoutingOutcome:
     """Global schedule-table allocation: per-path desired capacities start at
     the bottleneck value, oversubscribed edges deduct (two-stage weights with
@@ -317,37 +272,30 @@ def propagatory_update(net: Network, info: PathInfoSet, requests,
     raised path stays within capacity."""
     f_min = params.require_f_min()
     caps = net.capacity_map()
-    path_edges = collect_path_edges(info)
-    lengths = path_lengths(info)
-    kept_on = {e: truncate_edge_paths(info[e], params.l_max) for e in sorted(info)}
-    kept_keys = {e: {h.key for h in kept} for e, kept in kept_on.items()}
-    live = {key for key, edges in path_edges.items()
-            if all(key in kept_keys[e] for e in edges)}
-    entries_by_edge = {
-        e: [h for h in kept if h.key in live]
-        for e, kept in kept_on.items()}
+    kept, live = info.kept(params.l_max)
+    entries_by_edge = {e: [h for h in hs if h.key in live] for e, hs in kept.items()}
     entries_by_edge = {e: hs for e, hs in entries_by_edge.items() if hs}
-    live_edges = {key: path_edges[key] for key in sorted(live)}
+    live_edges = {key: info.path_edges[key] for key in sorted(live)}
     if live_edges:
         f_max = _propagatory_core(caps, entries_by_edge, live_edges,
                                   f_min, params.alpha, params.beta)
     else:
         f_max = {}
-    flows = {key: f_max.get(key, 0) for key in path_edges}
+    flows = {key: f_max.get(key, 0) for key in info.path_edges}
     allocations = {e: {h.key: f_max[h.key] for h in entries}
                    for e, entries in entries_by_edge.items()}
     table = ScheduleTable(allocations, desired=dict(sorted(f_max.items())))
-    return RoutingOutcome("PU", flows, lengths, path_edges, schedule=table)
+    return RoutingOutcome("PU", flows, info.lengths, info.path_edges, schedule=table)
 
 
-def run_algorithm(name: str, net: Network, info: PathInfoSet,
-                  params: RoutingParams, requests=None) -> RoutingOutcome:
+def run_algorithm(name: str, net: Network, info: PathSet,
+                  params: RoutingParams) -> RoutingOutcome:
     if name == "PS":
         outcome = flow_determination(proportional_share(net, info, params), info)
     elif name == "PF":
-        outcome = progressive_filling(net, info, requests)
+        outcome = progressive_filling(net, info)
     elif name == "PU":
-        outcome = propagatory_update(net, info, requests, params)
+        outcome = propagatory_update(net, info, params)
     else:
         raise ValueError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
     _assert_feasible(outcome, net)
@@ -357,5 +305,6 @@ def run_algorithm(name: str, net: Network, info: PathInfoSet,
 def _assert_feasible(outcome: RoutingOutcome, net: Network) -> None:
     caps = net.capacity_map()
     for e, used in outcome.edge_usage().items():
-        assert used <= caps[e], (
-            f"{outcome.algorithm}: usage {used} exceeds capacity {caps[e]} on edge {e}")
+        if used > caps[e]:
+            raise InvariantError(
+                f"{outcome.algorithm}: usage {used} exceeds capacity {caps[e]} on edge {e}")

@@ -1,6 +1,6 @@
 """Shared test helpers: independent oracles and instance generators."""
 from qroute.netmodel import EdgeState, Network
-from qroute.pathfinder import PathInfoEntry
+from qroute.pathfinder import PathSet
 
 
 def abstract_network(capacity):
@@ -10,13 +10,9 @@ def abstract_network(capacity):
 
 
 def info_from_path_edges(path_edges, lengths=None):
-    """Path information set for abstract instances (length defaults to edge count)."""
-    info = {}
-    for key, edges in sorted(path_edges.items()):
-        d = (lengths or {}).get(key, len(edges))
-        for o, e in enumerate(edges):
-            info.setdefault(e, []).append(PathInfoEntry(key[0], key[1], d, o))
-    return {e: sorted(hs, key=lambda h: h.key) for e, hs in sorted(info.items())}
+    """Path set for abstract instances (length defaults to edge count)."""
+    return PathSet(path_edges, {key: (lengths or {}).get(key, len(edges))
+                                for key, edges in path_edges.items()})
 
 
 def random_fill_instance(rng, max_paths=4, max_edges=6, max_cap=12):

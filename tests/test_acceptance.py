@@ -20,7 +20,7 @@ from qroute.netmodel import ScenarioParams, build_lattice
 from qroute.pathfinder import build_path_info, k_shortest_paths
 from qroute.reports import write_trial_csv
 from qroute.scheduler import (RoutingParams, _progressive_fill,
-                              fully_kept_paths, run_algorithm)
+                              run_algorithm)
 
 ALGS = ("PS", "PF", "PU")
 
@@ -78,7 +78,7 @@ def test_criterion_1_feasibility_suite():
         routable += 1
         info = build_path_info(ctx.paths)
         caps = ctx.revised.capacity_map()
-        kept = fully_kept_paths(info, ctx.params.l_max)
+        _, kept = info.kept(ctx.params.l_max)
         for name in ALGS:
             outcome = run_algorithm(name, ctx.revised, info, ctx.params)
             for e, used in outcome.edge_usage().items():

@@ -29,6 +29,11 @@ def test_missing_path_gives_full_defaults():
 def test_out_of_range_value_names_key(tmp_path):
     with pytest.raises(ConfigError, match="scenario.p_in"):
         load_config(write(tmp_path, "scenario: {p_in: 1.5}\n"))
+    # drawn requests need a node pair at that offset; pinned pairs ignore it
+    with pytest.raises(ConfigError, match=r"requests.distance: .*8x8 lattice \(line 1\)"):
+        load_config(write(tmp_path, "requests: {distance: 9}\n"))
+    cfg = load_config(write(tmp_path, "requests: {distance: 9, pairs: [[0, 9]]}\n"))
+    assert cfg.requests.distance == 9
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -66,6 +71,10 @@ def test_request_pairs(tmp_path):
     assert cfg.requests.pairs == ((27, 54), (30, 51))
     with pytest.raises(ConfigError, match="requests.pairs"):
         load_config(write(tmp_path, "requests: {pairs: [[1, 2, 3]]}\n"))
+    with pytest.raises(ConfigError, match=r"requests.pairs: node 999 .*8x8 lattice \(line 2\)"):
+        load_config(write(tmp_path, "requests:\n  pairs: [[0, 999]]\n"))
+    with pytest.raises(ConfigError, match=r"requests.pairs: .*must differ.* \(line 1\)"):
+        load_config(write(tmp_path, "requests: {pairs: [[5, 5]]}\n"))
 
 
 def test_algorithm_subset_validated(tmp_path):

@@ -38,6 +38,21 @@ def test_run_trial_records_paired_results():
     assert keys["PS"] == keys["PF"] == keys["PU"]
 
 
+def test_path_set_built_once_per_trial(monkeypatch):
+    import qroute.harness as harness
+    calls = []
+    build = harness.build_path_info
+    monkeypatch.setattr(harness, "build_path_info",
+                        lambda paths: calls.append(1) or build(paths))
+    records = [run_trial(small_config(), seed) for seed in range(8)]
+    routable = [rec for rec in records if rec.reason is None]
+    assert routable and len(calls) == len(routable)
+    for rec in routable:
+        ps, pf, pu = (rec.results[name].outcome for name in ("PS", "PF", "PU"))
+        assert ps.path_edges is pf.path_edges is pu.path_edges
+        assert ps.lengths is pf.lengths is pu.lengths
+
+
 def test_run_trial_zero_metrics_when_no_edges():
     cfg = small_config(scenario=ScenarioParams(c0=50, p_out=0.0))
     rec = run_trial(cfg, 1)

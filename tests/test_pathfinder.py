@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 from conftest import enumerate_loopless_paths
 
-from qroute.netmodel import build_lattice
-from qroute.pathfinder import (Path, build_path_info, collect_path_edges,
-                               k_shortest_paths, path_lengths)
+from qroute.netmodel import TOPOLOGIES, build_lattice
+from qroute.pathfinder import (Path, build_path_info, k_shortest_paths,
+                               truncate_edge_paths)
 
 
 def active_lattice(rows, cols, kind="square", dead_edges=()):
@@ -76,6 +77,20 @@ def test_lengths_nondecreasing_and_rank0_is_bfs_distance():
     assert paths[0].length == len(oracle[0]) - 1
 
 
+@pytest.mark.parametrize("kind", TOPOLOGIES)
+def test_prefix_stable_in_k(kind):
+    # the j shortest paths are the first j of the k shortest, for every j <= k
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        net = active_lattice(5, 5, kind)
+        for e in net.edges:
+            e.active = bool(rng.random() > 0.1)
+        s, t = (int(n) for n in rng.choice(net.node_count, size=2, replace=False))
+        full = k_shortest_paths(net, s, t, 12)
+        for j in range(1, 13):
+            assert k_shortest_paths(net, s, t, j) == full[:j]
+
+
 def test_argument_validation():
     net = active_lattice(2, 2)
     with pytest.raises(ValueError):
@@ -111,15 +126,37 @@ def test_build_path_info_shared_edge():
 
 
 def test_build_path_info_empty():
-    assert build_path_info([]) == {}
+    info = build_path_info([])
+    assert info == {}
+    assert info.path_edges == {} and info.lengths == {}
+    assert info.kept(3) == ({}, frozenset())
 
 
-def test_collect_roundtrip():
+def test_path_set_per_path_views():
     net = active_lattice(3, 3)
-    paths = k_shortest_paths(net, 0, 8, 5, request_id=2)
+    paths = (k_shortest_paths(net, 0, 8, 5, request_id=2)
+             + k_shortest_paths(net, 2, 6, 5, request_id=0))
     info = build_path_info(paths)
-    edges = collect_path_edges(info)
-    lengths = path_lengths(info)
+    assert list(info.path_edges) == sorted(p.key for p in paths)
+    assert list(info.lengths) == list(info.path_edges)
     for p in paths:
-        assert edges[p.key] == p.edge_keys()
-        assert lengths[p.key] == p.length
+        assert info.path_edges[p.key] == p.edge_keys()
+        assert info.lengths[p.key] == p.length
+    for e, entries in info.items():
+        for h in entries:
+            assert info.path_edges[h.key][h.edge_order] == e
+
+
+def test_path_set_kept_matches_per_edge_truncation():
+    net = active_lattice(4, 4)
+    paths = (k_shortest_paths(net, 0, 15, 10, request_id=0)
+             + k_shortest_paths(net, 3, 12, 10, request_id=1))
+    info = build_path_info(paths)
+    for l_max in (1, 2, 4, 20):
+        assert info.kept(l_max) is info.kept(l_max)
+        kept, live = info.kept(l_max)
+        assert list(kept) == sorted(info)
+        for e, entries in info.items():
+            assert kept[e] == truncate_edge_paths(entries, l_max)
+        assert live == {p.key for p in paths
+                        if all(p.key in {h.key for h in kept[e]} for e in p.edge_keys())}

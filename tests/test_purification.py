@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qroute.netmodel import ScenarioParams, build_lattice, sample_edge_states
-from qroute.purification import pump_fidelity, purify_edge, purify_network
+import qroute.purification
+from qroute.netmodel import InvariantError, ScenarioParams, build_lattice, sample_edge_states
+from qroute.purification import (PurificationOutcome, pump_fidelity, purify_edge,
+                                 purify_network)
 
 
 def test_above_threshold_untouched():
@@ -86,6 +88,15 @@ def test_purify_network_survivors_meet_threshold():
         if e.active:
             assert e.fidelity >= 0.8 and e.capacity >= 1
         assert e.capacity == 0 or e.capacity <= net.edge_map()[e.key].capacity
+
+
+def test_purify_network_rejects_survivor_below_threshold(monkeypatch):
+    # an explicit check, so it also holds under python -O
+    net, _ = _initialized(seed=3)
+    monkeypatch.setattr(qroute.purification, "purify_edge",
+                        lambda f, c, f_th: PurificationOutcome(0.5, 10, 1))
+    with pytest.raises(InvariantError, match="below f_th"):
+        purify_network(net, 0.8)
 
 
 def test_purify_network_deterministic_and_phase_guard():

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import pathlib
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -57,8 +59,16 @@ def test_record_json_roundtrip(tmp_path):
     write_records_json([record], str(path), provenance={"lattice.rows": "file"})
     loaded = read_records_json(str(path))
     assert loaded == [record]
+    outcomes = [res.outcome for res in loaded[0].results.values()]
+    assert all(o.path_edges is outcomes[0].path_edges for o in outcomes)
     payload = json.loads(path.read_text())
     assert payload["config_provenance"] == {"lattice.rows": "file"}
+    # each path's edges and length are stored once per record, not per algorithm
+    data = payload["records"][0]
+    assert len(data["paths"]["path_edges"]) == len(record.results["PS"].outcome.flows)
+    for name, res in data["results"].items():
+        assert set(res["outcome"]) <= {"algorithm", "flows", "schedule"}
+        assert ("schedule" in res["outcome"]) == (name != "PF")
 
 
 def test_record_dict_roundtrip_degenerate():
@@ -167,9 +177,19 @@ def test_cli_replicate_and_algorithms_flag(tmp_path):
     assert (out_dir / "aggregate.csv").exists()
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, capsys, monkeypatch):
     bad = write_config(tmp_path, "scenario: {p_in: 2.0}\n")
     assert cli.main(["run", "-c", bad, "--out-dir", str(tmp_path / "o")]) == 1
+    for text, message in (("requests: {pairs: [[0, 999]]}\n", "requests.pairs: node 999"),
+                          ("requests: {pairs: [[5, 5]]}\n", "requests.pairs: source"),
+                          ("requests: {distance: 9}\n", "requests.distance: no node pair")):
+        bad = write_config(tmp_path, text)
+        assert cli.main(["run", "-c", bad, "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "(line 1)" in err
+    monkeypatch.setenv("QROUTE_WORKERS", "abc")
+    assert cli.main(["replicate", "--out-dir", str(tmp_path / "o")]) == 1
+    assert "QROUTE_WORKERS" in capsys.readouterr().err
 
 
 def test_cli_usage_error_exit_code(tmp_path):
@@ -213,6 +233,26 @@ def test_cli_optimize_and_failures(tmp_path):
     with open(out_dir / "failures.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert {r["mode"] for r in rows} == {"edge", "node"}
+
+
+#: sha256 of the files the commands below wrote when these digests were pinned
+PINNED_DIGESTS = {
+    "trials.csv": "5f8e9d4c8f8112f579c7f94d6b37a51e5148e5d5d0e626e9a192c424ea59349d",
+    "optimize.csv": "f8abdfd1f8a48d321f6e464c5518564151460556b0aa85a18a225bc2fe95efb5",
+}
+
+
+def test_cli_outputs_match_pinned_digests(tmp_path):
+    # differential check: a change to the pipeline that alters any output
+    # byte fails here without running the benchmark
+    configs = pathlib.Path(__file__).resolve().parent.parent / "configs"
+    out_dir = tmp_path / "out"
+    assert cli.main(["replicate", "-c", str(configs / "baseline.yml"),
+                     "--replications", "10", "--out-dir", str(out_dir)]) == 0
+    assert cli.main(["optimize", "-c", str(configs / "sweep.yml"),
+                     "--replications", "3", "--out-dir", str(out_dir)]) == 0
+    for name, digest in PINNED_DIGESTS.items():
+        assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_cli_runtime_error_exit_code(tmp_path):

@@ -5,16 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_integer_max_min, random_fill_instance
+from conftest import assert_integer_max_min, info_from_path_edges, random_fill_instance
 
-from qroute.netmodel import Network, EdgeState
-from qroute.pathfinder import PathInfoEntry
-from qroute.scheduler import (RoutingParams, ScheduleTable, _progressive_fill,
+from qroute.netmodel import EdgeState, InvariantError, Network
+from qroute.pathfinder import PathInfoEntry, truncate_edge_paths
+from qroute.scheduler import (RoutingOutcome, RoutingParams, ScheduleTable,
+                              _assert_feasible, _progressive_fill,
                               compute_f_min, flow_determination,
-                              fully_kept_paths, largest_remainder,
-                              progressive_filling, propagatory_update,
-                              proportional_share, run_algorithm,
-                              truncate_edge_paths, two_stage_weights)
+                              largest_remainder, progressive_filling,
+                              propagatory_update, proportional_share,
+                              run_algorithm, two_stage_weights)
 
 
 def entry(r, l, d, o=0):
@@ -35,13 +35,14 @@ def abstract_instance(edge_caps, paths, lengths=None):
     """
     edges = [EdgeState(2 * i, 2 * i + 1, c, 0.9, True) for i, c in enumerate(edge_caps)]
     net = Network(1, 2 * len(edge_caps), "square", edges, "purified")
-    info = {}
-    for key, idxs in sorted(paths.items()):
-        d = (lengths or {}).get(key, len(idxs))
-        for o, i in enumerate(idxs):
-            info.setdefault(edges[i].key, []).append(PathInfoEntry(key[0], key[1], d, o))
-    info = {e: sorted(hs, key=lambda h: h.key) for e, hs in sorted(info.items())}
-    return net, info
+    path_edges = {key: tuple(edges[i].key for i in idxs) for key, idxs in paths.items()}
+    return net, info_from_path_edges(path_edges, lengths)
+
+
+def one_edge(*entries):
+    """Path set whose paths all cross edge (0, 1), with the entries' lengths."""
+    return info_from_path_edges({h.key: ((0, 1),) for h in entries},
+                                {h.key: h.path_length for h in entries})
 
 
 # ------------------------------------------------------------------ f_min
@@ -122,6 +123,12 @@ def test_largest_remainder_examples():
     assert largest_remainder([0.0, 0.0], 0) == [0, 0]
 
 
+def test_largest_remainder_rejects_quotas_off_total():
+    # an explicit check, so it also holds under python -O
+    with pytest.raises(InvariantError, match="do not sum"):
+        largest_remainder([0.1, 0.1], 5)
+
+
 @given(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=8), st.integers(0, 200))
 @settings(max_examples=200, deadline=None)
 def test_largest_remainder_properties(weights, total):
@@ -143,30 +150,35 @@ def test_proportional_share_worked_example():
     # edge C=10 shared by r0:[d=4] and r1:[d=4, d=6], alpha=beta=0, f_min=1:
     # floors 1,1,1 then 7 spare units apportioned 3.5/1.75/1.75 stage-wise
     net, _ = abstract_instance([10], {(0, 0): [0]})
-    info = {(0, 1): [entry(0, 0, 4), entry(1, 0, 4), entry(1, 1, 6)]}
+    info = one_edge(entry(0, 0, 4), entry(1, 0, 4), entry(1, 1, 6))
     table = proportional_share(net, info, params())
     assert table.allocations[(0, 1)] == {(0, 0): 5, (1, 0): 3, (1, 1): 2}
 
 
 def test_proportional_share_sole_claimant():
     net = line_network([8])
-    info = {(0, 1): [entry(0, 0, 3)]}
+    info = one_edge(entry(0, 0, 3))
     table = proportional_share(net, info, params())
     assert table.allocations[(0, 1)] == {(0, 0): 8}
 
 
 def test_proportional_share_tie_broken_by_rank():
     net = line_network([9])
-    info = {(0, 1): [entry(0, 0, 4), entry(0, 1, 4)]}
+    info = one_edge(entry(0, 0, 4), entry(0, 1, 4))
     table = proportional_share(net, info, params())
     assert table.allocations[(0, 1)] == {(0, 0): 5, (0, 1): 4}
 
 
 def test_proportional_share_respects_capacity():
     net = line_network([10])
-    info = {(0, 1): [entry(r, 0, 5) for r in range(4)]}
+    info = one_edge(*(entry(r, 0, 5) for r in range(4)))
     table = proportional_share(net, info, params(alpha=1.5, beta=0.7))
     assert sum(table.allocations[(0, 1)].values()) == 10
+
+
+def test_proportional_share_rejects_floor_above_capacity():
+    with pytest.raises(InvariantError, match="Step 1"):
+        proportional_share(line_network([3]), one_edge(entry(0, 0, 1)), params(f_min=5))
 
 
 # -------------------------------------------------------- flow determination
@@ -181,7 +193,7 @@ def test_flow_determination_short_board():
 
 def test_flow_determination_single_edge():
     net = line_network([9])
-    info = {(0, 1): [entry(0, 0, 1)]}
+    info = one_edge(entry(0, 0, 1))
     outcome = flow_determination(proportional_share(net, info, params()), info)
     assert outcome.flows[(0, 0)] == 9
 
@@ -229,7 +241,7 @@ def test_pf_fair_on_symmetric_requests():
 
 def test_pu_single_path_takes_bottleneck():
     net, info = abstract_instance([12, 30], {(0, 0): [0, 1]})
-    out = propagatory_update(net, info, None, params())
+    out = propagatory_update(net, info, params())
     assert out.flows[(0, 0)] == 12
 
 
@@ -237,7 +249,7 @@ def test_pu_ample_edges_keep_initial_bottlenecks():
     # disjoint paths, every edge at least as large as the bottleneck sum
     net, info = abstract_instance([10, 40, 20, 40],
                                   {(0, 0): [0, 1], (1, 0): [2, 3]})
-    out = propagatory_update(net, info, None, params())
+    out = propagatory_update(net, info, params())
     assert out.flows[(0, 0)] == 10
     assert out.flows[(1, 0)] == 20
 
@@ -252,13 +264,13 @@ def test_pu_deductions_hit_longer_paths_harder_when_alpha_positive():
         [30, 100, 100, 100],
         {(0, 0): [0, 1], (1, 0): [0, 2], (1, 1): [0, 3]},
         lengths={(0, 0): 4, (1, 0): 6, (1, 1): 8})
-    out = propagatory_update(net, info, None, params(alpha=1.0, beta=0.0))
+    out = propagatory_update(net, info, params(alpha=1.0, beta=0.0))
     flows = out.flows
     assert flows[(0, 0)] == 1
     assert flows[(1, 0)] > flows[(1, 1)]
     assert flows[(0, 0)] + flows[(1, 0)] + flows[(1, 1)] == 30
     # the longer path loses strictly more once alpha is switched on
-    flat = propagatory_update(net, info, None, params(alpha=0.0, beta=0.0))
+    flat = propagatory_update(net, info, params(alpha=0.0, beta=0.0))
     assert flows[(1, 1)] < flat.flows[(1, 1)]
 
 
@@ -282,7 +294,7 @@ def test_pu_total_flow_optimal_on_single_contended_edge():
         edge_caps = [tight] + side_caps
         paths = {(p, 0): [0, 1 + p] for p in range(n_paths)}
         net, info = abstract_instance(edge_caps, paths)
-        out = propagatory_update(net, info, None, params(f_min=1, l_max=30))
+        out = propagatory_update(net, info, params(f_min=1, l_max=30))
         total = sum(out.flows.values())
         bottlenecks = [min(tight, side_caps[p]) for p in range(n_paths)]
         assert total == exhaustive_best_total(bottlenecks, tight, 1)
@@ -299,14 +311,10 @@ def test_pu_flows_never_below_f_min_for_live_paths():
         net_edges = [EdgeState(u, v, capacity[(u, v)], 0.9, True)
                      for (u, v) in sorted(capacity)]
         net = Network(1, 2 * len(net_edges), "square", net_edges, "purified")
-        info = {}
-        for key, edges in path_edges.items():
-            for o, e in enumerate(edges):
-                info.setdefault(e, []).append(
-                    PathInfoEntry(key[0], key[1], len(edges), o))
+        info = info_from_path_edges(path_edges)
         p = params(l_max=l_max, f_min=f_min)
-        out = propagatory_update(net, info, None, p)
-        kept = fully_kept_paths(info, l_max)
+        out = propagatory_update(net, info, p)
+        _, kept = info.kept(l_max)
         for key, flow in out.flows.items():
             if key in kept:
                 assert flow >= f_min
@@ -342,9 +350,17 @@ def test_algorithms_deterministic_and_feasible(name):
 def test_ps_floor_on_fully_kept_paths():
     net, info, p = routed_instance(3)
     out = run_algorithm("PS", net, info, p)
-    kept = fully_kept_paths(info, p.l_max)
+    _, kept = info.kept(p.l_max)
     for key in kept:
         assert out.flows[key] >= p.f_min
+
+
+def test_infeasible_outcome_rejected():
+    # 10 units on a capacity-3 edge; an explicit check, so it also holds under python -O
+    net = line_network([3])
+    outcome = RoutingOutcome("PS", {(0, 0): 10}, {(0, 0): 1}, {(0, 0): ((0, 1),)})
+    with pytest.raises(InvariantError, match="exceeds capacity"):
+        _assert_feasible(outcome, net)
 
 
 def test_unknown_algorithm_rejected():
@@ -359,10 +375,8 @@ def test_schedule_table_allocations_within_capacity():
     caps = net.capacity_map()
     for e, alloc in table.allocations.items():
         assert sum(alloc.values()) <= caps[e]
-    out = progressive_filling(net, info)
-    for e, alloc in out.schedule.allocations.items():
-        assert sum(alloc.values()) <= caps[e]
-    pu = propagatory_update(net, info, None, p)
+    assert progressive_filling(net, info).schedule is None
+    pu = propagatory_update(net, info, p)
     for e, alloc in pu.schedule.allocations.items():
         assert sum(alloc.values()) <= caps[e]
     assert pu.schedule.desired is not None
