@@ -146,6 +146,13 @@ def _cmd_sweep(args) -> int:
     distances = [config.requests.distance]
     if args.distances:
         distances = _int_list(args.distances, "--distances")
+        # the rule config_from_mapping applies to requests.distance
+        limit = min(config.rows, config.cols) - 1
+        for distance in distances:
+            if not 1 <= distance <= limit:
+                raise _UsageError(
+                    f"--distances: {distance} is outside 1..{limit} for a "
+                    f"{config.rows}x{config.cols} lattice")
     points = harness.parameter_grid(config)
     rows = []
     for distance in distances:

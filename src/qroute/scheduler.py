@@ -162,11 +162,15 @@ def flow_determination(table: ScheduleTable, info: PathSet) -> RoutingOutcome:
 
 def _progressive_fill(path_edges: dict[PathKey, tuple[Edge, ...]],
                       capacity: dict[Edge, int]) -> dict[PathKey, int]:
-    """Uniform unit increments with integer saturation.
+    """Progressive filling with integer saturation, one freeze event at a time.
 
-    Before each round, any edge whose slack is below its active-path count
-    saturates and freezes those paths; the sub-count leftover stays
-    unallocated. Remaining active paths then all gain one unit.
+    The defining rule runs in rounds: before each round, any edge whose slack
+    is below its active-path count saturates and freezes those paths (the
+    sub-count leftover stays unallocated); the remaining active paths then
+    all gain one unit. Between two freeze events the rounds only repeat, and
+    the next event comes after ``min_e floor(slack_e / n_active_e)`` rounds,
+    so this jumps there at once and gives the same flows as the round-by-round
+    rule in at most #paths + 1 steps.
     """
     flows = {key: 0 for key in sorted(path_edges)}
     on_edge: dict[Edge, list[PathKey]] = {}
@@ -174,18 +178,23 @@ def _progressive_fill(path_edges: dict[PathKey, tuple[Edge, ...]],
         for e in edges:
             on_edge.setdefault(e, []).append(key)
     usage = {e: 0 for e in on_edge}
+    n_active = {e: len(keys) for e, keys in on_edge.items()}
     active = set(flows)
     while active:
-        frozen: set[PathKey] = set()
-        for e, keys in on_edge.items():
-            n_active = sum(1 for key in keys if key in active)
-            if n_active and capacity[e] - usage[e] < n_active:
-                frozen.update(key for key in keys if key in active)
+        frozen = {key for e, keys in on_edge.items()
+                  if capacity[e] - usage[e] < n_active[e]
+                  for key in keys if key in active}
         active -= frozen
-        for key in active:
-            flows[key] += 1
+        for key in frozen:
             for e in path_edges[key]:
-                usage[e] += 1
+                n_active[e] -= 1
+        # every edge still carrying active paths has slack >= n_active here
+        rounds = min(((capacity[e] - usage[e]) // n for e, n in n_active.items() if n),
+                     default=0)
+        for key in active:
+            flows[key] += rounds
+            for e in path_edges[key]:
+                usage[e] += rounds
     return flows
 
 
@@ -209,6 +218,13 @@ def _propagatory_core(capacity: dict[Edge, int],
     edges = sorted(entries_by_edge)
 
     def deduct(e: Edge) -> None:
+        """Cut the apportioned excess (never below f_min), then the residual.
+
+        The residual rule takes one unit at a time from the largest desired
+        capacity, ties to the smallest key: a group tied at the top loses one
+        unit each in key order, round after round, until it meets the next
+        level down. So whole rounds are taken at once, then what is left.
+        """
         entries = entries_by_edge[e]
         excess = usage[e] - capacity[e]
         assigned = _apportion_two_stage(entries, excess, alpha, beta)
@@ -220,29 +236,46 @@ def _propagatory_core(capacity: dict[Edge, int],
                 for e2 in path_edges[h.key]:
                     usage[e2] -= cut
                 removed += cut
-        while removed < excess:
-            # residual lands on the currently largest desired capacity
-            key = min((h.key for h in entries if f_max[h.key] > f_min),
-                      key=lambda k: (-f_max[k], k))
-            f_max[key] -= 1
-            for e2 in path_edges[key]:
-                usage[e2] -= 1
-            removed += 1
+        need = excess - removed
+        while need:
+            levels = sorted({f_max[h.key] for h in entries if f_max[h.key] > f_min},
+                            reverse=True)
+            if not levels:
+                raise InvariantError(
+                    f"edge {e}: {need} units of excess cannot be deducted above "
+                    f"f_min = {f_min}")
+            top = levels[0]
+            group = sorted(h.key for h in entries if f_max[h.key] == top)
+            if need < len(group):
+                group, cut = group[:need], 1
+            else:
+                floor = levels[1] if len(levels) > 1 else f_min
+                cut = min(top - floor, need // len(group))
+            for key in group:
+                f_max[key] -= cut
+                for e2 in path_edges[key]:
+                    usage[e2] -= cut
+                need -= cut
 
     def raise_entries(e: Edge) -> bool:
+        """Hand free units of e to its entries, heaviest weight first.
+
+        The rule gives one unit at a time to the first key in order whose
+        edges all have room. Raises only add usage, so a key that does not
+        fit never fits again, and each key in turn takes all its room at once.
+        """
         weights = two_stage_weights(entries_by_edge[e], alpha, beta)
         order = sorted(weights, key=lambda k: (-weights[k], k))
         changed = False
-        while usage[e] < capacity[e]:
-            for key in order:
-                if all(usage[e2] + 1 <= capacity[e2] for e2 in path_edges[key]):
-                    f_max[key] += 1
-                    for e2 in path_edges[key]:
-                        usage[e2] += 1
-                    changed = True
-                    break
-            else:
+        for key in order:
+            if usage[e] >= capacity[e]:
                 break
+            room = min(capacity[e2] - usage[e2] for e2 in path_edges[key])
+            if room > 0:
+                f_max[key] += room
+                for e2 in path_edges[key]:
+                    usage[e2] += room
+                changed = True
         return changed
 
     silent = 0

@@ -1,6 +1,7 @@
 """Shared test helpers: independent oracles and instance generators."""
 from qroute.netmodel import EdgeState, Network
 from qroute.pathfinder import PathSet
+from qroute.scheduler import _apportion_two_stage, two_stage_weights
 
 
 def abstract_network(capacity):
@@ -70,3 +71,103 @@ def enumerate_loopless_paths(net, s, t):
             if nxt not in trail:
                 stack.append((nxt, trail + (nxt,)))
     return sorted(found, key=lambda p: (len(p), p))
+
+
+def unit_progressive_fill(path_edges, capacity):
+    """Reference PF, one unit per round, as the paper states it.
+
+    Before each round, any edge whose slack is below its active-path count
+    saturates and freezes those paths; the sub-count leftover stays
+    unallocated. Remaining active paths then all gain one unit.
+    """
+    flows = {key: 0 for key in sorted(path_edges)}
+    on_edge = {}
+    for key, edges in path_edges.items():
+        for e in edges:
+            on_edge.setdefault(e, []).append(key)
+    usage = {e: 0 for e in on_edge}
+    active = set(flows)
+    while active:
+        frozen = set()
+        for e, keys in on_edge.items():
+            n_active = sum(1 for key in keys if key in active)
+            if n_active and capacity[e] - usage[e] < n_active:
+                frozen.update(key for key in keys if key in active)
+        active -= frozen
+        for key in active:
+            flows[key] += 1
+            for e in path_edges[key]:
+                usage[e] += 1
+    return flows
+
+
+def unit_propagatory_core(capacity, entries_by_edge, path_edges, f_min, alpha, beta,
+                          hits=None):
+    """Reference PU, one unit per residual deduction and per raise.
+
+    ``hits`` (a Counter, optional) counts the units taken by the residual
+    loop under "residual" and the units raised under "raise".
+    """
+    f_max = {key: min(capacity[e] for e in path_edges[key])
+             for key in sorted(path_edges)}
+    usage = {e: sum(f_max[h.key] for h in entries)
+             for e, entries in entries_by_edge.items()}
+    edges = sorted(entries_by_edge)
+
+    def deduct(e):
+        entries = entries_by_edge[e]
+        excess = usage[e] - capacity[e]
+        assigned = _apportion_two_stage(entries, excess, alpha, beta)
+        removed = 0
+        for h in entries:
+            cut = min(assigned[h.key], f_max[h.key] - f_min)
+            if cut > 0:
+                f_max[h.key] -= cut
+                for e2 in path_edges[h.key]:
+                    usage[e2] -= cut
+                removed += cut
+        while removed < excess:
+            # residual lands on the currently largest desired capacity
+            key = min((h.key for h in entries if f_max[h.key] > f_min),
+                      key=lambda k: (-f_max[k], k))
+            f_max[key] -= 1
+            for e2 in path_edges[key]:
+                usage[e2] -= 1
+            removed += 1
+            if hits is not None:
+                hits["residual"] += 1
+
+    def raise_entries(e):
+        weights = two_stage_weights(entries_by_edge[e], alpha, beta)
+        order = sorted(weights, key=lambda k: (-weights[k], k))
+        changed = False
+        while usage[e] < capacity[e]:
+            for key in order:
+                if all(usage[e2] + 1 <= capacity[e2] for e2 in path_edges[key]):
+                    f_max[key] += 1
+                    for e2 in path_edges[key]:
+                        usage[e2] += 1
+                    changed = True
+                    if hits is not None:
+                        hits["raise"] += 1
+                    break
+            else:
+                break
+        return changed
+
+    silent = 0
+    while edges and silent < len(edges):
+        # most oversubscribed edges first; ratio recomputed each pass
+        order = sorted(edges, key=lambda e: (-usage[e] / capacity[e], e))
+        for e in order:
+            if usage[e] > capacity[e]:
+                deduct(e)
+                changed = True
+            elif usage[e] < capacity[e]:
+                changed = raise_entries(e)
+            else:
+                changed = False
+            silent = 0 if changed else silent + 1
+            if silent >= len(edges):
+                break
+    return f_max

@@ -221,6 +221,16 @@ def test_cli_sweep_and_requests(tmp_path):
     assert (out_dir / "requests.csv").exists()
 
 
+def test_cli_sweep_rejects_distance_beyond_lattice(tmp_path, capsys):
+    # 8x8 admits distances 1..7; rejected before any replication runs
+    baseline = pathlib.Path(__file__).resolve().parent.parent / "configs" / "baseline.yml"
+    out_dir = tmp_path / "out"
+    assert cli.main(["sweep", "-c", str(baseline), "--distances", "3,9",
+                     "--out-dir", str(out_dir)]) == 1
+    assert "--distances: 9" in capsys.readouterr().err
+    assert not (out_dir / "sweep.csv").exists()
+
+
 def test_cli_optimize_and_failures(tmp_path):
     cfg = write_config(tmp_path, BASE_YML.replace("k: 4", "k: [2, 4]"))
     out_dir = tmp_path / "out"

@@ -1,16 +1,20 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_integer_max_min, info_from_path_edges, random_fill_instance
+from conftest import (assert_integer_max_min, info_from_path_edges,
+                      random_fill_instance, unit_progressive_fill,
+                      unit_propagatory_core)
 
 from qroute.netmodel import EdgeState, InvariantError, Network
 from qroute.pathfinder import PathInfoEntry, truncate_edge_paths
 from qroute.scheduler import (RoutingOutcome, RoutingParams, ScheduleTable,
                               _assert_feasible, _progressive_fill,
+                              _propagatory_core,
                               compute_f_min, flow_determination,
                               largest_remainder, progressive_filling,
                               propagatory_update, proportional_share,
@@ -386,3 +390,91 @@ def test_flow_equals_floor_when_all_allocations_at_floor():
     _, info = abstract_instance([10, 10], {(0, 0): [0, 1]})
     table = ScheduleTable({(0, 1): {(0, 0): 2}, (2, 3): {(0, 0): 2}})
     assert flow_determination(table, info).flows[(0, 0)] == 2
+
+
+# ------------------------------------------------- unit-step oracles, bulk code
+
+def random_schedule_instance(rng, max_cap):
+    """Random PU/PF instance: 1-8 disjoint edges, 1-3 requests of 1-4 ranks,
+    every path a random edge subset; f_min derived as in production from the
+    smallest capacity and the largest per-edge entry count."""
+    n_edges = int(rng.integers(1, 9))
+    edges = [(2 * i, 2 * i + 1) for i in range(n_edges)]
+    capacity = {e: int(rng.integers(1, max_cap + 1)) for e in edges}
+    path_edges, entries_by_edge = {}, {}
+    for r in range(int(rng.integers(1, 4))):
+        for l in range(int(rng.integers(1, 5))):
+            picks = sorted(rng.choice(n_edges, size=int(rng.integers(1, n_edges + 1)),
+                                      replace=False))
+            path_edges[(r, l)] = tuple(edges[i] for i in picks)
+            length = len(picks) + int(rng.integers(0, 4))
+            for order, i in enumerate(picks):
+                entries_by_edge.setdefault(edges[i], []).append(entry(r, l, length, order))
+    f_min = min(capacity.values()) // max(len(hs) for hs in entries_by_edge.values())
+    alpha, beta = (float(rng.choice([0.5, 1.0, 2.0])) for _ in range(2))
+    return capacity, entries_by_edge, path_edges, f_min, alpha, beta
+
+
+def test_bulk_steps_match_unit_step_oracles():
+    rng = np.random.default_rng(31)
+    hits = Counter()
+    for i in range(2000):
+        max_cap = (5, 50, 500, 10_000)[i % 4]
+        capacity, entries_by_edge, path_edges, f_min, alpha, beta = \
+            random_schedule_instance(rng, max_cap)
+        assert _progressive_fill(path_edges, capacity) == \
+            unit_progressive_fill(path_edges, capacity)
+        args = (capacity, entries_by_edge, path_edges, f_min, alpha, beta)
+        assert _propagatory_core(*args) == unit_propagatory_core(*args, hits=hits)
+    # both unit loops that PU replaces actually ran, so the match is not vacuous
+    assert hits["residual"] > 0 and hits["raise"] > 0
+
+
+def test_uncoverable_residual_raises_invariant_error():
+    # two paths share a capacity-10 edge, so 10 units must go; with f_min = 9
+    # (above what production derives) only 2 can, leaving a shortfall of 8.
+    # An explicit check, so it also holds under python -O
+    capacity = {(0, 1): 10}
+    entries_by_edge = {(0, 1): [entry(0, 0, 1), entry(1, 0, 1)]}
+    path_edges = {(0, 0): ((0, 1),), (1, 0): ((0, 1),)}
+    with pytest.raises(InvariantError, match=r"edge \(0, 1\): 8 units"):
+        _propagatory_core(capacity, entries_by_edge, path_edges, 9, 1.0, 1.0)
+
+
+# ------------------------------------------------- capacity-independent work
+# The unit-step loops would need ~1e9 rounds or ~1e6 raises here; these pin
+# that PF and PU no longer do work proportional to capacity.
+
+def test_pf_billion_unit_capacities_hand_computed():
+    # p0 crosses e0 and e1, p1 only e0, p2 e1 and e2. The first event freezes
+    # p2 at e2's 300_000_007; p0 and p1 then split e0 (1e9 + 1) evenly and the
+    # odd unit stays unallocated
+    paths = {(0, 0): ((0, 1), (2, 3)), (1, 0): ((0, 1),), (2, 0): ((2, 3), (4, 5))}
+    capacity = {(0, 1): 1_000_000_001, (2, 3): 2_000_000_000, (4, 5): 300_000_007}
+    flows = _progressive_fill(paths, capacity)
+    assert flows == {(0, 0): 500_000_000, (1, 0): 500_000_000, (2, 0): 300_000_007}
+    assert_integer_max_min(paths, capacity, flows)
+
+
+def test_pu_raise_of_millions_of_units_hand_computed():
+    # p0 = (0, 0) crosses e0 (12M) and e1 (6M), p1 = (1, 0) only e0, p2 = (2, 0)
+    # only e1; one path per request, so every apportionment splits evenly.
+    # Desired capacities start at 6M, 12M, 6M. Pass 1: e1 (ratio 2) deducts
+    # 3M from p0 and p2, then e0 deducts 1.5M from p0 and p1. Pass 2: e1 has
+    # 1.5M free; p0 ties p2 on weight and comes first but e0 is full, so p2
+    # is raised by 1.5M units
+    net, info = abstract_instance([12_000_000, 6_000_000],
+                                  {(0, 0): [0, 1], (1, 0): [0], (2, 0): [1]})
+    out = propagatory_update(net, info, params(alpha=1.0, beta=1.0))
+    assert out.flows == {(0, 0): 1_500_000, (1, 0): 10_500_000, (2, 0): 4_500_000}
+    assert out.schedule.allocations == {
+        (0, 1): {(0, 0): 1_500_000, (1, 0): 10_500_000},
+        (2, 3): {(0, 0): 1_500_000, (2, 0): 4_500_000}}
+
+
+def test_pf_max_min_on_large_capacity_instances():
+    rng = np.random.default_rng(77)
+    for _ in range(300):
+        path_edges, capacity = random_fill_instance(rng, max_cap=10_000)
+        assert_integer_max_min(path_edges, capacity,
+                               _progressive_fill(path_edges, capacity))
