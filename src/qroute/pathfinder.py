@@ -5,9 +5,9 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
-from .netmodel import Edge, Network
+from .netmodel import Edge, InvariantError, Network
 
 #: (request_id, path rank) identifies one enumerated path
 PathKey = tuple[int, int]
@@ -51,42 +51,66 @@ class PathInfoEntry:
         return (self.request_id, self.path_rank)
 
 
-def _lex_shortest(adj: dict[int, list[int]], s: int, t: int,
-                  banned_nodes: frozenset[int] = frozenset(),
-                  banned_edges: frozenset[Edge] = frozenset()) -> tuple[int, ...] | None:
-    """Lexicographically smallest shortest s-t node sequence, or None.
+def _spur_path(adj: dict[int, list[int]], u: int, t: int,
+               banned_nodes: Iterable[int] = (),
+               banned_next: Collection[int] = ()) -> tuple[int, ...] | None:
+    """Lexicographically smallest shortest u-t node sequence that avoids
+    ``banned_nodes`` and whose first hop is not in ``banned_next``, or None.
 
-    BFS from t gives hop distances; walking from s and always taking the
-    smallest neighbor one hop closer to t yields the lexicographic minimum
-    because all shortest sequences have equal length.
+    In Yen's loop ``banned_nodes`` is the spur root without its last node
+    ``u``, and ``banned_next`` holds the next hops ``p[i + 1]`` of the accepted
+    paths ``p`` that share the root: every edge Yen bans at spur index ``i``
+    is ``(p[i], p[i + 1]) = (u, p[i + 1])``, so all of them touch ``u`` and
+    matter only for the first hop. ``banned_nodes`` holds neither ``u`` nor
+    ``t``.
+
+    A BFS from t gives hop distances. It never records ``u``; it skips ``u``
+    when discovered from a banned next hop and stops as soon as ``u`` is
+    discovered from any other node, at distance ``d``. BFS levels are complete
+    one after another, so at that moment every distance below ``d`` is exact
+    and no other node's distance below ``d`` depends on ``u``'s edges. Walking
+    from ``u`` and always taking the smallest neighbor one hop closer to t
+    reads only those levels and yields the lexicographic minimum, because all
+    shortest sequences have equal length.
     """
-    if s in banned_nodes or t in banned_nodes:
-        return None
-    dist = {t: 0}
+    # banned nodes read as already seen; -1 never matches a walk level
+    dist = dict.fromkeys(banned_nodes, -1)
+    dist[t] = 0
     frontier = [t]
+    level = 0
     while frontier:
+        level += 1
         nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v in dist or v in banned_nodes or edge_key(u, v) in banned_edges:
+        for w in frontier:
+            for v in adj[w]:
+                if v in dist:
                     continue
-                dist[v] = dist[u] + 1
+                if v == u:
+                    if w in banned_next:
+                        continue
+                    return _walk_down(adj, u, level, dist, banned_next)
+                dist[v] = level
                 nxt.append(v)
         frontier = nxt
-    if s not in dist:
-        return None
-    nodes = [s]
-    u = s
-    while u != t:
-        for v in adj[u]:
-            if v in banned_nodes or edge_key(u, v) in banned_edges:
-                continue
-            if dist.get(v, -1) == dist[u] - 1:
-                nodes.append(v)
-                u = v
+    return None
+
+
+def _walk_down(adj: dict[int, list[int]], u: int, level: int, dist: dict[int, int],
+               banned_next: Collection[int]) -> tuple[int, ...]:
+    """Greedy walk from ``u`` (at distance ``level``) to the node at distance
+    0, taking the smallest neighbor one level closer at each step; only the
+    first step honours ``banned_next``."""
+    nodes = [u]
+    node, skip = u, banned_next
+    for d in range(level - 1, -1, -1):
+        for v in adj[node]:
+            if dist.get(v) == d and v not in skip:
                 break
-        else:  # unreachable when dist[s] is finite
-            return None
+        else:
+            raise InvariantError(
+                f"spur walk found no neighbor of node {node} at distance {d}")
+        nodes.append(v)
+        node, skip = v, ()
     return tuple(nodes)
 
 
@@ -96,35 +120,39 @@ def k_shortest_paths(net: Network, s: int, t: int, k: int,
 
     Returns up to k loopless paths ordered by (length, node sequence); fewer
     when fewer exist, empty when s and t are disconnected in G'.
+
+    Each spur search (``_spur_path``) returns the smallest path in that order
+    among those that share the root ``prev[:i + 1]`` and whose next hop is not
+    that of an accepted path sharing the root. Lawler's (1972) restriction
+    spurs each path only from the index at which it left its parent: it shares
+    the parent's nodes up to there, and the spurs below it were the parent's
+    already. The spur sets then partition the paths not yet accepted (Lawler's
+    branching), so each candidate is found exactly once, the heap needs no
+    duplicate check, and its smallest entry is always the next path.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if s == t:
         raise ValueError("source and terminal must differ")
     adj = net.adjacency()
-    first = _lex_shortest(adj, s, t)
+    first = _spur_path(adj, s, t)
     if first is None:
         return []
     accepted: list[tuple[int, ...]] = [first]
-    candidates: list[tuple[int, tuple[int, ...]]] = []
-    seen = {first}
+    candidates: list[tuple[int, tuple[int, ...], int]] = []
+    deviation = 0
     while len(accepted) < k:
         prev = accepted[-1]
-        for i in range(len(prev) - 1):
+        for i in range(deviation, len(prev) - 1):
             root = prev[:i + 1]
-            banned_nodes = frozenset(root[:-1])
-            banned_edges = frozenset(
-                edge_key(p[i], p[i + 1]) for p in accepted if p[:i + 1] == root)
-            spur = _lex_shortest(adj, root[-1], t, banned_nodes, banned_edges)
-            if spur is None:
-                continue
-            cand = root[:-1] + spur
-            if cand not in seen:
-                seen.add(cand)
-                heapq.heappush(candidates, (len(cand) - 1, cand))
+            banned_next = {p[i + 1] for p in accepted if p[:i + 1] == root}
+            spur = _spur_path(adj, prev[i], t, root[:-1], banned_next)
+            if spur is not None:
+                cand = root[:-1] + spur
+                heapq.heappush(candidates, (len(cand) - 1, cand, i))
         if not candidates:
             break
-        _, best = heapq.heappop(candidates)
+        _, best, deviation = heapq.heappop(candidates)
         accepted.append(best)
     return [Path(request_id, rank, nodes) for rank, nodes in enumerate(accepted)]
 

@@ -1,6 +1,8 @@
 """Shared test helpers: independent oracles and instance generators."""
-from qroute.netmodel import EdgeState, Network
-from qroute.pathfinder import PathSet
+import heapq
+
+from qroute.netmodel import Edge, EdgeState, Network
+from qroute.pathfinder import Path, PathSet, edge_key
 from qroute.scheduler import _apportion_two_stage, two_stage_weights
 
 
@@ -71,6 +73,85 @@ def enumerate_loopless_paths(net, s, t):
             if nxt not in trail:
                 stack.append((nxt, trail + (nxt,)))
     return sorted(found, key=lambda p: (len(p), p))
+
+
+def _lex_shortest(adj: dict[int, list[int]], s: int, t: int,
+                  banned_nodes: frozenset[int] = frozenset(),
+                  banned_edges: frozenset[Edge] = frozenset()) -> tuple[int, ...] | None:
+    """Lexicographically smallest shortest s-t node sequence, or None.
+
+    BFS from t gives hop distances; walking from s and always taking the
+    smallest neighbor one hop closer to t yields the lexicographic minimum
+    because all shortest sequences have equal length.
+    """
+    if s in banned_nodes or t in banned_nodes:
+        return None
+    dist = {t: 0}
+    frontier = [t]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v in dist or v in banned_nodes or edge_key(u, v) in banned_edges:
+                    continue
+                dist[v] = dist[u] + 1
+                nxt.append(v)
+        frontier = nxt
+    if s not in dist:
+        return None
+    nodes = [s]
+    u = s
+    while u != t:
+        for v in adj[u]:
+            if v in banned_nodes or edge_key(u, v) in banned_edges:
+                continue
+            if dist.get(v, -1) == dist[u] - 1:
+                nodes.append(v)
+                u = v
+                break
+        else:  # unreachable when dist[s] is finite
+            return None
+    return tuple(nodes)
+
+
+def reference_k_shortest_paths(net: Network, s: int, t: int, k: int,
+                               request_id: int = 0) -> list[Path]:
+    """Reference Yen: full BFS per spur, banned edges as tuples, every spur
+    index of every accepted path (no deviation-index restriction).
+
+    Returns up to k loopless paths ordered by (length, node sequence); fewer
+    when fewer exist, empty when s and t are disconnected in G'.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if s == t:
+        raise ValueError("source and terminal must differ")
+    adj = net.adjacency()
+    first = _lex_shortest(adj, s, t)
+    if first is None:
+        return []
+    accepted: list[tuple[int, ...]] = [first]
+    candidates: list[tuple[int, tuple[int, ...]]] = []
+    seen = {first}
+    while len(accepted) < k:
+        prev = accepted[-1]
+        for i in range(len(prev) - 1):
+            root = prev[:i + 1]
+            banned_nodes = frozenset(root[:-1])
+            banned_edges = frozenset(
+                edge_key(p[i], p[i + 1]) for p in accepted if p[:i + 1] == root)
+            spur = _lex_shortest(adj, root[-1], t, banned_nodes, banned_edges)
+            if spur is None:
+                continue
+            cand = root[:-1] + spur
+            if cand not in seen:
+                seen.add(cand)
+                heapq.heappush(candidates, (len(cand) - 1, cand))
+        if not candidates:
+            break
+        _, best = heapq.heappop(candidates)
+        accepted.append(best)
+    return [Path(request_id, rank, nodes) for rank, nodes in enumerate(accepted)]
 
 
 def unit_progressive_fill(path_edges, capacity):

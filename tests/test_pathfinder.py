@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from conftest import enumerate_loopless_paths
+from conftest import _lex_shortest as reference_lex_shortest
+from conftest import enumerate_loopless_paths, reference_k_shortest_paths
 
-from qroute.netmodel import TOPOLOGIES, build_lattice
-from qroute.pathfinder import (Path, build_path_info, k_shortest_paths,
-                               truncate_edge_paths)
+from qroute import pathfinder
+from qroute.netmodel import TOPOLOGIES, InvariantError, build_lattice
+from qroute.pathfinder import (Path, _spur_path, _walk_down, build_path_info, edge_key,
+                               k_shortest_paths, truncate_edge_paths)
 
 
 def active_lattice(rows, cols, kind="square", dead_edges=()):
@@ -160,3 +162,151 @@ def test_path_set_kept_matches_per_edge_truncation():
             assert kept[e] == truncate_edge_paths(entries, l_max)
         assert live == {p.key for p in paths
                         if all(p.key in {h.key for h in kept[e]} for e in p.edge_keys())}
+
+
+def random_active_lattice(rng, kind, rows, cols, dead_rate):
+    net = active_lattice(rows, cols, kind)
+    for e in net.edges:
+        e.active = bool(rng.random() >= dead_rate)
+    return net
+
+
+def test_matches_reference_yen_on_random_instances():
+    # spur searches that stop at the spur node, next-hop bans and Lawler's
+    # restriction give the node sequences of the full-BFS, every-index Yen
+    rng = np.random.default_rng(20)
+    disconnected = fewer_than_k = 0
+    for n in range(2400):
+        kind = TOPOLOGIES[n % len(TOPOLOGIES)]
+        rows, cols = (int(x) for x in rng.integers(2, 9, size=2))
+        net = random_active_lattice(rng, kind, rows, cols, (0.0, 0.1, 0.3)[n // 3 % 3])
+        s, t = (int(x) for x in rng.choice(net.node_count, size=2, replace=False))
+        k = int(rng.integers(1, 31))
+        got = k_shortest_paths(net, s, t, k, request_id=n)
+        assert got == reference_k_shortest_paths(net, s, t, k, request_id=n), \
+            (kind, rows, cols, s, t, k)
+        disconnected += not got
+        fewer_than_k += 0 < len(got) < k
+    assert disconnected > 20 and fewer_than_k > 20
+
+
+def record_spur_calls(monkeypatch):
+    """Wrap pathfinder._spur_path; returns the list of (u, t, banned_nodes,
+    banned_next, result) it fills, one entry per call."""
+    calls = []
+    spur_path = pathfinder._spur_path
+
+    def recorded(adj, u, t, banned_nodes=(), banned_next=()):
+        result = spur_path(adj, u, t, banned_nodes, banned_next)
+        calls.append((u, t, tuple(banned_nodes), set(banned_next), result))
+        return result
+
+    monkeypatch.setattr(pathfinder, "_spur_path", recorded)
+    return calls
+
+
+# 0 - 1 - 2
+# |   |   |
+# 3 - 4 - 5
+SQUARE_2x3 = {0: [1, 3], 1: [0, 2, 4], 2: [1, 5], 3: [0, 4], 4: [1, 3, 5], 5: [2, 4]}
+
+
+def test_spur_skips_u_found_from_banned_next_hop():
+    # From t = 0, u = 2 is first reached at level 2 through banned hop 1; it
+    # must be found at level 3 through 5 instead.
+    assert _spur_path(SQUARE_2x3, 2, 0, (), {1}) == (2, 5, 4, 1, 0)
+    # banning 1 as a node as well leaves the detour through 3
+    assert _spur_path(SQUARE_2x3, 2, 0, (1,), {1}) == (2, 5, 4, 3, 0)
+    assert _spur_path(SQUARE_2x3, 2, 0) == (2, 1, 0)
+
+
+def test_spur_banned_edge_to_terminal():
+    # u = 1 is a neighbour of t = 0 and the hop 1 -> 0 is banned
+    assert _spur_path(SQUARE_2x3, 1, 0, (), {0}) == (1, 4, 3, 0)
+    assert _spur_path(SQUARE_2x3, 1, 0, (), {0, 4}) == (1, 2, 5, 4, 3, 0)
+    assert _spur_path(SQUARE_2x3, 1, 0, (), {0, 2, 4}) is None
+    assert _spur_path(SQUARE_2x3, 1, 0, (3,), {0}) is None
+
+
+def test_spur_banned_root_nodes_cut_u_off():
+    assert _spur_path(SQUARE_2x3, 0, 5, (1, 3)) is None
+    assert _spur_path(SQUARE_2x3, 0, 5, (4,), {1}) is None
+    assert _spur_path(SQUARE_2x3, 0, 5, (4,)) == (0, 1, 2, 5)
+
+
+def test_spur_matches_reference_lex_shortest():
+    # the reference bans edges (u, x) for x in banned_next
+    for u in SQUARE_2x3:
+        for t in SQUARE_2x3:
+            if u == t:
+                continue
+            others = [x for x in SQUARE_2x3 if x not in (u, t)]
+            for mask in range(1 << len(others)):
+                banned = tuple(x for j, x in enumerate(others) if mask >> j & 1)
+                for banned_next in ((), tuple(SQUARE_2x3[u][:1]), tuple(SQUARE_2x3[u][1:])):
+                    ref = reference_lex_shortest(
+                        SQUARE_2x3, u, t, frozenset(banned),
+                        frozenset(edge_key(u, x) for x in banned_next))
+                    assert _spur_path(SQUARE_2x3, u, t, banned, set(banned_next)) == ref
+
+
+def test_terminal_is_never_a_spur_node(monkeypatch):
+    calls = record_spur_calls(monkeypatch)
+    rng = np.random.default_rng(4)
+    for kind in TOPOLOGIES:
+        for _ in range(10):
+            net = random_active_lattice(rng, kind, 4, 5, 0.1)
+            s, t = (int(x) for x in rng.choice(net.node_count, size=2, replace=False))
+            k_shortest_paths(net, s, t, 15)
+    assert len(calls) > 500
+    for u, t, banned_nodes, banned_next, _ in calls:
+        assert u != t and u not in banned_nodes and t not in banned_nodes
+        assert u not in banned_next
+
+
+def test_lawler_skips_spur_that_finds_a_candidate_twice(monkeypatch):
+    # s = 0, t = 5 on SQUARE_2x3. Path A = (0, 1, 2, 5) spurs at 0 -> C =
+    # (0, 3, 4, 5) and at 1 -> B = (0, 1, 4, 5); B is accepted next. Plain Yen
+    # would spur B at index 0 too and find C a second time, from a second
+    # parent; B left A at index 1, so it is spurred from index 1 only and C
+    # is found once, with A's deviation index.
+    net = active_lattice(2, 3)
+    assert net.adjacency() == SQUARE_2x3
+    calls = record_spur_calls(monkeypatch)
+    paths = k_shortest_paths(net, 0, 5, 3)
+    assert [p.nodes for p in paths] == [(0, 1, 2, 5), (0, 1, 4, 5), (0, 3, 4, 5)]
+    assert [(u, nodes, next_) for u, _, nodes, next_, _ in calls] == [
+        (0, (), set()),                                  # first path A
+        (0, (), {1}), (1, (0,), {2}), (2, (0, 1), {5}),  # A at 0, 1, 2
+        (1, (0,), {2, 4}), (4, (0, 1), {5}),             # B at 1, 2
+    ]
+    candidates = [nodes + result for _, _, nodes, _, result in calls if result]
+    assert len(candidates) == len(set(candidates)) == 3
+    # the skipped spur, B at index 0, would have found C again
+    assert _spur_path(SQUARE_2x3, 0, 5, (), {1}) == (0, 3, 4, 5)
+
+
+def test_candidates_are_found_once(monkeypatch):
+    calls = record_spur_calls(monkeypatch)
+    rng = np.random.default_rng(6)
+    for kind in TOPOLOGIES:
+        for _ in range(10):
+            net = random_active_lattice(rng, kind, 5, 5, 0.1)
+            s, t = (int(x) for x in rng.choice(net.node_count, size=2, replace=False))
+            calls.clear()
+            paths = k_shortest_paths(net, s, t, 20)
+            candidates = [nodes + result for _, _, nodes, _, result in calls if result]
+            assert len(candidates) == len(set(candidates))
+            assert {p.nodes for p in paths} <= set(candidates)
+
+
+def test_walk_without_closer_neighbour_raises_invariant_error():
+    # an explicit check, so it also holds under python -O
+    dist = {0: 0, 1: 5}  # 1 should be at distance 1
+    with pytest.raises(InvariantError, match="no neighbor of node 2 at distance 1"):
+        _walk_down(SQUARE_2x3, 2, 2, dist, ())
+    # adjacency that is not symmetric: BFS reaches 1 from 0, but 1 does not
+    # list 0, so the walk from u = 2 stalls at 1
+    broken = {0: [1], 1: [2], 2: [1]}
+    with pytest.raises(InvariantError, match="no neighbor of node 1 at distance 0"):
+        _spur_path(broken, 2, 0)

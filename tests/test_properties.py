@@ -1,0 +1,53 @@
+"""Hypothesis property tests for k_shortest_paths over random lattices."""
+from conftest import reference_k_shortest_paths
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qroute.netmodel import TOPOLOGIES, build_lattice
+from qroute.pathfinder import k_shortest_paths
+
+
+@st.composite
+def lattice_queries(draw):
+    """A lattice with some edges dead, distinct s and t, and k."""
+    kind = draw(st.sampled_from(TOPOLOGIES))
+    rows = draw(st.integers(2, 6))
+    cols = draw(st.integers(2, 6))
+    net = build_lattice(rows, cols, kind)
+    alive = draw(st.lists(st.booleans(), min_size=len(net.edges), max_size=len(net.edges)))
+    for e, active in zip(net.edges, alive):
+        e.capacity = 50
+        e.fidelity = 0.9
+        e.active = active
+    net.phase = "purified"
+    s = draw(st.integers(0, net.node_count - 1))
+    t = draw(st.integers(0, net.node_count - 1).filter(lambda n: n != s))
+    k = draw(st.integers(1, 20))
+    return net, s, t, k
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(lattice_queries())
+def test_paths_are_loopless_active_and_ordered(query):
+    net, s, t, k = query
+    paths = k_shortest_paths(net, s, t, k, request_id=3)
+    active = {e.key for e in net.edges if e.active}
+    assert len(paths) <= k
+    assert [p.rank for p in paths] == list(range(len(paths)))
+    assert all(p.request_id == 3 for p in paths)
+    assert len({p.nodes for p in paths}) == len(paths)
+    for p in paths:
+        assert p.nodes[0] == s and p.nodes[-1] == t
+        assert len(set(p.nodes)) == len(p.nodes)
+        assert all(e in active for e in p.edge_keys())
+    order = [(p.length, p.nodes) for p in paths]
+    assert order == sorted(order)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(lattice_queries(), st.integers(1, 20))
+def test_prefix_stable_and_equal_to_reference(query, j):
+    net, s, t, k = query
+    paths = k_shortest_paths(net, s, t, k)
+    assert paths == reference_k_shortest_paths(net, s, t, k)
+    assert k_shortest_paths(net, s, t, min(j, k)) == paths[:j]
