@@ -14,7 +14,8 @@ from .metrics import MetricsReport, evaluate, jain_paths, jain_requests, min_flo
 from .metrics import throughput, utilization_stats, stretch_factor, evaluate_demand
 from .harness import (ExperimentConfig, ObjectiveWeights, RequestSpec,
                       TrialRecord, failure_experiment, grid_search_parameters,
-                      replicate, request_sweep, run_trial, swap_monte_carlo)
+                      replicate, request_sweep, run_trial, swap_monte_carlo,
+                      sweep_reports)
 from .config import ConfigError, load_config
 
 __version__ = "0.1.0"
@@ -32,6 +33,7 @@ __all__ = [
     "min_flow", "progressive_filling", "propagatory_update",
     "proportional_share", "pump_fidelity", "purify_edge", "purify_network",
     "replicate", "request_sweep", "run_algorithm", "run_trial",
-    "sample_edge_states", "stretch_factor", "swap_monte_carlo", "throughput",
+    "sample_edge_states", "stretch_factor", "swap_monte_carlo", "sweep_reports",
+    "throughput",
     "truncate_edge_paths", "two_stage_weights", "utilization_stats",
 ]

@@ -154,16 +154,15 @@ def _cmd_sweep(args) -> int:
                     f"--distances: {distance} is outside 1..{limit} for a "
                     f"{config.rows}x{config.cols} lattice")
     points = harness.parameter_grid(config)
+    specs = [replace(config.requests, distance=distance, pairs=None)
+             for distance in distances]
     rows = []
-    for distance in distances:
-        cfg_d = replace(config, requests=replace(config.requests, distance=distance,
-                                                 pairs=None))
-        for params in points:
-            cfg = replace(cfg_d, routing=params, routing_grid={})
-            records, agg = harness.replicate(cfg)
+    for distance, cells in zip(distances, harness.sweep_reports(config, specs, points)):
+        for params, cell in zip(points, cells):
             extra = {"distance": distance, "k": params.k, "l_max": params.l_max,
                      "alpha": params.alpha, "beta": params.beta}
-            rows.extend(reports.aggregate_rows(agg, len(records), extra))
+            rows.extend(reports.aggregate_rows(harness.aggregate_reports(cell),
+                                               config.replications, extra))
     reports.write_table_csv(rows, _out(args, "sweep.csv"))
     print(f"wrote {len(rows)} sweep rows to {args.out_dir}/sweep.csv")
     return EXIT_OK

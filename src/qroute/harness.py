@@ -15,7 +15,7 @@ from .metrics import MetricsReport, evaluate, throughput, zero_report
 from .netmodel import (Network, Request, ScenarioParams, build_lattice,
                        deactivate_low_capacity_edges, generate_requests,
                        inject_failures, sample_edge_states)
-from .pathfinder import Path, build_path_info, k_shortest_paths
+from .pathfinder import Path, PathSet, build_path_info, k_shortest_paths
 from .purification import purify_network
 from .scheduler import (RoutingOutcome, RoutingParams, compute_f_min,
                         run_algorithm)
@@ -120,9 +120,11 @@ def _resolve_requests(config: ExperimentConfig, net: Network,
 def enumerate_paths(net: Network, requests: Sequence[Request],
                     k: int) -> tuple[Path, ...]:
     """k shortest paths for every request; disconnected requests contribute none."""
+    adjacency = net.adjacency()
     paths: list[Path] = []
     for r in requests:
-        paths.extend(k_shortest_paths(net, r.source, r.terminal, k, request_id=r.id))
+        paths.extend(k_shortest_paths(net, r.source, r.terminal, k, request_id=r.id,
+                                      adjacency=adjacency))
     return tuple(paths)
 
 
@@ -147,11 +149,6 @@ def prepare_trial(config: ExperimentConfig, seed: int) -> TrialContext:
                             reason="no_active_edges", stage_seconds=stage)
     f_min = compute_f_min(revised, config.routing.l_max)
     params = replace(config.routing, f_min=f_min)
-    for r in requests:
-        if params.k * f_min < r.demand:
-            logger.warning(
-                "request %d: k*f_min = %d cannot cover demand %d even in principle",
-                r.id, params.k * f_min, r.demand)
 
     t0 = time.perf_counter()
     paths = enumerate_paths(revised, requests, params.k)
@@ -160,6 +157,13 @@ def prepare_trial(config: ExperimentConfig, seed: int) -> TrialContext:
         return TrialContext(seed, revised, requests, params, (),
                             reason="no_paths", stage_seconds=stage)
     return TrialContext(seed, revised, requests, params, paths, stage_seconds=stage)
+
+
+def _uncovered_requests(ctx: TrialContext, k: int) -> int:
+    """Requests of the window whose demand k*f_min cannot cover even in principle."""
+    if ctx.reason == "no_active_edges":
+        return 0
+    return sum(k * ctx.params.f_min < r.demand for r in ctx.requests)
 
 
 def route_all(net: Network, paths: Sequence[Path], requests: Sequence[Request],
@@ -199,6 +203,11 @@ def run_trial(config: ExperimentConfig, seed: int) -> TrialRecord:
     metrics and a reason code rather than aborted.
     """
     ctx = prepare_trial(config, seed)
+    uncovered = _uncovered_requests(ctx, ctx.params.k)
+    if uncovered:
+        logger.warning("seed %d: k*f_min = %d cannot cover demand even in "
+                       "principle for %d request(s)", seed,
+                       ctx.params.k * ctx.params.f_min, uncovered)
     summary = _summarize(ctx.revised, ctx.params.f_min or 0)
     if ctx.reason is not None:
         results = _zero_results(config.algorithms, ctx.requests, ctx.reason)
@@ -222,21 +231,29 @@ def worker_count() -> int:
     return int(text)
 
 
-def run_trials(config: ExperimentConfig, seeds: Sequence[int]) -> list[TrialRecord]:
-    """Trials are independent work units; QROUTE_WORKERS > 1 fans them out to
-    processes. Results always come back in seed order."""
+def _map_seeds(task, args: list[tuple]) -> list:
+    """Seeds are independent work units; QROUTE_WORKERS > 1 fans them out to
+    one process pool. Results always come back in the order of ``args``."""
     workers = worker_count()
-    if workers > 1 and len(seeds) > 1:
+    if workers > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_trial_task, [(config, s) for s in seeds]))
-    return [run_trial(config, s) for s in seeds]
+            return list(pool.map(task, args))
+    return [task(a) for a in args]
 
 
-def metric_values(record: TrialRecord, algorithm: str) -> dict[str, float]:
-    rep = record.results[algorithm].report
+def run_trials(config: ExperimentConfig, seeds: Sequence[int]) -> list[TrialRecord]:
+    """One trial per seed, in seed order."""
+    return _map_seeds(_trial_task, [(config, s) for s in seeds])
+
+
+def report_values(rep: MetricsReport) -> dict[str, float]:
     return {"F": rep.throughput, "F_min": rep.min_flow, "U_ave": rep.u_ave,
             "U_var": rep.u_var, "gamma": rep.stretch, "J_req": rep.jain_requests,
             "J_path": rep.jain_paths}
+
+
+def metric_values(record: TrialRecord, algorithm: str) -> dict[str, float]:
+    return report_values(record.results[algorithm].report)
 
 
 def aggregate(records: Sequence[TrialRecord],
@@ -247,11 +264,19 @@ def aggregate(records: Sequence[TrialRecord],
     matter how the trials were scheduled.
     """
     ordered = sorted(records, key=lambda r: r.seed)
+    return aggregate_reports({name: [rec.results[name].report for rec in ordered]
+                              for name in algorithms})
+
+
+def aggregate_reports(reports: dict[str, Sequence[MetricsReport]]
+                      ) -> dict[str, dict[str, tuple[float, float]]]:
+    """(mean, standard error) of every metric over each algorithm's reports,
+    reduced in the order given."""
     out: dict[str, dict[str, tuple[float, float]]] = {}
-    for name in algorithms:
+    for name, reps in reports.items():
         table = {m: [] for m in METRIC_FIELDS}
-        for rec in ordered:
-            for m, v in metric_values(rec, name).items():
+        for rep in reps:
+            for m, v in report_values(rep).items():
                 table[m].append(v)
         stats = {}
         for m, vals in table.items():
@@ -270,6 +295,80 @@ def replicate(config: ExperimentConfig) -> tuple[list[TrialRecord],
     seeds = [config.base_seed + i for i in range(config.replications)]
     records = run_trials(config, seeds)
     return records, aggregate(records, config.algorithms)
+
+
+# ---------------------------------------------------------------- sweep engine
+
+#: one sweep cell: each algorithm's reports, one per seed, in seed order
+CellReports = dict[str, list[MetricsReport]]
+
+
+def sweep_reports(config: ExperimentConfig, specs: Sequence[RequestSpec],
+                  points: Sequence[RoutingParams]) -> list[list[CellReports]]:
+    """Replicated reports for every (request spec, routing point) cell,
+    indexed ``[spec][point]``; seeds are ``base_seed + i`` as in ``replicate``.
+
+    Each stage runs once per key it depends on. Per (spec, l_max, seed) the
+    window is prepared once with the group's largest k; a point's paths are
+    the first k ranks of each request (Yen's output is prefix-stable in k).
+    The PathSet and PF (which reads no alpha, beta or f_min) run once per k;
+    PS and PU run per point. Every report equals the one ``run_trial`` gives
+    for the point, so reductions over them match ``replicate``'s.
+    """
+    if config.replications < 1:
+        raise ValueError("replications must be >= 1")
+    seeds = [config.base_seed + i for i in range(config.replications)]
+    per_seed = _map_seeds(_sweep_seed, [(config, tuple(specs), tuple(points), s)
+                                        for s in seeds])
+    uncovered = sum(count for _, count in per_seed)
+    if uncovered:
+        logger.warning("k*f_min cannot cover demand even in principle for %d "
+                       "(point, seed, request) triples", uncovered)
+    return [[{name: [cells[si][pi][name] for cells, _ in per_seed]
+              for name in config.algorithms}
+             for pi in range(len(points))]
+            for si in range(len(specs))]
+
+
+def _score(name: str, ctx: TrialContext, info: PathSet, params: RoutingParams,
+           p_in: float) -> MetricsReport:
+    outcome = run_algorithm(name, ctx.revised, info, params)
+    return evaluate(outcome, ctx.revised, ctx.requests, p_in)
+
+
+def _sweep_seed(args: tuple) -> tuple[list[list[dict[str, MetricsReport]]], int]:
+    """One seed of ``sweep_reports``: the report per [spec][point][algorithm],
+    and how many (point, request) pairs k*f_min cannot cover."""
+    config, specs, points, seed = args
+    groups: dict[int, dict[int, list[int]]] = {}  # l_max -> k -> point indices
+    for i, point in enumerate(points):
+        groups.setdefault(point.l_max, {}).setdefault(point.k, []).append(i)
+    p_in = config.scenario.p_in
+    out = []
+    uncovered = 0
+    for spec in specs:
+        cells: list[dict[str, MetricsReport]] = [{} for _ in points]
+        for by_k in groups.values():
+            first = points[next(iter(by_k.values()))[0]]
+            cfg = replace(config, requests=spec, routing=replace(first, k=max(by_k)))
+            ctx = prepare_trial(cfg, seed)
+            for k, indices in by_k.items():
+                uncovered += len(indices) * _uncovered_requests(ctx, k)
+                if ctx.reason is not None:
+                    for i in indices:
+                        cells[i] = {name: zero_report(ctx.requests, ctx.reason)
+                                    for name in config.algorithms}
+                    continue
+                info = build_path_info(p for p in ctx.paths if p.rank < k)
+                shared = ({"PF": _score("PF", ctx, info, ctx.params, p_in)}
+                          if "PF" in config.algorithms else {})
+                for i in indices:
+                    params = replace(points[i], f_min=ctx.params.f_min)
+                    cells[i] = {name: shared[name] if name in shared
+                                else _score(name, ctx, info, params, p_in)
+                                for name in config.algorithms}
+        out.append(cells)
+    return out, uncovered
 
 
 # ---------------------------------------------------------------- parameter search
@@ -311,12 +410,10 @@ def grid_search_parameters(config: ExperimentConfig) -> tuple[
         raise ValueError("empty parameter grid")
     best: dict[str, tuple[RoutingParams, float]] = {}
     table: list[dict] = []
-    for params in points:
-        cfg = replace(config, routing=params, routing_grid={})
-        records, agg = replicate(cfg)
+    for params, reports in zip(points, sweep_reports(config, [config.requests], points)[0]):
+        agg = aggregate_reports(reports)
         for name in config.algorithms:
-            values = [objective_value(rec.results[name].report, config.objective)
-                      for rec in records]
+            values = [objective_value(rep, config.objective) for rep in reports[name]]
             mean_obj = float(np.mean(values))
             row = {"algorithm": name, "l_max": params.l_max, "k": params.k,
                    "alpha": params.alpha, "beta": params.beta,
@@ -449,11 +546,12 @@ def _reroute_throughput(failed: Network, requests: Sequence[Request],
 def request_sweep(config: ExperimentConfig,
                   counts: Iterable[int] = range(2, 11)) -> list[dict]:
     """Replicated trials per request count with arbitrary [s, t] pairs."""
+    counts = list(counts)
+    specs = [replace(config.requests, count=count, distance=None, pairs=None)
+             for count in counts]
     rows = []
-    for count in counts:
-        spec = replace(config.requests, count=count, distance=None, pairs=None)
-        cfg = replace(config, requests=spec)
-        _, agg = replicate(cfg)
+    for count, (reports,) in zip(counts, sweep_reports(config, specs, [config.routing])):
+        agg = aggregate_reports(reports)
         for name in config.algorithms:
             row = {"requests": count, "algorithm": name}
             for m in METRIC_FIELDS:

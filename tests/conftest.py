@@ -1,9 +1,15 @@
 """Shared test helpers: independent oracles and instance generators."""
 import heapq
+from dataclasses import replace
+from typing import Iterable
 
+import numpy as np
+
+from qroute.harness import (METRIC_FIELDS, ExperimentConfig, objective_value,
+                            parameter_grid, replicate)
 from qroute.netmodel import Edge, EdgeState, Network
 from qroute.pathfinder import Path, PathSet, edge_key
-from qroute.scheduler import _apportion_two_stage, two_stage_weights
+from qroute.scheduler import RoutingParams, _apportion_two_stage, two_stage_weights
 
 
 def abstract_network(capacity):
@@ -252,3 +258,54 @@ def unit_propagatory_core(capacity, entries_by_edge, path_edges, f_min, alpha, b
             if silent >= len(edges):
                 break
     return f_max
+
+
+# ------------------------------------------------------------ per-point sweeps
+# The grid loops as they were before the sweep engine: every grid point (or
+# request count) re-runs whole windows through ``replicate``. They are the
+# oracles for ``harness.grid_search_parameters`` and ``harness.request_sweep``.
+
+def reference_grid_search(config: ExperimentConfig) -> tuple[
+        dict[str, tuple[RoutingParams, float]], list[dict]]:
+    """Brute-force argmax of the objective's replication mean per grid point.
+
+    Returns the per-algorithm best point and the full evaluation table.
+    """
+    points = parameter_grid(config)
+    if not points:
+        raise ValueError("empty parameter grid")
+    best: dict[str, tuple[RoutingParams, float]] = {}
+    table: list[dict] = []
+    for params in points:
+        cfg = replace(config, routing=params, routing_grid={})
+        records, agg = replicate(cfg)
+        for name in config.algorithms:
+            values = [objective_value(rec.results[name].report, config.objective)
+                      for rec in records]
+            mean_obj = float(np.mean(values))
+            row = {"algorithm": name, "l_max": params.l_max, "k": params.k,
+                   "alpha": params.alpha, "beta": params.beta,
+                   "objective": mean_obj}
+            for m in METRIC_FIELDS:
+                row[f"{m}_mean"], row[f"{m}_stderr"] = agg[name][m]
+            table.append(row)
+            if name not in best or mean_obj > best[name][1]:
+                best[name] = (params, mean_obj)
+    return best, table
+
+
+def reference_request_sweep(config: ExperimentConfig,
+                            counts: Iterable[int] = range(2, 11)) -> list[dict]:
+    """Replicated trials per request count with arbitrary [s, t] pairs."""
+    rows = []
+    for count in counts:
+        spec = replace(config.requests, count=count, distance=None, pairs=None)
+        cfg = replace(config, requests=spec)
+        _, agg = replicate(cfg)
+        for name in config.algorithms:
+            row = {"requests": count, "algorithm": name}
+            for m in METRIC_FIELDS:
+                row[f"{m}_mean"], row[f"{m}_stderr"] = agg[name][m]
+            row["F_per_request"] = row["F_mean"] / count
+            rows.append(row)
+    return rows

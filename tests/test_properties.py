@@ -1,10 +1,13 @@
-"""Hypothesis property tests for k_shortest_paths over random lattices."""
-from conftest import reference_k_shortest_paths
+"""Hypothesis property tests: k_shortest_paths over random lattices, and the
+sweep engine against the per-point grid loop over random windows and grids."""
+from conftest import reference_grid_search, reference_k_shortest_paths
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qroute.netmodel import TOPOLOGIES, build_lattice
+from qroute.harness import ExperimentConfig, RequestSpec, grid_search_parameters
+from qroute.netmodel import TOPOLOGIES, ScenarioParams, build_lattice
 from qroute.pathfinder import k_shortest_paths
+from qroute.scheduler import RoutingParams
 
 
 @st.composite
@@ -51,3 +54,36 @@ def test_prefix_stable_and_equal_to_reference(query, j):
     paths = k_shortest_paths(net, s, t, k)
     assert paths == reference_k_shortest_paths(net, s, t, k)
     assert k_shortest_paths(net, s, t, min(j, k)) == paths[:j]
+
+
+def axis(values):
+    """A grid axis: one to three draws, unsorted, duplicates allowed."""
+    return st.lists(values, min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def sweep_configs(draw):
+    """A small seeded window and a grid over {l_max, k, alpha, beta}."""
+    rows = draw(st.integers(3, 5))
+    cols = draw(st.integers(3, 5))
+    grid = {"l_max": draw(axis(st.integers(1, 8))),
+            "k": draw(axis(st.integers(1, 6))),
+            "alpha": draw(axis(st.sampled_from((0.0, 0.5, 1.0, 2.0)))),
+            "beta": draw(axis(st.sampled_from((0.0, 1.0))))}
+    return ExperimentConfig(
+        rows=rows, cols=cols, kind=draw(st.sampled_from(TOPOLOGIES)),
+        scenario=ScenarioParams(c0=draw(st.integers(5, 60)),
+                                p_out=draw(st.sampled_from((0.0, 0.2, 0.5, 0.8)))),
+        routing=RoutingParams(k=2, l_max=4),
+        routing_grid=grid,
+        requests=RequestSpec(count=draw(st.integers(1, 3)),
+                             distance=draw(st.integers(1, min(rows, cols) - 1)),
+                             demand=draw(st.integers(1, 40))),
+        replications=draw(st.integers(1, 3)),
+        base_seed=draw(st.integers(0, 10_000)))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(sweep_configs())
+def test_grid_search_equals_per_point_loop(config):
+    assert grid_search_parameters(config) == reference_grid_search(config)

@@ -249,6 +249,8 @@ def test_cli_optimize_and_failures(tmp_path):
 PINNED_DIGESTS = {
     "trials.csv": "5f8e9d4c8f8112f579c7f94d6b37a51e5148e5d5d0e626e9a192c424ea59349d",
     "optimize.csv": "f8abdfd1f8a48d321f6e464c5518564151460556b0aa85a18a225bc2fe95efb5",
+    "sweep.csv": "c2049647ad6b95ba4c62c436565a94228bc7201033cc1ac75121e4a306bb0ad5",
+    "requests.csv": "78b072e28539ba0da6d0ebdc6e7961d543e26c227becea434c8c2aac1b51c523",
 }
 
 
@@ -260,6 +262,10 @@ def test_cli_outputs_match_pinned_digests(tmp_path):
     assert cli.main(["replicate", "-c", str(configs / "baseline.yml"),
                      "--replications", "10", "--out-dir", str(out_dir)]) == 0
     assert cli.main(["optimize", "-c", str(configs / "sweep.yml"),
+                     "--replications", "3", "--out-dir", str(out_dir)]) == 0
+    assert cli.main(["sweep", "-c", str(configs / "sweep.yml"), "--distances", "2,3",
+                     "--replications", "3", "--out-dir", str(out_dir)]) == 0
+    assert cli.main(["requests", "-c", str(configs / "baseline.yml"), "--counts", "2,4",
                      "--replications", "3", "--out-dir", str(out_dir)]) == 0
     for name, digest in PINNED_DIGESTS.items():
         assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest, name
