@@ -1,6 +1,6 @@
 """qroute: entanglement routing simulator for lattice quantum-repeater networks."""
 
-from .netmodel import (Edge, EdgeState, InvariantError, Network, Request,
+from .netmodel import (Edge, InvariantError, Network, Request,
                        ScenarioParams, build_lattice, deactivate_low_capacity_edges,
                        generate_requests, inject_failures, sample_edge_states)
 from .purification import PurificationOutcome, pump_fidelity, purify_edge, purify_network
@@ -21,7 +21,7 @@ from .config import ConfigError, load_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALGORITHMS", "ConfigError", "Edge", "EdgeState", "ExperimentConfig",
+    "ALGORITHMS", "ConfigError", "Edge", "ExperimentConfig",
     "InvariantError", "MetricsReport", "Network", "ObjectiveWeights", "Path",
     "PathInfoEntry", "PathKey", "PathSet", "PurificationOutcome", "Request",
     "RequestSpec", "RoutingOutcome", "RoutingParams", "ScenarioParams",

@@ -29,6 +29,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _positive_int_list(text: str) -> list[int]:
+    values = [_positive_int(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated positive integers, got {text!r}")
+    return values
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-c", "--config", metavar="FILE",
                         help="YAML config file (defaults used when omitted)")
@@ -37,7 +51,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="directory for result files (default: results)")
     parser.add_argument("--algorithms", metavar="LIST",
                         help="comma-separated subset of PS,PF,PU")
-    parser.add_argument("--replications", type=int,
+    parser.add_argument("--replications", type=_positive_int,
                         help="override the replication count")
 
 
@@ -58,7 +72,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="grid sweep over routing parameters "
                                      "and/or request distance")
     _add_common(p)
-    p.add_argument("--distances", metavar="LIST",
+    p.add_argument("--distances", type=_positive_int_list, metavar="LIST",
                    help="comma-separated request distances to sweep")
 
     p = sub.add_parser("optimize", help="argmax of the objective over the grid")
@@ -66,12 +80,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("failures", help="before/after throughput under failures")
     _add_common(p)
-    p.add_argument("--max-failures", type=int, default=4,
+    p.add_argument("--max-failures", type=_positive_int, default=4,
                    help="largest edge/node failure count (default 4)")
 
     p = sub.add_parser("requests", help="sweep the number of requests per window")
     _add_common(p)
-    p.add_argument("--counts", metavar="LIST", default="2,3,4,5,6,7,8,9,10",
+    p.add_argument("--counts", type=_positive_int_list, metavar="LIST",
+                   default="2,3,4,5,6,7,8,9,10",
                    help="comma-separated request counts (default 2..10)")
     return parser
 
@@ -92,13 +107,6 @@ def _load(args) -> harness.ExperimentConfig:
 def _out(args, name: str) -> str:
     os.makedirs(args.out_dir, exist_ok=True)
     return os.path.join(args.out_dir, name)
-
-
-def _int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise _UsageError(f"{flag} expects comma-separated integers: {exc}") from exc
 
 
 def _cmd_run(args) -> int:
@@ -143,13 +151,12 @@ def _cmd_replicate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load(args)
-    distances = [config.requests.distance]
+    distances = args.distances or [config.requests.distance]
     if args.distances:
-        distances = _int_list(args.distances, "--distances")
         # the rule config_from_mapping applies to requests.distance
         limit = min(config.rows, config.cols) - 1
         for distance in distances:
-            if not 1 <= distance <= limit:
+            if distance > limit:
                 raise _UsageError(
                     f"--distances: {distance} is outside 1..{limit} for a "
                     f"{config.rows}x{config.cols} lattice")
@@ -197,8 +204,7 @@ def _cmd_failures(args) -> int:
 
 def _cmd_requests(args) -> int:
     config = _load(args)
-    counts = _int_list(args.counts, "--counts")
-    rows = harness.request_sweep(config, counts)
+    rows = harness.request_sweep(config, args.counts)
     reports.write_table_csv(rows, _out(args, "requests.csv"))
     for row in rows:
         print(f"|R|={row['requests']} {row['algorithm']}: "

@@ -120,11 +120,9 @@ def _resolve_requests(config: ExperimentConfig, net: Network,
 def enumerate_paths(net: Network, requests: Sequence[Request],
                     k: int) -> tuple[Path, ...]:
     """k shortest paths for every request; disconnected requests contribute none."""
-    adjacency = net.adjacency()
     paths: list[Path] = []
     for r in requests:
-        paths.extend(k_shortest_paths(net, r.source, r.terminal, k, request_id=r.id,
-                                      adjacency=adjacency))
+        paths.extend(k_shortest_paths(net, r.source, r.terminal, k, request_id=r.id))
     return tuple(paths)
 
 
@@ -189,11 +187,11 @@ def _zero_results(algorithms: Sequence[str], requests: Sequence[Request],
 
 
 def _summarize(net: Network, f_min: int) -> NetworkSummary:
-    caps = [e.capacity for e in net.active_edges()]
+    caps = net.capacity_map().values()
     return NetworkSummary(
         total_edges=len(net.edges), active_edges=len(caps),
-        min_capacity=min(caps) if caps else 0,
-        max_capacity=max(caps) if caps else 0, f_min=f_min)
+        min_capacity=min(caps, default=0), max_capacity=max(caps, default=0),
+        f_min=f_min)
 
 
 def run_trial(config: ExperimentConfig, seed: int) -> TrialRecord:
@@ -485,7 +483,6 @@ def failure_experiment(config: ExperimentConfig,
             continue
         before = route_all(ctx.revised, ctx.paths, ctx.requests, ctx.params,
                            config.algorithms, config.scenario.p_in)
-        dead_before = {e.key for e in ctx.revised.edges if not e.active}
         for mode, count in modes:
             key = (mode, count)
             if count == 0:
@@ -498,7 +495,7 @@ def failure_experiment(config: ExperimentConfig,
                 continue
             rng = np.random.default_rng([seed, mode_index[mode], count])
             failed = inject_failures(ctx.revised, mode, count, pool, rng)
-            dead = {e.key for e in failed.edges if not e.active} - dead_before
+            dead = ctx.revised.capacity_map().keys() - failed.capacity_map().keys()
             for alg in config.algorithms:
                 res = before[alg]
                 survived = degrade_outcome(res.outcome, dead)

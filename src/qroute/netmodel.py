@@ -1,7 +1,8 @@
 """Lattice topologies, stochastic edge initialization, topology revision, and requests."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -27,25 +28,6 @@ def node_label(node: int, cols: int) -> str:
     """Two-digit display label, horizontal coordinate first (node 'xy')."""
     x, y = node_xy(node, cols)
     return f"{x}{y}"
-
-
-@dataclass
-class EdgeState:
-    """One lattice edge holding entangled pairs between adjacent stations.
-
-    After initialization, capacity 0 implies the edge is inactive and an
-    active edge has capacity >= 1.
-    """
-
-    u: int
-    v: int
-    capacity: int = 0
-    fidelity: float = 0.0
-    active: bool = True
-
-    @property
-    def key(self) -> Edge:
-        return (self.u, self.v)
 
 
 @dataclass
@@ -93,44 +75,62 @@ class Request:
             raise ValueError(f"weight must be > 0, got {self.weight}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Network:
-    """Lattice network with per-edge state.
+    """Lattice network at one stage of the window; stages return new networks.
 
-    ``phase`` tracks the window lifecycle: raw -> initialized -> purified.
+    ``edges`` is the sorted edge tuple of ``build_lattice``, shared by every
+    later stage; ``capacity``, ``fidelity`` and ``active`` are aligned with
+    it. After initialization, capacity 0 implies the edge is inactive and an
+    active edge has capacity >= 1. ``phase`` tracks the window lifecycle:
+    raw -> initialized -> purified.
     """
 
     rows: int
     cols: int
     kind: str
-    edges: list[EdgeState] = field(default_factory=list)
+    edges: tuple[Edge, ...]
+    capacity: tuple[int, ...]
+    fidelity: tuple[float, ...]
+    active: tuple[bool, ...]
     phase: str = "raw"
+
+    def __post_init__(self) -> None:
+        n = len(self.edges)
+        if not len(self.capacity) == len(self.fidelity) == len(self.active) == n:
+            raise ValueError("capacity, fidelity and active must align with edges")
 
     @property
     def node_count(self) -> int:
         return self.rows * self.cols
 
-    def copy(self) -> "Network":
-        return Network(self.rows, self.cols, self.kind,
-                       [replace(e) for e in self.edges], self.phase)
+    # derived views, computed once per network; callers must not mutate them
 
-    def edge_map(self) -> dict[Edge, EdgeState]:
-        return {e.key: e for e in self.edges}
-
-    def active_edges(self) -> list[EdgeState]:
-        return [e for e in self.edges if e.active]
+    def active_edges(self) -> tuple[Edge, ...]:
+        return self._active_edges
 
     def capacity_map(self) -> dict[Edge, int]:
         """Capacities of active edges only."""
-        return {e.key: e.capacity for e in self.edges if e.active}
+        return self._capacity_map
 
     def adjacency(self) -> dict[int, list[int]]:
         """Sorted adjacency lists over active edges."""
+        return self._adjacency
+
+    @cached_property
+    def _capacity_map(self) -> dict[Edge, int]:
+        return {e: c for e, c, on in zip(self.edges, self.capacity, self.active) if on}
+
+    @cached_property
+    def _active_edges(self) -> tuple[Edge, ...]:
+        return tuple(self._capacity_map)
+
+    @cached_property
+    def _adjacency(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {n: [] for n in range(self.node_count)}
-        for e in self.edges:
-            if e.active:
-                adj[e.u].append(e.v)
-                adj[e.v].append(e.u)
+        for u, v in self._active_edges:
+            adj[u].append(v)
+            adj[v].append(u)
         for lst in adj.values():
             lst.sort()
         return adj
@@ -171,8 +171,9 @@ def build_lattice(rows: int, cols: int, kind: str = "square") -> Network:
                 pairs.append((n, node_id(x, y + 1, cols)))
             if kind == "triangular" and x + 1 < cols and y + 1 < rows:
                 pairs.append((n, node_id(x + 1, y + 1, cols)))
-    pairs.sort()
-    return Network(rows, cols, kind, [EdgeState(u, v) for u, v in pairs], "raw")
+    n = len(pairs)
+    return Network(rows, cols, kind, tuple(sorted(pairs)), (0,) * n, (0.0,) * n,
+                   (True,) * n, "raw")
 
 
 def sample_edge_states(net: Network, params: ScenarioParams,
@@ -185,16 +186,12 @@ def sample_edge_states(net: Network, params: ScenarioParams,
     """
     if net.phase != "raw":
         raise ValueError(f"sample_edge_states requires a raw network, got phase {net.phase!r}")
-    out = net.copy()
-    n_edges = len(out.edges)
+    n_edges = len(net.edges)
     caps = rng.binomial(params.c0, params.p_out, size=n_edges)
     fids = np.clip(rng.normal(params.f_mean, params.f_std, size=n_edges), 0.0, 1.0)
-    for edge, cap, fid in zip(out.edges, caps, fids):
-        edge.capacity = int(cap)
-        edge.fidelity = float(fid)
-        edge.active = edge.capacity > 0
-    out.phase = "initialized"
-    return out
+    capacity = tuple(caps.tolist())
+    return replace(net, capacity=capacity, fidelity=tuple(fids.tolist()),
+                   active=tuple(c > 0 for c in capacity), phase="initialized")
 
 
 def deactivate_low_capacity_edges(net: Network, l_max: int) -> Network:
@@ -203,11 +200,8 @@ def deactivate_low_capacity_edges(net: Network, l_max: int) -> Network:
         raise ValueError(f"deactivation runs on a purified network, got phase {net.phase!r}")
     if l_max < 1:
         raise ValueError(f"l_max must be >= 1, got {l_max}")
-    out = net.copy()
-    for edge in out.edges:
-        if edge.active and edge.capacity < l_max:
-            edge.active = False
-    return out
+    return replace(net, active=tuple(on and c >= l_max
+                                     for c, on in zip(net.capacity, net.active)))
 
 
 def inject_failures(net: Network, mode: str, count: int,
@@ -226,15 +220,11 @@ def inject_failures(net: Network, mode: str, count: int,
         raise ValueError(f"cannot fail {count} of {len(targets)} utilized {mode}s")
     picks = rng.choice(len(targets), size=count, replace=False)
     chosen = {targets[int(i)] for i in picks}
-    out = net.copy()
-    for edge in out.edges:
-        if mode == "edge":
-            if edge.key in chosen:
-                edge.active = False
-        else:
-            if edge.u in chosen or edge.v in chosen:
-                edge.active = False
-    return out
+    if mode == "edge":
+        failed = [e in chosen for e in net.edges]
+    else:
+        failed = [u in chosen or v in chosen for u, v in net.edges]
+    return replace(net, active=tuple(on and not f for on, f in zip(net.active, failed)))
 
 
 def _offset_pairs(net: Network, distance: int) -> list[tuple[int, int]]:

@@ -114,8 +114,8 @@ def _walk_down(adj: dict[int, list[int]], u: int, level: int, dist: dict[int, in
     return tuple(nodes)
 
 
-def k_shortest_paths(net: Network, s: int, t: int, k: int, request_id: int = 0,
-                     adjacency: dict[int, list[int]] | None = None) -> list[Path]:
+def k_shortest_paths(net: Network, s: int, t: int, k: int,
+                     request_id: int = 0) -> list[Path]:
     """Yen's algorithm over active edges with deterministic tie-breaking.
 
     Returns up to k loopless paths ordered by (length, node sequence); fewer
@@ -129,15 +129,12 @@ def k_shortest_paths(net: Network, s: int, t: int, k: int, request_id: int = 0,
     already. The spur sets then partition the paths not yet accepted (Lawler's
     branching), so each candidate is found exactly once, the heap needs no
     duplicate check, and its smallest entry is always the next path.
-
-    ``adjacency`` is ``net.adjacency()``, passed in by callers that query the
-    same network for several requests; it is built here when omitted.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if s == t:
         raise ValueError("source and terminal must differ")
-    adj = net.adjacency() if adjacency is None else adjacency
+    adj = net.adjacency()
     first = _spur_path(adj, s, t)
     if first is None:
         return []

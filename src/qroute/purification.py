@@ -1,7 +1,7 @@
 """Entanglement purification: trade edge capacity for fidelity until a threshold holds."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .netmodel import InvariantError, Network
@@ -50,17 +50,15 @@ def purify_network(net: Network, f_th: float) -> Network:
     """Apply purify_edge to every active edge; zero-capacity edges are deactivated."""
     if net.phase != "initialized":
         raise ValueError(f"purification runs on an initialized network, got phase {net.phase!r}")
-    out = net.copy()
-    for edge in out.edges:
-        if not edge.active:
-            continue
-        result = purify_edge(edge.fidelity, edge.capacity, f_th)
-        edge.fidelity = result.fidelity
-        edge.capacity = result.capacity
-        if edge.capacity == 0:
-            edge.active = False
-        elif edge.fidelity < f_th:
-            raise InvariantError(
-                f"edge {edge.key} kept at fidelity {edge.fidelity} below f_th {f_th}")
-    out.phase = "purified"
-    return out
+    capacity, fidelity, active = [], [], []
+    for e, c, f, on in zip(net.edges, net.capacity, net.fidelity, net.active):
+        if on:
+            result = purify_edge(f, c, f_th)
+            c, f, on = result.capacity, result.fidelity, result.capacity > 0
+            if on and f < f_th:
+                raise InvariantError(f"edge {e} kept at fidelity {f} below f_th {f_th}")
+        capacity.append(c)
+        fidelity.append(f)
+        active.append(on)
+    return replace(net, capacity=tuple(capacity), fidelity=tuple(fidelity),
+                   active=tuple(active), phase="purified")

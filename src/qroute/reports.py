@@ -229,7 +229,6 @@ def read_records_json(path: str) -> list[TrialRecord]:
 # ------------------------------------------------------------- traffic export
 
 def _edge_traffic(outcome: RoutingOutcome, net: Network) -> list[dict]:
-    caps = {e.key: e for e in net.edges}
     usage = outcome.edge_usage()
     breakdown: dict[tuple[int, int], dict[str, int]] = {}
     for key, flow in sorted(outcome.flows.items()):
@@ -238,13 +237,12 @@ def _edge_traffic(outcome: RoutingOutcome, net: Network) -> list[dict]:
         for e in outcome.path_edges[key]:
             breakdown.setdefault(e, {})[_encode_pathkey(key)] = flow
     rows = []
-    for e in sorted(caps):
-        state = caps[e]
+    for e, capacity, active in zip(net.edges, net.capacity, net.active):
         used = usage.get(e, 0)
-        row = {"u": e[0], "v": e[1], "capacity": state.capacity,
-               "active": state.active, "flow": used}
+        row = {"u": e[0], "v": e[1], "capacity": capacity, "active": active,
+               "flow": used}
         if used > 0:
-            u_val = used / state.capacity
+            u_val = used / capacity
             row["utilization"] = u_val
             row["class"] = utilization_class(u_val)
             row["width"] = WIDTH_SCALE * u_val

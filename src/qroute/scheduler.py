@@ -73,7 +73,7 @@ def compute_f_min(net: Network, l_max: int) -> int:
 
     Call after deactivate_low_capacity_edges so the result is >= 1.
     """
-    caps = [e.capacity for e in net.active_edges()]
+    caps = net.capacity_map().values()
     if not caps:
         raise ValueError("no active edges")
     return min(caps) // l_max

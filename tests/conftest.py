@@ -7,15 +7,26 @@ import numpy as np
 
 from qroute.harness import (METRIC_FIELDS, ExperimentConfig, objective_value,
                             parameter_grid, replicate)
-from qroute.netmodel import Edge, EdgeState, Network
+from qroute.netmodel import Edge, Network
 from qroute.pathfinder import Path, PathSet, edge_key
 from qroute.scheduler import RoutingParams, _apportion_two_stage, two_stage_weights
 
 
 def abstract_network(capacity):
     """Network over disjoint abstract edges keyed by the given capacity map."""
-    edges = [EdgeState(u, v, capacity[(u, v)], 0.9, True) for (u, v) in sorted(capacity)]
-    return Network(1, 2 * len(edges), "square", edges, "purified")
+    edges = tuple(sorted(capacity))
+    n = len(edges)
+    return Network(1, 2 * n, "square", edges, tuple(capacity[e] for e in edges),
+                   (0.9,) * n, (True,) * n, "purified")
+
+
+def line_network(capacities):
+    """Path graph 0-1-2-... with the given edge capacities; zero-capacity
+    edges are inactive."""
+    n = len(capacities)
+    return Network(1, n + 1, "square", tuple((i, i + 1) for i in range(n)),
+                   tuple(capacities), (0.9,) * n, tuple(c > 0 for c in capacities),
+                   "purified")
 
 
 def info_from_path_edges(path_edges, lengths=None):

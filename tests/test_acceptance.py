@@ -110,11 +110,8 @@ def test_criterion_2_max_min_fairness_oracle():
 
 def active_lattice(rows, cols):
     net = build_lattice(rows, cols)
-    for e in net.edges:
-        e.capacity = 50
-        e.fidelity = 0.9
-    net.phase = "purified"
-    return net
+    n = len(net.edges)
+    return replace(net, capacity=(50,) * n, fidelity=(0.9,) * n, phase="purified")
 
 
 def test_criterion_3_path_enumeration_oracle():

@@ -1,9 +1,10 @@
 import pytest
+from conftest import line_network
 
 from qroute.metrics import (evaluate, evaluate_demand, jain_paths,
                             jain_requests, min_flow, stretch_factor,
                             throughput, utilization_stats, zero_report)
-from qroute.netmodel import EdgeState, Network, Request
+from qroute.netmodel import Request
 from qroute.scheduler import RoutingOutcome
 
 
@@ -57,7 +58,7 @@ def test_min_flow_counts_pathless_requests_as_zero():
 
 
 def _net_one_edge(capacity=10):
-    return Network(1, 2, "square", [EdgeState(0, 1, capacity, 0.9, True)], "purified")
+    return line_network([capacity])
 
 
 def test_utilization_single_edge():
@@ -71,9 +72,7 @@ def test_utilization_single_edge():
 
 
 def test_utilization_full_edges():
-    net = Network(1, 3, "square",
-                  [EdgeState(0, 1, 5, 0.9, True), EdgeState(1, 2, 8, 0.9, True)],
-                  "purified")
+    net = line_network([5, 8])
     out = make_outcome({(0, 0): 5, (1, 0): 8}, {(0, 0): 1, (1, 0): 1},
                        {(0, 0): ((0, 1),), (1, 0): ((1, 2),)})
     _, ave, var, _ = utilization_stats(out, net)
@@ -81,9 +80,7 @@ def test_utilization_full_edges():
 
 
 def test_utilization_excludes_zero_flow_edges():
-    net = Network(1, 3, "square",
-                  [EdgeState(0, 1, 5, 0.9, True), EdgeState(1, 2, 8, 0.9, True)],
-                  "purified")
+    net = line_network([5, 8])
     out = make_outcome({(0, 0): 5, (1, 0): 0}, {(0, 0): 1, (1, 0): 1},
                        {(0, 0): ((0, 1),), (1, 0): ((1, 2),)})
     u, ave, _, empty = utilization_stats(out, net)

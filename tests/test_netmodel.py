@@ -1,3 +1,6 @@
+import copy
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from qroute.netmodel import (ScenarioParams, build_lattice,
                              deactivate_low_capacity_edges, expected_edge_count,
                              generate_requests, inject_failures, node_id,
                              node_label, node_xy, sample_edge_states)
+from qroute.purification import purify_network
 
 
 @pytest.mark.parametrize("rows,cols,expected", [(8, 8, 112), (2, 2, 4), (3, 3, 12)])
@@ -14,7 +18,8 @@ def test_square_edge_counts(rows, cols, expected):
     net = build_lattice(rows, cols, "square")
     assert len(net.edges) == expected
     assert net.phase == "raw"
-    assert all(e.active and e.capacity == 0 and e.fidelity == 0.0 for e in net.edges)
+    assert net.active == (True,) * expected
+    assert net.capacity == (0,) * expected and net.fidelity == (0.0,) * expected
 
 
 @given(rows=st.integers(2, 12), cols=st.integers(2, 12),
@@ -23,7 +28,7 @@ def test_square_edge_counts(rows, cols, expected):
 def test_edge_count_formula(rows, cols, kind):
     net = build_lattice(rows, cols, kind)
     assert len(net.edges) == expected_edge_count(rows, cols, kind)
-    keys = [e.key for e in net.edges]
+    keys = list(net.edges)
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
 
@@ -51,12 +56,12 @@ def test_node_coordinates_roundtrip():
 def test_sample_degenerate_p_out():
     params_full = ScenarioParams(c0=40, p_out=1.0)
     net = sample_edge_states(build_lattice(3, 3), params_full, np.random.default_rng(0))
-    assert all(e.capacity == 40 and e.active for e in net.edges)
+    assert all(c == 40 for c in net.capacity) and all(net.active)
     assert net.phase == "initialized"
 
     params_zero = ScenarioParams(c0=40, p_out=0.0)
     net = sample_edge_states(build_lattice(3, 3), params_zero, np.random.default_rng(0))
-    assert all(e.capacity == 0 and not e.active for e in net.edges)
+    assert all(c == 0 for c in net.capacity) and not any(net.active)
 
 
 def test_sample_bounds_and_determinism():
@@ -64,17 +69,17 @@ def test_sample_bounds_and_determinism():
     a = sample_edge_states(build_lattice(8, 8), params, np.random.default_rng(42))
     b = sample_edge_states(build_lattice(8, 8), params, np.random.default_rng(42))
     assert a == b
-    for e in a.edges:
-        assert 0 <= e.capacity <= 100
-        assert 0.0 <= e.fidelity <= 1.0
-        assert e.active == (e.capacity > 0)
+    for c, f, on in zip(a.capacity, a.fidelity, a.active):
+        assert 0 <= c <= 100
+        assert 0.0 <= f <= 1.0
+        assert on == (c > 0)
 
 
 def test_sample_mean_capacity_within_binomial_band():
     # 112 draws of Binomial(100, 0.8): 3-sigma band on the mean is well inside +-2
     params = ScenarioParams(c0=100, p_out=0.8)
     net = sample_edge_states(build_lattice(8, 8), params, np.random.default_rng(7))
-    mean = np.mean([e.capacity for e in net.edges])
+    mean = np.mean(net.capacity)
     assert abs(mean - 80.0) <= 2.0
 
 
@@ -86,29 +91,24 @@ def test_sample_requires_raw_phase():
 
 
 def _purified(capacities):
-    net = build_lattice(2, 2)
-    for e, c in zip(net.edges, capacities):
-        e.capacity = c
-        e.fidelity = 0.9
-        e.active = c > 0
-    net.phase = "purified"
-    return net
+    return replace(build_lattice(2, 2), capacity=tuple(capacities), fidelity=(0.9,) * 4,
+                   active=tuple(c > 0 for c in capacities), phase="purified")
 
 
 def test_deactivate_threshold():
     net = deactivate_low_capacity_edges(_purified([5, 15, 20, 15]), 15)
-    assert [e.active for e in net.edges] == [False, True, True, True]
+    assert net.active == (False, True, True, True)
 
 
 def test_deactivate_single_pair_below_l_max():
     net = deactivate_low_capacity_edges(_purified([1, 20, 20, 20]), 10)
-    assert not net.edges[0].active
+    assert not net.active[0]
 
 
 def test_deactivate_noop_and_idempotent():
     base = _purified([20, 30, 40, 50])
     once = deactivate_low_capacity_edges(base, 15)
-    assert [e.active for e in once.edges] == [True] * 4
+    assert once.active == (True,) * 4
     assert deactivate_low_capacity_edges(once, 15) == once
 
 
@@ -122,26 +122,82 @@ def test_inject_node_failure_kills_incident_edges():
     net = _purified([20, 20, 20, 20])
     # node 0 of a 2x2 lattice touches edges (0,1) and (0,2)
     failed = inject_failures(net, "node", 1, [0], np.random.default_rng(0))
-    state = {e.key: e.active for e in failed.edges}
+    state = dict(zip(failed.edges, failed.active))
     assert not state[(0, 1)] and not state[(0, 2)]
     assert state[(1, 3)] and state[(2, 3)]
 
 
 def test_inject_center_node_failure_kills_all_four_edges():
     net = build_lattice(3, 3)
-    for e in net.edges:
-        e.capacity = 20
-        e.fidelity = 0.9
-    net.phase = "purified"
+    n = len(net.edges)
+    net = replace(net, capacity=(20,) * n, fidelity=(0.9,) * n, phase="purified")
     failed = inject_failures(net, "node", 1, [4], np.random.default_rng(1))
-    dead = {e.key for e in failed.edges if not e.active}
+    dead = {e for e, on in zip(failed.edges, failed.active) if not on}
     assert dead == {(1, 4), (3, 4), (4, 5), (4, 7)}
 
 
 def test_inject_edge_failure_single_target():
     net = _purified([20, 20, 20, 20])
     failed = inject_failures(net, "edge", 1, [(0, 1)], np.random.default_rng(3))
-    assert not failed.edge_map()[(0, 1)].active
+    assert not dict(zip(failed.edges, failed.active))[(0, 1)]
+
+
+def _sampled():
+    return sample_edge_states(build_lattice(4, 4), ScenarioParams(), np.random.default_rng(2))
+
+
+#: each network stage: (its call, a builder of its input network); every
+#: call changes some edge of a 4x4 lattice
+STAGES = {
+    "sample_edge_states": (
+        lambda net: sample_edge_states(net, ScenarioParams(), np.random.default_rng(2)),
+        lambda: build_lattice(4, 4)),
+    "purify_network": (lambda net: purify_network(net, 0.8), _sampled),
+    "deactivate_low_capacity_edges": (
+        lambda net: deactivate_low_capacity_edges(net, 60),
+        lambda: purify_network(_sampled(), 0.8)),
+    "inject_failures": (
+        lambda net: inject_failures(net, "node", 2, range(16), np.random.default_rng(4)),
+        lambda: purify_network(_sampled(), 0.8)),
+}
+
+
+def test_network_is_frozen():
+    net = _purified([20, 20, 20, 20])
+    with pytest.raises(FrozenInstanceError):
+        net.phase = "raw"
+    with pytest.raises(FrozenInstanceError):
+        net.capacity = (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("name", STAGES)
+def test_stage_returns_new_network_sharing_edges(name):
+    stage, build_input = STAGES[name]
+    net = build_input()
+    snapshot = copy.deepcopy(net)
+    out = stage(net)
+    assert net == snapshot
+    assert out is not net and out != net
+    assert out.edges is net.edges
+    # the values reach schedulers and JSON as plain Python types
+    assert all(type(c) is int for c in out.capacity)
+    assert all(type(f) is float for f in out.fidelity)
+    assert all(type(on) is bool for on in out.active)
+
+
+def test_derived_views_are_computed_once():
+    net = deactivate_low_capacity_edges(purify_network(_sampled(), 0.8), 60)
+    assert net.capacity_map() is net.capacity_map()
+    assert net.adjacency() is net.adjacency()
+    assert net.active_edges() is net.active_edges()
+    assert net.capacity_map() == {e: c for e, c, on in
+                                  zip(net.edges, net.capacity, net.active) if on}
+    assert net.active_edges() == tuple(net.capacity_map())
+
+
+def test_network_rejects_misaligned_fields():
+    with pytest.raises(ValueError, match="align"):
+        replace(build_lattice(2, 2), capacity=(1, 2, 3))
 
 
 def test_inject_failure_errors():
@@ -182,9 +238,9 @@ def test_generate_requests_deterministic():
 def test_hexagonal_is_degree_three_brick_wall():
     net = build_lattice(6, 6, "hexagonal")
     degree = {n: 0 for n in range(net.node_count)}
-    for e in net.edges:
-        degree[e.u] += 1
-        degree[e.v] += 1
+    for u, v in net.edges:
+        degree[u] += 1
+        degree[v] += 1
     assert max(degree.values()) == 3
     # still one connected component
     adj = net.adjacency()
@@ -200,8 +256,8 @@ def test_hexagonal_is_degree_three_brick_wall():
 def test_triangular_interior_degree_six():
     net = build_lattice(5, 5, "triangular")
     degree = {n: 0 for n in range(net.node_count)}
-    for e in net.edges:
-        degree[e.u] += 1
-        degree[e.v] += 1
+    for u, v in net.edges:
+        degree[u] += 1
+        degree[v] += 1
     interior = [node_id(x, y, 5) for x in range(1, 4) for y in range(1, 4)]
     assert all(degree[n] == 6 for n in interior)

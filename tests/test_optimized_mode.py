@@ -1,0 +1,36 @@
+"""Pipeline invariants are explicit checks that raise InvariantError, not
+asserts, so they must still fire under ``python -O``. This reruns their tests
+in a ``python -O -m pytest`` subprocess."""
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: every test that expects an InvariantError, by file
+INVARIANT_TESTS = {
+    "tests/test_pathfinder.py": (
+        "test_walk_without_closer_neighbour_raises_invariant_error",),
+    "tests/test_purification.py": (
+        "test_purify_network_rejects_survivor_below_threshold",),
+    "tests/test_scheduler.py": (
+        "test_largest_remainder_rejects_quotas_off_total",
+        "test_proportional_share_rejects_floor_above_capacity",
+        "test_infeasible_outcome_rejected",
+        "test_uncoverable_residual_raises_invariant_error"),
+}
+
+
+def test_invariant_errors_raise_under_python_O():
+    names = [name for group in INVARIANT_TESTS.values() for name in group]
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-k", " or ".join(names), *INVARIANT_TESTS],
+        cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert f"{len(names)} passed" in result.stdout, result.stdout
+    # pytest notices that the interpreter strips assert statements
+    assert "python -O" in result.stdout, result.stdout

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import _lex_shortest as reference_lex_shortest
@@ -11,12 +13,10 @@ from qroute.pathfinder import (Path, _spur_path, _walk_down, build_path_info, ed
 
 def active_lattice(rows, cols, kind="square", dead_edges=()):
     net = build_lattice(rows, cols, kind)
-    for e in net.edges:
-        e.capacity = 50
-        e.fidelity = 0.9
-        e.active = e.key not in set(dead_edges)
-    net.phase = "purified"
-    return net
+    n = len(net.edges)
+    return replace(net, capacity=(50,) * n, fidelity=(0.9,) * n,
+                   active=tuple(e not in set(dead_edges) for e in net.edges),
+                   phase="purified")
 
 
 def test_two_by_two_opposite_corners():
@@ -85,8 +85,7 @@ def test_prefix_stable_in_k(kind):
     rng = np.random.default_rng(3)
     for _ in range(3):
         net = active_lattice(5, 5, kind)
-        for e in net.edges:
-            e.active = bool(rng.random() > 0.1)
+        net = replace(net, active=tuple(bool(rng.random() > 0.1) for _ in net.edges))
         s, t = (int(n) for n in rng.choice(net.node_count, size=2, replace=False))
         full = k_shortest_paths(net, s, t, 12)
         for j in range(1, 13):
@@ -166,9 +165,7 @@ def test_path_set_kept_matches_per_edge_truncation():
 
 def random_active_lattice(rng, kind, rows, cols, dead_rate):
     net = active_lattice(rows, cols, kind)
-    for e in net.edges:
-        e.active = bool(rng.random() >= dead_rate)
-    return net
+    return replace(net, active=tuple(bool(rng.random() >= dead_rate) for _ in net.edges))
 
 
 def test_matches_reference_yen_on_random_instances():

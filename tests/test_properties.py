@@ -1,5 +1,7 @@
 """Hypothesis property tests: k_shortest_paths over random lattices, and the
 sweep engine against the per-point grid loop over random windows and grids."""
+from dataclasses import replace
+
 from conftest import reference_grid_search, reference_k_shortest_paths
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,12 +19,10 @@ def lattice_queries(draw):
     rows = draw(st.integers(2, 6))
     cols = draw(st.integers(2, 6))
     net = build_lattice(rows, cols, kind)
-    alive = draw(st.lists(st.booleans(), min_size=len(net.edges), max_size=len(net.edges)))
-    for e, active in zip(net.edges, alive):
-        e.capacity = 50
-        e.fidelity = 0.9
-        e.active = active
-    net.phase = "purified"
+    n = len(net.edges)
+    alive = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    net = replace(net, capacity=(50,) * n, fidelity=(0.9,) * n, active=tuple(alive),
+                  phase="purified")
     s = draw(st.integers(0, net.node_count - 1))
     t = draw(st.integers(0, net.node_count - 1).filter(lambda n: n != s))
     k = draw(st.integers(1, 20))
@@ -34,7 +34,7 @@ def lattice_queries(draw):
 def test_paths_are_loopless_active_and_ordered(query):
     net, s, t, k = query
     paths = k_shortest_paths(net, s, t, k, request_id=3)
-    active = {e.key for e in net.edges if e.active}
+    active = {e for e, on in zip(net.edges, net.active) if on}
     assert len(paths) <= k
     assert [p.rank for p in paths] == list(range(len(paths)))
     assert all(p.request_id == 3 for p in paths)

@@ -70,24 +70,23 @@ def test_purify_network_threshold_zero_is_noop():
     net, _ = _initialized()
     # f_th = 0 is below every sampled fidelity, so nothing changes but the phase
     out = purify_network(net, 0.0)
-    assert [(e.capacity, e.fidelity) for e in out.edges] == \
-           [(e.capacity, e.fidelity) for e in net.edges]
+    assert (out.capacity, out.fidelity) == (net.capacity, net.fidelity)
     assert out.phase == "purified"
 
 
 def test_purify_network_perfect_fidelities_noop():
     net, _ = _initialized(f_mean=1.0, f_std=0.0)
     out = purify_network(net, 0.9)
-    assert all(o.capacity == e.capacity for o, e in zip(out.edges, net.edges))
+    assert out.capacity == net.capacity
 
 
 def test_purify_network_survivors_meet_threshold():
     net, _ = _initialized(seed=3)
     out = purify_network(net, 0.8)
-    for e in out.edges:
-        if e.active:
-            assert e.fidelity >= 0.8 and e.capacity >= 1
-        assert e.capacity == 0 or e.capacity <= net.edge_map()[e.key].capacity
+    for c, f, on, before in zip(out.capacity, out.fidelity, out.active, net.capacity):
+        if on:
+            assert f >= 0.8 and c >= 1
+        assert c == 0 or c <= before
 
 
 def test_purify_network_rejects_survivor_below_threshold(monkeypatch):
@@ -114,6 +113,7 @@ def test_baseline_survival_statistics():
         params = ScenarioParams(f_mean=0.9, f_std=0.1)
         net = sample_edge_states(build_lattice(8, 8), params, np.random.default_rng(seed))
         out = purify_network(net, 0.8)
-        survivors.append(sum(1 for e in out.edges if e.active and e.capacity >= 10))
+        survivors.append(sum(1 for c, on in zip(out.capacity, out.active)
+                             if on and c >= 10))
     mean = np.mean(survivors)
     assert 100.0 <= mean <= 112.0

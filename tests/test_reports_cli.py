@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from qroute import cli
+from qroute import cli, harness
 from qroute.harness import ExperimentConfig, RequestSpec, prepare_trial, replicate, run_trial
 from qroute.netmodel import ScenarioParams
 from qroute.reports import (TRIAL_COLUMNS, read_records_json, record_from_dict,
@@ -231,6 +231,23 @@ def test_cli_sweep_rejects_distance_beyond_lattice(tmp_path, capsys):
     assert not (out_dir / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["failures", "--max-failures", "0"], "--max-failures"),
+    (["requests", "--counts", "0,2"], "--counts"),
+    (["requests", "--counts", ","], "--counts"),
+    (["sweep", "--distances", ","], "--distances"),
+    (["replicate", "--replications", "0"], "--replications"),
+])
+def test_cli_rejects_bad_experiment_flags(tmp_path, capsys, monkeypatch, argv, flag):
+    # a usage error (exit 1) raised while parsing, before any replication runs
+    monkeypatch.setattr(harness, "prepare_trial", None)
+    baseline = pathlib.Path(__file__).resolve().parent.parent / "configs" / "baseline.yml"
+    out_dir = tmp_path / "out"
+    assert cli.main(argv + ["-c", str(baseline), "--out-dir", str(out_dir)]) == 1
+    assert f"argument {flag}: expected" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cli_optimize_and_failures(tmp_path):
     cfg = write_config(tmp_path, BASE_YML.replace("k: 4", "k: [2, 4]"))
     out_dir = tmp_path / "out"
@@ -251,24 +268,58 @@ PINNED_DIGESTS = {
     "optimize.csv": "f8abdfd1f8a48d321f6e464c5518564151460556b0aa85a18a225bc2fe95efb5",
     "sweep.csv": "c2049647ad6b95ba4c62c436565a94228bc7201033cc1ac75121e4a306bb0ad5",
     "requests.csv": "78b072e28539ba0da6d0ebdc6e7961d543e26c227becea434c8c2aac1b51c523",
+    "failures.csv": "0ec34cbff911bb7a971b635db336d7aa5ef210af7861e94a781be6daf96c0b1b",
+    "trial.json": "1d05bad8fc0796397070656bdbffb02d9e29c54b1ca080ad72db8adfeba45cef",
+    "traffic_PS.json": "90eb4e0aaeb757cbfd55d1b562da97df836661739578fc5fa479614b6217fdca",
+    "traffic_PF.json": "83da183b32a0050781c6a29e7ec09714c0e9627b2fbda0fd62169003a23c6b1d",
+    "traffic_PU.json": "e83f6d90811c507e4601cc89f60c853524b2f05257991963395e0a742386f429",
+    "traffic_PS.graphml": "815a9496e44a83fba08bef80a0fc4baf246a38c07f7b3c281f7bb106109723bb",
+    "traffic_PF.graphml": "10d147a436e91e012735b9bb5dad1d591392ca03ab274b019d8d578390ff4061",
+    "traffic_PU.graphml": "11c93fa4a8a5722420f74e58e26b89a079f03bdf397589bc362b6b3185d90a03",
+    "hexagonal/trials.csv": "b7428932b05778bc6ae30e377f5b6eeec67d4fa1a3b6e9a9c1ccad15138ab11f",
+    "triangular/trials.csv": "c5833bd2aeb19658055b847d273aedf812b7c31437d881c69b4d2f5a69fabe36",
 }
+
+
+def _pinned_digest(path: pathlib.Path) -> str:
+    """sha256 of an output file; trial.json is hashed without its wall-clock
+    fields (``stage_seconds`` and each result's ``schedule_seconds``)."""
+    if path.name != "trial.json":
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    payload = json.loads(path.read_text())
+    for record in payload["records"]:
+        del record["stage_seconds"]
+        for result in record["results"].values():
+            del result["schedule_seconds"]
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
 
 
 def test_cli_outputs_match_pinned_digests(tmp_path):
     # differential check: a change to the pipeline that alters any output
     # byte fails here without running the benchmark
     configs = pathlib.Path(__file__).resolve().parent.parent / "configs"
+    baseline, sweep = str(configs / "baseline.yml"), str(configs / "sweep.yml")
     out_dir = tmp_path / "out"
-    assert cli.main(["replicate", "-c", str(configs / "baseline.yml"),
+    assert cli.main(["replicate", "-c", baseline,
                      "--replications", "10", "--out-dir", str(out_dir)]) == 0
-    assert cli.main(["optimize", "-c", str(configs / "sweep.yml"),
+    assert cli.main(["optimize", "-c", sweep,
                      "--replications", "3", "--out-dir", str(out_dir)]) == 0
-    assert cli.main(["sweep", "-c", str(configs / "sweep.yml"), "--distances", "2,3",
+    assert cli.main(["sweep", "-c", sweep, "--distances", "2,3",
                      "--replications", "3", "--out-dir", str(out_dir)]) == 0
-    assert cli.main(["requests", "-c", str(configs / "baseline.yml"), "--counts", "2,4",
+    assert cli.main(["requests", "-c", baseline, "--counts", "2,4",
                      "--replications", "3", "--out-dir", str(out_dir)]) == 0
+    assert cli.main(["failures", "-c", baseline,
+                     "--replications", "10", "--out-dir", str(out_dir)]) == 0
+    for fmt in ("json", "graphml"):
+        assert cli.main(["run", "-c", baseline, "--traffic", fmt,
+                         "--out-dir", str(out_dir)]) == 0
+    # the baseline configs are square lattices; pin the other two kinds too
+    for kind in ("hexagonal", "triangular"):
+        cfg = write_config(tmp_path, BASE_YML.replace("cols: 5", f"cols: 5, kind: {kind}"))
+        assert cli.main(["replicate", "-c", cfg, "--replications", "6",
+                         "--out-dir", str(out_dir / kind)]) == 0
     for name, digest in PINNED_DIGESTS.items():
-        assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest, name
+        assert _pinned_digest(out_dir / name) == digest, name
 
 
 def test_cli_runtime_error_exit_code(tmp_path):

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (assert_integer_max_min, info_from_path_edges,
+from conftest import (abstract_network, assert_integer_max_min, info_from_path_edges,
+                      line_network,
                       random_fill_instance, unit_progressive_fill,
                       unit_propagatory_core)
 
-from qroute.netmodel import EdgeState, InvariantError, Network
+from qroute.netmodel import InvariantError
 from qroute.pathfinder import PathInfoEntry, truncate_edge_paths
 from qroute.scheduler import (RoutingOutcome, RoutingParams, ScheduleTable,
                               _assert_feasible, _progressive_fill,
@@ -25,21 +26,15 @@ def entry(r, l, d, o=0):
     return PathInfoEntry(r, l, d, o)
 
 
-def line_network(capacities):
-    """Path graph 0-1-2-... with the given edge capacities."""
-    edges = [EdgeState(i, i + 1, c, 0.9, c > 0) for i, c in enumerate(capacities)]
-    return Network(1, len(capacities) + 1, "square", edges, "purified")
-
-
 def abstract_instance(edge_caps, paths, lengths=None):
     """Abstract scheduling instance over disjoint edges (2i, 2i+1).
 
     ``paths`` maps (r, l) to a list of edge indices; ``lengths`` optionally
     overrides each path's bookkeeping length (defaults to the edge count).
     """
-    edges = [EdgeState(2 * i, 2 * i + 1, c, 0.9, True) for i, c in enumerate(edge_caps)]
-    net = Network(1, 2 * len(edge_caps), "square", edges, "purified")
-    path_edges = {key: tuple(edges[i].key for i in idxs) for key, idxs in paths.items()}
+    edges = [(2 * i, 2 * i + 1) for i in range(len(edge_caps))]
+    net = abstract_network(dict(zip(edges, edge_caps)))
+    path_edges = {key: tuple(edges[i] for i in idxs) for key, idxs in paths.items()}
     return net, info_from_path_edges(path_edges, lengths)
 
 
@@ -312,9 +307,7 @@ def test_pu_flows_never_below_f_min_for_live_paths():
         l_max = 4
         capacity = {e: max(c, l_max) for e, c in capacity.items()}
         f_min = min(capacity.values()) // l_max
-        net_edges = [EdgeState(u, v, capacity[(u, v)], 0.9, True)
-                     for (u, v) in sorted(capacity)]
-        net = Network(1, 2 * len(net_edges), "square", net_edges, "purified")
+        net = abstract_network(capacity)
         info = info_from_path_edges(path_edges)
         p = params(l_max=l_max, f_min=f_min)
         out = propagatory_update(net, info, p)
