@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 
 from . import harness, reports
-from .config import ConfigError, apply_overrides, load_config
+from .config import ConfigError, apply_overrides, distance_error, load_config
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -152,14 +152,10 @@ def _cmd_replicate(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _load(args)
     distances = args.distances or [config.requests.distance]
-    if args.distances:
-        # the rule config_from_mapping applies to requests.distance
-        limit = min(config.rows, config.cols) - 1
-        for distance in distances:
-            if distance > limit:
-                raise _UsageError(
-                    f"--distances: {distance} is outside 1..{limit} for a "
-                    f"{config.rows}x{config.cols} lattice")
+    for distance in args.distances or ():
+        reason = distance_error(distance, config.rows, config.cols)
+        if reason:
+            raise _UsageError(f"--distances: {distance}: {reason}")
     points = harness.parameter_grid(config)
     specs = [replace(config.requests, distance=distance, pairs=None)
              for distance in distances]

@@ -2,7 +2,7 @@
 per-field provenance."""
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Any
 
 import yaml
@@ -59,38 +59,84 @@ def _fail(path: str, lines: dict[str, int], message: str) -> None:
     raise ConfigError(f"{path}: {message}{where}")
 
 
-def _scalar(value, path, lines, kind, lo=None, hi=None, lo_open=False):
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            _fail(path, lines, f"expected an integer, got {value!r}")
-    elif kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+@dataclass(frozen=True)
+class _Number:
+    """Rule for an int or float key: bounds are inclusive unless ``lo_open``;
+    ``nullable`` admits null."""
+
+    kind: type
+    lo: float | None = None
+    hi: float | None = None
+    lo_open: bool = False
+    nullable: bool = False
+
+    def __call__(self, value, path: str, lines: dict[str, int]):
+        if value is None and self.nullable:
+            return None
+        if self.kind is int:
+            if not isinstance(value, int) or isinstance(value, bool):
+                _fail(path, lines, f"expected an integer, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
             _fail(path, lines, f"expected a number, got {value!r}")
-        value = float(value)
-    if lo is not None and (value <= lo if lo_open else value < lo):
-        _fail(path, lines, f"value {value} below allowed range")
-    if hi is not None and value > hi:
-        _fail(path, lines, f"value {value} above allowed range")
+        else:
+            value = float(value)
+        lo = self.lo
+        if lo is not None and (value <= lo if self.lo_open else value < lo):
+            _fail(path, lines, f"value {value} below allowed range")
+        if self.hi is not None and value > self.hi:
+            _fail(path, lines, f"value {value} above allowed range")
+        return value
+
+
+def _kind(value, path: str, lines: dict[str, int]) -> str:
+    if value not in TOPOLOGIES:
+        _fail(path, lines, f"expected one of {TOPOLOGIES}, got {value!r}")
     return value
 
 
-def _scalar_or_grid(value, path, lines, kind, lo=None):
-    """Routing parameters accept a single value or a list (sweep grid)."""
-    if isinstance(value, list):
-        if not value:
-            _fail(path, lines, "grid list must not be empty")
-        return tuple(sorted({_scalar(v, path, lines, kind, lo=lo) for v in value}))
-    return _scalar(value, path, lines, kind, lo=lo)
+def _algorithms(value, path: str, lines: dict[str, int]) -> tuple[str, ...]:
+    if (not isinstance(value, (list, tuple)) or not value
+            or any(a not in ALGORITHMS for a in value)):
+        _fail(path, lines, f"expected a non-empty subset of {ALGORITHMS}")
+    return tuple(value)
 
 
-_SECTIONS = ("lattice", "scenario", "routing", "requests", "experiment")
-_KEYS = {
-    "lattice": ("rows", "cols", "kind"),
-    "scenario": ("c0", "f_mean", "f_std", "f_th", "p_in", "p_out"),
-    "routing": ("k", "l_max", "alpha", "beta"),
-    "requests": ("count", "distance", "pairs", "demand", "weight"),
-    "experiment": ("algorithms", "replications", "base_seed", "pi1", "pi2", "pi3"),
+# Every key, in the order provenance lists them, with the rule that checks
+# one value (None: requests.pairs, checked against the lattice afterwards).
+# A key's default is the field of the same name in ExperimentConfig() or in
+# one of its nested dataclasses. Routing keys also accept a grid list.
+_RULES: dict[str, dict[str, Any]] = {
+    "lattice": {"rows": _Number(int, 2), "cols": _Number(int, 2), "kind": _kind},
+    "scenario": {"c0": _Number(int, 1), "f_mean": _Number(float, 0.0, 1.0),
+                 "f_std": _Number(float, 0.0),
+                 "f_th": _Number(float, 0.0, 1.0, lo_open=True),
+                 "p_in": _Number(float, 0.0, 1.0), "p_out": _Number(float, 0.0, 1.0)},
+    "routing": {"k": _Number(int, 1), "l_max": _Number(int, 1),
+                "alpha": _Number(float), "beta": _Number(float)},
+    "requests": {"count": _Number(int, 1), "distance": _Number(int, 1, nullable=True),
+                 "pairs": None, "demand": _Number(int, 1),
+                 "weight": _Number(float, 0.0, lo_open=True)},
+    "experiment": {"algorithms": _algorithms, "replications": _Number(int, 1),
+                   "base_seed": _Number(int, 0), "pi1": _Number(float),
+                   "pi2": _Number(float), "pi3": _Number(float)},
 }
+
+
+def _leaves(obj) -> dict[str, Any]:
+    """Leaf fields of a nested config dataclass by name (the names are unique)."""
+    out: dict[str, Any] = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        out.update(_leaves(value) if is_dataclass(value) else {f.name: value})
+    return out
+
+
+def distance_error(distance: int, rows: int, cols: int) -> str | None:
+    """Why drawn requests cannot sit at lattice offset (distance, distance)
+    in a rows x cols lattice, or None when they can."""
+    if distance > min(rows, cols) - 1:
+        return f"no node pair at offset ({distance}, {distance}) in a {rows}x{cols} lattice"
+    return None
 
 
 def config_from_mapping(doc: dict, lines: dict[str, int] | None = None,
@@ -100,7 +146,7 @@ def config_from_mapping(doc: dict, lines: dict[str, int] | None = None,
     if not isinstance(doc, dict):
         raise ConfigError("top level must be a mapping of sections")
     for section in doc:
-        if section not in _SECTIONS:
+        if section not in _RULES:
             _fail(section, lines, "unknown section")
         body = doc[section]
         if body is None:
@@ -108,59 +154,31 @@ def config_from_mapping(doc: dict, lines: dict[str, int] | None = None,
         if not isinstance(body, dict):
             _fail(section, lines, "section must be a mapping")
         for key in body:
-            if key not in _KEYS[section]:
+            if key not in _RULES[section]:
                 _fail(f"{section}.{key}", lines, "unknown key")
 
-    provenance: dict[str, str] = {
-        f"{section}.{key}": "default" for section in _SECTIONS
-        for key in _KEYS[section]}
-
-    def get(section, key, default):
-        body = doc.get(section) or {}
-        if key in body:
-            provenance[f"{section}.{key}"] = source
-            return body[key], f"{section}.{key}"
-        return default, f"{section}.{key}"
-
-    rows, p = get("lattice", "rows", 8)
-    rows = _scalar(rows, p, lines, int, lo=2)
-    cols, p = get("lattice", "cols", 8)
-    cols = _scalar(cols, p, lines, int, lo=2)
-    kind, p = get("lattice", "kind", "square")
-    if kind not in TOPOLOGIES:
-        _fail(p, lines, f"expected one of {TOPOLOGIES}, got {kind!r}")
-
-    sc: dict[str, Any] = {}
-    sc["c0"], p = get("scenario", "c0", 100)
-    sc["c0"] = _scalar(sc["c0"], p, lines, int, lo=1)
-    for key, default, bounds in (("f_mean", 0.8, (0.0, 1.0)),
-                                 ("f_std", 0.1, (0.0, None)),
-                                 ("p_in", 0.9, (0.0, 1.0)),
-                                 ("p_out", 0.8, (0.0, 1.0))):
-        value, p = get("scenario", key, default)
-        sc[key] = _scalar(value, p, lines, float, lo=bounds[0], hi=bounds[1])
-    value, p = get("scenario", "f_th", 0.8)
-    sc["f_th"] = _scalar(value, p, lines, float, lo=0.0, hi=1.0, lo_open=True)
-    scenario = ScenarioParams(**sc)
-
+    defaults = _leaves(ExperimentConfig())
+    provenance: dict[str, str] = {}
+    v: dict[str, Any] = {}
     grid: dict[str, tuple] = {}
-    routing_values: dict[str, Any] = {}
-    for key, default, kind_, lo in (("k", 10, int, 1), ("l_max", 10, int, 1),
-                                    ("alpha", 1.0, float, None),
-                                    ("beta", 1.0, float, None)):
-        value, p = get("routing", key, default)
-        parsed = _scalar_or_grid(value, p, lines, kind_, lo=lo)
-        if isinstance(parsed, tuple):
-            grid[key] = parsed
-            routing_values[key] = parsed[0]
-        else:
-            routing_values[key] = parsed
-    routing = RoutingParams(**routing_values)
+    for section, rules in _RULES.items():
+        body = doc.get(section) or {}
+        for key, check in rules.items():
+            path = f"{section}.{key}"
+            provenance[path] = source if key in body else "default"
+            value = body[key] if key in body else defaults[key]
+            if section == "routing" and isinstance(value, list):
+                if not value:
+                    _fail(path, lines, "grid list must not be empty")
+                grid[key] = tuple(sorted({check(x, path, lines) for x in value}))
+                value = grid[key][0]
+            elif check is not None:
+                value = check(value, path, lines)
+            v[key] = value
 
-    count, p = get("requests", "count", 2)
-    count = _scalar(count, p, lines, int, lo=1)
-    pairs, p = get("requests", "pairs", None)
+    rows, cols, pairs = v["rows"], v["cols"], v["pairs"]
     if pairs is not None:
+        p = "requests.pairs"
         if (not isinstance(pairs, list) or not pairs
                 or not all(isinstance(pair, list) and len(pair) == 2
                            and all(isinstance(n, int) for n in pair) for pair in pairs)):
@@ -171,38 +189,22 @@ def config_from_mapping(doc: dict, lines: dict[str, int] | None = None,
                     _fail(p, lines, f"node {node} is outside the {rows}x{cols} lattice")
             if s == t:
                 _fail(p, lines, f"source and terminal must differ, got [{s}, {t}]")
-        pairs = tuple((s, t) for s, t in pairs)
-    distance, p = get("requests", "distance", 3)
-    if distance is not None:
-        distance = _scalar(distance, p, lines, int, lo=1)
-        # the distance only matters when requests are drawn, not pinned
-        if pairs is None and distance > min(rows, cols) - 1:
-            _fail(p, lines, f"no node pair at offset ({distance}, {distance}) "
-                            f"in a {rows}x{cols} lattice")
-    demand, p = get("requests", "demand", 10)
-    demand = _scalar(demand, p, lines, int, lo=1)
-    weight, p = get("requests", "weight", 1.0)
-    weight = _scalar(weight, p, lines, float, lo=0.0, lo_open=True)
-    requests = RequestSpec(count, distance, pairs, demand, weight)
+        v["pairs"] = tuple((s, t) for s, t in pairs)
+    # the distance only matters when requests are drawn, not pinned
+    elif v["distance"] is not None:
+        reason = distance_error(v["distance"], rows, cols)
+        if reason:
+            _fail("requests.distance", lines, reason)
 
-    algorithms, p = get("experiment", "algorithms", list(ALGORITHMS))
-    if (not isinstance(algorithms, list) or not algorithms
-            or any(a not in ALGORITHMS for a in algorithms)):
-        _fail(p, lines, f"expected a non-empty subset of {ALGORITHMS}")
-    replications, p = get("experiment", "replications", 200)
-    replications = _scalar(replications, p, lines, int, lo=1)
-    base_seed, p = get("experiment", "base_seed", 7)
-    base_seed = _scalar(base_seed, p, lines, int)
-    pis = []
-    for key in ("pi1", "pi2", "pi3"):
-        value, p = get("experiment", key, 1.0)
-        pis.append(_scalar(value, p, lines, float))
+    def build(section, cls):
+        return cls(**{key: v[key] for key in _RULES[section]})
 
     return ExperimentConfig(
-        rows=rows, cols=cols, kind=kind, scenario=scenario, routing=routing,
-        routing_grid=grid, requests=requests, algorithms=tuple(algorithms),
-        replications=replications, base_seed=base_seed,
-        objective=ObjectiveWeights(*pis), provenance=provenance)
+        rows=rows, cols=cols, kind=v["kind"], scenario=build("scenario", ScenarioParams),
+        routing=build("routing", RoutingParams), routing_grid=grid,
+        requests=build("requests", RequestSpec), algorithms=v["algorithms"],
+        replications=v["replications"], base_seed=v["base_seed"],
+        objective=ObjectiveWeights(v["pi1"], v["pi2"], v["pi3"]), provenance=provenance)
 
 
 def load_config(path: str | None) -> ExperimentConfig:
@@ -221,24 +223,13 @@ def load_config(path: str | None) -> ExperimentConfig:
 def apply_overrides(config: ExperimentConfig, *, seed: int | None = None,
                     algorithms: tuple[str, ...] | None = None,
                     replications: int | None = None) -> ExperimentConfig:
-    """Command-line flags take precedence over file values and defaults."""
-    updates: dict[str, Any] = {}
-    provenance = dict(config.provenance)
-    if seed is not None:
-        updates["base_seed"] = seed
-        provenance["experiment.base_seed"] = "flag"
-    if algorithms is not None:
-        bad = [a for a in algorithms if a not in ALGORITHMS]
-        if bad:
-            raise ConfigError(f"unknown algorithms {bad}, expected a subset of {ALGORITHMS}")
-        updates["algorithms"] = algorithms
-        provenance["experiment.algorithms"] = "flag"
-    if replications is not None:
-        if replications < 1:
-            raise ConfigError("replications must be >= 1")
-        updates["replications"] = replications
-        provenance["experiment.replications"] = "flag"
+    """Command-line flags take precedence over file values and defaults; they
+    pass the same rules as the experiment keys they set."""
+    flags = {"base_seed": seed, "algorithms": algorithms, "replications": replications}
+    updates = {key: _RULES["experiment"][key](value, f"experiment.{key}", {})
+               for key, value in flags.items() if value is not None}
     if not updates:
         return config
-    updates["provenance"] = provenance
-    return replace(config, **updates)
+    provenance = dict(config.provenance)
+    provenance.update((f"experiment.{key}", "flag") for key in updates)
+    return replace(config, **updates, provenance=provenance)

@@ -241,7 +241,7 @@ def _offset_pairs(net: Network, distance: int) -> list[tuple[int, int]]:
 
 def generate_requests(net: Network, count: int, distance: int | None,
                       rng: np.random.Generator, demand: int = 10,
-                      weight: float = 1.0, start_id: int = 0) -> list[Request]:
+                      weight: float = 1.0) -> list[Request]:
     """Draw connection requests; duplicates of s, t, or [s, t] are permitted.
 
     When ``distance`` is given, pairs satisfy |dx| = |dy| = distance in lattice
@@ -258,7 +258,7 @@ def generate_requests(net: Network, count: int, distance: int | None,
         pairs = _offset_pairs(net, distance)
         for i in range(count):
             s, t = pairs[int(rng.integers(len(pairs)))]
-            requests.append(Request(start_id + i, s, t, demand, weight))
+            requests.append(Request(i, s, t, demand, weight))
     else:
         n_nodes = net.node_count
         for i in range(count):
@@ -266,5 +266,5 @@ def generate_requests(net: Network, count: int, distance: int | None,
             t = int(rng.integers(n_nodes))
             while t == s:
                 t = int(rng.integers(n_nodes))
-            requests.append(Request(start_id + i, s, t, demand, weight))
+            requests.append(Request(i, s, t, demand, weight))
     return requests

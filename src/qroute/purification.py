@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from .netmodel import InvariantError, Network
 
@@ -24,13 +23,11 @@ def pump_fidelity(f: float) -> float:
     return good / (good + (1.0 - f) * (1.0 - f))
 
 
-def purify_edge(fidelity: float, capacity: int, f_th: float,
-                pump: Callable[[float], float] = pump_fidelity) -> PurificationOutcome:
+def purify_edge(fidelity: float, capacity: int, f_th: float) -> PurificationOutcome:
     """Purify one edge until its fidelity reaches f_th, halving capacity per round.
 
     If the threshold is unreachable before the pairs run out, the edge keeps
     its last fidelity but ends with zero capacity (it will be deactivated).
-    The ``pump`` map is swappable for alternative purification models.
     """
     if not 0.0 <= fidelity <= 1.0:
         raise ValueError(f"fidelity must be in [0, 1], got {fidelity}")
@@ -39,7 +36,7 @@ def purify_edge(fidelity: float, capacity: int, f_th: float,
     f, c, rounds = fidelity, capacity, 0
     while f < f_th and c >= 2:
         c //= 2
-        f = pump(f)
+        f = pump_fidelity(f)
         rounds += 1
     if f < f_th:
         return PurificationOutcome(f, 0, rounds)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .netmodel import Edge, InvariantError, Network
@@ -59,6 +60,12 @@ class RoutingOutcome:
         return sum(f for (r, _), f in self.flows.items() if r == request_id)
 
     def edge_usage(self) -> dict[Edge, int]:
+        """Flow per utilized edge, sorted by edge; computed once per outcome,
+        so callers must not mutate it (or ``flows``) afterwards."""
+        return self._edge_usage
+
+    @cached_property
+    def _edge_usage(self) -> dict[Edge, int]:
         usage: dict[Edge, int] = {}
         for key, flow in self.flows.items():
             if flow <= 0:

@@ -1,15 +1,17 @@
 """Shared test helpers: independent oracles and instance generators."""
 import heapq
 from dataclasses import replace
-from typing import Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
-from qroute.harness import (METRIC_FIELDS, ExperimentConfig, objective_value,
-                            parameter_grid, replicate)
-from qroute.netmodel import Edge, Network
+from qroute.config import ConfigError, _fail
+from qroute.harness import (METRIC_FIELDS, ExperimentConfig, ObjectiveWeights, RequestSpec,
+                            objective_value, parameter_grid, replicate)
+from qroute.netmodel import TOPOLOGIES, Edge, Network, ScenarioParams
 from qroute.pathfinder import Path, PathSet, edge_key
-from qroute.scheduler import RoutingParams, _apportion_two_stage, two_stage_weights
+from qroute.scheduler import (ALGORITHMS, RoutingParams, _apportion_two_stage,
+                              two_stage_weights)
 
 
 def abstract_network(capacity):
@@ -320,3 +322,154 @@ def reference_request_sweep(config: ExperimentConfig,
             row["F_per_request"] = row["F_mean"] / count
             rows.append(row)
     return rows
+
+
+# ------------------------------------------------------------ config parsing
+# ``config_from_mapping`` as it was before the key table: one hand-written
+# get/check pair per key, defaults repeated from the dataclasses. It is the
+# oracle for the table-driven parser in ``qroute.config``.
+
+def _scalar(value, path, lines, kind, lo=None, hi=None, lo_open=False):
+    if kind is int:
+        if not isinstance(value, int) or isinstance(value, bool):
+            _fail(path, lines, f"expected an integer, got {value!r}")
+    elif kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            _fail(path, lines, f"expected a number, got {value!r}")
+        value = float(value)
+    if lo is not None and (value <= lo if lo_open else value < lo):
+        _fail(path, lines, f"value {value} below allowed range")
+    if hi is not None and value > hi:
+        _fail(path, lines, f"value {value} above allowed range")
+    return value
+
+
+def _scalar_or_grid(value, path, lines, kind, lo=None):
+    """Routing parameters accept a single value or a list (sweep grid)."""
+    if isinstance(value, list):
+        if not value:
+            _fail(path, lines, "grid list must not be empty")
+        return tuple(sorted({_scalar(v, path, lines, kind, lo=lo) for v in value}))
+    return _scalar(value, path, lines, kind, lo=lo)
+
+
+_SECTIONS = ("lattice", "scenario", "routing", "requests", "experiment")
+_KEYS = {
+    "lattice": ("rows", "cols", "kind"),
+    "scenario": ("c0", "f_mean", "f_std", "f_th", "p_in", "p_out"),
+    "routing": ("k", "l_max", "alpha", "beta"),
+    "requests": ("count", "distance", "pairs", "demand", "weight"),
+    "experiment": ("algorithms", "replications", "base_seed", "pi1", "pi2", "pi3"),
+}
+
+
+def reference_config_from_mapping(doc: dict, lines: dict[str, int] | None = None,
+                        source: str = "file") -> ExperimentConfig:
+    """Validate a parsed document and fill missing keys from the defaults."""
+    lines = lines or {}
+    if not isinstance(doc, dict):
+        raise ConfigError("top level must be a mapping of sections")
+    for section in doc:
+        if section not in _SECTIONS:
+            _fail(section, lines, "unknown section")
+        body = doc[section]
+        if body is None:
+            body = {}
+        if not isinstance(body, dict):
+            _fail(section, lines, "section must be a mapping")
+        for key in body:
+            if key not in _KEYS[section]:
+                _fail(f"{section}.{key}", lines, "unknown key")
+
+    provenance: dict[str, str] = {
+        f"{section}.{key}": "default" for section in _SECTIONS
+        for key in _KEYS[section]}
+
+    def get(section, key, default):
+        body = doc.get(section) or {}
+        if key in body:
+            provenance[f"{section}.{key}"] = source
+            return body[key], f"{section}.{key}"
+        return default, f"{section}.{key}"
+
+    rows, p = get("lattice", "rows", 8)
+    rows = _scalar(rows, p, lines, int, lo=2)
+    cols, p = get("lattice", "cols", 8)
+    cols = _scalar(cols, p, lines, int, lo=2)
+    kind, p = get("lattice", "kind", "square")
+    if kind not in TOPOLOGIES:
+        _fail(p, lines, f"expected one of {TOPOLOGIES}, got {kind!r}")
+
+    sc: dict[str, Any] = {}
+    sc["c0"], p = get("scenario", "c0", 100)
+    sc["c0"] = _scalar(sc["c0"], p, lines, int, lo=1)
+    for key, default, bounds in (("f_mean", 0.8, (0.0, 1.0)),
+                                 ("f_std", 0.1, (0.0, None)),
+                                 ("p_in", 0.9, (0.0, 1.0)),
+                                 ("p_out", 0.8, (0.0, 1.0))):
+        value, p = get("scenario", key, default)
+        sc[key] = _scalar(value, p, lines, float, lo=bounds[0], hi=bounds[1])
+    value, p = get("scenario", "f_th", 0.8)
+    sc["f_th"] = _scalar(value, p, lines, float, lo=0.0, hi=1.0, lo_open=True)
+    scenario = ScenarioParams(**sc)
+
+    grid: dict[str, tuple] = {}
+    routing_values: dict[str, Any] = {}
+    for key, default, kind_, lo in (("k", 10, int, 1), ("l_max", 10, int, 1),
+                                    ("alpha", 1.0, float, None),
+                                    ("beta", 1.0, float, None)):
+        value, p = get("routing", key, default)
+        parsed = _scalar_or_grid(value, p, lines, kind_, lo=lo)
+        if isinstance(parsed, tuple):
+            grid[key] = parsed
+            routing_values[key] = parsed[0]
+        else:
+            routing_values[key] = parsed
+    routing = RoutingParams(**routing_values)
+
+    count, p = get("requests", "count", 2)
+    count = _scalar(count, p, lines, int, lo=1)
+    pairs, p = get("requests", "pairs", None)
+    if pairs is not None:
+        if (not isinstance(pairs, list) or not pairs
+                or not all(isinstance(pair, list) and len(pair) == 2
+                           and all(isinstance(n, int) for n in pair) for pair in pairs)):
+            _fail(p, lines, "expected a list of [source, terminal] node pairs")
+        for s, t in pairs:
+            for node in (s, t):
+                if not 0 <= node < rows * cols:
+                    _fail(p, lines, f"node {node} is outside the {rows}x{cols} lattice")
+            if s == t:
+                _fail(p, lines, f"source and terminal must differ, got [{s}, {t}]")
+        pairs = tuple((s, t) for s, t in pairs)
+    distance, p = get("requests", "distance", 3)
+    if distance is not None:
+        distance = _scalar(distance, p, lines, int, lo=1)
+        # the distance only matters when requests are drawn, not pinned
+        if pairs is None and distance > min(rows, cols) - 1:
+            _fail(p, lines, f"no node pair at offset ({distance}, {distance}) "
+                            f"in a {rows}x{cols} lattice")
+    demand, p = get("requests", "demand", 10)
+    demand = _scalar(demand, p, lines, int, lo=1)
+    weight, p = get("requests", "weight", 1.0)
+    weight = _scalar(weight, p, lines, float, lo=0.0, lo_open=True)
+    requests = RequestSpec(count, distance, pairs, demand, weight)
+
+    algorithms, p = get("experiment", "algorithms", list(ALGORITHMS))
+    if (not isinstance(algorithms, list) or not algorithms
+            or any(a not in ALGORITHMS for a in algorithms)):
+        _fail(p, lines, f"expected a non-empty subset of {ALGORITHMS}")
+    replications, p = get("experiment", "replications", 200)
+    replications = _scalar(replications, p, lines, int, lo=1)
+    base_seed, p = get("experiment", "base_seed", 7)
+    base_seed = _scalar(base_seed, p, lines, int)
+    pis = []
+    for key in ("pi1", "pi2", "pi3"):
+        value, p = get("experiment", key, 1.0)
+        pis.append(_scalar(value, p, lines, float))
+
+    return ExperimentConfig(
+        rows=rows, cols=cols, kind=kind, scenario=scenario, routing=routing,
+        routing_grid=grid, requests=requests, algorithms=tuple(algorithms),
+        replications=replications, base_seed=base_seed,
+        objective=ObjectiveWeights(*pis), provenance=provenance)

@@ -1,6 +1,17 @@
-import pytest
+import pathlib
+import random
 
-from qroute.config import ConfigError, apply_overrides, config_from_mapping, load_config
+import pytest
+import yaml
+
+from conftest import reference_config_from_mapping
+from qroute.config import (_RULES, ConfigError, _Number, apply_overrides,
+                           config_from_mapping, load_config)
+from qroute.harness import ExperimentConfig
+from qroute.netmodel import TOPOLOGIES
+from qroute.scheduler import ALGORITHMS
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def write(tmp_path, text):
@@ -100,5 +111,163 @@ def test_flag_overrides_take_precedence(tmp_path):
     assert out.base_seed == 42 and out.algorithms == ("PU",) and out.replications == 2
     assert out.provenance["experiment.base_seed"] == "flag"
     assert out.provenance["experiment.replications"] == "flag"
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="experiment.algorithms"):
         apply_overrides(cfg, algorithms=("XX",))
+    with pytest.raises(ConfigError, match="experiment.algorithms"):
+        apply_overrides(cfg, algorithms=())
+    with pytest.raises(ConfigError, match="experiment.replications"):
+        apply_overrides(cfg, replications=0)
+
+
+def test_negative_seed_rejected(tmp_path):
+    with pytest.raises(ConfigError, match=r"experiment.base_seed: .*below.* \(line 2\)"):
+        load_config(write(tmp_path, "experiment:\n  base_seed: -1\n"))
+    with pytest.raises(ConfigError, match="experiment.base_seed"):
+        apply_overrides(load_config(None), seed=-1)
+    assert apply_overrides(load_config(None), seed=0).base_seed == 0
+
+
+def _outside(rule: _Number, side: str):
+    """A value just outside one bound of a numeric rule, written so that YAML
+    reads it back with the rule's type."""
+    bound = rule.lo if side == "lo" else rule.hi
+    if rule.kind is int:
+        return str(bound - 1 if side == "lo" else bound + 1)
+    if side == "lo" and rule.lo_open:
+        return repr(float(bound))
+    return f"{bound - 1e-6 if side == 'lo' else bound + 1e-6:.6f}"
+
+
+BOUNDS = [(section, key, side) for section, rules in _RULES.items()
+          for key, rule in rules.items() if isinstance(rule, _Number)
+          for side in ("lo", "hi") if getattr(rule, side) is not None]
+
+
+@pytest.mark.parametrize("section,key,side", BOUNDS,
+                         ids=[f"{s}.{k}-{side}" for s, k, side in BOUNDS])
+def test_value_just_outside_each_bound_names_key_and_line(tmp_path, section, key, side):
+    value = _outside(_RULES[section][key], side)
+    text = f"# header\n{section}:\n  {key}: {value}\n"
+    path = f"{section}.{key}"
+    message = rf"^{path}: value .* (below|above) allowed range \(line 3\)$"
+    with pytest.raises(ConfigError, match=message) as exc:
+        load_config(write(tmp_path, text))
+    doc = yaml.safe_load(text)
+    lines = {section: 2, path: 3}
+    if path == "experiment.base_seed":
+        # the parser before the key table had no lower bound on the seed:
+        # -1 got through and failed later inside numpy
+        assert reference_config_from_mapping(doc, lines).base_seed == -1
+    else:
+        with pytest.raises(ConfigError) as ref:
+            reference_config_from_mapping(doc, lines)
+        assert str(exc.value) == str(ref.value)
+
+
+def _random_document(rng: random.Random) -> dict:
+    """A valid document: a random subset of keys with in-range values,
+    including grid lists, explicit pairs and ``distance: null``."""
+    def number(lo, hi):
+        return rng.choice([lo, hi, round(rng.uniform(lo, hi), 3), int(lo)])
+
+    def grid(draw):
+        return [draw() for _ in range(rng.randint(1, 4))] if rng.random() < 0.3 else draw()
+
+    rows, cols = rng.randint(2, 9), rng.randint(2, 9)
+    pairs = None
+    if rng.random() < 0.3:
+        pairs = [rng.sample(range(min(rows, 8) * min(cols, 8)), 2)
+                 for _ in range(rng.randint(1, 3))]
+    candidates = {
+        "lattice": {"rows": rows, "cols": cols, "kind": rng.choice(TOPOLOGIES)},
+        "scenario": {"c0": rng.randint(1, 500), "f_mean": number(0.0, 1.0),
+                     "f_std": number(0.0, 0.3), "f_th": rng.choice([1.0, 1, 0.001, 0.9]),
+                     "p_in": number(0.0, 1.0), "p_out": number(0.0, 1.0)},
+        "routing": {"k": grid(lambda: rng.randint(1, 12)),
+                    "l_max": grid(lambda: rng.randint(1, 12)),
+                    "alpha": grid(lambda: number(-2.0, 3.0)),
+                    "beta": grid(lambda: number(-2.0, 3.0))},
+        "requests": {"count": rng.randint(1, 5),
+                     "distance": rng.choice([None, rng.randint(1, 20)]),
+                     "pairs": pairs, "demand": rng.randint(1, 20),
+                     "weight": rng.choice([5, 0.001, round(rng.uniform(0.01, 5), 3)])},
+        "experiment": {"algorithms": rng.sample(ALGORITHMS, rng.randint(1, 3)),
+                       "replications": rng.randint(1, 300),
+                       # a negative base_seed is the one intended difference from the
+                       # reference parser, so only seeds both accept are drawn
+                       "base_seed": rng.randint(0, 10**6),
+                       "pi1": number(-1.0, 2.0), "pi2": number(-1.0, 2.0),
+                       "pi3": number(-1.0, 2.0)},
+    }
+    if pairs is None:
+        del candidates["requests"]["pairs"]
+    doc: dict = {}
+    for section, keys in candidates.items():
+        chosen = [k for k in keys if rng.random() < 0.5]
+        if chosen or rng.random() < 0.2:
+            doc[section] = {k: keys[k] for k in chosen} or rng.choice([{}, None])
+    # drawn requests need their distance (given or default) inside the lattice
+    lattice = doc.get("lattice") or {}
+    rows, cols = lattice.get("rows", 8), lattice.get("cols", 8)
+    requests = doc.get("requests") or {}
+    if "pairs" not in requests and (requests.get("distance", 3) or 0) > min(rows, cols) - 1:
+        requests["distance"] = rng.choice([None, rng.randint(1, min(rows, cols) - 1)])
+        doc["requests"] = requests
+    return doc
+
+
+def test_table_parser_matches_reference_parser():
+    rng = random.Random(20201)
+    for _ in range(400):
+        doc = _random_document(rng)
+        text = yaml.safe_dump(doc)
+        cfg = config_from_mapping(yaml.safe_load(text))
+        ref = reference_config_from_mapping(yaml.safe_load(text))
+        assert cfg == ref, text
+        # provenance is compare=False, so compare it (and its order) apart;
+        # repr also tells an int from an equal float
+        assert list(cfg.provenance.items()) == list(ref.provenance.items()), text
+        assert repr(cfg) == repr(ref), text
+
+
+# values on and around every bound in the table, plus wrong types
+PROBES = [-1, 0, 1, 2, -1e-6, 0.0, 1e-6, 1.0, 1.000001, 2.5, None, True, "x",
+          "hexagonal", [], [1, 0], [[0, 9]], ["PS"]]
+KEYS = [f"{section}.{key}" for section, rules in _RULES.items() for key in rules]
+
+
+@pytest.mark.parametrize("path", KEYS)
+def test_single_key_documents_match_reference_parser(path):
+    section, key = path.split(".")
+    for value in PROBES:
+        doc, lines = {section: {key: value}}, {section: 1, path: 2}
+        outcomes = []
+        for parse in (config_from_mapping, reference_config_from_mapping):
+            try:
+                outcomes.append(repr(parse(doc, lines)))
+            except ConfigError as exc:
+                outcomes.append(str(exc))
+        if path == "experiment.base_seed" and value == -1:
+            # the new lower bound of 0; the reference let -1 through
+            assert outcomes[0] == f"{path}: value -1 below allowed range (line 2)"
+            continue
+        assert outcomes[0] == outcomes[1], value
+
+
+CONFIG_FILES = sorted((ROOT / "configs").glob("*.yml")) + sorted(
+    (ROOT / "winbench" / "configs").glob("*.yml"))
+
+
+@pytest.mark.parametrize("path", CONFIG_FILES, ids=[p.name for p in CONFIG_FILES])
+def test_checked_in_configs_load_with_file_provenance(path):
+    cfg = load_config(str(path))
+    doc = yaml.safe_load(path.read_text()) or {}
+    given = {f"{section}.{key}" for section, body in doc.items() for key in (body or {})}
+    assert {p for p, src in cfg.provenance.items() if src == "file"} == given
+    assert set(cfg.provenance.values()) <= {"file", "default"}
+
+
+def test_no_config_file_gives_dataclass_defaults():
+    cfg = load_config(None)
+    assert cfg == ExperimentConfig()
+    assert set(cfg.provenance.values()) == {"default"}

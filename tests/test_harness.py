@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -164,8 +166,31 @@ def test_grid_search_multipath_beats_single_path():
 
 def test_degrade_outcome_zeroes_broken_paths():
     out = mc_outcome()
+    assert out.edge_usage() == {(0, 1): 15, (1, 2): 12}
     degraded = degrade_outcome(out, {(0, 1)})
     assert degraded.flows == {(0, 0): 0, (0, 1): 3}
+    # a new outcome with its own usage view, not the cached one of ``out``
+    assert degraded.edge_usage() == {(1, 2): 12}
+    assert out.edge_usage() == {(0, 1): 15, (1, 2): 12}
+
+
+def test_edge_usage_built_once_per_outcome(monkeypatch):
+    built = []
+    build = RoutingOutcome.__dict__["_edge_usage"].func
+
+    def counting(outcome):
+        built.append(outcome.algorithm)
+        return build(outcome)
+
+    view = cached_property(counting)
+    view.__set_name__(RoutingOutcome, "_edge_usage")
+    monkeypatch.setattr(RoutingOutcome, "_edge_usage", view)
+    record = run_trial(small_config(), 5)
+    assert record.reason is None
+    # the feasibility check and utilization_stats both read each outcome's usage
+    assert sorted(built) == ["PF", "PS", "PU"]
+    outcome = record.results["PS"].outcome
+    assert outcome.edge_usage() is outcome.edge_usage()
 
 
 def test_failure_zero_count_is_noop():

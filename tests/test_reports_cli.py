@@ -182,7 +182,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys, monkeypatch):
     assert cli.main(["run", "-c", bad, "--out-dir", str(tmp_path / "o")]) == 1
     for text, message in (("requests: {pairs: [[0, 999]]}\n", "requests.pairs: node 999"),
                           ("requests: {pairs: [[5, 5]]}\n", "requests.pairs: source"),
-                          ("requests: {distance: 9}\n", "requests.distance: no node pair")):
+                          ("requests: {distance: 9}\n", "requests.distance: no node pair"),
+                          ("experiment: {base_seed: -1}\n", "experiment.base_seed: value -1")):
         bad = write_config(tmp_path, text)
         assert cli.main(["run", "-c", bad, "--out-dir", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
@@ -194,6 +195,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys, monkeypatch):
 
 def test_cli_usage_error_exit_code(tmp_path):
     assert cli.main(["frobnicate"]) == 1
+
+
+def test_cli_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--seed", "-1", "--out-dir", str(out_dir)]) == 1
+    assert "experiment.base_seed" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_cli_degenerate_exit_code(tmp_path):
