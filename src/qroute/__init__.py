@@ -4,8 +4,8 @@ from .netmodel import (Edge, InvariantError, Network, Request,
                        ScenarioParams, build_lattice, deactivate_low_capacity_edges,
                        generate_requests, inject_failures, sample_edge_states)
 from .purification import PurificationOutcome, pump_fidelity, purify_edge, purify_network
-from .pathfinder import (Path, PathInfoEntry, PathKey, PathSet,
-                         build_path_info, k_shortest_paths, truncate_edge_paths)
+from .pathfinder import (Path, PathKey, PathSet, build_path_info, k_shortest_paths,
+                         truncate_edge_paths)
 from .scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams, ScheduleTable,
                         compute_f_min, flow_determination, progressive_filling,
                         propagatory_update, proportional_share, run_algorithm,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHMS", "ConfigError", "Edge", "ExperimentConfig",
     "InvariantError", "MetricsReport", "Network", "ObjectiveWeights", "Path",
-    "PathInfoEntry", "PathKey", "PathSet", "PurificationOutcome", "Request",
+    "PathKey", "PathSet", "PurificationOutcome", "Request",
     "RequestSpec", "RoutingOutcome", "RoutingParams", "ScenarioParams",
     "ScheduleTable", "TrialRecord", "build_lattice",
     "build_path_info", "compute_f_min", "deactivate_low_capacity_edges",

@@ -151,16 +151,17 @@ def _cmd_replicate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load(args)
-    distances = args.distances or [config.requests.distance]
     for distance in args.distances or ():
         reason = distance_error(distance, config.rows, config.cols)
         if reason:
             raise _UsageError(f"--distances: {distance}: {reason}")
     points = harness.parameter_grid(config)
-    specs = [replace(config.requests, distance=distance, pairs=None)
-             for distance in distances]
+    # without --distances the config's requests, pinned pairs included, as they are
+    specs = ([replace(config.requests, distance=d, pairs=None) for d in args.distances]
+             if args.distances else [config.requests])
     rows = []
-    for distance, cells in zip(distances, harness.sweep_reports(config, specs, points)):
+    for spec, cells in zip(specs, harness.sweep_reports(config, specs, points)):
+        distance = spec.distance if spec.pairs is None else None
         for params, cell in zip(points, cells):
             extra = {"distance": distance, "k": params.k, "l_max": params.l_max,
                      "alpha": params.alpha, "beta": params.beta}
@@ -184,8 +185,7 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_failures(args) -> int:
     config = _load(args)
-    modes = [(mode, count) for mode in ("edge", "node")
-             for count in range(1, args.max_failures + 1)]
+    modes = harness.default_failure_modes(args.max_failures)
     rows = harness.failure_experiment(config, modes)
     if not rows:
         print("no routable baseline trials; nothing to compare")

@@ -455,8 +455,8 @@ def degrade_outcome(outcome: RoutingOutcome,
     return replace(outcome, flows=flows)
 
 
-def default_failure_modes() -> list[tuple[str, int]]:
-    return [(mode, count) for mode in ("edge", "node") for count in range(1, 5)]
+def default_failure_modes(max_count: int = 4) -> list[tuple[str, int]]:
+    return [(mode, count) for mode in ("edge", "node") for count in range(1, max_count + 1)]
 
 
 def failure_experiment(config: ExperimentConfig,
@@ -468,7 +468,7 @@ def failure_experiment(config: ExperimentConfig,
     algorithm. ``F_after`` evaluates the already-scheduled flows with broken
     paths zeroed; ``F_replanned`` re-runs Steps 2-5 on the failed graph with
     the same requests and window parameters. A count of 0 is a no-op
-    comparison (after equals before).
+    comparison (after equals before). Each seed is one ``_map_seeds`` task.
     """
     if modes is None:
         modes = default_failure_modes()
@@ -476,34 +476,10 @@ def failure_experiment(config: ExperimentConfig,
     seeds = [config.base_seed + i for i in range(n_reps)]
     samples: dict[tuple[str, int, str], list[tuple[float, float, float]]] = {
         (mode, count, alg): [] for mode, count in modes for alg in config.algorithms}
-    mode_index = {"edge": 0, "node": 1}
-    for seed in seeds:
-        ctx = prepare_trial(config, seed)
-        if ctx.reason is not None:
-            continue
-        before = route_all(ctx.revised, ctx.paths, ctx.requests, ctx.params,
-                           config.algorithms, config.scenario.p_in)
-        for mode, count in modes:
-            key = (mode, count)
-            if count == 0:
-                for alg in config.algorithms:
-                    f = before[alg].report.throughput
-                    samples[key + (alg,)].append((f, f, f))
-                continue
-            pool = shared_utilized(before, mode, ctx.requests)
-            if count > len(pool):
-                continue
-            rng = np.random.default_rng([seed, mode_index[mode], count])
-            failed = inject_failures(ctx.revised, mode, count, pool, rng)
-            dead = ctx.revised.capacity_map().keys() - failed.capacity_map().keys()
-            for alg in config.algorithms:
-                res = before[alg]
-                survived = degrade_outcome(res.outcome, dead)
-                f_after = throughput(survived, ctx.requests, config.scenario.p_in)
-                f_replanned = _reroute_throughput(failed, ctx.requests, ctx.params,
-                                                  config, alg)
-                samples[key + (alg,)].append(
-                    (res.report.throughput, f_after, f_replanned))
+    for seed_samples in _map_seeds(_failure_seed, [(config, tuple(modes), seed)
+                                                   for seed in seeds]):
+        for key, triple in seed_samples:
+            samples[key].append(triple)
     rows = []
     for (mode, count), alg in product(modes, config.algorithms):
         triples = samples[(mode, count, alg)]
@@ -521,6 +497,40 @@ def failure_experiment(config: ExperimentConfig,
             "retention": float(after_mean / before_mean) if before_mean > 0 else 0.0,
         })
     return rows
+
+
+def _failure_seed(args: tuple) -> list[tuple[tuple[str, int, str], tuple]]:
+    """One seed of ``failure_experiment``: a (mode, count, algorithm) key and
+    its (F_before, F_after, F_replanned) sample, for every comparable mode."""
+    config, modes, seed = args
+    ctx = prepare_trial(config, seed)
+    if ctx.reason is not None:
+        return []
+    before = route_all(ctx.revised, ctx.paths, ctx.requests, ctx.params,
+                       config.algorithms, config.scenario.p_in)
+    mode_index = {"edge": 0, "node": 1}
+    samples = []
+    for mode, count in modes:
+        if count == 0:
+            for alg in config.algorithms:
+                f = before[alg].report.throughput
+                samples.append(((mode, count, alg), (f, f, f)))
+            continue
+        pool = shared_utilized(before, mode, ctx.requests)
+        if count > len(pool):
+            continue
+        rng = np.random.default_rng([seed, mode_index[mode], count])
+        failed = inject_failures(ctx.revised, mode, count, pool, rng)
+        dead = ctx.revised.capacity_map().keys() - failed.capacity_map().keys()
+        for alg in config.algorithms:
+            res = before[alg]
+            survived = degrade_outcome(res.outcome, dead)
+            f_after = throughput(survived, ctx.requests, config.scenario.p_in)
+            f_replanned = _reroute_throughput(failed, ctx.requests, ctx.params,
+                                              config, alg)
+            samples.append(((mode, count, alg),
+                            (res.report.throughput, f_after, f_replanned)))
+    return samples
 
 
 def _reroute_throughput(failed: Network, requests: Sequence[Request],

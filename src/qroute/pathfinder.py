@@ -37,20 +37,6 @@ class Path:
         return tuple(edge_key(a, b) for a, b in zip(self.nodes, self.nodes[1:]))
 
 
-@dataclass(frozen=True)
-class PathInfoEntry:
-    """Per-edge bookkeeping tuple [r, l, d, o]."""
-
-    request_id: int
-    path_rank: int
-    path_length: int
-    edge_order: int
-
-    @property
-    def key(self) -> PathKey:
-        return (self.request_id, self.path_rank)
-
-
 def _spur_path(adj: dict[int, list[int]], u: int, t: int,
                banned_nodes: Iterable[int] = (),
                banned_next: Collection[int] = ()) -> tuple[int, ...] | None:
@@ -157,32 +143,32 @@ def k_shortest_paths(net: Network, s: int, t: int, k: int,
     return [Path(request_id, rank, nodes) for rank, nodes in enumerate(accepted)]
 
 
-def truncate_edge_paths(entries: Sequence[PathInfoEntry], l_max: int) -> list[PathInfoEntry]:
-    """Keep at most l_max entries of one edge's list, preferring short paths.
+def truncate_edge_paths(keys: Sequence[PathKey], lengths: dict[PathKey, int],
+                        l_max: int) -> list[PathKey]:
+    """Keep at most l_max of one edge's path keys, preferring short paths.
 
-    An entry that is its request's only entry on this edge is kept
-    unconditionally, evicting the longest non-sole entries instead; if sole
-    entries alone exceed l_max the shortest of them win. Result is sorted by
-    (request_id, rank).
+    A path that is its request's only path on this edge is kept
+    unconditionally, evicting the longest non-sole paths instead; if sole
+    paths alone exceed l_max the shortest of them win. Ties in length go to
+    the smaller key. Result is sorted by key.
     """
-    order = lambda h: (h.request_id, h.path_rank)
-    if len(entries) <= l_max:
-        return sorted(entries, key=order)
-    counts = Counter(h.request_id for h in entries)
-    priority = lambda h: (h.path_length, h.request_id, h.path_rank)
-    soles = sorted((h for h in entries if counts[h.request_id] == 1), key=priority)
-    others = sorted((h for h in entries if counts[h.request_id] > 1), key=priority)
+    if len(keys) <= l_max:
+        return sorted(keys)
+    counts = Counter(r for r, _ in keys)
+    priority = lambda key: (lengths[key], key)
+    soles = sorted((key for key in keys if counts[key[0]] == 1), key=priority)
+    others = sorted((key for key in keys if counts[key[0]] > 1), key=priority)
     if len(soles) >= l_max:
         kept = soles[:l_max]
     else:
         kept = soles + others[:l_max - len(soles)]
-    return sorted(kept, key=order)
+    return sorted(kept)
 
 
-class PathSet(dict[Edge, list[PathInfoEntry]]):
-    """One window's paths, built once: H (this mapping, edge -> entries) plus
-    the per-path views, keyed in PathKey order, that every scheduler, the
-    metrics and the trial record share."""
+class PathSet(dict[Edge, list[PathKey]]):
+    """One window's paths, built once: H (this mapping, edge -> keys of the
+    paths crossing it, in key order) plus the per-path views, keyed in key
+    order, that every scheduler, the metrics and the trial record share."""
 
     def __init__(self, path_edges: dict[PathKey, tuple[Edge, ...]],
                  lengths: dict[PathKey, int]) -> None:
@@ -190,24 +176,24 @@ class PathSet(dict[Edge, list[PathInfoEntry]]):
         self.path_edges = dict(sorted(path_edges.items()))
         self.lengths = {key: lengths[key] for key in self.path_edges}
         self._kept: dict[int, tuple] = {}
-        for (r, l), edges in self.path_edges.items():
-            for order, e in enumerate(edges):
-                self.setdefault(e, []).append(PathInfoEntry(r, l, lengths[r, l], order))
+        for key, edges in self.path_edges.items():
+            for e in edges:
+                self.setdefault(e, []).append(key)
 
-    def kept(self, l_max: int) -> tuple[dict[Edge, list[PathInfoEntry]], frozenset[PathKey]]:
-        """H truncated to l_max entries per edge (edges sorted), and the paths
+    def kept(self, l_max: int) -> tuple[dict[Edge, list[PathKey]], frozenset[PathKey]]:
+        """H truncated to l_max keys per edge (edges sorted), and the paths
         kept on every edge they traverse; computed once per l_max."""
         if l_max not in self._kept:
-            entries = {e: truncate_edge_paths(self[e], l_max) for e in sorted(self)}
-            kept_on = {e: {h.key for h in hs} for e, hs in entries.items()}
+            kept = {e: truncate_edge_paths(self[e], self.lengths, l_max) for e in sorted(self)}
+            kept_on = {e: set(keys) for e, keys in kept.items()}
             live = frozenset(key for key, edges in self.path_edges.items()
                              if all(key in kept_on[e] for e in edges))
-            self._kept[l_max] = (entries, live)
+            self._kept[l_max] = (kept, live)
         return self._kept[l_max]
 
 
 def build_path_info(paths: Iterable[Path]) -> PathSet:
-    """Assemble H: one entry per (request, path) traversal of each edge."""
+    """Assemble H: the key of every path under each edge it traverses."""
     paths = list(paths)
     return PathSet({p.key: p.edge_keys() for p in paths},
                    {p.key: p.length for p in paths})

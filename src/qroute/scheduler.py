@@ -8,7 +8,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .netmodel import Edge, InvariantError, Network
-from .pathfinder import PathInfoEntry, PathKey, PathSet
+from .pathfinder import PathKey, PathSet
 
 ALGORITHMS = ("PS", "PF", "PU")
 
@@ -86,23 +86,29 @@ def compute_f_min(net: Network, l_max: int) -> int:
     return min(caps) // l_max
 
 
-def two_stage_weights(entries: Sequence[PathInfoEntry], alpha: float,
-                      beta: float) -> dict[PathKey, float]:
-    """Real-valued per-entry weights: request share ~ n_r^beta, then within a
+def _by_request(keys: Sequence[PathKey]) -> dict[int, list[PathKey]]:
+    """Keys in key order, grouped by request id (requests in id order)."""
+    by_request: dict[int, list[PathKey]] = {}
+    for key in sorted(keys):
+        by_request.setdefault(key[0], []).append(key)
+    return by_request
+
+
+def two_stage_weights(keys: Sequence[PathKey], lengths: dict[PathKey, int],
+                      alpha: float, beta: float) -> dict[PathKey, float]:
+    """Real-valued per-path weights: request share ~ n_r^beta, then within a
     request shorter paths take more (share ~ d^-alpha). Weights sum to 1."""
-    if not entries:
-        raise ValueError("empty entry list")
-    by_request: dict[int, list[PathInfoEntry]] = {}
-    for h in sorted(entries, key=lambda h: h.key):
-        by_request.setdefault(h.request_id, []).append(h)
+    if not keys:
+        raise ValueError("empty key list")
+    by_request = _by_request(keys)
     request_raw = {r: float(len(group)) ** beta for r, group in by_request.items()}
     request_total = sum(request_raw.values())
     weights: dict[PathKey, float] = {}
     for r, group in by_request.items():
-        path_raw = [float(h.path_length) ** -alpha for h in group]
+        path_raw = [float(lengths[key]) ** -alpha for key in group]
         path_total = sum(path_raw)
-        for h, raw in zip(group, path_raw):
-            weights[h.key] = (request_raw[r] / request_total) * (raw / path_total)
+        for key, raw in zip(group, path_raw):
+            weights[key] = (request_raw[r] / request_total) * (raw / path_total)
     return weights
 
 
@@ -118,14 +124,11 @@ def largest_remainder(quotas: Sequence[float], total: int) -> list[int]:
     return base
 
 
-def _apportion_two_stage(entries: Sequence[PathInfoEntry], total: int,
-                         path_exp: float, beta: float) -> dict[PathKey, int]:
+def _apportion_two_stage(keys: Sequence[PathKey], lengths: dict[PathKey, int],
+                         total: int, path_exp: float, beta: float) -> dict[PathKey, int]:
     """Stage-wise integer apportionment: units go to requests by n_r^beta
     (ties by request id), then within each request by d^path_exp (ties by rank)."""
-    ordered = sorted(entries, key=lambda h: h.key)
-    by_request: dict[int, list[PathInfoEntry]] = {}
-    for h in ordered:
-        by_request.setdefault(h.request_id, []).append(h)
+    by_request = _by_request(keys)
     requests = list(by_request)
     request_raw = [float(len(by_request[r])) ** beta for r in requests]
     raw_total = sum(request_raw)
@@ -134,18 +137,18 @@ def _apportion_two_stage(entries: Sequence[PathInfoEntry], total: int,
     shares: dict[PathKey, int] = {}
     for r, units in zip(requests, request_units):
         group = by_request[r]
-        path_raw = [float(h.path_length) ** path_exp for h in group]
+        path_raw = [float(lengths[key]) ** path_exp for key in group]
         path_total = sum(path_raw)
         path_units = largest_remainder(
             [units * w / path_total for w in path_raw], units)
-        for h, x in zip(group, path_units):
-            shares[h.key] = x
+        for key, x in zip(group, path_units):
+            shares[key] = x
     return shares
 
 
 def proportional_share(net: Network, info: PathSet,
                        params: RoutingParams) -> ScheduleTable:
-    """Edge-local allocation: every kept entry gets the f_min floor, the rest
+    """Edge-local allocation: every kept path gets the f_min floor, the rest
     of the capacity is split by the two-stage proportional rule."""
     f_min = params.require_f_min()
     caps = net.capacity_map()
@@ -155,8 +158,8 @@ def proportional_share(net: Network, info: PathSet,
         if spare < 0:
             raise InvariantError(
                 f"edge {e} kept below l_max * f_min; was Step 1 skipped?")
-        extra = _apportion_two_stage(kept, spare, -params.alpha, params.beta)
-        allocations[e] = {h.key: f_min + extra[h.key] for h in kept}
+        extra = _apportion_two_stage(kept, info.lengths, spare, -params.alpha, params.beta)
+        allocations[e] = {key: f_min + extra[key] for key in kept}
     return ScheduleTable(allocations)
 
 
@@ -167,8 +170,7 @@ def flow_determination(table: ScheduleTable, info: PathSet) -> RoutingOutcome:
     return RoutingOutcome("PS", flows, info.lengths, info.path_edges, schedule=table)
 
 
-def _progressive_fill(path_edges: dict[PathKey, tuple[Edge, ...]],
-                      capacity: dict[Edge, int]) -> dict[PathKey, int]:
+def _progressive_fill(info: PathSet, capacity: dict[Edge, int]) -> dict[PathKey, int]:
     """Progressive filling with integer saturation, one freeze event at a time.
 
     The defining rule runs in rounds: before each round, any edge whose slack
@@ -179,16 +181,13 @@ def _progressive_fill(path_edges: dict[PathKey, tuple[Edge, ...]],
     so this jumps there at once and gives the same flows as the round-by-round
     rule in at most #paths + 1 steps.
     """
-    flows = {key: 0 for key in sorted(path_edges)}
-    on_edge: dict[Edge, list[PathKey]] = {}
-    for key, edges in path_edges.items():
-        for e in edges:
-            on_edge.setdefault(e, []).append(key)
-    usage = {e: 0 for e in on_edge}
-    n_active = {e: len(keys) for e, keys in on_edge.items()}
+    path_edges = info.path_edges
+    flows = dict.fromkeys(path_edges, 0)
+    usage = dict.fromkeys(info, 0)
+    n_active = {e: len(keys) for e, keys in info.items()}
     active = set(flows)
     while active:
-        frozen = {key for e, keys in on_edge.items()
+        frozen = {key for e, keys in info.items()
                   if capacity[e] - usage[e] < n_active[e]
                   for key in keys if key in active}
         active -= frozen
@@ -208,21 +207,21 @@ def _progressive_fill(path_edges: dict[PathKey, tuple[Edge, ...]],
 def progressive_filling(net: Network, info: PathSet) -> RoutingOutcome:
     """Round-based water filling over all enumerated paths (no truncation,
     no f_min); the short-board constraint is built in."""
-    flows = _progressive_fill(info.path_edges, net.capacity_map())
+    flows = _progressive_fill(info, net.capacity_map())
     return RoutingOutcome("PF", flows, info.lengths, info.path_edges)
 
 
 def _propagatory_core(capacity: dict[Edge, int],
-                      entries_by_edge: dict[Edge, list[PathInfoEntry]],
+                      keys_by_edge: dict[Edge, list[PathKey]],
+                      lengths: dict[PathKey, int],
                       path_edges: dict[PathKey, tuple[Edge, ...]],
                       f_min: int, alpha: float, beta: float) -> dict[PathKey, int]:
     """Iterate deduction/update passes over the desired-capacity table until a
-    full pass changes nothing. ``entries_by_edge`` must only contain live paths."""
+    full pass changes nothing. ``keys_by_edge`` must only contain live paths."""
     f_max = {key: min(capacity[e] for e in path_edges[key])
              for key in sorted(path_edges)}
-    usage = {e: sum(f_max[h.key] for h in entries)
-             for e, entries in entries_by_edge.items()}
-    edges = sorted(entries_by_edge)
+    usage = {e: sum(f_max[key] for key in keys) for e, keys in keys_by_edge.items()}
+    edges = sorted(keys_by_edge)
 
     def deduct(e: Edge) -> None:
         """Cut the apportioned excess (never below f_min), then the residual.
@@ -232,27 +231,27 @@ def _propagatory_core(capacity: dict[Edge, int],
         unit each in key order, round after round, until it meets the next
         level down. So whole rounds are taken at once, then what is left.
         """
-        entries = entries_by_edge[e]
+        keys = keys_by_edge[e]
         excess = usage[e] - capacity[e]
-        assigned = _apportion_two_stage(entries, excess, alpha, beta)
+        assigned = _apportion_two_stage(keys, lengths, excess, alpha, beta)
         removed = 0
-        for h in entries:
-            cut = min(assigned[h.key], f_max[h.key] - f_min)
+        for key in keys:
+            cut = min(assigned[key], f_max[key] - f_min)
             if cut > 0:
-                f_max[h.key] -= cut
-                for e2 in path_edges[h.key]:
+                f_max[key] -= cut
+                for e2 in path_edges[key]:
                     usage[e2] -= cut
                 removed += cut
         need = excess - removed
         while need:
-            levels = sorted({f_max[h.key] for h in entries if f_max[h.key] > f_min},
+            levels = sorted({f_max[key] for key in keys if f_max[key] > f_min},
                             reverse=True)
             if not levels:
                 raise InvariantError(
                     f"edge {e}: {need} units of excess cannot be deducted above "
                     f"f_min = {f_min}")
             top = levels[0]
-            group = sorted(h.key for h in entries if f_max[h.key] == top)
+            group = sorted(key for key in keys if f_max[key] == top)
             if need < len(group):
                 group, cut = group[:need], 1
             else:
@@ -264,14 +263,14 @@ def _propagatory_core(capacity: dict[Edge, int],
                     usage[e2] -= cut
                 need -= cut
 
-    def raise_entries(e: Edge) -> bool:
-        """Hand free units of e to its entries, heaviest weight first.
+    def raise_paths(e: Edge) -> bool:
+        """Hand free units of e to its paths, heaviest weight first.
 
         The rule gives one unit at a time to the first key in order whose
         edges all have room. Raises only add usage, so a key that does not
         fit never fits again, and each key in turn takes all its room at once.
         """
-        weights = two_stage_weights(entries_by_edge[e], alpha, beta)
+        weights = two_stage_weights(keys_by_edge[e], lengths, alpha, beta)
         order = sorted(weights, key=lambda k: (-weights[k], k))
         changed = False
         for key in order:
@@ -294,7 +293,7 @@ def _propagatory_core(capacity: dict[Edge, int],
                 deduct(e)
                 changed = True
             elif usage[e] < capacity[e]:
-                changed = raise_entries(e)
+                changed = raise_paths(e)
             else:
                 changed = False
             silent = 0 if changed else silent + 1
@@ -308,22 +307,22 @@ def propagatory_update(net: Network, info: PathSet,
     """Global schedule-table allocation: per-path desired capacities start at
     the bottleneck value, oversubscribed edges deduct (two-stage weights with
     longer paths deducted more, never below f_min), undersubscribed edges
-    propagate freed capacity back by raising entries while every edge of the
+    propagate freed capacity back by raising paths while every edge of the
     raised path stays within capacity."""
     f_min = params.require_f_min()
     caps = net.capacity_map()
     kept, live = info.kept(params.l_max)
-    entries_by_edge = {e: [h for h in hs if h.key in live] for e, hs in kept.items()}
-    entries_by_edge = {e: hs for e, hs in entries_by_edge.items() if hs}
+    keys_by_edge = {e: [key for key in keys if key in live] for e, keys in kept.items()}
+    keys_by_edge = {e: keys for e, keys in keys_by_edge.items() if keys}
     live_edges = {key: info.path_edges[key] for key in sorted(live)}
     if live_edges:
-        f_max = _propagatory_core(caps, entries_by_edge, live_edges,
+        f_max = _propagatory_core(caps, keys_by_edge, info.lengths, live_edges,
                                   f_min, params.alpha, params.beta)
     else:
         f_max = {}
     flows = {key: f_max.get(key, 0) for key in info.path_edges}
-    allocations = {e: {h.key: f_max[h.key] for h in entries}
-                   for e, entries in entries_by_edge.items()}
+    allocations = {e: {key: f_max[key] for key in keys}
+                   for e, keys in keys_by_edge.items()}
     table = ScheduleTable(allocations, desired=dict(sorted(f_max.items())))
     return RoutingOutcome("PU", flows, info.lengths, info.path_edges, schedule=table)
 

@@ -1,7 +1,8 @@
 """Shared test helpers: independent oracles and instance generators."""
 import heapq
+from collections import Counter
 from dataclasses import replace
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -9,9 +10,9 @@ from qroute.config import ConfigError, _fail
 from qroute.harness import (METRIC_FIELDS, ExperimentConfig, ObjectiveWeights, RequestSpec,
                             objective_value, parameter_grid, replicate)
 from qroute.netmodel import TOPOLOGIES, Edge, Network, ScenarioParams
-from qroute.pathfinder import Path, PathSet, edge_key
+from qroute.pathfinder import Path, PathKey, PathSet, edge_key
 from qroute.scheduler import (ALGORITHMS, RoutingParams, _apportion_two_stage,
-                              two_stage_weights)
+                              largest_remainder, two_stage_weights)
 
 
 def abstract_network(capacity):
@@ -201,8 +202,8 @@ def unit_progressive_fill(path_edges, capacity):
     return flows
 
 
-def unit_propagatory_core(capacity, entries_by_edge, path_edges, f_min, alpha, beta,
-                          hits=None):
+def unit_propagatory_core(capacity, keys_by_edge, lengths, path_edges, f_min, alpha,
+                          beta, hits=None):
     """Reference PU, one unit per residual deduction and per raise.
 
     ``hits`` (a Counter, optional) counts the units taken by the residual
@@ -210,25 +211,25 @@ def unit_propagatory_core(capacity, entries_by_edge, path_edges, f_min, alpha, b
     """
     f_max = {key: min(capacity[e] for e in path_edges[key])
              for key in sorted(path_edges)}
-    usage = {e: sum(f_max[h.key] for h in entries)
-             for e, entries in entries_by_edge.items()}
-    edges = sorted(entries_by_edge)
+    usage = {e: sum(f_max[key] for key in keys)
+             for e, keys in keys_by_edge.items()}
+    edges = sorted(keys_by_edge)
 
     def deduct(e):
-        entries = entries_by_edge[e]
+        keys = keys_by_edge[e]
         excess = usage[e] - capacity[e]
-        assigned = _apportion_two_stage(entries, excess, alpha, beta)
+        assigned = _apportion_two_stage(keys, lengths, excess, alpha, beta)
         removed = 0
-        for h in entries:
-            cut = min(assigned[h.key], f_max[h.key] - f_min)
+        for key in keys:
+            cut = min(assigned[key], f_max[key] - f_min)
             if cut > 0:
-                f_max[h.key] -= cut
-                for e2 in path_edges[h.key]:
+                f_max[key] -= cut
+                for e2 in path_edges[key]:
                     usage[e2] -= cut
                 removed += cut
         while removed < excess:
             # residual lands on the currently largest desired capacity
-            key = min((h.key for h in entries if f_max[h.key] > f_min),
+            key = min((key for key in keys if f_max[key] > f_min),
                       key=lambda k: (-f_max[k], k))
             f_max[key] -= 1
             for e2 in path_edges[key]:
@@ -238,7 +239,7 @@ def unit_propagatory_core(capacity, entries_by_edge, path_edges, f_min, alpha, b
                 hits["residual"] += 1
 
     def raise_entries(e):
-        weights = two_stage_weights(entries_by_edge[e], alpha, beta)
+        weights = two_stage_weights(keys_by_edge[e], lengths, alpha, beta)
         order = sorted(weights, key=lambda k: (-weights[k], k))
         changed = False
         while usage[e] < capacity[e]:
@@ -271,6 +272,91 @@ def unit_propagatory_core(capacity, entries_by_edge, path_edges, f_min, alpha, b
             if silent >= len(edges):
                 break
     return f_max
+
+
+# ------------------------------------------------------------ entry-based H
+# Truncation and the two-stage rules as they were when H held one
+# [r, l, d, o] entry per path and edge, copied unchanged over a local entry
+# tuple. They are the oracles for the key-based versions in ``qroute``.
+
+class Entry(NamedTuple):
+    """Per-edge bookkeeping tuple [r, l, d, o]."""
+
+    request_id: int
+    path_rank: int
+    path_length: int
+    edge_order: int
+
+    @property
+    def key(self) -> PathKey:
+        return (self.request_id, self.path_rank)
+
+
+def reference_truncate_edge_paths(entries: Sequence[Entry], l_max: int) -> list[Entry]:
+    """Keep at most l_max entries of one edge's list, preferring short paths.
+
+    An entry that is its request's only entry on this edge is kept
+    unconditionally, evicting the longest non-sole entries instead; if sole
+    entries alone exceed l_max the shortest of them win. Result is sorted by
+    (request_id, rank).
+    """
+    order = lambda h: (h.request_id, h.path_rank)
+    if len(entries) <= l_max:
+        return sorted(entries, key=order)
+    counts = Counter(h.request_id for h in entries)
+    priority = lambda h: (h.path_length, h.request_id, h.path_rank)
+    soles = sorted((h for h in entries if counts[h.request_id] == 1), key=priority)
+    others = sorted((h for h in entries if counts[h.request_id] > 1), key=priority)
+    if len(soles) >= l_max:
+        kept = soles[:l_max]
+    else:
+        kept = soles + others[:l_max - len(soles)]
+    return sorted(kept, key=order)
+
+
+def reference_two_stage_weights(entries: Sequence[Entry], alpha: float,
+                                beta: float) -> dict[PathKey, float]:
+    """Real-valued per-entry weights: request share ~ n_r^beta, then within a
+    request shorter paths take more (share ~ d^-alpha). Weights sum to 1."""
+    if not entries:
+        raise ValueError("empty entry list")
+    by_request: dict[int, list[Entry]] = {}
+    for h in sorted(entries, key=lambda h: h.key):
+        by_request.setdefault(h.request_id, []).append(h)
+    request_raw = {r: float(len(group)) ** beta for r, group in by_request.items()}
+    request_total = sum(request_raw.values())
+    weights: dict[PathKey, float] = {}
+    for r, group in by_request.items():
+        path_raw = [float(h.path_length) ** -alpha for h in group]
+        path_total = sum(path_raw)
+        for h, raw in zip(group, path_raw):
+            weights[h.key] = (request_raw[r] / request_total) * (raw / path_total)
+    return weights
+
+
+def reference_apportion_two_stage(entries: Sequence[Entry], total: int,
+                                  path_exp: float, beta: float) -> dict[PathKey, int]:
+    """Stage-wise integer apportionment: units go to requests by n_r^beta
+    (ties by request id), then within each request by d^path_exp (ties by rank)."""
+    ordered = sorted(entries, key=lambda h: h.key)
+    by_request: dict[int, list[Entry]] = {}
+    for h in ordered:
+        by_request.setdefault(h.request_id, []).append(h)
+    requests = list(by_request)
+    request_raw = [float(len(by_request[r])) ** beta for r in requests]
+    raw_total = sum(request_raw)
+    request_units = largest_remainder(
+        [total * w / raw_total for w in request_raw], total)
+    shares: dict[PathKey, int] = {}
+    for r, units in zip(requests, request_units):
+        group = by_request[r]
+        path_raw = [float(h.path_length) ** path_exp for h in group]
+        path_total = sum(path_raw)
+        path_units = largest_remainder(
+            [units * w / path_total for w in path_raw], units)
+        for h, x in zip(group, path_units):
+            shares[h.key] = x
+    return shares
 
 
 # ------------------------------------------------------------ per-point sweeps

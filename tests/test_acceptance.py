@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import (assert_integer_max_min, enumerate_loopless_paths,
-                      random_fill_instance)
+                      info_from_path_edges, random_fill_instance)
 
 import qroute
 from qroute.harness import (ExperimentConfig, RequestSpec, WORKERS_ENV,
@@ -101,7 +101,7 @@ def test_criterion_2_max_min_fairness_oracle():
     for _ in range(200):
         path_edges, capacity = random_fill_instance(rng, max_paths=4,
                                                     max_edges=6, max_cap=12)
-        flows = _progressive_fill(path_edges, capacity)
+        flows = _progressive_fill(info_from_path_edges(path_edges), capacity)
         assert_integer_max_min(path_edges, capacity, flows)
     report(2, "max-min fairness oracle", detail="200 instances, zero violations")
 

@@ -3,6 +3,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
+from qroute import harness
 from qroute.harness import (ExperimentConfig, ObjectiveWeights, RequestSpec,
                             aggregate, degrade_outcome, failure_experiment,
                             grid_search_parameters, metric_values,
@@ -199,6 +200,26 @@ def test_failure_zero_count_is_noop():
     for row in rows:
         assert row["F_after_mean"] == pytest.approx(row["F_before_mean"])
         assert row["retention"] == pytest.approx(1.0)
+
+
+def test_failure_experiment_parallel_matches_serial(monkeypatch):
+    cfg = small_config(replications=4)
+    modes = [("edge", 1), ("node", 1), ("edge", 0)]
+    tasks = []
+    map_seeds = harness._map_seeds
+
+    def spy(task, args):
+        tasks.append(task.__name__)
+        return map_seeds(task, args)
+
+    monkeypatch.setattr(harness, "_map_seeds", spy)
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    serial = failure_experiment(cfg, modes=modes)
+    monkeypatch.setenv(WORKERS_ENV, "2")
+    parallel = failure_experiment(cfg, modes=modes)
+    assert serial and parallel == serial
+    # one task per seed, through the same pool as replicated trials
+    assert tasks == ["_failure_seed", "_failure_seed"]
 
 
 def test_failure_modes_reduce_or_keep_throughput():

@@ -111,19 +111,15 @@ def test_build_path_info_single_path():
     path = Path(0, 0, (0, 1, 2, 5))
     info = build_path_info([path])
     assert set(info) == {(0, 1), (1, 2), (2, 5)}
-    orders = sorted(h.edge_order for entries in info.values() for h in entries)
-    assert orders == [0, 1, 2]
-    for entries in info.values():
-        (h,) = entries
-        assert h.request_id == 0 and h.path_rank == 0 and h.path_length == 3
+    assert all(keys == [(0, 0)] for keys in info.values())
+    assert info.lengths == {(0, 0): 3}
 
 
 def test_build_path_info_shared_edge():
     a = Path(0, 0, (0, 1, 2))
     b = Path(1, 0, (3, 1, 2))
     info = build_path_info([a, b])
-    assert len(info[(1, 2)]) == 2
-    assert {h.key for h in info[(1, 2)]} == {(0, 0), (1, 0)}
+    assert info[(1, 2)] == [(0, 0), (1, 0)]
 
 
 def test_build_path_info_empty():
@@ -143,9 +139,11 @@ def test_path_set_per_path_views():
     for p in paths:
         assert info.path_edges[p.key] == p.edge_keys()
         assert info.lengths[p.key] == p.length
-    for e, entries in info.items():
-        for h in entries:
-            assert info.path_edges[h.key][h.edge_order] == e
+    # H lists each key under exactly the edges its path crosses, in key order
+    for e, keys in info.items():
+        assert keys == sorted(set(keys))
+        assert all(e in info.path_edges[key] for key in keys)
+    assert sum(map(len, info.values())) == sum(map(len, info.path_edges.values()))
 
 
 def test_path_set_kept_matches_per_edge_truncation():
@@ -157,10 +155,10 @@ def test_path_set_kept_matches_per_edge_truncation():
         assert info.kept(l_max) is info.kept(l_max)
         kept, live = info.kept(l_max)
         assert list(kept) == sorted(info)
-        for e, entries in info.items():
-            assert kept[e] == truncate_edge_paths(entries, l_max)
+        for e, keys in info.items():
+            assert kept[e] == truncate_edge_paths(keys, info.lengths, l_max)
         assert live == {p.key for p in paths
-                        if all(p.key in {h.key for h in kept[e]} for e in p.edge_keys())}
+                        if all(p.key in kept[e] for e in p.edge_keys())}
 
 
 def random_active_lattice(rng, kind, rows, cols, dead_rate):

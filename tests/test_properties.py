@@ -1,14 +1,19 @@
-"""Hypothesis property tests: k_shortest_paths over random lattices, and the
-sweep engine against the per-point grid loop over random windows and grids."""
+"""Hypothesis property tests: k_shortest_paths over random lattices, the
+sweep engine against the per-point grid loop over random windows and grids,
+and the invariants of whole windows over random lattices and scenarios."""
+from collections import Counter
 from dataclasses import replace
 
-from conftest import reference_grid_search, reference_k_shortest_paths
+from conftest import (assert_integer_max_min, reference_grid_search,
+                      reference_k_shortest_paths)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qroute.harness import ExperimentConfig, RequestSpec, grid_search_parameters
+from qroute.harness import (ExperimentConfig, RequestSpec, grid_search_parameters,
+                            prepare_trial, run_trial)
 from qroute.netmodel import TOPOLOGIES, ScenarioParams, build_lattice
-from qroute.pathfinder import k_shortest_paths
+from qroute.pathfinder import build_path_info, k_shortest_paths
+from qroute.reports import record_from_dict, record_to_dict, trial_rows
 from qroute.scheduler import RoutingParams
 
 
@@ -87,3 +92,65 @@ def sweep_configs(draw):
 @given(sweep_configs())
 def test_grid_search_equals_per_point_loop(config):
     assert grid_search_parameters(config) == reference_grid_search(config)
+
+
+@st.composite
+def windows(draw):
+    """One seeded window: any lattice kind and size, a scenario that may leave
+    no edge active (p_out = 0) or the requests disconnected, and pinned or
+    drawn requests."""
+    rows = draw(st.integers(2, 6))
+    cols = draw(st.integers(2, 6))
+    n = rows * cols
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                              .filter(lambda pair: pair[0] != pair[1]),
+                              min_size=1, max_size=3))
+        requests = RequestSpec(count=len(pairs), distance=None, pairs=tuple(pairs))
+    else:
+        requests = RequestSpec(
+            count=draw(st.integers(1, 4)),
+            distance=draw(st.none() | st.integers(1, min(rows, cols) - 1)))
+    requests = replace(requests, demand=draw(st.integers(1, 40)))
+    config = ExperimentConfig(
+        rows=rows, cols=cols, kind=draw(st.sampled_from(TOPOLOGIES)),
+        scenario=ScenarioParams(c0=draw(st.integers(1, 80)),
+                                f_th=draw(st.sampled_from((0.5, 0.7, 0.8))),
+                                p_out=draw(st.sampled_from((0.0, 0.5, 0.8, 1.0)))),
+        routing=RoutingParams(k=draw(st.integers(1, 8)), l_max=draw(st.integers(1, 8)),
+                              alpha=draw(st.sampled_from((0.0, 0.5, 1.0, 2.0))),
+                              beta=draw(st.sampled_from((0.0, 0.5, 1.0, 2.0)))),
+        requests=requests, replications=1)
+    return config, draw(st.integers(0, 2**16))
+
+
+def check_window(config, seed):
+    """Assert every schedule invariant on one window; returns its reason."""
+    record = run_trial(config, seed)
+    assert trial_rows([record_from_dict(record_to_dict(record))]) == trial_rows([record])
+    if record.reason is not None:
+        return record.reason
+    ctx = prepare_trial(config, seed)
+    caps = ctx.revised.capacity_map()
+    info = build_path_info(ctx.paths)
+    _, live = info.kept(ctx.params.l_max)
+    outcomes = {name: result.outcome for name, result in record.results.items()}
+    for outcome in outcomes.values():
+        assert all(used <= caps[e] for e, used in outcome.edge_usage().items())
+    for name in ("PS", "PU"):
+        assert all(outcomes[name].flows[key] >= ctx.params.f_min for key in live)
+    assert_integer_max_min(info.path_edges, caps, outcomes["PF"].flows)
+    return None
+
+
+def test_window_invariants_on_random_windows():
+    reasons = Counter()
+
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(windows())
+    def check(window):
+        reasons[check_window(*window)] += 1
+
+    check()
+    # routable and both kinds of degenerate windows were all drawn
+    assert reasons[None] and reasons["no_active_edges"] and reasons["no_paths"]

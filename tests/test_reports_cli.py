@@ -229,6 +229,26 @@ def test_cli_sweep_and_requests(tmp_path):
     assert (out_dir / "requests.csv").exists()
 
 
+@pytest.mark.parametrize("lattice,pair", [("{rows: 3, cols: 3}", "[0, 8]"),
+                                          ("{rows: 5, cols: 5}", "[0, 24]")])
+def test_cli_sweep_keeps_pinned_pairs(tmp_path, lattice, pair):
+    # without --distances the sweep runs the config's pinned pair, as
+    # replicate does; on 3x3 the default distance 3 fits no random pair
+    cfg = write_config(tmp_path, BASE_YML.replace("{rows: 5, cols: 5}", lattice)
+                       .replace("count: 2, distance: 2", f"pairs: [{pair}]"))
+    out_dir = tmp_path / "out"
+    assert cli.main(["sweep", "-c", cfg, "--out-dir", str(out_dir)]) == 0
+    assert cli.main(["replicate", "-c", cfg, "--out-dir", str(out_dir)]) == 0
+    with open(out_dir / "sweep.csv", newline="") as fh:
+        sweep = list(csv.DictReader(fh))
+    with open(out_dir / "aggregate.csv", newline="") as fh:
+        aggregate = {row["algorithm"]: row for row in csv.DictReader(fh)}
+    assert [row["algorithm"] for row in sweep] == ["PS", "PF", "PU"]
+    for row in sweep:
+        assert row["distance"] == ""
+        assert row["F_mean"] == aggregate[row["algorithm"]]["F_mean"]
+
+
 def test_cli_sweep_rejects_distance_beyond_lattice(tmp_path, capsys):
     # 8x8 admits distances 1..7; rejected before any replication runs
     baseline = pathlib.Path(__file__).resolve().parent.parent / "configs" / "baseline.yml"

@@ -6,24 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (abstract_network, assert_integer_max_min, info_from_path_edges,
-                      line_network,
-                      random_fill_instance, unit_progressive_fill,
+from conftest import (Entry, abstract_network, assert_integer_max_min,
+                      info_from_path_edges, line_network, random_fill_instance,
+                      reference_apportion_two_stage, reference_truncate_edge_paths,
+                      reference_two_stage_weights, unit_progressive_fill,
                       unit_propagatory_core)
 
 from qroute.netmodel import InvariantError
-from qroute.pathfinder import PathInfoEntry, truncate_edge_paths
+from qroute.pathfinder import PathSet, truncate_edge_paths
 from qroute.scheduler import (RoutingOutcome, RoutingParams, ScheduleTable,
-                              _assert_feasible, _progressive_fill,
-                              _propagatory_core,
+                              _apportion_two_stage, _assert_feasible,
+                              _progressive_fill, _propagatory_core,
                               compute_f_min, flow_determination,
                               largest_remainder, progressive_filling,
                               propagatory_update, proportional_share,
                               run_algorithm, two_stage_weights)
-
-
-def entry(r, l, d, o=0):
-    return PathInfoEntry(r, l, d, o)
 
 
 def abstract_instance(edge_caps, paths, lengths=None):
@@ -38,10 +35,14 @@ def abstract_instance(edge_caps, paths, lengths=None):
     return net, info_from_path_edges(path_edges, lengths)
 
 
-def one_edge(*entries):
-    """Path set whose paths all cross edge (0, 1), with the entries' lengths."""
-    return info_from_path_edges({h.key: ((0, 1),) for h in entries},
-                                {h.key: h.path_length for h in entries})
+def one_edge(lengths):
+    """Path set whose paths, keyed as in ``lengths``, all cross edge (0, 1)."""
+    return info_from_path_edges({key: ((0, 1),) for key in lengths}, lengths)
+
+
+def fill(path_edges, capacity):
+    """PF over an abstract instance given as plain path -> edges."""
+    return _progressive_fill(info_from_path_edges(path_edges), capacity)
 
 
 # ------------------------------------------------------------------ f_min
@@ -61,54 +62,94 @@ def test_compute_f_min_empty_graph():
 # --------------------------------------------------------------- truncation
 
 def test_truncate_keeps_all_when_under_cap():
-    entries = [entry(0, 0, 4), entry(0, 1, 5), entry(1, 0, 4)]
-    assert truncate_edge_paths(entries, 10) == sorted(entries, key=lambda h: h.key)
+    lengths = {(1, 0): 4, (0, 1): 5, (0, 0): 4}
+    assert truncate_edge_paths(list(lengths), lengths, 10) == sorted(lengths)
 
 
 def test_truncate_keeps_shortest():
-    entries = [entry(0, l, 4 + l) for l in range(12)]
-    kept = truncate_edge_paths(entries, 10)
+    lengths = {(0, l): 4 + l for l in range(12)}
+    kept = truncate_edge_paths(list(lengths), lengths, 10)
     assert len(kept) == 10
-    assert {h.path_rank for h in kept} == set(range(10))
+    assert {l for _, l in kept} == set(range(10))
 
 
 def test_truncate_sole_path_retained():
-    # 10 short entries of request 0 plus one long sole entry of request 1:
-    # the sole entry stays, evicting request 0's longest
-    entries = [entry(0, l, 4) for l in range(10)] + [entry(1, 0, 12)]
-    kept = truncate_edge_paths(entries, 10)
-    assert entry(1, 0, 12) in kept
+    # 10 short paths of request 0 plus one long sole path of request 1:
+    # the sole path stays, evicting request 0's longest
+    lengths = {(0, l): 4 for l in range(10)} | {(1, 0): 12}
+    kept = truncate_edge_paths(list(lengths), lengths, 10)
+    assert (1, 0) in kept
     assert len(kept) == 10
-    assert len([h for h in kept if h.request_id == 0]) == 9
+    assert len([key for key in kept if key[0] == 0]) == 9
 
 
 def test_truncate_sole_overflow_capped():
-    # more sole entries than slots: the cap wins, shortest soles kept
-    entries = [entry(r, 0, 4 + r) for r in range(5)]
-    kept = truncate_edge_paths(entries, 3)
-    assert [h.request_id for h in kept] == [0, 1, 2]
+    # more sole paths than slots: the cap wins, shortest soles kept
+    lengths = {(r, 0): 4 + r for r in range(5)}
+    kept = truncate_edge_paths(list(lengths), lengths, 3)
+    assert [r for r, _ in kept] == [0, 1, 2]
+
+
+def random_edge_entries(rng):
+    """One edge's H as old-style entries in random order: 1-5 requests with
+    random distinct ranks, lengths from a narrow range so ties are common."""
+    entries = []
+    for r in rng.choice(8, size=int(rng.integers(1, 6)), replace=False):
+        for l in rng.choice(6, size=int(rng.integers(1, 5)), replace=False):
+            entries.append(Entry(int(r), int(l), int(rng.integers(1, 5)),
+                                 int(rng.integers(0, 8))))
+    return [entries[i] for i in rng.permutation(len(entries))]
+
+
+def test_key_based_rules_match_entry_based_references():
+    rng = np.random.default_rng(808)
+    seen = Counter()
+    exponents = (0.0, 0.5, 1.0, 2.0)
+    for _ in range(400):
+        entries = random_edge_entries(rng)
+        keys = [h.key for h in entries]
+        lengths = {h.key: h.path_length for h in entries}
+        counts = Counter(r for r, _ in keys)
+        seen["sole"] += any(n == 1 for n in counts.values())
+        seen["non-sole"] += any(n > 1 for n in counts.values())
+        seen["tie"] += len(set(lengths.values())) < len(lengths)
+        for l_max in range(1, len(keys) + 2):
+            seen["truncated"] += l_max < len(keys)
+            assert truncate_edge_paths(keys, lengths, l_max) == \
+                [h.key for h in reference_truncate_edge_paths(entries, l_max)]
+        for alpha, beta in itertools.product(exponents, exponents):
+            # dict order and float bits both match, not just the values
+            assert list(two_stage_weights(keys, lengths, alpha, beta).items()) == \
+                list(reference_two_stage_weights(entries, alpha, beta).items())
+            total = int(rng.integers(0, 60))
+            for path_exp in (-alpha, alpha):
+                assert list(_apportion_two_stage(keys, lengths, total, path_exp,
+                                                 beta).items()) == \
+                    list(reference_apportion_two_stage(entries, total, path_exp,
+                                                       beta).items())
+    assert min(seen.values()) > 0 and len(seen) == 4
 
 
 # ------------------------------------------------------------------ weights
 
 def test_two_stage_weights_uniform():
-    entries = [entry(0, 0, 4), entry(1, 0, 4), entry(1, 1, 6)]
-    w = two_stage_weights(entries, alpha=0.0, beta=0.0)
+    lengths = {(0, 0): 4, (1, 0): 4, (1, 1): 6}
+    w = two_stage_weights(list(lengths), lengths, alpha=0.0, beta=0.0)
     assert w[(0, 0)] == pytest.approx(0.5)
     assert w[(1, 0)] == pytest.approx(0.25)
     assert w[(1, 1)] == pytest.approx(0.25)
 
 
 def test_two_stage_weights_beta_counts_paths():
-    entries = [entry(0, 0, 4), entry(1, 0, 4), entry(1, 1, 6)]
-    w = two_stage_weights(entries, alpha=0.0, beta=1.0)
+    lengths = {(0, 0): 4, (1, 0): 4, (1, 1): 6}
+    w = two_stage_weights(list(lengths), lengths, alpha=0.0, beta=1.0)
     assert w[(0, 0)] == pytest.approx(1 / 3)
     assert w[(1, 0)] + w[(1, 1)] == pytest.approx(2 / 3)
 
 
 def test_two_stage_weights_alpha_favors_short():
-    entries = [entry(0, 0, 4), entry(0, 1, 6)]
-    w = two_stage_weights(entries, alpha=1.0, beta=0.0)
+    lengths = {(0, 0): 4, (0, 1): 6}
+    w = two_stage_weights(list(lengths), lengths, alpha=1.0, beta=0.0)
     assert w[(0, 0)] == pytest.approx(0.6)
     assert w[(0, 1)] == pytest.approx(0.4)
     assert sum(w.values()) == pytest.approx(1.0)
@@ -149,35 +190,35 @@ def test_proportional_share_worked_example():
     # edge C=10 shared by r0:[d=4] and r1:[d=4, d=6], alpha=beta=0, f_min=1:
     # floors 1,1,1 then 7 spare units apportioned 3.5/1.75/1.75 stage-wise
     net, _ = abstract_instance([10], {(0, 0): [0]})
-    info = one_edge(entry(0, 0, 4), entry(1, 0, 4), entry(1, 1, 6))
+    info = one_edge({(0, 0): 4, (1, 0): 4, (1, 1): 6})
     table = proportional_share(net, info, params())
     assert table.allocations[(0, 1)] == {(0, 0): 5, (1, 0): 3, (1, 1): 2}
 
 
 def test_proportional_share_sole_claimant():
     net = line_network([8])
-    info = one_edge(entry(0, 0, 3))
+    info = one_edge({(0, 0): 3})
     table = proportional_share(net, info, params())
     assert table.allocations[(0, 1)] == {(0, 0): 8}
 
 
 def test_proportional_share_tie_broken_by_rank():
     net = line_network([9])
-    info = one_edge(entry(0, 0, 4), entry(0, 1, 4))
+    info = one_edge({(0, 0): 4, (0, 1): 4})
     table = proportional_share(net, info, params())
     assert table.allocations[(0, 1)] == {(0, 0): 5, (0, 1): 4}
 
 
 def test_proportional_share_respects_capacity():
     net = line_network([10])
-    info = one_edge(*(entry(r, 0, 5) for r in range(4)))
+    info = one_edge({(r, 0): 5 for r in range(4)})
     table = proportional_share(net, info, params(alpha=1.5, beta=0.7))
     assert sum(table.allocations[(0, 1)].values()) == 10
 
 
 def test_proportional_share_rejects_floor_above_capacity():
     with pytest.raises(InvariantError, match="Step 1"):
-        proportional_share(line_network([3]), one_edge(entry(0, 0, 1)), params(f_min=5))
+        proportional_share(line_network([3]), one_edge({(0, 0): 1}), params(f_min=5))
 
 
 # -------------------------------------------------------- flow determination
@@ -192,7 +233,7 @@ def test_flow_determination_short_board():
 
 def test_flow_determination_single_edge():
     net = line_network([9])
-    info = one_edge(entry(0, 0, 1))
+    info = one_edge({(0, 0): 1})
     outcome = flow_determination(proportional_share(net, info, params()), info)
     assert outcome.flows[(0, 0)] == 9
 
@@ -200,29 +241,29 @@ def test_flow_determination_single_edge():
 # --------------------------------------------------------- progressive fill
 
 def test_pf_single_path_takes_bottleneck():
-    assert _progressive_fill({(0, 0): ((0, 1), (1, 2))}, {(0, 1): 7, (1, 2): 30}) == {(0, 0): 7}
+    assert fill({(0, 0): ((0, 1), (1, 2))}, {(0, 1): 7, (1, 2): 30}) == {(0, 0): 7}
 
 
 def test_pf_three_paths_capacity_three():
     paths = {(0, 0): ((0, 1),), (1, 0): ((0, 1),), (2, 0): ((0, 1),)}
-    assert _progressive_fill(paths, {(0, 1): 3}) == {(0, 0): 1, (1, 0): 1, (2, 0): 1}
+    assert fill(paths, {(0, 1): 3}) == {(0, 0): 1, (1, 0): 1, (2, 0): 1}
 
 
 def test_pf_leftover_stays_unallocated():
     paths = {(0, 0): ((0, 1),), (1, 0): ((0, 1),)}
-    assert _progressive_fill(paths, {(0, 1): 5}) == {(0, 0): 2, (1, 0): 2}
+    assert fill(paths, {(0, 1): 5}) == {(0, 0): 2, (1, 0): 2}
 
 
 def test_pf_zero_freeze_when_paths_exceed_capacity():
     paths = {(r, 0): ((0, 1),) for r in range(4)}
-    assert _progressive_fill(paths, {(0, 1): 3}) == {(r, 0): 0 for r in range(4)}
+    assert fill(paths, {(0, 1): 3}) == {(r, 0): 0 for r in range(4)}
 
 
 def test_pf_matches_max_min_oracle_on_random_instances():
     rng = np.random.default_rng(2024)
     for _ in range(300):
         path_edges, capacity = random_fill_instance(rng)
-        flows = _progressive_fill(path_edges, capacity)
+        flows = fill(path_edges, capacity)
         assert_integer_max_min(path_edges, capacity, flows)
 
 
@@ -230,7 +271,7 @@ def test_pf_fair_on_symmetric_requests():
     # identical path systems per request: equal aggregate flows
     paths = {(0, 0): ((0, 1),), (0, 1): ((2, 3),),
              (1, 0): ((0, 1),), (1, 1): ((2, 3),)}
-    flows = _progressive_fill(paths, {(0, 1): 9, (2, 3): 13})
+    flows = fill(paths, {(0, 1): 9, (2, 3): 13})
     total0 = flows[(0, 0)] + flows[(0, 1)]
     total1 = flows[(1, 0)] + flows[(1, 1)]
     assert total0 == total1
@@ -390,22 +431,22 @@ def test_flow_equals_floor_when_all_allocations_at_floor():
 def random_schedule_instance(rng, max_cap):
     """Random PU/PF instance: 1-8 disjoint edges, 1-3 requests of 1-4 ranks,
     every path a random edge subset; f_min derived as in production from the
-    smallest capacity and the largest per-edge entry count."""
+    smallest capacity and the largest per-edge path count."""
     n_edges = int(rng.integers(1, 9))
     edges = [(2 * i, 2 * i + 1) for i in range(n_edges)]
     capacity = {e: int(rng.integers(1, max_cap + 1)) for e in edges}
-    path_edges, entries_by_edge = {}, {}
+    path_edges, keys_by_edge, lengths = {}, {}, {}
     for r in range(int(rng.integers(1, 4))):
         for l in range(int(rng.integers(1, 5))):
             picks = sorted(rng.choice(n_edges, size=int(rng.integers(1, n_edges + 1)),
                                       replace=False))
             path_edges[(r, l)] = tuple(edges[i] for i in picks)
-            length = len(picks) + int(rng.integers(0, 4))
-            for order, i in enumerate(picks):
-                entries_by_edge.setdefault(edges[i], []).append(entry(r, l, length, order))
-    f_min = min(capacity.values()) // max(len(hs) for hs in entries_by_edge.values())
+            lengths[(r, l)] = len(picks) + int(rng.integers(0, 4))
+            for i in picks:
+                keys_by_edge.setdefault(edges[i], []).append((r, l))
+    f_min = min(capacity.values()) // max(len(keys) for keys in keys_by_edge.values())
     alpha, beta = (float(rng.choice([0.5, 1.0, 2.0])) for _ in range(2))
-    return capacity, entries_by_edge, path_edges, f_min, alpha, beta
+    return capacity, keys_by_edge, lengths, path_edges, f_min, alpha, beta
 
 
 def test_bulk_steps_match_unit_step_oracles():
@@ -413,11 +454,11 @@ def test_bulk_steps_match_unit_step_oracles():
     hits = Counter()
     for i in range(2000):
         max_cap = (5, 50, 500, 10_000)[i % 4]
-        capacity, entries_by_edge, path_edges, f_min, alpha, beta = \
+        capacity, keys_by_edge, lengths, path_edges, f_min, alpha, beta = \
             random_schedule_instance(rng, max_cap)
-        assert _progressive_fill(path_edges, capacity) == \
+        assert _progressive_fill(PathSet(path_edges, lengths), capacity) == \
             unit_progressive_fill(path_edges, capacity)
-        args = (capacity, entries_by_edge, path_edges, f_min, alpha, beta)
+        args = (capacity, keys_by_edge, lengths, path_edges, f_min, alpha, beta)
         assert _propagatory_core(*args) == unit_propagatory_core(*args, hits=hits)
     # both unit loops that PU replaces actually ran, so the match is not vacuous
     assert hits["residual"] > 0 and hits["raise"] > 0
@@ -428,10 +469,11 @@ def test_uncoverable_residual_raises_invariant_error():
     # (above what production derives) only 2 can, leaving a shortfall of 8.
     # An explicit check, so it also holds under python -O
     capacity = {(0, 1): 10}
-    entries_by_edge = {(0, 1): [entry(0, 0, 1), entry(1, 0, 1)]}
+    keys_by_edge = {(0, 1): [(0, 0), (1, 0)]}
+    lengths = {(0, 0): 1, (1, 0): 1}
     path_edges = {(0, 0): ((0, 1),), (1, 0): ((0, 1),)}
     with pytest.raises(InvariantError, match=r"edge \(0, 1\): 8 units"):
-        _propagatory_core(capacity, entries_by_edge, path_edges, 9, 1.0, 1.0)
+        _propagatory_core(capacity, keys_by_edge, lengths, path_edges, 9, 1.0, 1.0)
 
 
 # ------------------------------------------------- capacity-independent work
@@ -444,7 +486,7 @@ def test_pf_billion_unit_capacities_hand_computed():
     # odd unit stays unallocated
     paths = {(0, 0): ((0, 1), (2, 3)), (1, 0): ((0, 1),), (2, 0): ((2, 3), (4, 5))}
     capacity = {(0, 1): 1_000_000_001, (2, 3): 2_000_000_000, (4, 5): 300_000_007}
-    flows = _progressive_fill(paths, capacity)
+    flows = fill(paths, capacity)
     assert flows == {(0, 0): 500_000_000, (1, 0): 500_000_000, (2, 0): 300_000_007}
     assert_integer_max_min(paths, capacity, flows)
 
@@ -470,4 +512,4 @@ def test_pf_max_min_on_large_capacity_instances():
     for _ in range(300):
         path_edges, capacity = random_fill_instance(rng, max_cap=10_000)
         assert_integer_max_min(path_edges, capacity,
-                               _progressive_fill(path_edges, capacity))
+                               fill(path_edges, capacity))
