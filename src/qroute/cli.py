@@ -111,18 +111,18 @@ def _out(args, name: str) -> str:
 
 def _cmd_run(args) -> int:
     config = _load(args)
-    record = harness.run_trial(config, config.base_seed)
+    ctx = harness.prepare_trial(config, config.base_seed)
+    record = harness.route_trial(config, ctx)
     reports.write_trial_csv([record], _out(args, "trial.csv"))
     reports.write_records_json([record], _out(args, "trial.json"),
                                provenance=config.provenance)
     if args.traffic and record.reason is None:
-        net = harness.prepare_trial(config, config.base_seed).revised
         for name, result in record.results.items():
             path = _out(args, f"traffic_{name}.{args.traffic}")
             if args.traffic == "graphml":
-                reports.export_traffic_graphml(result.outcome, net, path)
+                reports.export_traffic_graphml(result.outcome, ctx.revised, path)
             else:
-                reports.export_traffic_json(result.outcome, net, path)
+                reports.export_traffic_json(result.outcome, ctx.revised, path)
     for name in record.results:
         metrics = harness.metric_values(record, name)
         print(f"{name}: " + " ".join(f"{k}={v:.4f}" for k, v in metrics.items()))

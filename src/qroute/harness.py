@@ -96,7 +96,7 @@ class TrialRecord:
 
 @dataclass
 class TrialContext:
-    """Intermediate pipeline products, kept so failure experiments can re-route."""
+    """One prepared window (Steps 0-2), the input of ``route_window``."""
 
     seed: int
     revised: Network
@@ -117,15 +117,6 @@ def _resolve_requests(config: ExperimentConfig, net: Network,
                                    demand=spec.demand, weight=spec.weight))
 
 
-def enumerate_paths(net: Network, requests: Sequence[Request],
-                    k: int) -> tuple[Path, ...]:
-    """k shortest paths for every request; disconnected requests contribute none."""
-    paths: list[Path] = []
-    for r in requests:
-        paths.extend(k_shortest_paths(net, r.source, r.terminal, k, request_id=r.id))
-    return tuple(paths)
-
-
 def prepare_trial(config: ExperimentConfig, seed: int) -> TrialContext:
     """Steps 0-2: initialize, purify, revise topology, and enumerate paths."""
     rng = np.random.default_rng(seed)
@@ -141,49 +132,35 @@ def prepare_trial(config: ExperimentConfig, seed: int) -> TrialContext:
     revised = deactivate_low_capacity_edges(purified, config.routing.l_max)
     stage["purify"] = time.perf_counter() - t0
 
-    if not revised.active_edges():
-        params = replace(config.routing, f_min=0)
-        return TrialContext(seed, revised, requests, params, (),
-                            reason="no_active_edges", stage_seconds=stage)
-    f_min = compute_f_min(revised, config.routing.l_max)
-    params = replace(config.routing, f_min=f_min)
+    f_min = compute_f_min(revised, config.routing.l_max) if revised.active_edges() else 0
+    return _with_paths(TrialContext(seed, revised, requests,
+                                    replace(config.routing, f_min=f_min), (),
+                                    stage_seconds=stage))
 
+
+def _with_paths(ctx: TrialContext) -> TrialContext:
+    """The context with the k shortest paths of every request on its network
+    (a disconnected request contributes none), or the reason it has none."""
+    if not ctx.revised.active_edges():
+        return replace(ctx, reason="no_active_edges")
     t0 = time.perf_counter()
-    paths = enumerate_paths(revised, requests, params.k)
-    stage["paths"] = time.perf_counter() - t0
-    if not paths:
-        return TrialContext(seed, revised, requests, params, (),
-                            reason="no_paths", stage_seconds=stage)
-    return TrialContext(seed, revised, requests, params, paths, stage_seconds=stage)
+    paths = tuple(path for r in ctx.requests for path in k_shortest_paths(
+        ctx.revised, r.source, r.terminal, ctx.params.k, request_id=r.id))
+    ctx.stage_seconds["paths"] = time.perf_counter() - t0
+    return replace(ctx, paths=paths, reason=None if paths else "no_paths")
 
 
-def _uncovered_requests(ctx: TrialContext, k: int) -> int:
+def _uncovered_requests(record: TrialRecord) -> int:
     """Requests of the window whose demand k*f_min cannot cover even in principle."""
-    if ctx.reason == "no_active_edges":
+    if record.reason == "no_active_edges":
         return 0
-    return sum(k * ctx.params.f_min < r.demand for r in ctx.requests)
+    return sum(record.params.k * record.params.f_min < r.demand for r in record.requests)
 
 
-def route_all(net: Network, paths: Sequence[Path], requests: Sequence[Request],
-              params: RoutingParams, algorithms: Sequence[str],
-              p_in: float) -> dict[str, AlgorithmResult]:
-    """Steps 3-5 for every selected algorithm on one realized network; the
-    outcomes share the window's one PathSet."""
-    info = build_path_info(paths)
-    results: dict[str, AlgorithmResult] = {}
-    for name in algorithms:
-        t0 = time.perf_counter()
-        outcome = run_algorithm(name, net, info, params)
-        dt = time.perf_counter() - t0
-        results[name] = AlgorithmResult(outcome, evaluate(outcome, net, requests, p_in), dt)
-    return results
-
-
-def _zero_results(algorithms: Sequence[str], requests: Sequence[Request],
-                  reason: str) -> dict[str, AlgorithmResult]:
-    return {name: AlgorithmResult(RoutingOutcome(name, {}, {}, {}),
-                                  zero_report(requests, reason))
-            for name in algorithms}
+def _warn_uncovered(count: int, units: str) -> None:
+    if count:
+        logger.warning("k*f_min cannot cover demand even in principle for %d %s",
+                       count, units)
 
 
 def _summarize(net: Network, f_min: int) -> NetworkSummary:
@@ -194,31 +171,72 @@ def _summarize(net: Network, f_min: int) -> NetworkSummary:
         f_min=f_min)
 
 
+def route_window(ctx: TrialContext, points: Sequence[RoutingParams],
+                 algorithms: Sequence[str], p_in: float) -> list[TrialRecord]:
+    """Steps 3-5 on one prepared window: one record per routing point.
+
+    Every point has the context's l_max and a k no larger than the one its
+    paths were enumerated with; a point's paths are the first k ranks of each
+    request (Yen's output is prefix-stable in k). The PathSet and PF (which
+    reads no alpha, beta or f_min) run once per k, PS and PU once per point,
+    and the outcomes of one k share its PathSet. A degenerate context gives
+    zero reports with its reason.
+    """
+    summary = _summarize(ctx.revised, ctx.params.f_min)
+    infos: dict[int, PathSet] = {}
+    fills: dict[int, AlgorithmResult] = {}  # PF's result per k
+    records = []
+    for point in points:
+        if point.l_max != ctx.params.l_max or point.k > ctx.params.k:
+            raise ValueError(f"point {point} does not fit the window's {ctx.params}")
+        params = replace(point, f_min=ctx.params.f_min)
+        results: dict[str, AlgorithmResult] = {}
+        for name in algorithms:
+            if ctx.reason is not None:
+                results[name] = AlgorithmResult(RoutingOutcome(name, {}, {}, {}),
+                                                zero_report(ctx.requests, ctx.reason))
+            elif name == "PF" and point.k in fills:
+                results[name] = fills[point.k]
+            else:
+                if point.k not in infos:
+                    infos[point.k] = build_path_info(p for p in ctx.paths if p.rank < point.k)
+                t0 = time.perf_counter()
+                outcome = run_algorithm(name, ctx.revised, infos[point.k], params)
+                dt = time.perf_counter() - t0
+                results[name] = AlgorithmResult(
+                    outcome, evaluate(outcome, ctx.revised, ctx.requests, p_in), dt)
+                if name == "PF":
+                    fills[point.k] = results[name]
+        records.append(TrialRecord(ctx.seed, params, ctx.requests, summary, results,
+                                   ctx.stage_seconds, ctx.reason))
+    return records
+
+
 def run_trial(config: ExperimentConfig, seed: int) -> TrialRecord:
     """One full processing window, Steps 0-5, on a paired realized network.
 
     Degenerate windows (no surviving edges, no paths) are recorded with zero
     metrics and a reason code rather than aborted.
     """
-    ctx = prepare_trial(config, seed)
-    uncovered = _uncovered_requests(ctx, ctx.params.k)
+    return route_trial(config, prepare_trial(config, seed))
+
+
+def route_trial(config: ExperimentConfig, ctx: TrialContext) -> TrialRecord:
+    """Steps 3-5 of ``run_trial`` on its prepared window, with one warning
+    when k*f_min cannot cover some request's demand."""
+    (record,) = route_window(ctx, [config.routing], config.algorithms, config.scenario.p_in)
+    uncovered = _uncovered_requests(record)
     if uncovered:
         logger.warning("seed %d: k*f_min = %d cannot cover demand even in "
-                       "principle for %d request(s)", seed,
-                       ctx.params.k * ctx.params.f_min, uncovered)
-    summary = _summarize(ctx.revised, ctx.params.f_min or 0)
-    if ctx.reason is not None:
-        results = _zero_results(config.algorithms, ctx.requests, ctx.reason)
-        return TrialRecord(seed, ctx.params, ctx.requests, summary, results,
-                           ctx.stage_seconds, ctx.reason)
-    results = route_all(ctx.revised, ctx.paths, ctx.requests, ctx.params,
-                        config.algorithms, config.scenario.p_in)
-    return TrialRecord(seed, ctx.params, ctx.requests, summary, results,
-                       ctx.stage_seconds, None)
+                       "principle for %d request(s)", ctx.seed,
+                       record.params.k * record.params.f_min, uncovered)
+    return record
 
 
 def _trial_task(args: tuple[ExperimentConfig, int]) -> TrialRecord:
-    return run_trial(*args)
+    config, seed = args
+    return route_window(prepare_trial(config, seed), [config.routing],
+                        config.algorithms, config.scenario.p_in)[0]
 
 
 def worker_count() -> int:
@@ -240,8 +258,18 @@ def _map_seeds(task, args: list[tuple]) -> list:
 
 
 def run_trials(config: ExperimentConfig, seeds: Sequence[int]) -> list[TrialRecord]:
-    """One trial per seed, in seed order."""
-    return _map_seeds(_trial_task, [(config, s) for s in seeds])
+    """One trial per seed, in seed order, and one warning for the (seed,
+    request) pairs whose demand k*f_min cannot cover."""
+    records = _map_seeds(_trial_task, [(config, s) for s in seeds])
+    _warn_uncovered(sum(map(_uncovered_requests, records)), "(seed, request) pairs")
+    return records
+
+
+def _seeds(config: ExperimentConfig, replications: int) -> list[int]:
+    """Replication seeds ``base_seed + i``."""
+    if replications < 1:
+        raise ValueError("replications must be >= 1")
+    return [config.base_seed + i for i in range(replications)]
 
 
 def report_values(rep: MetricsReport) -> dict[str, float]:
@@ -288,10 +316,7 @@ def aggregate_reports(reports: dict[str, Sequence[MetricsReport]]
 def replicate(config: ExperimentConfig) -> tuple[list[TrialRecord],
                                                  dict[str, dict[str, tuple[float, float]]]]:
     """Seeded replications (seed = base_seed + index) with aggregated statistics."""
-    if config.replications < 1:
-        raise ValueError("replications must be >= 1")
-    seeds = [config.base_seed + i for i in range(config.replications)]
-    records = run_trials(config, seeds)
+    records = run_trials(config, _seeds(config, config.replications))
     return records, aggregate(records, config.algorithms)
 
 
@@ -307,64 +332,40 @@ def sweep_reports(config: ExperimentConfig, specs: Sequence[RequestSpec],
     indexed ``[spec][point]``; seeds are ``base_seed + i`` as in ``replicate``.
 
     Each stage runs once per key it depends on. Per (spec, l_max, seed) the
-    window is prepared once with the group's largest k; a point's paths are
-    the first k ranks of each request (Yen's output is prefix-stable in k).
-    The PathSet and PF (which reads no alpha, beta or f_min) run once per k;
-    PS and PU run per point. Every report equals the one ``run_trial`` gives
-    for the point, so reductions over them match ``replicate``'s.
+    window is prepared once with the group's largest k, and ``route_window``
+    routes every point of the group on it. Every report equals the one
+    ``run_trial`` gives for the point, so reductions over them match
+    ``replicate``'s.
     """
-    if config.replications < 1:
-        raise ValueError("replications must be >= 1")
-    seeds = [config.base_seed + i for i in range(config.replications)]
     per_seed = _map_seeds(_sweep_seed, [(config, tuple(specs), tuple(points), s)
-                                        for s in seeds])
-    uncovered = sum(count for _, count in per_seed)
-    if uncovered:
-        logger.warning("k*f_min cannot cover demand even in principle for %d "
-                       "(point, seed, request) triples", uncovered)
+                                        for s in _seeds(config, config.replications)])
+    _warn_uncovered(sum(count for _, count in per_seed), "(point, seed, request) triples")
     return [[{name: [cells[si][pi][name] for cells, _ in per_seed]
               for name in config.algorithms}
              for pi in range(len(points))]
             for si in range(len(specs))]
 
 
-def _score(name: str, ctx: TrialContext, info: PathSet, params: RoutingParams,
-           p_in: float) -> MetricsReport:
-    outcome = run_algorithm(name, ctx.revised, info, params)
-    return evaluate(outcome, ctx.revised, ctx.requests, p_in)
-
-
 def _sweep_seed(args: tuple) -> tuple[list[list[dict[str, MetricsReport]]], int]:
     """One seed of ``sweep_reports``: the report per [spec][point][algorithm],
     and how many (point, request) pairs k*f_min cannot cover."""
     config, specs, points, seed = args
-    groups: dict[int, dict[int, list[int]]] = {}  # l_max -> k -> point indices
+    groups: dict[int, list[int]] = {}  # l_max -> point indices
     for i, point in enumerate(points):
-        groups.setdefault(point.l_max, {}).setdefault(point.k, []).append(i)
-    p_in = config.scenario.p_in
+        groups.setdefault(point.l_max, []).append(i)
     out = []
     uncovered = 0
     for spec in specs:
         cells: list[dict[str, MetricsReport]] = [{} for _ in points]
-        for by_k in groups.values():
-            first = points[next(iter(by_k.values()))[0]]
-            cfg = replace(config, requests=spec, routing=replace(first, k=max(by_k)))
-            ctx = prepare_trial(cfg, seed)
-            for k, indices in by_k.items():
-                uncovered += len(indices) * _uncovered_requests(ctx, k)
-                if ctx.reason is not None:
-                    for i in indices:
-                        cells[i] = {name: zero_report(ctx.requests, ctx.reason)
-                                    for name in config.algorithms}
-                    continue
-                info = build_path_info(p for p in ctx.paths if p.rank < k)
-                shared = ({"PF": _score("PF", ctx, info, ctx.params, p_in)}
-                          if "PF" in config.algorithms else {})
-                for i in indices:
-                    params = replace(points[i], f_min=ctx.params.f_min)
-                    cells[i] = {name: shared[name] if name in shared
-                                else _score(name, ctx, info, params, p_in)
-                                for name in config.algorithms}
+        for indices in groups.values():
+            group = [points[i] for i in indices]
+            cfg = replace(config, requests=spec,
+                          routing=replace(group[0], k=max(p.k for p in group)))
+            records = route_window(prepare_trial(cfg, seed), group, config.algorithms,
+                                   config.scenario.p_in)
+            for i, record in zip(indices, records):
+                uncovered += _uncovered_requests(record)
+                cells[i] = {name: res.report for name, res in record.results.items()}
         out.append(cells)
     return out, uncovered
 
@@ -455,8 +456,11 @@ def degrade_outcome(outcome: RoutingOutcome,
     return replace(outcome, flows=flows)
 
 
+FAILURE_MODES = ("edge", "node")
+
+
 def default_failure_modes(max_count: int = 4) -> list[tuple[str, int]]:
-    return [(mode, count) for mode in ("edge", "node") for count in range(1, max_count + 1)]
+    return [(mode, count) for mode in FAILURE_MODES for count in range(1, max_count + 1)]
 
 
 def failure_experiment(config: ExperimentConfig,
@@ -472,8 +476,11 @@ def failure_experiment(config: ExperimentConfig,
     """
     if modes is None:
         modes = default_failure_modes()
-    n_reps = replications if replications is not None else config.replications
-    seeds = [config.base_seed + i for i in range(n_reps)]
+    for mode, count in modes:
+        if mode not in FAILURE_MODES or count < 0:
+            raise ValueError(f"failure mode {(mode, count)!r}: expected one of "
+                             f"{FAILURE_MODES} and a count >= 0")
+    seeds = _seeds(config, replications if replications is not None else config.replications)
     samples: dict[tuple[str, int, str], list[tuple[float, float, float]]] = {
         (mode, count, alg): [] for mode, count in modes for alg in config.algorithms}
     for seed_samples in _map_seeds(_failure_seed, [(config, tuple(modes), seed)
@@ -506,46 +513,32 @@ def _failure_seed(args: tuple) -> list[tuple[tuple[str, int, str], tuple]]:
     ctx = prepare_trial(config, seed)
     if ctx.reason is not None:
         return []
-    before = route_all(ctx.revised, ctx.paths, ctx.requests, ctx.params,
-                       config.algorithms, config.scenario.p_in)
-    mode_index = {"edge": 0, "node": 1}
+    p_in = config.scenario.p_in
+    (before,) = route_window(ctx, [ctx.params], config.algorithms, p_in)
     samples = []
     for mode, count in modes:
         if count == 0:
-            for alg in config.algorithms:
-                f = before[alg].report.throughput
+            for alg, res in before.results.items():
+                f = res.report.throughput
                 samples.append(((mode, count, alg), (f, f, f)))
             continue
-        pool = shared_utilized(before, mode, ctx.requests)
+        pool = shared_utilized(before.results, mode, ctx.requests)
         if count > len(pool):
             continue
-        rng = np.random.default_rng([seed, mode_index[mode], count])
+        rng = np.random.default_rng([seed, FAILURE_MODES.index(mode), count])
         failed = inject_failures(ctx.revised, mode, count, pool, rng)
         dead = ctx.revised.capacity_map().keys() - failed.capacity_map().keys()
-        for alg in config.algorithms:
-            res = before[alg]
+        # Steps 2-5 only: the window's f_min (a Step-1 parameter) is kept, and
+        # it stays feasible because the failed graph's edges are a subset of G'
+        (replanned,) = route_window(_with_paths(TrialContext(seed, failed, ctx.requests,
+                                                             ctx.params, ())),
+                                    [ctx.params], config.algorithms, p_in)
+        for alg, res in before.results.items():
             survived = degrade_outcome(res.outcome, dead)
-            f_after = throughput(survived, ctx.requests, config.scenario.p_in)
-            f_replanned = _reroute_throughput(failed, ctx.requests, ctx.params,
-                                              config, alg)
             samples.append(((mode, count, alg),
-                            (res.report.throughput, f_after, f_replanned)))
+                            (res.report.throughput, throughput(survived, ctx.requests, p_in),
+                             replanned.results[alg].report.throughput)))
     return samples
-
-
-def _reroute_throughput(failed: Network, requests: Sequence[Request],
-                        params: RoutingParams, config: ExperimentConfig,
-                        algorithm: str) -> float:
-    # Steps 2-5 only: the window's f_min (a Step-1 parameter) is kept, and it
-    # stays feasible because the failed graph's edges are a subset of G'.
-    if not failed.active_edges():
-        return 0.0
-    paths = enumerate_paths(failed, requests, params.k)
-    if not paths:
-        return 0.0
-    results = route_all(failed, paths, requests, params, [algorithm],
-                        config.scenario.p_in)
-    return results[algorithm].report.throughput
 
 
 # ---------------------------------------------------------------- request sweep

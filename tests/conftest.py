@@ -1,5 +1,6 @@
 """Shared test helpers: independent oracles and instance generators."""
 import heapq
+import time
 from collections import Counter
 from dataclasses import replace
 from typing import Any, Iterable, NamedTuple, Sequence
@@ -7,12 +8,18 @@ from typing import Any, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from qroute.config import ConfigError, _fail
-from qroute.harness import (METRIC_FIELDS, ExperimentConfig, ObjectiveWeights, RequestSpec,
-                            objective_value, parameter_grid, replicate)
-from qroute.netmodel import TOPOLOGIES, Edge, Network, ScenarioParams
-from qroute.pathfinder import Path, PathKey, PathSet, edge_key
-from qroute.scheduler import (ALGORITHMS, RoutingParams, _apportion_two_stage,
-                              largest_remainder, two_stage_weights)
+from qroute.harness import (METRIC_FIELDS, AlgorithmResult, ExperimentConfig,
+                            ObjectiveWeights, RequestSpec, TrialContext, TrialRecord,
+                            _resolve_requests, _summarize, aggregate, objective_value,
+                            parameter_grid)
+from qroute.metrics import evaluate, zero_report
+from qroute.netmodel import (TOPOLOGIES, Edge, Network, Request, ScenarioParams, build_lattice,
+                             deactivate_low_capacity_edges, sample_edge_states)
+from qroute.pathfinder import Path, PathKey, PathSet, build_path_info, edge_key, k_shortest_paths
+from qroute.purification import purify_network
+from qroute.scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams, _apportion_two_stage,
+                              compute_f_min, largest_remainder, run_algorithm,
+                              two_stage_weights)
 
 
 def abstract_network(capacity):
@@ -359,10 +366,101 @@ def reference_apportion_two_stage(entries: Sequence[Entry], total: int,
     return shares
 
 
+# ------------------------------------------------------------ one window
+# ``run_trial`` as it was before ``harness.route_window``: Steps 0-2 in one
+# function, then every algorithm on the window's one PathSet. It is the oracle
+# for ``harness.run_trial`` and, through the per-point sweeps below, for the
+# sweep engine. The demand warning is left out; records are what it checks.
+
+def reference_enumerate_paths(net: Network, requests: Sequence[Request],
+                              k: int) -> tuple[Path, ...]:
+    """k shortest paths for every request; disconnected requests contribute none."""
+    paths: list[Path] = []
+    for r in requests:
+        paths.extend(k_shortest_paths(net, r.source, r.terminal, k, request_id=r.id))
+    return tuple(paths)
+
+
+def reference_prepare_trial(config: ExperimentConfig, seed: int) -> TrialContext:
+    """Steps 0-2: initialize, purify, revise topology, and enumerate paths."""
+    rng = np.random.default_rng(seed)
+    stage: dict[str, float] = {}
+    t0 = time.perf_counter()
+    net = build_lattice(config.rows, config.cols, config.kind)
+    net = sample_edge_states(net, config.scenario, rng)
+    requests = _resolve_requests(config, net, rng)
+    stage["initialize"] = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    purified = purify_network(net, config.scenario.f_th)
+    revised = deactivate_low_capacity_edges(purified, config.routing.l_max)
+    stage["purify"] = time.perf_counter() - t0
+
+    if not revised.active_edges():
+        params = replace(config.routing, f_min=0)
+        return TrialContext(seed, revised, requests, params, (),
+                            reason="no_active_edges", stage_seconds=stage)
+    f_min = compute_f_min(revised, config.routing.l_max)
+    params = replace(config.routing, f_min=f_min)
+
+    t0 = time.perf_counter()
+    paths = reference_enumerate_paths(revised, requests, params.k)
+    stage["paths"] = time.perf_counter() - t0
+    if not paths:
+        return TrialContext(seed, revised, requests, params, (),
+                            reason="no_paths", stage_seconds=stage)
+    return TrialContext(seed, revised, requests, params, paths, stage_seconds=stage)
+
+
+def reference_route_all(net: Network, paths: Sequence[Path], requests: Sequence[Request],
+                        params: RoutingParams, algorithms: Sequence[str],
+                        p_in: float) -> dict[str, AlgorithmResult]:
+    """Steps 3-5 for every selected algorithm on one realized network; the
+    outcomes share the window's one PathSet."""
+    info = build_path_info(paths)
+    results: dict[str, AlgorithmResult] = {}
+    for name in algorithms:
+        t0 = time.perf_counter()
+        outcome = run_algorithm(name, net, info, params)
+        dt = time.perf_counter() - t0
+        results[name] = AlgorithmResult(outcome, evaluate(outcome, net, requests, p_in), dt)
+    return results
+
+
+def reference_zero_results(algorithms: Sequence[str], requests: Sequence[Request],
+                           reason: str) -> dict[str, AlgorithmResult]:
+    return {name: AlgorithmResult(RoutingOutcome(name, {}, {}, {}),
+                                  zero_report(requests, reason))
+            for name in algorithms}
+
+
+def reference_run_trial(config: ExperimentConfig, seed: int) -> TrialRecord:
+    """One full processing window, Steps 0-5, on a paired realized network."""
+    ctx = reference_prepare_trial(config, seed)
+    summary = _summarize(ctx.revised, ctx.params.f_min or 0)
+    if ctx.reason is not None:
+        results = reference_zero_results(config.algorithms, ctx.requests, ctx.reason)
+        return TrialRecord(seed, ctx.params, ctx.requests, summary, results,
+                           ctx.stage_seconds, ctx.reason)
+    results = reference_route_all(ctx.revised, ctx.paths, ctx.requests, ctx.params,
+                                  config.algorithms, config.scenario.p_in)
+    return TrialRecord(seed, ctx.params, ctx.requests, summary, results,
+                       ctx.stage_seconds, None)
+
+
+def reference_replicate(config: ExperimentConfig) -> tuple[
+        list[TrialRecord], dict[str, dict[str, tuple[float, float]]]]:
+    """``replicate`` over ``reference_run_trial``: seeds base_seed + i."""
+    records = [reference_run_trial(config, config.base_seed + i)
+               for i in range(config.replications)]
+    return records, aggregate(records, config.algorithms)
+
+
 # ------------------------------------------------------------ per-point sweeps
 # The grid loops as they were before the sweep engine: every grid point (or
-# request count) re-runs whole windows through ``replicate``. They are the
-# oracles for ``harness.grid_search_parameters`` and ``harness.request_sweep``.
+# request count) re-runs whole windows through ``reference_replicate``. They
+# are the oracles for ``harness.grid_search_parameters`` and
+# ``harness.request_sweep``.
 
 def reference_grid_search(config: ExperimentConfig) -> tuple[
         dict[str, tuple[RoutingParams, float]], list[dict]]:
@@ -377,7 +475,7 @@ def reference_grid_search(config: ExperimentConfig) -> tuple[
     table: list[dict] = []
     for params in points:
         cfg = replace(config, routing=params, routing_grid={})
-        records, agg = replicate(cfg)
+        records, agg = reference_replicate(cfg)
         for name in config.algorithms:
             values = [objective_value(rec.results[name].report, config.objective)
                       for rec in records]
@@ -400,7 +498,7 @@ def reference_request_sweep(config: ExperimentConfig,
     for count in counts:
         spec = replace(config.requests, count=count, distance=None, pairs=None)
         cfg = replace(config, requests=spec)
-        _, agg = replicate(cfg)
+        _, agg = reference_replicate(cfg)
         for name in config.algorithms:
             row = {"requests": count, "algorithm": name}
             for m in METRIC_FIELDS:

@@ -3,6 +3,8 @@ from functools import cached_property
 import numpy as np
 import pytest
 
+from conftest import reference_run_trial
+
 from qroute import harness
 from qroute.harness import (ExperimentConfig, ObjectiveWeights, RequestSpec,
                             aggregate, degrade_outcome, failure_experiment,
@@ -11,6 +13,7 @@ from qroute.harness import (ExperimentConfig, ObjectiveWeights, RequestSpec,
                             replicate, request_sweep, run_trial, run_trials,
                             swap_monte_carlo, WORKERS_ENV)
 from qroute.netmodel import Request, ScenarioParams
+from qroute.reports import record_to_dict
 from qroute.scheduler import RoutingParams, RoutingOutcome
 
 
@@ -63,6 +66,29 @@ def test_run_trial_zero_metrics_when_no_edges():
     for res in rec.results.values():
         assert res.report.throughput == 0.0
         assert "no_active_edges" in res.report.flags
+
+
+def untimed(record):
+    """``record_to_dict`` without the wall-clock fields."""
+    data = record_to_dict(record)
+    del data["stage_seconds"]
+    for result in data["results"].values():
+        del result["schedule_seconds"]
+    return data
+
+
+@pytest.mark.parametrize("kind", ["square", "hexagonal", "triangular"])
+def test_run_trial_matches_reference(kind):
+    reasons = set()
+    for p_out in (0.0, 0.2, 0.3):  # every edge down, some pairs cut off, routable
+        cfg = small_config(rows=4, kind=kind, scenario=ScenarioParams(c0=30, p_out=p_out),
+                           routing=RoutingParams(k=3, l_max=4),
+                           requests=RequestSpec(count=2, distance=None, demand=2))
+        for seed in range(12):
+            record = run_trial(cfg, seed)
+            reasons.add(record.reason)
+            assert untimed(record) == untimed(reference_run_trial(cfg, seed))
+    assert reasons == {None, "no_active_edges", "no_paths"}
 
 
 def test_replicate_single_equals_trial():
@@ -220,6 +246,20 @@ def test_failure_experiment_parallel_matches_serial(monkeypatch):
     assert serial and parallel == serial
     # one task per seed, through the same pool as replicated trials
     assert tasks == ["_failure_seed", "_failure_seed"]
+
+
+@pytest.mark.parametrize("modes, replications, match", [
+    ([("edge", 1)], 0, "replications must be >= 1"),
+    ([("link", 1)], None, r"\('link', 1\)"),
+    ([("edge", 1), ("node", -1)], None, r"\('node', -1\)"),
+], ids=["zero_replications", "unknown_mode", "negative_count"])
+def test_failure_experiment_rejects_bad_input_up_front(monkeypatch, modes,
+                                                       replications, match):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a window ran before the input was checked")
+    monkeypatch.setattr(harness, "prepare_trial", forbidden)
+    with pytest.raises(ValueError, match=match):
+        failure_experiment(small_config(), modes=modes, replications=replications)
 
 
 def test_failure_modes_reduce_or_keep_throughput():

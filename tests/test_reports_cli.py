@@ -153,6 +153,20 @@ def test_cli_run_writes_outputs(tmp_path, capsys):
     assert "PS:" in capsys.readouterr().out
 
 
+def test_cli_run_prepares_the_window_once(tmp_path, monkeypatch):
+    # the traffic export reads the network of the window the trial routed
+    calls = []
+    prepare = harness.prepare_trial
+    monkeypatch.setattr(harness, "prepare_trial",
+                        lambda *args: calls.append(args) or prepare(*args))
+    baseline = pathlib.Path(__file__).resolve().parent.parent / "configs" / "baseline.yml"
+    assert cli.main(["run", "-c", str(baseline), "--traffic", "json",
+                     "--out-dir", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    for name in ("PS", "PF", "PU"):
+        assert (tmp_path / f"traffic_{name}.json").exists()
+
+
 def test_cli_run_seed_flag_changes_trial(tmp_path):
     cfg = write_config(tmp_path, BASE_YML)
     out_a, out_b, out_c = (tmp_path / n for n in ("a", "b", "c"))

@@ -122,6 +122,16 @@ def test_each_stage_runs_once_per_key(monkeypatch):
         routable * per_k * per_point
 
 
+def test_route_window_rejects_points_the_window_was_not_prepared_for():
+    config = sweep_config()
+    ctx = harness.prepare_trial(config, config.base_seed)
+    assert ctx.reason is None
+    for point in (replace(config.routing, k=config.routing.k + 1),
+                  replace(config.routing, l_max=config.routing.l_max - 1)):
+        with pytest.raises(ValueError, match="does not fit"):
+            harness.route_window(ctx, [point], config.algorithms, config.scenario.p_in)
+
+
 def test_sweep_warns_once_with_a_count(caplog):
     # demand 500 is beyond k*f_min in every routable window
     config = sweep_config(requests=RequestSpec(count=2, distance=2, demand=500))
@@ -147,6 +157,24 @@ def test_run_trial_warns_once_per_window(caplog):
     warnings = [rec for rec in caplog.records if "cannot cover demand" in rec.message]
     assert len(warnings) == 1
     assert warnings[0].args[-1] == 3
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_replicate_warns_once_with_a_count(caplog, monkeypatch, workers):
+    config = sweep_config(routing=RoutingParams(k=1, l_max=4), routing_grid={},
+                          requests=RequestSpec(count=3, distance=2, demand=500))
+    with caplog.at_level(logging.WARNING, logger="qroute.harness"):
+        for seed in range(config.base_seed, config.base_seed + config.replications):
+            run_trial(config, seed)
+        per_window = [rec.args[-1] for rec in caplog.records
+                      if "cannot cover demand" in rec.message]
+        caplog.clear()
+        monkeypatch.setenv(WORKERS_ENV, workers)
+        harness.replicate(config)
+    # the pool's workers log nothing; the parent counts the pairs from the records
+    warnings = [rec for rec in caplog.records if "cannot cover demand" in rec.message]
+    assert len(warnings) == 1
+    assert warnings[0].args[0] == sum(per_window) > config.replications
 
 
 def test_sweep_rejects_zero_replications():
