@@ -98,6 +98,9 @@ def _algorithms(value, path: str, lines: dict[str, int]) -> tuple[str, ...]:
     if (not isinstance(value, (list, tuple)) or not value
             or any(a not in ALGORITHMS for a in value)):
         _fail(path, lines, f"expected a non-empty subset of {ALGORITHMS}")
+    duplicates = sorted({a for a in value if value.count(a) > 1})
+    if duplicates:
+        _fail(path, lines, f"lists {', '.join(duplicates)} more than once")
     return tuple(value)
 
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,6 +29,20 @@ def node_label(node: int, cols: int) -> str:
     """Two-digit display label, horizontal coordinate first (node 'xy')."""
     x, y = node_xy(node, cols)
     return f"{x}{y}"
+
+
+class EdgeMasks(NamedTuple):
+    """Bitset view of a network's active edges, with node n as bit n.
+
+    ``offsets`` holds one ``(offset, mask)`` pair per edge offset v - u in
+    ascending order (1 and cols on square and hexagonal lattices, plus
+    cols + 1 on triangular ones); bit n of ``mask`` is set iff edge
+    (n, n + offset) is active. ``neighbours[n]`` has the bits of n's
+    neighbours over active edges.
+    """
+
+    offsets: tuple[tuple[int, int], ...]
+    neighbours: tuple[int, ...]
 
 
 @dataclass
@@ -117,6 +132,10 @@ class Network:
         """Sorted adjacency lists over active edges."""
         return self._adjacency
 
+    def edge_masks(self) -> EdgeMasks:
+        """Active edges as per-offset and per-node bitmasks."""
+        return self._edge_masks
+
     @cached_property
     def _capacity_map(self) -> dict[Edge, int]:
         return {e: c for e, c, on in zip(self.edges, self.capacity, self.active) if on}
@@ -134,6 +153,16 @@ class Network:
         for lst in adj.values():
             lst.sort()
         return adj
+
+    @cached_property
+    def _edge_masks(self) -> EdgeMasks:
+        by_offset: dict[int, int] = {}
+        neighbours = [0] * self.node_count
+        for u, v in self._active_edges:
+            by_offset[v - u] = by_offset.get(v - u, 0) | 1 << u
+            neighbours[u] |= 1 << v
+            neighbours[v] |= 1 << u
+        return EdgeMasks(tuple(sorted(by_offset.items())), tuple(neighbours))
 
 
 def expected_edge_count(rows: int, cols: int, kind: str) -> int:

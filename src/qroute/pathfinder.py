@@ -5,9 +5,9 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .netmodel import Edge, InvariantError, Network
+from .netmodel import Edge, EdgeMasks, InvariantError, Network
 
 #: (request_id, path rank) identifies one enumerated path
 PathKey = tuple[int, int]
@@ -37,66 +37,56 @@ class Path:
         return tuple(edge_key(a, b) for a, b in zip(self.nodes, self.nodes[1:]))
 
 
-def _spur_path(adj: dict[int, list[int]], u: int, t: int,
-               banned_nodes: Iterable[int] = (),
-               banned_next: Collection[int] = ()) -> tuple[int, ...] | None:
-    """Lexicographically smallest shortest u-t node sequence that avoids
-    ``banned_nodes`` and whose first hop is not in ``banned_next``, or None.
+def _spur_path(masks: EdgeMasks, root: tuple[int, ...], t: int, banned: int = 0,
+               banned_next: int = 0) -> tuple[int, ...] | None:
+    """Smallest shortest path, in (length, node sequence) order, that starts
+    with ``root`` and continues from ``u = root[-1]`` to t without entering
+    the nodes of ``banned`` and without a first hop in ``banned_next``; None
+    when there is none.
 
-    In Yen's loop ``banned_nodes`` is the spur root without its last node
-    ``u``, and ``banned_next`` holds the next hops ``p[i + 1]`` of the accepted
-    paths ``p`` that share the root: every edge Yen bans at spur index ``i``
-    is ``(p[i], p[i + 1]) = (u, p[i + 1])``, so all of them touch ``u`` and
-    matter only for the first hop. ``banned_nodes`` holds neither ``u`` nor
-    ``t``.
+    ``banned`` and ``banned_next`` are node bitmasks. In Yen's loop
+    ``banned`` holds ``root[:-1]``, and ``banned_next`` the next hops
+    ``p[i + 1]`` of the accepted paths ``p`` that share the root: every edge
+    Yen bans at spur index ``i`` is ``(p[i], p[i + 1]) = (u, p[i + 1])``, so
+    all of them touch ``u`` and matter only for the first hop. ``banned``
+    holds neither ``u`` nor ``t``.
 
-    A BFS from t gives hop distances. It never records ``u``; it skips ``u``
-    when discovered from a banned next hop and stops as soon as ``u`` is
-    discovered from any other node, at distance ``d``. BFS levels are complete
-    one after another, so at that moment every distance below ``d`` is exact
-    and no other node's distance below ``d`` depends on ``u``'s edges. Walking
-    from ``u`` and always taking the smallest neighbor one hop closer to t
-    reads only those levels and yields the lexicographic minimum, because all
-    shortest sequences have equal length.
+    A BFS from t keeps one bitmask per level. With F the frontier and M the
+    mask of edge offset ``off``, one level is the OR of ``((F & M) << off) |
+    ((F >> off) & M)`` over all offsets, minus the nodes already seen; banned
+    nodes, t and u start seen. The search stops at the first level whose
+    frontier meets u's allowed first hops, so u lies at distance ``d``, the
+    number of levels kept, and every level below ``d`` is complete and
+    independent of u's edges. Walking from u and always taking the smallest
+    neighbour one level closer to t reads only those levels and yields the
+    lexicographic minimum, because all shortest sequences have equal length.
     """
-    # banned nodes read as already seen; -1 never matches a walk level
-    dist = dict.fromkeys(banned_nodes, -1)
-    dist[t] = 0
-    frontier = [t]
-    level = 0
-    while frontier:
-        level += 1
-        nxt = []
-        for w in frontier:
-            for v in adj[w]:
-                if v in dist:
-                    continue
-                if v == u:
-                    if w in banned_next:
-                        continue
-                    return _walk_down(adj, u, level, dist, banned_next)
-                dist[v] = level
-                nxt.append(v)
-        frontier = nxt
-    return None
-
-
-def _walk_down(adj: dict[int, list[int]], u: int, level: int, dist: dict[int, int],
-               banned_next: Collection[int]) -> tuple[int, ...]:
-    """Greedy walk from ``u`` (at distance ``level``) to the node at distance
-    0, taking the smallest neighbor one level closer at each step; only the
-    first step honours ``banned_next``."""
-    nodes = [u]
-    node, skip = u, banned_next
-    for d in range(level - 1, -1, -1):
-        for v in adj[node]:
-            if dist.get(v) == d and v not in skip:
-                break
-        else:
+    offsets, neighbours = masks
+    u = root[-1]
+    first_hops = neighbours[u] & ~banned_next
+    frontier = 1 << t
+    unseen = ((1 << len(neighbours)) - 1) ^ (banned | frontier | 1 << u)
+    levels = []
+    while not frontier & first_hops:
+        if not frontier:
+            return None
+        levels.append(frontier)
+        reached = 0
+        for off, mask in offsets:
+            reached |= (frontier & mask) << off | (frontier >> off) & mask
+        frontier = reached & unseen
+        unseen ^= frontier
+    levels.append(frontier)
+    nodes = list(root)
+    node, hops = u, first_hops
+    for d in range(len(levels) - 1, -1, -1):
+        hops &= levels[d]
+        if not hops:
             raise InvariantError(
                 f"spur walk found no neighbor of node {node} at distance {d}")
-        nodes.append(v)
-        node, skip = v, ()
+        node = (hops & -hops).bit_length() - 1
+        nodes.append(node)
+        hops = neighbours[node]
     return tuple(nodes)
 
 
@@ -120,8 +110,8 @@ def k_shortest_paths(net: Network, s: int, t: int, k: int,
         raise ValueError(f"k must be >= 1, got {k}")
     if s == t:
         raise ValueError("source and terminal must differ")
-    adj = net.adjacency()
-    first = _spur_path(adj, s, t)
+    masks = net.edge_masks()
+    first = _spur_path(masks, (s,), t)
     if first is None:
         return []
     accepted: list[tuple[int, ...]] = [first]
@@ -129,13 +119,22 @@ def k_shortest_paths(net: Network, s: int, t: int, k: int,
     deviation = 0
     while len(accepted) < k:
         prev = accepted[-1]
+        # the root prev[:i] as a node mask and the accepted paths sharing it,
+        # both extended by one node per spur index
+        banned = 0
+        for node in prev[:deviation]:
+            banned |= 1 << node
+        sharing = [p for p in accepted if p[:deviation] == prev[:deviation]]
         for i in range(deviation, len(prev) - 1):
-            root = prev[:i + 1]
-            banned_next = {p[i + 1] for p in accepted if p[:i + 1] == root}
-            spur = _spur_path(adj, prev[i], t, root[:-1], banned_next)
-            if spur is not None:
-                cand = root[:-1] + spur
+            u = prev[i]
+            sharing = [p for p in sharing if p[i] == u]
+            banned_next = 0
+            for p in sharing:
+                banned_next |= 1 << p[i + 1]
+            cand = _spur_path(masks, prev[:i + 1], t, banned, banned_next)
+            if cand is not None:
                 heapq.heappush(candidates, (len(cand) - 1, cand, i))
+            banned |= 1 << u
         if not candidates:
             break
         _, best, deviation = heapq.heappop(candidates)

@@ -3,7 +3,7 @@ import heapq
 import time
 from collections import Counter
 from dataclasses import replace
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -13,8 +13,8 @@ from qroute.harness import (METRIC_FIELDS, AlgorithmResult, ExperimentConfig,
                             _resolve_requests, _summarize, aggregate, objective_value,
                             parameter_grid)
 from qroute.metrics import evaluate, zero_report
-from qroute.netmodel import (TOPOLOGIES, Edge, Network, Request, ScenarioParams, build_lattice,
-                             deactivate_low_capacity_edges, sample_edge_states)
+from qroute.netmodel import (TOPOLOGIES, Edge, InvariantError, Network, Request, ScenarioParams,
+                             build_lattice, deactivate_low_capacity_edges, sample_edge_states)
 from qroute.pathfinder import Path, PathKey, PathSet, build_path_info, edge_key, k_shortest_paths
 from qroute.purification import purify_network
 from qroute.scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams, _apportion_two_stage,
@@ -138,6 +138,72 @@ def _lex_shortest(adj: dict[int, list[int]], s: int, t: int,
                 break
         else:  # unreachable when dist[s] is finite
             return None
+    return tuple(nodes)
+
+
+def reference_spur_path(adj: dict[int, list[int]], u: int, t: int,
+                        banned_nodes: Iterable[int] = (),
+                        banned_next: Collection[int] = ()) -> tuple[int, ...] | None:
+    """Reference spur search over adjacency lists (the previous
+    ``pathfinder._spur_path``): lexicographically smallest shortest u-t node
+    sequence that avoids ``banned_nodes`` and whose first hop is not in
+    ``banned_next``, or None.
+
+    In Yen's loop ``banned_nodes`` is the spur root without its last node
+    ``u``, and ``banned_next`` holds the next hops ``p[i + 1]`` of the accepted
+    paths ``p`` that share the root: every edge Yen bans at spur index ``i``
+    is ``(p[i], p[i + 1]) = (u, p[i + 1])``, so all of them touch ``u`` and
+    matter only for the first hop. ``banned_nodes`` holds neither ``u`` nor
+    ``t``.
+
+    A BFS from t gives hop distances. It never records ``u``; it skips ``u``
+    when discovered from a banned next hop and stops as soon as ``u`` is
+    discovered from any other node, at distance ``d``. BFS levels are complete
+    one after another, so at that moment every distance below ``d`` is exact
+    and no other node's distance below ``d`` depends on ``u``'s edges. Walking
+    from ``u`` and always taking the smallest neighbor one hop closer to t
+    reads only those levels and yields the lexicographic minimum, because all
+    shortest sequences have equal length.
+    """
+    # banned nodes read as already seen; -1 never matches a walk level
+    dist = dict.fromkeys(banned_nodes, -1)
+    dist[t] = 0
+    frontier = [t]
+    level = 0
+    while frontier:
+        level += 1
+        nxt = []
+        for w in frontier:
+            for v in adj[w]:
+                if v in dist:
+                    continue
+                if v == u:
+                    if w in banned_next:
+                        continue
+                    return _reference_walk_down(adj, u, level, dist, banned_next)
+                dist[v] = level
+                nxt.append(v)
+        frontier = nxt
+    return None
+
+
+def _reference_walk_down(adj: dict[int, list[int]], u: int, level: int,
+                         dist: dict[int, int],
+                         banned_next: Collection[int]) -> tuple[int, ...]:
+    """Greedy walk from ``u`` (at distance ``level``) to the node at distance
+    0, taking the smallest neighbor one level closer at each step; only the
+    first step honours ``banned_next``."""
+    nodes = [u]
+    node, skip = u, banned_next
+    for d in range(level - 1, -1, -1):
+        for v in adj[node]:
+            if dist.get(v) == d and v not in skip:
+                break
+        else:
+            raise InvariantError(
+                f"spur walk found no neighbor of node {node} at distance {d}")
+        nodes.append(v)
+        node, skip = v, ()
     return tuple(nodes)
 
 

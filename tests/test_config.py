@@ -95,6 +95,15 @@ def test_algorithm_subset_validated(tmp_path):
         load_config(write(tmp_path, "experiment: {algorithms: [XX]}\n"))
 
 
+def test_duplicate_algorithms_rejected(tmp_path):
+    # a repeated name would run and report that algorithm twice
+    with pytest.raises(ConfigError,
+                       match=r"experiment.algorithms: lists PS more than once \(line 2\)"):
+        load_config(write(tmp_path, "experiment:\n  algorithms: [PS, PF, PS]\n"))
+    with pytest.raises(ConfigError, match=r"experiment.algorithms: lists PS, PU more than once$"):
+        apply_overrides(ExperimentConfig(), algorithms=("PU", "PS", "PU", "PS"))
+
+
 def test_empty_grid_list_rejected(tmp_path):
     with pytest.raises(ConfigError, match="routing.k"):
         load_config(write(tmp_path, "routing: {k: []}\n"))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qroute.netmodel import (ScenarioParams, build_lattice,
+from qroute.netmodel import (TOPOLOGIES, ScenarioParams, build_lattice,
                              deactivate_low_capacity_edges, expected_edge_count,
                              generate_requests, inject_failures, node_id,
                              node_label, node_xy, sample_edge_states)
@@ -193,6 +193,31 @@ def test_derived_views_are_computed_once():
     assert net.capacity_map() == {e: c for e, c, on in
                                   zip(net.edges, net.capacity, net.active) if on}
     assert net.active_edges() == tuple(net.capacity_map())
+
+
+def _bits_of(mask):
+    return [n for n in range(mask.bit_length()) if mask >> n & 1]
+
+
+@pytest.mark.parametrize("kind", TOPOLOGIES)
+def test_edge_masks_rebuild_active_edges_and_adjacency(kind):
+    # offsets 1 and cols, plus cols + 1 on triangular lattices
+    sampled = sample_edge_states(build_lattice(7, 9, kind), ScenarioParams(c0=40),
+                                 np.random.default_rng(5))
+    revised = deactivate_low_capacity_edges(purify_network(sampled, 0.8), 30)
+    failed = inject_failures(revised, "node", 3, range(revised.node_count),
+                             np.random.default_rng(6))
+    for net in (build_lattice(7, 9, kind), sampled, revised, failed):
+        masks = net.edge_masks()
+        assert masks is net.edge_masks()
+        offsets = [off for off, _ in masks.offsets]
+        assert offsets == sorted(offsets)
+        assert set(offsets) <= {1, net.cols, net.cols + 1}
+        edges = {(n, n + off) for off, mask in masks.offsets for n in _bits_of(mask)}
+        assert edges == set(net.active_edges())
+        assert len(masks.neighbours) == net.node_count
+        assert {n: _bits_of(mask) for n, mask in enumerate(masks.neighbours)} == net.adjacency()
+    assert len(failed.active_edges()) < len(revised.active_edges()) < len(sampled.edges)
 
 
 def test_network_rejects_misaligned_fields():

@@ -3,12 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import _lex_shortest as reference_lex_shortest
-from conftest import enumerate_loopless_paths, reference_k_shortest_paths
+from conftest import enumerate_loopless_paths, reference_k_shortest_paths, reference_spur_path
 
 from qroute import pathfinder
-from qroute.netmodel import TOPOLOGIES, InvariantError, build_lattice
-from qroute.pathfinder import (Path, _spur_path, _walk_down, build_path_info, edge_key,
-                               k_shortest_paths, truncate_edge_paths)
+from qroute.netmodel import TOPOLOGIES, EdgeMasks, InvariantError, build_lattice
+from qroute.pathfinder import (Path, _spur_path, build_path_info, edge_key, k_shortest_paths,
+                               truncate_edge_paths)
 
 
 def active_lattice(rows, cols, kind="square", dead_edges=()):
@@ -185,16 +185,74 @@ def test_matches_reference_yen_on_random_instances():
     assert disconnected > 20 and fewer_than_k > 20
 
 
+def components(adj):
+    seen, out = set(), []
+    for root in adj:
+        if root in seen:
+            continue
+        seen.add(root)
+        comp, stack = [root], [root]
+        while stack:
+            for v in adj[stack.pop()]:
+                if v not in seen:
+                    seen.add(v)
+                    comp.append(v)
+                    stack.append(v)
+        out.append(sorted(comp))
+    return out
+
+
+def test_matches_reference_yen_on_benchmark_sized_lattices():
+    # the lattice sizes of the benchmark, where the bitsets span many digits
+    # and spur searches many BFS levels. Every other pair on the sparsest
+    # lattices lies in one small component (4-30 nodes), which has fewer than
+    # k paths more often than not.
+    rng = np.random.default_rng(21)
+    disconnected = fewer_than_k = 0
+    for n in range(90):
+        kind = TOPOLOGIES[n % len(TOPOLOGIES)]
+        rows, cols = (int(x) for x in rng.integers(12, 25, size=2))
+        dead_rate = (0.0, 0.1, 0.3)[n // 3 % 3]
+        net = random_active_lattice(rng, kind, rows, cols, dead_rate)
+        small = [c for c in components(net.adjacency()) if 4 <= len(c) <= 30]
+        pool = small[int(rng.integers(len(small)))] if small and n % 2 else range(net.node_count)
+        s, t = (int(x) for x in rng.choice(pool, size=2, replace=False))
+        k = int(rng.integers(1, 31))
+        got = k_shortest_paths(net, s, t, k, request_id=n)
+        assert got == reference_k_shortest_paths(net, s, t, k, request_id=n), \
+            (kind, rows, cols, s, t, k)
+        disconnected += not got
+        fewer_than_k += 0 < len(got) < k
+    assert disconnected >= 3 and fewer_than_k >= 3
+
+
+def bits(nodes):
+    mask = 0
+    for node in nodes:
+        mask |= 1 << node
+    return mask
+
+
+def nodes_of(mask):
+    return tuple(n for n in range(mask.bit_length()) if mask >> n & 1)
+
+
 def record_spur_calls(monkeypatch):
     """Wrap pathfinder._spur_path; returns the list of (u, t, banned_nodes,
-    banned_next, result) it fills, one entry per call."""
+    banned_next, result) it fills, one entry per call: ``banned_nodes`` is
+    the root without u, in path order, and ``result`` the u-t part of the
+    candidate. Checks that the banned mask is exactly the root without u and
+    that the candidate starts with the root."""
     calls = []
     spur_path = pathfinder._spur_path
 
-    def recorded(adj, u, t, banned_nodes=(), banned_next=()):
-        result = spur_path(adj, u, t, banned_nodes, banned_next)
-        calls.append((u, t, tuple(banned_nodes), set(banned_next), result))
-        return result
+    def recorded(masks, root, t, banned=0, banned_next=0):
+        cand = spur_path(masks, root, t, banned, banned_next)
+        assert banned == bits(root[:-1])
+        assert cand is None or cand[:len(root)] == root
+        result = None if cand is None else cand[len(root) - 1:]
+        calls.append((root[-1], t, root[:-1], set(nodes_of(banned_next)), result))
+        return cand
 
     monkeypatch.setattr(pathfinder, "_spur_path", recorded)
     return calls
@@ -204,29 +262,38 @@ def record_spur_calls(monkeypatch):
 # |   |   |
 # 3 - 4 - 5
 SQUARE_2x3 = {0: [1, 3], 1: [0, 2, 4], 2: [1, 5], 3: [0, 4], 4: [1, 3, 5], 5: [2, 4]}
+SQUARE_2x3_MASKS = active_lattice(2, 3).edge_masks()
+
+
+def spur(u, t, banned_nodes=(), banned_next=()):
+    """_spur_path on SQUARE_2x3 from u with the root ``(*banned_nodes, u)``;
+    returns the u-t part of the candidate, or None."""
+    root = (*banned_nodes, u)
+    cand = _spur_path(SQUARE_2x3_MASKS, root, t, bits(banned_nodes), bits(banned_next))
+    return None if cand is None else cand[len(banned_nodes):]
 
 
 def test_spur_skips_u_found_from_banned_next_hop():
     # From t = 0, u = 2 is first reached at level 2 through banned hop 1; it
     # must be found at level 3 through 5 instead.
-    assert _spur_path(SQUARE_2x3, 2, 0, (), {1}) == (2, 5, 4, 1, 0)
+    assert spur(2, 0, (), {1}) == (2, 5, 4, 1, 0)
     # banning 1 as a node as well leaves the detour through 3
-    assert _spur_path(SQUARE_2x3, 2, 0, (1,), {1}) == (2, 5, 4, 3, 0)
-    assert _spur_path(SQUARE_2x3, 2, 0) == (2, 1, 0)
+    assert spur(2, 0, (1,), {1}) == (2, 5, 4, 3, 0)
+    assert spur(2, 0) == (2, 1, 0)
 
 
 def test_spur_banned_edge_to_terminal():
     # u = 1 is a neighbour of t = 0 and the hop 1 -> 0 is banned
-    assert _spur_path(SQUARE_2x3, 1, 0, (), {0}) == (1, 4, 3, 0)
-    assert _spur_path(SQUARE_2x3, 1, 0, (), {0, 4}) == (1, 2, 5, 4, 3, 0)
-    assert _spur_path(SQUARE_2x3, 1, 0, (), {0, 2, 4}) is None
-    assert _spur_path(SQUARE_2x3, 1, 0, (3,), {0}) is None
+    assert spur(1, 0, (), {0}) == (1, 4, 3, 0)
+    assert spur(1, 0, (), {0, 4}) == (1, 2, 5, 4, 3, 0)
+    assert spur(1, 0, (), {0, 2, 4}) is None
+    assert spur(1, 0, (3,), {0}) is None
 
 
 def test_spur_banned_root_nodes_cut_u_off():
-    assert _spur_path(SQUARE_2x3, 0, 5, (1, 3)) is None
-    assert _spur_path(SQUARE_2x3, 0, 5, (4,), {1}) is None
-    assert _spur_path(SQUARE_2x3, 0, 5, (4,)) == (0, 1, 2, 5)
+    assert spur(0, 5, (1, 3)) is None
+    assert spur(0, 5, (4,), {1}) is None
+    assert spur(0, 5, (4,)) == (0, 1, 2, 5)
 
 
 def test_spur_matches_reference_lex_shortest():
@@ -242,7 +309,27 @@ def test_spur_matches_reference_lex_shortest():
                     ref = reference_lex_shortest(
                         SQUARE_2x3, u, t, frozenset(banned),
                         frozenset(edge_key(u, x) for x in banned_next))
-                    assert _spur_path(SQUARE_2x3, u, t, banned, set(banned_next)) == ref
+                    assert spur(u, t, banned, set(banned_next)) == ref
+                    assert reference_spur_path(SQUARE_2x3, u, t, banned, set(banned_next)) == ref
+
+
+def test_spur_matches_reference_spur_path_on_yen_calls(monkeypatch):
+    # every spur search of Yen runs on benchmark-sized lattices, replayed
+    # through the previous adjacency-list search
+    calls = record_spur_calls(monkeypatch)
+    rng = np.random.default_rng(22)
+    replayed = 0
+    for n in range(24):
+        kind = TOPOLOGIES[n % len(TOPOLOGIES)]
+        net = random_active_lattice(rng, kind, 16, 16, (0.0, 0.1, 0.3)[n // 3 % 3])
+        s, t = (int(x) for x in rng.choice(net.node_count, size=2, replace=False))
+        calls.clear()
+        k_shortest_paths(net, s, t, 10)
+        adj = net.adjacency()
+        for u, t_, banned_nodes, banned_next, result in calls:
+            assert reference_spur_path(adj, u, t_, banned_nodes, banned_next) == result
+        replayed += len(calls)
+    assert replayed > 1000
 
 
 def test_terminal_is_never_a_spur_node(monkeypatch):
@@ -278,7 +365,7 @@ def test_lawler_skips_spur_that_finds_a_candidate_twice(monkeypatch):
     candidates = [nodes + result for _, _, nodes, _, result in calls if result]
     assert len(candidates) == len(set(candidates)) == 3
     # the skipped spur, B at index 0, would have found C again
-    assert _spur_path(SQUARE_2x3, 0, 5, (), {1}) == (0, 3, 4, 5)
+    assert spur(0, 5, (), {1}) == (0, 3, 4, 5)
 
 
 def test_candidates_are_found_once(monkeypatch):
@@ -296,12 +383,15 @@ def test_candidates_are_found_once(monkeypatch):
 
 
 def test_walk_without_closer_neighbour_raises_invariant_error():
-    # an explicit check, so it also holds under python -O
-    dist = {0: 0, 1: 5}  # 1 should be at distance 1
+    # an explicit check, so it also holds under python -O. Masks whose
+    # neighbour bits disagree with the offset masks: BFS from t = 0 reaches
+    # every node along the offset-1 edges, but the broken node does not list
+    # its neighbour one level closer, so the walk from u stalls there.
+    path4 = (0b111, (0b0010, 0b0101, 0b1010, 0b0100))  # 0 - 1 - 2 - 3
+    broken = EdgeMasks(((1, path4[0]),), path4[1][:2] + (0b1000,) + path4[1][3:])
     with pytest.raises(InvariantError, match="no neighbor of node 2 at distance 1"):
-        _walk_down(SQUARE_2x3, 2, 2, dist, ())
-    # adjacency that is not symmetric: BFS reaches 1 from 0, but 1 does not
-    # list 0, so the walk from u = 2 stalls at 1
-    broken = {0: [1], 1: [2], 2: [1]}
+        _spur_path(broken, (3,), 0)
+    # 0 - 1 - 2 where 1 does not list 0
+    broken = EdgeMasks(((1, 0b011),), (0b010, 0b100, 0b010))
     with pytest.raises(InvariantError, match="no neighbor of node 1 at distance 0"):
-        _spur_path(broken, 2, 0)
+        _spur_path(broken, (2,), 0)

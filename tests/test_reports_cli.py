@@ -207,6 +207,18 @@ def test_cli_config_error_exit_code(tmp_path, capsys, monkeypatch):
     assert "QROUTE_WORKERS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "replicate", "sweep", "optimize", "failures",
+                                     "requests"])
+def test_cli_duplicate_algorithms_exit_code(tmp_path, capsys, command):
+    out_dir = tmp_path / "out"
+    assert cli.main([command, "--algorithms", "PU,PU", "--out-dir", str(out_dir)]) == 1
+    assert "experiment.algorithms: lists PU more than once" in capsys.readouterr().err
+    bad = write_config(tmp_path, "experiment:\n  algorithms: [PS, PS]\n")
+    assert cli.main([command, "-c", bad, "--out-dir", str(out_dir)]) == 1
+    assert "experiment.algorithms: lists PS more than once (line 2)" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_cli_usage_error_exit_code(tmp_path):
     assert cli.main(["frobnicate"]) == 1
 

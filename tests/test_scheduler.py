@@ -449,6 +449,7 @@ def random_schedule_instance(rng, max_cap):
     return capacity, keys_by_edge, lengths, path_edges, f_min, alpha, beta
 
 
+@pytest.mark.slow
 def test_bulk_steps_match_unit_step_oracles():
     rng = np.random.default_rng(31)
     hits = Counter()
