@@ -278,10 +278,6 @@ def report_values(rep: MetricsReport) -> dict[str, float]:
             "J_path": rep.jain_paths}
 
 
-def metric_values(record: TrialRecord, algorithm: str) -> dict[str, float]:
-    return report_values(record.results[algorithm].report)
-
-
 def aggregate(records: Sequence[TrialRecord],
               algorithms: Sequence[str]) -> dict[str, dict[str, tuple[float, float]]]:
     """Per-algorithm (mean, standard error) of every metric.

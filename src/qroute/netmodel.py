@@ -128,10 +128,6 @@ class Network:
         """Capacities of active edges only."""
         return self._capacity_map
 
-    def adjacency(self) -> dict[int, list[int]]:
-        """Sorted adjacency lists over active edges."""
-        return self._adjacency
-
     def edge_masks(self) -> EdgeMasks:
         """Active edges as per-offset and per-node bitmasks."""
         return self._edge_masks
@@ -143,16 +139,6 @@ class Network:
     @cached_property
     def _active_edges(self) -> tuple[Edge, ...]:
         return tuple(self._capacity_map)
-
-    @cached_property
-    def _adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {n: [] for n in range(self.node_count)}
-        for u, v in self._active_edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for lst in adj.values():
-            lst.sort()
-        return adj
 
     @cached_property
     def _edge_masks(self) -> EdgeMasks:

@@ -5,12 +5,16 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from .netmodel import Edge, EdgeMasks, InvariantError, Network
 
 #: (request_id, path rank) identifies one enumerated path
 PathKey = tuple[int, int]
+#: one edge's keys grouped by request: a tuple of keys per request, in key order
+RequestGroups = tuple[tuple[PathKey, ...], ...]
 
 
 def edge_key(a: int, b: int) -> Edge:
@@ -164,6 +168,31 @@ def truncate_edge_paths(keys: Sequence[PathKey], lengths: dict[PathKey, int],
     return sorted(kept)
 
 
+def request_groups(keys: Sequence[PathKey]) -> RequestGroups:
+    """Keys that are already in key order, grouped by request in one pass."""
+    if keys and keys[0][0] == keys[-1][0]:
+        return (tuple(keys),)
+    return tuple(tuple(group) for _, group in groupby(keys, itemgetter(0)))
+
+
+class KeptPaths(NamedTuple):
+    """What the schedulers read of a PathSet at one l_max. It depends on
+    nothing else, so ``PathSet.kept`` builds it once per l_max."""
+
+    #: H truncated to l_max keys per edge, edges sorted
+    keys: dict[Edge, list[PathKey]]
+    #: the paths kept on every edge they traverse
+    live: frozenset[PathKey]
+    #: ``keys`` grouped by request
+    groups: dict[Edge, RequestGroups]
+    #: ``keys`` without the paths that are not live; edges left with none dropped
+    live_keys: dict[Edge, list[PathKey]]
+    #: ``live_keys`` grouped by request
+    live_groups: dict[Edge, RequestGroups]
+    #: the edges of each live path, in key order
+    live_paths: dict[PathKey, tuple[Edge, ...]]
+
+
 class PathSet(dict[Edge, list[PathKey]]):
     """One window's paths, built once: H (this mapping, edge -> keys of the
     paths crossing it, in key order) plus the per-path views, keyed in key
@@ -174,20 +203,30 @@ class PathSet(dict[Edge, list[PathKey]]):
         super().__init__()
         self.path_edges = dict(sorted(path_edges.items()))
         self.lengths = {key: lengths[key] for key in self.path_edges}
-        self._kept: dict[int, tuple] = {}
+        self._kept: dict[int, KeptPaths] = {}
         for key, edges in self.path_edges.items():
             for e in edges:
                 self.setdefault(e, []).append(key)
 
-    def kept(self, l_max: int) -> tuple[dict[Edge, list[PathKey]], frozenset[PathKey]]:
-        """H truncated to l_max keys per edge (edges sorted), and the paths
-        kept on every edge they traverse; computed once per l_max."""
+    def kept(self, l_max: int) -> KeptPaths:
+        """H truncated to l_max keys per edge and the views derived from it;
+        computed once per l_max."""
         if l_max not in self._kept:
             kept = {e: truncate_edge_paths(self[e], self.lengths, l_max) for e in sorted(self)}
-            kept_on = {e: set(keys) for e, keys in kept.items()}
-            live = frozenset(key for key, edges in self.path_edges.items()
-                             if all(key in kept_on[e] for e in edges))
-            self._kept[l_max] = (kept, live)
+            times_kept = Counter(key for keys in kept.values() for key in keys)
+            live_paths = {key: edges for key, edges in self.path_edges.items()
+                          if times_kept[key] == len(edges)}
+            groups = {e: request_groups(keys) for e, keys in kept.items()}
+            live_keys: dict[Edge, list[PathKey]] = {}
+            live_groups: dict[Edge, RequestGroups] = {}
+            for e, keys in kept.items():
+                live = [key for key in keys if key in live_paths]
+                if len(live) == len(keys):
+                    live_keys[e], live_groups[e] = keys, groups[e]
+                elif live:
+                    live_keys[e], live_groups[e] = live, request_groups(live)
+            self._kept[l_max] = KeptPaths(kept, frozenset(live_paths), groups,
+                                          live_keys, live_groups, live_paths)
         return self._kept[l_max]
 
 

@@ -6,8 +6,7 @@ import json
 import xml.etree.ElementTree as ET
 from typing import Sequence
 
-from .harness import (AlgorithmResult, NetworkSummary, TrialRecord,
-                      metric_values)
+from .harness import AlgorithmResult, NetworkSummary, TrialRecord, report_values
 from .metrics import MetricsReport
 from .netmodel import Network, Request, node_label, node_xy
 from .scheduler import RoutingOutcome, RoutingParams, ScheduleTable
@@ -37,7 +36,7 @@ def trial_rows(records: Sequence[TrialRecord]) -> list[dict]:
     rows = []
     for rec in records:
         for name in rec.results:
-            metrics = metric_values(rec, name)
+            metrics = report_values(rec.results[name].report)
             row = {"seed": rec.seed, "algorithm": name, "k": rec.params.k,
                    "l_max": rec.params.l_max, "alpha": rec.params.alpha,
                    "beta": rec.params.beta}

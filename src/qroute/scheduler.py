@@ -8,7 +8,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .netmodel import Edge, InvariantError, Network
-from .pathfinder import PathKey, PathSet
+from .pathfinder import KeptPaths, PathKey, PathSet, RequestGroups, request_groups
 
 ALGORITHMS = ("PS", "PF", "PU")
 
@@ -86,29 +86,21 @@ def compute_f_min(net: Network, l_max: int) -> int:
     return min(caps) // l_max
 
 
-def _by_request(keys: Sequence[PathKey]) -> dict[int, list[PathKey]]:
-    """Keys in key order, grouped by request id (requests in id order)."""
-    by_request: dict[int, list[PathKey]] = {}
-    for key in sorted(keys):
-        by_request.setdefault(key[0], []).append(key)
-    return by_request
-
-
 def two_stage_weights(keys: Sequence[PathKey], lengths: dict[PathKey, int],
                       alpha: float, beta: float) -> dict[PathKey, float]:
     """Real-valued per-path weights: request share ~ n_r^beta, then within a
     request shorter paths take more (share ~ d^-alpha). Weights sum to 1."""
     if not keys:
         raise ValueError("empty key list")
-    by_request = _by_request(keys)
-    request_raw = {r: float(len(group)) ** beta for r, group in by_request.items()}
-    request_total = sum(request_raw.values())
+    groups = request_groups(sorted(keys))
+    request_raw = [float(len(group)) ** beta for group in groups]
+    request_total = sum(request_raw)
     weights: dict[PathKey, float] = {}
-    for r, group in by_request.items():
+    for group, r_raw in zip(groups, request_raw):
         path_raw = [float(lengths[key]) ** -alpha for key in group]
         path_total = sum(path_raw)
         for key, raw in zip(group, path_raw):
-            weights[key] = (request_raw[r] / request_total) * (raw / path_total)
+            weights[key] = (r_raw / request_total) * (raw / path_total)
     return weights
 
 
@@ -124,19 +116,27 @@ def largest_remainder(quotas: Sequence[float], total: int) -> list[int]:
     return base
 
 
-def _apportion_two_stage(keys: Sequence[PathKey], lengths: dict[PathKey, int],
+def _apportion_two_stage(groups: RequestGroups, lengths: dict[PathKey, int],
                          total: int, path_exp: float, beta: float) -> dict[PathKey, int]:
-    """Stage-wise integer apportionment: units go to requests by n_r^beta
-    (ties by request id), then within each request by d^path_exp (ties by rank)."""
-    by_request = _by_request(keys)
-    requests = list(by_request)
-    request_raw = [float(len(by_request[r])) ** beta for r in requests]
-    raw_total = sum(request_raw)
-    request_units = largest_remainder(
-        [total * w / raw_total for w in request_raw], total)
+    """Stage-wise integer apportionment over one edge's keys grouped by
+    request: units go to requests by n_r^beta (ties by request id), then
+    within each request by d^path_exp (ties by rank).
+
+    A single quota gets all units from ``largest_remainder``, so a lone
+    request or a lone key takes them without computing weights.
+    """
+    if len(groups) == 1:
+        request_units = [total]
+    else:
+        request_raw = [float(len(group)) ** beta for group in groups]
+        raw_total = sum(request_raw)
+        request_units = largest_remainder(
+            [total * w / raw_total for w in request_raw], total)
     shares: dict[PathKey, int] = {}
-    for r, units in zip(requests, request_units):
-        group = by_request[r]
+    for group, units in zip(groups, request_units):
+        if len(group) == 1:
+            shares[group[0]] = units
+            continue
         path_raw = [float(lengths[key]) ** path_exp for key in group]
         path_total = sum(path_raw)
         path_units = largest_remainder(
@@ -152,14 +152,16 @@ def proportional_share(net: Network, info: PathSet,
     of the capacity is split by the two-stage proportional rule."""
     f_min = params.require_f_min()
     caps = net.capacity_map()
+    kept = info.kept(params.l_max)
     allocations: dict[Edge, dict[PathKey, int]] = {}
-    for e, kept in info.kept(params.l_max)[0].items():
-        spare = caps[e] - f_min * len(kept)
+    for e, keys in kept.keys.items():
+        spare = caps[e] - f_min * len(keys)
         if spare < 0:
             raise InvariantError(
                 f"edge {e} kept below l_max * f_min; was Step 1 skipped?")
-        extra = _apportion_two_stage(kept, info.lengths, spare, -params.alpha, params.beta)
-        allocations[e] = {key: f_min + extra[key] for key in kept}
+        extra = _apportion_two_stage(kept.groups[e], info.lengths, spare,
+                                     -params.alpha, params.beta)
+        allocations[e] = {key: f_min + extra[key] for key in keys}
     return ScheduleTable(allocations)
 
 
@@ -211,17 +213,42 @@ def progressive_filling(net: Network, info: PathSet) -> RoutingOutcome:
     return RoutingOutcome("PF", flows, info.lengths, info.path_edges)
 
 
-def _propagatory_core(capacity: dict[Edge, int],
-                      keys_by_edge: dict[Edge, list[PathKey]],
-                      lengths: dict[PathKey, int],
-                      path_edges: dict[PathKey, tuple[Edge, ...]],
-                      f_min: int, alpha: float, beta: float) -> dict[PathKey, int]:
-    """Iterate deduction/update passes over the desired-capacity table until a
-    full pass changes nothing. ``keys_by_edge`` must only contain live paths."""
-    f_max = {key: min(capacity[e] for e in path_edges[key])
-             for key in sorted(path_edges)}
+def _propagatory_core(capacity: dict[Edge, int], kept: KeptPaths,
+                      lengths: dict[PathKey, int], f_min: int, alpha: float,
+                      beta: float) -> dict[PathKey, int]:
+    """Iterate deduction/update passes over the desired-capacity table of the
+    live paths until a full pass changes nothing.
+
+    A key has room to grow iff no edge of its path is saturated (usage >=
+    capacity). Each key keeps the count of saturated edges on its path, and
+    ``add`` updates the counts only when an edge's usage crosses its
+    capacity, so raises skip keys with a nonzero count unread.
+    """
+    keys_by_edge, groups, path_edges = kept.live_keys, kept.live_groups, kept.live_paths
+    f_max = {key: min(capacity[e] for e in edges) for key, edges in path_edges.items()}
     usage = {e: sum(f_max[key] for key in keys) for e, keys in keys_by_edge.items()}
-    edges = sorted(keys_by_edge)
+    # per live path, the number of edges on its route at or over capacity
+    blocked = dict.fromkeys(f_max, 0)
+    for e, keys in keys_by_edge.items():
+        if usage[e] >= capacity[e]:
+            for key in keys:
+                blocked[key] += 1
+    edges = list(keys_by_edge)
+    orders: dict[Edge, list[PathKey]] = {}
+    idle: dict[Edge, int] = {}
+    deductions = 0
+
+    def add(key: PathKey, delta: int) -> None:
+        """Change one desired capacity by delta units (a raise or a cut)."""
+        f_max[key] += delta
+        for e in path_edges[key]:
+            cap = capacity[e]
+            was_full = usage[e] >= cap
+            usage[e] += delta
+            if (usage[e] >= cap) != was_full:
+                step = 1 if delta > 0 else -1
+                for other in keys_by_edge[e]:
+                    blocked[other] += step
 
     def deduct(e: Edge) -> None:
         """Cut the apportioned excess (never below f_min), then the residual.
@@ -233,14 +260,12 @@ def _propagatory_core(capacity: dict[Edge, int],
         """
         keys = keys_by_edge[e]
         excess = usage[e] - capacity[e]
-        assigned = _apportion_two_stage(keys, lengths, excess, alpha, beta)
+        assigned = _apportion_two_stage(groups[e], lengths, excess, alpha, beta)
         removed = 0
         for key in keys:
             cut = min(assigned[key], f_max[key] - f_min)
             if cut > 0:
-                f_max[key] -= cut
-                for e2 in path_edges[key]:
-                    usage[e2] -= cut
+                add(key, -cut)
                 removed += cut
         need = excess - removed
         while need:
@@ -258,9 +283,7 @@ def _propagatory_core(capacity: dict[Edge, int],
                 floor = levels[1] if len(levels) > 1 else f_min
                 cut = min(top - floor, need // len(group))
             for key in group:
-                f_max[key] -= cut
-                for e2 in path_edges[key]:
-                    usage[e2] -= cut
+                add(key, -cut)
                 need -= cut
 
     def raise_paths(e: Edge) -> bool:
@@ -269,19 +292,26 @@ def _propagatory_core(capacity: dict[Edge, int],
         The rule gives one unit at a time to the first key in order whose
         edges all have room. Raises only add usage, so a key that does not
         fit never fits again, and each key in turn takes all its room at once.
+        For the same reason an edge that raised nothing raises nothing again
+        until a deduction has run, and the weight order, which depends only
+        on the edge's keys, is built the first time one of them has room.
         """
-        weights = two_stage_weights(keys_by_edge[e], lengths, alpha, beta)
-        order = sorted(weights, key=lambda k: (-weights[k], k))
+        if idle.get(e) == deductions:
+            return False
+        keys = keys_by_edge[e]
         changed = False
-        for key in order:
-            if usage[e] >= capacity[e]:
-                break
-            room = min(capacity[e2] - usage[e2] for e2 in path_edges[key])
-            if room > 0:
-                f_max[key] += room
-                for e2 in path_edges[key]:
-                    usage[e2] += room
-                changed = True
+        if not all(blocked[key] for key in keys):
+            if e not in orders:
+                weights = two_stage_weights(keys, lengths, alpha, beta)
+                orders[e] = sorted(weights, key=lambda k: (-weights[k], k))
+            for key in orders[e]:
+                if usage[e] >= capacity[e]:
+                    break
+                if not blocked[key]:
+                    add(key, min(capacity[e2] - usage[e2] for e2 in path_edges[key]))
+                    changed = True
+        if not changed:
+            idle[e] = deductions
         return changed
 
     silent = 0
@@ -291,6 +321,7 @@ def _propagatory_core(capacity: dict[Edge, int],
         for e in order:
             if usage[e] > capacity[e]:
                 deduct(e)
+                deductions += 1
                 changed = True
             elif usage[e] < capacity[e]:
                 changed = raise_paths(e)
@@ -309,20 +340,12 @@ def propagatory_update(net: Network, info: PathSet,
     longer paths deducted more, never below f_min), undersubscribed edges
     propagate freed capacity back by raising paths while every edge of the
     raised path stays within capacity."""
-    f_min = params.require_f_min()
-    caps = net.capacity_map()
-    kept, live = info.kept(params.l_max)
-    keys_by_edge = {e: [key for key in keys if key in live] for e, keys in kept.items()}
-    keys_by_edge = {e: keys for e, keys in keys_by_edge.items() if keys}
-    live_edges = {key: info.path_edges[key] for key in sorted(live)}
-    if live_edges:
-        f_max = _propagatory_core(caps, keys_by_edge, info.lengths, live_edges,
-                                  f_min, params.alpha, params.beta)
-    else:
-        f_max = {}
+    kept = info.kept(params.l_max)
+    f_max = _propagatory_core(net.capacity_map(), kept, info.lengths,
+                              params.require_f_min(), params.alpha, params.beta)
     flows = {key: f_max.get(key, 0) for key in info.path_edges}
     allocations = {e: {key: f_max[key] for key in keys}
-                   for e, keys in keys_by_edge.items()}
+                   for e, keys in kept.live_keys.items()}
     table = ScheduleTable(allocations, desired=dict(sorted(f_max.items())))
     return RoutingOutcome("PU", flows, info.lengths, info.path_edges, schedule=table)
 

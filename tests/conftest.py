@@ -17,9 +17,8 @@ from qroute.netmodel import (TOPOLOGIES, Edge, InvariantError, Network, Request,
                              build_lattice, deactivate_low_capacity_edges, sample_edge_states)
 from qroute.pathfinder import Path, PathKey, PathSet, build_path_info, edge_key, k_shortest_paths
 from qroute.purification import purify_network
-from qroute.scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams, _apportion_two_stage,
-                              compute_f_min, largest_remainder, run_algorithm,
-                              two_stage_weights)
+from qroute.scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams, compute_f_min,
+                              largest_remainder, run_algorithm)
 
 
 def abstract_network(capacity):
@@ -85,10 +84,21 @@ def assert_integer_max_min(path_edges, capacity, flows):
         assert has_bottleneck, f"path {key} lacks a bottleneck edge"
 
 
+def adjacency(net: Network) -> dict[int, list[int]]:
+    """Sorted adjacency lists over the active edges of ``net``."""
+    adj: dict[int, list[int]] = {n: [] for n in range(net.node_count)}
+    for u, v in net.active_edges():
+        adj[u].append(v)
+        adj[v].append(u)
+    for lst in adj.values():
+        lst.sort()
+    return adj
+
+
 def enumerate_loopless_paths(net, s, t):
     """Exhaustive DFS oracle: every simple s-t path over active edges,
     sorted by (length, node sequence)."""
-    adj = net.adjacency()
+    adj = adjacency(net)
     found = []
     stack = [(s, (s,))]
     while stack:
@@ -219,7 +229,7 @@ def reference_k_shortest_paths(net: Network, s: int, t: int, k: int,
         raise ValueError(f"k must be >= 1, got {k}")
     if s == t:
         raise ValueError("source and terminal must differ")
-    adj = net.adjacency()
+    adj = adjacency(net)
     first = _lex_shortest(adj, s, t)
     if first is None:
         return []
@@ -277,7 +287,8 @@ def unit_progressive_fill(path_edges, capacity):
 
 def unit_propagatory_core(capacity, keys_by_edge, lengths, path_edges, f_min, alpha,
                           beta, hits=None):
-    """Reference PU, one unit per residual deduction and per raise.
+    """Reference PU, one unit per residual deduction and per raise, over the
+    entry-based two-stage rules.
 
     ``hits`` (a Counter, optional) counts the units taken by the residual
     loop under "residual" and the units raised under "raise".
@@ -291,7 +302,8 @@ def unit_propagatory_core(capacity, keys_by_edge, lengths, path_edges, f_min, al
     def deduct(e):
         keys = keys_by_edge[e]
         excess = usage[e] - capacity[e]
-        assigned = _apportion_two_stage(keys, lengths, excess, alpha, beta)
+        assigned = reference_apportion_two_stage(key_entries(keys, lengths), excess,
+                                                 alpha, beta)
         removed = 0
         for key in keys:
             cut = min(assigned[key], f_max[key] - f_min)
@@ -312,7 +324,8 @@ def unit_propagatory_core(capacity, keys_by_edge, lengths, path_edges, f_min, al
                 hits["residual"] += 1
 
     def raise_entries(e):
-        weights = two_stage_weights(keys_by_edge[e], lengths, alpha, beta)
+        weights = reference_two_stage_weights(key_entries(keys_by_edge[e], lengths),
+                                              alpha, beta)
         order = sorted(weights, key=lambda k: (-weights[k], k))
         changed = False
         while usage[e] < capacity[e]:
@@ -347,6 +360,85 @@ def unit_propagatory_core(capacity, keys_by_edge, lengths, path_edges, f_min, al
     return f_max
 
 
+def reference_propagatory_core(capacity, keys_by_edge, lengths, path_edges, f_min,
+                               alpha, beta):
+    """Reference PU with bulk steps: the previous ``scheduler._propagatory_core``,
+    which scans every key's edges for room on every raise and recomputes
+    each edge's weight order on every raise, over the entry-based two-stage
+    rules. ``keys_by_edge`` must only contain live paths."""
+    f_max = {key: min(capacity[e] for e in path_edges[key])
+             for key in sorted(path_edges)}
+    usage = {e: sum(f_max[key] for key in keys) for e, keys in keys_by_edge.items()}
+    edges = sorted(keys_by_edge)
+
+    def deduct(e):
+        keys = keys_by_edge[e]
+        excess = usage[e] - capacity[e]
+        assigned = reference_apportion_two_stage(key_entries(keys, lengths), excess,
+                                                 alpha, beta)
+        removed = 0
+        for key in keys:
+            cut = min(assigned[key], f_max[key] - f_min)
+            if cut > 0:
+                f_max[key] -= cut
+                for e2 in path_edges[key]:
+                    usage[e2] -= cut
+                removed += cut
+        need = excess - removed
+        while need:
+            levels = sorted({f_max[key] for key in keys if f_max[key] > f_min},
+                            reverse=True)
+            if not levels:
+                raise InvariantError(
+                    f"edge {e}: {need} units of excess cannot be deducted above "
+                    f"f_min = {f_min}")
+            top = levels[0]
+            group = sorted(key for key in keys if f_max[key] == top)
+            if need < len(group):
+                group, cut = group[:need], 1
+            else:
+                floor = levels[1] if len(levels) > 1 else f_min
+                cut = min(top - floor, need // len(group))
+            for key in group:
+                f_max[key] -= cut
+                for e2 in path_edges[key]:
+                    usage[e2] -= cut
+                need -= cut
+
+    def raise_paths(e):
+        weights = reference_two_stage_weights(key_entries(keys_by_edge[e], lengths),
+                                              alpha, beta)
+        order = sorted(weights, key=lambda k: (-weights[k], k))
+        changed = False
+        for key in order:
+            if usage[e] >= capacity[e]:
+                break
+            room = min(capacity[e2] - usage[e2] for e2 in path_edges[key])
+            if room > 0:
+                f_max[key] += room
+                for e2 in path_edges[key]:
+                    usage[e2] += room
+                changed = True
+        return changed
+
+    silent = 0
+    while edges and silent < len(edges):
+        # most oversubscribed edges first; ratio recomputed each pass
+        order = sorted(edges, key=lambda e: (-usage[e] / capacity[e], e))
+        for e in order:
+            if usage[e] > capacity[e]:
+                deduct(e)
+                changed = True
+            elif usage[e] < capacity[e]:
+                changed = raise_paths(e)
+            else:
+                changed = False
+            silent = 0 if changed else silent + 1
+            if silent >= len(edges):
+                break
+    return f_max
+
+
 # ------------------------------------------------------------ entry-based H
 # Truncation and the two-stage rules as they were when H held one
 # [r, l, d, o] entry per path and edge, copied unchanged over a local entry
@@ -363,6 +455,12 @@ class Entry(NamedTuple):
     @property
     def key(self) -> PathKey:
         return (self.request_id, self.path_rank)
+
+
+def key_entries(keys: Iterable[PathKey], lengths: dict[PathKey, int]) -> list[Entry]:
+    """Entries for path keys, so the key-based callers can use the entry rules
+    (which never read ``edge_order``)."""
+    return [Entry(r, l, lengths[(r, l)], 0) for r, l in keys]
 
 
 def reference_truncate_edge_paths(entries: Sequence[Entry], l_max: int) -> list[Entry]:

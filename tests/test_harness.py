@@ -8,10 +8,9 @@ from conftest import reference_run_trial
 from qroute import harness
 from qroute.harness import (ExperimentConfig, ObjectiveWeights, RequestSpec,
                             aggregate, degrade_outcome, failure_experiment,
-                            grid_search_parameters, metric_values,
-                            objective_value, parameter_grid, prepare_trial,
-                            replicate, request_sweep, run_trial, run_trials,
-                            swap_monte_carlo, WORKERS_ENV)
+                            grid_search_parameters, objective_value, parameter_grid,
+                            prepare_trial, replicate, report_values, request_sweep,
+                            run_trial, run_trials, swap_monte_carlo, WORKERS_ENV)
 from qroute.netmodel import Request, ScenarioParams
 from qroute.reports import record_to_dict
 from qroute.scheduler import RoutingParams, RoutingOutcome
@@ -99,7 +98,8 @@ def test_replicate_single_equals_trial():
     for name in cfg.algorithms:
         for metric, (mean, stderr) in agg[name].items():
             assert stderr == 0.0
-            assert mean == pytest.approx(metric_values(records[0], name)[metric])
+            assert mean == pytest.approx(
+                report_values(records[0].results[name].report)[metric])
 
 
 def test_parallel_matches_serial(monkeypatch):

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import _lex_shortest as reference_lex_shortest
-from conftest import enumerate_loopless_paths, reference_k_shortest_paths, reference_spur_path
+from conftest import (adjacency, enumerate_loopless_paths, reference_k_shortest_paths,
+                      reference_spur_path)
 
 from qroute import pathfinder
 from qroute.netmodel import TOPOLOGIES, EdgeMasks, InvariantError, build_lattice
@@ -126,7 +127,7 @@ def test_build_path_info_empty():
     info = build_path_info([])
     assert info == {}
     assert info.path_edges == {} and info.lengths == {}
-    assert info.kept(3) == ({}, frozenset())
+    assert info.kept(3) == ({}, frozenset(), {}, {}, {}, {})
 
 
 def test_path_set_per_path_views():
@@ -153,12 +154,22 @@ def test_path_set_kept_matches_per_edge_truncation():
     info = build_path_info(paths)
     for l_max in (1, 2, 4, 20):
         assert info.kept(l_max) is info.kept(l_max)
-        kept, live = info.kept(l_max)
+        kept, live, groups, live_keys, live_groups, live_paths = info.kept(l_max)
         assert list(kept) == sorted(info)
         for e, keys in info.items():
             assert kept[e] == truncate_edge_paths(keys, info.lengths, l_max)
         assert live == {p.key for p in paths
                         if all(p.key in kept[e] for e in p.edge_keys())}
+        assert live_paths == {key: info.path_edges[key] for key in sorted(live)}
+        assert list(live_paths) == sorted(live)
+        assert live_keys == {e: [key for key in keys if key in live]
+                             for e, keys in kept.items() if set(keys) & live}
+        for view, grouped in ((kept, groups), (live_keys, live_groups)):
+            assert list(grouped) == list(view)
+            for e, keys in view.items():
+                requests = sorted({r for r, _ in keys})
+                assert grouped[e] == tuple(tuple(key for key in keys if key[0] == r)
+                                           for r in requests)
 
 
 def random_active_lattice(rng, kind, rows, cols, dead_rate):
@@ -214,7 +225,7 @@ def test_matches_reference_yen_on_benchmark_sized_lattices():
         rows, cols = (int(x) for x in rng.integers(12, 25, size=2))
         dead_rate = (0.0, 0.1, 0.3)[n // 3 % 3]
         net = random_active_lattice(rng, kind, rows, cols, dead_rate)
-        small = [c for c in components(net.adjacency()) if 4 <= len(c) <= 30]
+        small = [c for c in components(adjacency(net)) if 4 <= len(c) <= 30]
         pool = small[int(rng.integers(len(small)))] if small and n % 2 else range(net.node_count)
         s, t = (int(x) for x in rng.choice(pool, size=2, replace=False))
         k = int(rng.integers(1, 31))
@@ -325,7 +336,7 @@ def test_spur_matches_reference_spur_path_on_yen_calls(monkeypatch):
         s, t = (int(x) for x in rng.choice(net.node_count, size=2, replace=False))
         calls.clear()
         k_shortest_paths(net, s, t, 10)
-        adj = net.adjacency()
+        adj = adjacency(net)
         for u, t_, banned_nodes, banned_next, result in calls:
             assert reference_spur_path(adj, u, t_, banned_nodes, banned_next) == result
         replayed += len(calls)
@@ -353,7 +364,7 @@ def test_lawler_skips_spur_that_finds_a_candidate_twice(monkeypatch):
     # parent; B left A at index 1, so it is spurred from index 1 only and C
     # is found once, with A's deviation index.
     net = active_lattice(2, 3)
-    assert net.adjacency() == SQUARE_2x3
+    assert adjacency(net) == SQUARE_2x3
     calls = record_spur_calls(monkeypatch)
     paths = k_shortest_paths(net, 0, 5, 3)
     assert [p.nodes for p in paths] == [(0, 1, 2, 5), (0, 1, 4, 5), (0, 3, 4, 5)]

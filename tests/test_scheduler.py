@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import (Entry, abstract_network, assert_integer_max_min,
                       info_from_path_edges, line_network, random_fill_instance,
-                      reference_apportion_two_stage, reference_truncate_edge_paths,
-                      reference_two_stage_weights, unit_progressive_fill,
-                      unit_propagatory_core)
+                      reference_apportion_two_stage, reference_propagatory_core,
+                      reference_truncate_edge_paths, reference_two_stage_weights,
+                      unit_progressive_fill, unit_propagatory_core)
 
-from qroute.netmodel import InvariantError
-from qroute.pathfinder import PathSet, truncate_edge_paths
+from qroute.harness import ExperimentConfig, RequestSpec, prepare_trial
+from qroute.netmodel import TOPOLOGIES, InvariantError, ScenarioParams
+from qroute.pathfinder import PathSet, build_path_info, truncate_edge_paths
 from qroute.scheduler import (RoutingOutcome, RoutingParams, ScheduleTable,
                               _apportion_two_stage, _assert_feasible,
                               _progressive_fill, _propagatory_core,
@@ -113,21 +114,26 @@ def test_key_based_rules_match_entry_based_references():
         seen["sole"] += any(n == 1 for n in counts.values())
         seen["non-sole"] += any(n > 1 for n in counts.values())
         seen["tie"] += len(set(lengths.values())) < len(lengths)
+        seen["single request"] += len(counts) == 1
+        seen["single-key group"] += any(n == 1 for n in counts.values())
         for l_max in range(1, len(keys) + 2):
             seen["truncated"] += l_max < len(keys)
             assert truncate_edge_paths(keys, lengths, l_max) == \
                 [h.key for h in reference_truncate_edge_paths(entries, l_max)]
+        # the groups every scheduler reads: the edge's keys as PathSet.kept caches them
+        groups = one_edge(lengths).kept(len(keys)).groups[(0, 1)]
         for alpha, beta in itertools.product(exponents, exponents):
             # dict order and float bits both match, not just the values
             assert list(two_stage_weights(keys, lengths, alpha, beta).items()) == \
                 list(reference_two_stage_weights(entries, alpha, beta).items())
             total = int(rng.integers(0, 60))
+            seen["zero total"] += total == 0
             for path_exp in (-alpha, alpha):
-                assert list(_apportion_two_stage(keys, lengths, total, path_exp,
+                assert list(_apportion_two_stage(groups, lengths, total, path_exp,
                                                  beta).items()) == \
                     list(reference_apportion_two_stage(entries, total, path_exp,
                                                        beta).items())
-    assert min(seen.values()) > 0 and len(seen) == 4
+    assert min(seen.values()) > 0 and len(seen) == 7
 
 
 # ------------------------------------------------------------------ weights
@@ -352,7 +358,7 @@ def test_pu_flows_never_below_f_min_for_live_paths():
         info = info_from_path_edges(path_edges)
         p = params(l_max=l_max, f_min=f_min)
         out = propagatory_update(net, info, p)
-        _, kept = info.kept(l_max)
+        kept = info.kept(l_max).live
         for key, flow in out.flows.items():
             if key in kept:
                 assert flow >= f_min
@@ -388,7 +394,7 @@ def test_algorithms_deterministic_and_feasible(name):
 def test_ps_floor_on_fully_kept_paths():
     net, info, p = routed_instance(3)
     out = run_algorithm("PS", net, info, p)
-    _, kept = info.kept(p.l_max)
+    kept = info.kept(p.l_max).live
     for key in kept:
         assert out.flows[key] >= p.f_min
 
@@ -459,22 +465,68 @@ def test_bulk_steps_match_unit_step_oracles():
             random_schedule_instance(rng, max_cap)
         assert _progressive_fill(PathSet(path_edges, lengths), capacity) == \
             unit_progressive_fill(path_edges, capacity)
-        args = (capacity, keys_by_edge, lengths, path_edges, f_min, alpha, beta)
-        assert _propagatory_core(*args) == unit_propagatory_core(*args, hits=hits)
+        # no edge holds more keys than there are paths, so all paths are live
+        kept = PathSet(path_edges, lengths).kept(len(path_edges))
+        assert kept.live_keys == keys_by_edge
+        assert _propagatory_core(capacity, kept, lengths, f_min, alpha, beta) == \
+            unit_propagatory_core(capacity, keys_by_edge, lengths, path_edges, f_min,
+                                  alpha, beta, hits=hits)
     # both unit loops that PU replaces actually ran, so the match is not vacuous
     assert hits["residual"] > 0 and hits["raise"] > 0
+
+
+def random_routed_window(rng, kind):
+    """A prepared random window on a lattice of ``kind``: its network, its
+    PathSet and its routing parameters with f_min; None when the window is
+    degenerate."""
+    rows, cols = (int(x) for x in rng.integers(4, 11, size=2))
+    config = ExperimentConfig(
+        rows=rows, cols=cols, kind=kind,
+        scenario=ScenarioParams(c0=int(rng.choice([20, 60, 100, 1000]))),
+        routing=RoutingParams(k=int(rng.integers(1, 11)), l_max=int(rng.integers(1, 11))),
+        requests=RequestSpec(count=int(rng.integers(1, 9)), distance=None))
+    ctx = prepare_trial(config, int(rng.integers(0, 2**31)))
+    if ctx.reason is not None:
+        return None
+    return ctx.revised, build_path_info(ctx.paths), ctx.params
+
+
+def test_pu_core_matches_reference_on_random_windows():
+    rng = np.random.default_rng(1111)
+    exponents = (0.0, 0.5, 1.0, 2.0)
+    compared = Counter()
+    for n in range(90):
+        kind = TOPOLOGIES[n % len(TOPOLOGIES)]
+        window = random_routed_window(rng, kind)
+        if window is None:
+            continue
+        net, info, p = window
+        caps = net.capacity_map()
+        kept = info.kept(p.l_max)
+        # the live-only incidence as propagatory_update built it per call before
+        keys_by_edge = {e: [key for key in keys if key in kept.live]
+                        for e, keys in kept.keys.items()}
+        keys_by_edge = {e: keys for e, keys in keys_by_edge.items() if keys}
+        live_edges = {key: info.path_edges[key] for key in sorted(kept.live)}
+        for alpha, beta in itertools.product(exponents, exponents):
+            got = _propagatory_core(caps, kept, info.lengths, p.f_min, alpha, beta)
+            want = reference_propagatory_core(caps, keys_by_edge, info.lengths, live_edges,
+                                              p.f_min, alpha, beta)
+            # dict order too, since the desired table is written out as it stands
+            assert list(got.items()) == list(want.items()), (kind, n, alpha, beta)
+        compared[kind] += 1
+        compared["truncated"] += len(kept.live) < len(info.path_edges)
+    assert all(compared[kind] >= 10 for kind in TOPOLOGIES) and compared["truncated"]
 
 
 def test_uncoverable_residual_raises_invariant_error():
     # two paths share a capacity-10 edge, so 10 units must go; with f_min = 9
     # (above what production derives) only 2 can, leaving a shortfall of 8.
     # An explicit check, so it also holds under python -O
-    capacity = {(0, 1): 10}
-    keys_by_edge = {(0, 1): [(0, 0), (1, 0)]}
     lengths = {(0, 0): 1, (1, 0): 1}
-    path_edges = {(0, 0): ((0, 1),), (1, 0): ((0, 1),)}
+    info = one_edge(lengths)
     with pytest.raises(InvariantError, match=r"edge \(0, 1\): 8 units"):
-        _propagatory_core(capacity, keys_by_edge, lengths, path_edges, 9, 1.0, 1.0)
+        _propagatory_core({(0, 1): 10}, info.kept(2), lengths, 9, 1.0, 1.0)
 
 
 # ------------------------------------------------- capacity-independent work
