@@ -19,9 +19,6 @@ EXIT_USAGE = 1
 EXIT_RUNTIME = 2
 EXIT_DEGENERATE = 3
 
-LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
-
-
 class _UsageError(Exception):
     pass
 
@@ -55,8 +52,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated subset of PS,PF,PU")
     parser.add_argument("--replications", type=_positive_int,
                         help="override the replication count")
-    parser.add_argument("--log-level", default="WARNING", choices=LOG_LEVELS,
-                        help="lowest level of log records printed (default: WARNING)")
 
 
 def build_parser() -> _Parser:
@@ -223,6 +218,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -231,7 +227,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    logging.basicConfig(level=args.log_level, format="%(levelname)s %(message)s")
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, _UsageError) as exc:

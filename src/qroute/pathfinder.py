@@ -170,8 +170,6 @@ def truncate_edge_paths(keys: Sequence[PathKey], lengths: dict[PathKey, int],
 
 def request_groups(keys: Sequence[PathKey]) -> RequestGroups:
     """Keys that are already in key order, grouped by request in one pass."""
-    if keys and keys[0][0] == keys[-1][0]:
-        return (tuple(keys),)
     return tuple(tuple(group) for _, group in groupby(keys, itemgetter(0)))
 
 
@@ -181,15 +179,13 @@ class KeptPaths(NamedTuple):
 
     #: H truncated to l_max keys per edge, edges sorted
     keys: dict[Edge, list[PathKey]]
-    #: the paths kept on every edge they traverse
-    live: frozenset[PathKey]
     #: ``keys`` grouped by request
     groups: dict[Edge, RequestGroups]
     #: ``keys`` without the paths that are not live; edges left with none dropped
     live_keys: dict[Edge, list[PathKey]]
     #: ``live_keys`` grouped by request
     live_groups: dict[Edge, RequestGroups]
-    #: the edges of each live path, in key order
+    #: the paths kept on every edge they traverse, with their edges, in key order
     live_paths: dict[PathKey, tuple[Edge, ...]]
 
 
@@ -225,8 +221,7 @@ class PathSet(dict[Edge, list[PathKey]]):
                     live_keys[e], live_groups[e] = keys, groups[e]
                 elif live:
                     live_keys[e], live_groups[e] = live, request_groups(live)
-            self._kept[l_max] = KeptPaths(kept, frozenset(live_paths), groups,
-                                          live_keys, live_groups, live_paths)
+            self._kept[l_max] = KeptPaths(kept, groups, live_keys, live_groups, live_paths)
         return self._kept[l_max]
 
 

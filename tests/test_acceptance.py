@@ -78,7 +78,7 @@ def test_criterion_1_feasibility_suite():
         routable += 1
         info = build_path_info(ctx.paths)
         caps = ctx.revised.capacity_map()
-        kept = info.kept(ctx.params.l_max).live
+        kept = info.kept(ctx.params.l_max).live_paths
         for name in ALGS:
             outcome = run_algorithm(name, ctx.revised, info, ctx.params)
             for e, used in outcome.edge_usage().items():

@@ -127,7 +127,7 @@ def test_build_path_info_empty():
     info = build_path_info([])
     assert info == {}
     assert info.path_edges == {} and info.lengths == {}
-    assert info.kept(3) == ({}, frozenset(), {}, {}, {}, {})
+    assert info.kept(3) == ({}, {}, {}, {}, {})
 
 
 def test_path_set_per_path_views():
@@ -154,12 +154,11 @@ def test_path_set_kept_matches_per_edge_truncation():
     info = build_path_info(paths)
     for l_max in (1, 2, 4, 20):
         assert info.kept(l_max) is info.kept(l_max)
-        kept, live, groups, live_keys, live_groups, live_paths = info.kept(l_max)
+        kept, groups, live_keys, live_groups, live_paths = info.kept(l_max)
         assert list(kept) == sorted(info)
         for e, keys in info.items():
             assert kept[e] == truncate_edge_paths(keys, info.lengths, l_max)
-        assert live == {p.key for p in paths
-                        if all(p.key in kept[e] for e in p.edge_keys())}
+        live = {p.key for p in paths if all(p.key in kept[e] for e in p.edge_keys())}
         assert live_paths == {key: info.path_edges[key] for key in sorted(live)}
         assert list(live_paths) == sorted(live)
         assert live_keys == {e: [key for key in keys if key in live]

@@ -133,7 +133,7 @@ def check_window(config, seed):
     ctx = prepare_trial(config, seed)
     caps = ctx.revised.capacity_map()
     info = build_path_info(ctx.paths)
-    live = info.kept(ctx.params.l_max).live
+    live = info.kept(ctx.params.l_max).live_paths
     outcomes = {name: result.outcome for name, result in record.results.items()}
     for outcome in outcomes.values():
         assert all(used <= caps[e] for e, used in outcome.edge_usage().items())

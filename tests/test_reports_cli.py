@@ -223,23 +223,6 @@ def test_cli_usage_error_exit_code(tmp_path):
     assert cli.main(["frobnicate"]) == 1
 
 
-def test_cli_log_level_flag(tmp_path, capsys, monkeypatch):
-    levels = []
-    monkeypatch.setattr(cli.logging, "basicConfig",
-                        lambda **kwargs: levels.append(kwargs["level"]))
-    cfg = write_config(tmp_path, BASE_YML)
-    out_dir = tmp_path / "out"
-    assert cli.main(["run", "-c", cfg, "--out-dir", str(out_dir)]) == 0
-    assert cli.main(["run", "-c", cfg, "--out-dir", str(out_dir),
-                     "--log-level", "DEBUG"]) == 0
-    assert levels == ["WARNING", "DEBUG"]
-    capsys.readouterr()
-    assert cli.main(["replicate", "--log-level", "LOUD",
-                     "--out-dir", str(tmp_path / "bad")]) == 1
-    assert "--log-level" in capsys.readouterr().err
-    assert levels == ["WARNING", "DEBUG"] and not (tmp_path / "bad").exists()
-
-
 def test_cli_negative_seed_flag_is_a_config_error(tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert cli.main(["run", "--seed", "-1", "--out-dir", str(out_dir)]) == 1

@@ -115,7 +115,6 @@ def test_key_based_rules_match_entry_based_references():
         seen["non-sole"] += any(n > 1 for n in counts.values())
         seen["tie"] += len(set(lengths.values())) < len(lengths)
         seen["single request"] += len(counts) == 1
-        seen["single-key group"] += any(n == 1 for n in counts.values())
         for l_max in range(1, len(keys) + 2):
             seen["truncated"] += l_max < len(keys)
             assert truncate_edge_paths(keys, lengths, l_max) == \
@@ -128,6 +127,8 @@ def test_key_based_rules_match_entry_based_references():
                 list(reference_two_stage_weights(entries, alpha, beta).items())
             total = int(rng.integers(0, 60))
             seen["zero total"] += total == 0
+            # the lone-key shortcut beside other requests, with units to hand out
+            seen["single-key group"] += len(counts) > 1 and 1 in counts.values() and total > 0
             for path_exp in (-alpha, alpha):
                 assert list(_apportion_two_stage(groups, lengths, total, path_exp,
                                                  beta).items()) == \
@@ -358,7 +359,7 @@ def test_pu_flows_never_below_f_min_for_live_paths():
         info = info_from_path_edges(path_edges)
         p = params(l_max=l_max, f_min=f_min)
         out = propagatory_update(net, info, p)
-        kept = info.kept(l_max).live
+        kept = info.kept(l_max).live_paths
         for key, flow in out.flows.items():
             if key in kept:
                 assert flow >= f_min
@@ -394,7 +395,7 @@ def test_algorithms_deterministic_and_feasible(name):
 def test_ps_floor_on_fully_kept_paths():
     net, info, p = routed_instance(3)
     out = run_algorithm("PS", net, info, p)
-    kept = info.kept(p.l_max).live
+    kept = info.kept(p.l_max).live_paths
     for key in kept:
         assert out.flows[key] >= p.f_min
 
@@ -504,10 +505,10 @@ def test_pu_core_matches_reference_on_random_windows():
         caps = net.capacity_map()
         kept = info.kept(p.l_max)
         # the live-only incidence as propagatory_update built it per call before
-        keys_by_edge = {e: [key for key in keys if key in kept.live]
+        keys_by_edge = {e: [key for key in keys if key in kept.live_paths]
                         for e, keys in kept.keys.items()}
         keys_by_edge = {e: keys for e, keys in keys_by_edge.items() if keys}
-        live_edges = {key: info.path_edges[key] for key in sorted(kept.live)}
+        live_edges = {key: info.path_edges[key] for key in sorted(kept.live_paths)}
         for alpha, beta in itertools.product(exponents, exponents):
             got = _propagatory_core(caps, kept, info.lengths, p.f_min, alpha, beta)
             want = reference_propagatory_core(caps, keys_by_edge, info.lengths, live_edges,
@@ -515,7 +516,7 @@ def test_pu_core_matches_reference_on_random_windows():
             # dict order too, since the desired table is written out as it stands
             assert list(got.items()) == list(want.items()), (kind, n, alpha, beta)
         compared[kind] += 1
-        compared["truncated"] += len(kept.live) < len(info.path_edges)
+        compared["truncated"] += len(kept.live_paths) < len(info.path_edges)
     assert all(compared[kind] >= 10 for kind in TOPOLOGIES) and compared["truncated"]
 
 
