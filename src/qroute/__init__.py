@@ -6,7 +6,7 @@ from .netmodel import (Edge, InvariantError, Network, Request,
 from .purification import PurificationOutcome, pump_fidelity, purify_edge, purify_network
 from .pathfinder import (Path, PathKey, PathSet, build_path_info, k_shortest_paths,
                          truncate_edge_paths)
-from .scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams, ScheduleTable,
+from .scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams,
                         compute_f_min, flow_determination, progressive_filling,
                         propagatory_update, proportional_share, run_algorithm,
                         two_stage_weights)
@@ -25,7 +25,7 @@ __all__ = [
     "InvariantError", "MetricsReport", "Network", "ObjectiveWeights", "Path",
     "PathKey", "PathSet", "PurificationOutcome", "Request",
     "RequestSpec", "RoutingOutcome", "RoutingParams", "ScenarioParams",
-    "ScheduleTable", "TrialRecord", "build_lattice",
+    "TrialRecord", "build_lattice",
     "build_path_info", "compute_f_min", "deactivate_low_capacity_edges",
     "evaluate", "evaluate_demand", "failure_experiment", "flow_determination",
     "generate_requests", "grid_search_parameters", "inject_failures",

@@ -2,6 +2,8 @@
 per-field provenance."""
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Any
 
@@ -180,6 +182,17 @@ def config_from_mapping(doc: dict, lines: dict[str, int] | None = None,
             v[key] = value
 
     rows, cols, pairs = v["rows"], v["cols"], v["pairs"]
+    # The largest raw weight is B**|x| (B: the most hops of a loopless path for
+    # alpha, the largest request group on an edge for beta); up to l_max are
+    # summed, and a rule multiplies one by at most l_max * c0 units.
+    l_max = max(grid.get("l_max", (v["l_max"],)))
+    headroom = math.log(sys.float_info.max) - 2 * math.log(l_max) - math.log(v["c0"])
+    for key, base in (("alpha", rows * cols - 1), ("beta", l_max)):
+        for x in grid.get(key, (v[key],)):
+            if abs(x) * math.log(base) > headroom:
+                _fail(f"routing.{key}", lines,
+                      f"value {x} overflows the weights: {base}**{abs(x)} * "
+                      f"l_max**2 * c0 is beyond the float range")
     if pairs is not None:
         p = "requests.pairs"
         if (not isinstance(pairs, list) or not pairs

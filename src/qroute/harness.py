@@ -71,7 +71,6 @@ class NetworkSummary:
     active_edges: int
     min_capacity: int
     max_capacity: int
-    f_min: int
 
 
 @dataclass
@@ -163,12 +162,11 @@ def _warn_uncovered(count: int, units: str) -> None:
                        count, units)
 
 
-def _summarize(net: Network, f_min: int) -> NetworkSummary:
+def _summarize(net: Network) -> NetworkSummary:
     caps = net.capacity_map().values()
     return NetworkSummary(
         total_edges=len(net.edges), active_edges=len(caps),
-        min_capacity=min(caps, default=0), max_capacity=max(caps, default=0),
-        f_min=f_min)
+        min_capacity=min(caps, default=0), max_capacity=max(caps, default=0))
 
 
 def route_window(ctx: TrialContext, points: Sequence[RoutingParams],
@@ -182,7 +180,7 @@ def route_window(ctx: TrialContext, points: Sequence[RoutingParams],
     and the outcomes of one k share its PathSet. A degenerate context gives
     zero reports with its reason.
     """
-    summary = _summarize(ctx.revised, ctx.params.f_min)
+    summary = _summarize(ctx.revised)
     infos: dict[int, PathSet] = {}
     fills: dict[int, AlgorithmResult] = {}  # PF's result per k
     records = []

@@ -9,7 +9,7 @@ from typing import Sequence
 from .harness import AlgorithmResult, NetworkSummary, TrialRecord, report_values
 from .metrics import MetricsReport
 from .netmodel import Network, Request, node_label, node_xy
-from .scheduler import RoutingOutcome, RoutingParams, ScheduleTable
+from .scheduler import RoutingOutcome, RoutingParams
 
 TRIAL_COLUMNS = ("seed", "algorithm", "k", "l_max", "alpha", "beta",
                  "F", "F_min", "U_ave", "U_var", "gamma", "J_req", "J_path",
@@ -99,37 +99,27 @@ def _decode_edge(text: str) -> tuple[int, int]:
 
 
 def outcome_to_dict(outcome: RoutingOutcome) -> dict:
-    """Flows and schedule; the paths are written once per record."""
+    """Flows, and PS's allocations; the paths are written once per record."""
     data = {
         "algorithm": outcome.algorithm,
         "flows": {_encode_pathkey(k): v for k, v in sorted(outcome.flows.items())},
     }
-    if outcome.schedule is not None:
-        data["schedule"] = {
-            "allocations": {_encode_edge(e): {_encode_pathkey(k): v
-                                              for k, v in sorted(alloc.items())}
-                            for e, alloc in sorted(outcome.schedule.allocations.items())},
-            "desired": None if outcome.schedule.desired is None else
-                       {_encode_pathkey(k): v
-                        for k, v in sorted(outcome.schedule.desired.items())},
-        }
+    if outcome.allocations is not None:
+        data["allocations"] = {_encode_edge(e): {_encode_pathkey(k): v
+                                                 for k, v in sorted(alloc.items())}
+                               for e, alloc in sorted(outcome.allocations.items())}
     return data
 
 
 def outcome_from_dict(data: dict, lengths: dict, path_edges: dict) -> RoutingOutcome:
-    schedule = None
-    if "schedule" in data:
-        raw = data["schedule"]
-        schedule = ScheduleTable(
-            allocations={_decode_edge(e): {_decode_pathkey(k): v
-                                           for k, v in alloc.items()}
-                         for e, alloc in raw["allocations"].items()},
-            desired=None if raw["desired"] is None else
-                    {_decode_pathkey(k): v for k, v in raw["desired"].items()})
+    allocations = None
+    if "allocations" in data:
+        allocations = {_decode_edge(e): {_decode_pathkey(k): v for k, v in alloc.items()}
+                       for e, alloc in data["allocations"].items()}
     return RoutingOutcome(
         algorithm=data["algorithm"],
         flows={_decode_pathkey(k): v for k, v in data["flows"].items()},
-        lengths=lengths, path_edges=path_edges, schedule=schedule)
+        lengths=lengths, path_edges=path_edges, allocations=allocations)
 
 
 def report_to_dict(report: MetricsReport) -> dict:

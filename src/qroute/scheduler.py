@@ -3,7 +3,7 @@ filling (PF), propagatory update (PU), and the short-board flow determination.""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -36,22 +36,15 @@ class RoutingParams:
 
 
 @dataclass
-class ScheduleTable:
-    """PS/PU per-edge, per-path allocated capacities; PU also keeps the desired table."""
-
-    allocations: dict[Edge, dict[PathKey, int]]
-    desired: dict[PathKey, int] | None = None
-
-
-@dataclass
 class RoutingOutcome:
-    """Integer flows per path plus the bookkeeping metrics need."""
+    """Integer flows per path plus the bookkeeping metrics need, and PS's
+    per-edge allocations (PF's and PU's tables are their flows)."""
 
     algorithm: str
     flows: dict[PathKey, int]
     lengths: dict[PathKey, int]
     path_edges: dict[PathKey, tuple[Edge, ...]]
-    schedule: ScheduleTable | None = field(default=None, compare=False)
+    allocations: dict[Edge, dict[PathKey, int]] | None = None
 
     def request_ids(self) -> list[int]:
         return sorted({r for r, _ in self.flows})
@@ -147,7 +140,7 @@ def _apportion_two_stage(groups: RequestGroups, lengths: dict[PathKey, int],
 
 
 def proportional_share(net: Network, info: PathSet,
-                       params: RoutingParams) -> ScheduleTable:
+                       params: RoutingParams) -> dict[Edge, dict[PathKey, int]]:
     """Edge-local allocation: every kept path gets the f_min floor, the rest
     of the capacity is split by the two-stage proportional rule."""
     f_min = params.require_f_min()
@@ -162,14 +155,15 @@ def proportional_share(net: Network, info: PathSet,
         extra = _apportion_two_stage(kept.groups[e], info.lengths, spare,
                                      -params.alpha, params.beta)
         allocations[e] = {key: f_min + extra[key] for key in keys}
-    return ScheduleTable(allocations)
+    return allocations
 
 
-def flow_determination(table: ScheduleTable, info: PathSet) -> RoutingOutcome:
+def flow_determination(allocations: dict[Edge, dict[PathKey, int]],
+                       info: PathSet) -> RoutingOutcome:
     """Short-board constraint: a path's flow is its minimum per-edge allocation."""
-    flows = {key: min(table.allocations.get(e, {}).get(key, 0) for e in edges)
+    flows = {key: min(allocations.get(e, {}).get(key, 0) for e in edges)
              for key, edges in info.path_edges.items()}
-    return RoutingOutcome("PS", flows, info.lengths, info.path_edges, schedule=table)
+    return RoutingOutcome("PS", flows, info.lengths, info.path_edges, allocations)
 
 
 def _progressive_fill(info: PathSet, capacity: dict[Edge, int]) -> dict[PathKey, int]:
@@ -340,14 +334,10 @@ def propagatory_update(net: Network, info: PathSet,
     longer paths deducted more, never below f_min), undersubscribed edges
     propagate freed capacity back by raising paths while every edge of the
     raised path stays within capacity."""
-    kept = info.kept(params.l_max)
-    f_max = _propagatory_core(net.capacity_map(), kept, info.lengths,
+    f_max = _propagatory_core(net.capacity_map(), info.kept(params.l_max), info.lengths,
                               params.require_f_min(), params.alpha, params.beta)
     flows = {key: f_max.get(key, 0) for key in info.path_edges}
-    allocations = {e: {key: f_max[key] for key in keys}
-                   for e, keys in kept.live_keys.items()}
-    table = ScheduleTable(allocations, desired=dict(sorted(f_max.items())))
-    return RoutingOutcome("PU", flows, info.lengths, info.path_edges, schedule=table)
+    return RoutingOutcome("PU", flows, info.lengths, info.path_edges)
 
 
 def run_algorithm(name: str, net: Network, info: PathSet,

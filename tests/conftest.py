@@ -601,7 +601,7 @@ def reference_zero_results(algorithms: Sequence[str], requests: Sequence[Request
 def reference_run_trial(config: ExperimentConfig, seed: int) -> TrialRecord:
     """One full processing window, Steps 0-5, on a paired realized network."""
     ctx = reference_prepare_trial(config, seed)
-    summary = _summarize(ctx.revised, ctx.params.f_min or 0)
+    summary = _summarize(ctx.revised)
     if ctx.reason is not None:
         results = reference_zero_results(config.algorithms, ctx.requests, ctx.reason)
         return TrialRecord(seed, ctx.params, ctx.requests, summary, results,

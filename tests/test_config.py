@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from conftest import reference_config_from_mapping
+from qroute import cli
 from qroute.config import (_RULES, ConfigError, _Number, apply_overrides,
                            config_from_mapping, load_config)
 from qroute.harness import ExperimentConfig
@@ -134,6 +135,49 @@ def test_negative_seed_rejected(tmp_path):
     with pytest.raises(ConfigError, match="experiment.base_seed"):
         apply_overrides(load_config(None), seed=-1)
     assert apply_overrides(load_config(None), seed=0).base_seed == 0
+
+
+BASELINE = ROOT / "configs" / "baseline.yml"
+
+
+def _baseline_with(tmp_path, key: str, value: str) -> str:
+    """configs/baseline.yml with one routing key set to ``value``."""
+    text = BASELINE.read_text()
+    assert f"\n  {key}: 1.0\n" in text
+    return write(tmp_path, text.replace(f"\n  {key}: 1.0\n", f"\n  {key}: {value}\n"))
+
+
+@pytest.mark.parametrize("key, value", [("alpha", "1000"), ("alpha", "-1000"),
+                                        ("beta", "1000"), ("alpha", "[0.5, 1000, 2.0]")])
+def test_overflowing_weight_exponent_exits_1_with_key_and_line(tmp_path, capsys, key, value):
+    cfg = _baseline_with(tmp_path, key, value)
+    line = 1 + BASELINE.read_text().splitlines().index(f"  {key}: 1.0")
+    assert cli.main(["run", "-c", cfg, "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"routing.{key}: value " in err and f"(line {line})" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [("alpha", "100"), ("alpha", "-100"),
+                                        ("beta", "100"), ("beta", "-100")])
+def test_large_weight_exponent_within_the_bound_still_routes(tmp_path, key, value):
+    cfg = _baseline_with(tmp_path, key, value)
+    assert cli.main(["run", "-c", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+
+
+def test_weight_exponent_bound_derives_from_the_config():
+    # 8x8 lattice, c0 = 100: |x| * log(B) <= log(max float) - 2 log(l_max) - log(c0),
+    # with B = 63 for alpha and B = l_max for beta, l_max the grid's largest
+    config_from_mapping({"routing": {"alpha": 169}})
+    with pytest.raises(ConfigError, match="routing.alpha: value -170.0"):
+        config_from_mapping({"routing": {"alpha": -170}})
+    config_from_mapping({"routing": {"l_max": 10, "beta": 304}})
+    with pytest.raises(ConfigError, match="routing.beta: value 305.0"):
+        config_from_mapping({"routing": {"l_max": [2, 10], "beta": [1, 305]}})
+    config_from_mapping({"routing": {"l_max": 2, "beta": 305}})
+    # a larger c0 leaves less room
+    with pytest.raises(ConfigError, match="routing.alpha"):
+        config_from_mapping({"scenario": {"c0": 10**30}, "routing": {"alpha": 169}})
 
 
 def _outside(rule: _Number, side: str):

@@ -13,7 +13,7 @@ from qroute.harness import (ExperimentConfig, RequestSpec, grid_search_parameter
                             prepare_trial, run_trial)
 from qroute.netmodel import TOPOLOGIES, ScenarioParams, build_lattice
 from qroute.pathfinder import build_path_info, k_shortest_paths
-from qroute.reports import record_from_dict, record_to_dict, trial_rows
+from qroute.reports import record_from_dict, record_to_dict
 from qroute.scheduler import RoutingParams
 
 
@@ -127,7 +127,7 @@ def windows(draw):
 def check_window(config, seed):
     """Assert every schedule invariant on one window; returns its reason."""
     record = run_trial(config, seed)
-    assert trial_rows([record_from_dict(record_to_dict(record))]) == trial_rows([record])
+    assert record_from_dict(record_to_dict(record)) == record
     if record.reason is not None:
         return record.reason
     ctx = prepare_trial(config, seed)
@@ -139,6 +139,8 @@ def check_window(config, seed):
         assert all(used <= caps[e] for e, used in outcome.edge_usage().items())
     for name in ("PS", "PU"):
         assert all(outcomes[name].flows[key] >= ctx.params.f_min for key in live)
+    # PU's table holds only the live paths; every other path carries nothing
+    assert all(flow == 0 for key, flow in outcomes["PU"].flows.items() if key not in live)
     assert_integer_max_min(info.path_edges, caps, outcomes["PF"].flows)
     return None
 

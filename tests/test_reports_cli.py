@@ -67,8 +67,8 @@ def test_record_json_roundtrip(tmp_path):
     data = payload["records"][0]
     assert len(data["paths"]["path_edges"]) == len(record.results["PS"].outcome.flows)
     for name, res in data["results"].items():
-        assert set(res["outcome"]) <= {"algorithm", "flows", "schedule"}
-        assert ("schedule" in res["outcome"]) == (name != "PF")
+        assert set(res["outcome"]) <= {"algorithm", "flows", "allocations"}
+        assert ("allocations" in res["outcome"]) == (name == "PS")
 
 
 def test_record_dict_roundtrip_degenerate():
@@ -323,7 +323,7 @@ PINNED_DIGESTS = {
     "sweep.csv": "c2049647ad6b95ba4c62c436565a94228bc7201033cc1ac75121e4a306bb0ad5",
     "requests.csv": "78b072e28539ba0da6d0ebdc6e7961d543e26c227becea434c8c2aac1b51c523",
     "failures.csv": "0ec34cbff911bb7a971b635db336d7aa5ef210af7861e94a781be6daf96c0b1b",
-    "trial.json": "1d05bad8fc0796397070656bdbffb02d9e29c54b1ca080ad72db8adfeba45cef",
+    "trial.json": "57a69d4d91bc1c0c5dcd0ce041cb10cde6c06d7f6c926285596cc69b213ab577",
     "traffic_PS.json": "90eb4e0aaeb757cbfd55d1b562da97df836661739578fc5fa479614b6217fdca",
     "traffic_PF.json": "83da183b32a0050781c6a29e7ec09714c0e9627b2fbda0fd62169003a23c6b1d",
     "traffic_PU.json": "e83f6d90811c507e4601cc89f60c853524b2f05257991963395e0a742386f429",

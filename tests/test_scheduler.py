@@ -15,7 +15,7 @@ from conftest import (Entry, abstract_network, assert_integer_max_min,
 from qroute.harness import ExperimentConfig, RequestSpec, prepare_trial
 from qroute.netmodel import TOPOLOGIES, InvariantError, ScenarioParams
 from qroute.pathfinder import PathSet, build_path_info, truncate_edge_paths
-from qroute.scheduler import (RoutingOutcome, RoutingParams, ScheduleTable,
+from qroute.scheduler import (RoutingOutcome, RoutingParams,
                               _apportion_two_stage, _assert_feasible,
                               _progressive_fill, _propagatory_core,
                               compute_f_min, flow_determination,
@@ -198,29 +198,29 @@ def test_proportional_share_worked_example():
     # floors 1,1,1 then 7 spare units apportioned 3.5/1.75/1.75 stage-wise
     net, _ = abstract_instance([10], {(0, 0): [0]})
     info = one_edge({(0, 0): 4, (1, 0): 4, (1, 1): 6})
-    table = proportional_share(net, info, params())
-    assert table.allocations[(0, 1)] == {(0, 0): 5, (1, 0): 3, (1, 1): 2}
+    allocations = proportional_share(net, info, params())
+    assert allocations[(0, 1)] == {(0, 0): 5, (1, 0): 3, (1, 1): 2}
 
 
 def test_proportional_share_sole_claimant():
     net = line_network([8])
     info = one_edge({(0, 0): 3})
-    table = proportional_share(net, info, params())
-    assert table.allocations[(0, 1)] == {(0, 0): 8}
+    allocations = proportional_share(net, info, params())
+    assert allocations[(0, 1)] == {(0, 0): 8}
 
 
 def test_proportional_share_tie_broken_by_rank():
     net = line_network([9])
     info = one_edge({(0, 0): 4, (0, 1): 4})
-    table = proportional_share(net, info, params())
-    assert table.allocations[(0, 1)] == {(0, 0): 5, (0, 1): 4}
+    allocations = proportional_share(net, info, params())
+    assert allocations[(0, 1)] == {(0, 0): 5, (0, 1): 4}
 
 
 def test_proportional_share_respects_capacity():
     net = line_network([10])
     info = one_edge({(r, 0): 5 for r in range(4)})
-    table = proportional_share(net, info, params(alpha=1.5, beta=0.7))
-    assert sum(table.allocations[(0, 1)].values()) == 10
+    allocations = proportional_share(net, info, params(alpha=1.5, beta=0.7))
+    assert sum(allocations[(0, 1)].values()) == 10
 
 
 def test_proportional_share_rejects_floor_above_capacity():
@@ -232,9 +232,8 @@ def test_proportional_share_rejects_floor_above_capacity():
 
 def test_flow_determination_short_board():
     _, info = abstract_instance([10, 10, 10], {(0, 0): [0, 1, 2]})
-    table = ScheduleTable({(0, 1): {(0, 0): 4}, (2, 3): {(0, 0): 6},
-                           (4, 5): {(0, 0): 3}})
-    outcome = flow_determination(table, info)
+    allocations = {(0, 1): {(0, 0): 4}, (2, 3): {(0, 0): 6}, (4, 5): {(0, 0): 3}}
+    outcome = flow_determination(allocations, info)
     assert outcome.flows[(0, 0)] == 3
 
 
@@ -414,23 +413,32 @@ def test_unknown_algorithm_rejected():
         run_algorithm("RR", net, info, p)
 
 
+def pu_table(outcome, info, l_max):
+    """PU's per-edge table, rebuilt from its flows: each live kept edge holds
+    the flow of every live path crossing it."""
+    return {e: {key: outcome.flows[key] for key in keys}
+            for e, keys in info.kept(l_max).live_keys.items()}
+
+
 def test_schedule_table_allocations_within_capacity():
     net, info, p = routed_instance(8)
-    table = proportional_share(net, info, p)
+    allocations = proportional_share(net, info, p)
     caps = net.capacity_map()
-    for e, alloc in table.allocations.items():
+    for e, alloc in allocations.items():
         assert sum(alloc.values()) <= caps[e]
-    assert progressive_filling(net, info).schedule is None
+    assert progressive_filling(net, info).allocations is None
     pu = propagatory_update(net, info, p)
-    for e, alloc in pu.schedule.allocations.items():
+    assert pu.allocations is None
+    table = pu_table(pu, info, p.l_max)
+    for e, alloc in table.items():
         assert sum(alloc.values()) <= caps[e]
-    assert pu.schedule.desired is not None
+    assert table
 
 
 def test_flow_equals_floor_when_all_allocations_at_floor():
     _, info = abstract_instance([10, 10], {(0, 0): [0, 1]})
-    table = ScheduleTable({(0, 1): {(0, 0): 2}, (2, 3): {(0, 0): 2}})
-    assert flow_determination(table, info).flows[(0, 0)] == 2
+    allocations = {(0, 1): {(0, 0): 2}, (2, 3): {(0, 0): 2}}
+    assert flow_determination(allocations, info).flows[(0, 0)] == 2
 
 
 # ------------------------------------------------- unit-step oracles, bulk code
@@ -513,7 +521,7 @@ def test_pu_core_matches_reference_on_random_windows():
             got = _propagatory_core(caps, kept, info.lengths, p.f_min, alpha, beta)
             want = reference_propagatory_core(caps, keys_by_edge, info.lengths, live_edges,
                                               p.f_min, alpha, beta)
-            # dict order too, since the desired table is written out as it stands
+            # dict order too, so the core stays a drop-in for the reference
             assert list(got.items()) == list(want.items()), (kind, n, alpha, beta)
         compared[kind] += 1
         compared["truncated"] += len(kept.live_paths) < len(info.path_edges)
@@ -554,9 +562,10 @@ def test_pu_raise_of_millions_of_units_hand_computed():
     # is raised by 1.5M units
     net, info = abstract_instance([12_000_000, 6_000_000],
                                   {(0, 0): [0, 1], (1, 0): [0], (2, 0): [1]})
-    out = propagatory_update(net, info, params(alpha=1.0, beta=1.0))
+    p = params(alpha=1.0, beta=1.0)
+    out = propagatory_update(net, info, p)
     assert out.flows == {(0, 0): 1_500_000, (1, 0): 10_500_000, (2, 0): 4_500_000}
-    assert out.schedule.allocations == {
+    assert pu_table(out, info, p.l_max) == {
         (0, 1): {(0, 0): 1_500_000, (1, 0): 10_500_000},
         (2, 3): {(0, 0): 1_500_000, (2, 0): 4_500_000}}
 
