@@ -7,7 +7,7 @@ from .purification import PurificationOutcome, pump_fidelity, purify_edge, purif
 from .pathfinder import (Path, PathKey, PathSet, build_path_info, k_shortest_paths,
                          truncate_edge_paths)
 from .scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams,
-                        compute_f_min, flow_determination, progressive_filling,
+                        compute_f_min, progressive_filling,
                         propagatory_update, proportional_share, run_algorithm,
                         two_stage_weights)
 from .metrics import MetricsReport, evaluate, jain_paths, jain_requests, min_flow
@@ -27,7 +27,7 @@ __all__ = [
     "RequestSpec", "RoutingOutcome", "RoutingParams", "ScenarioParams",
     "TrialRecord", "build_lattice",
     "build_path_info", "compute_f_min", "deactivate_low_capacity_edges",
-    "evaluate", "evaluate_demand", "failure_experiment", "flow_determination",
+    "evaluate", "evaluate_demand", "failure_experiment",
     "generate_requests", "grid_search_parameters", "inject_failures",
     "jain_paths", "jain_requests", "k_shortest_paths", "load_config",
     "min_flow", "progressive_filling", "propagatory_update",

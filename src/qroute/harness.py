@@ -191,13 +191,14 @@ def route_window(ctx: TrialContext, points: Sequence[RoutingParams],
         results: dict[str, AlgorithmResult] = {}
         for name in algorithms:
             if ctx.reason is not None:
-                results[name] = AlgorithmResult(RoutingOutcome(name, {}, {}, {}),
+                results[name] = AlgorithmResult(RoutingOutcome(name, {}, PathSet({}, {})),
                                                 zero_report(ctx.requests, ctx.reason))
             elif name == "PF" and point.k in fills:
                 results[name] = fills[point.k]
             else:
                 if point.k not in infos:
-                    infos[point.k] = build_path_info(p for p in ctx.paths if p.rank < point.k)
+                    infos[point.k] = build_path_info(
+                        (p for p in ctx.paths if p.rank < point.k), point.l_max)
                 t0 = time.perf_counter()
                 outcome = run_algorithm(name, ctx.revised, infos[point.k], params)
                 dt = time.perf_counter() - t0
@@ -207,6 +208,9 @@ def route_window(ctx: TrialContext, points: Sequence[RoutingParams],
                     fills[point.k] = results[name]
         records.append(TrialRecord(ctx.seed, params, ctx.requests, summary, results,
                                    ctx.stage_seconds, ctx.reason))
+    # the records keep their PathSets; the truncated views were only for routing
+    for info in infos.values():
+        info.release_views()
     return records
 
 
@@ -445,8 +449,9 @@ def degrade_outcome(outcome: RoutingOutcome,
     broadcast, so flow on broken virtual circuits is lost while intact paths
     keep their allocation.
     """
-    flows = {key: (0 if any(e in dead_edges for e in outcome.path_edges[key]) else f)
-             for key, f in outcome.flows.items()}
+    dead = [e in dead_edges for e in outcome.paths.edges]
+    flows = {key: (0 if any(dead[e] for e in ids) else f)
+             for (key, f), ids in zip(outcome.flows.items(), outcome.paths.edge_ids)}
     return replace(outcome, flows=flows)
 
 
@@ -570,11 +575,11 @@ def swap_monte_carlo(outcome: RoutingOutcome, requests: Sequence[Request],
         raise ValueError(f"trials must be >= 1, got {trials}")
     weights = {r.id: r.weight for r in requests}
     totals = np.zeros(trials)
-    for (r, l), flow in sorted(outcome.flows.items()):
+    for ((r, _), flow), d in zip(outcome.flows.items(), outcome.paths.lengths):
         if flow <= 0:
             continue
         survivors = np.full(trials, flow, dtype=np.int64)
-        for _ in range(outcome.lengths[(r, l)] - 1):
+        for _ in range(d - 1):
             survivors = rng.binomial(survivors, p_in)
         totals += weights[r] * survivors
     estimate = float(totals.mean())

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,22 +29,70 @@ class MetricsReport:
     flags: tuple[str, ...] = field(default_factory=tuple)
 
 
+class FlowTally(NamedTuple):
+    """What the measures read of an outcome's flows, from one pass over them
+    in key order. Per-request dicts follow the order of the weights passed in,
+    except ``stretch``, which follows the flows."""
+
+    #: per request: its total flow
+    flow: dict[int, int]
+    #: per request: w_r * sum_l f^{r,l} * p_in^(d-1), 0 when pathless
+    terms: dict[int, float]
+    #: per request carrying flow: its flow-weighted path length over its shortest
+    stretch: dict[int, float]
+    #: per path: w_r * f, and (w_r f)^2 computed as w_r**2 * f * f
+    shares: list[float]
+    squares: list[float]
+
+
+def tally(outcome: RoutingOutcome, weights: dict[int, float], p_in: float) -> FlowTally:
+    """One pass over the flows, in key order (so each request's paths are
+    consecutive and its first path is its shortest). ``weights`` maps every
+    request of the flows to w_r."""
+    flow = dict.fromkeys(weights, 0)
+    terms = dict.fromkeys(weights, 0.0)
+    stretch: dict[int, float] = {}
+    shares: list[float] = []
+    squares: list[float] = []
+    current = shortest = total = weighted = None
+    for ((r, _), f), d in zip(outcome.flows.items(), outcome.paths.lengths):
+        if r != current:
+            if total:
+                stretch[current] = weighted / (shortest * total)
+            current, shortest, total, weighted = r, d, 0, 0
+        w = weights[r]
+        shares.append(w * f)
+        squares.append(w ** 2 * f * f)
+        if f > 0:
+            flow[r] += f
+            terms[r] += w * f * p_in ** (d - 1)
+            total += f
+            weighted += f * d
+    if total:
+        stretch[current] = weighted / (shortest * total)
+    return FlowTally(flow, terms, stretch, shares, squares)
+
+
+def _weights(requests: Sequence[Request], required: bool = False) -> dict[int, float]:
+    if required and not requests:
+        raise ValueError("at least one request is required")
+    return {r.id: r.weight for r in requests}
+
+
+def _check_p_in(p_in: float) -> None:
+    if not 0.0 <= p_in <= 1.0:
+        raise ValueError(f"p_in must be in [0, 1], got {p_in}")
+
+
 def per_request_throughput(outcome: RoutingOutcome, requests: Sequence[Request],
                            p_in: float) -> dict[int, float]:
     """w_r * sum_l f^{r,l} * p_in^(d-1) for every request (0 when pathless)."""
-    terms = {r.id: 0.0 for r in requests}
-    weights = {r.id: r.weight for r in requests}
-    for (r, l), flow in outcome.flows.items():
-        if flow > 0:
-            d = outcome.lengths[(r, l)]
-            terms[r] += weights[r] * flow * p_in ** (d - 1)
-    return terms
+    return tally(outcome, _weights(requests), p_in).terms
 
 
 def throughput(outcome: RoutingOutcome, requests: Sequence[Request],
                p_in: float) -> float:
-    if not 0.0 <= p_in <= 1.0:
-        raise ValueError(f"p_in must be in [0, 1], got {p_in}")
+    _check_p_in(p_in)
     return sum(per_request_throughput(outcome, requests, p_in).values())
 
 
@@ -55,90 +103,97 @@ def min_flow(outcome: RoutingOutcome, requests: Sequence[Request],
 
 def utilization_stats(outcome: RoutingOutcome,
                       net: Network) -> tuple[dict[Edge, float], float, float, bool]:
-    """Utilization per utilized edge plus population mean/variance.
+    """Utilization per utilized edge, sorted by edge, plus population
+    mean/variance.
 
     Edges carrying zero flow are excluded; returns (u, 0, 0, True) when no
     edge is utilized.
     """
     caps = net.capacity_map()
-    usage = outcome.edge_usage()
-    u = {e: used / caps[e] for e, used in usage.items() if used > 0}
+    u = {e: used / caps[e] for e, used in zip(outcome.paths.edges, outcome.usage) if used > 0}
     if not u:
         return {}, 0.0, 0.0, True
     values = np.fromiter(u.values(), dtype=float)
     return u, float(values.mean()), float(values.var()), False
 
 
+def _stretch(t: FlowTally) -> tuple[dict[int, float], float, bool]:
+    if not t.stretch:
+        return {}, 0.0, True
+    return t.stretch, float(np.mean(list(t.stretch.values()))), False
+
+
 def stretch_factor(outcome: RoutingOutcome) -> tuple[dict[int, float], float, bool]:
     """Flow-weighted path length over the shortest length, per request and
     averaged; zero-flow requests are excluded, and an all-zero outcome is
     reported as (-, 0, flagged)."""
-    per_request: dict[int, float] = {}
-    for r in outcome.request_ids():
-        total = weighted = 0
-        for (rid, l), flow in outcome.flows.items():
-            if rid == r and flow > 0:
-                total += flow
-                weighted += flow * outcome.lengths[(rid, l)]
-        if total > 0:
-            per_request[r] = weighted / (outcome.lengths[(r, 0)] * total)
-    if not per_request:
-        return {}, 0.0, True
-    return per_request, float(np.mean(list(per_request.values()))), False
+    return _stretch(tally(outcome, {r: 1.0 for r, _ in outcome.flows}, 1.0))
+
+
+def _jain_requests(t: FlowTally, weights: dict[int, float],
+                   n_requests: int) -> tuple[float, bool]:
+    shares = [w * t.flow[r] for r, w in weights.items()]
+    denom = n_requests * sum(s * s for s in shares)
+    if denom == 0:
+        return 0.0, True
+    return sum(shares) ** 2 / denom, False
 
 
 def jain_requests(outcome: RoutingOutcome, requests: Sequence[Request]) -> tuple[float, bool]:
     """Jain's index over weighted per-request flows; 0/0 reported as (0, flagged)."""
-    if not requests:
-        raise ValueError("at least one request is required")
-    shares = [r.weight * outcome.request_flow(r.id) for r in requests]
-    denom = len(requests) * sum(s * s for s in shares)
-    if denom == 0:
-        return 0.0, True
-    return sum(shares) ** 2 / denom, False
+    weights = _weights(requests, required=True)
+    return _jain_requests(tally(outcome, weights, 1.0), weights, len(requests))
+
+
+def _jain_paths(t: FlowTally, n_requests: int) -> tuple[float, float, bool]:
+    numer = sum(t.shares) ** 2
+    sq = sum(t.squares)
+    if sq == 0:
+        return 0.0, 0.0, True
+    n_paths = len(t.shares)
+    return numer / (n_requests * sq), numer / (n_paths * sq), False
 
 
 def jain_paths(outcome: RoutingOutcome,
                requests: Sequence[Request]) -> tuple[float, float, bool]:
     """Per-path fairness, as printed (|R| normalizer, may exceed 1) and a
     normalized variant dividing by the total number of enumerated paths."""
-    if not requests:
-        raise ValueError("at least one request is required")
-    weights = {r.id: r.weight for r in requests}
-    numer = sum(weights[r] * f for (r, _), f in outcome.flows.items()) ** 2
-    sq = sum(weights[r] ** 2 * f * f for (r, _), f in outcome.flows.items())
-    if sq == 0:
-        return 0.0, 0.0, True
-    n_paths = len(outcome.flows)
-    return numer / (len(requests) * sq), numer / (n_paths * sq), False
+    return _jain_paths(tally(outcome, _weights(requests, required=True), 1.0), len(requests))
+
+
+def _demand(t: FlowTally, requests: Sequence[Request]) -> dict[int, bool]:
+    return {r.id: t.flow[r.id] >= r.demand for r in requests}
 
 
 def evaluate_demand(outcome: RoutingOutcome,
                     requests: Sequence[Request]) -> dict[int, bool]:
     """Satisfied iff the realized aggregate flow covers the demand."""
-    return {r.id: outcome.request_flow(r.id) >= r.demand for r in requests}
+    return _demand(tally(outcome, _weights(requests), 1.0), requests)
 
 
 def evaluate(outcome: RoutingOutcome, net: Network, requests: Sequence[Request],
              p_in: float) -> MetricsReport:
+    weights = _weights(requests, required=True)
+    _check_p_in(p_in)
+    t = tally(outcome, weights, p_in)
     flags: list[str] = []
     u, u_ave, u_var, no_traffic = utilization_stats(outcome, net)
     if no_traffic:
         flags.append("no_traffic")
-    per_req_stretch, stretch, stretch_undef = stretch_factor(outcome)
+    per_req_stretch, stretch, stretch_undef = _stretch(t)
     if stretch_undef:
         flags.append("stretch_undefined")
-    j_req, j_req_undef = jain_requests(outcome, requests)
+    j_req, j_req_undef = _jain_requests(t, weights, len(requests))
     if j_req_undef:
         flags.append("jain_req_undefined")
-    j_path, j_path_norm, j_path_undef = jain_paths(outcome, requests)
+    j_path, j_path_norm, j_path_undef = _jain_paths(t, len(requests))
     if j_path_undef:
         flags.append("jain_path_undefined")
     elif j_path > 1.0:
         flags.append("jain_path_above_one")
     return MetricsReport(
-        throughput=throughput(outcome, requests, p_in),
-        min_flow=min_flow(outcome, requests, p_in),
+        throughput=sum(t.terms.values()),
+        min_flow=min(t.terms.values()),
         utilization=u,
         u_ave=u_ave,
         u_var=u_var,
@@ -147,7 +202,7 @@ def evaluate(outcome: RoutingOutcome, net: Network, requests: Sequence[Request],
         jain_requests=j_req,
         jain_paths=j_path,
         jain_paths_normalized=j_path_norm,
-        demand_satisfied=evaluate_demand(outcome, requests),
+        demand_satisfied=_demand(t, requests),
         flags=tuple(flags),
     )
 

@@ -1,20 +1,19 @@
 """Loopless k-shortest-path enumeration (unit hop weights) and the per-edge
-path information set."""
+path information set over dense path and edge ids."""
 from __future__ import annotations
 
 import heapq
 from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
-from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .netmodel import Edge, EdgeMasks, InvariantError, Network
 
 #: (request_id, path rank) identifies one enumerated path
 PathKey = tuple[int, int]
-#: one edge's keys grouped by request: a tuple of keys per request, in key order
-RequestGroups = tuple[tuple[PathKey, ...], ...]
+#: one edge's path ids grouped by request: a tuple of ids per request, in id order
+RequestGroups = tuple[tuple[int, ...], ...]
 
 
 def edge_key(a: int, b: int) -> Edge:
@@ -38,7 +37,7 @@ class Path:
         return (self.request_id, self.rank)
 
     def edge_keys(self) -> tuple[Edge, ...]:
-        return tuple(edge_key(a, b) for a, b in zip(self.nodes, self.nodes[1:]))
+        return tuple(map(edge_key, self.nodes, self.nodes[1:]))
 
 
 def _spur_path(masks: EdgeMasks, root: tuple[int, ...], t: int, banned: int = 0,
@@ -146,21 +145,23 @@ def k_shortest_paths(net: Network, s: int, t: int, k: int,
     return [Path(request_id, rank, nodes) for rank, nodes in enumerate(accepted)]
 
 
-def truncate_edge_paths(keys: Sequence[PathKey], lengths: dict[PathKey, int],
-                        l_max: int) -> list[PathKey]:
-    """Keep at most l_max of one edge's path keys, preferring short paths.
+def truncate_edge_paths(ids: list[int], request_of: Sequence[int],
+                        lengths: Sequence[int], l_max: int) -> list[int]:
+    """Keep at most l_max of one edge's path ids (ascending), preferring
+    short paths; ``ids`` itself when it holds no more than l_max.
 
-    A path that is its request's only path on this edge is kept
-    unconditionally, evicting the longest non-sole paths instead; if sole
-    paths alone exceed l_max the shortest of them win. Ties in length go to
-    the smaller key. Result is sorted by key.
+    ``request_of`` and ``lengths`` are indexed by path id, and ids are
+    numbered in key order. A path that is its request's only path on this
+    edge is kept unconditionally, evicting the longest non-sole paths
+    instead; if sole paths alone exceed l_max the shortest of them win. Ties
+    in length go to the smaller id. Result is ascending.
     """
-    if len(keys) <= l_max:
-        return sorted(keys)
-    counts = Counter(r for r, _ in keys)
-    priority = lambda key: (lengths[key], key)
-    soles = sorted((key for key in keys if counts[key[0]] == 1), key=priority)
-    others = sorted((key for key in keys if counts[key[0]] > 1), key=priority)
+    if len(ids) <= l_max:
+        return ids
+    counts = Counter(request_of[p] for p in ids)
+    priority = lambda p: (lengths[p], p)
+    soles = sorted((p for p in ids if counts[request_of[p]] == 1), key=priority)
+    others = sorted((p for p in ids if counts[request_of[p]] > 1), key=priority)
     if len(soles) >= l_max:
         kept = soles[:l_max]
     else:
@@ -168,65 +169,114 @@ def truncate_edge_paths(keys: Sequence[PathKey], lengths: dict[PathKey, int],
     return sorted(kept)
 
 
-def request_groups(keys: Sequence[PathKey]) -> RequestGroups:
-    """Keys that are already in key order, grouped by request in one pass."""
-    return tuple(tuple(group) for _, group in groupby(keys, itemgetter(0)))
+def request_groups(ids: Sequence[int], request_of: Sequence[int]) -> RequestGroups:
+    """Path ids that are already in id order, grouped by request in one pass
+    (``request_of`` gives each id's request)."""
+    return tuple([tuple(group) for _, group in groupby(ids, request_of.__getitem__)])
 
 
 class KeptPaths(NamedTuple):
-    """What the schedulers read of a PathSet at one l_max. It depends on
-    nothing else, so ``PathSet.kept`` builds it once per l_max."""
+    """What the schedulers read of a PathSet at one l_max, as path and edge
+    ids. It depends on nothing else, so ``PathSet.kept`` builds it once per
+    l_max. Per-edge fields are indexed by edge id."""
 
-    #: H truncated to l_max keys per edge, edges sorted
-    keys: dict[Edge, list[PathKey]]
+    #: per edge, the ids of the paths kept there (H truncated to l_max keys)
+    keys: list[list[int]]
     #: ``keys`` grouped by request
-    groups: dict[Edge, RequestGroups]
-    #: ``keys`` without the paths that are not live; edges left with none dropped
-    live_keys: dict[Edge, list[PathKey]]
+    groups: list[RequestGroups]
+    #: per edge, ``keys`` without the paths that are not live (empty where none)
+    live_keys: list[list[int]]
     #: ``live_keys`` grouped by request
-    live_groups: dict[Edge, RequestGroups]
-    #: the paths kept on every edge they traverse, with their edges, in key order
-    live_paths: dict[PathKey, tuple[Edge, ...]]
+    live_groups: list[RequestGroups]
+    #: ids of the live paths, which are kept on every edge they traverse
+    live_paths: list[int]
+    #: ids of the edges that carry a live path
+    live_edges: list[int]
 
 
-class PathSet(dict[Edge, list[PathKey]]):
-    """One window's paths, built once: H (this mapping, edge -> keys of the
-    paths crossing it, in key order) plus the per-path views, keyed in key
-    order, that every scheduler, the metrics and the trial record share."""
+class PathSet:
+    """One window's paths, built once and shared by every scheduler, the
+    metrics and the trial record.
+
+    Paths are numbered 0..P-1 in key order and the edges they cross 0..E-1 in
+    sorted order; the schedulers and metrics work on these ids alone.
+    ``path_edges`` keeps the keyed form for records and exports.
+    """
 
     def __init__(self, path_edges: dict[PathKey, tuple[Edge, ...]],
                  lengths: dict[PathKey, int]) -> None:
-        super().__init__()
+        #: path key -> its edges, in key order
         self.path_edges = dict(sorted(path_edges.items()))
-        self.lengths = {key: lengths[key] for key in self.path_edges}
+        #: path id -> key
+        self.keys = tuple(self.path_edges)
+        #: path id -> length in hops
+        self.lengths = [lengths[key] for key in self.keys]
+        #: edge id -> edge, sorted
+        self.edges = tuple(sorted({e for edges in self.path_edges.values() for e in edges}))
+        index = {e: i for i, e in enumerate(self.edges)}
+        #: path id -> the ids of the edges it traverses, in path order
+        self.edge_ids = [tuple(map(index.__getitem__, edges))
+                         for edges in self.path_edges.values()]
+        # H: edge id -> the ids of the paths crossing it, ascending
+        self._incidence: list[list[int]] = [[] for _ in self.edges]
+        for p, ids in enumerate(self.edge_ids):
+            for e in ids:
+                self._incidence[e].append(p)
         self._kept: dict[int, KeptPaths] = {}
-        for key, edges in self.path_edges.items():
-            for e in edges:
-                self.setdefault(e, []).append(key)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PathSet):
+            return NotImplemented
+        return self.path_edges == other.path_edges and self.lengths == other.lengths
+
+    def values(self) -> list[list[int]]:
+        """H: per edge id, the ids of the paths crossing it, ascending."""
+        return self._incidence
+
+    def capacities(self, net: Network) -> list[int]:
+        """The capacity of every edge, by edge id; each must be active in
+        ``net``, as on the network the paths were found on."""
+        caps = net.capacity_map()
+        return [caps[e] for e in self.edges]
+
+    def release_views(self) -> None:
+        """Drop the cached ``kept`` views; a later call builds them again."""
+        self._kept.clear()
 
     def kept(self, l_max: int) -> KeptPaths:
         """H truncated to l_max keys per edge and the views derived from it;
         computed once per l_max."""
         if l_max not in self._kept:
-            kept = {e: truncate_edge_paths(self[e], self.lengths, l_max) for e in sorted(self)}
-            times_kept = Counter(key for keys in kept.values() for key in keys)
-            live_paths = {key: edges for key, edges in self.path_edges.items()
-                          if times_kept[key] == len(edges)}
-            groups = {e: request_groups(keys) for e, keys in kept.items()}
-            live_keys: dict[Edge, list[PathKey]] = {}
-            live_groups: dict[Edge, RequestGroups] = {}
-            for e, keys in kept.items():
-                live = [key for key in keys if key in live_paths]
-                if len(live) == len(keys):
-                    live_keys[e], live_groups[e] = keys, groups[e]
-                elif live:
-                    live_keys[e], live_groups[e] = live, request_groups(live)
-            self._kept[l_max] = KeptPaths(kept, groups, live_keys, live_groups, live_paths)
+            request_of = [r for r, _ in self.keys]
+            kept = [truncate_edge_paths(ids, request_of, self.lengths, l_max)
+                    for ids in self._incidence]
+            times_kept = [0] * len(request_of)
+            for ids in kept:
+                for p in ids:
+                    times_kept[p] += 1
+            live = [n == len(ids) for n, ids in zip(times_kept, self.edge_ids)]
+            groups = [request_groups(ids, request_of) for ids in kept]
+            live_keys: list[list[int]] = []
+            live_groups: list[RequestGroups] = []
+            live_edges: list[int] = []
+            for e, (ids, grouped) in enumerate(zip(kept, groups)):
+                ok = [p for p in ids if live[p]]
+                if len(ok) < len(ids):
+                    ids, grouped = ok, request_groups(ok, request_of)
+                live_keys.append(ids)
+                live_groups.append(grouped)
+                if ids:
+                    live_edges.append(e)
+            live_paths = [p for p, ok in enumerate(live) if ok]
+            self._kept[l_max] = KeptPaths(kept, groups, live_keys, live_groups,
+                                          live_paths, live_edges)
         return self._kept[l_max]
 
 
-def build_path_info(paths: Iterable[Path]) -> PathSet:
-    """Assemble H: the key of every path under each edge it traverses."""
+def build_path_info(paths: Iterable[Path], l_max: int) -> PathSet:
+    """Assemble the window's PathSet, with its ``kept(l_max)`` view built
+    before it returns, so that its cost counts as path information."""
     paths = list(paths)
-    return PathSet({p.key: p.edge_keys() for p in paths},
-                   {p.key: p.length for p in paths})
+    info = PathSet({p.key: p.edge_keys() for p in paths}, {p.key: p.length for p in paths})
+    info.kept(l_max)
+    return info

@@ -9,6 +9,7 @@ from typing import Sequence
 from .harness import AlgorithmResult, NetworkSummary, TrialRecord, report_values
 from .metrics import MetricsReport
 from .netmodel import Network, Request, node_label, node_xy
+from .pathfinder import PathSet
 from .scheduler import RoutingOutcome, RoutingParams
 
 TRIAL_COLUMNS = ("seed", "algorithm", "k", "l_max", "alpha", "beta",
@@ -111,7 +112,7 @@ def outcome_to_dict(outcome: RoutingOutcome) -> dict:
     return data
 
 
-def outcome_from_dict(data: dict, lengths: dict, path_edges: dict) -> RoutingOutcome:
+def outcome_from_dict(data: dict, paths: PathSet) -> RoutingOutcome:
     allocations = None
     if "allocations" in data:
         allocations = {_decode_edge(e): {_decode_pathkey(k): v for k, v in alloc.items()}
@@ -119,7 +120,7 @@ def outcome_from_dict(data: dict, lengths: dict, path_edges: dict) -> RoutingOut
     return RoutingOutcome(
         algorithm=data["algorithm"],
         flows={_decode_pathkey(k): v for k, v in data["flows"].items()},
-        lengths=lengths, path_edges=path_edges, allocations=allocations)
+        paths=paths, allocations=allocations)
 
 
 def report_to_dict(report: MetricsReport) -> dict:
@@ -157,7 +158,7 @@ def report_from_dict(data: dict) -> MetricsReport:
 
 def record_to_dict(record: TrialRecord) -> dict:
     # a record's outcomes share one path set, so its paths are written once
-    shared = next(iter(record.results.values())).outcome
+    paths = next(iter(record.results.values())).outcome.paths
     return {
         "seed": record.seed,
         "params": {"k": record.params.k, "l_max": record.params.l_max,
@@ -168,9 +169,9 @@ def record_to_dict(record: TrialRecord) -> dict:
                      for r in record.requests],
         "network": vars(record.network).copy(),
         "paths": {
-            "lengths": {_encode_pathkey(k): v for k, v in sorted(shared.lengths.items())},
+            "lengths": {_encode_pathkey(k): v for k, v in zip(paths.keys, paths.lengths)},
             "path_edges": {_encode_pathkey(k): [_encode_edge(e) for e in edges]
-                           for k, edges in sorted(shared.path_edges.items())},
+                           for k, edges in paths.path_edges.items()},
         },
         "results": {name: {"outcome": outcome_to_dict(res.outcome),
                            "report": report_to_dict(res.report),
@@ -182,16 +183,15 @@ def record_to_dict(record: TrialRecord) -> dict:
 
 
 def record_from_dict(data: dict) -> TrialRecord:
-    lengths = {_decode_pathkey(k): v for k, v in data["paths"]["lengths"].items()}
-    path_edges = {_decode_pathkey(k): tuple(_decode_edge(e) for e in edges)
-                  for k, edges in data["paths"]["path_edges"].items()}
+    paths = PathSet({_decode_pathkey(k): tuple(_decode_edge(e) for e in edges)
+                     for k, edges in data["paths"]["path_edges"].items()},
+                    {_decode_pathkey(k): v for k, v in data["paths"]["lengths"].items()})
     return TrialRecord(
         seed=data["seed"],
         params=RoutingParams(**data["params"]),
         requests=tuple(Request(**r) for r in data["requests"]),
         network=NetworkSummary(**data["network"]),
-        results={name: AlgorithmResult(outcome_from_dict(res["outcome"], lengths,
-                                                         path_edges),
+        results={name: AlgorithmResult(outcome_from_dict(res["outcome"], paths),
                                        report_from_dict(res["report"]),
                                        res["schedule_seconds"])
                  for name, res in data["results"].items()},
@@ -220,10 +220,10 @@ def read_records_json(path: str) -> list[TrialRecord]:
 def _edge_traffic(outcome: RoutingOutcome, net: Network) -> list[dict]:
     usage = outcome.edge_usage()
     breakdown: dict[tuple[int, int], dict[str, int]] = {}
-    for key, flow in sorted(outcome.flows.items()):
+    for (key, flow), edges in zip(outcome.flows.items(), outcome.path_edges.values()):
         if flow <= 0:
             continue
-        for e in outcome.path_edges[key]:
+        for e in edges:
             breakdown.setdefault(e, {})[_encode_pathkey(key)] = flow
     rows = []
     for e, capacity, active in zip(net.edges, net.capacity, net.active):

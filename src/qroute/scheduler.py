@@ -8,7 +8,7 @@ from functools import cached_property
 from typing import Sequence
 
 from .netmodel import Edge, InvariantError, Network
-from .pathfinder import KeptPaths, PathKey, PathSet, RequestGroups, request_groups
+from .pathfinder import KeptPaths, PathKey, PathSet, RequestGroups
 
 ALGORITHMS = ("PS", "PF", "PU")
 
@@ -37,35 +37,44 @@ class RoutingParams:
 
 @dataclass
 class RoutingOutcome:
-    """Integer flows per path plus the bookkeeping metrics need, and PS's
-    per-edge allocations (PF's and PU's tables are their flows)."""
+    """Integer flows per path, over the PathSet they were scheduled on, and
+    PS's per-edge allocations (PF's and PU's tables are their flows).
+
+    ``flows`` holds every path of ``paths`` in key order, so its values line
+    up with path ids.
+    """
 
     algorithm: str
     flows: dict[PathKey, int]
-    lengths: dict[PathKey, int]
-    path_edges: dict[PathKey, tuple[Edge, ...]]
+    paths: PathSet
     allocations: dict[Edge, dict[PathKey, int]] | None = None
 
-    def request_ids(self) -> list[int]:
-        return sorted({r for r, _ in self.flows})
+    def __post_init__(self) -> None:
+        if tuple(self.flows) != self.paths.keys:
+            raise ValueError("flows must hold every path of the PathSet, in key order")
 
-    def request_flow(self, request_id: int) -> int:
-        return sum(f for (r, _), f in self.flows.items() if r == request_id)
+    @property
+    def path_edges(self) -> dict[PathKey, tuple[Edge, ...]]:
+        return self.paths.path_edges
+
+    @cached_property
+    def usage(self) -> list[int]:
+        """Flow per edge id; computed once per outcome, so callers must not
+        mutate it (or ``flows``) afterwards."""
+        usage = [0] * len(self.paths.edges)
+        for flow, ids in zip(self.flows.values(), self.paths.edge_ids):
+            if flow > 0:
+                for e in ids:
+                    usage[e] += flow
+        return usage
 
     def edge_usage(self) -> dict[Edge, int]:
-        """Flow per utilized edge, sorted by edge; computed once per outcome,
-        so callers must not mutate it (or ``flows``) afterwards."""
+        """Flow per utilized edge, sorted by edge; built once per outcome."""
         return self._edge_usage
 
     @cached_property
     def _edge_usage(self) -> dict[Edge, int]:
-        usage: dict[Edge, int] = {}
-        for key, flow in self.flows.items():
-            if flow <= 0:
-                continue
-            for e in self.path_edges[key]:
-                usage[e] = usage.get(e, 0) + flow
-        return dict(sorted(usage.items()))
+        return {e: used for e, used in zip(self.paths.edges, self.usage) if used}
 
 
 def compute_f_min(net: Network, l_max: int) -> int:
@@ -79,21 +88,20 @@ def compute_f_min(net: Network, l_max: int) -> int:
     return min(caps) // l_max
 
 
-def two_stage_weights(keys: Sequence[PathKey], lengths: dict[PathKey, int],
-                      alpha: float, beta: float) -> dict[PathKey, float]:
-    """Real-valued per-path weights: request share ~ n_r^beta, then within a
-    request shorter paths take more (share ~ d^-alpha). Weights sum to 1."""
-    if not keys:
+def two_stage_weights(groups: RequestGroups, lengths: Sequence[float],
+                      alpha: float, beta: float) -> list[float]:
+    """Real-valued per-path weights over one edge's path ids grouped by
+    request, in group order: request share ~ n_r^beta, then within a request
+    shorter paths take more (share ~ d^-alpha). Weights sum to 1."""
+    if not groups:
         raise ValueError("empty key list")
-    groups = request_groups(sorted(keys))
     request_raw = [float(len(group)) ** beta for group in groups]
     request_total = sum(request_raw)
-    weights: dict[PathKey, float] = {}
+    weights: list[float] = []
     for group, r_raw in zip(groups, request_raw):
-        path_raw = [float(lengths[key]) ** -alpha for key in group]
+        path_raw = [float(lengths[p]) ** -alpha for p in group]
         path_total = sum(path_raw)
-        for key, raw in zip(group, path_raw):
-            weights[key] = (r_raw / request_total) * (raw / path_total)
+        weights.extend((r_raw / request_total) * (raw / path_total) for raw in path_raw)
     return weights
 
 
@@ -103,20 +111,20 @@ def largest_remainder(quotas: Sequence[float], total: int) -> list[int]:
     short = total - sum(base)
     if not 0 <= short <= len(base):
         raise InvariantError(f"quotas {list(quotas)} do not sum to total {total}")
-    order = sorted(range(len(base)), key=lambda i: (base[i] - quotas[i], i))
-    for i in order[:short]:
-        base[i] += 1
+    if short:
+        for _, i in sorted([(b - q, i) for i, (b, q) in enumerate(zip(base, quotas))])[:short]:
+            base[i] += 1
     return base
 
 
-def _apportion_two_stage(groups: RequestGroups, lengths: dict[PathKey, int],
-                         total: int, path_exp: float, beta: float) -> dict[PathKey, int]:
-    """Stage-wise integer apportionment over one edge's keys grouped by
-    request: units go to requests by n_r^beta (ties by request id), then
-    within each request by d^path_exp (ties by rank).
+def _apportion_two_stage(groups: RequestGroups, lengths: Sequence[float],
+                         total: int, path_exp: float, beta: float) -> list[int]:
+    """Stage-wise integer apportionment over one edge's path ids grouped by
+    request, in group order: units go to requests by n_r^beta (ties by
+    request id), then within each request by d^path_exp (ties by rank).
 
     A single quota gets all units from ``largest_remainder``, so a lone
-    request or a lone key takes them without computing weights.
+    request or a lone path takes them without computing weights.
     """
     if len(groups) == 1:
         request_units = [total]
@@ -125,49 +133,47 @@ def _apportion_two_stage(groups: RequestGroups, lengths: dict[PathKey, int],
         raw_total = sum(request_raw)
         request_units = largest_remainder(
             [total * w / raw_total for w in request_raw], total)
-    shares: dict[PathKey, int] = {}
+    shares: list[int] = []
     for group, units in zip(groups, request_units):
         if len(group) == 1:
-            shares[group[0]] = units
+            shares.append(units)
             continue
-        path_raw = [float(lengths[key]) ** path_exp for key in group]
+        path_raw = [float(lengths[p]) ** path_exp for p in group]
         path_total = sum(path_raw)
-        path_units = largest_remainder(
-            [units * w / path_total for w in path_raw], units)
-        for key, x in zip(group, path_units):
-            shares[key] = x
+        shares.extend(largest_remainder([units * w / path_total for w in path_raw], units))
     return shares
 
 
-def proportional_share(net: Network, info: PathSet,
-                       params: RoutingParams) -> dict[Edge, dict[PathKey, int]]:
+def proportional_share(net: Network, info: PathSet, params: RoutingParams) -> RoutingOutcome:
     """Edge-local allocation: every kept path gets the f_min floor, the rest
-    of the capacity is split by the two-stage proportional rule."""
+    of the capacity is split by the two-stage proportional rule. A path's
+    flow is its smallest allocation (the short-board constraint), and 0 when
+    it is not kept on every edge it crosses."""
     f_min = params.require_f_min()
-    caps = net.capacity_map()
+    caps = info.capacities(net)
     kept = info.kept(params.l_max)
+    keys, lengths = info.keys, info.lengths
+    flows = [0] * len(keys)
+    for p in kept.live_paths:
+        flows[p] = math.inf
     allocations: dict[Edge, dict[PathKey, int]] = {}
-    for e, keys in kept.keys.items():
-        spare = caps[e] - f_min * len(keys)
+    for e, (ids, groups) in enumerate(zip(kept.keys, kept.groups)):
+        spare = caps[e] - f_min * len(ids)
         if spare < 0:
             raise InvariantError(
-                f"edge {e} kept below l_max * f_min; was Step 1 skipped?")
-        extra = _apportion_two_stage(kept.groups[e], info.lengths, spare,
-                                     -params.alpha, params.beta)
-        allocations[e] = {key: f_min + extra[key] for key in keys}
-    return allocations
+                f"edge {info.edges[e]} kept below l_max * f_min; was Step 1 skipped?")
+        extra = _apportion_two_stage(groups, lengths, spare, -params.alpha, params.beta)
+        alloc = allocations[info.edges[e]] = {}
+        for p, x in zip(ids, extra):
+            alloc[keys[p]] = share = f_min + x
+            if share < flows[p]:
+                flows[p] = share
+    return RoutingOutcome("PS", dict(zip(keys, flows)), info, allocations)
 
 
-def flow_determination(allocations: dict[Edge, dict[PathKey, int]],
-                       info: PathSet) -> RoutingOutcome:
-    """Short-board constraint: a path's flow is its minimum per-edge allocation."""
-    flows = {key: min(allocations.get(e, {}).get(key, 0) for e in edges)
-             for key, edges in info.path_edges.items()}
-    return RoutingOutcome("PS", flows, info.lengths, info.path_edges, allocations)
-
-
-def _progressive_fill(info: PathSet, capacity: dict[Edge, int]) -> dict[PathKey, int]:
-    """Progressive filling with integer saturation, one freeze event at a time.
+def _progressive_fill(info: PathSet, capacity: Sequence[int]) -> list[int]:
+    """Progressive filling with integer saturation, one freeze event at a
+    time; flows by path id, ``capacity`` by edge id.
 
     The defining rule runs in rounds: before each round, any edge whose slack
     is below its active-path count saturates and freezes those paths (the
@@ -175,67 +181,73 @@ def _progressive_fill(info: PathSet, capacity: dict[Edge, int]) -> dict[PathKey,
     all gain one unit. Between two freeze events the rounds only repeat, and
     the next event comes after ``min_e floor(slack_e / n_active_e)`` rounds,
     so this jumps there at once and gives the same flows as the round-by-round
-    rule in at most #paths + 1 steps.
+    rule in at most #paths + 1 steps. Every active path holds the same flow,
+    the number of rounds so far, so a path's flow is that count when it freezes.
     """
-    path_edges = info.path_edges
-    flows = dict.fromkeys(path_edges, 0)
-    usage = dict.fromkeys(info, 0)
-    n_active = {e: len(keys) for e, keys in info.items()}
-    active = set(flows)
-    while active:
-        frozen = {key for e, keys in info.items()
-                  if capacity[e] - usage[e] < n_active[e]
-                  for key in keys if key in active}
-        active -= frozen
-        for key in frozen:
-            for e in path_edges[key]:
-                n_active[e] -= 1
+    path_edges, on_edge = info.edge_ids, info.values()
+    flows = [0] * len(path_edges)
+    slack = list(capacity)
+    n_active = [len(ids) for ids in on_edge]
+    active = [True] * len(path_edges)
+    left = len(path_edges)
+    level = 0
+    while left:
+        frozen = [p for e, n in enumerate(n_active) if slack[e] < n
+                  for p in on_edge[e] if active[p]]
+        for p in frozen:
+            if active[p]:
+                active[p] = False
+                flows[p] = level
+                left -= 1
+                for e in path_edges[p]:
+                    n_active[e] -= 1
         # every edge still carrying active paths has slack >= n_active here
-        rounds = min(((capacity[e] - usage[e]) // n for e, n in n_active.items() if n),
-                     default=0)
-        for key in active:
-            flows[key] += rounds
-            for e in path_edges[key]:
-                usage[e] += rounds
+        rounds = min((slack[e] // n for e, n in enumerate(n_active) if n), default=0)
+        level += rounds
+        for e, n in enumerate(n_active):
+            if n:
+                slack[e] -= rounds * n
     return flows
 
 
 def progressive_filling(net: Network, info: PathSet) -> RoutingOutcome:
     """Round-based water filling over all enumerated paths (no truncation,
     no f_min); the short-board constraint is built in."""
-    flows = _progressive_fill(info, net.capacity_map())
-    return RoutingOutcome("PF", flows, info.lengths, info.path_edges)
+    flows = _progressive_fill(info, info.capacities(net))
+    return RoutingOutcome("PF", dict(zip(info.keys, flows)), info)
 
 
-def _propagatory_core(capacity: dict[Edge, int], kept: KeptPaths,
-                      lengths: dict[PathKey, int], f_min: int, alpha: float,
-                      beta: float) -> dict[PathKey, int]:
+def _propagatory_core(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
+                      f_min: int, alpha: float, beta: float) -> list[int]:
     """Iterate deduction/update passes over the desired-capacity table of the
-    live paths until a full pass changes nothing.
+    live paths until a full pass changes nothing; desired capacities by path
+    id (0 off the live paths), ``capacity`` by edge id.
 
-    A key has room to grow iff no edge of its path is saturated (usage >=
-    capacity). Each key keeps the count of saturated edges on its path, and
+    A path has room to grow iff no edge of its route is saturated (usage >=
+    capacity). Each path keeps the count of saturated edges on its route, and
     ``add`` updates the counts only when an edge's usage crosses its
-    capacity, so raises skip keys with a nonzero count unread.
+    capacity, so raises skip paths with a nonzero count unread.
     """
-    keys_by_edge, groups, path_edges = kept.live_keys, kept.live_groups, kept.live_paths
-    f_max = {key: min(capacity[e] for e in edges) for key, edges in path_edges.items()}
-    usage = {e: sum(f_max[key] for key in keys) for e, keys in keys_by_edge.items()}
-    # per live path, the number of edges on its route at or over capacity
-    blocked = dict.fromkeys(f_max, 0)
-    for e, keys in keys_by_edge.items():
+    path_edges, lengths = info.edge_ids, info.lengths
+    keys_by_edge, groups, edges = kept.live_keys, kept.live_groups, kept.live_edges
+    f_max = [0] * len(path_edges)
+    for p in kept.live_paths:
+        f_max[p] = min(capacity[e] for e in path_edges[p])
+    usage = [sum(f_max[p] for p in ids) for ids in keys_by_edge]
+    # per path, the number of edges on its route at or over capacity
+    blocked = [0] * len(path_edges)
+    for e in edges:
         if usage[e] >= capacity[e]:
-            for key in keys:
-                blocked[key] += 1
-    edges = list(keys_by_edge)
-    orders: dict[Edge, list[PathKey]] = {}
-    idle: dict[Edge, int] = {}
+            for p in keys_by_edge[e]:
+                blocked[p] += 1
+    orders: dict[int, list[int]] = {}
+    idle = [-1] * len(capacity)
     deductions = 0
 
-    def add(key: PathKey, delta: int) -> None:
+    def add(p: int, delta: int) -> None:
         """Change one desired capacity by delta units (a raise or a cut)."""
-        f_max[key] += delta
-        for e in path_edges[key]:
+        f_max[p] += delta
+        for e in path_edges[p]:
             cap = capacity[e]
             was_full = usage[e] >= cap
             usage[e] += delta
@@ -244,65 +256,64 @@ def _propagatory_core(capacity: dict[Edge, int], kept: KeptPaths,
                 for other in keys_by_edge[e]:
                     blocked[other] += step
 
-    def deduct(e: Edge) -> None:
+    def deduct(e: int) -> None:
         """Cut the apportioned excess (never below f_min), then the residual.
 
         The residual rule takes one unit at a time from the largest desired
-        capacity, ties to the smallest key: a group tied at the top loses one
-        unit each in key order, round after round, until it meets the next
+        capacity, ties to the smallest id: a group tied at the top loses one
+        unit each in id order, round after round, until it meets the next
         level down. So whole rounds are taken at once, then what is left.
         """
-        keys = keys_by_edge[e]
+        ids = keys_by_edge[e]
         excess = usage[e] - capacity[e]
-        assigned = _apportion_two_stage(groups[e], lengths, excess, alpha, beta)
         removed = 0
-        for key in keys:
-            cut = min(assigned[key], f_max[key] - f_min)
+        for p, assigned in zip(ids, _apportion_two_stage(groups[e], lengths, excess,
+                                                          alpha, beta)):
+            cut = min(assigned, f_max[p] - f_min)
             if cut > 0:
-                add(key, -cut)
+                add(p, -cut)
                 removed += cut
         need = excess - removed
         while need:
-            levels = sorted({f_max[key] for key in keys if f_max[key] > f_min},
-                            reverse=True)
+            levels = sorted({f_max[p] for p in ids if f_max[p] > f_min}, reverse=True)
             if not levels:
                 raise InvariantError(
-                    f"edge {e}: {need} units of excess cannot be deducted above "
-                    f"f_min = {f_min}")
+                    f"edge {info.edges[e]}: {need} units of excess cannot be deducted "
+                    f"above f_min = {f_min}")
             top = levels[0]
-            group = sorted(key for key in keys if f_max[key] == top)
+            group = [p for p in ids if f_max[p] == top]
             if need < len(group):
                 group, cut = group[:need], 1
             else:
                 floor = levels[1] if len(levels) > 1 else f_min
                 cut = min(top - floor, need // len(group))
-            for key in group:
-                add(key, -cut)
+            for p in group:
+                add(p, -cut)
                 need -= cut
 
-    def raise_paths(e: Edge) -> bool:
+    def raise_paths(e: int) -> bool:
         """Hand free units of e to its paths, heaviest weight first.
 
-        The rule gives one unit at a time to the first key in order whose
-        edges all have room. Raises only add usage, so a key that does not
-        fit never fits again, and each key in turn takes all its room at once.
+        The rule gives one unit at a time to the first path in order whose
+        edges all have room. Raises only add usage, so a path that does not
+        fit never fits again, and each path in turn takes all its room at once.
         For the same reason an edge that raised nothing raises nothing again
         until a deduction has run, and the weight order, which depends only
-        on the edge's keys, is built the first time one of them has room.
+        on the edge's paths, is built the first time one of them has room.
         """
-        if idle.get(e) == deductions:
+        if idle[e] == deductions:
             return False
-        keys = keys_by_edge[e]
+        ids = keys_by_edge[e]
         changed = False
-        if not all(blocked[key] for key in keys):
+        if not all(blocked[p] for p in ids):
             if e not in orders:
-                weights = two_stage_weights(keys, lengths, alpha, beta)
-                orders[e] = sorted(weights, key=lambda k: (-weights[k], k))
-            for key in orders[e]:
+                weights = two_stage_weights(groups[e], lengths, alpha, beta)
+                orders[e] = [p for _, p in sorted(zip([-w for w in weights], ids))]
+            for p in orders[e]:
                 if usage[e] >= capacity[e]:
                     break
-                if not blocked[key]:
-                    add(key, min(capacity[e2] - usage[e2] for e2 in path_edges[key]))
+                if not blocked[p]:
+                    add(p, min(capacity[e2] - usage[e2] for e2 in path_edges[p]))
                     changed = True
         if not changed:
             idle[e] = deductions
@@ -334,16 +345,15 @@ def propagatory_update(net: Network, info: PathSet,
     longer paths deducted more, never below f_min), undersubscribed edges
     propagate freed capacity back by raising paths while every edge of the
     raised path stays within capacity."""
-    f_max = _propagatory_core(net.capacity_map(), info.kept(params.l_max), info.lengths,
+    f_max = _propagatory_core(info, info.kept(params.l_max), info.capacities(net),
                               params.require_f_min(), params.alpha, params.beta)
-    flows = {key: f_max.get(key, 0) for key in info.path_edges}
-    return RoutingOutcome("PU", flows, info.lengths, info.path_edges)
+    return RoutingOutcome("PU", dict(zip(info.keys, f_max)), info)
 
 
 def run_algorithm(name: str, net: Network, info: PathSet,
                   params: RoutingParams) -> RoutingOutcome:
     if name == "PS":
-        outcome = flow_determination(proportional_share(net, info, params), info)
+        outcome = proportional_share(net, info, params)
     elif name == "PF":
         outcome = progressive_filling(net, info)
     elif name == "PU":
@@ -356,7 +366,7 @@ def run_algorithm(name: str, net: Network, info: PathSet,
 
 def _assert_feasible(outcome: RoutingOutcome, net: Network) -> None:
     caps = net.capacity_map()
-    for e, used in outcome.edge_usage().items():
-        if used > caps[e]:
+    for e, used in zip(outcome.paths.edges, outcome.usage):
+        if used > 0 and used > caps[e]:
             raise InvariantError(
                 f"{outcome.algorithm}: usage {used} exceeds capacity {caps[e]} on edge {e}")

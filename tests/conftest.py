@@ -2,7 +2,9 @@
 import heapq
 import time
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -12,13 +14,15 @@ from qroute.harness import (METRIC_FIELDS, AlgorithmResult, ExperimentConfig,
                             ObjectiveWeights, RequestSpec, TrialContext, TrialRecord,
                             _resolve_requests, _summarize, aggregate, objective_value,
                             parameter_grid)
-from qroute.metrics import evaluate, zero_report
+from qroute.metrics import MetricsReport, evaluate, zero_report
 from qroute.netmodel import (TOPOLOGIES, Edge, InvariantError, Network, Request, ScenarioParams,
                              build_lattice, deactivate_low_capacity_edges, sample_edge_states)
-from qroute.pathfinder import Path, PathKey, PathSet, build_path_info, edge_key, k_shortest_paths
+from qroute.pathfinder import (Path, PathKey, PathSet, build_path_info, edge_key,
+                               k_shortest_paths, truncate_edge_paths)
 from qroute.purification import purify_network
-from qroute.scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams, compute_f_min,
-                              largest_remainder, run_algorithm)
+from qroute.scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams, _progressive_fill,
+                              _propagatory_core, compute_f_min, largest_remainder,
+                              run_algorithm)
 
 
 def abstract_network(capacity):
@@ -42,6 +46,40 @@ def info_from_path_edges(path_edges, lengths=None):
     """Path set for abstract instances (length defaults to edge count)."""
     return PathSet(path_edges, {key: (lengths or {}).get(key, len(edges))
                                 for key, edges in path_edges.items()})
+
+
+# ------------------------------------------------------------ key-to-id adapters
+# The schedulers work on path and edge ids. These call them with plain
+# path-key and edge dicts, numbering keys and edges as a PathSet does, so the
+# key-based oracles below can check them.
+
+def by_key(info: PathSet, ids: Iterable[int], values: Iterable) -> dict[PathKey, Any]:
+    """Values listed per path id, keyed by the paths' keys."""
+    return {info.keys[p]: value for p, value in zip(ids, values)}
+
+
+def truncate_keys(keys: Sequence[PathKey], lengths: dict[PathKey, int],
+                  l_max: int) -> list[PathKey]:
+    """``truncate_edge_paths`` over path keys, numbered in key order."""
+    order = sorted(lengths)
+    ids = {key: p for p, key in enumerate(order)}
+    kept = truncate_edge_paths(sorted(ids[key] for key in keys), [r for r, _ in order],
+                               [lengths[key] for key in order], l_max)
+    return [order[p] for p in kept]
+
+
+def progressive_fill_by_key(path_edges, capacity):
+    """PF's core over paths given as key -> edges and capacities by edge."""
+    info = info_from_path_edges(path_edges)
+    return dict(zip(info.keys, _progressive_fill(info, [capacity[e] for e in info.edges])))
+
+
+def propagatory_core_by_key(info: PathSet, l_max, capacity, f_min, alpha, beta):
+    """PU's core with capacities by edge; desired capacities of the live paths by key."""
+    kept = info.kept(l_max)
+    f_max = _propagatory_core(info, kept, [capacity[e] for e in info.edges], f_min,
+                              alpha, beta)
+    return {info.keys[p]: f_max[p] for p in kept.live_paths}
 
 
 def random_fill_instance(rng, max_paths=4, max_edges=6, max_cap=12):
@@ -530,6 +568,374 @@ def reference_apportion_two_stage(entries: Sequence[Entry], total: int,
     return shares
 
 
+# ------------------------------------------------------------ keyed cores
+# PS with its flow determination, PF, PU's core and the metrics as they were
+# before the schedulers moved to dense ids: dict-keyed by path key and edge,
+# over the path set as it was then. They are the oracles for the id-based
+# cores. Only truncation and the two-stage rules differ from the code they
+# copy: they come from the entry-based references above, which give the same
+# results.
+
+def reference_request_groups(keys: Sequence[PathKey]) -> tuple[tuple[PathKey, ...], ...]:
+    """Keys that are already in key order, grouped by request in one pass."""
+    return tuple(tuple(group) for _, group in groupby(keys, itemgetter(0)))
+
+
+class KeyedKeptPaths(NamedTuple):
+    """What the schedulers read of a path set at one l_max, by key and edge."""
+
+    #: H truncated to l_max keys per edge, edges sorted
+    keys: dict[Edge, list[PathKey]]
+    #: ``keys`` grouped by request
+    groups: dict[Edge, tuple]
+    #: ``keys`` without the paths that are not live; edges left with none dropped
+    live_keys: dict[Edge, list[PathKey]]
+    #: ``live_keys`` grouped by request
+    live_groups: dict[Edge, tuple]
+    #: the paths kept on every edge they traverse, with their edges, in key order
+    live_paths: dict[PathKey, tuple[Edge, ...]]
+
+
+class KeyedPathSet(dict[Edge, list[PathKey]]):
+    """One window's paths: H (this mapping, edge -> keys of the paths crossing
+    it, in key order) plus the per-path views, keyed in key order."""
+
+    def __init__(self, path_edges: dict[PathKey, tuple[Edge, ...]],
+                 lengths: dict[PathKey, int]) -> None:
+        super().__init__()
+        self.path_edges = dict(sorted(path_edges.items()))
+        self.lengths = {key: lengths[key] for key in self.path_edges}
+        self._kept: dict[int, KeyedKeptPaths] = {}
+        for key, edges in self.path_edges.items():
+            for e in edges:
+                self.setdefault(e, []).append(key)
+
+    @classmethod
+    def of(cls, info: PathSet) -> "KeyedPathSet":
+        return cls(info.path_edges, dict(zip(info.keys, info.lengths)))
+
+    def kept(self, l_max: int) -> KeyedKeptPaths:
+        """H truncated to l_max keys per edge and the views derived from it;
+        computed once per l_max."""
+        if l_max not in self._kept:
+            kept = {e: [h.key for h in reference_truncate_edge_paths(
+                        key_entries(self[e], self.lengths), l_max)] for e in sorted(self)}
+            times_kept = Counter(key for keys in kept.values() for key in keys)
+            live_paths = {key: edges for key, edges in self.path_edges.items()
+                          if times_kept[key] == len(edges)}
+            groups = {e: reference_request_groups(keys) for e, keys in kept.items()}
+            live_keys: dict[Edge, list[PathKey]] = {}
+            live_groups: dict[Edge, tuple] = {}
+            for e, keys in kept.items():
+                live = [key for key in keys if key in live_paths]
+                if len(live) == len(keys):
+                    live_keys[e], live_groups[e] = keys, groups[e]
+                elif live:
+                    live_keys[e], live_groups[e] = live, reference_request_groups(live)
+            self._kept[l_max] = KeyedKeptPaths(kept, groups, live_keys, live_groups,
+                                               live_paths)
+        return self._kept[l_max]
+
+
+def _keyed_apportion(group_keys: Iterable[PathKey], lengths: dict[PathKey, int],
+                     total: int, path_exp: float, beta: float) -> dict[PathKey, int]:
+    return reference_apportion_two_stage(key_entries(group_keys, lengths), total,
+                                         path_exp, beta)
+
+
+def reference_keyed_proportional_share(net: Network, info: KeyedPathSet,
+                                       params: RoutingParams) -> dict[Edge, dict[PathKey, int]]:
+    """Edge-local allocation: every kept path gets the f_min floor, the rest
+    of the capacity is split by the two-stage proportional rule."""
+    f_min = params.require_f_min()
+    caps = net.capacity_map()
+    kept = info.kept(params.l_max)
+    allocations: dict[Edge, dict[PathKey, int]] = {}
+    for e, keys in kept.keys.items():
+        spare = caps[e] - f_min * len(keys)
+        if spare < 0:
+            raise InvariantError(
+                f"edge {e} kept below l_max * f_min; was Step 1 skipped?")
+        extra = _keyed_apportion(keys, info.lengths, spare, -params.alpha, params.beta)
+        allocations[e] = {key: f_min + extra[key] for key in keys}
+    return allocations
+
+
+def reference_keyed_flow_determination(allocations: dict[Edge, dict[PathKey, int]],
+                                       info: KeyedPathSet) -> dict[PathKey, int]:
+    """Short-board constraint: a path's flow is its minimum per-edge allocation."""
+    return {key: min(allocations.get(e, {}).get(key, 0) for e in edges)
+            for key, edges in info.path_edges.items()}
+
+
+def reference_keyed_progressive_fill(info: KeyedPathSet,
+                                     capacity: dict[Edge, int]) -> dict[PathKey, int]:
+    """Progressive filling with integer saturation, one freeze event at a time.
+
+    Before each round, any edge whose slack is below its active-path count
+    saturates and freezes those paths; the next event comes after
+    ``min_e floor(slack_e / n_active_e)`` rounds, so this jumps there at once.
+    """
+    path_edges = info.path_edges
+    flows = dict.fromkeys(path_edges, 0)
+    usage = dict.fromkeys(info, 0)
+    n_active = {e: len(keys) for e, keys in info.items()}
+    active = set(flows)
+    while active:
+        frozen = {key for e, keys in info.items()
+                  if capacity[e] - usage[e] < n_active[e]
+                  for key in keys if key in active}
+        active -= frozen
+        for key in frozen:
+            for e in path_edges[key]:
+                n_active[e] -= 1
+        # every edge still carrying active paths has slack >= n_active here
+        rounds = min(((capacity[e] - usage[e]) // n for e, n in n_active.items() if n),
+                     default=0)
+        for key in active:
+            flows[key] += rounds
+            for e in path_edges[key]:
+                usage[e] += rounds
+    return flows
+
+
+def reference_keyed_propagatory_core(capacity: dict[Edge, int], kept: KeyedKeptPaths,
+                                     lengths: dict[PathKey, int], f_min: int, alpha: float,
+                                     beta: float) -> dict[PathKey, int]:
+    """Iterate deduction/update passes over the desired-capacity table of the
+    live paths until a full pass changes nothing.
+
+    A key has room to grow iff no edge of its path is saturated (usage >=
+    capacity). Each key keeps the count of saturated edges on its path, and
+    ``add`` updates the counts only when an edge's usage crosses its
+    capacity, so raises skip keys with a nonzero count unread.
+    """
+    keys_by_edge, path_edges = kept.live_keys, kept.live_paths
+    f_max = {key: min(capacity[e] for e in edges) for key, edges in path_edges.items()}
+    usage = {e: sum(f_max[key] for key in keys) for e, keys in keys_by_edge.items()}
+    # per live path, the number of edges on its route at or over capacity
+    blocked = dict.fromkeys(f_max, 0)
+    for e, keys in keys_by_edge.items():
+        if usage[e] >= capacity[e]:
+            for key in keys:
+                blocked[key] += 1
+    edges = list(keys_by_edge)
+    orders: dict[Edge, list[PathKey]] = {}
+    idle: dict[Edge, int] = {}
+    deductions = 0
+
+    def add(key: PathKey, delta: int) -> None:
+        """Change one desired capacity by delta units (a raise or a cut)."""
+        f_max[key] += delta
+        for e in path_edges[key]:
+            cap = capacity[e]
+            was_full = usage[e] >= cap
+            usage[e] += delta
+            if (usage[e] >= cap) != was_full:
+                step = 1 if delta > 0 else -1
+                for other in keys_by_edge[e]:
+                    blocked[other] += step
+
+    def deduct(e: Edge) -> None:
+        """Cut the apportioned excess (never below f_min), then the residual,
+        whole rounds of the group tied at the top at once."""
+        keys = keys_by_edge[e]
+        excess = usage[e] - capacity[e]
+        assigned = _keyed_apportion(keys, lengths, excess, alpha, beta)
+        removed = 0
+        for key in keys:
+            cut = min(assigned[key], f_max[key] - f_min)
+            if cut > 0:
+                add(key, -cut)
+                removed += cut
+        need = excess - removed
+        while need:
+            levels = sorted({f_max[key] for key in keys if f_max[key] > f_min},
+                            reverse=True)
+            if not levels:
+                raise InvariantError(
+                    f"edge {e}: {need} units of excess cannot be deducted above "
+                    f"f_min = {f_min}")
+            top = levels[0]
+            group = sorted(key for key in keys if f_max[key] == top)
+            if need < len(group):
+                group, cut = group[:need], 1
+            else:
+                floor = levels[1] if len(levels) > 1 else f_min
+                cut = min(top - floor, need // len(group))
+            for key in group:
+                add(key, -cut)
+                need -= cut
+
+    def raise_paths(e: Edge) -> bool:
+        """Hand free units of e to its paths, heaviest weight first; an edge
+        that raised nothing is skipped until a deduction has run."""
+        if idle.get(e) == deductions:
+            return False
+        keys = keys_by_edge[e]
+        changed = False
+        if not all(blocked[key] for key in keys):
+            if e not in orders:
+                weights = reference_two_stage_weights(key_entries(keys, lengths),
+                                                      alpha, beta)
+                orders[e] = sorted(weights, key=lambda k: (-weights[k], k))
+            for key in orders[e]:
+                if usage[e] >= capacity[e]:
+                    break
+                if not blocked[key]:
+                    add(key, min(capacity[e2] - usage[e2] for e2 in path_edges[key]))
+                    changed = True
+        if not changed:
+            idle[e] = deductions
+        return changed
+
+    silent = 0
+    while edges and silent < len(edges):
+        # most oversubscribed edges first; ratio recomputed each pass
+        order = sorted(edges, key=lambda e: (-usage[e] / capacity[e], e))
+        for e in order:
+            if usage[e] > capacity[e]:
+                deduct(e)
+                deductions += 1
+                changed = True
+            elif usage[e] < capacity[e]:
+                changed = raise_paths(e)
+            else:
+                changed = False
+            silent = 0 if changed else silent + 1
+            if silent >= len(edges):
+                break
+    return f_max
+
+
+@dataclass
+class KeyedOutcome:
+    """An outcome as the keyed metrics read it: flows, lengths and edges by key."""
+
+    flows: dict[PathKey, int]
+    lengths: dict[PathKey, int]
+    path_edges: dict[PathKey, tuple[Edge, ...]]
+
+    @classmethod
+    def of(cls, outcome: RoutingOutcome) -> "KeyedOutcome":
+        paths = outcome.paths
+        return cls(outcome.flows, dict(zip(paths.keys, paths.lengths)), paths.path_edges)
+
+    def request_ids(self) -> list[int]:
+        return sorted({r for r, _ in self.flows})
+
+    def request_flow(self, request_id: int) -> int:
+        return sum(f for (r, _), f in self.flows.items() if r == request_id)
+
+    def edge_usage(self) -> dict[Edge, int]:
+        usage: dict[Edge, int] = {}
+        for key, flow in self.flows.items():
+            if flow <= 0:
+                continue
+            for e in self.path_edges[key]:
+                usage[e] = usage.get(e, 0) + flow
+        return dict(sorted(usage.items()))
+
+
+def reference_per_request_throughput(outcome: KeyedOutcome, requests: Sequence[Request],
+                                     p_in: float) -> dict[int, float]:
+    """w_r * sum_l f^{r,l} * p_in^(d-1) for every request (0 when pathless)."""
+    terms = {r.id: 0.0 for r in requests}
+    weights = {r.id: r.weight for r in requests}
+    for (r, l), flow in outcome.flows.items():
+        if flow > 0:
+            d = outcome.lengths[(r, l)]
+            terms[r] += weights[r] * flow * p_in ** (d - 1)
+    return terms
+
+
+def reference_utilization_stats(outcome: KeyedOutcome,
+                                net: Network) -> tuple[dict[Edge, float], float, float, bool]:
+    caps = net.capacity_map()
+    usage = outcome.edge_usage()
+    u = {e: used / caps[e] for e, used in usage.items() if used > 0}
+    if not u:
+        return {}, 0.0, 0.0, True
+    values = np.fromiter(u.values(), dtype=float)
+    return u, float(values.mean()), float(values.var()), False
+
+
+def reference_stretch_factor(outcome: KeyedOutcome) -> tuple[dict[int, float], float, bool]:
+    per_request: dict[int, float] = {}
+    for r in outcome.request_ids():
+        total = weighted = 0
+        for (rid, l), flow in outcome.flows.items():
+            if rid == r and flow > 0:
+                total += flow
+                weighted += flow * outcome.lengths[(rid, l)]
+        if total > 0:
+            per_request[r] = weighted / (outcome.lengths[(r, 0)] * total)
+    if not per_request:
+        return {}, 0.0, True
+    return per_request, float(np.mean(list(per_request.values()))), False
+
+
+def reference_jain_requests(outcome: KeyedOutcome,
+                            requests: Sequence[Request]) -> tuple[float, bool]:
+    if not requests:
+        raise ValueError("at least one request is required")
+    shares = [r.weight * outcome.request_flow(r.id) for r in requests]
+    denom = len(requests) * sum(s * s for s in shares)
+    if denom == 0:
+        return 0.0, True
+    return sum(shares) ** 2 / denom, False
+
+
+def reference_jain_paths(outcome: KeyedOutcome,
+                         requests: Sequence[Request]) -> tuple[float, float, bool]:
+    if not requests:
+        raise ValueError("at least one request is required")
+    weights = {r.id: r.weight for r in requests}
+    numer = sum(weights[r] * f for (r, _), f in outcome.flows.items()) ** 2
+    sq = sum(weights[r] ** 2 * f * f for (r, _), f in outcome.flows.items())
+    if sq == 0:
+        return 0.0, 0.0, True
+    n_paths = len(outcome.flows)
+    return numer / (len(requests) * sq), numer / (n_paths * sq), False
+
+
+def reference_evaluate(outcome: KeyedOutcome, net: Network, requests: Sequence[Request],
+                       p_in: float) -> MetricsReport:
+    """Every measure by its own pass over the keyed flows."""
+    flags: list[str] = []
+    u, u_ave, u_var, no_traffic = reference_utilization_stats(outcome, net)
+    if no_traffic:
+        flags.append("no_traffic")
+    per_req_stretch, stretch, stretch_undef = reference_stretch_factor(outcome)
+    if stretch_undef:
+        flags.append("stretch_undefined")
+    j_req, j_req_undef = reference_jain_requests(outcome, requests)
+    if j_req_undef:
+        flags.append("jain_req_undefined")
+    j_path, j_path_norm, j_path_undef = reference_jain_paths(outcome, requests)
+    if j_path_undef:
+        flags.append("jain_path_undefined")
+    elif j_path > 1.0:
+        flags.append("jain_path_above_one")
+    if not 0.0 <= p_in <= 1.0:
+        raise ValueError(f"p_in must be in [0, 1], got {p_in}")
+    terms = reference_per_request_throughput(outcome, requests, p_in)
+    return MetricsReport(
+        throughput=sum(terms.values()),
+        min_flow=min(terms.values()),
+        utilization=u,
+        u_ave=u_ave,
+        u_var=u_var,
+        stretch_per_request=per_req_stretch,
+        stretch=stretch,
+        jain_requests=j_req,
+        jain_paths=j_path,
+        jain_paths_normalized=j_path_norm,
+        demand_satisfied={r.id: outcome.request_flow(r.id) >= r.demand for r in requests},
+        flags=tuple(flags),
+    )
+
+
 # ------------------------------------------------------------ one window
 # ``run_trial`` as it was before ``harness.route_window``: Steps 0-2 in one
 # function, then every algorithm on the window's one PathSet. It is the oracle
@@ -581,7 +987,7 @@ def reference_route_all(net: Network, paths: Sequence[Path], requests: Sequence[
                         p_in: float) -> dict[str, AlgorithmResult]:
     """Steps 3-5 for every selected algorithm on one realized network; the
     outcomes share the window's one PathSet."""
-    info = build_path_info(paths)
+    info = build_path_info(paths, params.l_max)
     results: dict[str, AlgorithmResult] = {}
     for name in algorithms:
         t0 = time.perf_counter()
@@ -593,7 +999,7 @@ def reference_route_all(net: Network, paths: Sequence[Path], requests: Sequence[
 
 def reference_zero_results(algorithms: Sequence[str], requests: Sequence[Request],
                            reason: str) -> dict[str, AlgorithmResult]:
-    return {name: AlgorithmResult(RoutingOutcome(name, {}, {}, {}),
+    return {name: AlgorithmResult(RoutingOutcome(name, {}, PathSet({}, {})),
                                   zero_report(requests, reason))
             for name in algorithms}
 

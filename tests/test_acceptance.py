@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import (assert_integer_max_min, enumerate_loopless_paths,
-                      info_from_path_edges, random_fill_instance)
+                      progressive_fill_by_key, random_fill_instance)
 
 import qroute
 from qroute.harness import (ExperimentConfig, RequestSpec, WORKERS_ENV,
@@ -19,8 +19,7 @@ from qroute.harness import (ExperimentConfig, RequestSpec, WORKERS_ENV,
 from qroute.netmodel import ScenarioParams, build_lattice
 from qroute.pathfinder import build_path_info, k_shortest_paths
 from qroute.reports import write_trial_csv
-from qroute.scheduler import (RoutingParams, _progressive_fill,
-                              run_algorithm)
+from qroute.scheduler import RoutingParams, run_algorithm
 
 ALGS = ("PS", "PF", "PU")
 
@@ -76,9 +75,9 @@ def test_criterion_1_feasibility_suite():
         if ctx.reason is not None:
             continue
         routable += 1
-        info = build_path_info(ctx.paths)
+        info = build_path_info(ctx.paths, ctx.params.l_max)
         caps = ctx.revised.capacity_map()
-        kept = info.kept(ctx.params.l_max).live_paths
+        kept = [info.keys[p] for p in info.kept(ctx.params.l_max).live_paths]
         for name in ALGS:
             outcome = run_algorithm(name, ctx.revised, info, ctx.params)
             for e, used in outcome.edge_usage().items():
@@ -101,7 +100,7 @@ def test_criterion_2_max_min_fairness_oracle():
     for _ in range(200):
         path_edges, capacity = random_fill_instance(rng, max_paths=4,
                                                     max_edges=6, max_cap=12)
-        flows = _progressive_fill(info_from_path_edges(path_edges), capacity)
+        flows = progressive_fill_by_key(path_edges, capacity)
         assert_integer_max_min(path_edges, capacity, flows)
     report(2, "max-min fairness oracle", detail="200 instances, zero violations")
 
@@ -354,7 +353,7 @@ def median_schedule_seconds(cfg, algorithm, n_trials=15):
         ctx = prepare_trial(cfg, cfg.base_seed + i)
         if ctx.reason is not None:
             continue
-        info = build_path_info(ctx.paths)
+        info = build_path_info(ctx.paths, ctx.params.l_max)
         t0 = time.perf_counter()
         run_algorithm(algorithm, ctx.revised, info, ctx.params)
         times.append(time.perf_counter() - t0)

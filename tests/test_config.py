@@ -158,6 +158,23 @@ def test_overflowing_weight_exponent_exits_1_with_key_and_line(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+FLOAT_KEYS = [f"{section}.{key}" for section, rules in _RULES.items()
+              for key, rule in rules.items() if isinstance(rule, _Number) and rule.kind is float]
+NAN_VALUES = [(path, ".nan") for path in FLOAT_KEYS] + \
+    [(path, "[0.5, .nan]") for path in FLOAT_KEYS if path.startswith("routing.")]
+
+
+@pytest.mark.parametrize("path, value", NAN_VALUES, ids=[f"{p}={v}" for p, v in NAN_VALUES])
+def test_nan_exits_1_with_key_and_line(tmp_path, capsys, path, value):
+    # NaN compares false with every bound, so the rule must reject it by name
+    section, key = path.split(".")
+    cfg = write(tmp_path, f"lattice: {{rows: 4, cols: 4}}\n{section}:\n  {key}: {value}\n")
+    assert cli.main(["run", "-c", cfg, "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: expected a number, got nan (line 3)" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key, value", [("alpha", "100"), ("alpha", "-100"),
                                         ("beta", "100"), ("beta", "-100")])
 def test_large_weight_exponent_within_the_bound_still_routes(tmp_path, key, value):

@@ -3,7 +3,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from conftest import reference_run_trial
+from conftest import KeyedOutcome, reference_evaluate, reference_run_trial
 
 from qroute import harness
 from qroute.harness import (ExperimentConfig, ObjectiveWeights, RequestSpec,
@@ -11,9 +11,11 @@ from qroute.harness import (ExperimentConfig, ObjectiveWeights, RequestSpec,
                             grid_search_parameters, objective_value, parameter_grid,
                             prepare_trial, replicate, report_values, request_sweep,
                             run_trial, run_trials, swap_monte_carlo, WORKERS_ENV)
-from qroute.netmodel import Request, ScenarioParams
+from qroute.metrics import evaluate
+from qroute.netmodel import Request, ScenarioParams, inject_failures
+from qroute.pathfinder import PathSet
 from qroute.reports import record_to_dict
-from qroute.scheduler import RoutingParams, RoutingOutcome
+from qroute.scheduler import RoutingParams, RoutingOutcome, _assert_feasible
 
 
 def small_config(**kwargs):
@@ -47,15 +49,23 @@ def test_path_set_built_once_per_trial(monkeypatch):
     import qroute.harness as harness
     calls = []
     build = harness.build_path_info
-    monkeypatch.setattr(harness, "build_path_info",
-                        lambda paths: calls.append(1) or build(paths))
+
+    def counted(paths, l_max):
+        info = build(paths, l_max)
+        # the truncated view is built with the PathSet, before any scheduler runs
+        calls.append(list(info._kept))
+        return info
+
+    monkeypatch.setattr(harness, "build_path_info", counted)
     records = [run_trial(small_config(), seed) for seed in range(8)]
     routable = [rec for rec in records if rec.reason is None]
     assert routable and len(calls) == len(routable)
     for rec in routable:
         ps, pf, pu = (rec.results[name].outcome for name in ("PS", "PF", "PU"))
-        assert ps.path_edges is pf.path_edges is pu.path_edges
-        assert ps.lengths is pf.lengths is pu.lengths
+        assert ps.paths is pf.paths is pu.paths
+        # a record keeps its paths but not the views that only routing reads
+        assert not ps.paths._kept
+    assert calls == [[rec.params.l_max] for rec in routable]
 
 
 def test_run_trial_zero_metrics_when_no_edges():
@@ -122,8 +132,9 @@ def test_aggregate_order_independent():
 # ---------------------------------------------------------------- Monte Carlo
 
 def mc_outcome():
-    return RoutingOutcome("PS", {(0, 0): 5, (0, 1): 3}, {(0, 0): 3, (0, 1): 4},
-                          {(0, 0): ((0, 1),) * 3, (0, 1): ((1, 2),) * 4})
+    return RoutingOutcome("PS", {(0, 0): 5, (0, 1): 3},
+                          PathSet({(0, 0): ((0, 1),) * 3, (0, 1): ((1, 2),) * 4},
+                                  {(0, 0): 3, (0, 1): 4}))
 
 
 def test_swap_monte_carlo_perfect_swaps():
@@ -201,22 +212,51 @@ def test_degrade_outcome_zeroes_broken_paths():
     assert out.edge_usage() == {(0, 1): 15, (1, 2): 12}
 
 
+@pytest.mark.parametrize("mode", ["edge", "node"])
+def test_degraded_outcome_evaluates_on_failed_network(mode):
+    # the failed edges stay on the outcome's paths but leave the failed
+    # network's capacity map; with no flow left on them they are never read
+    cfg = small_config()
+    checked = 0
+    for seed in range(6):
+        ctx = harness.prepare_trial(cfg, seed)
+        if ctx.reason is not None:
+            continue
+        (before,) = harness.route_window(ctx, [ctx.params], cfg.algorithms,
+                                         cfg.scenario.p_in)
+        pool = harness.shared_utilized(before.results, mode, ctx.requests)
+        if not pool:
+            continue
+        failed = inject_failures(ctx.revised, mode, 1, pool, np.random.default_rng(seed))
+        dead = ctx.revised.capacity_map().keys() - failed.capacity_map().keys()
+        for res in before.results.values():
+            degraded = degrade_outcome(res.outcome, dead)
+            assert dead & set(degraded.paths.edges)
+            _assert_feasible(degraded, failed)
+            report = evaluate(degraded, failed, ctx.requests, cfg.scenario.p_in)
+            assert repr(report) == repr(reference_evaluate(
+                KeyedOutcome.of(degraded), failed, ctx.requests, cfg.scenario.p_in))
+            checked += 1
+    assert checked >= 6
+
+
 def test_edge_usage_built_once_per_outcome(monkeypatch):
     built = []
-    build = RoutingOutcome.__dict__["_edge_usage"].func
+    build = RoutingOutcome.__dict__["usage"].func
 
     def counting(outcome):
         built.append(outcome.algorithm)
         return build(outcome)
 
     view = cached_property(counting)
-    view.__set_name__(RoutingOutcome, "_edge_usage")
-    monkeypatch.setattr(RoutingOutcome, "_edge_usage", view)
+    view.__set_name__(RoutingOutcome, "usage")
+    monkeypatch.setattr(RoutingOutcome, "usage", view)
     record = run_trial(small_config(), 5)
     assert record.reason is None
     # the feasibility check and utilization_stats both read each outcome's usage
     assert sorted(built) == ["PF", "PS", "PU"]
     outcome = record.results["PS"].outcome
+    assert outcome.usage is outcome.usage
     assert outcome.edge_usage() is outcome.edge_usage()
 
 

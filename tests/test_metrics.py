@@ -5,11 +5,12 @@ from qroute.metrics import (evaluate, evaluate_demand, jain_paths,
                             jain_requests, min_flow, stretch_factor,
                             throughput, utilization_stats, zero_report)
 from qroute.netmodel import Request
+from qroute.pathfinder import PathSet
 from qroute.scheduler import RoutingOutcome
 
 
 def make_outcome(flows, lengths, path_edges, algorithm="PS"):
-    return RoutingOutcome(algorithm, flows, lengths, path_edges)
+    return RoutingOutcome(algorithm, flows, PathSet(path_edges, lengths))
 
 
 def simple_outcome():
@@ -206,11 +207,12 @@ def test_stretch_at_least_one_and_unit_iff_shortest():
             continue
         for res in rec.results.values():
             out, rep = res.outcome, res.report
+            lengths = dict(zip(out.paths.keys, out.paths.lengths))
             for r, g in rep.stretch_per_request.items():
                 assert g >= 1.0 - 1e-12
-                shortest = out.lengths[(r, 0)]
+                shortest = lengths[(r, 0)]
                 on_shortest_len = all(
-                    out.lengths[key] == shortest
+                    lengths[key] == shortest
                     for key, f in out.flows.items() if key[0] == r and f > 0)
                 assert (abs(g - 1.0) < 1e-12) == on_shortest_len
 

@@ -8,8 +8,8 @@ from conftest import (adjacency, enumerate_loopless_paths, reference_k_shortest_
 
 from qroute import pathfinder
 from qroute.netmodel import TOPOLOGIES, EdgeMasks, InvariantError, build_lattice
-from qroute.pathfinder import (Path, _spur_path, build_path_info, edge_key, k_shortest_paths,
-                               truncate_edge_paths)
+from qroute.pathfinder import (Path, PathSet, _spur_path, build_path_info, edge_key,
+                               k_shortest_paths, truncate_edge_paths)
 
 
 def active_lattice(rows, cols, kind="square", dead_edges=()):
@@ -110,65 +110,74 @@ def test_determinism():
 
 def test_build_path_info_single_path():
     path = Path(0, 0, (0, 1, 2, 5))
-    info = build_path_info([path])
-    assert set(info) == {(0, 1), (1, 2), (2, 5)}
-    assert all(keys == [(0, 0)] for keys in info.values())
-    assert info.lengths == {(0, 0): 3}
+    info = build_path_info([path], 10)
+    assert info.edges == ((0, 1), (1, 2), (2, 5))
+    assert info.values() == [[0], [0], [0]]
+    assert info.keys == ((0, 0),) and info.lengths == [3]
+    assert info.edge_ids == [(0, 1, 2)]
 
 
 def test_build_path_info_shared_edge():
     a = Path(0, 0, (0, 1, 2))
     b = Path(1, 0, (3, 1, 2))
-    info = build_path_info([a, b])
-    assert info[(1, 2)] == [(0, 0), (1, 0)]
+    info = build_path_info([a, b], 10)
+    assert info.keys == ((0, 0), (1, 0))
+    assert info.values()[info.edges.index((1, 2))] == [0, 1]
 
 
 def test_build_path_info_empty():
-    info = build_path_info([])
-    assert info == {}
-    assert info.path_edges == {} and info.lengths == {}
-    assert info.kept(3) == ({}, {}, {}, {}, {})
+    info = build_path_info([], 3)
+    assert info.values() == [] and info.edges == () and info.keys == ()
+    assert info.path_edges == {} and info.lengths == []
+    assert info.kept(3) == ([], [], [], [], [], [])
+    assert info == PathSet({}, {})
 
 
 def test_path_set_per_path_views():
     net = active_lattice(3, 3)
     paths = (k_shortest_paths(net, 0, 8, 5, request_id=2)
              + k_shortest_paths(net, 2, 6, 5, request_id=0))
-    info = build_path_info(paths)
-    assert list(info.path_edges) == sorted(p.key for p in paths)
-    assert list(info.lengths) == list(info.path_edges)
+    info = build_path_info(paths, 5)
+    assert list(info.keys) == sorted(p.key for p in paths)
+    assert list(info.path_edges) == list(info.keys)
+    assert list(info.edges) == sorted({e for p in paths for e in p.edge_keys()})
     for p in paths:
+        i = info.keys.index(p.key)
         assert info.path_edges[p.key] == p.edge_keys()
-        assert info.lengths[p.key] == p.length
-    # H lists each key under exactly the edges its path crosses, in key order
-    for e, keys in info.items():
-        assert keys == sorted(set(keys))
-        assert all(e in info.path_edges[key] for key in keys)
-    assert sum(map(len, info.values())) == sum(map(len, info.path_edges.values()))
+        assert tuple(info.edges[e] for e in info.edge_ids[i]) == p.edge_keys()
+        assert info.lengths[i] == p.length
+    # H lists each path id under exactly the edges its path crosses, ascending
+    for e, ids in enumerate(info.values()):
+        assert ids == sorted(set(ids))
+        assert all(e in info.edge_ids[p] for p in ids)
+    assert sum(map(len, info.values())) == sum(map(len, info.edge_ids))
+    assert info == build_path_info(reversed(paths), 2)
 
 
 def test_path_set_kept_matches_per_edge_truncation():
     net = active_lattice(4, 4)
     paths = (k_shortest_paths(net, 0, 15, 10, request_id=0)
              + k_shortest_paths(net, 3, 12, 10, request_id=1))
-    info = build_path_info(paths)
+    info = build_path_info(paths, 1)
+    request_of = [r for r, _ in info.keys]
     for l_max in (1, 2, 4, 20):
         assert info.kept(l_max) is info.kept(l_max)
-        kept, groups, live_keys, live_groups, live_paths = info.kept(l_max)
-        assert list(kept) == sorted(info)
-        for e, keys in info.items():
-            assert kept[e] == truncate_edge_paths(keys, info.lengths, l_max)
-        live = {p.key for p in paths if all(p.key in kept[e] for e in p.edge_keys())}
-        assert live_paths == {key: info.path_edges[key] for key in sorted(live)}
-        assert list(live_paths) == sorted(live)
-        assert live_keys == {e: [key for key in keys if key in live]
-                             for e, keys in kept.items() if set(keys) & live}
+        kept, groups, live_keys, live_groups, live_paths, live_edges = info.kept(l_max)
+        assert len(kept) == len(info.edges)
+        for ids, kept_ids in zip(info.values(), kept):
+            assert kept_ids == truncate_edge_paths(ids, request_of, info.lengths, l_max)
+        live = {p for p, edges in enumerate(info.edge_ids) if all(p in kept[e] for e in edges)}
+        assert live_paths == sorted(live)
+        assert live_keys == [[p for p in ids if p in live] for ids in kept]
+        assert live_edges == [e for e, ids in enumerate(live_keys) if ids]
         for view, grouped in ((kept, groups), (live_keys, live_groups)):
-            assert list(grouped) == list(view)
-            for e, keys in view.items():
-                requests = sorted({r for r, _ in keys})
-                assert grouped[e] == tuple(tuple(key for key in keys if key[0] == r)
-                                           for r in requests)
+            assert len(grouped) == len(view)
+            for ids, group in zip(view, grouped):
+                requests = sorted({info.keys[p][0] for p in ids})
+                assert group == tuple(tuple(p for p in ids if info.keys[p][0] == r)
+                                      for r in requests)
+        # given l_max, build_path_info builds this view before it returns
+        assert build_path_info(paths, l_max)._kept.keys() == {l_max}
 
 
 def random_active_lattice(rng, kind, rows, cols, dead_rate):

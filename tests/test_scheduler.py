@@ -6,19 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (Entry, abstract_network, assert_integer_max_min,
-                      info_from_path_edges, line_network, random_fill_instance,
-                      reference_apportion_two_stage, reference_propagatory_core,
+from conftest import (Entry, KeyedOutcome, KeyedPathSet, abstract_network,
+                      assert_integer_max_min, by_key, info_from_path_edges, line_network,
+                      progressive_fill_by_key, propagatory_core_by_key,
+                      random_fill_instance, reference_apportion_two_stage,
+                      reference_evaluate, reference_keyed_flow_determination,
+                      reference_keyed_progressive_fill, reference_keyed_propagatory_core,
+                      reference_keyed_proportional_share, reference_propagatory_core,
                       reference_truncate_edge_paths, reference_two_stage_weights,
-                      unit_progressive_fill, unit_propagatory_core)
+                      truncate_keys, unit_progressive_fill, unit_propagatory_core)
 
 from qroute.harness import ExperimentConfig, RequestSpec, prepare_trial
+from qroute.metrics import evaluate
 from qroute.netmodel import TOPOLOGIES, InvariantError, ScenarioParams
-from qroute.pathfinder import PathSet, build_path_info, truncate_edge_paths
+from qroute.pathfinder import PathSet, build_path_info
 from qroute.scheduler import (RoutingOutcome, RoutingParams,
                               _apportion_two_stage, _assert_feasible,
-                              _progressive_fill, _propagatory_core,
-                              compute_f_min, flow_determination,
+                              _propagatory_core, compute_f_min,
                               largest_remainder, progressive_filling,
                               propagatory_update, proportional_share,
                               run_algorithm, two_stage_weights)
@@ -43,7 +47,15 @@ def one_edge(lengths):
 
 def fill(path_edges, capacity):
     """PF over an abstract instance given as plain path -> edges."""
-    return _progressive_fill(info_from_path_edges(path_edges), capacity)
+    return progressive_fill_by_key(path_edges, capacity)
+
+
+def weights_by_key(lengths, alpha, beta):
+    """``two_stage_weights`` over one edge crossed by the paths of ``lengths``."""
+    info = one_edge(lengths)
+    (groups,) = info.kept(len(lengths)).groups
+    return by_key(info, [p for group in groups for p in group],
+                  two_stage_weights(groups, info.lengths, alpha, beta))
 
 
 # ------------------------------------------------------------------ f_min
@@ -64,12 +76,12 @@ def test_compute_f_min_empty_graph():
 
 def test_truncate_keeps_all_when_under_cap():
     lengths = {(1, 0): 4, (0, 1): 5, (0, 0): 4}
-    assert truncate_edge_paths(list(lengths), lengths, 10) == sorted(lengths)
+    assert truncate_keys(list(lengths), lengths, 10) == sorted(lengths)
 
 
 def test_truncate_keeps_shortest():
     lengths = {(0, l): 4 + l for l in range(12)}
-    kept = truncate_edge_paths(list(lengths), lengths, 10)
+    kept = truncate_keys(list(lengths), lengths, 10)
     assert len(kept) == 10
     assert {l for _, l in kept} == set(range(10))
 
@@ -78,7 +90,7 @@ def test_truncate_sole_path_retained():
     # 10 short paths of request 0 plus one long sole path of request 1:
     # the sole path stays, evicting request 0's longest
     lengths = {(0, l): 4 for l in range(10)} | {(1, 0): 12}
-    kept = truncate_edge_paths(list(lengths), lengths, 10)
+    kept = truncate_keys(list(lengths), lengths, 10)
     assert (1, 0) in kept
     assert len(kept) == 10
     assert len([key for key in kept if key[0] == 0]) == 9
@@ -87,7 +99,7 @@ def test_truncate_sole_path_retained():
 def test_truncate_sole_overflow_capped():
     # more sole paths than slots: the cap wins, shortest soles kept
     lengths = {(r, 0): 4 + r for r in range(5)}
-    kept = truncate_edge_paths(list(lengths), lengths, 3)
+    kept = truncate_keys(list(lengths), lengths, 3)
     assert [r for r, _ in kept] == [0, 1, 2]
 
 
@@ -117,21 +129,23 @@ def test_key_based_rules_match_entry_based_references():
         seen["single request"] += len(counts) == 1
         for l_max in range(1, len(keys) + 2):
             seen["truncated"] += l_max < len(keys)
-            assert truncate_edge_paths(keys, lengths, l_max) == \
+            assert truncate_keys(keys, lengths, l_max) == \
                 [h.key for h in reference_truncate_edge_paths(entries, l_max)]
-        # the groups every scheduler reads: the edge's keys as PathSet.kept caches them
-        groups = one_edge(lengths).kept(len(keys)).groups[(0, 1)]
+        # the groups every scheduler reads: the edge's ids as PathSet.kept caches them
+        info = one_edge(lengths)
+        (groups,) = info.kept(len(keys)).groups
+        ids = [p for group in groups for p in group]
         for alpha, beta in itertools.product(exponents, exponents):
-            # dict order and float bits both match, not just the values
-            assert list(two_stage_weights(keys, lengths, alpha, beta).items()) == \
+            # key order and float bits both match, not just the values
+            assert list(weights_by_key(lengths, alpha, beta).items()) == \
                 list(reference_two_stage_weights(entries, alpha, beta).items())
             total = int(rng.integers(0, 60))
             seen["zero total"] += total == 0
             # the lone-key shortcut beside other requests, with units to hand out
             seen["single-key group"] += len(counts) > 1 and 1 in counts.values() and total > 0
             for path_exp in (-alpha, alpha):
-                assert list(_apportion_two_stage(groups, lengths, total, path_exp,
-                                                 beta).items()) == \
+                assert list(by_key(info, ids, _apportion_two_stage(
+                    groups, info.lengths, total, path_exp, beta)).items()) == \
                     list(reference_apportion_two_stage(entries, total, path_exp,
                                                        beta).items())
     assert min(seen.values()) > 0 and len(seen) == 7
@@ -141,7 +155,7 @@ def test_key_based_rules_match_entry_based_references():
 
 def test_two_stage_weights_uniform():
     lengths = {(0, 0): 4, (1, 0): 4, (1, 1): 6}
-    w = two_stage_weights(list(lengths), lengths, alpha=0.0, beta=0.0)
+    w = weights_by_key(lengths, alpha=0.0, beta=0.0)
     assert w[(0, 0)] == pytest.approx(0.5)
     assert w[(1, 0)] == pytest.approx(0.25)
     assert w[(1, 1)] == pytest.approx(0.25)
@@ -149,14 +163,14 @@ def test_two_stage_weights_uniform():
 
 def test_two_stage_weights_beta_counts_paths():
     lengths = {(0, 0): 4, (1, 0): 4, (1, 1): 6}
-    w = two_stage_weights(list(lengths), lengths, alpha=0.0, beta=1.0)
+    w = weights_by_key(lengths, alpha=0.0, beta=1.0)
     assert w[(0, 0)] == pytest.approx(1 / 3)
     assert w[(1, 0)] + w[(1, 1)] == pytest.approx(2 / 3)
 
 
 def test_two_stage_weights_alpha_favors_short():
     lengths = {(0, 0): 4, (0, 1): 6}
-    w = two_stage_weights(list(lengths), lengths, alpha=1.0, beta=0.0)
+    w = weights_by_key(lengths, alpha=1.0, beta=0.0)
     assert w[(0, 0)] == pytest.approx(0.6)
     assert w[(0, 1)] == pytest.approx(0.4)
     assert sum(w.values()) == pytest.approx(1.0)
@@ -198,28 +212,28 @@ def test_proportional_share_worked_example():
     # floors 1,1,1 then 7 spare units apportioned 3.5/1.75/1.75 stage-wise
     net, _ = abstract_instance([10], {(0, 0): [0]})
     info = one_edge({(0, 0): 4, (1, 0): 4, (1, 1): 6})
-    allocations = proportional_share(net, info, params())
+    allocations = proportional_share(net, info, params()).allocations
     assert allocations[(0, 1)] == {(0, 0): 5, (1, 0): 3, (1, 1): 2}
 
 
 def test_proportional_share_sole_claimant():
     net = line_network([8])
     info = one_edge({(0, 0): 3})
-    allocations = proportional_share(net, info, params())
+    allocations = proportional_share(net, info, params()).allocations
     assert allocations[(0, 1)] == {(0, 0): 8}
 
 
 def test_proportional_share_tie_broken_by_rank():
     net = line_network([9])
     info = one_edge({(0, 0): 4, (0, 1): 4})
-    allocations = proportional_share(net, info, params())
+    allocations = proportional_share(net, info, params()).allocations
     assert allocations[(0, 1)] == {(0, 0): 5, (0, 1): 4}
 
 
 def test_proportional_share_respects_capacity():
     net = line_network([10])
     info = one_edge({(r, 0): 5 for r in range(4)})
-    allocations = proportional_share(net, info, params(alpha=1.5, beta=0.7))
+    allocations = proportional_share(net, info, params(alpha=1.5, beta=0.7)).allocations
     assert sum(allocations[(0, 1)].values()) == 10
 
 
@@ -231,16 +245,18 @@ def test_proportional_share_rejects_floor_above_capacity():
 # -------------------------------------------------------- flow determination
 
 def test_flow_determination_short_board():
-    _, info = abstract_instance([10, 10, 10], {(0, 0): [0, 1, 2]})
-    allocations = {(0, 1): {(0, 0): 4}, (2, 3): {(0, 0): 6}, (4, 5): {(0, 0): 3}}
-    outcome = flow_determination(allocations, info)
+    # a sole claimant takes each edge whole, so its allocations are 4, 6 and 3
+    net, info = abstract_instance([4, 6, 3], {(0, 0): [0, 1, 2]})
+    outcome = proportional_share(net, info, params())
+    assert outcome.allocations == {(0, 1): {(0, 0): 4}, (2, 3): {(0, 0): 6},
+                                   (4, 5): {(0, 0): 3}}
     assert outcome.flows[(0, 0)] == 3
 
 
 def test_flow_determination_single_edge():
     net = line_network([9])
     info = one_edge({(0, 0): 1})
-    outcome = flow_determination(proportional_share(net, info, params()), info)
+    outcome = proportional_share(net, info, params())
     assert outcome.flows[(0, 0)] == 9
 
 
@@ -358,7 +374,7 @@ def test_pu_flows_never_below_f_min_for_live_paths():
         info = info_from_path_edges(path_edges)
         p = params(l_max=l_max, f_min=f_min)
         out = propagatory_update(net, info, p)
-        kept = info.kept(l_max).live_paths
+        kept = {info.keys[p] for p in info.kept(l_max).live_paths}
         for key, flow in out.flows.items():
             if key in kept:
                 assert flow >= f_min
@@ -375,7 +391,7 @@ def routed_instance(seed=0):
     net = qroute.deactivate_low_capacity_edges(net, 5)
     paths = (qroute.k_shortest_paths(net, 0, 24, 6, request_id=0)
              + qroute.k_shortest_paths(net, 4, 20, 6, request_id=1))
-    info = qroute.build_path_info(paths)
+    info = qroute.build_path_info(paths, 5)
     f_min = qroute.compute_f_min(net, 5)
     return net, info, RoutingParams(k=6, l_max=5, alpha=1.0, beta=1.0, f_min=f_min)
 
@@ -394,17 +410,25 @@ def test_algorithms_deterministic_and_feasible(name):
 def test_ps_floor_on_fully_kept_paths():
     net, info, p = routed_instance(3)
     out = run_algorithm("PS", net, info, p)
-    kept = info.kept(p.l_max).live_paths
-    for key in kept:
+    for key in (info.keys[q] for q in info.kept(p.l_max).live_paths):
         assert out.flows[key] >= p.f_min
 
 
 def test_infeasible_outcome_rejected():
     # 10 units on a capacity-3 edge; an explicit check, so it also holds under python -O
     net = line_network([3])
-    outcome = RoutingOutcome("PS", {(0, 0): 10}, {(0, 0): 1}, {(0, 0): ((0, 1),)})
+    outcome = RoutingOutcome("PS", {(0, 0): 10}, PathSet({(0, 0): ((0, 1),)}, {(0, 0): 1}))
     with pytest.raises(InvariantError, match="exceeds capacity"):
         _assert_feasible(outcome, net)
+
+
+def test_outcome_rejects_flows_off_the_path_set_order():
+    # the metrics zip flows with per-path-id lists, so the order is checked
+    paths = PathSet({(0, 0): ((0, 1),), (1, 0): ((1, 2),)}, {(0, 0): 1, (1, 0): 1})
+    RoutingOutcome("PS", {(0, 0): 1, (1, 0): 2}, paths)
+    for flows in ({(1, 0): 2, (0, 0): 1}, {(0, 0): 1}):
+        with pytest.raises(ValueError, match="key order"):
+            RoutingOutcome("PS", flows, paths)
 
 
 def test_unknown_algorithm_rejected():
@@ -416,13 +440,14 @@ def test_unknown_algorithm_rejected():
 def pu_table(outcome, info, l_max):
     """PU's per-edge table, rebuilt from its flows: each live kept edge holds
     the flow of every live path crossing it."""
-    return {e: {key: outcome.flows[key] for key in keys}
-            for e, keys in info.kept(l_max).live_keys.items()}
+    kept = info.kept(l_max)
+    return {info.edges[e]: {info.keys[p]: outcome.flows[info.keys[p]] for p in kept.live_keys[e]}
+            for e in kept.live_edges}
 
 
 def test_schedule_table_allocations_within_capacity():
     net, info, p = routed_instance(8)
-    allocations = proportional_share(net, info, p)
+    allocations = proportional_share(net, info, p).allocations
     caps = net.capacity_map()
     for e, alloc in allocations.items():
         assert sum(alloc.values()) <= caps[e]
@@ -436,9 +461,12 @@ def test_schedule_table_allocations_within_capacity():
 
 
 def test_flow_equals_floor_when_all_allocations_at_floor():
-    _, info = abstract_instance([10, 10], {(0, 0): [0, 1]})
-    allocations = {(0, 1): {(0, 0): 2}, (2, 3): {(0, 0): 2}}
-    assert flow_determination(allocations, info).flows[(0, 0)] == 2
+    # two paths share both edges; f_min = 2 fills each capacity-4 edge with floors
+    net, info = abstract_instance([4, 4], {(0, 0): [0, 1], (1, 0): [0, 1]})
+    outcome = proportional_share(net, info, params(f_min=2))
+    assert outcome.allocations == {(0, 1): {(0, 0): 2, (1, 0): 2},
+                                   (2, 3): {(0, 0): 2, (1, 0): 2}}
+    assert outcome.flows == {(0, 0): 2, (1, 0): 2}
 
 
 # ------------------------------------------------- unit-step oracles, bulk code
@@ -472,12 +500,15 @@ def test_bulk_steps_match_unit_step_oracles():
         max_cap = (5, 50, 500, 10_000)[i % 4]
         capacity, keys_by_edge, lengths, path_edges, f_min, alpha, beta = \
             random_schedule_instance(rng, max_cap)
-        assert _progressive_fill(PathSet(path_edges, lengths), capacity) == \
+        assert progressive_fill_by_key(path_edges, capacity) == \
             unit_progressive_fill(path_edges, capacity)
         # no edge holds more keys than there are paths, so all paths are live
-        kept = PathSet(path_edges, lengths).kept(len(path_edges))
-        assert kept.live_keys == keys_by_edge
-        assert _propagatory_core(capacity, kept, lengths, f_min, alpha, beta) == \
+        info = PathSet(path_edges, lengths)
+        kept = info.kept(len(path_edges))
+        assert {info.edges[e]: [info.keys[p] for p in kept.live_keys[e]]
+                for e in kept.live_edges} == keys_by_edge
+        assert propagatory_core_by_key(info, len(path_edges), capacity, f_min, alpha,
+                                       beta) == \
             unit_propagatory_core(capacity, keys_by_edge, lengths, path_edges, f_min,
                                   alpha, beta, hits=hits)
     # both unit loops that PU replaces actually ran, so the match is not vacuous
@@ -486,8 +517,8 @@ def test_bulk_steps_match_unit_step_oracles():
 
 def random_routed_window(rng, kind):
     """A prepared random window on a lattice of ``kind``: its network, its
-    PathSet and its routing parameters with f_min; None when the window is
-    degenerate."""
+    PathSet, its routing parameters with f_min and its requests; None when
+    the window is degenerate."""
     rows, cols = (int(x) for x in rng.integers(4, 11, size=2))
     config = ExperimentConfig(
         rows=rows, cols=cols, kind=kind,
@@ -497,7 +528,7 @@ def random_routed_window(rng, kind):
     ctx = prepare_trial(config, int(rng.integers(0, 2**31)))
     if ctx.reason is not None:
         return None
-    return ctx.revised, build_path_info(ctx.paths), ctx.params
+    return ctx.revised, build_path_info(ctx.paths, ctx.params.l_max), ctx.params, ctx.requests
 
 
 def test_pu_core_matches_reference_on_random_windows():
@@ -509,33 +540,71 @@ def test_pu_core_matches_reference_on_random_windows():
         window = random_routed_window(rng, kind)
         if window is None:
             continue
-        net, info, p = window
+        net, info, p, _ = window
         caps = net.capacity_map()
-        kept = info.kept(p.l_max)
+        keyed = KeyedPathSet.of(info)
+        kept = keyed.kept(p.l_max)
         # the live-only incidence as propagatory_update built it per call before
         keys_by_edge = {e: [key for key in keys if key in kept.live_paths]
                         for e, keys in kept.keys.items()}
         keys_by_edge = {e: keys for e, keys in keys_by_edge.items() if keys}
-        live_edges = {key: info.path_edges[key] for key in sorted(kept.live_paths)}
         for alpha, beta in itertools.product(exponents, exponents):
-            got = _propagatory_core(caps, kept, info.lengths, p.f_min, alpha, beta)
-            want = reference_propagatory_core(caps, keys_by_edge, info.lengths, live_edges,
-                                              p.f_min, alpha, beta)
-            # dict order too, so the core stays a drop-in for the reference
+            got = propagatory_core_by_key(info, p.l_max, caps, p.f_min, alpha, beta)
+            want = reference_propagatory_core(caps, keys_by_edge, keyed.lengths,
+                                              kept.live_paths, p.f_min, alpha, beta)
+            # key order too, so the core stays a drop-in for the reference
             assert list(got.items()) == list(want.items()), (kind, n, alpha, beta)
         compared[kind] += 1
-        compared["truncated"] += len(kept.live_paths) < len(info.path_edges)
+        compared["truncated"] += len(kept.live_paths) < len(info.keys)
     assert all(compared[kind] >= 10 for kind in TOPOLOGIES) and compared["truncated"]
+
+
+def test_cores_match_keyed_references_on_random_windows():
+    rng = np.random.default_rng(4242)
+    compared = Counter()
+    for n in range(90):
+        kind = TOPOLOGIES[n % len(TOPOLOGIES)]
+        window = random_routed_window(rng, kind)
+        if window is None:
+            continue
+        net, info, p, requests = window
+        alpha, beta = (float(x) for x in rng.choice([0.0, 0.5, 1.0, 2.0], size=2))
+        p = RoutingParams(k=p.k, l_max=p.l_max, alpha=alpha, beta=beta, f_min=p.f_min)
+        p_in = float(rng.choice([0.5, 0.9, 1.0]))
+        keyed = KeyedPathSet.of(info)
+        caps = net.capacity_map()
+        allocations = reference_keyed_proportional_share(net, keyed, p)
+        f_max = reference_keyed_propagatory_core(caps, keyed.kept(p.l_max), keyed.lengths,
+                                                 p.f_min, alpha, beta)
+        want = {"PS": reference_keyed_flow_determination(allocations, keyed),
+                "PF": reference_keyed_progressive_fill(keyed, caps),
+                "PU": {key: f_max.get(key, 0) for key in keyed.path_edges}}
+        for name, flows in want.items():
+            outcome = run_algorithm(name, net, info, p)
+            # key order and values both match
+            assert list(outcome.flows.items()) == list(flows.items()), (kind, n, name)
+            report = evaluate(outcome, net, requests, p_in)
+            # repr shows every float's bits, and the dicts' order
+            assert repr(report) == repr(reference_evaluate(KeyedOutcome.of(outcome), net,
+                                                           requests, p_in)), (kind, n, name)
+            if name == "PS":
+                assert [(e, list(a.items())) for e, a in outcome.allocations.items()] == \
+                    [(e, list(a.items())) for e, a in allocations.items()]
+        compared[kind] += 1
+        compared["truncated"] += len(keyed.kept(p.l_max).live_paths) < len(info.keys)
+        compared["PU deducted"] += any(f_max[key] < min(caps[e] for e in edges)
+                                       for key, edges in keyed.kept(p.l_max).live_paths.items())
+    assert all(compared[kind] >= 10 for kind in TOPOLOGIES), compared
+    assert compared["truncated"] and compared["PU deducted"], compared
 
 
 def test_uncoverable_residual_raises_invariant_error():
     # two paths share a capacity-10 edge, so 10 units must go; with f_min = 9
     # (above what production derives) only 2 can, leaving a shortfall of 8.
     # An explicit check, so it also holds under python -O
-    lengths = {(0, 0): 1, (1, 0): 1}
-    info = one_edge(lengths)
+    info = one_edge({(0, 0): 1, (1, 0): 1})
     with pytest.raises(InvariantError, match=r"edge \(0, 1\): 8 units"):
-        _propagatory_core({(0, 1): 10}, info.kept(2), lengths, 9, 1.0, 1.0)
+        _propagatory_core(info, info.kept(2), [10], 9, 1.0, 1.0)
 
 
 # ------------------------------------------------- capacity-independent work
