@@ -1,6 +1,7 @@
 """Seeded trials, replication, parameter search, and the experiment suites."""
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import time
@@ -12,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .metrics import MetricsReport, evaluate, throughput, zero_report
-from .netmodel import (Network, Request, ScenarioParams, build_lattice,
+from .netmodel import (Edge, Network, Request, ScenarioParams, build_lattice,
                        deactivate_low_capacity_edges, generate_requests,
                        inject_failures, sample_edge_states)
 from .pathfinder import Path, PathSet, build_path_info, k_shortest_paths
@@ -134,17 +135,46 @@ def prepare_trial(config: ExperimentConfig, seed: int) -> TrialContext:
     f_min = compute_f_min(revised, config.routing.l_max) if revised.active_edges() else 0
     return _with_paths(TrialContext(seed, revised, requests,
                                     replace(config.routing, f_min=f_min), (),
-                                    stage_seconds=stage))
+                                    stage_seconds=stage),
+                       pinned=config.requests.pairs is not None)
 
 
-def _with_paths(ctx: TrialContext) -> TrialContext:
+@functools.lru_cache(maxsize=256)
+def lattice_paths(rows: int, cols: int, kind: str, s: int, t: int,
+                  k: int) -> tuple[tuple[tuple[int, ...], ...], frozenset[Edge]]:
+    """Yen's k shortest s-t paths on the complete lattice, as node tuples,
+    and the set of edges they cross; cached per process."""
+    paths = k_shortest_paths(build_lattice(rows, cols, kind), s, t, k)
+    return (tuple(p.nodes for p in paths),
+            frozenset(e for p in paths for e in p.edge_keys()))
+
+
+def _request_paths(net: Network, r: Request, k: int, pinned: bool) -> list[Path]:
+    """Yen's k shortest paths of one request on ``net``.
+
+    A pinned request (one the config names in ``requests.pairs``) reuses the
+    complete lattice's paths when every edge on them is active in ``net``.
+    That is exact: removing edges only removes candidates, and Yen's
+    (length, node sequence) order is total, so the k smallest lattice paths
+    that survive are still the k smallest; if the lattice has fewer than k,
+    the survivors are all there are.
+    """
+    if pinned:
+        nodes, edges = lattice_paths(net.rows, net.cols, net.kind, r.source, r.terminal, k)
+        if net.capacity_map().keys() >= edges:
+            return [Path(r.id, rank, p) for rank, p in enumerate(nodes)]
+    return k_shortest_paths(net, r.source, r.terminal, k, request_id=r.id)
+
+
+def _with_paths(ctx: TrialContext, pinned: bool) -> TrialContext:
     """The context with the k shortest paths of every request on its network
-    (a disconnected request contributes none), or the reason it has none."""
+    (a disconnected request contributes none), or the reason it has none;
+    ``pinned`` says the requests are the config's fixed pairs."""
     if not ctx.revised.active_edges():
         return replace(ctx, reason="no_active_edges")
     t0 = time.perf_counter()
-    paths = tuple(path for r in ctx.requests for path in k_shortest_paths(
-        ctx.revised, r.source, r.terminal, ctx.params.k, request_id=r.id))
+    paths = tuple(path for r in ctx.requests
+                  for path in _request_paths(ctx.revised, r, ctx.params.k, pinned))
     ctx.stage_seconds["paths"] = time.perf_counter() - t0
     return replace(ctx, paths=paths, reason=None if paths else "no_paths")
 
@@ -529,9 +559,10 @@ def _failure_seed(args: tuple) -> list[tuple[tuple[str, int, str], tuple]]:
         dead = ctx.revised.capacity_map().keys() - failed.capacity_map().keys()
         # Steps 2-5 only: the window's f_min (a Step-1 parameter) is kept, and
         # it stays feasible because the failed graph's edges are a subset of G'
-        (replanned,) = route_window(_with_paths(TrialContext(seed, failed, ctx.requests,
-                                                             ctx.params, ())),
-                                    [ctx.params], config.algorithms, p_in)
+        (replanned,) = route_window(
+            _with_paths(TrialContext(seed, failed, ctx.requests, ctx.params, ()),
+                        pinned=config.requests.pairs is not None),
+            [ctx.params], config.algorithms, p_in)
         for alg, res in before.results.items():
             survived = degrade_outcome(res.outcome, dead)
             samples.append(((mode, count, alg),

@@ -8,8 +8,8 @@ from typing import Sequence
 
 from .harness import AlgorithmResult, NetworkSummary, TrialRecord, report_values
 from .metrics import MetricsReport
-from .netmodel import Network, Request, node_label, node_xy
-from .pathfinder import PathSet
+from .netmodel import Edge, Network, Request, node_label, node_xy
+from .pathfinder import PathKey, PathSet
 from .scheduler import RoutingOutcome, RoutingParams
 
 TRIAL_COLUMNS = ("seed", "algorithm", "k", "l_max", "alpha", "beta",
@@ -99,16 +99,16 @@ def _decode_edge(text: str) -> tuple[int, int]:
     return int(u), int(v)
 
 
-def outcome_to_dict(outcome: RoutingOutcome) -> dict:
-    """Flows, and PS's allocations; the paths are written once per record."""
-    data = {
-        "algorithm": outcome.algorithm,
-        "flows": {_encode_pathkey(k): v for k, v in sorted(outcome.flows.items())},
-    }
+def outcome_to_dict(outcome: RoutingOutcome, key_str: dict[PathKey, str],
+                    edge_str: dict[Edge, str]) -> dict:
+    """Flows, and PS's allocations; the paths are written once per record.
+    ``key_str`` and ``edge_str`` hold the strings of the PathSet's keys and
+    edges; flows and allocations are in key and edge order already."""
+    data = {"algorithm": outcome.algorithm,
+            "flows": {key_str[k]: v for k, v in outcome.flows.items()}}
     if outcome.allocations is not None:
-        data["allocations"] = {_encode_edge(e): {_encode_pathkey(k): v
-                                                 for k, v in sorted(alloc.items())}
-                               for e, alloc in sorted(outcome.allocations.items())}
+        data["allocations"] = {edge_str[e]: {key_str[k]: v for k, v in alloc.items()}
+                               for e, alloc in outcome.allocations.items()}
     return data
 
 
@@ -123,14 +123,16 @@ def outcome_from_dict(data: dict, paths: PathSet) -> RoutingOutcome:
         paths=paths, allocations=allocations)
 
 
-def report_to_dict(report: MetricsReport) -> dict:
+def report_to_dict(report: MetricsReport, edge_str: dict[Edge, str]) -> dict:
+    """The report, with edges as ``edge_str`` gives them; utilization is in
+    edge order and stretch in request order already."""
     return {
         "throughput": report.throughput,
         "min_flow": report.min_flow,
-        "utilization": {_encode_edge(e): u for e, u in sorted(report.utilization.items())},
+        "utilization": {edge_str[e]: u for e, u in report.utilization.items()},
         "u_ave": report.u_ave,
         "u_var": report.u_var,
-        "stretch_per_request": {str(r): g for r, g in sorted(report.stretch_per_request.items())},
+        "stretch_per_request": {str(r): g for r, g in report.stretch_per_request.items()},
         "stretch": report.stretch,
         "jain_requests": report.jain_requests,
         "jain_paths": report.jain_paths,
@@ -157,8 +159,14 @@ def report_from_dict(data: dict) -> MetricsReport:
 
 
 def record_to_dict(record: TrialRecord) -> dict:
-    # a record's outcomes share one path set, so its paths are written once
+    """The record as JSON-ready data. Its outcomes share one PathSet, so the
+    paths are written once, and each of its path keys and edges is encoded
+    to a string once per record."""
     paths = next(iter(record.results.values())).outcome.paths
+    keys = [_encode_pathkey(key) for key in paths.keys]
+    edges = [_encode_edge(e) for e in paths.edges]
+    key_str = dict(zip(paths.keys, keys))
+    edge_str = dict(zip(paths.edges, edges))
     return {
         "seed": record.seed,
         "params": {"k": record.params.k, "l_max": record.params.l_max,
@@ -169,12 +177,12 @@ def record_to_dict(record: TrialRecord) -> dict:
                      for r in record.requests],
         "network": vars(record.network).copy(),
         "paths": {
-            "lengths": {_encode_pathkey(k): v for k, v in zip(paths.keys, paths.lengths)},
-            "path_edges": {_encode_pathkey(k): [_encode_edge(e) for e in edges]
-                           for k, edges in paths.path_edges.items()},
+            "lengths": dict(zip(keys, paths.lengths)),
+            "path_edges": {key: [edges[e] for e in ids]
+                           for key, ids in zip(keys, paths.edge_ids)},
         },
-        "results": {name: {"outcome": outcome_to_dict(res.outcome),
-                           "report": report_to_dict(res.report),
+        "results": {name: {"outcome": outcome_to_dict(res.outcome, key_str, edge_str),
+                           "report": report_to_dict(res.report, edge_str),
                            "schedule_seconds": res.schedule_seconds}
                     for name, res in record.results.items()},
         "stage_seconds": dict(record.stage_seconds),

@@ -8,7 +8,9 @@ from operator import itemgetter
 from typing import Any, Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
+import pytest
 
+from qroute import harness
 from qroute.config import ConfigError, _fail
 from qroute.harness import (METRIC_FIELDS, AlgorithmResult, ExperimentConfig,
                             ObjectiveWeights, RequestSpec, TrialContext, TrialRecord,
@@ -23,6 +25,25 @@ from qroute.purification import purify_network
 from qroute.scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams, _progressive_fill,
                               _propagatory_core, compute_f_min, largest_remainder,
                               run_algorithm)
+
+
+@pytest.fixture(autouse=True)
+def empty_lattice_path_cache():
+    """Every test starts with an empty ``harness.lattice_paths`` cache, so that
+    no test depends on which ran before it."""
+    harness.lattice_paths.cache_clear()
+    yield
+    harness.lattice_paths.cache_clear()
+
+
+def spy_on_yen(monkeypatch) -> list[Network]:
+    """Route ``harness.k_shortest_paths`` through a spy; returns the list of
+    networks it is called on, in call order."""
+    nets: list[Network] = []
+    yen = harness.k_shortest_paths
+    monkeypatch.setattr(harness, "k_shortest_paths",
+                        lambda net, *args, **kw: nets.append(net) or yen(net, *args, **kw))
+    return nets
 
 
 def abstract_network(capacity):
@@ -982,6 +1003,15 @@ def reference_prepare_trial(config: ExperimentConfig, seed: int) -> TrialContext
     return TrialContext(seed, revised, requests, params, paths, stage_seconds=stage)
 
 
+def reference_with_paths(ctx: TrialContext) -> TrialContext:
+    """``harness._with_paths`` without the lattice path cache: plain Yen per
+    request on the context's network."""
+    if not ctx.revised.active_edges():
+        return replace(ctx, reason="no_active_edges")
+    paths = reference_enumerate_paths(ctx.revised, ctx.requests, ctx.params.k)
+    return replace(ctx, paths=paths, reason=None if paths else "no_paths")
+
+
 def reference_route_all(net: Network, paths: Sequence[Path], requests: Sequence[Request],
                         params: RoutingParams, algorithms: Sequence[str],
                         p_in: float) -> dict[str, AlgorithmResult]:
@@ -1024,6 +1054,75 @@ def reference_replicate(config: ExperimentConfig) -> tuple[
     records = [reference_run_trial(config, config.base_seed + i)
                for i in range(config.replications)]
     return records, aggregate(records, config.algorithms)
+
+
+# ---------------------------------------------------------- record encoding
+# ``reports.record_to_dict`` as it was before it encoded each path key and
+# edge once per record: every dict is re-encoded and sorted where it is
+# written. It is the oracle for the one-pass serializer.
+
+def _reference_pathkey(key: PathKey) -> str:
+    return f"{key[0]}:{key[1]}"
+
+
+def _reference_edge(edge: Edge) -> str:
+    return f"{edge[0]}-{edge[1]}"
+
+
+def reference_outcome_to_dict(outcome: RoutingOutcome) -> dict:
+    data = {
+        "algorithm": outcome.algorithm,
+        "flows": {_reference_pathkey(k): v for k, v in sorted(outcome.flows.items())},
+    }
+    if outcome.allocations is not None:
+        data["allocations"] = {_reference_edge(e): {_reference_pathkey(k): v
+                                                    for k, v in sorted(alloc.items())}
+                               for e, alloc in sorted(outcome.allocations.items())}
+    return data
+
+
+def reference_report_to_dict(report: MetricsReport) -> dict:
+    return {
+        "throughput": report.throughput,
+        "min_flow": report.min_flow,
+        "utilization": {_reference_edge(e): u for e, u in sorted(report.utilization.items())},
+        "u_ave": report.u_ave,
+        "u_var": report.u_var,
+        "stretch_per_request": {str(r): g for r, g
+                                in sorted(report.stretch_per_request.items())},
+        "stretch": report.stretch,
+        "jain_requests": report.jain_requests,
+        "jain_paths": report.jain_paths,
+        "jain_paths_normalized": report.jain_paths_normalized,
+        "demand_satisfied": {str(r): ok for r, ok in sorted(report.demand_satisfied.items())},
+        "flags": list(report.flags),
+    }
+
+
+def reference_record_to_dict(record: TrialRecord) -> dict:
+    # a record's outcomes share one path set, so its paths are written once
+    paths = next(iter(record.results.values())).outcome.paths
+    return {
+        "seed": record.seed,
+        "params": {"k": record.params.k, "l_max": record.params.l_max,
+                   "alpha": record.params.alpha, "beta": record.params.beta,
+                   "f_min": record.params.f_min},
+        "requests": [{"id": r.id, "source": r.source, "terminal": r.terminal,
+                      "demand": r.demand, "weight": r.weight}
+                     for r in record.requests],
+        "network": vars(record.network).copy(),
+        "paths": {
+            "lengths": {_reference_pathkey(k): v for k, v in zip(paths.keys, paths.lengths)},
+            "path_edges": {_reference_pathkey(k): [_reference_edge(e) for e in edges]
+                           for k, edges in paths.path_edges.items()},
+        },
+        "results": {name: {"outcome": reference_outcome_to_dict(res.outcome),
+                           "report": reference_report_to_dict(res.report),
+                           "schedule_seconds": res.schedule_seconds}
+                    for name, res in record.results.items()},
+        "stage_seconds": dict(record.stage_seconds),
+        "reason": record.reason,
+    }
 
 
 # ------------------------------------------------------------ per-point sweeps

@@ -1,11 +1,15 @@
+import pathlib
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
 import pytest
 
-from conftest import KeyedOutcome, reference_evaluate, reference_run_trial
+from conftest import (KeyedOutcome, reference_evaluate, reference_run_trial,
+                      reference_with_paths, spy_on_yen)
 
 from qroute import harness
+from qroute.config import load_config
 from qroute.harness import (ExperimentConfig, ObjectiveWeights, RequestSpec,
                             aggregate, degrade_outcome, failure_experiment,
                             grid_search_parameters, objective_value, parameter_grid,
@@ -98,6 +102,40 @@ def test_run_trial_matches_reference(kind):
             reasons.add(record.reason)
             assert untimed(record) == untimed(reference_run_trial(cfg, seed))
     assert reasons == {None, "no_active_edges", "no_paths"}
+
+
+BASELINE = pathlib.Path(__file__).resolve().parent.parent / "configs" / "baseline.yml"
+
+
+def test_pinned_baseline_windows_skip_yen(monkeypatch):
+    config = load_config(str(BASELINE))
+    nets = spy_on_yen(monkeypatch)
+    windows, yen_windows = 60, 0
+    for seed in range(windows):
+        nets.clear()
+        ctx = prepare_trial(config, seed)
+        reference = reference_with_paths(ctx)
+        assert (ctx.paths, ctx.reason) == (reference.paths, reference.reason)
+        yen_windows += any(net is ctx.revised for net in nets)
+        if seed < 10:
+            assert untimed(run_trial(config, seed)) == untimed(reference_run_trial(config, seed))
+    # one lattice run per pinned pair fills the cache; most windows reuse it
+    info = harness.lattice_paths.cache_info()
+    assert info.misses == info.currsize == len(config.requests.pairs)
+    assert yen_windows < windows // 2
+
+
+def test_random_pair_windows_leave_the_lattice_cache_empty():
+    cfg = small_config(replications=3)
+    replicate(cfg)
+    failure_experiment(cfg, modes=[("edge", 1), ("node", 1)])
+    request_sweep(cfg, counts=[2, 3])
+    grid_search_parameters(cfg)
+    assert harness.lattice_paths.cache_info().currsize == 0
+    # pinned pairs, through the same entry points, do fill it
+    failure_experiment(replace(cfg, requests=RequestSpec(pairs=((0, 24), (4, 20)))),
+                       modes=[("edge", 1)])
+    assert harness.lattice_paths.cache_info().currsize == 2
 
 
 def test_replicate_single_equals_trial():

@@ -1,6 +1,8 @@
 """Pipeline invariants are explicit checks that raise InvariantError, not
-asserts, so they must still fire under ``python -O``. This reruns their tests
-in a ``python -O -m pytest`` subprocess."""
+asserts, so they must still fire under ``python -O``; and the condition under
+which a pinned request reuses the lattice's paths is an ordinary ``if``, so
+reuse must still give Yen's paths there. This reruns their tests in a
+``python -O -m pytest`` subprocess."""
 import os
 import pathlib
 import subprocess
@@ -21,16 +23,27 @@ INVARIANT_TESTS = {
         "test_uncoverable_residual_raises_invariant_error"),
 }
 
+#: pinned baseline windows, whose paths are compared with the Yen oracle
+REUSE_TESTS = {"tests/test_harness.py": ("test_pinned_baseline_windows_skip_yen",)}
 
-def test_invariant_errors_raise_under_python_O():
-    names = [name for group in INVARIANT_TESTS.values() for name in group]
+
+def run_under_python_O(tests: dict[str, tuple[str, ...]]) -> None:
+    names = [name for group in tests.values() for name in group]
     path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     result = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "-k", " or ".join(names), *INVARIANT_TESTS],
+         "-k", " or ".join(names), *tests],
         cwd=ROOT, env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stdout + result.stderr
     assert f"{len(names)} passed" in result.stdout, result.stdout
     # pytest notices that the interpreter strips assert statements
     assert "python -O" in result.stdout, result.stdout
+
+
+def test_invariant_errors_raise_under_python_O():
+    run_under_python_O(INVARIANT_TESTS)
+
+
+def test_pinned_paths_match_yen_under_python_O():
+    run_under_python_O(REUSE_TESTS)

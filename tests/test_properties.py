@@ -1,17 +1,23 @@
 """Hypothesis property tests: k_shortest_paths over random lattices, the
-sweep engine against the per-point grid loop over random windows and grids,
-and the invariants of whole windows over random lattices and scenarios."""
+reuse of lattice paths for pinned requests, the sweep engine against the
+per-point grid loop over random windows and grids, and the invariants and
+serialization of whole windows over random lattices and scenarios."""
+import json
 from collections import Counter
 from dataclasses import replace
 
 from conftest import (assert_integer_max_min, reference_grid_search,
-                      reference_k_shortest_paths)
+                      reference_k_shortest_paths, reference_record_to_dict,
+                      reference_with_paths, spy_on_yen)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qroute.harness import (ExperimentConfig, RequestSpec, grid_search_parameters,
-                            prepare_trial, run_trial)
-from qroute.netmodel import TOPOLOGIES, ScenarioParams, build_lattice
+from qroute import harness
+from qroute.harness import (AlgorithmResult, ExperimentConfig, RequestSpec, TrialContext,
+                            degrade_outcome, grid_search_parameters, prepare_trial,
+                            run_trial)
+from qroute.metrics import evaluate
+from qroute.netmodel import TOPOLOGIES, Request, ScenarioParams, build_lattice
 from qroute.pathfinder import build_path_info, k_shortest_paths
 from qroute.reports import record_from_dict, record_to_dict
 from qroute.scheduler import RoutingParams
@@ -59,6 +65,56 @@ def test_prefix_stable_and_equal_to_reference(query, j):
     paths = k_shortest_paths(net, s, t, k)
     assert paths == reference_k_shortest_paths(net, s, t, k)
     assert k_shortest_paths(net, s, t, min(j, k)) == paths[:j]
+
+
+@st.composite
+def pinned_windows(draw):
+    """A context with pinned requests on a lattice with some edges dead: at
+    random, on the lattice's own k shortest paths, or every edge at one
+    request's source or terminal."""
+    kind = draw(st.sampled_from(TOPOLOGIES))
+    rows = draw(st.integers(2, 6))
+    cols = draw(st.integers(2, 6))
+    k = draw(st.integers(1, 12))
+    net = build_lattice(rows, cols, kind)
+    n = net.node_count
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda pair: pair[0] != pair[1]), min_size=1, max_size=3))
+    requests = tuple(Request(i, s, t) for i, (s, t) in enumerate(pairs))
+    mode = draw(st.sampled_from(("none", "random", "on_paths", "endpoint")))
+    if mode == "none":
+        dead = set()
+    elif mode == "random":
+        dead = {e for e in net.edges if draw(st.integers(0, 9)) == 0}
+    elif mode == "on_paths":
+        on_paths = sorted(harness.lattice_paths(rows, cols, kind, *pairs[0], k)[1])
+        dead = set(draw(st.lists(st.sampled_from(on_paths), min_size=1, max_size=3)))
+    else:
+        node = draw(st.sampled_from(pairs[0]))
+        dead = {e for e in net.edges if node in e}
+    revised = replace(net, capacity=(50,) * len(net.edges),
+                      fidelity=(0.9,) * len(net.edges),
+                      active=tuple(e not in dead for e in net.edges), phase="purified")
+    return TrialContext(0, revised, requests, RoutingParams(k=k, l_max=4, f_min=1), ())
+
+
+def test_pinned_paths_equal_yen_on_the_revised_network(monkeypatch):
+    calls = spy_on_yen(monkeypatch)
+    reused = Counter()
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(pinned_windows())
+    def check(ctx):
+        calls.clear()
+        assert harness._with_paths(ctx, pinned=True) == reference_with_paths(ctx)
+        if ctx.revised.active_edges():
+            # calls on the complete (raw) lattice fill the cache; the rest are fallbacks
+            fallbacks = sum(net.phase != "raw" for net in calls)
+            reused[fallbacks < len(ctx.requests)] += 1
+
+    check()
+    # both sides of the reuse condition were drawn
+    assert reused[True] and reused[False]
 
 
 def axis(values):
@@ -124,13 +180,37 @@ def windows(draw):
     return config, draw(st.integers(0, 2**16))
 
 
+def assert_same_bytes(record):
+    """Both serializers write the record, and the record read back from it,
+    byte for byte alike."""
+    text = json.dumps(record_to_dict(record))
+    assert text == json.dumps(reference_record_to_dict(record))
+    back = record_from_dict(json.loads(text))
+    assert back == record
+    assert json.dumps(record_to_dict(back)) == json.dumps(reference_record_to_dict(back)) == text
+
+
 def check_window(config, seed):
-    """Assert every schedule invariant on one window; returns its reason."""
+    """Assert every schedule invariant on one window, and its serialization;
+    returns its reason."""
     record = run_trial(config, seed)
-    assert record_from_dict(record_to_dict(record)) == record
+    assert_same_bytes(record)
+    ctx = prepare_trial(config, seed)
+    reference = reference_with_paths(ctx)
+    assert (ctx.paths, ctx.reason) == (reference.paths, reference.reason)
     if record.reason is not None:
         return record.reason
-    ctx = prepare_trial(config, seed)
+    # every other used edge fails: the degraded outcomes, scored on the failed network
+    used = set().union(*(res.outcome.edge_usage() for res in record.results.values()))
+    dead = set(sorted(used)[::2])
+    failed = replace(ctx.revised, active=tuple(on and e not in dead for e, on
+                                               in zip(ctx.revised.edges, ctx.revised.active)))
+    degraded = {}
+    for name, res in record.results.items():
+        outcome = degrade_outcome(res.outcome, dead)
+        degraded[name] = AlgorithmResult(outcome, evaluate(outcome, failed, ctx.requests,
+                                                           config.scenario.p_in))
+    assert_same_bytes(replace(record, results=degraded))
     caps = ctx.revised.capacity_map()
     info = build_path_info(ctx.paths, ctx.params.l_max)
     live = {info.keys[p] for p in info.kept(ctx.params.l_max).live_paths}
