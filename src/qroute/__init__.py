@@ -10,8 +10,7 @@ from .scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams,
                         compute_f_min, progressive_filling,
                         propagatory_update, proportional_share, run_algorithm,
                         two_stage_weights)
-from .metrics import MetricsReport, evaluate, jain_paths, jain_requests, min_flow
-from .metrics import throughput, utilization_stats, stretch_factor, evaluate_demand
+from .metrics import MetricsReport, evaluate, throughput
 from .harness import (ExperimentConfig, ObjectiveWeights, RequestSpec,
                       TrialRecord, failure_experiment, grid_search_parameters,
                       replicate, request_sweep, run_trial, swap_monte_carlo,
@@ -27,13 +26,12 @@ __all__ = [
     "RequestSpec", "RoutingOutcome", "RoutingParams", "ScenarioParams",
     "TrialRecord", "build_lattice",
     "build_path_info", "compute_f_min", "deactivate_low_capacity_edges",
-    "evaluate", "evaluate_demand", "failure_experiment",
+    "evaluate", "failure_experiment",
     "generate_requests", "grid_search_parameters", "inject_failures",
-    "jain_paths", "jain_requests", "k_shortest_paths", "load_config",
-    "min_flow", "progressive_filling", "propagatory_update",
+    "k_shortest_paths", "load_config", "progressive_filling", "propagatory_update",
     "proportional_share", "pump_fidelity", "purify_edge", "purify_network",
     "replicate", "request_sweep", "run_algorithm", "run_trial",
-    "sample_edge_states", "stretch_factor", "swap_monte_carlo", "sweep_reports",
+    "sample_edge_states", "swap_monte_carlo", "sweep_reports",
     "throughput",
-    "truncate_edge_paths", "two_stage_weights", "utilization_stats",
+    "truncate_edge_paths", "two_stage_weights",
 ]

@@ -1,7 +1,10 @@
 """Command-line entry: config parsing, subcommand dispatch, result files.
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime error, 3 completed
-with degenerate (zero-metric) results.
+with degenerate (zero-metric) results. Exit 3 comes from ``run`` (its window
+is degenerate), ``replicate`` and ``sweep`` (every window is) and
+``failures`` (no baseline window routes); ``optimize`` and ``requests`` see
+only aggregated tables and exit 0 even then.
 """
 from __future__ import annotations
 
@@ -12,7 +15,8 @@ import sys
 from dataclasses import replace
 
 from . import harness, reports
-from .config import ConfigError, apply_overrides, distance_error, load_config
+from .config import ConfigError, apply_overrides, load_config
+from .netmodel import distance_error
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -159,15 +163,21 @@ def _cmd_sweep(args) -> int:
     specs = ([replace(config.requests, distance=d, pairs=None) for d in args.distances]
              if args.distances else [config.requests])
     rows = []
+    degenerate = True
     for spec, cells in zip(specs, harness.sweep_reports(config, specs, points)):
         distance = spec.distance if spec.pairs is None else None
         for params, cell in zip(points, cells):
+            degenerate &= all(harness.DEGENERATE_REASONS.intersection(rep.flags)
+                              for reps in cell.values() for rep in reps)
             extra = {"distance": distance, "k": params.k, "l_max": params.l_max,
                      "alpha": params.alpha, "beta": params.beta}
             rows.extend(reports.aggregate_rows(harness.aggregate_reports(cell),
                                                config.replications, extra))
     reports.write_table_csv(rows, _out(args, "sweep.csv"))
     print(f"wrote {len(rows)} sweep rows to {args.out_dir}/sweep.csv")
+    if degenerate:
+        print("all windows degenerate")
+        return EXIT_DEGENERATE
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ from typing import Any
 import yaml
 
 from .harness import ExperimentConfig, ObjectiveWeights, RequestSpec
-from .netmodel import TOPOLOGIES, ScenarioParams
+from .netmodel import TOPOLOGIES, ScenarioParams, distance_error
 from .scheduler import ALGORITHMS, RoutingParams
 
 
@@ -136,14 +136,6 @@ def _leaves(obj) -> dict[str, Any]:
         value = getattr(obj, f.name)
         out.update(_leaves(value) if is_dataclass(value) else {f.name: value})
     return out
-
-
-def distance_error(distance: int, rows: int, cols: int) -> str | None:
-    """Why drawn requests cannot sit at lattice offset (distance, distance)
-    in a rows x cols lattice, or None when they can."""
-    if distance > min(rows, cols) - 1:
-        return f"no node pair at offset ({distance}, {distance}) in a {rows}x{cols} lattice"
-    return None
 
 
 def config_from_mapping(doc: dict, lines: dict[str, int] | None = None,

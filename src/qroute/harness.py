@@ -28,6 +28,10 @@ WORKERS_ENV = "QROUTE_WORKERS"
 
 METRIC_FIELDS = ("F", "F_min", "U_ave", "U_var", "gamma", "J_req", "J_path")
 
+#: why a window could not route (``TrialRecord.reason``); each of its reports
+#: is a ``zero_report`` that carries the reason among its flags
+DEGENERATE_REASONS = frozenset({"no_active_edges", "no_paths"})
+
 
 @dataclass
 class RequestSpec:

@@ -73,137 +73,60 @@ def tally(outcome: RoutingOutcome, weights: dict[int, float], p_in: float) -> Fl
     return FlowTally(flow, terms, stretch, shares, squares)
 
 
-def _weights(requests: Sequence[Request], required: bool = False) -> dict[int, float]:
-    if required and not requests:
-        raise ValueError("at least one request is required")
-    return {r.id: r.weight for r in requests}
-
-
 def _check_p_in(p_in: float) -> None:
     if not 0.0 <= p_in <= 1.0:
         raise ValueError(f"p_in must be in [0, 1], got {p_in}")
 
 
-def per_request_throughput(outcome: RoutingOutcome, requests: Sequence[Request],
-                           p_in: float) -> dict[int, float]:
-    """w_r * sum_l f^{r,l} * p_in^(d-1) for every request (0 when pathless)."""
-    return tally(outcome, _weights(requests), p_in).terms
-
-
 def throughput(outcome: RoutingOutcome, requests: Sequence[Request],
                p_in: float) -> float:
+    """F = sum_r w_r * sum_l f^{r,l} * p_in^(d-1); the ``throughput`` field
+    of ``evaluate``'s report, for callers that need F alone."""
     _check_p_in(p_in)
-    return sum(per_request_throughput(outcome, requests, p_in).values())
-
-
-def min_flow(outcome: RoutingOutcome, requests: Sequence[Request],
-             p_in: float) -> float:
-    return min(per_request_throughput(outcome, requests, p_in).values())
-
-
-def utilization_stats(outcome: RoutingOutcome,
-                      net: Network) -> tuple[dict[Edge, float], float, float, bool]:
-    """Utilization per utilized edge, sorted by edge, plus population
-    mean/variance.
-
-    Edges carrying zero flow are excluded; returns (u, 0, 0, True) when no
-    edge is utilized.
-    """
-    caps = net.capacity_map()
-    u = {e: used / caps[e] for e, used in zip(outcome.paths.edges, outcome.usage) if used > 0}
-    if not u:
-        return {}, 0.0, 0.0, True
-    values = np.fromiter(u.values(), dtype=float)
-    return u, float(values.mean()), float(values.var()), False
-
-
-def _stretch(t: FlowTally) -> tuple[dict[int, float], float, bool]:
-    if not t.stretch:
-        return {}, 0.0, True
-    return t.stretch, float(np.mean(list(t.stretch.values()))), False
-
-
-def stretch_factor(outcome: RoutingOutcome) -> tuple[dict[int, float], float, bool]:
-    """Flow-weighted path length over the shortest length, per request and
-    averaged; zero-flow requests are excluded, and an all-zero outcome is
-    reported as (-, 0, flagged)."""
-    return _stretch(tally(outcome, {r: 1.0 for r, _ in outcome.flows}, 1.0))
-
-
-def _jain_requests(t: FlowTally, weights: dict[int, float],
-                   n_requests: int) -> tuple[float, bool]:
-    shares = [w * t.flow[r] for r, w in weights.items()]
-    denom = n_requests * sum(s * s for s in shares)
-    if denom == 0:
-        return 0.0, True
-    return sum(shares) ** 2 / denom, False
-
-
-def jain_requests(outcome: RoutingOutcome, requests: Sequence[Request]) -> tuple[float, bool]:
-    """Jain's index over weighted per-request flows; 0/0 reported as (0, flagged)."""
-    weights = _weights(requests, required=True)
-    return _jain_requests(tally(outcome, weights, 1.0), weights, len(requests))
-
-
-def _jain_paths(t: FlowTally, n_requests: int) -> tuple[float, float, bool]:
-    numer = sum(t.shares) ** 2
-    sq = sum(t.squares)
-    if sq == 0:
-        return 0.0, 0.0, True
-    n_paths = len(t.shares)
-    return numer / (n_requests * sq), numer / (n_paths * sq), False
-
-
-def jain_paths(outcome: RoutingOutcome,
-               requests: Sequence[Request]) -> tuple[float, float, bool]:
-    """Per-path fairness, as printed (|R| normalizer, may exceed 1) and a
-    normalized variant dividing by the total number of enumerated paths."""
-    return _jain_paths(tally(outcome, _weights(requests, required=True), 1.0), len(requests))
-
-
-def _demand(t: FlowTally, requests: Sequence[Request]) -> dict[int, bool]:
-    return {r.id: t.flow[r.id] >= r.demand for r in requests}
-
-
-def evaluate_demand(outcome: RoutingOutcome,
-                    requests: Sequence[Request]) -> dict[int, bool]:
-    """Satisfied iff the realized aggregate flow covers the demand."""
-    return _demand(tally(outcome, _weights(requests), 1.0), requests)
+    return sum(tally(outcome, {r.id: r.weight for r in requests}, p_in).terms.values())
 
 
 def evaluate(outcome: RoutingOutcome, net: Network, requests: Sequence[Request],
              p_in: float) -> MetricsReport:
-    weights = _weights(requests, required=True)
+    """Every measure of one routing outcome, from one pass over its flows.
+
+    F and F_min are the sum and minimum of the per-request terms of ``tally``;
+    u is used/capacity per edge carrying flow; gamma is the mean per-request
+    stretch; J_req is Jain's index over weighted per-request flows and J_path
+    the per-path index as printed (|R| normalizer, may exceed 1), next to a
+    variant normalized by the number of paths. An undefined measure reads 0
+    and is flagged instead of raising.
+    """
+    if not requests:
+        raise ValueError("at least one request is required")
     _check_p_in(p_in)
+    weights = {r.id: r.weight for r in requests}
     t = tally(outcome, weights, p_in)
-    flags: list[str] = []
-    u, u_ave, u_var, no_traffic = utilization_stats(outcome, net)
-    if no_traffic:
-        flags.append("no_traffic")
-    per_req_stretch, stretch, stretch_undef = _stretch(t)
-    if stretch_undef:
-        flags.append("stretch_undefined")
-    j_req, j_req_undef = _jain_requests(t, weights, len(requests))
-    if j_req_undef:
-        flags.append("jain_req_undefined")
-    j_path, j_path_norm, j_path_undef = _jain_paths(t, len(requests))
-    if j_path_undef:
-        flags.append("jain_path_undefined")
-    elif j_path > 1.0:
-        flags.append("jain_path_above_one")
+    n = len(requests)
+    caps = net.capacity_map()
+    u = {e: used / caps[e] for e, used in zip(outcome.paths.edges, outcome.usage) if used > 0}
+    values = np.fromiter(u.values(), dtype=float)
+    shares = [w * t.flow[r] for r, w in weights.items()]
+    denom = n * sum(s * s for s in shares)
+    numer = sum(t.shares) ** 2
+    sq = sum(t.squares)
+    j_path = numer / (n * sq) if sq else 0.0
+    flags = (("no_traffic", not u), ("stretch_undefined", not t.stretch),
+             ("jain_req_undefined", denom == 0), ("jain_path_undefined", sq == 0),
+             ("jain_path_above_one", j_path > 1.0))
     return MetricsReport(
         throughput=sum(t.terms.values()),
         min_flow=min(t.terms.values()),
         utilization=u,
-        u_ave=u_ave,
-        u_var=u_var,
-        stretch_per_request=per_req_stretch,
-        stretch=stretch,
-        jain_requests=j_req,
+        u_ave=float(values.mean()) if u else 0.0,
+        u_var=float(values.var()) if u else 0.0,
+        stretch_per_request=t.stretch,
+        stretch=float(np.mean(list(t.stretch.values()))) if t.stretch else 0.0,
+        jain_requests=sum(shares) ** 2 / denom if denom else 0.0,
         jain_paths=j_path,
-        jain_paths_normalized=j_path_norm,
-        demand_satisfied=_demand(t, requests),
-        flags=tuple(flags),
+        jain_paths_normalized=numer / (len(t.shares) * sq) if sq else 0.0,
+        demand_satisfied={r.id: t.flow[r.id] >= r.demand for r in requests},
+        flags=tuple(flag for flag, raised in flags if raised),
     )
 
 

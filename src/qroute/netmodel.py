@@ -254,6 +254,14 @@ def _offset_pairs(net: Network, distance: int) -> list[tuple[int, int]]:
     return pairs
 
 
+def distance_error(distance: int, rows: int, cols: int) -> str | None:
+    """Why drawn requests cannot sit at lattice offset (distance, distance)
+    in a rows x cols lattice, or None when they can."""
+    if not 1 <= distance <= min(rows, cols) - 1:
+        return f"no node pair at offset ({distance}, {distance}) in a {rows}x{cols} lattice"
+    return None
+
+
 def generate_requests(net: Network, count: int, distance: int | None,
                       rng: np.random.Generator, demand: int = 10,
                       weight: float = 1.0) -> list[Request]:
@@ -266,10 +274,9 @@ def generate_requests(net: Network, count: int, distance: int | None,
         raise ValueError(f"request count must be >= 1, got {count}")
     requests: list[Request] = []
     if distance is not None:
-        if distance < 1 or distance > min(net.rows, net.cols) - 1:
-            raise ValueError(
-                f"no node pair at offset ({distance}, {distance}) in a "
-                f"{net.rows}x{net.cols} lattice")
+        reason = distance_error(distance, net.rows, net.cols)
+        if reason:
+            raise ValueError(reason)
         pairs = _offset_pairs(net, distance)
         for i in range(count):
             s, t = pairs[int(rng.integers(len(pairs)))]

@@ -1,12 +1,13 @@
 import pytest
 from conftest import line_network
 
-from qroute.metrics import (evaluate, evaluate_demand, jain_paths,
-                            jain_requests, min_flow, stretch_factor,
-                            throughput, utilization_stats, zero_report)
+from qroute.metrics import evaluate, tally, throughput, zero_report
 from qroute.netmodel import Request
 from qroute.pathfinder import PathSet
 from qroute.scheduler import RoutingOutcome
+
+#: covers every edge the outcomes below route over
+NET = line_network([100] * 8)
 
 
 def make_outcome(flows, lengths, path_edges, algorithm="PS"):
@@ -21,6 +22,10 @@ def simple_outcome():
 
 def requests(n, weight=1.0, demand=10):
     return [Request(i, 2 * i, 2 * i + 1, demand, weight) for i in range(n)]
+
+
+def report(outcome, reqs, p_in=1.0, net=NET):
+    return evaluate(outcome, net, reqs, p_in)
 
 
 def test_throughput_single_path():
@@ -41,6 +46,13 @@ def test_throughput_zero_flow():
 def test_throughput_validates_p_in():
     with pytest.raises(ValueError):
         throughput(simple_outcome(), requests(1), 1.5)
+    with pytest.raises(ValueError):
+        report(simple_outcome(), requests(1), 1.5)
+
+
+def test_evaluate_requires_a_request():
+    with pytest.raises(ValueError, match="at least one request"):
+        report(simple_outcome(), [])
 
 
 def test_min_flow_examples():
@@ -49,13 +61,15 @@ def test_min_flow_examples():
                         (1, 0): ((4, 5), (5, 6), (6, 7))})
     reqs = requests(2)
     per = [4 * 0.81, 2 * 0.81]
-    assert min_flow(out, reqs, 0.9) == pytest.approx(min(per))
-    assert min_flow(simple_outcome(), requests(1), 0.9) == \
+    assert report(out, reqs, 0.9).min_flow == pytest.approx(min(per))
+    assert report(simple_outcome(), requests(1), 0.9).min_flow == \
         pytest.approx(throughput(simple_outcome(), requests(1), 0.9))
 
 
 def test_min_flow_counts_pathless_requests_as_zero():
-    assert min_flow(simple_outcome(), requests(2), 0.9) == 0.0
+    rep = report(simple_outcome(), requests(2), 0.9)
+    assert rep.min_flow == 0.0
+    assert rep.throughput == pytest.approx(4 * 0.81)
 
 
 def _net_one_edge(capacity=10):
@@ -65,85 +79,102 @@ def _net_one_edge(capacity=10):
 def test_utilization_single_edge():
     out = make_outcome({(0, 0): 3, (1, 0): 4}, {(0, 0): 1, (1, 0): 1},
                        {(0, 0): ((0, 1),), (1, 0): ((0, 1),)})
-    u, ave, var, empty = utilization_stats(out, _net_one_edge(10))
-    assert u[(0, 1)] == pytest.approx(0.7)
-    assert ave == pytest.approx(0.7)
-    assert var == 0.0
-    assert not empty
+    rep = report(out, requests(2), net=_net_one_edge(10))
+    assert rep.utilization == {(0, 1): pytest.approx(0.7)}
+    assert rep.u_ave == pytest.approx(0.7)
+    assert rep.u_var == 0.0
+    assert "no_traffic" not in rep.flags
 
 
 def test_utilization_full_edges():
     net = line_network([5, 8])
     out = make_outcome({(0, 0): 5, (1, 0): 8}, {(0, 0): 1, (1, 0): 1},
                        {(0, 0): ((0, 1),), (1, 0): ((1, 2),)})
-    _, ave, var, _ = utilization_stats(out, net)
-    assert ave == 1.0 and var == 0.0
+    rep = report(out, requests(2), net=net)
+    assert rep.u_ave == 1.0 and rep.u_var == 0.0
 
 
 def test_utilization_excludes_zero_flow_edges():
     net = line_network([5, 8])
     out = make_outcome({(0, 0): 5, (1, 0): 0}, {(0, 0): 1, (1, 0): 1},
                        {(0, 0): ((0, 1),), (1, 0): ((1, 2),)})
-    u, ave, _, empty = utilization_stats(out, net)
-    assert (1, 2) not in u and ave == 1.0 and not empty
+    rep = report(out, requests(2), net=net)
+    assert (1, 2) not in rep.utilization and rep.u_ave == 1.0
+    assert "no_traffic" not in rep.flags
 
 
 def test_utilization_no_traffic_flag():
     out = make_outcome({(0, 0): 0}, {(0, 0): 1}, {(0, 0): ((0, 1),)})
-    u, ave, var, empty = utilization_stats(out, _net_one_edge())
-    assert empty and u == {} and ave == 0.0 and var == 0.0
+    rep = report(out, requests(1), net=_net_one_edge())
+    assert "no_traffic" in rep.flags
+    assert rep.utilization == {} and rep.u_ave == 0.0 and rep.u_var == 0.0
 
 
 def test_stretch_all_flow_on_shortest():
-    per, gamma, undef = stretch_factor(simple_outcome())
-    assert per[0] == 1.0 and gamma == 1.0 and not undef
+    rep = report(simple_outcome(), requests(1))
+    assert rep.stretch_per_request == {0: 1.0} and rep.stretch == 1.0
+    assert "stretch_undefined" not in rep.flags
 
 
 def test_stretch_mixed_lengths():
     out = make_outcome({(0, 0): 2, (0, 1): 2}, {(0, 0): 4, (0, 1): 6},
                        {(0, 0): ((0, 1),) * 4, (0, 1): ((1, 2),) * 6})
-    per, gamma, _ = stretch_factor(out)
-    assert per[0] == pytest.approx(20 / 16)
-    assert gamma == pytest.approx(1.25)
+    rep = report(out, requests(1))
+    assert rep.stretch_per_request[0] == pytest.approx(20 / 16)
+    assert rep.stretch == pytest.approx(1.25)
 
 
 def test_stretch_undefined_when_no_flow():
     out = make_outcome({(0, 0): 0}, {(0, 0): 3}, {(0, 0): ((0, 1),) * 3})
-    per, gamma, undef = stretch_factor(out)
-    assert undef and gamma == 0.0 and per == {}
+    rep = report(out, requests(1))
+    assert "stretch_undefined" in rep.flags
+    assert rep.stretch == 0.0 and rep.stretch_per_request == {}
 
 
 def test_jain_requests_examples():
     equal = make_outcome({(0, 0): 4, (1, 0): 4}, {(0, 0): 1, (1, 0): 1},
                          {(0, 0): ((0, 1),), (1, 0): ((2, 3),)})
-    assert jain_requests(equal, requests(2))[0] == pytest.approx(1.0)
+    assert report(equal, requests(2)).jain_requests == pytest.approx(1.0)
 
     lopsided = make_outcome({(0, 0): 4, (1, 0): 0}, {(0, 0): 1, (1, 0): 1},
                             {(0, 0): ((0, 1),), (1, 0): ((2, 3),)})
-    assert jain_requests(lopsided, requests(2))[0] == pytest.approx(0.5)
+    assert report(lopsided, requests(2)).jain_requests == pytest.approx(0.5)
 
     three_one = make_outcome({(0, 0): 3, (1, 0): 1}, {(0, 0): 1, (1, 0): 1},
                              {(0, 0): ((0, 1),), (1, 0): ((2, 3),)})
-    assert jain_requests(three_one, requests(2))[0] == pytest.approx(0.8)
+    assert report(three_one, requests(2)).jain_requests == pytest.approx(0.8)
 
 
 def test_jain_requests_zero_flag():
     out = make_outcome({(0, 0): 0}, {(0, 0): 1}, {(0, 0): ((0, 1),)})
-    value, flagged = jain_requests(out, requests(1))
-    assert value == 0.0 and flagged
+    rep = report(out, requests(1))
+    assert rep.jain_requests == 0.0 and "jain_req_undefined" in rep.flags
+
+
+def test_all_zero_outcome_reads_zero_and_flags_every_undefined_measure():
+    out = make_outcome({(0, 0): 0, (1, 0): 0}, {(0, 0): 1, (1, 0): 2},
+                       {(0, 0): ((0, 1),), (1, 0): ((2, 3), (3, 4))})
+    rep = report(out, requests(2), 0.9)
+    assert rep.flags == ("no_traffic", "stretch_undefined", "jain_req_undefined",
+                         "jain_path_undefined")
+    assert (rep.throughput, rep.min_flow, rep.u_ave, rep.u_var, rep.stretch,
+            rep.jain_requests, rep.jain_paths, rep.jain_paths_normalized) == (0.0,) * 8
+    assert rep.demand_satisfied == {0: False, 1: False}
 
 
 def test_jain_paths_single_path_is_one():
-    value, norm, flagged = jain_paths(simple_outcome(), requests(1))
-    assert value == 1.0 and norm == 1.0 and not flagged
+    rep = report(simple_outcome(), requests(1))
+    assert rep.jain_paths == 1.0 and rep.jain_paths_normalized == 1.0
+    assert rep.flags == ()
 
 
 def test_jain_paths_printed_formula_can_exceed_one():
     out = make_outcome({(0, 0): 2, (0, 1): 2}, {(0, 0): 1, (0, 1): 1},
                        {(0, 0): ((0, 1),), (0, 1): ((2, 3),)})
-    value, norm, _ = jain_paths(out, requests(1))
-    assert value == pytest.approx(2.0)
-    assert norm == pytest.approx(1.0)
+    rep = report(out, requests(1))
+    assert rep.jain_paths == pytest.approx(2.0)
+    assert rep.jain_paths_normalized == pytest.approx(1.0)
+    assert rep.flags == ("jain_path_above_one",)
 
 
 def test_jain_paths_spread_beats_concentration():
@@ -151,7 +182,7 @@ def test_jain_paths_spread_beats_concentration():
                           {(0, 0): ((0, 1),), (0, 1): ((2, 3),)})
     packed = make_outcome({(0, 0): 4, (0, 1): 0}, {(0, 0): 1, (0, 1): 1},
                           {(0, 0): ((0, 1),), (0, 1): ((2, 3),)})
-    assert jain_paths(spread, requests(1))[0] > jain_paths(packed, requests(1))[0]
+    assert report(spread, requests(1)).jain_paths > report(packed, requests(1)).jain_paths
 
 
 def test_demand_evaluation():
@@ -160,7 +191,7 @@ def test_demand_evaluation():
                        {(0, 0): ((0, 1),), (1, 0): ((2, 3),), (2, 0): ((4, 5),)})
     reqs = [Request(0, 0, 1, demand=8), Request(1, 2, 3, demand=1),
             Request(2, 4, 5, demand=8)]
-    assert evaluate_demand(out, reqs) == {0: True, 1: False, 2: True}
+    assert report(out, reqs).demand_satisfied == {0: True, 1: False, 2: True}
 
 
 def test_evaluate_report_flags_and_fields():
@@ -182,16 +213,18 @@ def test_zero_report_is_flagged():
 
 
 def test_throughput_decomposes_into_request_terms():
-    from qroute.metrics import per_request_throughput
     out = make_outcome({(0, 0): 4, (0, 1): 1, (1, 0): 2},
                        {(0, 0): 3, (0, 1): 5, (1, 0): 4},
                        {(0, 0): ((0, 1),) * 3, (0, 1): ((1, 2),) * 5,
                         (1, 0): ((4, 5),) * 4})
     reqs = requests(2, weight=1.3)
-    terms = per_request_throughput(out, reqs, 0.85)
-    assert throughput(out, reqs, 0.85) == pytest.approx(sum(terms.values()))
-    assert min_flow(out, reqs, 0.85) == pytest.approx(min(terms.values()))
-    assert all(min_flow(out, reqs, 0.85) <= t for t in terms.values())
+    terms = tally(out, {r.id: r.weight for r in reqs}, 0.85).terms
+    assert terms == {0: pytest.approx(1.3 * (4 * 0.85 ** 2 + 0.85 ** 4)),
+                     1: pytest.approx(1.3 * 2 * 0.85 ** 3)}
+    rep = report(out, reqs, 0.85)
+    assert rep.throughput == throughput(out, reqs, 0.85) == pytest.approx(sum(terms.values()))
+    assert rep.min_flow == pytest.approx(min(terms.values()))
+    assert all(rep.min_flow <= t for t in terms.values())
 
 
 def test_stretch_at_least_one_and_unit_iff_shortest():
@@ -221,6 +254,6 @@ def test_jain_requests_bounds_with_equal_weights():
     out = make_outcome({(0, 0): 7, (1, 0): 1, (2, 0): 3},
                        {(0, 0): 1, (1, 0): 1, (2, 0): 1},
                        {(0, 0): ((0, 1),), (1, 0): ((2, 3),), (2, 0): ((4, 5),)})
-    value, flagged = jain_requests(out, requests(3))
-    assert not flagged
-    assert 1.0 / 3 <= value <= 1.0
+    rep = report(out, requests(3))
+    assert "jain_req_undefined" not in rep.flags
+    assert 1.0 / 3 <= rep.jain_requests <= 1.0

@@ -230,10 +230,11 @@ def test_cli_negative_seed_flag_is_a_config_error(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_cli_degenerate_exit_code(tmp_path):
-    cfg = write_config(tmp_path, BASE_YML + "")
+@pytest.mark.parametrize("command", ["run", "replicate", "sweep", "failures"])
+def test_cli_degenerate_exit_code(tmp_path, command):
+    # p_out = 0 leaves no edge active, so every window is degenerate
     degenerate = write_config(tmp_path, BASE_YML.replace("c0: 50", "c0: 50, p_out: 0.0"))
-    assert cli.main(["run", "-c", degenerate, "--out-dir", str(tmp_path / "o")]) == 3
+    assert cli.main([command, "-c", degenerate, "--out-dir", str(tmp_path / "o")]) == 3
 
 
 def test_cli_missing_config_file(tmp_path):
