@@ -2,9 +2,8 @@
 
 Exit codes: 0 success, 1 usage/config error, 2 runtime error, 3 completed
 with degenerate (zero-metric) results. Exit 3 comes from ``run`` (its window
-is degenerate), ``replicate`` and ``sweep`` (every window is) and
-``failures`` (no baseline window routes); ``optimize`` and ``requests`` see
-only aggregated tables and exit 0 even then.
+is degenerate), ``replicate``, ``sweep``, ``optimize`` and ``requests``
+(every window is) and ``failures`` (no baseline window routes).
 """
 from __future__ import annotations
 
@@ -162,20 +161,23 @@ def _cmd_sweep(args) -> int:
     # without --distances the config's requests, pinned pairs included, as they are
     specs = ([replace(config.requests, distance=d, pairs=None) for d in args.distances]
              if args.distances else [config.requests])
+    swept = harness.sweep_reports(config, specs, points)
     rows = []
-    degenerate = True
-    for spec, cells in zip(specs, harness.sweep_reports(config, specs, points)):
+    for spec, cells in zip(specs, swept):
         distance = spec.distance if spec.pairs is None else None
         for params, cell in zip(points, cells):
-            degenerate &= all(harness.DEGENERATE_REASONS.intersection(rep.flags)
-                              for reps in cell.values() for rep in reps)
             extra = {"distance": distance, "k": params.k, "l_max": params.l_max,
                      "alpha": params.alpha, "beta": params.beta}
             rows.extend(reports.aggregate_rows(harness.aggregate_reports(cell),
                                                config.replications, extra))
     reports.write_table_csv(rows, _out(args, "sweep.csv"))
     print(f"wrote {len(rows)} sweep rows to {args.out_dir}/sweep.csv")
-    if degenerate:
+    return _degenerate_exit(swept)
+
+
+def _degenerate_exit(swept) -> int:
+    """EXIT_DEGENERATE, with a note, when no window of the sweep routed."""
+    if harness.all_degenerate(swept):
         print("all windows degenerate")
         return EXIT_DEGENERATE
     return EXIT_OK
@@ -183,13 +185,14 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_optimize(args) -> int:
     config = _load(args)
-    best, table = harness.grid_search_parameters(config)
+    swept = harness.sweep_reports(config, [config.requests], harness.parameter_grid(config))
+    best, table = harness.grid_search_parameters(config, swept[0])
     reports.write_table_csv(table, _out(args, "optimize.csv"))
     for name, (params, value) in best.items():
         print(f"{name}: best X = {{l_max: {params.l_max}, k: {params.k}, "
               f"alpha: {params.alpha}, beta: {params.beta}}} "
               f"objective = {value:.4f}")
-    return EXIT_OK
+    return _degenerate_exit(swept)
 
 
 def _cmd_failures(args) -> int:
@@ -209,12 +212,14 @@ def _cmd_failures(args) -> int:
 
 def _cmd_requests(args) -> int:
     config = _load(args)
-    rows = harness.request_sweep(config, args.counts)
+    swept = harness.sweep_reports(config, harness.request_specs(config, args.counts),
+                                  [config.routing])
+    rows = harness.request_sweep(config, args.counts, swept)
     reports.write_table_csv(rows, _out(args, "requests.csv"))
     for row in rows:
         print(f"|R|={row['requests']} {row['algorithm']}: "
               f"F={row['F_mean']:.3f} F/|R|={row['F_per_request']:.3f}")
-    return EXIT_OK
+    return _degenerate_exit(swept)
 
 
 _COMMANDS = {

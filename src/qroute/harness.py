@@ -1,7 +1,6 @@
 """Seeded trials, replication, parameter search, and the experiment suites."""
 from __future__ import annotations
 
-import functools
 import logging
 import os
 import time
@@ -13,7 +12,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .metrics import MetricsReport, evaluate, throughput, zero_report
-from .netmodel import (Edge, Network, Request, ScenarioParams, build_lattice,
+from .netmodel import (Network, Request, ScenarioParams, build_lattice,
                        deactivate_low_capacity_edges, generate_requests,
                        inject_failures, sample_edge_states)
 from .pathfinder import Path, PathSet, build_path_info, k_shortest_paths
@@ -139,46 +138,18 @@ def prepare_trial(config: ExperimentConfig, seed: int) -> TrialContext:
     f_min = compute_f_min(revised, config.routing.l_max) if revised.active_edges() else 0
     return _with_paths(TrialContext(seed, revised, requests,
                                     replace(config.routing, f_min=f_min), (),
-                                    stage_seconds=stage),
-                       pinned=config.requests.pairs is not None)
+                                    stage_seconds=stage))
 
 
-@functools.lru_cache(maxsize=256)
-def lattice_paths(rows: int, cols: int, kind: str, s: int, t: int,
-                  k: int) -> tuple[tuple[tuple[int, ...], ...], frozenset[Edge]]:
-    """Yen's k shortest s-t paths on the complete lattice, as node tuples,
-    and the set of edges they cross; cached per process."""
-    paths = k_shortest_paths(build_lattice(rows, cols, kind), s, t, k)
-    return (tuple(p.nodes for p in paths),
-            frozenset(e for p in paths for e in p.edge_keys()))
-
-
-def _request_paths(net: Network, r: Request, k: int, pinned: bool) -> list[Path]:
-    """Yen's k shortest paths of one request on ``net``.
-
-    A pinned request (one the config names in ``requests.pairs``) reuses the
-    complete lattice's paths when every edge on them is active in ``net``.
-    That is exact: removing edges only removes candidates, and Yen's
-    (length, node sequence) order is total, so the k smallest lattice paths
-    that survive are still the k smallest; if the lattice has fewer than k,
-    the survivors are all there are.
-    """
-    if pinned:
-        nodes, edges = lattice_paths(net.rows, net.cols, net.kind, r.source, r.terminal, k)
-        if net.capacity_map().keys() >= edges:
-            return [Path(r.id, rank, p) for rank, p in enumerate(nodes)]
-    return k_shortest_paths(net, r.source, r.terminal, k, request_id=r.id)
-
-
-def _with_paths(ctx: TrialContext, pinned: bool) -> TrialContext:
+def _with_paths(ctx: TrialContext) -> TrialContext:
     """The context with the k shortest paths of every request on its network
-    (a disconnected request contributes none), or the reason it has none;
-    ``pinned`` says the requests are the config's fixed pairs."""
+    (a disconnected request contributes none), or the reason it has none."""
     if not ctx.revised.active_edges():
         return replace(ctx, reason="no_active_edges")
     t0 = time.perf_counter()
     paths = tuple(path for r in ctx.requests
-                  for path in _request_paths(ctx.revised, r, ctx.params.k, pinned))
+                  for path in k_shortest_paths(ctx.revised, r.source, r.terminal,
+                                               ctx.params.k, request_id=r.id))
     ctx.stage_seconds["paths"] = time.perf_counter() - t0
     return replace(ctx, paths=paths, reason=None if paths else "no_paths")
 
@@ -358,6 +329,13 @@ def replicate(config: ExperimentConfig) -> tuple[list[TrialRecord],
 CellReports = dict[str, list[MetricsReport]]
 
 
+def all_degenerate(swept: Iterable[Iterable[CellReports]]) -> bool:
+    """Whether no window of a sweep (``sweep_reports`` cells, by spec and
+    point) routed: every report carries a ``DEGENERATE_REASONS`` flag."""
+    return all(DEGENERATE_REASONS.intersection(rep.flags) for cells in swept
+               for cell in cells for reps in cell.values() for rep in reps)
+
+
 def sweep_reports(config: ExperimentConfig, specs: Sequence[RequestSpec],
                   points: Sequence[RoutingParams]) -> list[list[CellReports]]:
     """Replicated reports for every (request spec, routing point) cell,
@@ -430,18 +408,22 @@ def objective_value(report: MetricsReport, weights: ObjectiveWeights) -> float:
             - weights.pi2 * report.u_var - weights.pi3 * report.stretch)
 
 
-def grid_search_parameters(config: ExperimentConfig) -> tuple[
+def grid_search_parameters(config: ExperimentConfig,
+                           cells: Sequence[CellReports] | None = None) -> tuple[
         dict[str, tuple[RoutingParams, float]], list[dict]]:
     """Brute-force argmax of the objective's replication mean per grid point.
 
     Returns the per-algorithm best point and the full evaluation table.
+    ``cells``, when given, are the grid's ``sweep_reports``, already run.
     """
     points = parameter_grid(config)
     if not points:
         raise ValueError("empty parameter grid")
+    if cells is None:
+        (cells,) = sweep_reports(config, [config.requests], points)
     best: dict[str, tuple[RoutingParams, float]] = {}
     table: list[dict] = []
-    for params, reports in zip(points, sweep_reports(config, [config.requests], points)[0]):
+    for params, reports in zip(points, cells):
         agg = aggregate_reports(reports)
         for name in config.algorithms:
             values = [objective_value(rep, config.objective) for rep in reports[name]]
@@ -564,8 +546,7 @@ def _failure_seed(args: tuple) -> list[tuple[tuple[str, int, str], tuple]]:
         # Steps 2-5 only: the window's f_min (a Step-1 parameter) is kept, and
         # it stays feasible because the failed graph's edges are a subset of G'
         (replanned,) = route_window(
-            _with_paths(TrialContext(seed, failed, ctx.requests, ctx.params, ()),
-                        pinned=config.requests.pairs is not None),
+            _with_paths(TrialContext(seed, failed, ctx.requests, ctx.params, ())),
             [ctx.params], config.algorithms, p_in)
         for alg, res in before.results.items():
             survived = degrade_outcome(res.outcome, dead)
@@ -577,20 +558,26 @@ def _failure_seed(args: tuple) -> list[tuple[tuple[str, int, str], tuple]]:
 
 # ---------------------------------------------------------------- request sweep
 
-def request_sweep(config: ExperimentConfig,
-                  counts: Iterable[int] = range(2, 11)) -> list[dict]:
-    """Replicated trials per request count with arbitrary [s, t] pairs."""
-    counts = list(counts)
-    specs = [replace(config.requests, count=count, distance=None, pairs=None)
-             for count in counts]
+def request_specs(config: ExperimentConfig, counts: Iterable[int]) -> list[RequestSpec]:
+    """The config's requests redrawn as ``count`` arbitrary [s, t] pairs, per count."""
+    return [replace(config.requests, count=c, distance=None, pairs=None) for c in counts]
+
+
+def request_sweep(config: ExperimentConfig, counts: Iterable[int] = range(2, 11),
+                  cells: Sequence[Sequence[CellReports]] | None = None) -> list[dict]:
+    """Replicated trials per request count with arbitrary [s, t] pairs;
+    ``cells``, when given, are its ``sweep_reports``, already run."""
+    specs = request_specs(config, counts)
+    if cells is None:
+        cells = sweep_reports(config, specs, [config.routing])
     rows = []
-    for count, (reports,) in zip(counts, sweep_reports(config, specs, [config.routing])):
+    for spec, (reports,) in zip(specs, cells):
         agg = aggregate_reports(reports)
         for name in config.algorithms:
-            row = {"requests": count, "algorithm": name}
+            row = {"requests": spec.count, "algorithm": name}
             for m in METRIC_FIELDS:
                 row[f"{m}_mean"], row[f"{m}_stderr"] = agg[name][m]
-            row["F_per_request"] = row["F_mean"] / count
+            row["F_per_request"] = row["F_mean"] / spec.count
             rows.append(row)
     return rows
 

@@ -5,8 +5,8 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Iterable, NamedTuple, Sequence
+from itertools import groupby, islice
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .netmodel import Edge, EdgeMasks, InvariantError, Network
 
@@ -40,12 +40,11 @@ class Path:
         return tuple(map(edge_key, self.nodes, self.nodes[1:]))
 
 
-def _spur_path(masks: EdgeMasks, root: tuple[int, ...], t: int, banned: int = 0,
-               banned_next: int = 0) -> tuple[int, ...] | None:
-    """Smallest shortest path, in (length, node sequence) order, that starts
+def _shortest_paths(masks: EdgeMasks, root: tuple[int, ...], t: int, banned: int = 0,
+                    banned_next: int = 0) -> Iterator[tuple[int, ...]]:
+    """Every shortest path, in (length, node sequence) order, that starts
     with ``root`` and continues from ``u = root[-1]`` to t without entering
-    the nodes of ``banned`` and without a first hop in ``banned_next``; None
-    when there is none.
+    the nodes of ``banned`` and without a first hop in ``banned_next``.
 
     ``banned`` and ``banned_next`` are node bitmasks. In Yen's loop
     ``banned`` holds ``root[:-1]``, and ``banned_next`` the next hops
@@ -57,12 +56,12 @@ def _spur_path(masks: EdgeMasks, root: tuple[int, ...], t: int, banned: int = 0,
     A BFS from t keeps one bitmask per level. With F the frontier and M the
     mask of edge offset ``off``, one level is the OR of ``((F & M) << off) |
     ((F >> off) & M)`` over all offsets, minus the nodes already seen; banned
-    nodes, t and u start seen. The search stops at the first level whose
-    frontier meets u's allowed first hops, so u lies at distance ``d``, the
-    number of levels kept, and every level below ``d`` is complete and
-    independent of u's edges. Walking from u and always taking the smallest
-    neighbour one level closer to t reads only those levels and yields the
-    lexicographic minimum, because all shortest sequences have equal length.
+    nodes, t and u start seen. It stops at the first level that meets u's
+    allowed first hops; every level below is complete and independent of
+    u's edges. Each node of a level has a neighbour on the level below, so
+    the levels hold the shortest-path DAG to t, and a depth-first walk down
+    them from u that takes neighbours in ascending id never dead-ends and
+    yields every shortest continuation once, in lexicographic order.
     """
     offsets, neighbours = masks
     u = root[-1]
@@ -72,7 +71,7 @@ def _spur_path(masks: EdgeMasks, root: tuple[int, ...], t: int, banned: int = 0,
     levels = []
     while not frontier & first_hops:
         if not frontier:
-            return None
+            return
         levels.append(frontier)
         reached = 0
         for off, mask in offsets:
@@ -80,33 +79,44 @@ def _spur_path(masks: EdgeMasks, root: tuple[int, ...], t: int, banned: int = 0,
         frontier = reached & unseen
         unseen ^= frontier
     levels.append(frontier)
+    # stack[j]: the untried nodes for nodes[len(root) + j], on levels[-1 - j]
     nodes = list(root)
-    node, hops = u, first_hops
-    for d in range(len(levels) - 1, -1, -1):
-        hops &= levels[d]
-        if not hops:
-            raise InvariantError(
-                f"spur walk found no neighbor of node {node} at distance {d}")
-        node = (hops & -hops).bit_length() - 1
+    stack = [first_hops & frontier]
+    while stack:
+        choices = stack[-1]
+        if not choices:
+            stack.pop()
+            nodes.pop()
+            continue
+        low = choices & -choices
+        stack[-1] = choices ^ low
+        node = low.bit_length() - 1
+        d = len(levels) - len(stack)
+        if not d:
+            yield (*nodes, node)
+            continue
+        below = neighbours[node] & levels[d - 1]
+        if not below:
+            raise InvariantError(f"spur walk found no neighbor of node {node} at distance {d - 1}")
         nodes.append(node)
-        hops = neighbours[node]
-    return tuple(nodes)
+        stack.append(below)
 
 
 def k_shortest_paths(net: Network, s: int, t: int, k: int,
                      request_id: int = 0) -> list[Path]:
-    """Yen's algorithm over active edges with deterministic tie-breaking.
+    """The k shortest loopless s-t paths over active edges, ordered by
+    (length, node sequence); fewer when fewer exist, empty when s and t are
+    disconnected in G'.
 
-    Returns up to k loopless paths ordered by (length, node sequence); fewer
-    when fewer exist, empty when s and t are disconnected in G'.
-
-    Each spur search (``_spur_path``) returns the smallest path in that order
-    among those that share the root ``prev[:i + 1]`` and whose next hop is not
-    that of an accepted path sharing the root. Lawler's (1972) restriction
-    spurs each path only from the index at which it left its parent: it shares
-    the parent's nodes up to there, and the spurs below it were the parent's
-    already. The spur sets then partition the paths not yet accepted (Lawler's
-    branching), so each candidate is found exactly once, the heap needs no
+    The order is total, so when the s-t shortest-path DAG holds at least k
+    paths, its first k (from ``_shortest_paths``) are the answer. Otherwise
+    Yen's algorithm runs; each spur search, the first yield of
+    ``_shortest_paths``, gives the smallest path that shares the root
+    ``prev[:i + 1]`` and whose next hop is not that of an accepted path
+    sharing the root. Lawler's (1972) restriction spurs each path only from
+    the index at which it left its parent: the spurs below it were the
+    parent's already. The spur sets then partition the paths not yet
+    accepted, so each candidate is found exactly once, the heap needs no
     duplicate check, and its smallest entry is always the next path.
     """
     if k < 1:
@@ -114,19 +124,16 @@ def k_shortest_paths(net: Network, s: int, t: int, k: int,
     if s == t:
         raise ValueError("source and terminal must differ")
     masks = net.edge_masks()
-    first = _spur_path(masks, (s,), t)
-    if first is None:
-        return []
-    accepted: list[tuple[int, ...]] = [first]
+    shortest = list(islice(_shortest_paths(masks, (s,), t), k))
+    # with fewer than k shortest paths, Yen starts from the smallest
+    accepted = shortest if len(shortest) == k else shortest[:1]
     candidates: list[tuple[int, tuple[int, ...], int]] = []
     deviation = 0
-    while len(accepted) < k:
+    while 0 < len(accepted) < k:
         prev = accepted[-1]
         # the root prev[:i] as a node mask and the accepted paths sharing it,
         # both extended by one node per spur index
-        banned = 0
-        for node in prev[:deviation]:
-            banned |= 1 << node
+        banned = sum(1 << node for node in prev[:deviation])  # nodes are distinct
         sharing = [p for p in accepted if p[:deviation] == prev[:deviation]]
         for i in range(deviation, len(prev) - 1):
             u = prev[i]
@@ -134,7 +141,7 @@ def k_shortest_paths(net: Network, s: int, t: int, k: int,
             banned_next = 0
             for p in sharing:
                 banned_next |= 1 << p[i + 1]
-            cand = _spur_path(masks, prev[:i + 1], t, banned, banned_next)
+            cand = next(_shortest_paths(masks, prev[:i + 1], t, banned, banned_next), None)
             if cand is not None:
                 heapq.heappush(candidates, (len(cand) - 1, cand, i))
             banned |= 1 << u

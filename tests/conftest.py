@@ -8,9 +8,7 @@ from operator import itemgetter
 from typing import Any, Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
-import pytest
 
-from qroute import harness
 from qroute.config import ConfigError, _fail
 from qroute.harness import (METRIC_FIELDS, AlgorithmResult, ExperimentConfig,
                             ObjectiveWeights, RequestSpec, TrialContext, TrialRecord,
@@ -25,25 +23,6 @@ from qroute.purification import purify_network
 from qroute.scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams, _progressive_fill,
                               _propagatory_core, compute_f_min, largest_remainder,
                               run_algorithm)
-
-
-@pytest.fixture(autouse=True)
-def empty_lattice_path_cache():
-    """Every test starts with an empty ``harness.lattice_paths`` cache, so that
-    no test depends on which ran before it."""
-    harness.lattice_paths.cache_clear()
-    yield
-    harness.lattice_paths.cache_clear()
-
-
-def spy_on_yen(monkeypatch) -> list[Network]:
-    """Route ``harness.k_shortest_paths`` through a spy; returns the list of
-    networks it is called on, in call order."""
-    nets: list[Network] = []
-    yen = harness.k_shortest_paths
-    monkeypatch.setattr(harness, "k_shortest_paths",
-                        lambda net, *args, **kw: nets.append(net) or yen(net, *args, **kw))
-    return nets
 
 
 def abstract_network(capacity):
@@ -213,10 +192,10 @@ def _lex_shortest(adj: dict[int, list[int]], s: int, t: int,
 def reference_spur_path(adj: dict[int, list[int]], u: int, t: int,
                         banned_nodes: Iterable[int] = (),
                         banned_next: Collection[int] = ()) -> tuple[int, ...] | None:
-    """Reference spur search over adjacency lists (the previous
-    ``pathfinder._spur_path``): lexicographically smallest shortest u-t node
-    sequence that avoids ``banned_nodes`` and whose first hop is not in
-    ``banned_next``, or None.
+    """Reference spur search over adjacency lists (an earlier form of the
+    first path of ``pathfinder._shortest_paths``): lexicographically
+    smallest shortest u-t node sequence that avoids ``banned_nodes`` and
+    whose first hop is not in ``banned_next``, or None.
 
     In Yen's loop ``banned_nodes`` is the spur root without its last node
     ``u``, and ``banned_next`` holds the next hops ``p[i + 1]`` of the accepted
@@ -1004,11 +983,13 @@ def reference_prepare_trial(config: ExperimentConfig, seed: int) -> TrialContext
 
 
 def reference_with_paths(ctx: TrialContext) -> TrialContext:
-    """``harness._with_paths`` without the lattice path cache: plain Yen per
-    request on the context's network."""
+    """``harness._with_paths`` through the reference Yen
+    (``reference_k_shortest_paths``) per request on the context's network."""
     if not ctx.revised.active_edges():
         return replace(ctx, reason="no_active_edges")
-    paths = reference_enumerate_paths(ctx.revised, ctx.requests, ctx.params.k)
+    paths = tuple(path for r in ctx.requests
+                  for path in reference_k_shortest_paths(ctx.revised, r.source, r.terminal,
+                                                         ctx.params.k, request_id=r.id))
     return replace(ctx, paths=paths, reason=None if paths else "no_paths")
 
 

@@ -1,8 +1,9 @@
 """Pipeline invariants are explicit checks that raise InvariantError, not
 asserts, so they must still fire under ``python -O``; and the condition under
-which a pinned request reuses the lattice's paths is an ordinary ``if``, so
-reuse must still give Yen's paths there. This reruns their tests in a
-``python -O -m pytest`` subprocess."""
+which k_shortest_paths answers with the shortest-path DAG's prefix instead of
+running Yen is an ordinary comparison, so that prefix must still equal Yen's
+paths there. This reruns their tests in a ``python -O -m pytest``
+subprocess."""
 import os
 import pathlib
 import subprocess
@@ -23,8 +24,10 @@ INVARIANT_TESTS = {
         "test_uncoverable_residual_raises_invariant_error"),
 }
 
-#: pinned baseline windows, whose paths are compared with the Yen oracle
-REUSE_TESTS = {"tests/test_harness.py": ("test_pinned_baseline_windows_skip_yen",)}
+#: k_shortest_paths, DAG prefix and Yen alike, against the reference Yen and
+#: the exhaustive oracle on DAGs holding k - 1, k and k + 1 shortest paths
+REUSE_TESTS = {"tests/test_pathfinder.py": (
+    "test_shortest_path_dag_with_k_minus_1_k_and_k_plus_1_paths",)}
 
 
 def run_under_python_O(tests: dict[str, tuple[str, ...]]) -> None:
@@ -45,5 +48,5 @@ def test_invariant_errors_raise_under_python_O():
     run_under_python_O(INVARIANT_TESTS)
 
 
-def test_pinned_paths_match_yen_under_python_O():
+def test_shortest_path_prefix_matches_yen_under_python_O():
     run_under_python_O(REUSE_TESTS)

@@ -8,7 +8,7 @@ from conftest import (adjacency, enumerate_loopless_paths, reference_k_shortest_
 
 from qroute import pathfinder
 from qroute.netmodel import TOPOLOGIES, EdgeMasks, InvariantError, build_lattice
-from qroute.pathfinder import (Path, PathSet, _spur_path, build_path_info, edge_key,
+from qroute.pathfinder import (Path, PathSet, _shortest_paths, build_path_info, edge_key,
                                k_shortest_paths, truncate_edge_paths)
 
 
@@ -257,23 +257,29 @@ def nodes_of(mask):
 
 
 def record_spur_calls(monkeypatch):
-    """Wrap pathfinder._spur_path; returns the list of (u, t, banned_nodes,
-    banned_next, result) it fills, one entry per call: ``banned_nodes`` is
-    the root without u, in path order, and ``result`` the u-t part of the
-    candidate. Checks that the banned mask is exactly the root without u and
-    that the candidate starts with the root."""
+    """Wrap pathfinder._shortest_paths; returns the list of (u, t,
+    banned_nodes, banned_next, result) it fills, one entry per call:
+    ``banned_nodes`` is the root without u, in path order, and ``result``
+    the u-t part of the first path yielded (a spur search's candidate), or
+    None. Checks that the banned mask is exactly the root without u and that
+    the paths start with the root. The first call of each
+    ``k_shortest_paths`` is the one from ``(s,)``; any later call is a spur
+    search of Yen."""
     calls = []
-    spur_path = pathfinder._spur_path
+    shortest_paths = pathfinder._shortest_paths
 
     def recorded(masks, root, t, banned=0, banned_next=0):
-        cand = spur_path(masks, root, t, banned, banned_next)
+        paths = shortest_paths(masks, root, t, banned, banned_next)
+        cand = next(paths, None)
         assert banned == bits(root[:-1])
         assert cand is None or cand[:len(root)] == root
         result = None if cand is None else cand[len(root) - 1:]
         calls.append((root[-1], t, root[:-1], set(nodes_of(banned_next)), result))
-        return cand
+        if cand is not None:
+            yield cand
+            yield from paths
 
-    monkeypatch.setattr(pathfinder, "_spur_path", recorded)
+    monkeypatch.setattr(pathfinder, "_shortest_paths", recorded)
     return calls
 
 
@@ -285,10 +291,11 @@ SQUARE_2x3_MASKS = active_lattice(2, 3).edge_masks()
 
 
 def spur(u, t, banned_nodes=(), banned_next=()):
-    """_spur_path on SQUARE_2x3 from u with the root ``(*banned_nodes, u)``;
-    returns the u-t part of the candidate, or None."""
+    """The spur search on SQUARE_2x3 from u with the root ``(*banned_nodes,
+    u)``: the first path of _shortest_paths; returns its u-t part, or None."""
     root = (*banned_nodes, u)
-    cand = _spur_path(SQUARE_2x3_MASKS, root, t, bits(banned_nodes), bits(banned_next))
+    cand = next(_shortest_paths(SQUARE_2x3_MASKS, root, t, bits(banned_nodes),
+                                bits(banned_next)), None)
     return None if cand is None else cand[len(banned_nodes):]
 
 
@@ -332,6 +339,26 @@ def test_spur_matches_reference_lex_shortest():
                     assert reference_spur_path(SQUARE_2x3, u, t, banned, set(banned_next)) == ref
 
 
+def with_row_path(net, s, t):
+    """``net`` with the row segment from s to t's column revived, and the
+    node there (one column over when t shares s's column). The segment is
+    then the only shortest path between them on every lattice kind, so the
+    shortest-path DAG holds one path and Yen runs its spur searches."""
+    y, sx, tx = s // net.cols, s % net.cols, t % net.cols
+    if tx == sx:
+        tx = (sx + 1) % net.cols
+    t = y * net.cols + tx
+    lo, hi = sorted((s, t))
+    row = {(n, n + 1) for n in range(lo, hi)}
+    return replace(net, active=tuple(on or e in row for e, on in zip(net.edges, net.active))), t
+
+
+def spur_searches(calls, start):
+    """Spur searches recorded since ``calls[start]``, the call from ``(s,)``
+    of one ``k_shortest_paths``."""
+    return len(calls) - start - 1
+
+
 def test_spur_matches_reference_spur_path_on_yen_calls(monkeypatch):
     # every spur search of Yen runs on benchmark-sized lattices, replayed
     # through the previous adjacency-list search
@@ -342,8 +369,10 @@ def test_spur_matches_reference_spur_path_on_yen_calls(monkeypatch):
         kind = TOPOLOGIES[n % len(TOPOLOGIES)]
         net = random_active_lattice(rng, kind, 16, 16, (0.0, 0.1, 0.3)[n // 3 % 3])
         s, t = (int(x) for x in rng.choice(net.node_count, size=2, replace=False))
+        net, t = with_row_path(net, s, t)
         calls.clear()
         k_shortest_paths(net, s, t, 10)
+        assert spur_searches(calls, 0) > 0
         adj = adjacency(net)
         for u, t_, banned_nodes, banned_next, result in calls:
             assert reference_spur_path(adj, u, t_, banned_nodes, banned_next) == result
@@ -358,7 +387,10 @@ def test_terminal_is_never_a_spur_node(monkeypatch):
         for _ in range(10):
             net = random_active_lattice(rng, kind, 4, 5, 0.1)
             s, t = (int(x) for x in rng.choice(net.node_count, size=2, replace=False))
-            k_shortest_paths(net, s, t, 15)
+            start = len(calls)
+            paths = k_shortest_paths(net, s, t, 15)
+            # fewer than k shortest paths, so Yen ran (unless s and t are cut off)
+            assert spur_searches(calls, start) > 0 or not paths
     assert len(calls) > 500
     for u, t, banned_nodes, banned_next, _ in calls:
         assert u != t and u not in banned_nodes and t not in banned_nodes
@@ -366,23 +398,27 @@ def test_terminal_is_never_a_spur_node(monkeypatch):
 
 
 def test_lawler_skips_spur_that_finds_a_candidate_twice(monkeypatch):
-    # s = 0, t = 5 on SQUARE_2x3. Path A = (0, 1, 2, 5) spurs at 0 -> C =
-    # (0, 3, 4, 5) and at 1 -> B = (0, 1, 4, 5); B is accepted next. Plain Yen
-    # would spur B at index 0 too and find C a second time, from a second
-    # parent; B left A at index 1, so it is spurred from index 1 only and C
-    # is found once, with A's deviation index.
+    # s = 0, t = 5 on SQUARE_2x3, k = 4: the shortest-path DAG holds the three
+    # paths of length 3, so Yen runs from the first. Path A = (0, 1, 2, 5)
+    # spurs at 0 -> C = (0, 3, 4, 5) and at 1 -> B = (0, 1, 4, 5); B is
+    # accepted next. Plain Yen would spur B at index 0 too and find C a second
+    # time, from a second parent; B left A at index 1, so it is spurred from
+    # index 1 only and C is found once, with A's deviation index. C, spurred
+    # from 0, finds D = (0, 3, 4, 1, 2, 5) at index 2.
     net = active_lattice(2, 3)
     assert adjacency(net) == SQUARE_2x3
     calls = record_spur_calls(monkeypatch)
-    paths = k_shortest_paths(net, 0, 5, 3)
-    assert [p.nodes for p in paths] == [(0, 1, 2, 5), (0, 1, 4, 5), (0, 3, 4, 5)]
+    paths = k_shortest_paths(net, 0, 5, 4)
+    assert [p.nodes for p in paths] == [(0, 1, 2, 5), (0, 1, 4, 5), (0, 3, 4, 5),
+                                        (0, 3, 4, 1, 2, 5)]
     assert [(u, nodes, next_) for u, _, nodes, next_, _ in calls] == [
-        (0, (), set()),                                  # first path A
-        (0, (), {1}), (1, (0,), {2}), (2, (0, 1), {5}),  # A at 0, 1, 2
-        (1, (0,), {2, 4}), (4, (0, 1), {5}),             # B at 1, 2
+        (0, (), set()),                                    # the DAG, A first
+        (0, (), {1}), (1, (0,), {2}), (2, (0, 1), {5}),    # A at 0, 1, 2
+        (1, (0,), {2, 4}), (4, (0, 1), {5}),               # B at 1, 2
+        (0, (), {1, 3}), (3, (0,), {4}), (4, (0, 3), {5}),  # C at 0, 1, 2
     ]
     candidates = [nodes + result for _, _, nodes, _, result in calls if result]
-    assert len(candidates) == len(set(candidates)) == 3
+    assert len(candidates) == len(set(candidates)) == 4
     # the skipped spur, B at index 0, would have found C again
     assert spur(0, 5, (), {1}) == (0, 3, 4, 5)
 
@@ -390,15 +426,42 @@ def test_lawler_skips_spur_that_finds_a_candidate_twice(monkeypatch):
 def test_candidates_are_found_once(monkeypatch):
     calls = record_spur_calls(monkeypatch)
     rng = np.random.default_rng(6)
+    searches = 0
     for kind in TOPOLOGIES:
         for _ in range(10):
             net = random_active_lattice(rng, kind, 5, 5, 0.1)
             s, t = (int(x) for x in rng.choice(net.node_count, size=2, replace=False))
             calls.clear()
             paths = k_shortest_paths(net, s, t, 20)
+            # fewer than k shortest paths, so Yen ran (unless s and t are cut off)
+            assert spur_searches(calls, 0) > 0 or not paths
+            searches += spur_searches(calls, 0)
             candidates = [nodes + result for _, _, nodes, _, result in calls if result]
             assert len(candidates) == len(set(candidates))
             assert {p.nodes for p in paths} <= set(candidates)
+    assert searches > 0
+
+
+def test_shortest_path_dag_with_k_minus_1_k_and_k_plus_1_paths(monkeypatch):
+    # with m shortest s-t paths, k = m + 1, m and m - 1 give a DAG that holds
+    # k - 1, k and k + 1 of them. The DAG's own prefix answers k <= m with no
+    # spur search; k = m + 1 needs Yen for its one longer path.
+    calls = record_spur_calls(monkeypatch)
+    for rows, cols, kind, s, t, dead_edges in [
+            (3, 3, "square", 0, 8, ()), (3, 4, "square", 1, 10, [(5, 6)]),
+            (3, 4, "hexagonal", 0, 11, ()), (4, 4, "hexagonal", 3, 12, [(5, 9)]),
+            (3, 3, "triangular", 2, 6, ()), (3, 4, "triangular", 3, 8, [(4, 5)])]:
+        net = active_lattice(rows, cols, kind, dead_edges)
+        oracle = [tuple(p) for p in enumerate_loopless_paths(net, s, t)]
+        m = sum(len(p) == len(oracle[0]) for p in oracle)
+        assert 2 <= m < len(oracle)
+        for k in (m + 1, m, m - 1):
+            calls.clear()
+            paths = k_shortest_paths(net, s, t, k, request_id=1)
+            assert [p.nodes for p in paths] == oracle[:k]
+            assert paths == reference_k_shortest_paths(net, s, t, k, request_id=1)
+            searches = spur_searches(calls, 0)
+            assert searches > 0 if k > m else searches == 0
 
 
 def test_walk_without_closer_neighbour_raises_invariant_error():
@@ -409,8 +472,8 @@ def test_walk_without_closer_neighbour_raises_invariant_error():
     path4 = (0b111, (0b0010, 0b0101, 0b1010, 0b0100))  # 0 - 1 - 2 - 3
     broken = EdgeMasks(((1, path4[0]),), path4[1][:2] + (0b1000,) + path4[1][3:])
     with pytest.raises(InvariantError, match="no neighbor of node 2 at distance 1"):
-        _spur_path(broken, (3,), 0)
+        next(_shortest_paths(broken, (3,), 0))
     # 0 - 1 - 2 where 1 does not list 0
     broken = EdgeMasks(((1, 0b011),), (0b010, 0b100, 0b010))
     with pytest.raises(InvariantError, match="no neighbor of node 1 at distance 0"):
-        _spur_path(broken, (2,), 0)
+        next(_shortest_paths(broken, (2,), 0))

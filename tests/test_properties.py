@@ -1,24 +1,24 @@
-"""Hypothesis property tests: k_shortest_paths over random lattices, the
-reuse of lattice paths for pinned requests, the sweep engine against the
+"""Hypothesis property tests: k_shortest_paths over random lattices and
+against the reference Yen on damaged ones, the sweep engine against the
 per-point grid loop over random windows and grids, and the invariants and
 serialization of whole windows over random lattices and scenarios."""
 import json
 from collections import Counter
 from dataclasses import replace
+from itertools import islice
 
 from conftest import (assert_integer_max_min, reference_grid_search,
                       reference_k_shortest_paths, reference_record_to_dict,
-                      reference_with_paths, spy_on_yen)
+                      reference_with_paths)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qroute import harness
-from qroute.harness import (AlgorithmResult, ExperimentConfig, RequestSpec, TrialContext,
+from qroute.harness import (AlgorithmResult, ExperimentConfig, RequestSpec,
                             degrade_outcome, grid_search_parameters, prepare_trial,
                             run_trial)
 from qroute.metrics import evaluate
-from qroute.netmodel import TOPOLOGIES, Request, ScenarioParams, build_lattice
-from qroute.pathfinder import build_path_info, k_shortest_paths
+from qroute.netmodel import TOPOLOGIES, ScenarioParams, build_lattice
+from qroute.pathfinder import _shortest_paths, build_path_info, k_shortest_paths
 from qroute.reports import record_from_dict, record_to_dict
 from qroute.scheduler import RoutingParams
 
@@ -68,53 +68,50 @@ def test_prefix_stable_and_equal_to_reference(query, j):
 
 
 @st.composite
-def pinned_windows(draw):
-    """A context with pinned requests on a lattice with some edges dead: at
-    random, on the lattice's own k shortest paths, or every edge at one
-    request's source or terminal."""
+def damaged_queries(draw):
+    """A lattice of any kind with some edges dead: none, at random, on the
+    complete lattice's k shortest s-t paths, or every edge at s or t; and
+    distinct s and t, and k."""
     kind = draw(st.sampled_from(TOPOLOGIES))
     rows = draw(st.integers(2, 6))
     cols = draw(st.integers(2, 6))
     k = draw(st.integers(1, 12))
     net = build_lattice(rows, cols, kind)
-    n = net.node_count
-    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-                          .filter(lambda pair: pair[0] != pair[1]), min_size=1, max_size=3))
-    requests = tuple(Request(i, s, t) for i, (s, t) in enumerate(pairs))
+    s = draw(st.integers(0, net.node_count - 1))
+    t = draw(st.integers(0, net.node_count - 1).filter(lambda n: n != s))
     mode = draw(st.sampled_from(("none", "random", "on_paths", "endpoint")))
     if mode == "none":
         dead = set()
     elif mode == "random":
-        dead = {e for e in net.edges if draw(st.integers(0, 9)) == 0}
+        rate = draw(st.sampled_from((1, 3)))
+        dead = {e for e in net.edges if draw(st.integers(0, 9)) < rate}
     elif mode == "on_paths":
-        on_paths = sorted(harness.lattice_paths(rows, cols, kind, *pairs[0], k)[1])
+        on_paths = sorted({e for p in k_shortest_paths(net, s, t, k) for e in p.edge_keys()})
         dead = set(draw(st.lists(st.sampled_from(on_paths), min_size=1, max_size=3)))
     else:
-        node = draw(st.sampled_from(pairs[0]))
+        node = draw(st.sampled_from((s, t)))
         dead = {e for e in net.edges if node in e}
-    revised = replace(net, capacity=(50,) * len(net.edges),
-                      fidelity=(0.9,) * len(net.edges),
-                      active=tuple(e not in dead for e in net.edges), phase="purified")
-    return TrialContext(0, revised, requests, RoutingParams(k=k, l_max=4, f_min=1), ())
+    n = len(net.edges)
+    net = replace(net, capacity=(50,) * n, fidelity=(0.9,) * n,
+                  active=tuple(e not in dead for e in net.edges), phase="purified")
+    return net, s, t, k
 
 
-def test_pinned_paths_equal_yen_on_the_revised_network(monkeypatch):
-    calls = spy_on_yen(monkeypatch)
-    reused = Counter()
+def test_k_shortest_paths_equal_reference_yen_on_damaged_lattices():
+    covered = Counter()
 
     @settings(derandomize=True, max_examples=400, deadline=None)
-    @given(pinned_windows())
-    def check(ctx):
-        calls.clear()
-        assert harness._with_paths(ctx, pinned=True) == reference_with_paths(ctx)
-        if ctx.revised.active_edges():
-            # calls on the complete (raw) lattice fill the cache; the rest are fallbacks
-            fallbacks = sum(net.phase != "raw" for net in calls)
-            reused[fallbacks < len(ctx.requests)] += 1
+    @given(damaged_queries())
+    def check(query):
+        net, s, t, k = query
+        paths = k_shortest_paths(net, s, t, k, request_id=2)
+        assert paths == reference_k_shortest_paths(net, s, t, k, request_id=2)
+        # does the shortest-path DAG alone hold the k paths?
+        covered[len(list(islice(_shortest_paths(net.edge_masks(), (s,), t), k))) == k] += 1
 
     check()
-    # both sides of the reuse condition were drawn
-    assert reused[True] and reused[False]
+    # the DAG's prefix answered some queries and Yen the others
+    assert covered[True] and covered[False]
 
 
 def axis(values):

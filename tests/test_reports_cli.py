@@ -230,7 +230,8 @@ def test_cli_negative_seed_flag_is_a_config_error(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("command", ["run", "replicate", "sweep", "failures"])
+@pytest.mark.parametrize("command", ["run", "replicate", "sweep", "optimize", "failures",
+                                     "requests"])
 def test_cli_degenerate_exit_code(tmp_path, command):
     # p_out = 0 leaves no edge active, so every window is degenerate
     degenerate = write_config(tmp_path, BASE_YML.replace("c0: 50", "c0: 50, p_out: 0.0"))
