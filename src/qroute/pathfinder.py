@@ -178,7 +178,13 @@ def truncate_edge_paths(ids: list[int], request_of: Sequence[int],
 
 def request_groups(ids: Sequence[int], request_of: Sequence[int]) -> RequestGroups:
     """Path ids that are already in id order, grouped by request in one pass
-    (``request_of`` gives each id's request)."""
+    (``request_of`` gives each id's request).
+
+    Ids are numbered in key order, so when the first and the last id share a
+    request, every id between them does too, and they form one group.
+    """
+    if ids and request_of[ids[0]] == request_of[ids[-1]]:
+        return (tuple(ids),)
     return tuple([tuple(group) for _, group in groupby(ids, request_of.__getitem__)])
 
 
@@ -257,24 +263,29 @@ class PathSet:
             request_of = [r for r, _ in self.keys]
             kept = [truncate_edge_paths(ids, request_of, self.lengths, l_max)
                     for ids in self._incidence]
-            times_kept = [0] * len(request_of)
-            for ids in kept:
-                for p in ids:
-                    times_kept[p] += 1
-            live = [n == len(ids) for n, ids in zip(times_kept, self.edge_ids)]
             groups = [request_groups(ids, request_of) for ids in kept]
-            live_keys: list[list[int]] = []
-            live_groups: list[RequestGroups] = []
-            live_edges: list[int] = []
-            for e, (ids, grouped) in enumerate(zip(kept, groups)):
-                ok = [p for p in ids if live[p]]
-                if len(ok) < len(ids):
-                    ids, grouped = ok, request_groups(ok, request_of)
-                live_keys.append(ids)
-                live_groups.append(grouped)
-                if ids:
-                    live_edges.append(e)
-            live_paths = [p for p, ok in enumerate(live) if ok]
+            if any(len(ids) > l_max for ids in self._incidence):
+                times_kept = [0] * len(request_of)
+                for ids in kept:
+                    for p in ids:
+                        times_kept[p] += 1
+                live = [n == len(ids) for n, ids in zip(times_kept, self.edge_ids)]
+                live_keys: list[list[int]] = []
+                live_groups: list[RequestGroups] = []
+                live_edges: list[int] = []
+                for e, (ids, grouped) in enumerate(zip(kept, groups)):
+                    ok = [p for p in ids if live[p]]
+                    if len(ok) < len(ids):
+                        ids, grouped = ok, request_groups(ok, request_of)
+                    live_keys.append(ids)
+                    live_groups.append(grouped)
+                    if ids:
+                        live_edges.append(e)
+                live_paths = [p for p, ok in enumerate(live) if ok]
+            else:
+                # nothing was truncated, so every path is live on every edge
+                live_keys, live_groups = kept, groups
+                live_paths, live_edges = list(range(len(request_of))), list(range(len(kept)))
             self._kept[l_max] = KeptPaths(kept, groups, live_keys, live_groups,
                                           live_paths, live_edges)
         return self._kept[l_max]

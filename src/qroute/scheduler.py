@@ -117,17 +117,31 @@ def largest_remainder(quotas: Sequence[float], total: int) -> list[int]:
     return base
 
 
+def _even(total: int, n: int) -> list[int]:
+    """``largest_remainder`` over n equal quotas: each takes total // n, and
+    the earliest total % n positions one more."""
+    q, r = divmod(total, n)
+    return [q + 1] * r + [q] * (n - r)
+
+
 def _apportion_two_stage(groups: RequestGroups, lengths: Sequence[float],
                          total: int, path_exp: float, beta: float) -> list[int]:
     """Stage-wise integer apportionment over one edge's path ids grouped by
     request, in group order: units go to requests by n_r^beta (ties by
     request id), then within each request by d^path_exp (ties by rank).
 
-    A single quota gets all units from ``largest_remainder``, so a lone
-    request or a lone path takes them without computing weights.
+    A lone request or a lone path takes all its units. When a stage's weights
+    all tie (beta == 0 or groups of one size; path_exp == 0 or paths of one
+    length), ``_even`` splits its units without computing weights. That is
+    exact: equal weights give bitwise-equal quotas, which
+    ``largest_remainder`` floors to one base before handing the units left
+    over to the earliest positions.
     """
-    if len(groups) == 1:
+    n = len(groups)
+    if n == 1:
         request_units = [total]
+    elif beta == 0 or len({len(group) for group in groups}) == 1:
+        request_units = _even(total, n)
     else:
         request_raw = [float(len(group)) ** beta for group in groups]
         raw_total = sum(request_raw)
@@ -137,10 +151,13 @@ def _apportion_two_stage(groups: RequestGroups, lengths: Sequence[float],
     for group, units in zip(groups, request_units):
         if len(group) == 1:
             shares.append(units)
-            continue
-        path_raw = [float(lengths[p]) ** path_exp for p in group]
-        path_total = sum(path_raw)
-        shares.extend(largest_remainder([units * w / path_total for w in path_raw], units))
+        elif path_exp == 0 or len({lengths[p] for p in group}) == 1:
+            shares.extend(_even(units, len(group)))
+        else:
+            path_raw = [float(lengths[p]) ** path_exp for p in group]
+            path_total = sum(path_raw)
+            shares.extend(largest_remainder([units * w / path_total for w in path_raw],
+                                            units))
     return shares
 
 

@@ -18,7 +18,7 @@ from qroute.metrics import MetricsReport, evaluate, zero_report
 from qroute.netmodel import (TOPOLOGIES, Edge, InvariantError, Network, Request, ScenarioParams,
                              build_lattice, deactivate_low_capacity_edges, sample_edge_states)
 from qroute.pathfinder import (Path, PathKey, PathSet, build_path_info, edge_key,
-                               k_shortest_paths, truncate_edge_paths)
+                               truncate_edge_paths)
 from qroute.purification import purify_network
 from qroute.scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams, _progressive_fill,
                               _propagatory_core, compute_f_min, largest_remainder,
@@ -120,6 +120,26 @@ def assert_integer_max_min(path_edges, capacity, flows):
             and flows[key] == max(flows[q] for q in on_edge[e])
             for e in edges)
         assert has_bottleneck, f"path {key} lacks a bottleneck edge"
+
+
+def assert_kept_views(info: PathSet, l_max: int) -> None:
+    """``info.kept(l_max)`` against the definitions of its fields, each
+    rebuilt from H and the paths' edges and requests."""
+    request_of = [r for r, _ in info.keys]
+    kept, groups, live_keys, live_groups, live_paths, live_edges = info.kept(l_max)
+    assert len(kept) == len(info.edges)
+    for ids, kept_ids in zip(info.values(), kept):
+        assert kept_ids == truncate_edge_paths(ids, request_of, info.lengths, l_max)
+    live = {p for p, edges in enumerate(info.edge_ids) if all(p in kept[e] for e in edges)}
+    assert live_paths == sorted(live)
+    assert live_keys == [[p for p in ids if p in live] for ids in kept]
+    assert live_edges == [e for e, ids in enumerate(live_keys) if ids]
+    for view, grouped in ((kept, groups), (live_keys, live_groups)):
+        assert len(grouped) == len(view)
+        for ids, group in zip(view, grouped):
+            requests = sorted({request_of[p] for p in ids})
+            assert group == tuple(tuple(p for p in ids if request_of[p] == r)
+                                  for r in requests)
 
 
 def adjacency(net: Network) -> dict[int, list[int]]:
@@ -944,10 +964,12 @@ def reference_evaluate(outcome: KeyedOutcome, net: Network, requests: Sequence[R
 
 def reference_enumerate_paths(net: Network, requests: Sequence[Request],
                               k: int) -> tuple[Path, ...]:
-    """k shortest paths for every request; disconnected requests contribute none."""
+    """k shortest paths for every request, from the reference Yen;
+    disconnected requests contribute none."""
     paths: list[Path] = []
     for r in requests:
-        paths.extend(k_shortest_paths(net, r.source, r.terminal, k, request_id=r.id))
+        paths.extend(reference_k_shortest_paths(net, r.source, r.terminal, k,
+                                                request_id=r.id))
     return tuple(paths)
 
 

@@ -3,13 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import _lex_shortest as reference_lex_shortest
-from conftest import (adjacency, enumerate_loopless_paths, reference_k_shortest_paths,
-                      reference_spur_path)
+from conftest import (adjacency, assert_kept_views, enumerate_loopless_paths,
+                      reference_k_shortest_paths, reference_spur_path)
 
 from qroute import pathfinder
 from qroute.netmodel import TOPOLOGIES, EdgeMasks, InvariantError, build_lattice
 from qroute.pathfinder import (Path, PathSet, _shortest_paths, build_path_info, edge_key,
-                               k_shortest_paths, truncate_edge_paths)
+                               k_shortest_paths)
 
 
 def active_lattice(rows, cols, kind="square", dead_edges=()):
@@ -159,23 +159,9 @@ def test_path_set_kept_matches_per_edge_truncation():
     paths = (k_shortest_paths(net, 0, 15, 10, request_id=0)
              + k_shortest_paths(net, 3, 12, 10, request_id=1))
     info = build_path_info(paths, 1)
-    request_of = [r for r, _ in info.keys]
     for l_max in (1, 2, 4, 20):
         assert info.kept(l_max) is info.kept(l_max)
-        kept, groups, live_keys, live_groups, live_paths, live_edges = info.kept(l_max)
-        assert len(kept) == len(info.edges)
-        for ids, kept_ids in zip(info.values(), kept):
-            assert kept_ids == truncate_edge_paths(ids, request_of, info.lengths, l_max)
-        live = {p for p, edges in enumerate(info.edge_ids) if all(p in kept[e] for e in edges)}
-        assert live_paths == sorted(live)
-        assert live_keys == [[p for p in ids if p in live] for ids in kept]
-        assert live_edges == [e for e, ids in enumerate(live_keys) if ids]
-        for view, grouped in ((kept, groups), (live_keys, live_groups)):
-            assert len(grouped) == len(view)
-            for ids, group in zip(view, grouped):
-                requests = sorted({info.keys[p][0] for p in ids})
-                assert group == tuple(tuple(p for p in ids if info.keys[p][0] == r)
-                                      for r in requests)
+        assert_kept_views(info, l_max)
         # given l_max, build_path_info builds this view before it returns
         assert build_path_info(paths, l_max)._kept.keys() == {l_max}
 

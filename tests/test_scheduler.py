@@ -1,4 +1,6 @@
+import copy
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -7,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (Entry, KeyedOutcome, KeyedPathSet, abstract_network,
-                      assert_integer_max_min, by_key, info_from_path_edges, line_network,
+                      assert_integer_max_min, assert_kept_views, by_key,
+                      info_from_path_edges, key_entries, line_network,
                       progressive_fill_by_key, propagatory_core_by_key,
                       random_fill_instance, reference_apportion_two_stage,
                       reference_evaluate, reference_keyed_flow_determination,
@@ -16,11 +19,12 @@ from conftest import (Entry, KeyedOutcome, KeyedPathSet, abstract_network,
                       reference_truncate_edge_paths, reference_two_stage_weights,
                       truncate_keys, unit_progressive_fill, unit_propagatory_core)
 
+from qroute import scheduler
 from qroute.harness import ExperimentConfig, RequestSpec, prepare_trial
 from qroute.metrics import evaluate
 from qroute.netmodel import TOPOLOGIES, InvariantError, ScenarioParams
 from qroute.pathfinder import PathSet, build_path_info
-from qroute.scheduler import (RoutingOutcome, RoutingParams,
+from qroute.scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams,
                               _apportion_two_stage, _assert_feasible,
                               _propagatory_core, compute_f_min,
                               largest_remainder, progressive_filling,
@@ -149,6 +153,74 @@ def test_key_based_rules_match_entry_based_references():
                     list(reference_apportion_two_stage(entries, total, path_exp,
                                                        beta).items())
     assert min(seen.values()) > 0 and len(seen) == 7
+
+
+#: exponents of the tied-weight test: both zeros, and signs either way
+TIE_EXPONENTS = (0.0, -0.0, 0.5, 1.0, 2.0, -1.0)
+
+
+@st.composite
+def apportion_edges(draw):
+    """One edge's paths (1-8 requests of 1-15 paths) with units to split and
+    both exponents. Group sizes, and each group's lengths, are all equal or
+    drawn freely, so either stage's weights may tie without a zero exponent."""
+    requests = draw(st.lists(st.integers(0, 40), min_size=1, max_size=8, unique=True))
+    sizes = draw(st.one_of(
+        st.integers(1, 15).map(lambda n: [n] * len(requests)),
+        st.lists(st.integers(1, 15), min_size=len(requests), max_size=len(requests))))
+    lengths = {}
+    for r, n in zip(requests, sizes):
+        ranks = draw(st.lists(st.integers(0, 30), min_size=n, max_size=n, unique=True))
+        ds = draw(st.one_of(st.integers(1, 30).map(lambda d: [d] * n),
+                            st.lists(st.integers(1, 30), min_size=n, max_size=n)))
+        lengths.update({(r, l): d for l, d in zip(ranks, ds)})
+    total = draw(st.integers(0, 60) | st.integers(61, 10**4) | st.integers(10**4, 10**6))
+    return (lengths, total, draw(st.sampled_from(TIE_EXPONENTS)),
+            draw(st.sampled_from(TIE_EXPONENTS)))
+
+
+def test_tied_weights_apportion_in_closed_form(monkeypatch):
+    # each stage whose weights tie is split by _even, each other stage of
+    # more than one quota by largest_remainder; the shares equal the
+    # entry-based reference, which always computes the weights
+    calls = Counter()
+    for name in ("_even", "largest_remainder"):
+        def spy(*args, _inner=getattr(scheduler, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(scheduler, name, spy)
+    seen = Counter()
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(apportion_edges())
+    def check(edge):
+        lengths, total, path_exp, beta = edge
+        info = one_edge(lengths)
+        (groups,) = info.kept(len(lengths)).groups
+        ids = [p for group in groups for p in group]
+        entries = key_entries(lengths, lengths)
+        calls.clear()
+        got = _apportion_two_stage(groups, info.lengths, total, path_exp, beta)
+        assert list(by_key(info, ids, got).items()) == \
+            list(reference_apportion_two_stage(entries, total, path_exp, beta).items())
+        want = Counter()
+        if len(groups) > 1:
+            tied = beta == 0 or len({len(group) for group in groups}) == 1
+            want["_even" if tied else "largest_remainder"] += 1
+            seen["request stage tied" if tied else "request stage weighed"] += 1
+            seen["groups of one size, beta != 0"] += tied and beta != 0
+        for group in groups:
+            if len(group) > 1:
+                tied = path_exp == 0 or len({info.lengths[p] for p in group}) == 1
+                want["_even" if tied else "largest_remainder"] += 1
+                seen["path stage tied" if tied else "path stage weighed"] += 1
+                seen["paths of one length, path_exp != 0"] += tied and path_exp != 0
+                seen["path_exp == -0.0"] += path_exp == 0 and math.copysign(1.0, path_exp) < 0
+        assert calls == want
+        seen["total > 10**5"] += total > 10**5
+
+    check()
+    assert len(seen) == 8 and min(seen.values()) > 0, seen
 
 
 # ------------------------------------------------------------------ weights
@@ -596,6 +668,35 @@ def test_cores_match_keyed_references_on_random_windows():
                                        for key, edges in keyed.kept(p.l_max).live_paths.items())
     assert all(compared[kind] >= 10 for kind in TOPOLOGIES), compared
     assert compared["truncated"] and compared["PU deducted"], compared
+
+
+def test_kept_views_match_definitions_on_random_windows():
+    # PathSet.kept's one-request and nothing-truncated shortcuts against the
+    # definitions of its views, at l_max values with and without truncation
+    rng = np.random.default_rng(5150)
+    seen = Counter()
+    for n in range(90):
+        kind = TOPOLOGIES[n % len(TOPOLOGIES)]
+        window = random_routed_window(rng, kind)
+        if window is None:
+            continue
+        net, info, p, requests = window
+        seen[kind] += 1
+        for l_max in (p.l_max, 1, max(map(len, info.values()))):
+            assert_kept_views(info, l_max)
+            truncated = any(len(ids) > l_max for ids in info.values())
+            seen["truncated" if truncated else "not truncated"] += 1
+            for grouped in info.kept(l_max).groups:
+                seen["one request" if len(grouped) == 1 else "several requests"] += 1
+        # the live views may be the kept lists themselves, so nothing may write to them
+        kept = info.kept(p.l_max)
+        seen["live views are the kept lists"] += kept.live_keys is kept.keys
+        before = copy.deepcopy(kept)
+        for name in ALGORITHMS:
+            evaluate(run_algorithm(name, net, info, p), net, requests, 0.9)
+        assert info.kept(p.l_max) is kept and kept == before
+    assert all(seen[kind] >= 10 for kind in TOPOLOGIES), seen
+    assert len(seen) == len(TOPOLOGIES) + 5 and min(seen.values()) > 0, seen
 
 
 def test_uncoverable_residual_raises_invariant_error():
