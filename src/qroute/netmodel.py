@@ -151,20 +151,6 @@ class Network:
         return EdgeMasks(tuple(sorted(by_offset.items())), tuple(neighbours))
 
 
-def expected_edge_count(rows: int, cols: int, kind: str) -> int:
-    """Closed-form edge count for each topology kind."""
-    horizontal = rows * (cols - 1)
-    if kind == "square":
-        return horizontal + cols * (rows - 1)
-    if kind == "hexagonal":
-        # brick wall: verticals only where (x + y) is even
-        vertical = sum(1 for y in range(rows - 1) for x in range(cols) if (x + y) % 2 == 0)
-        return horizontal + vertical
-    if kind == "triangular":
-        return horizontal + cols * (rows - 1) + (rows - 1) * (cols - 1)
-    raise ValueError(f"unknown topology kind {kind!r}")
-
-
 def build_lattice(rows: int, cols: int, kind: str = "square") -> Network:
     """Construct a raw lattice with all edges active and state unset.
 

@@ -1,11 +1,30 @@
-"""Shared test helpers: independent oracles and instance generators."""
+"""Shared test helpers: one reference oracle per stage of a window, plus
+instance generators and adapters.
+
+Each oracle is written from the definition it checks and runs beside the
+fast path on the same instances (README, "Tests and acceptance suite", maps
+each stage to its oracles and tests):
+
+- lattice: ``expected_edge_count`` for ``build_lattice``;
+- k shortest paths: the exhaustive ``enumerate_loopless_paths`` and
+  ``reference_k_shortest_paths`` (Yen over the BFS ``_lex_shortest``);
+- H, its truncation and the two-stage rules, and PS:
+  ``reference_truncate_edge_paths``, ``reference_two_stage_weights``,
+  ``reference_apportion_two_stage``, ``reference_kept`` and
+  ``reference_proportional_share``;
+- PF: ``unit_progressive_fill``; PU: ``unit_propagatory_core`` (unit
+  steps) and ``reference_propagatory_core`` (bulk steps, fast enough for
+  whole windows);
+- metrics: ``reference_evaluate``;
+- windows and sweeps: ``reference_run_trial``, ``reference_grid_search`` and
+  ``reference_request_sweep``;
+- records and configs: ``reference_record_to_dict`` and
+  ``reference_config_from_mapping``.
+"""
 import heapq
-import time
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import groupby
-from operator import itemgetter
-from typing import Any, Collection, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -24,6 +43,8 @@ from qroute.scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams, _progre
                               _propagatory_core, compute_f_min, largest_remainder,
                               run_algorithm)
 
+
+# ------------------------------------------------------------ instances
 
 def abstract_network(capacity):
     """Network over disjoint abstract edges keyed by the given capacity map."""
@@ -46,6 +67,20 @@ def info_from_path_edges(path_edges, lengths=None):
     """Path set for abstract instances (length defaults to edge count)."""
     return PathSet(path_edges, {key: (lengths or {}).get(key, len(edges))
                                 for key, edges in path_edges.items()})
+
+
+def random_fill_instance(rng, max_paths=4, max_edges=6, max_cap=12):
+    """Random abstract allocation instance: disjoint edges, paths as edge subsets."""
+    n_edges = int(rng.integers(1, max_edges + 1))
+    edges = [(2 * i, 2 * i + 1) for i in range(n_edges)]
+    capacity = {e: int(rng.integers(1, max_cap + 1)) for e in edges}
+    n_paths = int(rng.integers(1, max_paths + 1))
+    path_edges = {}
+    for p in range(n_paths):
+        count = int(rng.integers(1, n_edges + 1))
+        picks = rng.choice(n_edges, size=count, replace=False)
+        path_edges[(p, 0)] = tuple(edges[i] for i in sorted(picks))
+    return path_edges, capacity
 
 
 # ------------------------------------------------------------ key-to-id adapters
@@ -82,19 +117,7 @@ def propagatory_core_by_key(info: PathSet, l_max, capacity, f_min, alpha, beta):
     return {info.keys[p]: f_max[p] for p in kept.live_paths}
 
 
-def random_fill_instance(rng, max_paths=4, max_edges=6, max_cap=12):
-    """Random abstract allocation instance: disjoint edges, paths as edge subsets."""
-    n_edges = int(rng.integers(1, max_edges + 1))
-    edges = [(2 * i, 2 * i + 1) for i in range(n_edges)]
-    capacity = {e: int(rng.integers(1, max_cap + 1)) for e in edges}
-    n_paths = int(rng.integers(1, max_paths + 1))
-    path_edges = {}
-    for p in range(n_paths):
-        count = int(rng.integers(1, n_edges + 1))
-        picks = rng.choice(n_edges, size=count, replace=False)
-        path_edges[(p, 0)] = tuple(edges[i] for i in sorted(picks))
-    return path_edges, capacity
-
+# ------------------------------------------------------------ checks
 
 def assert_integer_max_min(path_edges, capacity, flows):
     """Bottleneck-criterion check for integer max-min fairness.
@@ -141,6 +164,24 @@ def assert_kept_views(info: PathSet, l_max: int) -> None:
             assert group == tuple(tuple(p for p in ids if request_of[p] == r)
                                   for r in requests)
 
+
+# ------------------------------------------------------------ lattice
+
+def expected_edge_count(rows: int, cols: int, kind: str) -> int:
+    """Closed-form edge count for each topology kind."""
+    horizontal = rows * (cols - 1)
+    if kind == "square":
+        return horizontal + cols * (rows - 1)
+    if kind == "hexagonal":
+        # brick wall: verticals only where (x + y) is even
+        vertical = sum(1 for y in range(rows - 1) for x in range(cols) if (x + y) % 2 == 0)
+        return horizontal + vertical
+    if kind == "triangular":
+        return horizontal + cols * (rows - 1) + (rows - 1) * (cols - 1)
+    raise ValueError(f"unknown topology kind {kind!r}")
+
+
+# ------------------------------------------------------------ k shortest paths
 
 def adjacency(net: Network) -> dict[int, list[int]]:
     """Sorted adjacency lists over the active edges of ``net``."""
@@ -209,72 +250,6 @@ def _lex_shortest(adj: dict[int, list[int]], s: int, t: int,
     return tuple(nodes)
 
 
-def reference_spur_path(adj: dict[int, list[int]], u: int, t: int,
-                        banned_nodes: Iterable[int] = (),
-                        banned_next: Collection[int] = ()) -> tuple[int, ...] | None:
-    """Reference spur search over adjacency lists (an earlier form of the
-    first path of ``pathfinder._shortest_paths``): lexicographically
-    smallest shortest u-t node sequence that avoids ``banned_nodes`` and
-    whose first hop is not in ``banned_next``, or None.
-
-    In Yen's loop ``banned_nodes`` is the spur root without its last node
-    ``u``, and ``banned_next`` holds the next hops ``p[i + 1]`` of the accepted
-    paths ``p`` that share the root: every edge Yen bans at spur index ``i``
-    is ``(p[i], p[i + 1]) = (u, p[i + 1])``, so all of them touch ``u`` and
-    matter only for the first hop. ``banned_nodes`` holds neither ``u`` nor
-    ``t``.
-
-    A BFS from t gives hop distances. It never records ``u``; it skips ``u``
-    when discovered from a banned next hop and stops as soon as ``u`` is
-    discovered from any other node, at distance ``d``. BFS levels are complete
-    one after another, so at that moment every distance below ``d`` is exact
-    and no other node's distance below ``d`` depends on ``u``'s edges. Walking
-    from ``u`` and always taking the smallest neighbor one hop closer to t
-    reads only those levels and yields the lexicographic minimum, because all
-    shortest sequences have equal length.
-    """
-    # banned nodes read as already seen; -1 never matches a walk level
-    dist = dict.fromkeys(banned_nodes, -1)
-    dist[t] = 0
-    frontier = [t]
-    level = 0
-    while frontier:
-        level += 1
-        nxt = []
-        for w in frontier:
-            for v in adj[w]:
-                if v in dist:
-                    continue
-                if v == u:
-                    if w in banned_next:
-                        continue
-                    return _reference_walk_down(adj, u, level, dist, banned_next)
-                dist[v] = level
-                nxt.append(v)
-        frontier = nxt
-    return None
-
-
-def _reference_walk_down(adj: dict[int, list[int]], u: int, level: int,
-                         dist: dict[int, int],
-                         banned_next: Collection[int]) -> tuple[int, ...]:
-    """Greedy walk from ``u`` (at distance ``level``) to the node at distance
-    0, taking the smallest neighbor one level closer at each step; only the
-    first step honours ``banned_next``."""
-    nodes = [u]
-    node, skip = u, banned_next
-    for d in range(level - 1, -1, -1):
-        for v in adj[node]:
-            if dist.get(v) == d and v not in skip:
-                break
-        else:
-            raise InvariantError(
-                f"spur walk found no neighbor of node {node} at distance {d}")
-        nodes.append(v)
-        node, skip = v, ()
-    return tuple(nodes)
-
-
 def reference_k_shortest_paths(net: Network, s: int, t: int, k: int,
                                request_id: int = 0) -> list[Path]:
     """Reference Yen: full BFS per spur, banned edges as tuples, every spur
@@ -315,6 +290,132 @@ def reference_k_shortest_paths(net: Network, s: int, t: int, k: int,
     return [Path(request_id, rank, nodes) for rank, nodes in enumerate(accepted)]
 
 
+# ------------------------------------------------------------ H and its rules
+# Truncation, the two-stage rules and PS over path keys and edges. They
+# check ``truncate_edge_paths``, the two-stage rules of ``qroute.scheduler``,
+# ``PathSet.kept`` (through the schedulers) and ``proportional_share``.
+
+def reference_truncate_edge_paths(keys: Iterable[PathKey], lengths: dict[PathKey, int],
+                                  l_max: int) -> list[PathKey]:
+    """Keep at most l_max of one edge's path keys, preferring short paths.
+
+    A path that is its request's only path on this edge is kept
+    unconditionally, evicting the longest non-sole paths instead; if sole
+    paths alone exceed l_max the shortest of them win. Result is in key order.
+    """
+    keys = sorted(keys)
+    if len(keys) <= l_max:
+        return keys
+    counts = Counter(r for r, _ in keys)
+    priority = lambda key: (lengths[key], key)
+    soles = sorted((key for key in keys if counts[key[0]] == 1), key=priority)
+    others = sorted((key for key in keys if counts[key[0]] > 1), key=priority)
+    if len(soles) >= l_max:
+        kept = soles[:l_max]
+    else:
+        kept = soles + others[:l_max - len(soles)]
+    return sorted(kept)
+
+
+def _by_request(keys: Iterable[PathKey]) -> dict[int, list[PathKey]]:
+    """Keys grouped by request, requests and keys in key order."""
+    by_request: dict[int, list[PathKey]] = {}
+    for key in sorted(keys):
+        by_request.setdefault(key[0], []).append(key)
+    return by_request
+
+
+def reference_two_stage_weights(keys: Iterable[PathKey], lengths: dict[PathKey, int],
+                                alpha: float, beta: float) -> dict[PathKey, float]:
+    """Real-valued per-path weights: request share ~ n_r^beta, then within a
+    request shorter paths take more (share ~ d^-alpha). Weights sum to 1."""
+    by_request = _by_request(keys)
+    if not by_request:
+        raise ValueError("empty key list")
+    request_raw = {r: float(len(group)) ** beta for r, group in by_request.items()}
+    request_total = sum(request_raw.values())
+    weights: dict[PathKey, float] = {}
+    for r, group in by_request.items():
+        path_raw = [float(lengths[key]) ** -alpha for key in group]
+        path_total = sum(path_raw)
+        for key, raw in zip(group, path_raw):
+            weights[key] = (request_raw[r] / request_total) * (raw / path_total)
+    return weights
+
+
+def reference_apportion_two_stage(keys: Iterable[PathKey], lengths: dict[PathKey, int],
+                                  total: int, path_exp: float,
+                                  beta: float) -> dict[PathKey, int]:
+    """Stage-wise integer apportionment: units go to requests by n_r^beta
+    (ties by request id), then within each request by d^path_exp (ties by rank)."""
+    by_request = _by_request(keys)
+    request_raw = [float(len(group)) ** beta for group in by_request.values()]
+    raw_total = sum(request_raw)
+    request_units = largest_remainder(
+        [total * w / raw_total for w in request_raw], total)
+    shares: dict[PathKey, int] = {}
+    for group, units in zip(by_request.values(), request_units):
+        path_raw = [float(lengths[key]) ** path_exp for key in group]
+        path_total = sum(path_raw)
+        path_units = largest_remainder(
+            [units * w / path_total for w in path_raw], units)
+        shares.update(zip(group, path_units))
+    return shares
+
+
+def reference_kept(path_edges: dict[PathKey, tuple[Edge, ...]], lengths: dict[PathKey, int],
+                   l_max: int) -> tuple[dict[Edge, list[PathKey]], dict[Edge, list[PathKey]],
+                                        dict[PathKey, tuple[Edge, ...]]]:
+    """H truncated to l_max keys per edge (edges sorted), the same without the
+    paths that are not live (edges left with none dropped), and the live
+    paths, those kept on every edge they cross, with their edges in key order."""
+    on_edge: dict[Edge, list[PathKey]] = {}
+    for key, edges in path_edges.items():
+        for e in edges:
+            on_edge.setdefault(e, []).append(key)
+    kept = {e: reference_truncate_edge_paths(on_edge[e], lengths, l_max)
+            for e in sorted(on_edge)}
+    times_kept = Counter(key for keys in kept.values() for key in keys)
+    live_paths = {key: edges for key, edges in sorted(path_edges.items())
+                  if times_kept[key] == len(edges)}
+    live_keys = {e: live for e, keys in kept.items()
+                 if (live := [key for key in keys if key in live_paths])}
+    return kept, live_keys, live_paths
+
+
+def reference_proportional_share(net: Network, kept: dict[Edge, list[PathKey]],
+                                 lengths: dict[PathKey, int],
+                                 params: RoutingParams) -> dict[Edge, dict[PathKey, int]]:
+    """Edge-local allocation over the kept keys: every kept path gets the
+    f_min floor, the rest of the capacity is split by the two-stage
+    proportional rule."""
+    f_min = params.require_f_min()
+    caps = net.capacity_map()
+    allocations: dict[Edge, dict[PathKey, int]] = {}
+    for e, keys in kept.items():
+        spare = caps[e] - f_min * len(keys)
+        if spare < 0:
+            raise InvariantError(
+                f"edge {e} kept below l_max * f_min; was Step 1 skipped?")
+        extra = reference_apportion_two_stage(keys, lengths, spare, -params.alpha,
+                                              params.beta)
+        allocations[e] = {key: f_min + extra[key] for key in keys}
+    return allocations
+
+
+def reference_flow_determination(allocations: dict[Edge, dict[PathKey, int]],
+                                 path_edges: dict[PathKey, tuple[Edge, ...]]
+                                 ) -> dict[PathKey, int]:
+    """Short-board constraint: a path's flow is its minimum per-edge allocation."""
+    return {key: min(allocations.get(e, {}).get(key, 0) for e in edges)
+            for key, edges in path_edges.items()}
+
+
+# ------------------------------------------------------------ PF and PU
+# PF by unit rounds, as the paper states it. PU twice: by unit steps, and by
+# bulk steps that give the same result and are fast enough for whole windows.
+# Both PU oracles take the live paths' keys per edge and their edges.
+
 def unit_progressive_fill(path_edges, capacity):
     """Reference PF, one unit per round, as the paper states it.
 
@@ -345,8 +446,7 @@ def unit_progressive_fill(path_edges, capacity):
 
 def unit_propagatory_core(capacity, keys_by_edge, lengths, path_edges, f_min, alpha,
                           beta, hits=None):
-    """Reference PU, one unit per residual deduction and per raise, over the
-    entry-based two-stage rules.
+    """Reference PU, one unit per residual deduction and per raise.
 
     ``hits`` (a Counter, optional) counts the units taken by the residual
     loop under "residual" and the units raised under "raise".
@@ -360,8 +460,7 @@ def unit_propagatory_core(capacity, keys_by_edge, lengths, path_edges, f_min, al
     def deduct(e):
         keys = keys_by_edge[e]
         excess = usage[e] - capacity[e]
-        assigned = reference_apportion_two_stage(key_entries(keys, lengths), excess,
-                                                 alpha, beta)
+        assigned = reference_apportion_two_stage(keys, lengths, excess, alpha, beta)
         removed = 0
         for key in keys:
             cut = min(assigned[key], f_max[key] - f_min)
@@ -382,8 +481,7 @@ def unit_propagatory_core(capacity, keys_by_edge, lengths, path_edges, f_min, al
                 hits["residual"] += 1
 
     def raise_entries(e):
-        weights = reference_two_stage_weights(key_entries(keys_by_edge[e], lengths),
-                                              alpha, beta)
+        weights = reference_two_stage_weights(keys_by_edge[e], lengths, alpha, beta)
         order = sorted(weights, key=lambda k: (-weights[k], k))
         changed = False
         while usage[e] < capacity[e]:
@@ -420,10 +518,10 @@ def unit_propagatory_core(capacity, keys_by_edge, lengths, path_edges, f_min, al
 
 def reference_propagatory_core(capacity, keys_by_edge, lengths, path_edges, f_min,
                                alpha, beta):
-    """Reference PU with bulk steps: the previous ``scheduler._propagatory_core``,
-    which scans every key's edges for room on every raise and recomputes
-    each edge's weight order on every raise, over the entry-based two-stage
-    rules. ``keys_by_edge`` must only contain live paths."""
+    """Reference PU with bulk steps: a deduction cuts the tied top group in
+    whole rounds, and a raise gives a path all its room at once. Every raise
+    scans the path's edges for room and recomputes the edge's weight order.
+    ``keys_by_edge`` must only contain live paths."""
     f_max = {key: min(capacity[e] for e in path_edges[key])
              for key in sorted(path_edges)}
     usage = {e: sum(f_max[key] for key in keys) for e, keys in keys_by_edge.items()}
@@ -432,8 +530,7 @@ def reference_propagatory_core(capacity, keys_by_edge, lengths, path_edges, f_mi
     def deduct(e):
         keys = keys_by_edge[e]
         excess = usage[e] - capacity[e]
-        assigned = reference_apportion_two_stage(key_entries(keys, lengths), excess,
-                                                 alpha, beta)
+        assigned = reference_apportion_two_stage(keys, lengths, excess, alpha, beta)
         removed = 0
         for key in keys:
             cut = min(assigned[key], f_max[key] - f_min)
@@ -464,8 +561,7 @@ def reference_propagatory_core(capacity, keys_by_edge, lengths, path_edges, f_mi
                 need -= cut
 
     def raise_paths(e):
-        weights = reference_two_stage_weights(key_entries(keys_by_edge[e], lengths),
-                                              alpha, beta)
+        weights = reference_two_stage_weights(keys_by_edge[e], lengths, alpha, beta)
         order = sorted(weights, key=lambda k: (-weights[k], k))
         changed = False
         for key in order:
@@ -497,336 +593,8 @@ def reference_propagatory_core(capacity, keys_by_edge, lengths, path_edges, f_mi
     return f_max
 
 
-# ------------------------------------------------------------ entry-based H
-# Truncation and the two-stage rules as they were when H held one
-# [r, l, d, o] entry per path and edge, copied unchanged over a local entry
-# tuple. They are the oracles for the key-based versions in ``qroute``.
-
-class Entry(NamedTuple):
-    """Per-edge bookkeeping tuple [r, l, d, o]."""
-
-    request_id: int
-    path_rank: int
-    path_length: int
-    edge_order: int
-
-    @property
-    def key(self) -> PathKey:
-        return (self.request_id, self.path_rank)
-
-
-def key_entries(keys: Iterable[PathKey], lengths: dict[PathKey, int]) -> list[Entry]:
-    """Entries for path keys, so the key-based callers can use the entry rules
-    (which never read ``edge_order``)."""
-    return [Entry(r, l, lengths[(r, l)], 0) for r, l in keys]
-
-
-def reference_truncate_edge_paths(entries: Sequence[Entry], l_max: int) -> list[Entry]:
-    """Keep at most l_max entries of one edge's list, preferring short paths.
-
-    An entry that is its request's only entry on this edge is kept
-    unconditionally, evicting the longest non-sole entries instead; if sole
-    entries alone exceed l_max the shortest of them win. Result is sorted by
-    (request_id, rank).
-    """
-    order = lambda h: (h.request_id, h.path_rank)
-    if len(entries) <= l_max:
-        return sorted(entries, key=order)
-    counts = Counter(h.request_id for h in entries)
-    priority = lambda h: (h.path_length, h.request_id, h.path_rank)
-    soles = sorted((h for h in entries if counts[h.request_id] == 1), key=priority)
-    others = sorted((h for h in entries if counts[h.request_id] > 1), key=priority)
-    if len(soles) >= l_max:
-        kept = soles[:l_max]
-    else:
-        kept = soles + others[:l_max - len(soles)]
-    return sorted(kept, key=order)
-
-
-def reference_two_stage_weights(entries: Sequence[Entry], alpha: float,
-                                beta: float) -> dict[PathKey, float]:
-    """Real-valued per-entry weights: request share ~ n_r^beta, then within a
-    request shorter paths take more (share ~ d^-alpha). Weights sum to 1."""
-    if not entries:
-        raise ValueError("empty entry list")
-    by_request: dict[int, list[Entry]] = {}
-    for h in sorted(entries, key=lambda h: h.key):
-        by_request.setdefault(h.request_id, []).append(h)
-    request_raw = {r: float(len(group)) ** beta for r, group in by_request.items()}
-    request_total = sum(request_raw.values())
-    weights: dict[PathKey, float] = {}
-    for r, group in by_request.items():
-        path_raw = [float(h.path_length) ** -alpha for h in group]
-        path_total = sum(path_raw)
-        for h, raw in zip(group, path_raw):
-            weights[h.key] = (request_raw[r] / request_total) * (raw / path_total)
-    return weights
-
-
-def reference_apportion_two_stage(entries: Sequence[Entry], total: int,
-                                  path_exp: float, beta: float) -> dict[PathKey, int]:
-    """Stage-wise integer apportionment: units go to requests by n_r^beta
-    (ties by request id), then within each request by d^path_exp (ties by rank)."""
-    ordered = sorted(entries, key=lambda h: h.key)
-    by_request: dict[int, list[Entry]] = {}
-    for h in ordered:
-        by_request.setdefault(h.request_id, []).append(h)
-    requests = list(by_request)
-    request_raw = [float(len(by_request[r])) ** beta for r in requests]
-    raw_total = sum(request_raw)
-    request_units = largest_remainder(
-        [total * w / raw_total for w in request_raw], total)
-    shares: dict[PathKey, int] = {}
-    for r, units in zip(requests, request_units):
-        group = by_request[r]
-        path_raw = [float(h.path_length) ** path_exp for h in group]
-        path_total = sum(path_raw)
-        path_units = largest_remainder(
-            [units * w / path_total for w in path_raw], units)
-        for h, x in zip(group, path_units):
-            shares[h.key] = x
-    return shares
-
-
-# ------------------------------------------------------------ keyed cores
-# PS with its flow determination, PF, PU's core and the metrics as they were
-# before the schedulers moved to dense ids: dict-keyed by path key and edge,
-# over the path set as it was then. They are the oracles for the id-based
-# cores. Only truncation and the two-stage rules differ from the code they
-# copy: they come from the entry-based references above, which give the same
-# results.
-
-def reference_request_groups(keys: Sequence[PathKey]) -> tuple[tuple[PathKey, ...], ...]:
-    """Keys that are already in key order, grouped by request in one pass."""
-    return tuple(tuple(group) for _, group in groupby(keys, itemgetter(0)))
-
-
-class KeyedKeptPaths(NamedTuple):
-    """What the schedulers read of a path set at one l_max, by key and edge."""
-
-    #: H truncated to l_max keys per edge, edges sorted
-    keys: dict[Edge, list[PathKey]]
-    #: ``keys`` grouped by request
-    groups: dict[Edge, tuple]
-    #: ``keys`` without the paths that are not live; edges left with none dropped
-    live_keys: dict[Edge, list[PathKey]]
-    #: ``live_keys`` grouped by request
-    live_groups: dict[Edge, tuple]
-    #: the paths kept on every edge they traverse, with their edges, in key order
-    live_paths: dict[PathKey, tuple[Edge, ...]]
-
-
-class KeyedPathSet(dict[Edge, list[PathKey]]):
-    """One window's paths: H (this mapping, edge -> keys of the paths crossing
-    it, in key order) plus the per-path views, keyed in key order."""
-
-    def __init__(self, path_edges: dict[PathKey, tuple[Edge, ...]],
-                 lengths: dict[PathKey, int]) -> None:
-        super().__init__()
-        self.path_edges = dict(sorted(path_edges.items()))
-        self.lengths = {key: lengths[key] for key in self.path_edges}
-        self._kept: dict[int, KeyedKeptPaths] = {}
-        for key, edges in self.path_edges.items():
-            for e in edges:
-                self.setdefault(e, []).append(key)
-
-    @classmethod
-    def of(cls, info: PathSet) -> "KeyedPathSet":
-        return cls(info.path_edges, dict(zip(info.keys, info.lengths)))
-
-    def kept(self, l_max: int) -> KeyedKeptPaths:
-        """H truncated to l_max keys per edge and the views derived from it;
-        computed once per l_max."""
-        if l_max not in self._kept:
-            kept = {e: [h.key for h in reference_truncate_edge_paths(
-                        key_entries(self[e], self.lengths), l_max)] for e in sorted(self)}
-            times_kept = Counter(key for keys in kept.values() for key in keys)
-            live_paths = {key: edges for key, edges in self.path_edges.items()
-                          if times_kept[key] == len(edges)}
-            groups = {e: reference_request_groups(keys) for e, keys in kept.items()}
-            live_keys: dict[Edge, list[PathKey]] = {}
-            live_groups: dict[Edge, tuple] = {}
-            for e, keys in kept.items():
-                live = [key for key in keys if key in live_paths]
-                if len(live) == len(keys):
-                    live_keys[e], live_groups[e] = keys, groups[e]
-                elif live:
-                    live_keys[e], live_groups[e] = live, reference_request_groups(live)
-            self._kept[l_max] = KeyedKeptPaths(kept, groups, live_keys, live_groups,
-                                               live_paths)
-        return self._kept[l_max]
-
-
-def _keyed_apportion(group_keys: Iterable[PathKey], lengths: dict[PathKey, int],
-                     total: int, path_exp: float, beta: float) -> dict[PathKey, int]:
-    return reference_apportion_two_stage(key_entries(group_keys, lengths), total,
-                                         path_exp, beta)
-
-
-def reference_keyed_proportional_share(net: Network, info: KeyedPathSet,
-                                       params: RoutingParams) -> dict[Edge, dict[PathKey, int]]:
-    """Edge-local allocation: every kept path gets the f_min floor, the rest
-    of the capacity is split by the two-stage proportional rule."""
-    f_min = params.require_f_min()
-    caps = net.capacity_map()
-    kept = info.kept(params.l_max)
-    allocations: dict[Edge, dict[PathKey, int]] = {}
-    for e, keys in kept.keys.items():
-        spare = caps[e] - f_min * len(keys)
-        if spare < 0:
-            raise InvariantError(
-                f"edge {e} kept below l_max * f_min; was Step 1 skipped?")
-        extra = _keyed_apportion(keys, info.lengths, spare, -params.alpha, params.beta)
-        allocations[e] = {key: f_min + extra[key] for key in keys}
-    return allocations
-
-
-def reference_keyed_flow_determination(allocations: dict[Edge, dict[PathKey, int]],
-                                       info: KeyedPathSet) -> dict[PathKey, int]:
-    """Short-board constraint: a path's flow is its minimum per-edge allocation."""
-    return {key: min(allocations.get(e, {}).get(key, 0) for e in edges)
-            for key, edges in info.path_edges.items()}
-
-
-def reference_keyed_progressive_fill(info: KeyedPathSet,
-                                     capacity: dict[Edge, int]) -> dict[PathKey, int]:
-    """Progressive filling with integer saturation, one freeze event at a time.
-
-    Before each round, any edge whose slack is below its active-path count
-    saturates and freezes those paths; the next event comes after
-    ``min_e floor(slack_e / n_active_e)`` rounds, so this jumps there at once.
-    """
-    path_edges = info.path_edges
-    flows = dict.fromkeys(path_edges, 0)
-    usage = dict.fromkeys(info, 0)
-    n_active = {e: len(keys) for e, keys in info.items()}
-    active = set(flows)
-    while active:
-        frozen = {key for e, keys in info.items()
-                  if capacity[e] - usage[e] < n_active[e]
-                  for key in keys if key in active}
-        active -= frozen
-        for key in frozen:
-            for e in path_edges[key]:
-                n_active[e] -= 1
-        # every edge still carrying active paths has slack >= n_active here
-        rounds = min(((capacity[e] - usage[e]) // n for e, n in n_active.items() if n),
-                     default=0)
-        for key in active:
-            flows[key] += rounds
-            for e in path_edges[key]:
-                usage[e] += rounds
-    return flows
-
-
-def reference_keyed_propagatory_core(capacity: dict[Edge, int], kept: KeyedKeptPaths,
-                                     lengths: dict[PathKey, int], f_min: int, alpha: float,
-                                     beta: float) -> dict[PathKey, int]:
-    """Iterate deduction/update passes over the desired-capacity table of the
-    live paths until a full pass changes nothing.
-
-    A key has room to grow iff no edge of its path is saturated (usage >=
-    capacity). Each key keeps the count of saturated edges on its path, and
-    ``add`` updates the counts only when an edge's usage crosses its
-    capacity, so raises skip keys with a nonzero count unread.
-    """
-    keys_by_edge, path_edges = kept.live_keys, kept.live_paths
-    f_max = {key: min(capacity[e] for e in edges) for key, edges in path_edges.items()}
-    usage = {e: sum(f_max[key] for key in keys) for e, keys in keys_by_edge.items()}
-    # per live path, the number of edges on its route at or over capacity
-    blocked = dict.fromkeys(f_max, 0)
-    for e, keys in keys_by_edge.items():
-        if usage[e] >= capacity[e]:
-            for key in keys:
-                blocked[key] += 1
-    edges = list(keys_by_edge)
-    orders: dict[Edge, list[PathKey]] = {}
-    idle: dict[Edge, int] = {}
-    deductions = 0
-
-    def add(key: PathKey, delta: int) -> None:
-        """Change one desired capacity by delta units (a raise or a cut)."""
-        f_max[key] += delta
-        for e in path_edges[key]:
-            cap = capacity[e]
-            was_full = usage[e] >= cap
-            usage[e] += delta
-            if (usage[e] >= cap) != was_full:
-                step = 1 if delta > 0 else -1
-                for other in keys_by_edge[e]:
-                    blocked[other] += step
-
-    def deduct(e: Edge) -> None:
-        """Cut the apportioned excess (never below f_min), then the residual,
-        whole rounds of the group tied at the top at once."""
-        keys = keys_by_edge[e]
-        excess = usage[e] - capacity[e]
-        assigned = _keyed_apportion(keys, lengths, excess, alpha, beta)
-        removed = 0
-        for key in keys:
-            cut = min(assigned[key], f_max[key] - f_min)
-            if cut > 0:
-                add(key, -cut)
-                removed += cut
-        need = excess - removed
-        while need:
-            levels = sorted({f_max[key] for key in keys if f_max[key] > f_min},
-                            reverse=True)
-            if not levels:
-                raise InvariantError(
-                    f"edge {e}: {need} units of excess cannot be deducted above "
-                    f"f_min = {f_min}")
-            top = levels[0]
-            group = sorted(key for key in keys if f_max[key] == top)
-            if need < len(group):
-                group, cut = group[:need], 1
-            else:
-                floor = levels[1] if len(levels) > 1 else f_min
-                cut = min(top - floor, need // len(group))
-            for key in group:
-                add(key, -cut)
-                need -= cut
-
-    def raise_paths(e: Edge) -> bool:
-        """Hand free units of e to its paths, heaviest weight first; an edge
-        that raised nothing is skipped until a deduction has run."""
-        if idle.get(e) == deductions:
-            return False
-        keys = keys_by_edge[e]
-        changed = False
-        if not all(blocked[key] for key in keys):
-            if e not in orders:
-                weights = reference_two_stage_weights(key_entries(keys, lengths),
-                                                      alpha, beta)
-                orders[e] = sorted(weights, key=lambda k: (-weights[k], k))
-            for key in orders[e]:
-                if usage[e] >= capacity[e]:
-                    break
-                if not blocked[key]:
-                    add(key, min(capacity[e2] - usage[e2] for e2 in path_edges[key]))
-                    changed = True
-        if not changed:
-            idle[e] = deductions
-        return changed
-
-    silent = 0
-    while edges and silent < len(edges):
-        # most oversubscribed edges first; ratio recomputed each pass
-        order = sorted(edges, key=lambda e: (-usage[e] / capacity[e], e))
-        for e in order:
-            if usage[e] > capacity[e]:
-                deduct(e)
-                deductions += 1
-                changed = True
-            elif usage[e] < capacity[e]:
-                changed = raise_paths(e)
-            else:
-                changed = False
-            silent = 0 if changed else silent + 1
-            if silent >= len(edges):
-                break
-    return f_max
-
+# ------------------------------------------------------------ metrics
+# Every measure by its own pass over the flows by path key.
 
 @dataclass
 class KeyedOutcome:
@@ -957,51 +725,22 @@ def reference_evaluate(outcome: KeyedOutcome, net: Network, requests: Sequence[R
 
 
 # ------------------------------------------------------------ one window
-# ``run_trial`` as it was before ``harness.route_window``: Steps 0-2 in one
-# function, then every algorithm on the window's one PathSet. It is the oracle
-# for ``harness.run_trial`` and, through the per-point sweeps below, for the
-# sweep engine. The demand warning is left out; records are what it checks.
-
-def reference_enumerate_paths(net: Network, requests: Sequence[Request],
-                              k: int) -> tuple[Path, ...]:
-    """k shortest paths for every request, from the reference Yen;
-    disconnected requests contribute none."""
-    paths: list[Path] = []
-    for r in requests:
-        paths.extend(reference_k_shortest_paths(net, r.source, r.terminal, k,
-                                                request_id=r.id))
-    return tuple(paths)
-
+# Steps 0-2 in one function, with the reference Yen, then every algorithm
+# on the window's one PathSet. It is the oracle for ``harness.run_trial`` and,
+# through the per-point sweeps below, for the sweep engine. The demand warning
+# is left out; records are what it checks, without their wall-clock fields.
 
 def reference_prepare_trial(config: ExperimentConfig, seed: int) -> TrialContext:
     """Steps 0-2: initialize, purify, revise topology, and enumerate paths."""
     rng = np.random.default_rng(seed)
-    stage: dict[str, float] = {}
-    t0 = time.perf_counter()
     net = build_lattice(config.rows, config.cols, config.kind)
     net = sample_edge_states(net, config.scenario, rng)
     requests = _resolve_requests(config, net, rng)
-    stage["initialize"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     purified = purify_network(net, config.scenario.f_th)
     revised = deactivate_low_capacity_edges(purified, config.routing.l_max)
-    stage["purify"] = time.perf_counter() - t0
-
-    if not revised.active_edges():
-        params = replace(config.routing, f_min=0)
-        return TrialContext(seed, revised, requests, params, (),
-                            reason="no_active_edges", stage_seconds=stage)
-    f_min = compute_f_min(revised, config.routing.l_max)
-    params = replace(config.routing, f_min=f_min)
-
-    t0 = time.perf_counter()
-    paths = reference_enumerate_paths(revised, requests, params.k)
-    stage["paths"] = time.perf_counter() - t0
-    if not paths:
-        return TrialContext(seed, revised, requests, params, (),
-                            reason="no_paths", stage_seconds=stage)
-    return TrialContext(seed, revised, requests, params, paths, stage_seconds=stage)
+    f_min = compute_f_min(revised, config.routing.l_max) if revised.active_edges() else 0
+    return reference_with_paths(TrialContext(seed, revised, requests,
+                                             replace(config.routing, f_min=f_min), ()))
 
 
 def reference_with_paths(ctx: TrialContext) -> TrialContext:
@@ -1023,10 +762,8 @@ def reference_route_all(net: Network, paths: Sequence[Path], requests: Sequence[
     info = build_path_info(paths, params.l_max)
     results: dict[str, AlgorithmResult] = {}
     for name in algorithms:
-        t0 = time.perf_counter()
         outcome = run_algorithm(name, net, info, params)
-        dt = time.perf_counter() - t0
-        results[name] = AlgorithmResult(outcome, evaluate(outcome, net, requests, p_in), dt)
+        results[name] = AlgorithmResult(outcome, evaluate(outcome, net, requests, p_in))
     return results
 
 
@@ -1043,12 +780,10 @@ def reference_run_trial(config: ExperimentConfig, seed: int) -> TrialRecord:
     summary = _summarize(ctx.revised)
     if ctx.reason is not None:
         results = reference_zero_results(config.algorithms, ctx.requests, ctx.reason)
-        return TrialRecord(seed, ctx.params, ctx.requests, summary, results,
-                           ctx.stage_seconds, ctx.reason)
-    results = reference_route_all(ctx.revised, ctx.paths, ctx.requests, ctx.params,
-                                  config.algorithms, config.scenario.p_in)
-    return TrialRecord(seed, ctx.params, ctx.requests, summary, results,
-                       ctx.stage_seconds, None)
+    else:
+        results = reference_route_all(ctx.revised, ctx.paths, ctx.requests, ctx.params,
+                                      config.algorithms, config.scenario.p_in)
+    return TrialRecord(seed, ctx.params, ctx.requests, summary, results, reason=ctx.reason)
 
 
 def reference_replicate(config: ExperimentConfig) -> tuple[
@@ -1059,10 +794,9 @@ def reference_replicate(config: ExperimentConfig) -> tuple[
     return records, aggregate(records, config.algorithms)
 
 
-# ---------------------------------------------------------- record encoding
-# ``reports.record_to_dict`` as it was before it encoded each path key and
-# edge once per record: every dict is re-encoded and sorted where it is
-# written. It is the oracle for the one-pass serializer.
+# ------------------------------------------------------------ record encoding
+# Every dict is re-encoded and sorted where it is written. It is the oracle
+# for the one-pass serializer ``reports.record_to_dict``.
 
 def _reference_pathkey(key: PathKey) -> str:
     return f"{key[0]}:{key[1]}"
@@ -1128,11 +862,20 @@ def reference_record_to_dict(record: TrialRecord) -> dict:
     }
 
 
+def untimed(record: dict) -> dict:
+    """A ``record_to_dict`` record without its wall-clock fields
+    (``stage_seconds`` and each result's ``schedule_seconds``); changes
+    ``record`` and returns it."""
+    del record["stage_seconds"]
+    for result in record["results"].values():
+        del result["schedule_seconds"]
+    return record
+
+
 # ------------------------------------------------------------ per-point sweeps
-# The grid loops as they were before the sweep engine: every grid point (or
-# request count) re-runs whole windows through ``reference_replicate``. They
-# are the oracles for ``harness.grid_search_parameters`` and
-# ``harness.request_sweep``.
+# Every grid point (or request count) re-runs whole windows through
+# ``reference_replicate``. They are the oracles for
+# ``harness.grid_search_parameters`` and ``harness.request_sweep``.
 
 def reference_grid_search(config: ExperimentConfig) -> tuple[
         dict[str, tuple[RoutingParams, float]], list[dict]]:
@@ -1181,9 +924,9 @@ def reference_request_sweep(config: ExperimentConfig,
 
 
 # ------------------------------------------------------------ config parsing
-# ``config_from_mapping`` as it was before the key table: one hand-written
-# get/check pair per key, defaults repeated from the dataclasses. It is the
-# oracle for the table-driven parser in ``qroute.config``.
+# One hand-written get/check pair per key, defaults repeated from the
+# dataclasses. It is the oracle for the table-driven parser
+# ``qroute.config.config_from_mapping``.
 
 def _scalar(value, path, lines, kind, lo=None, hi=None, lo_open=False):
     if kind is int:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (KeyedOutcome, reference_evaluate, reference_run_trial,
-                      reference_with_paths)
+                      reference_with_paths, untimed)
 
 from qroute import harness, pathfinder
 from qroute.config import load_config
@@ -80,15 +80,6 @@ def test_run_trial_zero_metrics_when_no_edges():
         assert "no_active_edges" in res.report.flags
 
 
-def untimed(record):
-    """``record_to_dict`` without the wall-clock fields."""
-    data = record_to_dict(record)
-    del data["stage_seconds"]
-    for result in data["results"].values():
-        del result["schedule_seconds"]
-    return data
-
-
 @pytest.mark.parametrize("kind", ["square", "hexagonal", "triangular"])
 def test_run_trial_matches_reference(kind):
     reasons = set()
@@ -99,7 +90,8 @@ def test_run_trial_matches_reference(kind):
         for seed in range(12):
             record = run_trial(cfg, seed)
             reasons.add(record.reason)
-            assert untimed(record) == untimed(reference_run_trial(cfg, seed))
+            assert untimed(record_to_dict(record)) == \
+                untimed(record_to_dict(reference_run_trial(cfg, seed)))
     assert reasons == {None, "no_active_edges", "no_paths"}
 
 
@@ -126,7 +118,8 @@ def test_pinned_baseline_windows_skip_yen(monkeypatch):
         # one search from each request's source, and spur searches if Yen ran
         yen_windows += len(roots) > len(ctx.requests)
         if seed < 10:
-            assert untimed(run_trial(config, seed)) == untimed(reference_run_trial(config, seed))
+            assert untimed(record_to_dict(run_trial(config, seed))) == \
+                untimed(record_to_dict(reference_run_trial(config, seed)))
     assert 0 < yen_windows < windows // 2
 
 

@@ -3,14 +3,14 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
-from conftest import adjacency
+from conftest import adjacency, expected_edge_count
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qroute.netmodel import (TOPOLOGIES, ScenarioParams, build_lattice,
-                             deactivate_low_capacity_edges, expected_edge_count,
-                             generate_requests, inject_failures, node_id,
-                             node_label, node_xy, sample_edge_states)
+                             deactivate_low_capacity_edges, generate_requests,
+                             inject_failures, node_id, node_label, node_xy,
+                             sample_edge_states)
 from qroute.purification import purify_network
 
 

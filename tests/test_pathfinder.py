@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import _lex_shortest as reference_lex_shortest
 from conftest import (adjacency, assert_kept_views, enumerate_loopless_paths,
-                      reference_k_shortest_paths, reference_spur_path)
+                      reference_k_shortest_paths)
 
 from qroute import pathfinder
 from qroute.netmodel import TOPOLOGIES, EdgeMasks, InvariantError, build_lattice
@@ -322,7 +322,6 @@ def test_spur_matches_reference_lex_shortest():
                         SQUARE_2x3, u, t, frozenset(banned),
                         frozenset(edge_key(u, x) for x in banned_next))
                     assert spur(u, t, banned, set(banned_next)) == ref
-                    assert reference_spur_path(SQUARE_2x3, u, t, banned, set(banned_next)) == ref
 
 
 def with_row_path(net, s, t):
@@ -345,9 +344,9 @@ def spur_searches(calls, start):
     return len(calls) - start - 1
 
 
-def test_spur_matches_reference_spur_path_on_yen_calls(monkeypatch):
+def test_spur_matches_reference_lex_shortest_on_yen_calls(monkeypatch):
     # every spur search of Yen runs on benchmark-sized lattices, replayed
-    # through the previous adjacency-list search
+    # through the reference BFS, which bans the edges (u, x) for x in banned_next
     calls = record_spur_calls(monkeypatch)
     rng = np.random.default_rng(22)
     replayed = 0
@@ -361,7 +360,9 @@ def test_spur_matches_reference_spur_path_on_yen_calls(monkeypatch):
         assert spur_searches(calls, 0) > 0
         adj = adjacency(net)
         for u, t_, banned_nodes, banned_next, result in calls:
-            assert reference_spur_path(adj, u, t_, banned_nodes, banned_next) == result
+            assert reference_lex_shortest(
+                adj, u, t_, frozenset(banned_nodes),
+                frozenset(edge_key(u, x) for x in banned_next)) == result
         replayed += len(calls)
     assert replayed > 1000
 

@@ -5,6 +5,7 @@ import pathlib
 import xml.etree.ElementTree as ET
 
 import pytest
+from conftest import untimed
 
 from qroute import cli, harness
 from qroute.harness import ExperimentConfig, RequestSpec, prepare_trial, replicate, run_trial
@@ -344,9 +345,7 @@ def _pinned_digest(path: pathlib.Path) -> str:
         return hashlib.sha256(path.read_bytes()).hexdigest()
     payload = json.loads(path.read_text())
     for record in payload["records"]:
-        del record["stage_seconds"]
-        for result in record["results"].values():
-            del result["schedule_seconds"]
+        untimed(record)
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
 
 

@@ -8,14 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (Entry, KeyedOutcome, KeyedPathSet, abstract_network,
-                      assert_integer_max_min, assert_kept_views, by_key,
-                      info_from_path_edges, key_entries, line_network,
+from conftest import (KeyedOutcome, abstract_network, assert_integer_max_min,
+                      assert_kept_views, by_key, info_from_path_edges, line_network,
                       progressive_fill_by_key, propagatory_core_by_key,
                       random_fill_instance, reference_apportion_two_stage,
-                      reference_evaluate, reference_keyed_flow_determination,
-                      reference_keyed_progressive_fill, reference_keyed_propagatory_core,
-                      reference_keyed_proportional_share, reference_propagatory_core,
+                      reference_evaluate, reference_flow_determination, reference_kept,
+                      reference_propagatory_core, reference_proportional_share,
                       reference_truncate_edge_paths, reference_two_stage_weights,
                       truncate_keys, unit_progressive_fill, unit_propagatory_core)
 
@@ -107,15 +105,16 @@ def test_truncate_sole_overflow_capped():
     assert [r for r, _ in kept] == [0, 1, 2]
 
 
-def random_edge_entries(rng):
-    """One edge's H as old-style entries in random order: 1-5 requests with
-    random distinct ranks, lengths from a narrow range so ties are common."""
-    entries = []
+def random_edge_paths(rng):
+    """One edge's path lengths by key, keys in random order: 1-5 requests
+    with random distinct ranks, lengths from a narrow range so ties are common."""
+    lengths = {}
     for r in rng.choice(8, size=int(rng.integers(1, 6)), replace=False):
         for l in rng.choice(6, size=int(rng.integers(1, 5)), replace=False):
-            entries.append(Entry(int(r), int(l), int(rng.integers(1, 5)),
-                                 int(rng.integers(0, 8))))
-    return [entries[i] for i in rng.permutation(len(entries))]
+            lengths[(int(r), int(l))] = int(rng.integers(1, 5))
+            rng.integers(0, 8)  # an unused draw of seed 808's instance stream
+    keys = list(lengths)
+    return {keys[i]: lengths[keys[i]] for i in rng.permutation(len(keys))}
 
 
 def test_key_based_rules_match_entry_based_references():
@@ -123,9 +122,8 @@ def test_key_based_rules_match_entry_based_references():
     seen = Counter()
     exponents = (0.0, 0.5, 1.0, 2.0)
     for _ in range(400):
-        entries = random_edge_entries(rng)
-        keys = [h.key for h in entries]
-        lengths = {h.key: h.path_length for h in entries}
+        lengths = random_edge_paths(rng)
+        keys = list(lengths)
         counts = Counter(r for r, _ in keys)
         seen["sole"] += any(n == 1 for n in counts.values())
         seen["non-sole"] += any(n > 1 for n in counts.values())
@@ -134,7 +132,7 @@ def test_key_based_rules_match_entry_based_references():
         for l_max in range(1, len(keys) + 2):
             seen["truncated"] += l_max < len(keys)
             assert truncate_keys(keys, lengths, l_max) == \
-                [h.key for h in reference_truncate_edge_paths(entries, l_max)]
+                reference_truncate_edge_paths(keys, lengths, l_max)
         # the groups every scheduler reads: the edge's ids as PathSet.kept caches them
         info = one_edge(lengths)
         (groups,) = info.kept(len(keys)).groups
@@ -142,7 +140,7 @@ def test_key_based_rules_match_entry_based_references():
         for alpha, beta in itertools.product(exponents, exponents):
             # key order and float bits both match, not just the values
             assert list(weights_by_key(lengths, alpha, beta).items()) == \
-                list(reference_two_stage_weights(entries, alpha, beta).items())
+                list(reference_two_stage_weights(keys, lengths, alpha, beta).items())
             total = int(rng.integers(0, 60))
             seen["zero total"] += total == 0
             # the lone-key shortcut beside other requests, with units to hand out
@@ -150,7 +148,7 @@ def test_key_based_rules_match_entry_based_references():
             for path_exp in (-alpha, alpha):
                 assert list(by_key(info, ids, _apportion_two_stage(
                     groups, info.lengths, total, path_exp, beta)).items()) == \
-                    list(reference_apportion_two_stage(entries, total, path_exp,
+                    list(reference_apportion_two_stage(keys, lengths, total, path_exp,
                                                        beta).items())
     assert min(seen.values()) > 0 and len(seen) == 7
 
@@ -182,7 +180,7 @@ def apportion_edges(draw):
 def test_tied_weights_apportion_in_closed_form(monkeypatch):
     # each stage whose weights tie is split by _even, each other stage of
     # more than one quota by largest_remainder; the shares equal the
-    # entry-based reference, which always computes the weights
+    # key-based reference, which always computes the weights
     calls = Counter()
     for name in ("_even", "largest_remainder"):
         def spy(*args, _inner=getattr(scheduler, name), _name=name):
@@ -198,11 +196,11 @@ def test_tied_weights_apportion_in_closed_form(monkeypatch):
         info = one_edge(lengths)
         (groups,) = info.kept(len(lengths)).groups
         ids = [p for group in groups for p in group]
-        entries = key_entries(lengths, lengths)
         calls.clear()
         got = _apportion_two_stage(groups, info.lengths, total, path_exp, beta)
         assert list(by_key(info, ids, got).items()) == \
-            list(reference_apportion_two_stage(entries, total, path_exp, beta).items())
+            list(reference_apportion_two_stage(lengths, lengths, total, path_exp,
+                                               beta).items())
         want = Counter()
         if len(groups) > 1:
             tied = beta == 0 or len({len(group) for group in groups}) == 1
@@ -614,20 +612,16 @@ def test_pu_core_matches_reference_on_random_windows():
             continue
         net, info, p, _ = window
         caps = net.capacity_map()
-        keyed = KeyedPathSet.of(info)
-        kept = keyed.kept(p.l_max)
-        # the live-only incidence as propagatory_update built it per call before
-        keys_by_edge = {e: [key for key in keys if key in kept.live_paths]
-                        for e, keys in kept.keys.items()}
-        keys_by_edge = {e: keys for e, keys in keys_by_edge.items() if keys}
+        lengths = dict(zip(info.keys, info.lengths))
+        _, live_keys, live_paths = reference_kept(info.path_edges, lengths, p.l_max)
         for alpha, beta in itertools.product(exponents, exponents):
             got = propagatory_core_by_key(info, p.l_max, caps, p.f_min, alpha, beta)
-            want = reference_propagatory_core(caps, keys_by_edge, keyed.lengths,
-                                              kept.live_paths, p.f_min, alpha, beta)
+            want = reference_propagatory_core(caps, live_keys, lengths, live_paths,
+                                              p.f_min, alpha, beta)
             # key order too, so the core stays a drop-in for the reference
             assert list(got.items()) == list(want.items()), (kind, n, alpha, beta)
         compared[kind] += 1
-        compared["truncated"] += len(kept.live_paths) < len(info.keys)
+        compared["truncated"] += len(live_paths) < len(info.keys)
     assert all(compared[kind] >= 10 for kind in TOPOLOGIES) and compared["truncated"]
 
 
@@ -643,14 +637,15 @@ def test_cores_match_keyed_references_on_random_windows():
         alpha, beta = (float(x) for x in rng.choice([0.0, 0.5, 1.0, 2.0], size=2))
         p = RoutingParams(k=p.k, l_max=p.l_max, alpha=alpha, beta=beta, f_min=p.f_min)
         p_in = float(rng.choice([0.5, 0.9, 1.0]))
-        keyed = KeyedPathSet.of(info)
         caps = net.capacity_map()
-        allocations = reference_keyed_proportional_share(net, keyed, p)
-        f_max = reference_keyed_propagatory_core(caps, keyed.kept(p.l_max), keyed.lengths,
-                                                 p.f_min, alpha, beta)
-        want = {"PS": reference_keyed_flow_determination(allocations, keyed),
-                "PF": reference_keyed_progressive_fill(keyed, caps),
-                "PU": {key: f_max.get(key, 0) for key in keyed.path_edges}}
+        lengths = dict(zip(info.keys, info.lengths))
+        kept, live_keys, live_paths = reference_kept(info.path_edges, lengths, p.l_max)
+        allocations = reference_proportional_share(net, kept, lengths, p)
+        f_max = reference_propagatory_core(caps, live_keys, lengths, live_paths, p.f_min,
+                                           alpha, beta)
+        want = {"PS": reference_flow_determination(allocations, info.path_edges),
+                "PF": unit_progressive_fill(info.path_edges, caps),
+                "PU": {key: f_max.get(key, 0) for key in info.path_edges}}
         for name, flows in want.items():
             outcome = run_algorithm(name, net, info, p)
             # key order and values both match
@@ -663,9 +658,9 @@ def test_cores_match_keyed_references_on_random_windows():
                 assert [(e, list(a.items())) for e, a in outcome.allocations.items()] == \
                     [(e, list(a.items())) for e, a in allocations.items()]
         compared[kind] += 1
-        compared["truncated"] += len(keyed.kept(p.l_max).live_paths) < len(info.keys)
+        compared["truncated"] += len(live_paths) < len(info.keys)
         compared["PU deducted"] += any(f_max[key] < min(caps[e] for e in edges)
-                                       for key, edges in keyed.kept(p.l_max).live_paths.items())
+                                       for key, edges in live_paths.items())
     assert all(compared[kind] >= 10 for kind in TOPOLOGIES), compared
     assert compared["truncated"] and compared["PU deducted"], compared
 
