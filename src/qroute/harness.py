@@ -11,13 +11,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .metrics import MetricsReport, evaluate, throughput, zero_report
+from .metrics import MetricsReport, _check_p_in, evaluate, throughput, zero_report
 from .netmodel import (Network, Request, ScenarioParams, build_lattice,
                        deactivate_low_capacity_edges, generate_requests,
                        inject_failures, sample_edge_states)
 from .pathfinder import Path, PathSet, build_path_info, k_shortest_paths
 from .purification import purify_network
-from .scheduler import (RoutingOutcome, RoutingParams, compute_f_min,
+from .scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams, compute_f_min,
                         run_algorithm)
 
 logger = logging.getLogger(__name__)
@@ -183,8 +183,10 @@ def route_window(ctx: TrialContext, points: Sequence[RoutingParams],
     request (Yen's output is prefix-stable in k). The PathSet and PF (which
     reads no alpha, beta or f_min) run once per k, PS and PU once per point,
     and the outcomes of one k share its PathSet. A degenerate context gives
-    zero reports with its reason.
+    zero reports with its reason. Empty, unknown or repeated algorithms raise ValueError.
     """
+    if not algorithms or sorted(set(algorithms) & set(ALGORITHMS)) != sorted(algorithms):
+        raise ValueError(f"algorithms must name some of {ALGORITHMS} once each, got {algorithms}")
     summary = _summarize(ctx.revised)
     infos: dict[int, PathSet] = {}
     fills: dict[int, AlgorithmResult] = {}  # PF's result per k
@@ -595,6 +597,7 @@ def swap_monte_carlo(outcome: RoutingOutcome, requests: Sequence[Request],
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_p_in(p_in)
     weights = {r.id: r.weight for r in requests}
     totals = np.zeros(trials)
     for ((r, _), flow), d in zip(outcome.flows.items(), outcome.paths.lengths):

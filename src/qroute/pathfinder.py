@@ -191,7 +191,8 @@ def request_groups(ids: Sequence[int], request_of: Sequence[int]) -> RequestGrou
 class KeptPaths(NamedTuple):
     """What the schedulers read of a PathSet at one l_max, as path and edge
     ids. It depends on nothing else, so ``PathSet.kept`` builds it once per
-    l_max. Per-edge fields are indexed by edge id."""
+    l_max. Per-edge fields are indexed by edge id; the edges that carry a
+    live path are those whose ``live_keys`` are not empty."""
 
     #: per edge, the ids of the paths kept there (H truncated to l_max keys)
     keys: list[list[int]]
@@ -203,8 +204,6 @@ class KeptPaths(NamedTuple):
     live_groups: list[RequestGroups]
     #: ids of the live paths, which are kept on every edge they traverse
     live_paths: list[int]
-    #: ids of the edges that carry a live path
-    live_edges: list[int]
 
 
 class PathSet:
@@ -212,24 +211,23 @@ class PathSet:
     metrics and the trial record.
 
     Paths are numbered 0..P-1 in key order and the edges they cross 0..E-1 in
-    sorted order; the schedulers and metrics work on these ids alone.
-    ``path_edges`` keeps the keyed form for records and exports.
+    sorted order; each path is held once, as edge ids, and every reader
+    works on these ids. ``path_edges`` is the keyed form, built from the ids
+    on each read.
     """
 
     def __init__(self, path_edges: dict[PathKey, tuple[Edge, ...]],
                  lengths: dict[PathKey, int]) -> None:
-        #: path key -> its edges, in key order
-        self.path_edges = dict(sorted(path_edges.items()))
+        items = sorted(path_edges.items())
         #: path id -> key
-        self.keys = tuple(self.path_edges)
+        self.keys = tuple(key for key, _ in items)
         #: path id -> length in hops
         self.lengths = [lengths[key] for key in self.keys]
         #: edge id -> edge, sorted
-        self.edges = tuple(sorted({e for edges in self.path_edges.values() for e in edges}))
+        self.edges = tuple(sorted({e for _, edges in items for e in edges}))
         index = {e: i for i, e in enumerate(self.edges)}
         #: path id -> the ids of the edges it traverses, in path order
-        self.edge_ids = [tuple(map(index.__getitem__, edges))
-                         for edges in self.path_edges.values()]
+        self.edge_ids = [tuple(map(index.__getitem__, edges)) for _, edges in items]
         # H: edge id -> the ids of the paths crossing it, ascending
         self._incidence: list[list[int]] = [[] for _ in self.edges]
         for p, ids in enumerate(self.edge_ids):
@@ -240,7 +238,14 @@ class PathSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PathSet):
             return NotImplemented
-        return self.path_edges == other.path_edges and self.lengths == other.lengths
+        return ((self.keys, self.lengths, self.edges, self.edge_ids)
+                == (other.keys, other.lengths, other.edges, other.edge_ids))
+
+    @property
+    def path_edges(self) -> dict[PathKey, tuple[Edge, ...]]:
+        """Path key -> its edges in traversal order, in key order."""
+        return {key: tuple(self.edges[e] for e in ids)
+                for key, ids in zip(self.keys, self.edge_ids)}
 
     def values(self) -> list[list[int]]:
         """H: per edge id, the ids of the paths crossing it, ascending."""
@@ -272,22 +277,17 @@ class PathSet:
                 live = [n == len(ids) for n, ids in zip(times_kept, self.edge_ids)]
                 live_keys: list[list[int]] = []
                 live_groups: list[RequestGroups] = []
-                live_edges: list[int] = []
-                for e, (ids, grouped) in enumerate(zip(kept, groups)):
+                for ids, grouped in zip(kept, groups):
                     ok = [p for p in ids if live[p]]
                     if len(ok) < len(ids):
                         ids, grouped = ok, request_groups(ok, request_of)
                     live_keys.append(ids)
                     live_groups.append(grouped)
-                    if ids:
-                        live_edges.append(e)
                 live_paths = [p for p, ok in enumerate(live) if ok]
             else:
                 # nothing was truncated, so every path is live on every edge
-                live_keys, live_groups = kept, groups
-                live_paths, live_edges = list(range(len(request_of))), list(range(len(kept)))
-            self._kept[l_max] = KeptPaths(kept, groups, live_keys, live_groups,
-                                          live_paths, live_edges)
+                live_keys, live_groups, live_paths = kept, groups, list(range(len(request_of)))
+            self._kept[l_max] = KeptPaths(kept, groups, live_keys, live_groups, live_paths)
         return self._kept[l_max]
 
 

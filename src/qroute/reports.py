@@ -228,11 +228,11 @@ def read_records_json(path: str) -> list[TrialRecord]:
 def _edge_traffic(outcome: RoutingOutcome, net: Network) -> list[dict]:
     usage = outcome.edge_usage()
     breakdown: dict[tuple[int, int], dict[str, int]] = {}
-    for (key, flow), edges in zip(outcome.flows.items(), outcome.path_edges.values()):
+    for (key, flow), ids in zip(outcome.flows.items(), outcome.paths.edge_ids):
         if flow <= 0:
             continue
-        for e in edges:
-            breakdown.setdefault(e, {})[_encode_pathkey(key)] = flow
+        for e in ids:
+            breakdown.setdefault(outcome.paths.edges[e], {})[_encode_pathkey(key)] = flow
     rows = []
     for e, capacity, active in zip(net.edges, net.capacity, net.active):
         used = usage.get(e, 0)

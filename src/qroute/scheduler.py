@@ -246,7 +246,8 @@ def _propagatory_core(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
     capacity, so raises skip paths with a nonzero count unread.
     """
     path_edges, lengths = info.edge_ids, info.lengths
-    keys_by_edge, groups, edges = kept.live_keys, kept.live_groups, kept.live_edges
+    keys_by_edge, groups = kept.live_keys, kept.live_groups
+    edges = [e for e, ids in enumerate(keys_by_edge) if ids]
     f_max = [0] * len(path_edges)
     for p in kept.live_paths:
         f_max[p] = min(capacity[e] for e in path_edges[p])

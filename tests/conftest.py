@@ -149,14 +149,13 @@ def assert_kept_views(info: PathSet, l_max: int) -> None:
     """``info.kept(l_max)`` against the definitions of its fields, each
     rebuilt from H and the paths' edges and requests."""
     request_of = [r for r, _ in info.keys]
-    kept, groups, live_keys, live_groups, live_paths, live_edges = info.kept(l_max)
+    kept, groups, live_keys, live_groups, live_paths = info.kept(l_max)
     assert len(kept) == len(info.edges)
     for ids, kept_ids in zip(info.values(), kept):
         assert kept_ids == truncate_edge_paths(ids, request_of, info.lengths, l_max)
     live = {p for p, edges in enumerate(info.edge_ids) if all(p in kept[e] for e in edges)}
     assert live_paths == sorted(live)
     assert live_keys == [[p for p in ids if p in live] for ids in kept]
-    assert live_edges == [e for e, ids in enumerate(live_keys) if ids]
     for view, grouped in ((kept, groups), (live_keys, live_groups)):
         assert len(grouped) == len(view)
         for ids, group in zip(view, grouped):

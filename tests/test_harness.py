@@ -14,7 +14,7 @@ from qroute.harness import (ExperimentConfig, ObjectiveWeights, RequestSpec,
                             grid_search_parameters, objective_value, parameter_grid,
                             prepare_trial, replicate, report_values, request_sweep,
                             run_trial, run_trials, swap_monte_carlo, WORKERS_ENV)
-from qroute.metrics import evaluate
+from qroute.metrics import evaluate, throughput
 from qroute.netmodel import Request, ScenarioParams, inject_failures
 from qroute.pathfinder import PathSet
 from qroute.reports import record_to_dict
@@ -78,6 +78,22 @@ def test_run_trial_zero_metrics_when_no_edges():
     for res in rec.results.values():
         assert res.report.throughput == 0.0
         assert "no_active_edges" in res.report.flags
+
+
+@pytest.mark.parametrize("algorithms", [(), ("XX",), ("PS", "PF", "PS")],
+                         ids=["empty", "unknown", "repeated"])
+def test_route_window_rejects_bad_algorithms_up_front(monkeypatch, algorithms):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a window routed before the algorithms were checked")
+    monkeypatch.setattr(harness, "build_path_info", forbidden)
+    monkeypatch.setattr(harness, "run_algorithm", forbidden)
+    # a window with no active edges and a routable one
+    for scenario, reason in ((ScenarioParams(c0=50, p_out=0.0), "no_active_edges"),
+                             (ScenarioParams(c0=50), None)):
+        ctx = harness.prepare_trial(small_config(scenario=scenario), 5)
+        assert ctx.reason == reason
+        with pytest.raises(ValueError, match="algorithms must name"):
+            harness.route_window(ctx, [ctx.params], algorithms, 0.9)
 
 
 @pytest.mark.parametrize("kind", ["square", "hexagonal", "triangular"])
@@ -172,8 +188,18 @@ def test_swap_monte_carlo_zero_success():
     assert est == 0.0 and stderr == 0.0
 
 
+@pytest.mark.parametrize("p_in", [1.5, float("nan"), -0.2])
+def test_swap_monte_carlo_rejects_bad_p_in(p_in):
+    # one-hop paths draw no swap, yet p_in is checked as throughput checks it
+    one_hop = RoutingOutcome("PS", {(0, 0): 5}, PathSet({(0, 0): ((0, 1),)}, {(0, 0): 1}))
+    reqs = [Request(0, 0, 9, demand=1)]
+    with pytest.raises(ValueError, match="p_in"):
+        throughput(one_hop, reqs, p_in)
+    with pytest.raises(ValueError, match="p_in"):
+        swap_monte_carlo(one_hop, reqs, p_in, 10, np.random.default_rng(0))
+
+
 def test_swap_monte_carlo_tracks_closed_form():
-    from qroute.metrics import throughput
     reqs = [Request(0, 0, 9, demand=1, weight=1.5)]
     exact = throughput(mc_outcome(), reqs, 0.8)
     est, stderr = swap_monte_carlo(mc_outcome(), reqs, 0.8, 20_000,

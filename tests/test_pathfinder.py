@@ -129,7 +129,7 @@ def test_build_path_info_empty():
     info = build_path_info([], 3)
     assert info.values() == [] and info.edges == () and info.keys == ()
     assert info.path_edges == {} and info.lengths == []
-    assert info.kept(3) == ([], [], [], [], [], [])
+    assert info.kept(3) == ([], [], [], [], [])
     assert info == PathSet({}, {})
 
 
@@ -152,6 +152,13 @@ def test_path_set_per_path_views():
         assert all(e in info.edge_ids[p] for p in ids)
     assert sum(map(len, info.values())) == sum(map(len, info.edge_ids))
     assert info == build_path_info(reversed(paths), 2)
+    # the keyed form is not stored but rebuilt from the ids, into an equal PathSet
+    assert "path_edges" not in vars(info)
+    path_edges, lengths = info.path_edges, dict(zip(info.keys, info.lengths))
+    assert PathSet(path_edges, lengths) == info
+    key = paths[0].key
+    assert PathSet({**path_edges, key: path_edges[key][::-1]}, lengths) != info
+    assert PathSet(path_edges, {**lengths, key: lengths[key] + 1}) != info
 
 
 def test_path_set_kept_matches_per_edge_truncation():

@@ -61,7 +61,7 @@ def test_record_json_roundtrip(tmp_path):
     loaded = read_records_json(str(path))
     assert loaded == [record]
     outcomes = [res.outcome for res in loaded[0].results.values()]
-    assert all(o.path_edges is outcomes[0].path_edges for o in outcomes)
+    assert all(o.paths is outcomes[0].paths for o in outcomes)
     payload = json.loads(path.read_text())
     assert payload["config_provenance"] == {"lattice.rows": "file"}
     # each path's edges and length are stored once per record, not per algorithm

@@ -511,8 +511,8 @@ def pu_table(outcome, info, l_max):
     """PU's per-edge table, rebuilt from its flows: each live kept edge holds
     the flow of every live path crossing it."""
     kept = info.kept(l_max)
-    return {info.edges[e]: {info.keys[p]: outcome.flows[info.keys[p]] for p in kept.live_keys[e]}
-            for e in kept.live_edges}
+    return {info.edges[e]: {info.keys[p]: outcome.flows[info.keys[p]] for p in ids}
+            for e, ids in enumerate(kept.live_keys) if ids}
 
 
 def test_schedule_table_allocations_within_capacity():
@@ -575,8 +575,8 @@ def test_bulk_steps_match_unit_step_oracles():
         # no edge holds more keys than there are paths, so all paths are live
         info = PathSet(path_edges, lengths)
         kept = info.kept(len(path_edges))
-        assert {info.edges[e]: [info.keys[p] for p in kept.live_keys[e]]
-                for e in kept.live_edges} == keys_by_edge
+        assert {info.edges[e]: [info.keys[p] for p in ids]
+                for e, ids in enumerate(kept.live_keys) if ids} == keys_by_edge
         assert propagatory_core_by_key(info, len(path_edges), capacity, f_min, alpha,
                                        beta) == \
             unit_propagatory_core(capacity, keys_by_edge, lengths, path_edges, f_min,
