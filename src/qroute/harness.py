@@ -4,7 +4,6 @@ from __future__ import annotations
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Iterable, Sequence
@@ -261,6 +260,8 @@ def _map_seeds(task, args: list[tuple]) -> list:
     one process pool. Results always come back in the order of ``args``."""
     workers = worker_count()
     if workers > 1 and len(args) > 1:
+        # imported here, where workers run, so that `import qroute` skips it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(task, args))
     return [task(a) for a in args]

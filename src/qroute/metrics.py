@@ -4,8 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .netmodel import Edge, Network, Request
 from .scheduler import RoutingOutcome
 
@@ -54,23 +52,78 @@ def tally(outcome: RoutingOutcome, weights: dict[int, float], p_in: float) -> Fl
     stretch: dict[int, float] = {}
     shares: list[float] = []
     squares: list[float] = []
-    current = shortest = total = weighted = None
+    # the current request's accumulators, stored when its last path is read;
+    # p_in^(d-1) is recomputed only when d changes
+    current = length = decay = None
     for ((r, _), f), d in zip(outcome.flows.items(), outcome.paths.lengths):
         if r != current:
-            if total:
-                stretch[current] = weighted / (shortest * total)
-            current, shortest, total, weighted = r, d, 0, 0
-        w = weights[r]
+            if current is not None:
+                flow[current], terms[current] = total, term
+                if total:
+                    stretch[current] = weighted / (shortest * total)
+            current, shortest, total, weighted, term = r, d, 0, 0, 0.0
+            w = weights[r]
+            w2 = w ** 2
         shares.append(w * f)
-        squares.append(w ** 2 * f * f)
+        squares.append(w2 * f * f)
         if f > 0:
-            flow[r] += f
-            terms[r] += w * f * p_in ** (d - 1)
+            if d != length:
+                length, decay = d, p_in ** (d - 1)
+            term += w * f * decay
             total += f
             weighted += f * d
-    if total:
-        stretch[current] = weighted / (shortest * total)
+    if current is not None:
+        flow[current], terms[current] = total, term
+        if total:
+            stretch[current] = weighted / (shortest * total)
     return FlowTally(flow, terms, stretch, shares, squares)
+
+
+def _fsum(values: Sequence[float], start: int = 0, n: int | None = None) -> float:
+    """The float64 sum of ``values[start:start + n]`` (all of them by
+    default) in numpy's pairwise order, so that it equals ``np.add.reduce``
+    bit for bit: below 8 values, a left-to-right loop from 0.0; up to 128,
+    eight interleaved accumulators combined as a tree, then the tail; above,
+    a split at a multiple of 8 near the middle and a sum of the two halves.
+
+    Explicit loops, not ``sum()``, which compensates float sums since
+    CPython 3.12."""
+    if n is None:
+        n = len(values)
+    if n < 8:
+        total = 0.0
+        for x in values[start:start + n]:
+            total += x
+        return total
+    if n <= 128:
+        stop = start + n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[start:start + 8]
+        for i in range(start + 8, stop, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for x in values[stop:start + n]:
+            total += x
+        return total
+    half = n // 2
+    half -= half % 8
+    return _fsum(values, start, half) + _fsum(values, start + half, n - half)
+
+
+def _mean_var(values: Sequence[float]) -> tuple[float, float]:
+    """``ndarray.mean()`` and ``ndarray.var()`` of float64 values, bit for
+    bit; (0.0, 0.0) when there are none."""
+    if not values:
+        return 0.0, 0.0
+    n = len(values)
+    mean = _fsum(values) / n
+    return mean, _fsum([(x - mean) * (x - mean) for x in values]) / n
 
 
 def _check_p_in(p_in: float) -> None:
@@ -105,7 +158,8 @@ def evaluate(outcome: RoutingOutcome, net: Network, requests: Sequence[Request],
     n = len(requests)
     caps = net.capacity_map()
     u = {e: used / caps[e] for e, used in zip(outcome.paths.edges, outcome.usage) if used > 0}
-    values = np.fromiter(u.values(), dtype=float)
+    u_ave, u_var = _mean_var(list(u.values()))
+    stretches = list(t.stretch.values())
     shares = [w * t.flow[r] for r, w in weights.items()]
     denom = n * sum(s * s for s in shares)
     numer = sum(t.shares) ** 2
@@ -118,10 +172,10 @@ def evaluate(outcome: RoutingOutcome, net: Network, requests: Sequence[Request],
         throughput=sum(t.terms.values()),
         min_flow=min(t.terms.values()),
         utilization=u,
-        u_ave=float(values.mean()) if u else 0.0,
-        u_var=float(values.var()) if u else 0.0,
+        u_ave=u_ave,
+        u_var=u_var,
         stretch_per_request=t.stretch,
-        stretch=float(np.mean(list(t.stretch.values()))) if t.stretch else 0.0,
+        stretch=_fsum(stretches) / len(stretches) if stretches else 0.0,
         jain_requests=sum(shares) ** 2 / denom if denom else 0.0,
         jain_paths=j_path,
         jain_paths_normalized=numer / (len(t.shares) * sq) if sq else 0.0,

@@ -228,11 +228,7 @@ class PathSet:
         index = {e: i for i, e in enumerate(self.edges)}
         #: path id -> the ids of the edges it traverses, in path order
         self.edge_ids = [tuple(map(index.__getitem__, edges)) for _, edges in items]
-        # H: edge id -> the ids of the paths crossing it, ascending
-        self._incidence: list[list[int]] = [[] for _ in self.edges]
-        for p, ids in enumerate(self.edge_ids):
-            for e in ids:
-                self._incidence[e].append(p)
+        self._incidence: list[list[int]] | None = None
         self._kept: dict[int, KeptPaths] = {}
 
     def __eq__(self, other: object) -> bool:
@@ -248,7 +244,13 @@ class PathSet:
                 for key, ids in zip(self.keys, self.edge_ids)}
 
     def values(self) -> list[list[int]]:
-        """H: per edge id, the ids of the paths crossing it, ascending."""
+        """H: per edge id, the ids of the paths crossing it, ascending; built
+        from ``edge_ids`` on the first call after construction or release."""
+        if self._incidence is None:
+            self._incidence = [[] for _ in self.edges]
+            for p, ids in enumerate(self.edge_ids):
+                for e in ids:
+                    self._incidence[e].append(p)
         return self._incidence
 
     def capacities(self, net: Network) -> list[int]:
@@ -258,7 +260,8 @@ class PathSet:
         return [caps[e] for e in self.edges]
 
     def release_views(self) -> None:
-        """Drop the cached ``kept`` views; a later call builds them again."""
+        """Drop H and the cached ``kept`` views; a later call builds them again."""
+        self._incidence = None
         self._kept.clear()
 
     def kept(self, l_max: int) -> KeptPaths:
@@ -266,10 +269,11 @@ class PathSet:
         computed once per l_max."""
         if l_max not in self._kept:
             request_of = [r for r, _ in self.keys]
+            incidence = self.values()
             kept = [truncate_edge_paths(ids, request_of, self.lengths, l_max)
-                    for ids in self._incidence]
+                    for ids in incidence]
             groups = [request_groups(ids, request_of) for ids in kept]
-            if any(len(ids) > l_max for ids in self._incidence):
+            if any(len(ids) > l_max for ids in incidence):
                 times_kept = [0] * len(request_of)
                 for ids in kept:
                     for p in ids:

@@ -23,12 +23,11 @@ def pump_fidelity(f: float) -> float:
     return good / (good + (1.0 - f) * (1.0 - f))
 
 
-def purify_edge(fidelity: float, capacity: int, f_th: float) -> PurificationOutcome:
-    """Purify one edge until its fidelity reaches f_th, halving capacity per round.
-
-    If the threshold is unreachable before the pairs run out, the edge keeps
-    its last fidelity but ends with zero capacity (it will be deactivated).
-    """
+def _purify(fidelity: float, capacity: int, f_th: float) -> tuple[float, int, int]:
+    """The purification rule as ``(fidelity, capacity, rounds)``: halve the
+    capacity and pump the fidelity once per round until it reaches f_th or
+    fewer than two pairs are left; an edge still below f_th ends with zero
+    capacity. ``purify_edge`` and ``purify_network`` both call it."""
     if not 0.0 <= fidelity <= 1.0:
         raise ValueError(f"fidelity must be in [0, 1], got {fidelity}")
     if capacity < 0:
@@ -38,20 +37,28 @@ def purify_edge(fidelity: float, capacity: int, f_th: float) -> PurificationOutc
         c //= 2
         f = pump_fidelity(f)
         rounds += 1
-    if f < f_th:
-        return PurificationOutcome(f, 0, rounds)
-    return PurificationOutcome(f, c, rounds)
+    return f, 0 if f < f_th else c, rounds
+
+
+def purify_edge(fidelity: float, capacity: int, f_th: float) -> PurificationOutcome:
+    """Purify one edge until its fidelity reaches f_th, halving capacity per round.
+
+    If the threshold is unreachable before the pairs run out, the edge keeps
+    its last fidelity but ends with zero capacity (it will be deactivated).
+    """
+    return PurificationOutcome(*_purify(fidelity, capacity, f_th))
 
 
 def purify_network(net: Network, f_th: float) -> Network:
-    """Apply purify_edge to every active edge; zero-capacity edges are deactivated."""
+    """Apply the purification rule to every active edge; zero-capacity edges
+    are deactivated."""
     if net.phase != "initialized":
         raise ValueError(f"purification runs on an initialized network, got phase {net.phase!r}")
     capacity, fidelity, active = [], [], []
     for e, c, f, on in zip(net.edges, net.capacity, net.fidelity, net.active):
         if on:
-            result = purify_edge(f, c, f_th)
-            c, f, on = result.capacity, result.fidelity, result.capacity > 0
+            f, c, _ = _purify(f, c, f_th)
+            on = c > 0
             if on and f < f_th:
                 raise InvariantError(f"edge {e} kept at fidelity {f} below f_th {f_th}")
         capacity.append(c)

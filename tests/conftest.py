@@ -6,6 +6,7 @@ fast path on the same instances (README, "Tests and acceptance suite", maps
 each stage to its oracles and tests):
 
 - lattice: ``expected_edge_count`` for ``build_lattice``;
+- purification: ``reference_purify_network``;
 - k shortest paths: the exhaustive ``enumerate_loopless_paths`` and
   ``reference_k_shortest_paths`` (Yen over the BFS ``_lex_shortest``);
 - H, its truncation and the two-stage rules, and PS:
@@ -33,12 +34,12 @@ from qroute.harness import (METRIC_FIELDS, AlgorithmResult, ExperimentConfig,
                             ObjectiveWeights, RequestSpec, TrialContext, TrialRecord,
                             _resolve_requests, _summarize, aggregate, objective_value,
                             parameter_grid)
-from qroute.metrics import MetricsReport, evaluate, zero_report
+from qroute.metrics import MetricsReport, zero_report
 from qroute.netmodel import (TOPOLOGIES, Edge, InvariantError, Network, Request, ScenarioParams,
                              build_lattice, deactivate_low_capacity_edges, sample_edge_states)
 from qroute.pathfinder import (Path, PathKey, PathSet, build_path_info, edge_key,
                                truncate_edge_paths)
-from qroute.purification import purify_network
+from qroute.purification import pump_fidelity
 from qroute.scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams, _progressive_fill,
                               _propagatory_core, compute_f_min, largest_remainder,
                               run_algorithm)
@@ -592,6 +593,29 @@ def reference_propagatory_core(capacity, keys_by_edge, lengths, path_edges, f_mi
     return f_max
 
 
+# ------------------------------------------------------------ purification
+
+def reference_purify_network(net: Network, f_th: float) -> Network:
+    """``purify_network`` as a loop over the edges with the per-edge rule
+    written out: while an active edge is below f_th and holds two pairs,
+    halve its capacity and pump its fidelity once; one still below f_th
+    ends with zero capacity and is deactivated."""
+    capacity, fidelity, active = [], [], []
+    for c, f, on in zip(net.capacity, net.fidelity, net.active):
+        if on:
+            while f < f_th and c >= 2:
+                c //= 2
+                f = pump_fidelity(f)
+            if f < f_th:
+                c = 0
+            on = c > 0
+        capacity.append(c)
+        fidelity.append(f)
+        active.append(on)
+    return replace(net, capacity=tuple(capacity), fidelity=tuple(fidelity),
+                   active=tuple(active), phase="purified")
+
+
 # ------------------------------------------------------------ metrics
 # Every measure by its own pass over the flows by path key.
 
@@ -735,7 +759,7 @@ def reference_prepare_trial(config: ExperimentConfig, seed: int) -> TrialContext
     net = build_lattice(config.rows, config.cols, config.kind)
     net = sample_edge_states(net, config.scenario, rng)
     requests = _resolve_requests(config, net, rng)
-    purified = purify_network(net, config.scenario.f_th)
+    purified = reference_purify_network(net, config.scenario.f_th)
     revised = deactivate_low_capacity_edges(purified, config.routing.l_max)
     f_min = compute_f_min(revised, config.routing.l_max) if revised.active_edges() else 0
     return reference_with_paths(TrialContext(seed, revised, requests,
@@ -756,13 +780,15 @@ def reference_with_paths(ctx: TrialContext) -> TrialContext:
 def reference_route_all(net: Network, paths: Sequence[Path], requests: Sequence[Request],
                         params: RoutingParams, algorithms: Sequence[str],
                         p_in: float) -> dict[str, AlgorithmResult]:
-    """Steps 3-5 for every selected algorithm on one realized network; the
-    outcomes share the window's one PathSet."""
+    """Steps 3-5 for every selected algorithm on one realized network, each
+    scored by ``reference_evaluate``; the outcomes share the window's one
+    PathSet."""
     info = build_path_info(paths, params.l_max)
     results: dict[str, AlgorithmResult] = {}
     for name in algorithms:
         outcome = run_algorithm(name, net, info, params)
-        results[name] = AlgorithmResult(outcome, evaluate(outcome, net, requests, p_in))
+        report = reference_evaluate(KeyedOutcome.of(outcome), net, requests, p_in)
+        results[name] = AlgorithmResult(outcome, report)
     return results
 
 

@@ -66,8 +66,8 @@ def test_path_set_built_once_per_trial(monkeypatch):
     for rec in routable:
         ps, pf, pu = (rec.results[name].outcome for name in ("PS", "PF", "PU"))
         assert ps.paths is pf.paths is pu.paths
-        # a record keeps its paths but not the views that only routing reads
-        assert not ps.paths._kept
+        # a record keeps its paths but not H or the views that only routing reads
+        assert not ps.paths._kept and ps.paths._incidence is None
     assert calls == [[rec.params.l_max] for rec in routable]
 
 

@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 from conftest import line_network
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qroute.metrics import evaluate, tally, throughput, zero_report
+from qroute.metrics import _fsum, _mean_var, evaluate, tally, throughput, zero_report
 from qroute.netmodel import Request
 from qroute.pathfinder import PathSet
 from qroute.scheduler import RoutingOutcome
@@ -257,3 +260,26 @@ def test_jain_requests_bounds_with_equal_weights():
     rep = report(out, requests(3))
     assert "jain_req_undefined" not in rep.flags
     assert 1.0 / 3 <= rep.jain_requests <= 1.0
+
+
+@given(st.integers(0, 600).flatmap(lambda n: st.lists(
+    st.floats(1e-8, 1e8, allow_nan=False, allow_infinity=False), min_size=n, max_size=n)))
+@example([0.1] * 7).via("below eight values: one loop")
+@example([0.1] * 8).via("eight accumulators, no tail")
+@example([0.3 ** i for i in range(128)]).via("the largest unsplit block")
+@example([0.3 ** (i % 40) for i in range(129)]).via("the first split")
+@example([1.0 / (i + 1) for i in range(256)]).via("two full blocks")
+@example([1.0 / (i + 1) for i in range(257)]).via("a split of a split")
+@example([7.0 / (i + 3) for i in range(600)]).via("the longest list")
+@settings(max_examples=300, deadline=None)
+def test_pairwise_sum_mean_and_var_equal_numpy_bit_for_bit(values):
+    # evaluate's U_ave, U_var and gamma must equal the ndarray.mean(), .var()
+    # and np.mean that reference_evaluate takes, in every block and split case
+    array = np.array(values, dtype=float)
+    assert _fsum(values).hex() == float(np.add.reduce(array)).hex()
+    mean, var = _mean_var(values)
+    if values:
+        assert mean.hex() == float(array.mean()).hex() == float(np.mean(values)).hex()
+        assert var.hex() == float(array.var()).hex()
+    else:
+        assert (mean, var) == (0.0, 0.0)

@@ -171,6 +171,11 @@ def test_path_set_kept_matches_per_edge_truncation():
         assert_kept_views(info, l_max)
         # given l_max, build_path_info builds this view before it returns
         assert build_path_info(paths, l_max)._kept.keys() == {l_max}
+    # release_views drops H and the views; both come back equal from edge_ids
+    incidence, views = info.values(), info.kept(2)
+    info.release_views()
+    assert info._incidence is None and not info._kept
+    assert info.kept(2) == views and info.values() == incidence
 
 
 def random_active_lattice(rng, kind, rows, cols, dead_rate):

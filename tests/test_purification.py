@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from conftest import reference_purify_network
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qroute.purification
-from qroute.netmodel import InvariantError, ScenarioParams, build_lattice, sample_edge_states
-from qroute.purification import (PurificationOutcome, pump_fidelity, purify_edge,
-                                 purify_network)
+from qroute.netmodel import (TOPOLOGIES, InvariantError, ScenarioParams, build_lattice,
+                             sample_edge_states)
+from qroute.purification import pump_fidelity, purify_edge, purify_network
 
 
 def test_above_threshold_untouched():
@@ -92,10 +93,26 @@ def test_purify_network_survivors_meet_threshold():
 def test_purify_network_rejects_survivor_below_threshold(monkeypatch):
     # an explicit check, so it also holds under python -O
     net, _ = _initialized(seed=3)
-    monkeypatch.setattr(qroute.purification, "purify_edge",
-                        lambda f, c, f_th: PurificationOutcome(0.5, 10, 1))
+    monkeypatch.setattr(qroute.purification, "_purify", lambda f, c, f_th: (0.5, 10, 1))
     with pytest.raises(InvariantError, match="below f_th"):
         purify_network(net, 0.8)
+
+
+@pytest.mark.parametrize("kind", TOPOLOGIES)
+def test_purify_network_matches_reference(kind):
+    # seeded windows from full capacity to pairs too few to purify, with
+    # thresholds from a no-op to one only a few rounds can reach
+    rng = np.random.default_rng(77)
+    rounds = 0
+    for seed in range(30):
+        params = ScenarioParams(c0=int(rng.integers(1, 300)), f_mean=float(rng.uniform(0.5, 1.0)),
+                                f_std=float(rng.uniform(0.0, 0.3)), p_out=float(rng.uniform(0.3, 1.0)))
+        net = sample_edge_states(build_lattice(6, 7, kind), params, np.random.default_rng(seed))
+        for f_th in (0.05, 0.5, 0.8, 0.95, 0.999, 1.0):
+            out = purify_network(net, f_th)
+            assert out == reference_purify_network(net, f_th), (seed, f_th)
+            rounds += sum(c < before for c, before in zip(out.capacity, net.capacity))
+    assert rounds > 1000
 
 
 def test_purify_network_deterministic_and_phase_guard():
