@@ -181,14 +181,18 @@ def route_window(ctx: TrialContext, points: Sequence[RoutingParams],
     paths were enumerated with; a point's paths are the first k ranks of each
     request (Yen's output is prefix-stable in k). The PathSet and PF (which
     reads no alpha, beta or f_min) run once per k, PS and PU once per point,
-    and the outcomes of one k share its PathSet. A degenerate context gives
-    zero reports with its reason. Empty, unknown or repeated algorithms raise ValueError.
+    and the outcomes of one k share its PathSet. An outcome with the flows of
+    an earlier one of its k reuses that one's report: ``evaluate`` reads only
+    the flows, the PathSet and the window. A degenerate context gives zero
+    reports with its reason. Empty, unknown or repeated algorithms raise
+    ValueError.
     """
     if not algorithms or sorted(set(algorithms) & set(ALGORITHMS)) != sorted(algorithms):
         raise ValueError(f"algorithms must name some of {ALGORITHMS} once each, got {algorithms}")
     summary = _summarize(ctx.revised)
     infos: dict[int, PathSet] = {}
     fills: dict[int, AlgorithmResult] = {}  # PF's result per k
+    scores: dict[tuple, MetricsReport] = {}  # report per (k, flows)
     records = []
     for point in points:
         if point.l_max != ctx.params.l_max or point.k > ctx.params.k:
@@ -208,8 +212,10 @@ def route_window(ctx: TrialContext, points: Sequence[RoutingParams],
                 t0 = time.perf_counter()
                 outcome = run_algorithm(name, ctx.revised, infos[point.k], params)
                 dt = time.perf_counter() - t0
-                results[name] = AlgorithmResult(
-                    outcome, evaluate(outcome, ctx.revised, ctx.requests, p_in), dt)
+                scored = (point.k, tuple(outcome.flows.values()))
+                if scored not in scores:
+                    scores[scored] = evaluate(outcome, ctx.revised, ctx.requests, p_in)
+                results[name] = AlgorithmResult(outcome, scores[scored], dt)
                 if name == "PF":
                     fills[point.k] = results[name]
         records.append(TrialRecord(ctx.seed, params, ctx.requests, summary, results,

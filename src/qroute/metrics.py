@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .netmodel import Edge, Network, Request
-from .scheduler import RoutingOutcome
+from .scheduler import RoutingOutcome, left_sum
 
 
 @dataclass
@@ -91,10 +91,7 @@ def _fsum(values: Sequence[float], start: int = 0, n: int | None = None) -> floa
     if n is None:
         n = len(values)
     if n < 8:
-        total = 0.0
-        for x in values[start:start + n]:
-            total += x
-        return total
+        return left_sum(values[start:start + n])
     if n <= 128:
         stop = start + n - n % 8
         r0, r1, r2, r3, r4, r5, r6, r7 = values[start:start + 8]
@@ -108,9 +105,7 @@ def _fsum(values: Sequence[float], start: int = 0, n: int | None = None) -> floa
             r6 += values[i + 6]
             r7 += values[i + 7]
         total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-        for x in values[stop:start + n]:
-            total += x
-        return total
+        return left_sum(values[stop:start + n], total)
     half = n // 2
     half -= half % 8
     return _fsum(values, start, half) + _fsum(values, start + half, n - half)
@@ -136,7 +131,7 @@ def throughput(outcome: RoutingOutcome, requests: Sequence[Request],
     """F = sum_r w_r * sum_l f^{r,l} * p_in^(d-1); the ``throughput`` field
     of ``evaluate``'s report, for callers that need F alone."""
     _check_p_in(p_in)
-    return sum(tally(outcome, {r.id: r.weight for r in requests}, p_in).terms.values())
+    return left_sum(tally(outcome, {r.id: r.weight for r in requests}, p_in).terms.values())
 
 
 def evaluate(outcome: RoutingOutcome, net: Network, requests: Sequence[Request],
@@ -161,22 +156,22 @@ def evaluate(outcome: RoutingOutcome, net: Network, requests: Sequence[Request],
     u_ave, u_var = _mean_var(list(u.values()))
     stretches = list(t.stretch.values())
     shares = [w * t.flow[r] for r, w in weights.items()]
-    denom = n * sum(s * s for s in shares)
-    numer = sum(t.shares) ** 2
-    sq = sum(t.squares)
+    denom = n * left_sum(s * s for s in shares)
+    numer = left_sum(t.shares) ** 2
+    sq = left_sum(t.squares)
     j_path = numer / (n * sq) if sq else 0.0
     flags = (("no_traffic", not u), ("stretch_undefined", not t.stretch),
              ("jain_req_undefined", denom == 0), ("jain_path_undefined", sq == 0),
              ("jain_path_above_one", j_path > 1.0))
     return MetricsReport(
-        throughput=sum(t.terms.values()),
+        throughput=left_sum(t.terms.values()),
         min_flow=min(t.terms.values()),
         utilization=u,
         u_ave=u_ave,
         u_var=u_var,
         stretch_per_request=t.stretch,
         stretch=_fsum(stretches) / len(stretches) if stretches else 0.0,
-        jain_requests=sum(shares) ** 2 / denom if denom else 0.0,
+        jain_requests=left_sum(shares) ** 2 / denom if denom else 0.0,
         jain_paths=j_path,
         jain_paths_normalized=numer / (len(t.shares) * sq) if sq else 0.0,
         demand_satisfied={r.id: t.flow[r.id] >= r.demand for r in requests},

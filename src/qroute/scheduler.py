@@ -3,9 +3,10 @@ filling (PF), propagatory update (PU), and the short-board flow determination.""
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, reduce
+from typing import Iterable, Sequence
 
 from .netmodel import Edge, InvariantError, Network
 from .pathfinder import KeptPaths, PathKey, PathSet, RequestGroups
@@ -88,6 +89,13 @@ def compute_f_min(net: Network, l_max: int) -> int:
     return min(caps) // l_max
 
 
+def left_sum(values: Iterable[float], start: float = 0.0) -> float:
+    """Float sum from ``start``, left to right, the order in which CPython
+    3.11's ``sum()`` adds; since 3.12 ``sum()`` compensates float sums and
+    may round differently."""
+    return reduce(operator.add, values, start)
+
+
 def two_stage_weights(groups: RequestGroups, lengths: Sequence[float],
                       alpha: float, beta: float) -> list[float]:
     """Real-valued per-path weights over one edge's path ids grouped by
@@ -96,11 +104,11 @@ def two_stage_weights(groups: RequestGroups, lengths: Sequence[float],
     if not groups:
         raise ValueError("empty key list")
     request_raw = [float(len(group)) ** beta for group in groups]
-    request_total = sum(request_raw)
+    request_total = left_sum(request_raw)
     weights: list[float] = []
     for group, r_raw in zip(groups, request_raw):
         path_raw = [float(lengths[p]) ** -alpha for p in group]
-        path_total = sum(path_raw)
+        path_total = left_sum(path_raw)
         weights.extend((r_raw / request_total) * (raw / path_total) for raw in path_raw)
     return weights
 
@@ -144,7 +152,7 @@ def _apportion_two_stage(groups: RequestGroups, lengths: Sequence[float],
         request_units = _even(total, n)
     else:
         request_raw = [float(len(group)) ** beta for group in groups]
-        raw_total = sum(request_raw)
+        raw_total = left_sum(request_raw)
         request_units = largest_remainder(
             [total * w / raw_total for w in request_raw], total)
     shares: list[int] = []
@@ -155,7 +163,7 @@ def _apportion_two_stage(groups: RequestGroups, lengths: Sequence[float],
             shares.extend(_even(units, len(group)))
         else:
             path_raw = [float(lengths[p]) ** path_exp for p in group]
-            path_total = sum(path_raw)
+            path_total = left_sum(path_raw)
             shares.extend(largest_remainder([units * w / path_total for w in path_raw],
                                             units))
     return shares
@@ -241,17 +249,17 @@ def _propagatory_core(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
     id (0 off the live paths), ``capacity`` by edge id.
 
     A path has room to grow iff no edge of its route is saturated (usage >=
-    capacity). Each path keeps the count of saturated edges on its route, and
-    ``add`` updates the counts only when an edge's usage crosses its
-    capacity, so raises skip paths with a nonzero count unread.
+    capacity). Each path keeps the count of saturated edges on its route,
+    updated only when an edge's usage crosses its capacity, so raises skip
+    paths with a nonzero count unread.
     """
     path_edges, lengths = info.edge_ids, info.lengths
     keys_by_edge, groups = kept.live_keys, kept.live_groups
     edges = [e for e, ids in enumerate(keys_by_edge) if ids]
     f_max = [0] * len(path_edges)
     for p in kept.live_paths:
-        f_max[p] = min(capacity[e] for e in path_edges[p])
-    usage = [sum(f_max[p] for p in ids) for ids in keys_by_edge]
+        f_max[p] = min(map(capacity.__getitem__, path_edges[p]))
+    usage = [sum(map(f_max.__getitem__, ids)) for ids in keys_by_edge]
     # per path, the number of edges on its route at or over capacity
     blocked = [0] * len(path_edges)
     for e in edges:
@@ -263,51 +271,64 @@ def _propagatory_core(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
     deductions = 0
 
     def add(p: int, delta: int) -> None:
-        """Change one desired capacity by delta units (a raise or a cut)."""
+        """Raise one desired capacity by delta units."""
         f_max[p] += delta
         for e in path_edges[p]:
             cap = capacity[e]
             was_full = usage[e] >= cap
             usage[e] += delta
-            if (usage[e] >= cap) != was_full:
-                step = 1 if delta > 0 else -1
+            if usage[e] >= cap and not was_full:
                 for other in keys_by_edge[e]:
-                    blocked[other] += step
+                    blocked[other] += 1
 
     def deduct(e: int) -> None:
         """Cut the apportioned excess (never below f_min), then the residual.
 
+        Both rules read only desired capacities, so the cuts lower ``f_max``
+        first and usage drops after, in one pass over the cut paths' edges;
+        cuts only lower usage, so an edge leaves saturation at most once.
         The residual rule takes one unit at a time from the largest desired
-        capacity, ties to the smallest id: a group tied at the top loses one
-        unit each in id order, round after round, until it meets the next
-        level down. So whole rounds are taken at once, then what is left.
+        capacity, ties to the smallest id. So the top levels sink together to
+        a water level, and the units left take one more from each of the
+        first ids tied there, in id order.
         """
         ids = keys_by_edge[e]
-        excess = usage[e] - capacity[e]
-        removed = 0
-        for p, assigned in zip(ids, _apportion_two_stage(groups[e], lengths, excess,
+        before = list(map(f_max.__getitem__, ids))
+        need = usage[e] - capacity[e]
+        for p, assigned in zip(ids, _apportion_two_stage(groups[e], lengths, need,
                                                           alpha, beta)):
-            cut = min(assigned, f_max[p] - f_min)
+            room = f_max[p] - f_min
+            cut = assigned if assigned < room else room
             if cut > 0:
-                add(p, -cut)
-                removed += cut
-        need = excess - removed
-        while need:
-            levels = sorted({f_max[p] for p in ids if f_max[p] > f_min}, reverse=True)
-            if not levels:
-                raise InvariantError(
-                    f"edge {info.edges[e]}: {need} units of excess cannot be deducted "
-                    f"above f_min = {f_min}")
-            top = levels[0]
-            group = [p for p in ids if f_max[p] == top]
-            if need < len(group):
-                group, cut = group[:need], 1
-            else:
-                floor = levels[1] if len(levels) > 1 else f_min
-                cut = min(top - floor, need // len(group))
-            for p in group:
-                add(p, -cut)
+                f_max[p] -= cut
                 need -= cut
+        if need:
+            # largest first; whole levels sink together, so ties need no order
+            top = sorted([p for p in ids if f_max[p] > f_min], key=f_max.__getitem__,
+                         reverse=True)
+            short = need - sum(f_max[p] - f_min for p in top)
+            if short > 0:
+                raise InvariantError(f"edge {info.edges[e]}: {short} units of excess "
+                                     f"cannot be deducted above f_min = {f_min}")
+            # sink the first n ids to the next one's level while need covers it
+            level = f_max[top[0]]
+            for n in range(1, len(top) + 1):
+                floor = f_max[top[n]] if n < len(top) else f_min
+                if need < n * (level - floor):
+                    break
+                need, level = need - n * (level - floor), floor
+            drop, extra = divmod(need, n)
+            for i, p in enumerate(sorted(top[:n])):
+                f_max[p] = level - drop - (i < extra)
+        for p, old in zip(ids, before):
+            cut = old - f_max[p]
+            if cut:
+                for e2 in path_edges[p]:
+                    was = usage[e2]
+                    usage[e2] = was - cut
+                    if was >= capacity[e2] > was - cut:
+                        for other in keys_by_edge[e2]:
+                            blocked[other] -= 1
 
     def raise_paths(e: int) -> bool:
         """Hand free units of e to its paths, heaviest weight first.
@@ -323,7 +344,7 @@ def _propagatory_core(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
             return False
         ids = keys_by_edge[e]
         changed = False
-        if not all(blocked[p] for p in ids):
+        if not all(map(blocked.__getitem__, ids)):
             if e not in orders:
                 weights = two_stage_weights(groups[e], lengths, alpha, beta)
                 orders[e] = [p for _, p in sorted(zip([-w for w in weights], ids))]
@@ -339,8 +360,10 @@ def _propagatory_core(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
 
     silent = 0
     while edges and silent < len(edges):
-        # most oversubscribed edges first; ratio recomputed each pass
-        order = sorted(edges, key=lambda e: (-usage[e] / capacity[e], e))
+        # most oversubscribed edges first, ties by id (a stable sort of the
+        # ascending edges); ratio recomputed each pass
+        ratio = {e: -usage[e] / capacity[e] for e in edges}
+        order = sorted(edges, key=ratio.__getitem__)
         for e in order:
             if usage[e] > capacity[e]:
                 deduct(e)

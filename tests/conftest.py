@@ -295,6 +295,15 @@ def reference_k_shortest_paths(net: Network, s: int, t: int, k: int,
 # check ``truncate_edge_paths``, the two-stage rules of ``qroute.scheduler``,
 # ``PathSet.kept`` (through the schedulers) and ``proportional_share``.
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """Floats added left to right from 0.0, as CPython 3.11's ``sum()`` adds
+    them (3.12's compensates); the oracles add floats only this way."""
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 def reference_truncate_edge_paths(keys: Iterable[PathKey], lengths: dict[PathKey, int],
                                   l_max: int) -> list[PathKey]:
     """Keep at most l_max of one edge's path keys, preferring short paths.
@@ -333,11 +342,11 @@ def reference_two_stage_weights(keys: Iterable[PathKey], lengths: dict[PathKey, 
     if not by_request:
         raise ValueError("empty key list")
     request_raw = {r: float(len(group)) ** beta for r, group in by_request.items()}
-    request_total = sum(request_raw.values())
+    request_total = ordered_sum(request_raw.values())
     weights: dict[PathKey, float] = {}
     for r, group in by_request.items():
         path_raw = [float(lengths[key]) ** -alpha for key in group]
-        path_total = sum(path_raw)
+        path_total = ordered_sum(path_raw)
         for key, raw in zip(group, path_raw):
             weights[key] = (request_raw[r] / request_total) * (raw / path_total)
     return weights
@@ -350,13 +359,13 @@ def reference_apportion_two_stage(keys: Iterable[PathKey], lengths: dict[PathKey
     (ties by request id), then within each request by d^path_exp (ties by rank)."""
     by_request = _by_request(keys)
     request_raw = [float(len(group)) ** beta for group in by_request.values()]
-    raw_total = sum(request_raw)
+    raw_total = ordered_sum(request_raw)
     request_units = largest_remainder(
         [total * w / raw_total for w in request_raw], total)
     shares: dict[PathKey, int] = {}
     for group, units in zip(by_request.values(), request_units):
         path_raw = [float(lengths[key]) ** path_exp for key in group]
-        path_total = sum(path_raw)
+        path_total = ordered_sum(path_raw)
         path_units = largest_remainder(
             [units * w / path_total for w in path_raw], units)
         shares.update(zip(group, path_units))
@@ -449,7 +458,9 @@ def unit_propagatory_core(capacity, keys_by_edge, lengths, path_edges, f_min, al
     """Reference PU, one unit per residual deduction and per raise.
 
     ``hits`` (a Counter, optional) counts the units taken by the residual
-    loop under "residual" and the units raised under "raise".
+    loop under "residual", the deductions whose residual took units from
+    paths that started it at more than one level under "residual levels",
+    and the units raised under "raise".
     """
     f_max = {key: min(capacity[e] for e in path_edges[key])
              for key in sorted(path_edges)}
@@ -469,16 +480,20 @@ def unit_propagatory_core(capacity, keys_by_edge, lengths, path_edges, f_min, al
                 for e2 in path_edges[key]:
                     usage[e2] -= cut
                 removed += cut
+        start = {}  # each key's desired capacity when the residual first took from it
         while removed < excess:
             # residual lands on the currently largest desired capacity
             key = min((key for key in keys if f_max[key] > f_min),
                       key=lambda k: (-f_max[k], k))
+            start.setdefault(key, f_max[key])
             f_max[key] -= 1
             for e2 in path_edges[key]:
                 usage[e2] -= 1
             removed += 1
             if hits is not None:
                 hits["residual"] += 1
+        if hits is not None:
+            hits["residual levels"] += len(set(start.values())) > 1
 
     def raise_entries(e):
         weights = reference_two_stage_weights(keys_by_edge[e], lengths, alpha, beta)
@@ -691,10 +706,10 @@ def reference_jain_requests(outcome: KeyedOutcome,
     if not requests:
         raise ValueError("at least one request is required")
     shares = [r.weight * outcome.request_flow(r.id) for r in requests]
-    denom = len(requests) * sum(s * s for s in shares)
+    denom = len(requests) * ordered_sum(s * s for s in shares)
     if denom == 0:
         return 0.0, True
-    return sum(shares) ** 2 / denom, False
+    return ordered_sum(shares) ** 2 / denom, False
 
 
 def reference_jain_paths(outcome: KeyedOutcome,
@@ -702,8 +717,8 @@ def reference_jain_paths(outcome: KeyedOutcome,
     if not requests:
         raise ValueError("at least one request is required")
     weights = {r.id: r.weight for r in requests}
-    numer = sum(weights[r] * f for (r, _), f in outcome.flows.items()) ** 2
-    sq = sum(weights[r] ** 2 * f * f for (r, _), f in outcome.flows.items())
+    numer = ordered_sum(weights[r] * f for (r, _), f in outcome.flows.items()) ** 2
+    sq = ordered_sum(weights[r] ** 2 * f * f for (r, _), f in outcome.flows.items())
     if sq == 0:
         return 0.0, 0.0, True
     n_paths = len(outcome.flows)
@@ -732,7 +747,7 @@ def reference_evaluate(outcome: KeyedOutcome, net: Network, requests: Sequence[R
         raise ValueError(f"p_in must be in [0, 1], got {p_in}")
     terms = reference_per_request_throughput(outcome, requests, p_in)
     return MetricsReport(
-        throughput=sum(terms.values()),
+        throughput=ordered_sum(terms.values()),
         min_flow=min(terms.values()),
         utilization=u,
         u_ave=u_ave,

@@ -1,9 +1,10 @@
 """Pipeline invariants are explicit checks that raise InvariantError, not
 asserts, so they must still fire under ``python -O``; and the conditions
 under which k_shortest_paths answers with the shortest-path DAG's prefix
-instead of running Yen, and the two-stage apportionment splits tied weights
-in closed form, are ordinary comparisons, so those shortcuts must still equal
-their references there. This reruns their tests in a ``python -O -m pytest``
+instead of running Yen, the two-stage apportionment splits tied weights in
+closed form, and PU's residual deduction takes its closed form, are ordinary
+comparisons, so those shortcuts must still equal their references there.
+This reruns their tests in a ``python -O -m pytest``
 subprocess."""
 import os
 import pathlib
@@ -27,11 +28,13 @@ INVARIANT_TESTS = {
 
 #: k_shortest_paths, DAG prefix and Yen alike, against the reference Yen and
 #: the exhaustive oracle on DAGs holding k - 1, k and k + 1 shortest paths;
-#: the two-stage apportionment, closed form and weighed, against its reference
+#: the two-stage apportionment, closed form and weighed, against its
+#: reference; PU's closed-form residual against the bulk and unit-step oracles
 REUSE_TESTS = {
     "tests/test_pathfinder.py": (
         "test_shortest_path_dag_with_k_minus_1_k_and_k_plus_1_paths",),
-    "tests/test_scheduler.py": ("test_tied_weights_apportion_in_closed_form",),
+    "tests/test_scheduler.py": ("test_tied_weights_apportion_in_closed_form",
+                                "test_pu_residual_on_tied_lengths_matches_oracles"),
 }
 
 

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -583,6 +584,66 @@ def test_bulk_steps_match_unit_step_oracles():
                                   alpha, beta, hits=hits)
     # both unit loops that PU replaces actually ran, so the match is not vacuous
     assert hits["residual"] > 0 and hits["raise"] > 0
+
+
+@st.composite
+def tied_pu_windows(draw):
+    """PU instance over 1-4 edges whose paths mostly share one length. An
+    edge's capacity is f_min per path plus at most two units per path, so
+    even splits of its excess run into f_min on some paths and the residual
+    rule takes the rest. In one draw of five every capacity falls short of
+    f_min per path instead, and then the residual cannot be covered."""
+    n_edges = draw(st.integers(1, 4))
+    edges = [(2 * i, 2 * i + 1) for i in range(n_edges)]
+    d = draw(st.integers(1, 6))
+    path_edges, lengths = {}, {}
+    for r in range(draw(st.integers(1, 3))):
+        for l in range(draw(st.integers(1, 5))):
+            picks = draw(st.sets(st.integers(0, n_edges - 1), min_size=1))
+            path_edges[(r, l)] = tuple(edges[i] for i in sorted(picks))
+            lengths[(r, l)] = d + draw(st.sampled_from((0, 0, 0, 1)))
+    count = Counter(e for route in path_edges.values() for e in route)
+    f_min = draw(st.integers(1, 12))
+    short = draw(st.integers(0, 4)) == 0
+    capacity = {e: max(1, f_min * n + draw(st.integers(-n, -1) if short
+                                           else st.integers(0, 2 * n)))
+                for e, n in count.items()}
+    exponents = st.sampled_from((0.0, 0.5, 1.0, 2.0))
+    return capacity, lengths, path_edges, f_min, draw(exponents), draw(exponents)
+
+
+def test_pu_residual_on_tied_lengths_matches_oracles():
+    # the closed-form residual against the bulk and the unit-step oracles,
+    # and its shortfall message against the bulk oracle's
+    hits = Counter()
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(tied_pu_windows())
+    def check(window):
+        capacity, lengths, path_edges, f_min, alpha, beta = window
+        info = PathSet(path_edges, lengths)
+        # l_max = #paths keeps every path live
+        keys_by_edge = {info.edges[e]: [info.keys[p] for p in ids]
+                        for e, ids in enumerate(info.kept(len(path_edges)).live_keys)}
+        try:
+            want = reference_propagatory_core(capacity, keys_by_edge, lengths, path_edges,
+                                              f_min, alpha, beta)
+        except InvariantError as exc:
+            with pytest.raises(InvariantError, match=re.escape(str(exc))):
+                propagatory_core_by_key(info, len(path_edges), capacity, f_min, alpha, beta)
+            hits["shortfall"] += 1
+            return
+        got = propagatory_core_by_key(info, len(path_edges), capacity, f_min, alpha, beta)
+        assert list(got.items()) == list(want.items())
+        before = hits["residual"]
+        assert got == unit_propagatory_core(capacity, keys_by_edge, lengths, path_edges,
+                                            f_min, alpha, beta, hits=hits)
+        hits["windows with a residual"] += hits["residual"] > before
+
+    check()
+    # the residual ran, often over several levels, and some could not be covered
+    assert hits["windows with a residual"] >= 100 and hits["residual levels"] >= 50, hits
+    assert hits["shortfall"] >= 10, hits
 
 
 def random_routed_window(rng, kind):

@@ -5,12 +5,14 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from conftest import reference_grid_search, reference_request_sweep
+from conftest import (KeyedOutcome, reference_evaluate, reference_grid_search,
+                      reference_request_sweep)
 
 import qroute.harness as harness
 from qroute.harness import (ExperimentConfig, RequestSpec, WORKERS_ENV,
                             grid_search_parameters, request_sweep, run_trial,
                             sweep_reports)
+from qroute.metrics import evaluate
 from qroute.netmodel import ScenarioParams
 from qroute.scheduler import RoutingParams
 
@@ -120,6 +122,41 @@ def test_each_stage_runs_once_per_key(monkeypatch):
     assert calls["run_algorithm:PF"] == routable * per_k
     assert calls["run_algorithm:PS"] == calls["run_algorithm:PU"] == \
         routable * per_k * per_point
+
+
+def test_route_window_scores_each_distinct_schedule_once(monkeypatch):
+    # alpha = 0 and alpha = 1 of one k often give the same PS or PU table, and
+    # at k = 1 the three algorithms often agree: such outcomes share a report
+    config = sweep_config(routing_grid={"k": (3, 1, 2), "alpha": (0.0, 1.0)}, replications=6)
+    points = harness.parameter_grid(config)
+    scored = []
+
+    def spy(outcome, *args):
+        # the outcomes of one k, and only they, share its PathSet
+        scored.append((id(outcome.paths), tuple(outcome.flows.values())))
+        return evaluate(outcome, *args)
+
+    monkeypatch.setattr(harness, "evaluate", spy)
+    calls = unshared = 0
+    for seed in range(config.base_seed, config.base_seed + config.replications):
+        # the grid's last point has its largest k
+        ctx = harness.prepare_trial(replace(config, routing=points[-1]), seed)
+        assert ctx.reason is None
+        scored.clear()
+        records = harness.route_window(ctx, points, config.algorithms, config.scenario.p_in)
+        results = [result for record in records for result in record.results.values()]
+        # one call per distinct (k, flows), and each report is its outcome's
+        assert sorted(scored) == sorted({(id(r.outcome.paths), tuple(r.outcome.flows.values()))
+                                         for r in results})
+        for result in results:
+            assert repr(result.report) == repr(reference_evaluate(
+                KeyedOutcome.of(result.outcome), ctx.revised, ctx.requests,
+                config.scenario.p_in))
+        calls += len(scored)
+        # without sharing: PS and PU per point, PF per k
+        unshared += 2 * len(points) + len({p.k for p in points})
+    assert 0 < calls < unshared
+    assert grid_search_parameters(config) == reference_grid_search(config)
 
 
 def test_route_window_rejects_points_the_window_was_not_prepared_for():
