@@ -248,6 +248,14 @@ def _propagatory_core(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
     live paths until a full pass changes nothing; desired capacities by path
     id (0 off the live paths), ``capacity`` by edge id.
 
+    A pass deducts on every edge over capacity and raises on every edge
+    under it. A deduction leaves its edge at capacity and a raise takes no
+    edge past it, so only the first pass deducts. A visited edge is left full
+    or with every path blocked; raises keep it so, and only a deduction can
+    reopen it. So a pass after the first visits only the edges up to the
+    previous pass's last deduction: the second visits those of the first, if
+    it deducted, and there is no third.
+
     A path has room to grow iff no edge of its route is saturated (usage >=
     capacity). Each path keeps the count of saturated edges on its route,
     updated only when an edge's usage crosses its capacity, so raises skip
@@ -255,31 +263,17 @@ def _propagatory_core(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
     """
     path_edges, lengths = info.edge_ids, info.lengths
     keys_by_edge, groups = kept.live_keys, kept.live_groups
-    edges = [e for e, ids in enumerate(keys_by_edge) if ids]
     f_max = [0] * len(path_edges)
     for p in kept.live_paths:
         f_max[p] = min(map(capacity.__getitem__, path_edges[p]))
     usage = [sum(map(f_max.__getitem__, ids)) for ids in keys_by_edge]
     # per path, the number of edges on its route at or over capacity
     blocked = [0] * len(path_edges)
-    for e in edges:
+    for e, ids in enumerate(keys_by_edge):
         if usage[e] >= capacity[e]:
-            for p in keys_by_edge[e]:
+            for p in ids:
                 blocked[p] += 1
     orders: dict[int, list[int]] = {}
-    idle = [-1] * len(capacity)
-    deductions = 0
-
-    def add(p: int, delta: int) -> None:
-        """Raise one desired capacity by delta units."""
-        f_max[p] += delta
-        for e in path_edges[p]:
-            cap = capacity[e]
-            was_full = usage[e] >= cap
-            usage[e] += delta
-            if usage[e] >= cap and not was_full:
-                for other in keys_by_edge[e]:
-                    blocked[other] += 1
 
     def deduct(e: int) -> None:
         """Cut the apportioned excess (never below f_min), then the residual.
@@ -330,52 +324,51 @@ def _propagatory_core(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
                         for other in keys_by_edge[e2]:
                             blocked[other] -= 1
 
-    def raise_paths(e: int) -> bool:
+    def raise_paths(e: int) -> None:
         """Hand free units of e to its paths, heaviest weight first.
 
         The rule gives one unit at a time to the first path in order whose
         edges all have room. Raises only add usage, so a path that does not
-        fit never fits again, and each path in turn takes all its room at once.
-        For the same reason an edge that raised nothing raises nothing again
-        until a deduction has run, and the weight order, which depends only
-        on the edge's paths, is built the first time one of them has room.
+        fit never fits again, and each path in turn takes all its room at
+        once: its smallest slack, which fills at least one edge of its route
+        and no edge past capacity. The weight order depends only on the
+        edge's paths; it is built the first time one of them has room.
         """
-        if idle[e] == deductions:
-            return False
         ids = keys_by_edge[e]
-        changed = False
-        if not all(map(blocked.__getitem__, ids)):
-            if e not in orders:
-                weights = two_stage_weights(groups[e], lengths, alpha, beta)
-                orders[e] = [p for _, p in sorted(zip([-w for w in weights], ids))]
-            for p in orders[e]:
-                if usage[e] >= capacity[e]:
-                    break
-                if not blocked[p]:
-                    add(p, min(capacity[e2] - usage[e2] for e2 in path_edges[p]))
-                    changed = True
-        if not changed:
-            idle[e] = deductions
-        return changed
+        if all(map(blocked.__getitem__, ids)):
+            return
+        if e not in orders:
+            weights = two_stage_weights(groups[e], lengths, alpha, beta)
+            orders[e] = [p for _, p in sorted(zip([-w for w in weights], ids))]
+        for p in orders[e]:
+            if usage[e] >= capacity[e]:
+                break
+            if not blocked[p]:
+                route = path_edges[p]
+                delta = min(capacity[e2] - usage[e2] for e2 in route)
+                f_max[p] += delta
+                # p is unblocked, so its edges all had room and none passes capacity
+                for e2 in route:
+                    usage[e2] += delta
+                    if usage[e2] == capacity[e2]:
+                        for other in keys_by_edge[e2]:
+                            blocked[other] += 1
 
-    silent = 0
-    while edges and silent < len(edges):
+    todo = [e for e, ids in enumerate(keys_by_edge) if ids]
+    while todo:
         # most oversubscribed edges first, ties by id (a stable sort of the
-        # ascending edges); ratio recomputed each pass
-        ratio = {e: -usage[e] / capacity[e] for e in edges}
-        order = sorted(edges, key=ratio.__getitem__)
-        for e in order:
+        # ascending edges); ratio recomputed each pass. Edges after the last
+        # deduction are done
+        ratio = {e: -usage[e] / capacity[e] for e in todo}
+        order = sorted(todo, key=ratio.__getitem__)
+        last = 0
+        for i, e in enumerate(order, 1):
             if usage[e] > capacity[e]:
                 deduct(e)
-                deductions += 1
-                changed = True
+                last = i
             elif usage[e] < capacity[e]:
-                changed = raise_paths(e)
-            else:
-                changed = False
-            silent = 0 if changed else silent + 1
-            if silent >= len(edges):
-                break
+                raise_paths(e)
+        todo = sorted(order[:last])
     return f_max
 
 

@@ -455,7 +455,8 @@ def unit_progressive_fill(path_edges, capacity):
 
 def unit_propagatory_core(capacity, keys_by_edge, lengths, path_edges, f_min, alpha,
                           beta, hits=None):
-    """Reference PU, one unit per residual deduction and per raise.
+    """Reference PU, one unit per residual deduction and per raise, in full
+    passes over every edge until a pass changes nothing.
 
     ``hits`` (a Counter, optional) counts the units taken by the residual
     loop under "residual", the deductions whose residual took units from
@@ -513,28 +514,24 @@ def unit_propagatory_core(capacity, keys_by_edge, lengths, path_edges, f_min, al
                 break
         return changed
 
-    silent = 0
-    while edges and silent < len(edges):
-        # most oversubscribed edges first; ratio recomputed each pass
-        order = sorted(edges, key=lambda e: (-usage[e] / capacity[e], e))
-        for e in order:
+    changed = True
+    while changed:
+        # one full pass, most oversubscribed edges first; ratio recomputed each pass
+        changed = False
+        for e in sorted(edges, key=lambda e: (-usage[e] / capacity[e], e)):
             if usage[e] > capacity[e]:
                 deduct(e)
                 changed = True
             elif usage[e] < capacity[e]:
-                changed = raise_entries(e)
-            else:
-                changed = False
-            silent = 0 if changed else silent + 1
-            if silent >= len(edges):
-                break
+                changed = raise_entries(e) or changed
     return f_max
 
 
 def reference_propagatory_core(capacity, keys_by_edge, lengths, path_edges, f_min,
                                alpha, beta):
-    """Reference PU with bulk steps: a deduction cuts the tied top group in
-    whole rounds, and a raise gives a path all its room at once. Every raise
+    """Reference PU with bulk steps, in full passes over every edge until a
+    pass changes nothing: a deduction cuts the tied top group in whole
+    rounds, and a raise gives a path all its room at once. Every raise
     scans the path's edges for room and recomputes the edge's weight order.
     ``keys_by_edge`` must only contain live paths."""
     f_max = {key: min(capacity[e] for e in path_edges[key])
@@ -590,21 +587,16 @@ def reference_propagatory_core(capacity, keys_by_edge, lengths, path_edges, f_mi
                 changed = True
         return changed
 
-    silent = 0
-    while edges and silent < len(edges):
-        # most oversubscribed edges first; ratio recomputed each pass
-        order = sorted(edges, key=lambda e: (-usage[e] / capacity[e], e))
-        for e in order:
+    changed = True
+    while changed:
+        # one full pass, most oversubscribed edges first; ratio recomputed each pass
+        changed = False
+        for e in sorted(edges, key=lambda e: (-usage[e] / capacity[e], e)):
             if usage[e] > capacity[e]:
                 deduct(e)
                 changed = True
             elif usage[e] < capacity[e]:
-                changed = raise_paths(e)
-            else:
-                changed = False
-            silent = 0 if changed else silent + 1
-            if silent >= len(edges):
-                break
+                changed = raise_paths(e) or changed
     return f_max
 
 

@@ -4,6 +4,8 @@ under which k_shortest_paths answers with the shortest-path DAG's prefix
 instead of running Yen, the two-stage apportionment splits tied weights in
 closed form, and PU's residual deduction takes its closed form, are ordinary
 comparisons, so those shortcuts must still equal their references there.
+PU's two-pass stop is one too, so ``test_pu_stops_at_the_fixed_point``
+must still find no edge over capacity and no path left with room there.
 This reruns their tests in a ``python -O -m pytest``
 subprocess."""
 import os
@@ -29,12 +31,14 @@ INVARIANT_TESTS = {
 #: k_shortest_paths, DAG prefix and Yen alike, against the reference Yen and
 #: the exhaustive oracle on DAGs holding k - 1, k and k + 1 shortest paths;
 #: the two-stage apportionment, closed form and weighed, against its
-#: reference; PU's closed-form residual against the bulk and unit-step oracles
+#: reference; PU's closed-form residual against the bulk and unit-step oracles;
+#: PU's two-pass stop against the fixed point's definition
 REUSE_TESTS = {
     "tests/test_pathfinder.py": (
         "test_shortest_path_dag_with_k_minus_1_k_and_k_plus_1_paths",),
     "tests/test_scheduler.py": ("test_tied_weights_apportion_in_closed_form",
-                                "test_pu_residual_on_tied_lengths_matches_oracles"),
+                                "test_pu_residual_on_tied_lengths_matches_oracles",
+                                "test_pu_stops_at_the_fixed_point"),
 }
 
 

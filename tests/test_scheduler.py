@@ -19,7 +19,8 @@ from conftest import (KeyedOutcome, abstract_network, assert_integer_max_min,
                       truncate_keys, unit_progressive_fill, unit_propagatory_core)
 
 from qroute import scheduler
-from qroute.harness import ExperimentConfig, RequestSpec, prepare_trial
+from qroute.config import config_from_mapping
+from qroute.harness import ExperimentConfig, RequestSpec, prepare_trial, run_trial
 from qroute.metrics import evaluate
 from qroute.netmodel import TOPOLOGIES, InvariantError, ScenarioParams
 from qroute.pathfinder import PathSet, build_path_info
@@ -762,6 +763,89 @@ def test_uncoverable_residual_raises_invariant_error():
     info = one_edge({(0, 0): 1, (1, 0): 1})
     with pytest.raises(InvariantError, match=r"edge \(0, 1\): 8 units"):
         _propagatory_core(info, info.kept(2), [10], 9, 1.0, 1.0)
+
+
+# ------------------------------------------------- PU's fixed point
+
+def test_pu_stops_at_the_fixed_point():
+    # PU stops where a full pass would change nothing, on random small
+    # instances, on tied-length instances and on routed lattice windows
+    seen = Counter()
+
+    def check(info, l_max, capacity, f_min, alpha, beta, label):
+        # one more full pass would deduct on an edge over capacity, or raise
+        # a live path on an edge below capacity with room on its whole route
+        kept = info.kept(l_max)
+        f_max = _propagatory_core(info, kept, capacity, f_min, alpha, beta)
+        usage = [sum(f_max[p] for p in ids) for ids in kept.live_keys]
+        assert all(used <= cap for used, cap in zip(usage, capacity)), (label, f_max)
+        for e, ids in enumerate(kept.live_keys):
+            if usage[e] < capacity[e]:
+                for p in ids:
+                    assert any(usage[e2] >= capacity[e2] for e2 in info.edge_ids[p]), \
+                        (label, e, p, f_max)
+                    seen["paths on edges below capacity"] += 1
+        seen[label] += 1
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((5, 50, 500)))
+    def small(seed, max_cap):
+        capacity, _, lengths, path_edges, f_min, alpha, beta = \
+            random_schedule_instance(np.random.default_rng(seed), max_cap)
+        info = PathSet(path_edges, lengths)
+        check(info, len(path_edges), [capacity[e] for e in info.edges], f_min, alpha,
+              beta, "small")
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(tied_pu_windows())
+    def tied(window):
+        capacity, lengths, path_edges, f_min, alpha, beta = window
+        info = PathSet(path_edges, lengths)
+        try:
+            check(info, len(path_edges), [capacity[e] for e in info.edges], f_min, alpha,
+                  beta, "tied")
+        except InvariantError:
+            seen["tied shortfall"] += 1
+
+    @settings(derandomize=True, max_examples=90, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(TOPOLOGIES),
+           st.sampled_from((0.0, 0.5, 1.0, 2.0)), st.sampled_from((0.0, 0.5, 1.0, 2.0)))
+    def lattice(seed, kind, alpha, beta):
+        window = random_routed_window(np.random.default_rng(seed), kind)
+        if window is None:
+            return
+        net, info, p, _ = window
+        check(info, p.l_max, info.capacities(net), p.f_min, alpha, beta, kind)
+
+    small()
+    tied()
+    lattice()
+    assert seen["small"] == 300 and seen["tied"] >= 100, seen
+    assert all(seen[kind] >= 10 for kind in TOPOLOGIES), seen
+    assert seen["paths on edges below capacity"] >= 1000, seen
+
+
+def test_pu_raises_a_path_the_silent_steps_skipped():
+    # f_min = 1, every edge at capacity 3, every path starting at 3. The
+    # first pass deducts on (0, 1) and (1, 2), leaving (0, 1) at 2 of 3 and
+    # the path (0, 1) at 1. The second pass visits the full edges (1, 2) and
+    # (3, 4) first; a stop after len(edges) = 3 silent steps in a row ended
+    # there, before edge (0, 1) raised its path to 2
+    pe = {(0, 0): ((1, 2), (3, 4)), (0, 1): ((0, 1),), (1, 0): ((0, 1), (1, 2), (3, 4))}
+    info = PathSet(pe, {key: len(route) for key, route in pe.items()})
+    assert _propagatory_core(info, info.kept(3), [3, 3, 3], 1, 1.0, 1.0) == [2, 2, 1]
+
+
+def test_pu_routes_the_fixed_point_on_a_lattice_window():
+    # a 4x4 window where the silent-step stop left one unit unrouted (46)
+    config = config_from_mapping({
+        "lattice": {"rows": 4, "cols": 4}, "scenario": {"c0": 20},
+        "routing": {"k": 7, "l_max": 3, "alpha": 0.0, "beta": 0.0},
+        "requests": {"count": 6, "distance": None},
+        "experiment": {"algorithms": ["PU"]}})
+    record = run_trial(config, 429560)
+    assert record.reason is None
+    assert sum(record.results["PU"].outcome.flows.values()) == 47
 
 
 # ------------------------------------------------- capacity-independent work
