@@ -281,11 +281,11 @@ def run_trials(config: ExperimentConfig, seeds: Sequence[int]) -> list[TrialReco
     return records
 
 
-def _seeds(config: ExperimentConfig, replications: int) -> list[int]:
+def _seeds(config: ExperimentConfig) -> list[int]:
     """Replication seeds ``base_seed + i``."""
-    if replications < 1:
+    if config.replications < 1:
         raise ValueError("replications must be >= 1")
-    return [config.base_seed + i for i in range(replications)]
+    return [config.base_seed + i for i in range(config.replications)]
 
 
 def report_values(rep: MetricsReport) -> dict[str, float]:
@@ -328,7 +328,7 @@ def aggregate_reports(reports: dict[str, Sequence[MetricsReport]]
 def replicate(config: ExperimentConfig) -> tuple[list[TrialRecord],
                                                  dict[str, dict[str, tuple[float, float]]]]:
     """Seeded replications (seed = base_seed + index) with aggregated statistics."""
-    records = run_trials(config, _seeds(config, config.replications))
+    records = run_trials(config, _seeds(config))
     return records, aggregate(records, config.algorithms)
 
 
@@ -357,7 +357,7 @@ def sweep_reports(config: ExperimentConfig, specs: Sequence[RequestSpec],
     ``replicate``'s.
     """
     per_seed = _map_seeds(_sweep_seed, [(config, tuple(specs), tuple(points), s)
-                                        for s in _seeds(config, config.replications)])
+                                        for s in _seeds(config)])
     _warn_uncovered(sum(count for _, count in per_seed), "(point, seed, request) triples")
     return [[{name: [cells[si][pi][name] for cells, _ in per_seed]
               for name in config.algorithms}
@@ -488,8 +488,7 @@ def default_failure_modes(max_count: int = 4) -> list[tuple[str, int]]:
 
 
 def failure_experiment(config: ExperimentConfig,
-                       modes: Sequence[tuple[str, int]] | None = None,
-                       replications: int | None = None) -> list[dict]:
+                       modes: Sequence[tuple[str, int]] | None = None) -> list[dict]:
     """Compare throughput before and after injected failures.
 
     Failures are post-purification events hitting elements utilized by every
@@ -504,7 +503,7 @@ def failure_experiment(config: ExperimentConfig,
         if mode not in FAILURE_MODES or count < 0:
             raise ValueError(f"failure mode {(mode, count)!r}: expected one of "
                              f"{FAILURE_MODES} and a count >= 0")
-    seeds = _seeds(config, replications if replications is not None else config.replications)
+    seeds = _seeds(config)
     samples: dict[tuple[str, int, str], list[tuple[float, float, float]]] = {
         (mode, count, alg): [] for mode, count in modes for alg in config.algorithms}
     for seed_samples in _map_seeds(_failure_seed, [(config, tuple(modes), seed)

@@ -158,22 +158,16 @@ def truncate_edge_paths(ids: list[int], request_of: Sequence[int],
     short paths; ``ids`` itself when it holds no more than l_max.
 
     ``request_of`` and ``lengths`` are indexed by path id, and ids are
-    numbered in key order. A path that is its request's only path on this
-    edge is kept unconditionally, evicting the longest non-sole paths
-    instead; if sole paths alone exceed l_max the shortest of them win. Ties
-    in length go to the smaller id. Result is ascending.
+    numbered in key order. Ids rank by (not its request's only path on this
+    edge, length, id), and the first l_max are kept: a request's only path
+    evicts the longest of the others, and if such paths alone exceed l_max
+    the shortest of them win. Result is ascending.
     """
     if len(ids) <= l_max:
         return ids
     counts = Counter(request_of[p] for p in ids)
-    priority = lambda p: (lengths[p], p)
-    soles = sorted((p for p in ids if counts[request_of[p]] == 1), key=priority)
-    others = sorted((p for p in ids if counts[request_of[p]] > 1), key=priority)
-    if len(soles) >= l_max:
-        kept = soles[:l_max]
-    else:
-        kept = soles + others[:l_max - len(soles)]
-    return sorted(kept)
+    ranked = sorted(ids, key=lambda p: (counts[request_of[p]] > 1, lengths[p], p))
+    return sorted(ranked[:l_max])
 
 
 def request_groups(ids: Sequence[int], request_of: Sequence[int]) -> RequestGroups:

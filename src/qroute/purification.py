@@ -1,16 +1,9 @@
 """Entanglement purification: trade edge capacity for fidelity until a threshold holds."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .netmodel import InvariantError, Network
-
-
-@dataclass(frozen=True)
-class PurificationOutcome:
-    fidelity: float
-    capacity: int
-    rounds: int
 
 
 def pump_fidelity(f: float) -> float:
@@ -27,7 +20,7 @@ def _purify(fidelity: float, capacity: int, f_th: float) -> tuple[float, int, in
     """The purification rule as ``(fidelity, capacity, rounds)``: halve the
     capacity and pump the fidelity once per round until it reaches f_th or
     fewer than two pairs are left; an edge still below f_th ends with zero
-    capacity. ``purify_edge`` and ``purify_network`` both call it."""
+    capacity. ``purify_network`` runs it on every active edge."""
     if not 0.0 <= fidelity <= 1.0:
         raise ValueError(f"fidelity must be in [0, 1], got {fidelity}")
     if capacity < 0:
@@ -38,15 +31,6 @@ def _purify(fidelity: float, capacity: int, f_th: float) -> tuple[float, int, in
         f = pump_fidelity(f)
         rounds += 1
     return f, 0 if f < f_th else c, rounds
-
-
-def purify_edge(fidelity: float, capacity: int, f_th: float) -> PurificationOutcome:
-    """Purify one edge until its fidelity reaches f_th, halving capacity per round.
-
-    If the threshold is unreachable before the pairs run out, the edge keeps
-    its last fidelity but ends with zero capacity (it will be deactivated).
-    """
-    return PurificationOutcome(*_purify(fidelity, capacity, f_th))
 
 
 def purify_network(net: Network, f_th: float) -> Network:

@@ -38,7 +38,8 @@ class RoutingParams:
 
 @dataclass
 class RoutingOutcome:
-    """Integer flows per path, over the PathSet they were scheduled on, and
+    """What ``run_algorithm`` returns once it has checked feasibility:
+    integer flows per path, over the PathSet they were scheduled on, and
     PS's per-edge allocations (PF's and PU's tables are their flows).
 
     ``flows`` holds every path of ``paths`` in key order, so its values line
@@ -169,31 +170,31 @@ def _apportion_two_stage(groups: RequestGroups, lengths: Sequence[float],
     return shares
 
 
-def proportional_share(net: Network, info: PathSet, params: RoutingParams) -> RoutingOutcome:
+def _proportional_share(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
+                        f_min: int, alpha: float, beta: float
+                        ) -> tuple[list[int], dict[Edge, dict[PathKey, int]]]:
     """Edge-local allocation: every kept path gets the f_min floor, the rest
     of the capacity is split by the two-stage proportional rule. A path's
     flow is its smallest allocation (the short-board constraint), and 0 when
-    it is not kept on every edge it crosses."""
-    f_min = params.require_f_min()
-    caps = info.capacities(net)
-    kept = info.kept(params.l_max)
+    it is not kept on every edge it crosses. Flows by path id and the
+    allocations per edge, ``capacity`` by edge id."""
     keys, lengths = info.keys, info.lengths
     flows = [0] * len(keys)
     for p in kept.live_paths:
         flows[p] = math.inf
     allocations: dict[Edge, dict[PathKey, int]] = {}
     for e, (ids, groups) in enumerate(zip(kept.keys, kept.groups)):
-        spare = caps[e] - f_min * len(ids)
+        spare = capacity[e] - f_min * len(ids)
         if spare < 0:
             raise InvariantError(
                 f"edge {info.edges[e]} kept below l_max * f_min; was Step 1 skipped?")
-        extra = _apportion_two_stage(groups, lengths, spare, -params.alpha, params.beta)
+        extra = _apportion_two_stage(groups, lengths, spare, -alpha, beta)
         alloc = allocations[info.edges[e]] = {}
         for p, x in zip(ids, extra):
             alloc[keys[p]] = share = f_min + x
             if share < flows[p]:
                 flows[p] = share
-    return RoutingOutcome("PS", dict(zip(keys, flows)), info, allocations)
+    return flows, allocations
 
 
 def _progressive_fill(info: PathSet, capacity: Sequence[int]) -> list[int]:
@@ -235,18 +236,14 @@ def _progressive_fill(info: PathSet, capacity: Sequence[int]) -> list[int]:
     return flows
 
 
-def progressive_filling(net: Network, info: PathSet) -> RoutingOutcome:
-    """Round-based water filling over all enumerated paths (no truncation,
-    no f_min); the short-board constraint is built in."""
-    flows = _progressive_fill(info, info.capacities(net))
-    return RoutingOutcome("PF", dict(zip(info.keys, flows)), info)
-
-
 def _propagatory_core(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
                       f_min: int, alpha: float, beta: float) -> list[int]:
-    """Iterate deduction/update passes over the desired-capacity table of the
-    live paths until a full pass changes nothing; desired capacities by path
-    id (0 off the live paths), ``capacity`` by edge id.
+    """Global schedule-table allocation: each live path's desired capacity
+    starts at its bottleneck; oversubscribed edges deduct (two-stage weights
+    with longer paths deducted more, never below f_min), undersubscribed
+    edges raise paths while every edge of the raised path stays within
+    capacity. Passes run until one changes nothing; desired capacities by
+    path id (0 off the live paths), ``capacity`` by edge id.
 
     A pass deducts on every edge over capacity and raises on every edge
     under it. A deduction leaves its edge at capacity and a raise takes no
@@ -372,28 +369,27 @@ def _propagatory_core(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
     return f_max
 
 
-def propagatory_update(net: Network, info: PathSet,
-                       params: RoutingParams) -> RoutingOutcome:
-    """Global schedule-table allocation: per-path desired capacities start at
-    the bottleneck value, oversubscribed edges deduct (two-stage weights with
-    longer paths deducted more, never below f_min), undersubscribed edges
-    propagate freed capacity back by raising paths while every edge of the
-    raised path stays within capacity."""
-    f_max = _propagatory_core(info, info.kept(params.l_max), info.capacities(net),
-                              params.require_f_min(), params.alpha, params.beta)
-    return RoutingOutcome("PU", dict(zip(info.keys, f_max)), info)
-
-
 def run_algorithm(name: str, net: Network, info: PathSet,
                   params: RoutingParams) -> RoutingOutcome:
-    if name == "PS":
-        outcome = proportional_share(net, info, params)
-    elif name == "PF":
-        outcome = progressive_filling(net, info)
-    elif name == "PU":
-        outcome = propagatory_update(net, info, params)
-    else:
+    """The one scheduling call: schedule ``info`` on ``net`` with ``name``
+    (PS, PF or PU), then check that no edge carries more than its capacity,
+    an explicit check that also runs under ``python -O``. PS and PU schedule
+    the paths kept at ``params.l_max`` above the f_min floor; PF fills every
+    enumerated path, with neither."""
+    if name not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
+    capacity = info.capacities(net)
+    allocations = None
+    if name == "PF":
+        flows = _progressive_fill(info, capacity)
+    else:
+        args = (info, info.kept(params.l_max), capacity, params.require_f_min(),
+                params.alpha, params.beta)
+        if name == "PS":
+            flows, allocations = _proportional_share(*args)
+        else:
+            flows = _propagatory_core(*args)
+    outcome = RoutingOutcome(name, dict(zip(info.keys, flows)), info, allocations)
     _assert_feasible(outcome, net)
     return outcome
 

@@ -293,7 +293,7 @@ def reference_k_shortest_paths(net: Network, s: int, t: int, k: int,
 # ------------------------------------------------------------ H and its rules
 # Truncation, the two-stage rules and PS over path keys and edges. They
 # check ``truncate_edge_paths``, the two-stage rules of ``qroute.scheduler``,
-# ``PathSet.kept`` (through the schedulers) and ``proportional_share``.
+# ``PathSet.kept`` (through the schedulers) and PS through ``run_algorithm``.
 
 def ordered_sum(values: Iterable[float]) -> float:
     """Floats added left to right from 0.0, as CPython 3.11's ``sum()`` adds

@@ -339,8 +339,8 @@ def test_failure_experiment_parallel_matches_serial(monkeypatch):
 
 @pytest.mark.parametrize("modes, replications, match", [
     ([("edge", 1)], 0, "replications must be >= 1"),
-    ([("link", 1)], None, r"\('link', 1\)"),
-    ([("edge", 1), ("node", -1)], None, r"\('node', -1\)"),
+    ([("link", 1)], 1, r"\('link', 1\)"),
+    ([("edge", 1), ("node", -1)], 1, r"\('node', -1\)"),
 ], ids=["zero_replications", "unknown_mode", "negative_count"])
 def test_failure_experiment_rejects_bad_input_up_front(monkeypatch, modes,
                                                        replications, match):
@@ -348,7 +348,7 @@ def test_failure_experiment_rejects_bad_input_up_front(monkeypatch, modes,
         raise AssertionError("a window ran before the input was checked")
     monkeypatch.setattr(harness, "prepare_trial", forbidden)
     with pytest.raises(ValueError, match=match):
-        failure_experiment(small_config(), modes=modes, replications=replications)
+        failure_experiment(small_config(replications=replications), modes=modes)
 
 
 def test_failure_modes_reduce_or_keep_throughput():

@@ -25,6 +25,7 @@ INVARIANT_TESTS = {
         "test_largest_remainder_rejects_quotas_off_total",
         "test_proportional_share_rejects_floor_above_capacity",
         "test_infeasible_outcome_rejected",
+        "test_run_algorithm_checks_each_core_for_feasibility",
         "test_uncoverable_residual_raises_invariant_error"),
 }
 

@@ -1,6 +1,9 @@
 """The package's public names, and the test helpers' reach."""
 import ast
+import inspect
 import pathlib
+import pkgutil
+import re
 from collections import Counter
 
 import qroute
@@ -14,6 +17,31 @@ def test_every_public_name_resolves_once_and_star_import_works():
     namespace: dict = {}
     exec("from qroute import *", namespace)
     assert namespace.keys() >= set(qroute.__all__)
+
+
+def test_run_algorithm_is_the_one_public_scheduling_call():
+    # run_algorithm checks feasibility; another public function returning an
+    # outcome would hand one back unchecked
+    schedulers = [name for name in qroute.__all__
+                  if inspect.isfunction(function := getattr(qroute, name))
+                  and inspect.signature(function).return_annotation
+                  in ("RoutingOutcome", qroute.RoutingOutcome)]
+    assert schedulers == ["run_algorithm"]
+
+
+def test_readme_names_resolve():
+    readme = (TESTS.parent / "README.md").read_text()
+    unresolved = []
+    for dotted in sorted(set(re.findall(r"\bqroute(?:\.\w+)+", readme))):
+        try:
+            pkgutil.resolve_name(dotted)
+        except (ImportError, AttributeError):
+            unresolved.append(dotted)
+    assert unresolved == []
+    # the stages the README calls importable on their own are public names
+    stages = re.findall(r"`(\w+)`", re.search(r"importable on their own \(([^)]*)\)",
+                                              readme).group(1))
+    assert stages and [name for name in stages if name not in qroute.__all__] == []
 
 
 def test_every_conftest_definition_is_read_by_a_test():

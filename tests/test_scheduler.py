@@ -27,9 +27,7 @@ from qroute.pathfinder import PathSet, build_path_info
 from qroute.scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams,
                               _apportion_two_stage, _assert_feasible,
                               _propagatory_core, compute_f_min,
-                              largest_remainder, progressive_filling,
-                              propagatory_update, proportional_share,
-                              run_algorithm, two_stage_weights)
+                              largest_remainder, run_algorithm, two_stage_weights)
 
 
 def abstract_instance(edge_caps, paths, lengths=None):
@@ -284,34 +282,34 @@ def test_proportional_share_worked_example():
     # floors 1,1,1 then 7 spare units apportioned 3.5/1.75/1.75 stage-wise
     net, _ = abstract_instance([10], {(0, 0): [0]})
     info = one_edge({(0, 0): 4, (1, 0): 4, (1, 1): 6})
-    allocations = proportional_share(net, info, params()).allocations
+    allocations = run_algorithm("PS", net, info, params()).allocations
     assert allocations[(0, 1)] == {(0, 0): 5, (1, 0): 3, (1, 1): 2}
 
 
 def test_proportional_share_sole_claimant():
     net = line_network([8])
     info = one_edge({(0, 0): 3})
-    allocations = proportional_share(net, info, params()).allocations
+    allocations = run_algorithm("PS", net, info, params()).allocations
     assert allocations[(0, 1)] == {(0, 0): 8}
 
 
 def test_proportional_share_tie_broken_by_rank():
     net = line_network([9])
     info = one_edge({(0, 0): 4, (0, 1): 4})
-    allocations = proportional_share(net, info, params()).allocations
+    allocations = run_algorithm("PS", net, info, params()).allocations
     assert allocations[(0, 1)] == {(0, 0): 5, (0, 1): 4}
 
 
 def test_proportional_share_respects_capacity():
     net = line_network([10])
     info = one_edge({(r, 0): 5 for r in range(4)})
-    allocations = proportional_share(net, info, params(alpha=1.5, beta=0.7)).allocations
+    allocations = run_algorithm("PS", net, info, params(alpha=1.5, beta=0.7)).allocations
     assert sum(allocations[(0, 1)].values()) == 10
 
 
 def test_proportional_share_rejects_floor_above_capacity():
     with pytest.raises(InvariantError, match="Step 1"):
-        proportional_share(line_network([3]), one_edge({(0, 0): 1}), params(f_min=5))
+        run_algorithm("PS", line_network([3]), one_edge({(0, 0): 1}), params(f_min=5))
 
 
 # -------------------------------------------------------- flow determination
@@ -319,7 +317,7 @@ def test_proportional_share_rejects_floor_above_capacity():
 def test_flow_determination_short_board():
     # a sole claimant takes each edge whole, so its allocations are 4, 6 and 3
     net, info = abstract_instance([4, 6, 3], {(0, 0): [0, 1, 2]})
-    outcome = proportional_share(net, info, params())
+    outcome = run_algorithm("PS", net, info, params())
     assert outcome.allocations == {(0, 1): {(0, 0): 4}, (2, 3): {(0, 0): 6},
                                    (4, 5): {(0, 0): 3}}
     assert outcome.flows[(0, 0)] == 3
@@ -328,7 +326,7 @@ def test_flow_determination_short_board():
 def test_flow_determination_single_edge():
     net = line_network([9])
     info = one_edge({(0, 0): 1})
-    outcome = proportional_share(net, info, params())
+    outcome = run_algorithm("PS", net, info, params())
     assert outcome.flows[(0, 0)] == 9
 
 
@@ -375,7 +373,7 @@ def test_pf_fair_on_symmetric_requests():
 
 def test_pu_single_path_takes_bottleneck():
     net, info = abstract_instance([12, 30], {(0, 0): [0, 1]})
-    out = propagatory_update(net, info, params())
+    out = run_algorithm("PU", net, info, params())
     assert out.flows[(0, 0)] == 12
 
 
@@ -383,7 +381,7 @@ def test_pu_ample_edges_keep_initial_bottlenecks():
     # disjoint paths, every edge at least as large as the bottleneck sum
     net, info = abstract_instance([10, 40, 20, 40],
                                   {(0, 0): [0, 1], (1, 0): [2, 3]})
-    out = propagatory_update(net, info, params())
+    out = run_algorithm("PU", net, info, params())
     assert out.flows[(0, 0)] == 10
     assert out.flows[(1, 0)] == 20
 
@@ -398,13 +396,13 @@ def test_pu_deductions_hit_longer_paths_harder_when_alpha_positive():
         [30, 100, 100, 100],
         {(0, 0): [0, 1], (1, 0): [0, 2], (1, 1): [0, 3]},
         lengths={(0, 0): 4, (1, 0): 6, (1, 1): 8})
-    out = propagatory_update(net, info, params(alpha=1.0, beta=0.0))
+    out = run_algorithm("PU", net, info, params(alpha=1.0, beta=0.0))
     flows = out.flows
     assert flows[(0, 0)] == 1
     assert flows[(1, 0)] > flows[(1, 1)]
     assert flows[(0, 0)] + flows[(1, 0)] + flows[(1, 1)] == 30
     # the longer path loses strictly more once alpha is switched on
-    flat = propagatory_update(net, info, params(alpha=0.0, beta=0.0))
+    flat = run_algorithm("PU", net, info, params(alpha=0.0, beta=0.0))
     assert flows[(1, 1)] < flat.flows[(1, 1)]
 
 
@@ -428,7 +426,7 @@ def test_pu_total_flow_optimal_on_single_contended_edge():
         edge_caps = [tight] + side_caps
         paths = {(p, 0): [0, 1 + p] for p in range(n_paths)}
         net, info = abstract_instance(edge_caps, paths)
-        out = propagatory_update(net, info, params(f_min=1, l_max=30))
+        out = run_algorithm("PU", net, info, params(f_min=1, l_max=30))
         total = sum(out.flows.values())
         bottlenecks = [min(tight, side_caps[p]) for p in range(n_paths)]
         assert total == exhaustive_best_total(bottlenecks, tight, 1)
@@ -445,7 +443,7 @@ def test_pu_flows_never_below_f_min_for_live_paths():
         net = abstract_network(capacity)
         info = info_from_path_edges(path_edges)
         p = params(l_max=l_max, f_min=f_min)
-        out = propagatory_update(net, info, p)
+        out = run_algorithm("PU", net, info, p)
         kept = {info.keys[p] for p in info.kept(l_max).live_paths}
         for key, flow in out.flows.items():
             if key in kept:
@@ -494,6 +492,17 @@ def test_infeasible_outcome_rejected():
         _assert_feasible(outcome, net)
 
 
+def test_run_algorithm_checks_each_core_for_feasibility(monkeypatch):
+    # a core that puts 10 units on a capacity-3 edge is caught on every path
+    info = PathSet({(0, 0): ((0, 1),)}, {(0, 0): 1})
+    for name, core, result in [("PS", "_proportional_share", ([10], {})),
+                               ("PF", "_progressive_fill", [10]),
+                               ("PU", "_propagatory_core", [10])]:
+        monkeypatch.setattr(scheduler, core, lambda *args, result=result: result)
+        with pytest.raises(InvariantError, match="exceeds capacity"):
+            run_algorithm(name, line_network([3]), info, params())
+
+
 def test_outcome_rejects_flows_off_the_path_set_order():
     # the metrics zip flows with per-path-id lists, so the order is checked
     paths = PathSet({(0, 0): ((0, 1),), (1, 0): ((1, 2),)}, {(0, 0): 1, (1, 0): 1})
@@ -519,12 +528,12 @@ def pu_table(outcome, info, l_max):
 
 def test_schedule_table_allocations_within_capacity():
     net, info, p = routed_instance(8)
-    allocations = proportional_share(net, info, p).allocations
+    allocations = run_algorithm("PS", net, info, p).allocations
     caps = net.capacity_map()
     for e, alloc in allocations.items():
         assert sum(alloc.values()) <= caps[e]
-    assert progressive_filling(net, info).allocations is None
-    pu = propagatory_update(net, info, p)
+    assert run_algorithm("PF", net, info, p).allocations is None
+    pu = run_algorithm("PU", net, info, p)
     assert pu.allocations is None
     table = pu_table(pu, info, p.l_max)
     for e, alloc in table.items():
@@ -535,7 +544,7 @@ def test_schedule_table_allocations_within_capacity():
 def test_flow_equals_floor_when_all_allocations_at_floor():
     # two paths share both edges; f_min = 2 fills each capacity-4 edge with floors
     net, info = abstract_instance([4, 4], {(0, 0): [0, 1], (1, 0): [0, 1]})
-    outcome = proportional_share(net, info, params(f_min=2))
+    outcome = run_algorithm("PS", net, info, params(f_min=2))
     assert outcome.allocations == {(0, 1): {(0, 0): 2, (1, 0): 2},
                                    (2, 3): {(0, 0): 2, (1, 0): 2}}
     assert outcome.flows == {(0, 0): 2, (1, 0): 2}
@@ -873,7 +882,7 @@ def test_pu_raise_of_millions_of_units_hand_computed():
     net, info = abstract_instance([12_000_000, 6_000_000],
                                   {(0, 0): [0, 1], (1, 0): [0], (2, 0): [1]})
     p = params(alpha=1.0, beta=1.0)
-    out = propagatory_update(net, info, p)
+    out = run_algorithm("PU", net, info, p)
     assert out.flows == {(0, 0): 1_500_000, (1, 0): 10_500_000, (2, 0): 4_500_000}
     assert pu_table(out, info, p.l_max) == {
         (0, 1): {(0, 0): 1_500_000, (1, 0): 10_500_000},
