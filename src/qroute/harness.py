@@ -17,7 +17,7 @@ from .netmodel import (Network, Request, ScenarioParams, build_lattice,
 from .pathfinder import Path, PathSet, build_path_info, k_shortest_paths
 from .purification import purify_network
 from .scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams, compute_f_min,
-                        run_algorithm)
+                        run_algorithm, schedule_key)
 
 logger = logging.getLogger(__name__)
 
@@ -179,19 +179,20 @@ def route_window(ctx: TrialContext, points: Sequence[RoutingParams],
 
     Every point has the context's l_max and a k no larger than the one its
     paths were enumerated with; a point's paths are the first k ranks of each
-    request (Yen's output is prefix-stable in k). The PathSet and PF (which
-    reads no alpha, beta or f_min) run once per k, PS and PU once per point,
-    and the outcomes of one k share its PathSet. An outcome with the flows of
-    an earlier one of its k reuses that one's report: ``evaluate`` reads only
-    the flows, the PathSet and the window. A degenerate context gives zero
-    reports with its reason. Empty, unknown or repeated algorithms raise
-    ValueError.
+    request (Yen's output is prefix-stable in k). Per k the PathSet is built
+    once, and each algorithm runs once per ``schedule_key``: PF once, PS and
+    PU once per (alpha, beta), or per beta when every path has one length
+    (PU at beta = 0 only); a point whose key repeats reuses that result. An
+    outcome with the flows of an earlier one of its k reuses that one's
+    report: ``evaluate`` reads only the flows, the PathSet and the window. A
+    degenerate context gives zero reports with its reason. Empty, unknown or
+    repeated algorithms raise ValueError.
     """
     if not algorithms or sorted(set(algorithms) & set(ALGORITHMS)) != sorted(algorithms):
         raise ValueError(f"algorithms must name some of {ALGORITHMS} once each, got {algorithms}")
     summary = _summarize(ctx.revised)
     infos: dict[int, PathSet] = {}
-    fills: dict[int, AlgorithmResult] = {}  # PF's result per k
+    schedules: dict[tuple, AlgorithmResult] = {}  # result per (k, schedule_key)
     scores: dict[tuple, MetricsReport] = {}  # report per (k, flows)
     records = []
     for point in points:
@@ -203,21 +204,20 @@ def route_window(ctx: TrialContext, points: Sequence[RoutingParams],
             if ctx.reason is not None:
                 results[name] = AlgorithmResult(RoutingOutcome(name, {}, PathSet({}, {})),
                                                 zero_report(ctx.requests, ctx.reason))
-            elif name == "PF" and point.k in fills:
-                results[name] = fills[point.k]
-            else:
-                if point.k not in infos:
-                    infos[point.k] = build_path_info(
-                        (p for p in ctx.paths if p.rank < point.k), point.l_max)
+                continue
+            if point.k not in infos:
+                infos[point.k] = build_path_info(
+                    (p for p in ctx.paths if p.rank < point.k), point.l_max)
+            key = (point.k, schedule_key(name, infos[point.k], params))
+            if key not in schedules:
                 t0 = time.perf_counter()
                 outcome = run_algorithm(name, ctx.revised, infos[point.k], params)
                 dt = time.perf_counter() - t0
                 scored = (point.k, tuple(outcome.flows.values()))
                 if scored not in scores:
                     scores[scored] = evaluate(outcome, ctx.revised, ctx.requests, p_in)
-                results[name] = AlgorithmResult(outcome, scores[scored], dt)
-                if name == "PF":
-                    fills[point.k] = results[name]
+                schedules[key] = AlgorithmResult(outcome, scores[scored], dt)
+            results[name] = schedules[key]
         records.append(TrialRecord(ctx.seed, params, ctx.requests, summary, results,
                                    ctx.stage_seconds, ctx.reason))
     # the records keep their PathSets; the truncated views were only for routing

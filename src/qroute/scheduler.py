@@ -369,6 +369,29 @@ def _propagatory_core(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
     return f_max
 
 
+def schedule_key(name: str, info: PathSet, params: RoutingParams) -> tuple:
+    """What ``run_algorithm(name, net, info, params)`` reads of ``params``:
+    runs on one network and PathSet with equal keys give equal outcomes. PF
+    reads none of it; PS and PU read l_max, f_min and beta, and alpha unless
+    every path of ``info`` has one length and the core is PS, or PU at beta 0.
+
+    With one length, ``_apportion_two_stage`` splits every group evenly, so
+    neither PS nor PU's deduction reads alpha. PU's raise order sorts
+    ``two_stage_weights``; at beta == 0, on an edge of G groups, a path in a
+    group of n weighs fl(1/G) * fl(x / S_n(x)), with x = d**-alpha and S_n
+    the left sum of n x's. Groups of one size weigh the same bit for bit;
+    sizes n < m differ by a factor of at least (n+1)/n, far above the n ulps
+    x can move them while n is far below 2**26 and x is finite and nonzero
+    (the config's bound on alpha). So the order is (group size, id) at every
+    alpha. At beta != 0 groups of different sizes can tie (beta = 1), and x
+    breaks the tie.
+    """
+    if name == "PF":
+        return (name,)
+    tied = (name == "PS" or params.beta == 0) and len(set(info.lengths)) <= 1
+    return (name, params.l_max, params.f_min, None if tied else params.alpha, params.beta)
+
+
 def run_algorithm(name: str, net: Network, info: PathSet,
                   params: RoutingParams) -> RoutingOutcome:
     """The one scheduling call: schedule ``info`` on ``net`` with ``name``

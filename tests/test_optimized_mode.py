@@ -5,7 +5,9 @@ instead of running Yen, the two-stage apportionment splits tied weights in
 closed form, and PU's residual deduction takes its closed form, are ordinary
 comparisons, so those shortcuts must still equal their references there.
 PU's two-pass stop is one too, so ``test_pu_stops_at_the_fixed_point``
-must still find no edge over capacity and no path left with room there.
+must still find no edge over capacity and no path left with room there, and
+so is the rule by which a window reuses PS's and PU's schedules across
+alpha, so routing a grid must still equal routing each point alone.
 This reruns their tests in a ``python -O -m pytest``
 subprocess."""
 import os
@@ -33,13 +35,16 @@ INVARIANT_TESTS = {
 #: the exhaustive oracle on DAGs holding k - 1, k and k + 1 shortest paths;
 #: the two-stage apportionment, closed form and weighed, against its
 #: reference; PU's closed-form residual against the bulk and unit-step oracles;
-#: PU's two-pass stop against the fixed point's definition
+#: PU's two-pass stop against the fixed point's definition; a window's reused
+#: PS and PU schedules against routing each point alone
 REUSE_TESTS = {
     "tests/test_pathfinder.py": (
         "test_shortest_path_dag_with_k_minus_1_k_and_k_plus_1_paths",),
     "tests/test_scheduler.py": ("test_tied_weights_apportion_in_closed_form",
                                 "test_pu_residual_on_tied_lengths_matches_oracles",
                                 "test_pu_stops_at_the_fixed_point"),
+    "tests/test_sweep.py": ("test_route_window_reuse_equals_each_point_alone",
+                            "test_pu_at_beta_1_reads_alpha_on_one_length"),
 }
 
 

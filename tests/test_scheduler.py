@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import re
+import sys
 from collections import Counter
 
 import numpy as np
@@ -26,8 +27,9 @@ from qroute.netmodel import TOPOLOGIES, InvariantError, ScenarioParams
 from qroute.pathfinder import PathSet, build_path_info
 from qroute.scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams,
                               _apportion_two_stage, _assert_feasible,
-                              _propagatory_core, compute_f_min,
-                              largest_remainder, run_algorithm, two_stage_weights)
+                              _propagatory_core, _proportional_share, compute_f_min,
+                              largest_remainder, run_algorithm, schedule_key,
+                              two_stage_weights)
 
 
 def abstract_instance(edge_caps, paths, lengths=None):
@@ -855,6 +857,47 @@ def test_pu_routes_the_fixed_point_on_a_lattice_window():
     record = run_trial(config, 429560)
     assert record.reason is None
     assert sum(record.results["PU"].outcome.flows.values()) == 47
+
+
+# ------------------------------------------------- when alpha cannot change a table
+
+def test_one_path_length_leaves_ps_and_pu_at_beta_0_blind_to_alpha():
+    seen = Counter()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((5, 50, 500)), st.integers(1, 12),
+           st.integers(1, 12), st.lists(st.floats(-1, 1), min_size=2, max_size=4),
+           st.sampled_from((0.0, 0.5, 1.0, 2.0)))
+    def check(seed, max_cap, length, l_max, scales, beta):
+        capacity, _, lengths, path_edges, f_min, _, _ = \
+            random_schedule_instance(np.random.default_rng(seed), max_cap)
+        l_max = min(l_max, len(path_edges))
+        # alphas within the config's bound: length**|alpha| * l_max**2 * c0 is finite
+        headroom = math.log(sys.float_info.max) - 2 * math.log(l_max) - math.log(max_cap)
+        alphas = [s * headroom / math.log(max(length, 2)) for s in scales]
+        tied = PathSet(path_edges, dict.fromkeys(lengths, length))
+        kept, caps = tied.kept(l_max), [capacity[e] for e in tied.edges]
+        assert len({repr(_proportional_share(tied, kept, caps, f_min, alpha, beta))
+                    for alpha in alphas}) == 1
+        assert len({tuple(_propagatory_core(tied, kept, caps, f_min, alpha, 0.0))
+                    for alpha in alphas}) == 1
+        seen["groups of two sizes"] += any(len(set(map(len, groups))) > 1
+                                           for groups in kept.live_groups)
+
+        def keys(name, info):
+            return {schedule_key(name, info, RoutingParams(l_max=l_max, alpha=alpha,
+                                                           beta=beta, f_min=f_min))
+                    for alpha in alphas}
+        assert len(keys("PS", tied)) == 1
+        assert len(keys("PU", tied)) == (1 if beta == 0 else len(set(alphas)))
+        mixed = PathSet(path_edges, lengths)
+        if len(set(lengths.values())) > 1:
+            assert len(keys("PS", mixed)) == len(keys("PU", mixed)) == len(set(alphas))
+            seen["mixed"] += 1
+
+    check()
+    # PU's raise order met groups of different sizes, and lengths often differed
+    assert seen["groups of two sizes"] >= 50 and seen["mixed"] >= 100, seen
 
 
 # ------------------------------------------------- capacity-independent work

@@ -4,6 +4,7 @@ import logging
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from conftest import (KeyedOutcome, reference_evaluate, reference_grid_search,
                       reference_request_sweep)
@@ -13,8 +14,8 @@ from qroute.harness import (ExperimentConfig, RequestSpec, WORKERS_ENV,
                             grid_search_parameters, request_sweep, run_trial,
                             sweep_reports)
 from qroute.metrics import evaluate
-from qroute.netmodel import ScenarioParams
-from qroute.scheduler import RoutingParams
+from qroute.netmodel import TOPOLOGIES, ScenarioParams
+from qroute.scheduler import ALGORITHMS, RoutingParams
 
 #: an l_max axis, an unsorted k list with duplicates, alpha and beta axes
 GRID = {"l_max": (6, 3), "k": (4, 1, 4, 2), "alpha": (1.0, 0.0), "beta": (0.5, 1.0)}
@@ -102,31 +103,50 @@ def count_calls(monkeypatch, names):
 
 
 def test_each_stage_runs_once_per_key(monkeypatch):
-    config = sweep_config()
-    specs = [config.requests, replace(config.requests, distance=3)]
+    # GRID's beta axis with 0 added, where PU too can ignore alpha
+    config = sweep_config(routing_grid={**GRID, "beta": (0.0, *GRID["beta"])})
+    # random pairs too, whose paths at one k often differ in length
+    specs = [config.requests, replace(config.requests, distance=3),
+             replace(config.requests, distance=None)]
     seeds = range(config.base_seed, config.base_seed + config.replications)
-    routable = sum(
-        run_trial(replace(config, requests=spec, routing=RoutingParams(k=1, l_max=l_max)),
-                  seed).reason is None
-        for spec in specs for l_max in GRID["l_max"] for seed in seeds)
+    ks = sorted(set(GRID["k"]))
+    alphas, betas = set(GRID["alpha"]), config.routing_grid["beta"]
+    # per routable (spec, l_max, seed) window and k: whether its paths have one length
+    tied = []
+    for spec in specs:
+        for l_max in GRID["l_max"]:
+            for seed in seeds:
+                ctx = harness.prepare_trial(replace(
+                    config, requests=spec, routing=RoutingParams(k=ks[-1], l_max=l_max)), seed)
+                if ctx.reason is None:
+                    tied += [len({p.length for p in ctx.paths if p.rank < k}) <= 1
+                             for k in ks]
+    routable = len(tied) // len(ks)
     calls = count_calls(monkeypatch, ("prepare_trial", "k_shortest_paths",
                                       "build_path_info", "run_algorithm"))
     points = harness.parameter_grid(config)
     sweep_reports(config, specs, points)
-    per_k = len(set(GRID["k"]))
-    per_point = len(points) // len(GRID["l_max"]) // per_k  # alpha x beta
+    per_k = len(ks)
     assert routable > 0
+    # the rule fires on some (window, k) pairs and not on others
+    assert 0 < sum(tied) < len(tied)
     assert calls["prepare_trial"] == len(specs) * len(GRID["l_max"]) * len(seeds)
     assert calls["k_shortest_paths"] == calls["prepare_trial"] * config.requests.count
     assert calls["build_path_info"] == routable * per_k
     assert calls["run_algorithm:PF"] == routable * per_k
-    assert calls["run_algorithm:PS"] == calls["run_algorithm:PU"] == \
-        routable * per_k * per_point
+    # PS once per beta where the paths have one length, else per (alpha, beta);
+    # PU the same, but at beta = 0 only
+    assert calls["run_algorithm:PS"] == sum(
+        len(betas) * (1 if one else len(alphas)) for one in tied)
+    assert calls["run_algorithm:PU"] == sum(
+        1 if one and beta == 0 else len(alphas) for one in tied for beta in betas)
 
 
 def test_route_window_scores_each_distinct_schedule_once(monkeypatch):
-    # alpha = 0 and alpha = 1 of one k often give the same PS or PU table, and
-    # at k = 1 the three algorithms often agree: such outcomes share a report
+    # at a k whose paths have one length, alpha = 0 and alpha = 1 share PS's
+    # schedule (beta is 1 here, so not PU's); elsewhere they often give the
+    # same PS or PU table, and at k = 1 the three algorithms often agree: such
+    # outcomes share a report
     config = sweep_config(routing_grid={"k": (3, 1, 2), "alpha": (0.0, 1.0)}, replications=6)
     points = harness.parameter_grid(config)
     scored = []
@@ -157,6 +177,74 @@ def test_route_window_scores_each_distinct_schedule_once(monkeypatch):
         unshared += 2 * len(points) + len({p.k for p in points})
     assert 0 < calls < unshared
     assert grid_search_parameters(config) == reference_grid_search(config)
+
+
+#: alpha and beta axes over which a window may reuse PS's and PU's schedules
+ALPHAS = (0.0, 0.5, 1.0, 2.0, 3.7)
+BETAS = (0.0, 0.5, 1.0, 2.0)
+
+
+def routed_alone(ctx, points, algorithms, p_in):
+    """Per point, its algorithms' flows and report reprs from a
+    ``route_window`` call of its own."""
+    out = []
+    for point in points:
+        (record,) = harness.route_window(ctx, [point], algorithms, p_in)
+        out.append(results_of(record))
+    return out
+
+
+def results_of(record):
+    return {name: (list(res.outcome.flows.items()), res.outcome.allocations, repr(res.report))
+            for name, res in record.results.items()}
+
+
+def test_route_window_reuse_equals_each_point_alone():
+    rng = np.random.default_rng(2424)
+    seen = Counter()
+    for n in range(60):
+        kind = TOPOLOGIES[n % len(TOPOLOGIES)]
+        rows, cols = (int(x) for x in rng.integers(4, 9, size=2))
+        k, l_max = int(rng.integers(2, 6)), int(rng.integers(2, 11))
+        config = ExperimentConfig(
+            rows=rows, cols=cols, kind=kind,
+            scenario=ScenarioParams(c0=int(rng.choice([20, 60, 100, 1000]))),
+            routing=RoutingParams(k=k, l_max=l_max),
+            requests=RequestSpec(count=int(rng.integers(1, 5)),
+                                 distance=int(rng.integers(1, 3))))
+        ctx = harness.prepare_trial(config, int(rng.integers(0, 2**31)))
+        if ctx.reason is not None:
+            continue
+        ks = sorted({int(rng.integers(1, k + 1)), k})
+        points = [RoutingParams(k=pk, l_max=l_max, alpha=alpha, beta=beta)
+                  for pk in ks for alpha in ALPHAS for beta in BETAS]
+        p_in = float(rng.choice([0.5, 0.9, 1.0]))
+        together = harness.route_window(ctx, points, ALGORITHMS, p_in)
+        assert [results_of(r) for r in together] == routed_alone(ctx, points, ALGORITHMS, p_in)
+        for pk in ks:
+            # the rule fires at a k whose paths, more than one, have one length
+            paths = [p for p in ctx.paths if p.rank < pk]
+            fired = len(paths) > 1 and len({p.length for p in paths}) == 1
+            seen[kind, fired] += 1
+    # every kind has k's on both sides of the rule
+    assert all(seen[kind, fired] >= 2 for kind in TOPOLOGIES for fired in (True, False)), seen
+    assert sum(seen[kind, True] for kind in TOPOLOGIES) >= 25, seen
+
+
+def test_pu_at_beta_1_reads_alpha_on_one_length():
+    # every path has 6 hops, but at beta = 1 groups of different sizes tie in
+    # weight, and alpha's rounding breaks the tie: PU's table moves with alpha
+    config = ExperimentConfig(rows=8, cols=8, routing=RoutingParams(k=15, l_max=6),
+                              requests=RequestSpec(count=4, distance=3))
+    ctx = harness.prepare_trial(config, 49)
+    assert ctx.reason is None
+    assert {p.length for p in ctx.paths if p.rank < 10} == {6}
+    points = [RoutingParams(k=10, l_max=6, alpha=alpha, beta=1.0) for alpha in ALPHAS]
+    together = [results_of(r) for r in harness.route_window(ctx, points, ALGORITHMS, 0.9)]
+    assert together == routed_alone(ctx, points, ALGORITHMS, 0.9)
+    pu = [flows for flows, _, _ in (results["PU"] for results in together)]
+    assert len({tuple(flows) for flows in pu}) > 1
+    assert {sum(flow for _, flow in flows) for flows in pu} == {87}
 
 
 def test_route_window_rejects_points_the_window_was_not_prepared_for():
