@@ -94,6 +94,9 @@ class TrialRecord:
     results: dict[str, AlgorithmResult]
     stage_seconds: dict[str, float] = field(default_factory=dict, compare=False)
     reason: str | None = None
+    #: the capacity of each edge of the results' PathSet, by edge id; () when
+    #: the window is degenerate
+    capacities: tuple[int, ...] = ()
 
 
 @dataclass
@@ -180,18 +183,19 @@ def route_window(ctx: TrialContext, points: Sequence[RoutingParams],
     Every point has the context's l_max and a k no larger than the one its
     paths were enumerated with; a point's paths are the first k ranks of each
     request (Yen's output is prefix-stable in k). Per k the PathSet is built
-    once, and each algorithm runs once per ``schedule_key``: PF once, PS and
-    PU once per (alpha, beta), or per beta when every path has one length
-    (PU at beta = 0 only); a point whose key repeats reuses that result. An
-    outcome with the flows of an earlier one of its k reuses that one's
-    report: ``evaluate`` reads only the flows, the PathSet and the window. A
-    degenerate context gives zero reports with its reason. Empty, unknown or
-    repeated algorithms raise ValueError.
+    and its capacities read once, and each algorithm runs once per
+    ``schedule_key``: PF once, PS and PU once per (alpha, beta), or per beta
+    when every path has one length (PU at beta = 0 only); a point whose key
+    repeats reuses that result. An outcome with the flows of an earlier one
+    of its k reuses that one's report: ``evaluate`` reads only the flows, the
+    PathSet and the window. A degenerate context gives zero reports with its
+    reason. Empty, unknown or repeated algorithms raise ValueError.
     """
     if not algorithms or sorted(set(algorithms) & set(ALGORITHMS)) != sorted(algorithms):
         raise ValueError(f"algorithms must name some of {ALGORITHMS} once each, got {algorithms}")
     summary = _summarize(ctx.revised)
     infos: dict[int, PathSet] = {}
+    capacities: dict[int, tuple[int, ...]] = {}  # per k, by edge id of its PathSet
     schedules: dict[tuple, AlgorithmResult] = {}  # result per (k, schedule_key)
     scores: dict[tuple, MetricsReport] = {}  # report per (k, flows)
     records = []
@@ -208,6 +212,7 @@ def route_window(ctx: TrialContext, points: Sequence[RoutingParams],
             if point.k not in infos:
                 infos[point.k] = build_path_info(
                     (p for p in ctx.paths if p.rank < point.k), point.l_max)
+                capacities[point.k] = tuple(infos[point.k].capacities(ctx.revised))
             key = (point.k, schedule_key(name, infos[point.k], params))
             if key not in schedules:
                 t0 = time.perf_counter()
@@ -219,7 +224,8 @@ def route_window(ctx: TrialContext, points: Sequence[RoutingParams],
                 schedules[key] = AlgorithmResult(outcome, scores[scored], dt)
             results[name] = schedules[key]
         records.append(TrialRecord(ctx.seed, params, ctx.requests, summary, results,
-                                   ctx.stage_seconds, ctx.reason))
+                                   ctx.stage_seconds, ctx.reason,
+                                   capacities.get(point.k, ())))
     # the records keep their PathSets; the truncated views were only for routing
     for info in infos.values():
         info.release_views()

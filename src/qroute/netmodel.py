@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -151,12 +151,15 @@ class Network:
         return EdgeMasks(tuple(sorted(by_offset.items())), tuple(neighbours))
 
 
+@lru_cache(maxsize=8)
 def build_lattice(rows: int, cols: int, kind: str = "square") -> Network:
     """Construct a raw lattice with all edges active and state unset.
 
     Square is the plain grid; hexagonal is the degree-3 brick-wall variant
     (vertical rungs only where x+y is even); triangular augments the square
     grid with one down-right diagonal per cell (degree 6 in the interior).
+    The network is frozen and every later stage returns a new one, so one
+    cached object per argument tuple serves every window.
     """
     if rows < 2 or cols < 2:
         raise ValueError(f"lattice dimensions must be >= 2, got {rows}x{cols}")

@@ -8,7 +8,7 @@ from typing import Sequence
 
 from .harness import AlgorithmResult, NetworkSummary, TrialRecord, report_values
 from .metrics import MetricsReport
-from .netmodel import Edge, Network, Request, node_label, node_xy
+from .netmodel import Network, Request, node_label, node_xy
 from .pathfinder import PathKey, PathSet
 from .scheduler import RoutingOutcome, RoutingParams
 
@@ -99,37 +99,48 @@ def _decode_edge(text: str) -> tuple[int, int]:
     return int(u), int(v)
 
 
-def outcome_to_dict(outcome: RoutingOutcome, key_str: dict[PathKey, str],
-                    edge_str: dict[Edge, str]) -> dict:
-    """Flows, and PS's allocations; the paths are written once per record.
-    ``key_str`` and ``edge_str`` hold the strings of the PathSet's keys and
-    edges; flows and allocations are in key and edge order already."""
+def outcome_to_dict(outcome: RoutingOutcome, key_str: dict[PathKey, str]) -> dict:
+    """Flows, and PS's allocations as one list per edge id, in the order of
+    that edge's ``kept(l_max).keys``; the paths are written once per record.
+    ``key_str`` holds the strings of the PathSet's keys; flows and
+    allocations are in key and edge order already."""
     data = {"algorithm": outcome.algorithm,
             "flows": {key_str[k]: v for k, v in outcome.flows.items()}}
     if outcome.allocations is not None:
-        data["allocations"] = {edge_str[e]: {key_str[k]: v for k, v in alloc.items()}
-                               for e, alloc in outcome.allocations.items()}
+        data["allocations"] = [list(alloc.values()) for alloc in outcome.allocations.values()]
     return data
 
 
-def outcome_from_dict(data: dict, paths: PathSet) -> RoutingOutcome:
+def _check_length(items: Sequence, expected: int, where: str, what: str) -> None:
+    if len(items) != expected:
+        raise ValueError(f"{where}: {len(items)} entries, expected {expected} ({what})")
+
+
+def outcome_from_dict(data: dict, paths: PathSet, l_max: int, where: str) -> RoutingOutcome:
+    """The outcome over ``paths``; PS's allocations are keyed again from
+    ``paths.kept(l_max)``. ``where`` is the key path of ``data``."""
     allocations = None
     if "allocations" in data:
-        allocations = {_decode_edge(e): {_decode_pathkey(k): v for k, v in alloc.items()}
-                       for e, alloc in data["allocations"].items()}
+        rows = data["allocations"]
+        kept = paths.kept(l_max).keys
+        _check_length(rows, len(kept), f"{where}.allocations", "one list per path edge")
+        allocations = {}
+        for e, (ids, row) in enumerate(zip(kept, rows)):
+            _check_length(row, len(ids), f"{where}.allocations[{e}]",
+                          f"the paths kept on edge {paths.edges[e]} at l_max = {l_max}")
+            allocations[paths.edges[e]] = {paths.keys[p]: v for p, v in zip(ids, row)}
     return RoutingOutcome(
         algorithm=data["algorithm"],
         flows={_decode_pathkey(k): v for k, v in data["flows"].items()},
         paths=paths, allocations=allocations)
 
 
-def report_to_dict(report: MetricsReport, edge_str: dict[Edge, str]) -> dict:
-    """The report, with edges as ``edge_str`` gives them; utilization is in
-    edge order and stretch in request order already."""
+def report_to_dict(report: MetricsReport) -> dict:
+    """The report without its utilization, which the record's capacities and
+    the outcome's flows give; stretch is in request order already."""
     return {
         "throughput": report.throughput,
         "min_flow": report.min_flow,
-        "utilization": {edge_str[e]: u for e, u in report.utilization.items()},
         "u_ave": report.u_ave,
         "u_var": report.u_var,
         "stretch_per_request": {str(r): g for r, g in report.stretch_per_request.items()},
@@ -142,11 +153,16 @@ def report_to_dict(report: MetricsReport, edge_str: dict[Edge, str]) -> dict:
     }
 
 
-def report_from_dict(data: dict) -> MetricsReport:
+def report_from_dict(data: dict, outcome: RoutingOutcome,
+                     capacities: Sequence[int]) -> MetricsReport:
+    """The report, with its utilization rebuilt as ``evaluate`` builds it:
+    used / cap per edge that carries flow, ``capacities`` by edge id."""
+    utilization = {e: used / cap for e, used, cap
+                   in zip(outcome.paths.edges, outcome.usage, capacities) if used > 0}
     return MetricsReport(
         throughput=data["throughput"],
         min_flow=data["min_flow"],
-        utilization={_decode_edge(e): u for e, u in data["utilization"].items()},
+        utilization=utilization,
         u_ave=data["u_ave"],
         u_var=data["u_var"],
         stretch_per_request={int(r): g for r, g in data["stretch_per_request"].items()},
@@ -160,13 +176,12 @@ def report_from_dict(data: dict) -> MetricsReport:
 
 def record_to_dict(record: TrialRecord) -> dict:
     """The record as JSON-ready data. Its outcomes share one PathSet, so the
-    paths are written once, and each of its path keys and edges is encoded
-    to a string once per record."""
+    paths and their edges' capacities are written once, and each path key
+    and edge is encoded to a string once per record."""
     paths = next(iter(record.results.values())).outcome.paths
     keys = [_encode_pathkey(key) for key in paths.keys]
     edges = [_encode_edge(e) for e in paths.edges]
     key_str = dict(zip(paths.keys, keys))
-    edge_str = dict(zip(paths.edges, edges))
     return {
         "seed": record.seed,
         "params": {"k": record.params.k, "l_max": record.params.l_max,
@@ -180,9 +195,10 @@ def record_to_dict(record: TrialRecord) -> dict:
             "lengths": dict(zip(keys, paths.lengths)),
             "path_edges": {key: [edges[e] for e in ids]
                            for key, ids in zip(keys, paths.edge_ids)},
+            "capacities": list(record.capacities),
         },
-        "results": {name: {"outcome": outcome_to_dict(res.outcome, key_str, edge_str),
-                           "report": report_to_dict(res.report, edge_str),
+        "results": {name: {"outcome": outcome_to_dict(res.outcome, key_str),
+                           "report": report_to_dict(res.report),
                            "schedule_seconds": res.schedule_seconds}
                     for name, res in record.results.items()},
         "stage_seconds": dict(record.stage_seconds),
@@ -191,20 +207,36 @@ def record_to_dict(record: TrialRecord) -> dict:
 
 
 def record_from_dict(data: dict) -> TrialRecord:
+    """The record ``record_to_dict`` wrote; a missing or misshapen
+    ``paths.capacities`` or PS ``allocations`` raises ValueError with its
+    key path."""
     paths = PathSet({_decode_pathkey(k): tuple(_decode_edge(e) for e in edges)
                      for k, edges in data["paths"]["path_edges"].items()},
                     {_decode_pathkey(k): v for k, v in data["paths"]["lengths"].items()})
+    if "capacities" not in data["paths"]:
+        raise ValueError("paths.capacities: missing; the record predates per-edge "
+                         "capacities and cannot be read")
+    capacities = tuple(data["paths"]["capacities"])
+    _check_length(capacities, len(paths.edges), "paths.capacities", "one per path edge")
+    params = RoutingParams(**data["params"])
+    results = {}
+    for name, res in data["results"].items():
+        outcome = outcome_from_dict(res["outcome"], paths, params.l_max,
+                                    f"results.{name}.outcome")
+        results[name] = AlgorithmResult(outcome,
+                                        report_from_dict(res["report"], outcome, capacities),
+                                        res["schedule_seconds"])
+    # the allocations were keyed through the kept views; the record needs none
+    paths.release_views()
     return TrialRecord(
         seed=data["seed"],
-        params=RoutingParams(**data["params"]),
+        params=params,
         requests=tuple(Request(**r) for r in data["requests"]),
         network=NetworkSummary(**data["network"]),
-        results={name: AlgorithmResult(outcome_from_dict(res["outcome"], paths),
-                                       report_from_dict(res["report"]),
-                                       res["schedule_seconds"])
-                 for name, res in data["results"].items()},
+        results=results,
         stage_seconds=dict(data["stage_seconds"]),
-        reason=data["reason"])
+        reason=data["reason"],
+        capacities=capacities)
 
 
 def write_records_json(records: Sequence[TrialRecord], path: str,

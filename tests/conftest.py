@@ -815,7 +815,10 @@ def reference_run_trial(config: ExperimentConfig, seed: int) -> TrialRecord:
     else:
         results = reference_route_all(ctx.revised, ctx.paths, ctx.requests, ctx.params,
                                       config.algorithms, config.scenario.p_in)
-    return TrialRecord(seed, ctx.params, ctx.requests, summary, results, reason=ctx.reason)
+    paths = next(iter(results.values())).outcome.paths
+    caps = ctx.revised.capacity_map()
+    return TrialRecord(seed, ctx.params, ctx.requests, summary, results, reason=ctx.reason,
+                       capacities=tuple(caps[e] for e in paths.edges))
 
 
 def reference_replicate(config: ExperimentConfig) -> tuple[
@@ -844,9 +847,9 @@ def reference_outcome_to_dict(outcome: RoutingOutcome) -> dict:
         "flows": {_reference_pathkey(k): v for k, v in sorted(outcome.flows.items())},
     }
     if outcome.allocations is not None:
-        data["allocations"] = {_reference_edge(e): {_reference_pathkey(k): v
-                                                    for k, v in sorted(alloc.items())}
-                               for e, alloc in sorted(outcome.allocations.items())}
+        # one list per edge, in edge order, of its allocations in key order
+        data["allocations"] = [[v for _, v in sorted(alloc.items())]
+                               for _, alloc in sorted(outcome.allocations.items())]
     return data
 
 
@@ -854,7 +857,6 @@ def reference_report_to_dict(report: MetricsReport) -> dict:
     return {
         "throughput": report.throughput,
         "min_flow": report.min_flow,
-        "utilization": {_reference_edge(e): u for e, u in sorted(report.utilization.items())},
         "u_ave": report.u_ave,
         "u_var": report.u_var,
         "stretch_per_request": {str(r): g for r, g
@@ -881,9 +883,11 @@ def reference_record_to_dict(record: TrialRecord) -> dict:
                      for r in record.requests],
         "network": vars(record.network).copy(),
         "paths": {
-            "lengths": {_reference_pathkey(k): v for k, v in zip(paths.keys, paths.lengths)},
+            "lengths": {_reference_pathkey(k): v
+                        for k, v in sorted(zip(paths.keys, paths.lengths))},
             "path_edges": {_reference_pathkey(k): [_reference_edge(e) for e in edges]
-                           for k, edges in paths.path_edges.items()},
+                           for k, edges in sorted(paths.path_edges.items())},
+            "capacities": list(record.capacities),
         },
         "results": {name: {"outcome": reference_outcome_to_dict(res.outcome),
                            "report": reference_report_to_dict(res.report),

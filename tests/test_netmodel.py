@@ -38,6 +38,19 @@ def test_square_formula_matches_closed_form():
     assert expected_edge_count(5, 7, "square") == 5 * 6 + 7 * 4
 
 
+@pytest.mark.parametrize("kind", TOPOLOGIES)
+def test_cached_lattice_samples_alike_twice_and_stays_raw(kind):
+    raw = build_lattice(6, 7, kind)
+    snapshot = copy.deepcopy(raw)
+    assert build_lattice(6, 7, kind) is raw
+    params = ScenarioParams(c0=40)
+    first = sample_edge_states(raw, params, np.random.default_rng(9))
+    second = sample_edge_states(build_lattice(6, 7, kind), params, np.random.default_rng(9))
+    assert first == second and first is not second and first is not raw
+    assert raw == snapshot and raw.phase == "raw"
+    assert raw.capacity == (0,) * len(raw.edges) and raw.active == (True,) * len(raw.edges)
+
+
 def test_lattice_dimension_errors():
     with pytest.raises(ValueError):
         build_lattice(1, 8)

@@ -64,18 +64,50 @@ def test_record_json_roundtrip(tmp_path):
     assert all(o.paths is outcomes[0].paths for o in outcomes)
     payload = json.loads(path.read_text())
     assert payload["config_provenance"] == {"lattice.rows": "file"}
-    # each path's edges and length are stored once per record, not per algorithm
+    # each path's edges and length, and each edge's capacity, are stored once
+    # per record, not per algorithm
     data = payload["records"][0]
+    paths = record.results["PS"].outcome.paths
     assert len(data["paths"]["path_edges"]) == len(record.results["PS"].outcome.flows)
+    assert data["paths"]["capacities"] == list(record.capacities) == paths.capacities(
+        prepare_trial(small_config(), 77).revised)
     for name, res in data["results"].items():
         assert set(res["outcome"]) <= {"algorithm", "flows", "allocations"}
         assert ("allocations" in res["outcome"]) == (name == "PS")
+        # utilization is rebuilt on read from the capacities and the flows
+        assert "utilization" not in res["report"]
+        assert any(loaded[0].results[name].report.utilization.values())
+    # PS's allocations: one list per edge id, in the order of the paths kept there
+    kept = paths.kept(record.params.l_max).keys
+    allocations = record.results["PS"].outcome.allocations
+    assert data["results"]["PS"]["outcome"]["allocations"] == [
+        [allocations[paths.edges[e]][paths.keys[p]] for p in ids] for e, ids in enumerate(kept)]
 
 
 def test_record_dict_roundtrip_degenerate():
     cfg = small_config(scenario=ScenarioParams(c0=50, p_out=0.0))
     record = run_trial(cfg, 1)
+    assert record.capacities == ()
     assert record_from_dict(record_to_dict(record)) == record
+
+
+@pytest.mark.parametrize("change, where", [
+    (lambda d: d["paths"].pop("capacities"), r"paths\.capacities: missing"),
+    (lambda d: d["paths"]["capacities"].pop(), r"paths\.capacities: \d+ entries"),
+    (lambda d: d["paths"]["capacities"].append(1), r"paths\.capacities: \d+ entries"),
+    (lambda d: d["results"]["PS"]["outcome"]["allocations"].pop(),
+     r"results\.PS\.outcome\.allocations: \d+ entries"),
+    (lambda d: d["results"]["PS"]["outcome"]["allocations"][2].append(1),
+     r"results\.PS\.outcome\.allocations\[2\]: \d+ entries"),
+    (lambda d: d["results"]["PS"]["outcome"]["allocations"][0].pop(),
+     r"results\.PS\.outcome\.allocations\[0\]: \d+ entries"),
+])
+def test_record_from_dict_rejects_misshapen_capacities_and_allocations(change, where):
+    data = record_to_dict(run_trial(small_config(), 77))
+    assert record_from_dict(data)  # the record as written reads back
+    change(data)
+    with pytest.raises(ValueError, match=where):
+        record_from_dict(data)
 
 
 def baseline_outcome():
@@ -326,7 +358,7 @@ PINNED_DIGESTS = {
     "sweep.csv": "c2049647ad6b95ba4c62c436565a94228bc7201033cc1ac75121e4a306bb0ad5",
     "requests.csv": "78b072e28539ba0da6d0ebdc6e7961d543e26c227becea434c8c2aac1b51c523",
     "failures.csv": "0ec34cbff911bb7a971b635db336d7aa5ef210af7861e94a781be6daf96c0b1b",
-    "trial.json": "57a69d4d91bc1c0c5dcd0ce041cb10cde6c06d7f6c926285596cc69b213ab577",
+    "trial.json": "7fdf54925a34c35015ee2fa865f54af51fced4ee45cbad9abd9f312f2b492ee9",
     "traffic_PS.json": "90eb4e0aaeb757cbfd55d1b562da97df836661739578fc5fa479614b6217fdca",
     "traffic_PF.json": "83da183b32a0050781c6a29e7ec09714c0e9627b2fbda0fd62169003a23c6b1d",
     "traffic_PU.json": "e83f6d90811c507e4601cc89f60c853524b2f05257991963395e0a742386f429",
