@@ -211,8 +211,8 @@ def route_window(ctx: TrialContext, points: Sequence[RoutingParams],
                 continue
             if point.k not in infos:
                 infos[point.k] = build_path_info(
-                    (p for p in ctx.paths if p.rank < point.k), point.l_max)
-                capacities[point.k] = tuple(infos[point.k].capacities(ctx.revised))
+                    ctx.revised, (p for p in ctx.paths if p.rank < point.k), point.l_max)
+                capacities[point.k] = infos[point.k].capacities(ctx.revised)
             key = (point.k, schedule_key(name, infos[point.k], params))
             if key not in schedules:
                 t0 = time.perf_counter()

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from itertools import compress
+from operator import not_
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +45,31 @@ class EdgeMasks(NamedTuple):
 
     offsets: tuple[tuple[int, int], ...]
     neighbours: tuple[int, ...]
+
+
+class LatticeIndex(NamedTuple):
+    """What a network's edge tuple fixes, whatever the edges' state: the
+    edge masks with every edge active, and per node a map from each
+    neighbour to the index of their edge in the tuple."""
+
+    masks: EdgeMasks
+    edge_index: tuple[dict[int, int], ...]
+
+
+@lru_cache(maxsize=8)
+def _lattice_index(edges: tuple[Edge, ...], node_count: int) -> LatticeIndex:
+    """One ``LatticeIndex`` per edge tuple and node count; every stage of a
+    window shares its lattice's edge tuple, so windows share one."""
+    by_offset: dict[int, int] = {}
+    neighbours = [0] * node_count
+    edge_index: list[dict[int, int]] = [{} for _ in range(node_count)]
+    for j, (u, v) in enumerate(edges):
+        by_offset[v - u] = by_offset.get(v - u, 0) | 1 << u
+        neighbours[u] |= 1 << v
+        neighbours[v] |= 1 << u
+        edge_index[u][v] = edge_index[v][u] = j
+    return LatticeIndex(EdgeMasks(tuple(sorted(by_offset.items())), tuple(neighbours)),
+                        tuple(edge_index))
 
 
 @dataclass
@@ -132,6 +159,11 @@ class Network:
         """Active edges as per-offset and per-node bitmasks."""
         return self._edge_masks
 
+    def edge_index(self) -> tuple[dict[int, int], ...]:
+        """Per node, each lattice neighbour -> the index of their edge in
+        ``edges``, over every edge, active or not."""
+        return self._lattice.edge_index
+
     @cached_property
     def _capacity_map(self) -> dict[Edge, int]:
         return {e: c for e, c, on in zip(self.edges, self.capacity, self.active) if on}
@@ -141,14 +173,26 @@ class Network:
         return tuple(self._capacity_map)
 
     @cached_property
+    def _lattice(self) -> LatticeIndex:
+        return _lattice_index(self.edges, self.node_count)
+
+    @cached_property
     def _edge_masks(self) -> EdgeMasks:
-        by_offset: dict[int, int] = {}
-        neighbours = [0] * self.node_count
-        for u, v in self._active_edges:
-            by_offset[v - u] = by_offset.get(v - u, 0) | 1 << u
-            neighbours[u] |= 1 << v
-            neighbours[v] |= 1 << u
-        return EdgeMasks(tuple(sorted(by_offset.items())), tuple(neighbours))
+        """The lattice's masks with the bits of the inactive edges cleared;
+        an offset class left empty is dropped, as if built from the active
+        edges alone."""
+        masks = self._lattice.masks
+        inactive = list(compress(self.edges, map(not_, self.active)))
+        if not inactive:
+            return masks
+        by_offset = dict(masks.offsets)
+        neighbours = list(masks.neighbours)
+        for u, v in inactive:
+            by_offset[v - u] &= ~(1 << u)
+            neighbours[u] &= ~(1 << v)
+            neighbours[v] &= ~(1 << u)
+        return EdgeMasks(tuple((off, mask) for off, mask in by_offset.items() if mask),
+                         tuple(neighbours))
 
 
 @lru_cache(maxsize=8)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby, islice
+from itertools import compress, groupby, islice
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .netmodel import Edge, EdgeMasks, InvariantError, Network
@@ -207,23 +208,47 @@ class PathSet:
     Paths are numbered 0..P-1 in key order and the edges they cross 0..E-1 in
     sorted order; each path is held once, as edge ids, and every reader
     works on these ids. ``path_edges`` is the keyed form, built from the ids
-    on each read.
+    on each read. ``build_path_info`` builds one from a network's lattice
+    edge indices; this constructor, from a keyed form.
     """
 
     def __init__(self, path_edges: dict[PathKey, tuple[Edge, ...]],
                  lengths: dict[PathKey, int]) -> None:
-        items = sorted(path_edges.items())
+        keys = sorted(path_edges)
+        edges = tuple(sorted({e for route in path_edges.values() for e in route}))
+        index = {e: j for j, e in enumerate(edges)}
+        self._index(tuple(keys), [lengths[key] for key in keys], edges,
+                    [list(map(index.__getitem__, path_edges[key])) for key in keys])
+
+    @classmethod
+    def _from_hops(cls, keys: tuple[PathKey, ...], lengths: list[int],
+                   lattice: tuple[Edge, ...], hops: list[list[int]]) -> PathSet:
+        """The PathSet of the paths ``keys``, in key order, whose ``hops``
+        are indices into the sorted edge tuple ``lattice``."""
+        info = cls.__new__(cls)
+        info._index(keys, lengths, lattice, hops)
+        return info
+
+    def _index(self, keys: tuple[PathKey, ...], lengths: list[int],
+               lattice: tuple[Edge, ...], hops: list[list[int]]) -> None:
+        """Number the edges of the paths ``keys`` (in key order), whose
+        ``hops`` are indices into the sorted edge tuple ``lattice``, in
+        lattice order, and build H as it goes."""
         #: path id -> key
-        self.keys = tuple(key for key, _ in items)
+        self.keys = keys
         #: path id -> length in hops
-        self.lengths = [lengths[key] for key in self.keys]
+        self.lengths = lengths
+        on = _incidence(hops, len(lattice))
+        # edge id -> the edge's index in ``lattice``, ascending
+        lattice_index = list(compress(range(len(lattice)), on))
         #: edge id -> edge, sorted
-        self.edges = tuple(sorted({e for _, edges in items for e in edges}))
-        index = {e: i for i, e in enumerate(self.edges)}
+        self.edges = tuple(map(lattice.__getitem__, lattice_index))
+        edge_id = dict(zip(lattice_index, range(len(self.edges))))
         #: path id -> the ids of the edges it traverses, in path order
-        self.edge_ids = [tuple(map(index.__getitem__, edges)) for _, edges in items]
-        self._incidence: list[list[int]] | None = None
+        self.edge_ids = [tuple(map(edge_id.__getitem__, route)) for route in hops]
+        self._incidence: list[list[int]] | None = list(filter(None, on))
         self._kept: dict[int, KeptPaths] = {}
+        self._capacities: tuple[Network, tuple[int, ...]] | None = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PathSet):
@@ -239,24 +264,26 @@ class PathSet:
 
     def values(self) -> list[list[int]]:
         """H: per edge id, the ids of the paths crossing it, ascending; built
-        from ``edge_ids`` on the first call after construction or release."""
+        with the PathSet, and from ``edge_ids`` again after a release."""
         if self._incidence is None:
-            self._incidence = [[] for _ in self.edges]
-            for p, ids in enumerate(self.edge_ids):
-                for e in ids:
-                    self._incidence[e].append(p)
+            self._incidence = _incidence(self.edge_ids, len(self.edges))
         return self._incidence
 
-    def capacities(self, net: Network) -> list[int]:
+    def capacities(self, net: Network) -> tuple[int, ...]:
         """The capacity of every edge, by edge id; each must be active in
-        ``net``, as on the network the paths were found on."""
-        caps = net.capacity_map()
-        return [caps[e] for e in self.edges]
+        ``net``, as on the network the paths were found on. Read once per
+        network."""
+        if self._capacities is None or self._capacities[0] is not net:
+            caps = net.capacity_map()
+            self._capacities = (net, tuple(caps[e] for e in self.edges))
+        return self._capacities[1]
 
     def release_views(self) -> None:
-        """Drop H and the cached ``kept`` views; a later call builds them again."""
+        """Drop H, the cached ``kept`` views and capacities; a later call
+        builds them again."""
         self._incidence = None
         self._kept.clear()
+        self._capacities = None
 
     def kept(self, l_max: int) -> KeptPaths:
         """H truncated to l_max keys per edge and the views derived from it;
@@ -289,10 +316,25 @@ class PathSet:
         return self._kept[l_max]
 
 
-def build_path_info(paths: Iterable[Path], l_max: int) -> PathSet:
-    """Assemble the window's PathSet, with its ``kept(l_max)`` view built
-    before it returns, so that its cost counts as path information."""
-    paths = list(paths)
-    info = PathSet({p.key: p.edge_keys() for p in paths}, {p.key: p.length for p in paths})
+def _incidence(routes: Iterable[Sequence[int]], size: int) -> list[list[int]]:
+    """Per index below ``size``, the positions of the routes that hold it,
+    ascending."""
+    on: list[list[int]] = [[] for _ in range(size)]
+    for p, route in enumerate(routes):
+        for j in route:
+            on[j].append(p)
+    return on
+
+
+def build_path_info(net: Network, paths: Iterable[Path], l_max: int) -> PathSet:
+    """Assemble the window's PathSet from the paths found on ``net``, with
+    its ``kept(l_max)`` view built before it returns, so that its cost counts
+    as path information. Each hop is read by its index in ``net.edges``,
+    whose order is the sorted edge order, so no edge key is built."""
+    paths = sorted(paths, key=attrgetter("request_id", "rank"))
+    by_node = net.edge_index()
+    hops = [[by_node[a][b] for a, b in zip(p.nodes, p.nodes[1:])] for p in paths]
+    info = PathSet._from_hops(tuple(p.key for p in paths), [p.length for p in paths],
+                              net.edges, hops)
     info.kept(l_max)
     return info

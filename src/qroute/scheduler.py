@@ -395,10 +395,11 @@ def schedule_key(name: str, info: PathSet, params: RoutingParams) -> tuple:
 def run_algorithm(name: str, net: Network, info: PathSet,
                   params: RoutingParams) -> RoutingOutcome:
     """The one scheduling call: schedule ``info`` on ``net`` with ``name``
-    (PS, PF or PU), then check that no edge carries more than its capacity,
-    an explicit check that also runs under ``python -O``. PS and PU schedule
-    the paths kept at ``params.l_max`` above the f_min floor; PF fills every
-    enumerated path, with neither."""
+    (PS, PF or PU), then check that no edge carries more than its capacity
+    and, for PS and PU, that every live path holds at least f_min and every
+    other path nothing; explicit checks that also run under ``python -O``.
+    PS and PU schedule the paths kept at ``params.l_max`` above the f_min
+    floor; PF fills every enumerated path, with neither."""
     if name not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
     capacity = info.capacities(net)
@@ -406,20 +407,37 @@ def run_algorithm(name: str, net: Network, info: PathSet,
     if name == "PF":
         flows = _progressive_fill(info, capacity)
     else:
-        args = (info, info.kept(params.l_max), capacity, params.require_f_min(),
-                params.alpha, params.beta)
+        kept, f_min = info.kept(params.l_max), params.require_f_min()
+        args = (info, kept, capacity, f_min, params.alpha, params.beta)
         if name == "PS":
             flows, allocations = _proportional_share(*args)
         else:
             flows = _propagatory_core(*args)
+        _assert_floor(name, info, flows, kept.live_paths, f_min)
     outcome = RoutingOutcome(name, dict(zip(info.keys, flows)), info, allocations)
-    _assert_feasible(outcome, net)
+    _assert_feasible(outcome, capacity)
     return outcome
 
 
-def _assert_feasible(outcome: RoutingOutcome, net: Network) -> None:
-    caps = net.capacity_map()
-    for e, used in zip(outcome.paths.edges, outcome.usage):
-        if used > 0 and used > caps[e]:
-            raise InvariantError(
-                f"{outcome.algorithm}: usage {used} exceeds capacity {caps[e]} on edge {e}")
+def _assert_floor(name: str, info: PathSet, flows: Sequence[int],
+                  live_paths: Sequence[int], f_min: int) -> None:
+    """Every live path holds at least f_min of ``flows``, and every other
+    path nothing."""
+    off_live = list(flows)
+    for p in live_paths:
+        if flows[p] < f_min:
+            raise InvariantError(f"{name}: live path {info.keys[p]} has flow {flows[p]} "
+                                 f"below f_min = {f_min}")
+        off_live[p] = 0
+    if any(off_live):
+        p = next(p for p, flow in enumerate(off_live) if flow)
+        raise InvariantError(f"{name}: path {info.keys[p]} is not live but has flow "
+                             f"{flows[p]}")
+
+
+def _assert_feasible(outcome: RoutingOutcome, capacity: Sequence[int]) -> None:
+    """No edge of ``outcome`` carries more than ``capacity``, by edge id."""
+    for e, (used, cap) in enumerate(zip(outcome.usage, capacity)):
+        if used > cap:
+            raise InvariantError(f"{outcome.algorithm}: usage {used} exceeds capacity "
+                                 f"{cap} on edge {outcome.paths.edges[e]}")

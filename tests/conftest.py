@@ -5,7 +5,8 @@ Each oracle is written from the definition it checks and runs beside the
 fast path on the same instances (README, "Tests and acceptance suite", maps
 each stage to its oracles and tests):
 
-- lattice: ``expected_edge_count`` for ``build_lattice``;
+- lattice: ``expected_edge_count`` for ``build_lattice``, and
+  ``reference_edge_masks`` for ``Network.edge_masks``;
 - purification: ``reference_purify_network``;
 - k shortest paths: the exhaustive ``enumerate_loopless_paths`` and
   ``reference_k_shortest_paths`` (Yen over the BFS ``_lex_shortest``);
@@ -35,8 +36,9 @@ from qroute.harness import (METRIC_FIELDS, AlgorithmResult, ExperimentConfig,
                             _resolve_requests, _summarize, aggregate, objective_value,
                             parameter_grid)
 from qroute.metrics import MetricsReport, zero_report
-from qroute.netmodel import (TOPOLOGIES, Edge, InvariantError, Network, Request, ScenarioParams,
-                             build_lattice, deactivate_low_capacity_edges, sample_edge_states)
+from qroute.netmodel import (TOPOLOGIES, Edge, EdgeMasks, InvariantError, Network, Request,
+                             ScenarioParams, build_lattice, deactivate_low_capacity_edges,
+                             sample_edge_states)
 from qroute.pathfinder import (Path, PathKey, PathSet, build_path_info, edge_key,
                                truncate_edge_paths)
 from qroute.purification import pump_fidelity
@@ -179,6 +181,19 @@ def expected_edge_count(rows: int, cols: int, kind: str) -> int:
     if kind == "triangular":
         return horizontal + cols * (rows - 1) + (rows - 1) * (cols - 1)
     raise ValueError(f"unknown topology kind {kind!r}")
+
+
+def reference_edge_masks(net: Network) -> EdgeMasks:
+    """``Network.edge_masks`` built from scratch: each active edge ORed
+    into its offset class and both endpoints' neighbour masks."""
+    by_offset: dict[int, int] = {}
+    neighbours = [0] * net.node_count
+    for (u, v), on in zip(net.edges, net.active):
+        if on:
+            by_offset[v - u] = by_offset.get(v - u, 0) | 1 << u
+            neighbours[u] |= 1 << v
+            neighbours[v] |= 1 << u
+    return EdgeMasks(tuple(sorted(by_offset.items())), tuple(neighbours))
 
 
 # ------------------------------------------------------------ k shortest paths
@@ -790,7 +805,7 @@ def reference_route_all(net: Network, paths: Sequence[Path], requests: Sequence[
     """Steps 3-5 for every selected algorithm on one realized network, each
     scored by ``reference_evaluate``; the outcomes share the window's one
     PathSet."""
-    info = build_path_info(paths, params.l_max)
+    info = build_path_info(net, paths, params.l_max)
     results: dict[str, AlgorithmResult] = {}
     for name in algorithms:
         outcome = run_algorithm(name, net, info, params)

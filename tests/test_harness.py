@@ -53,8 +53,8 @@ def test_path_set_built_once_per_trial(monkeypatch):
     calls = []
     build = harness.build_path_info
 
-    def counted(paths, l_max):
-        info = build(paths, l_max)
+    def counted(net, paths, l_max):
+        info = build(net, paths, l_max)
         # the truncated view is built with the PathSet, before any scheduler runs
         calls.append(list(info._kept))
         return info
@@ -264,7 +264,7 @@ def test_degrade_outcome_zeroes_broken_paths():
 @pytest.mark.parametrize("mode", ["edge", "node"])
 def test_degraded_outcome_evaluates_on_failed_network(mode):
     # the failed edges stay on the outcome's paths but leave the failed
-    # network's capacity map; with no flow left on them they are never read
+    # network's capacity map; with no flow left on them, capacity 0 holds them
     cfg = small_config()
     checked = 0
     for seed in range(6):
@@ -281,7 +281,8 @@ def test_degraded_outcome_evaluates_on_failed_network(mode):
         for res in before.results.values():
             degraded = degrade_outcome(res.outcome, dead)
             assert dead & set(degraded.paths.edges)
-            _assert_feasible(degraded, failed)
+            _assert_feasible(degraded, [failed.capacity_map().get(e, 0)
+                                        for e in degraded.paths.edges])
             report = evaluate(degraded, failed, ctx.requests, cfg.scenario.p_in)
             assert repr(report) == repr(reference_evaluate(
                 KeyedOutcome.of(degraded), failed, ctx.requests, cfg.scenario.p_in))

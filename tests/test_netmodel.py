@@ -3,7 +3,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
-from conftest import adjacency, expected_edge_count
+from conftest import adjacency, expected_edge_count, reference_edge_masks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -231,6 +231,37 @@ def test_edge_masks_rebuild_active_edges_and_adjacency(kind):
         assert len(masks.neighbours) == net.node_count
         assert {n: _bits_of(mask) for n, mask in enumerate(masks.neighbours)} == adjacency(net)
     assert len(failed.active_edges()) < len(revised.active_edges()) < len(sampled.edges)
+
+
+@st.composite
+def damaged_lattices(draw):
+    """A lattice of any kind with a random set of edges inactive, and often
+    every edge of one offset class too."""
+    net = build_lattice(draw(st.integers(2, 7)), draw(st.integers(2, 7)),
+                        draw(st.sampled_from(TOPOLOGIES)))
+    dead = draw(st.sets(st.sampled_from(net.edges)))
+    emptied = draw(st.none() | st.sampled_from(sorted({v - u for u, v in net.edges})))
+    dead |= {(u, v) for u, v in net.edges if v - u == emptied}
+    return replace(net, active=tuple(e not in dead for e in net.edges)), emptied
+
+
+def test_edge_masks_equal_reference_build():
+    # the lattice's masks with the inactive edges' bits cleared, against
+    # a build from the active edges alone
+    seen = set()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(damaged_lattices())
+    def check(drawn):
+        net, emptied = drawn
+        masks = net.edge_masks()
+        assert masks == reference_edge_masks(net)
+        assert emptied not in dict(masks.offsets)
+        seen.add((net.kind, emptied is not None))
+
+    check()
+    # every kind, with and without an emptied offset class
+    assert seen == {(kind, emptied) for kind in TOPOLOGIES for emptied in (False, True)}
 
 
 def test_network_rejects_misaligned_fields():

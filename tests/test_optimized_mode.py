@@ -7,7 +7,9 @@ comparisons, so those shortcuts must still equal their references there.
 PU's two-pass stop is one too, so ``test_pu_stops_at_the_fixed_point``
 must still find no edge over capacity and no path left with room there, and
 so is the rule by which a window reuses PS's and PU's schedules across
-alpha, so routing a grid must still equal routing each point alone.
+alpha, so routing a grid must still equal routing each point alone. Edge
+masks cleared edge by edge from the lattice's, and the PathSet built from
+node tuples, must still equal their references there as well.
 This reruns their tests in a ``python -O -m pytest``
 subprocess."""
 import os
@@ -28,6 +30,7 @@ INVARIANT_TESTS = {
         "test_proportional_share_rejects_floor_above_capacity",
         "test_infeasible_outcome_rejected",
         "test_run_algorithm_checks_each_core_for_feasibility",
+        "test_run_algorithm_checks_the_f_min_floor",
         "test_uncoverable_residual_raises_invariant_error"),
 }
 
@@ -36,10 +39,14 @@ INVARIANT_TESTS = {
 #: the two-stage apportionment, closed form and weighed, against its
 #: reference; PU's closed-form residual against the bulk and unit-step oracles;
 #: PU's two-pass stop against the fixed point's definition; a window's reused
-#: PS and PU schedules against routing each point alone
+#: PS and PU schedules against routing each point alone; edge masks cleared
+#: edge by edge against a build from the active edges; the PathSet built
+#: from node tuples against the keyed build
 REUSE_TESTS = {
+    "tests/test_netmodel.py": ("test_edge_masks_equal_reference_build",),
     "tests/test_pathfinder.py": (
         "test_shortest_path_dag_with_k_minus_1_k_and_k_plus_1_paths",),
+    "tests/test_properties.py": ("test_node_tuple_path_set_equals_keyed_build",),
     "tests/test_scheduler.py": ("test_tied_weights_apportion_in_closed_form",
                                 "test_pu_residual_on_tied_lengths_matches_oracles",
                                 "test_pu_stops_at_the_fixed_point"),

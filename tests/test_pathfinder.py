@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import _lex_shortest as reference_lex_shortest
-from conftest import (adjacency, assert_kept_views, enumerate_loopless_paths,
-                      reference_k_shortest_paths)
+from conftest import (abstract_network, adjacency, assert_kept_views,
+                      enumerate_loopless_paths, reference_k_shortest_paths)
 
 from qroute import pathfinder
 from qroute.netmodel import TOPOLOGIES, EdgeMasks, InvariantError, build_lattice
@@ -110,7 +110,7 @@ def test_determinism():
 
 def test_build_path_info_single_path():
     path = Path(0, 0, (0, 1, 2, 5))
-    info = build_path_info([path], 10)
+    info = build_path_info(active_lattice(2, 3), [path], 10)
     assert info.edges == ((0, 1), (1, 2), (2, 5))
     assert info.values() == [[0], [0], [0]]
     assert info.keys == ((0, 0),) and info.lengths == [3]
@@ -120,13 +120,15 @@ def test_build_path_info_single_path():
 def test_build_path_info_shared_edge():
     a = Path(0, 0, (0, 1, 2))
     b = Path(1, 0, (3, 1, 2))
-    info = build_path_info([a, b], 10)
+    # a hand-built network with the three edges; no lattice holds (1, 2) and (1, 3)
+    net = abstract_network({(0, 1): 5, (1, 2): 5, (1, 3): 5})
+    info = build_path_info(net, [a, b], 10)
     assert info.keys == ((0, 0), (1, 0))
     assert info.values()[info.edges.index((1, 2))] == [0, 1]
 
 
 def test_build_path_info_empty():
-    info = build_path_info([], 3)
+    info = build_path_info(active_lattice(2, 2), [], 3)
     assert info.values() == [] and info.edges == () and info.keys == ()
     assert info.path_edges == {} and info.lengths == []
     assert info.kept(3) == ([], [], [], [], [])
@@ -137,7 +139,7 @@ def test_path_set_per_path_views():
     net = active_lattice(3, 3)
     paths = (k_shortest_paths(net, 0, 8, 5, request_id=2)
              + k_shortest_paths(net, 2, 6, 5, request_id=0))
-    info = build_path_info(paths, 5)
+    info = build_path_info(net, paths, 5)
     assert list(info.keys) == sorted(p.key for p in paths)
     assert list(info.path_edges) == list(info.keys)
     assert list(info.edges) == sorted({e for p in paths for e in p.edge_keys()})
@@ -151,7 +153,7 @@ def test_path_set_per_path_views():
         assert ids == sorted(set(ids))
         assert all(e in info.edge_ids[p] for p in ids)
     assert sum(map(len, info.values())) == sum(map(len, info.edge_ids))
-    assert info == build_path_info(reversed(paths), 2)
+    assert info == build_path_info(net, reversed(paths), 2)
     # the keyed form is not stored but rebuilt from the ids, into an equal PathSet
     assert "path_edges" not in vars(info)
     path_edges, lengths = info.path_edges, dict(zip(info.keys, info.lengths))
@@ -165,12 +167,12 @@ def test_path_set_kept_matches_per_edge_truncation():
     net = active_lattice(4, 4)
     paths = (k_shortest_paths(net, 0, 15, 10, request_id=0)
              + k_shortest_paths(net, 3, 12, 10, request_id=1))
-    info = build_path_info(paths, 1)
+    info = build_path_info(net, paths, 1)
     for l_max in (1, 2, 4, 20):
         assert info.kept(l_max) is info.kept(l_max)
         assert_kept_views(info, l_max)
         # given l_max, build_path_info builds this view before it returns
-        assert build_path_info(paths, l_max)._kept.keys() == {l_max}
+        assert build_path_info(net, paths, l_max)._kept.keys() == {l_max}
     # release_views drops H and the views; both come back equal from edge_ids
     incidence, views = info.values(), info.kept(2)
     info.release_views()

@@ -1,12 +1,14 @@
 """Hypothesis property tests: k_shortest_paths over random lattices and
 against the reference Yen on damaged ones, the sweep engine against the
-per-point grid loop over random windows and grids, and the invariants and
-serialization of whole windows over random lattices and scenarios."""
+per-point grid loop over random windows and grids, the PathSet built from
+node tuples against the keyed build, and the invariants and serialization
+of whole windows over random lattices and scenarios."""
 import json
 from collections import Counter
 from dataclasses import replace
 from itertools import islice
 
+import pytest
 from conftest import (assert_integer_max_min, reference_grid_search,
                       reference_k_shortest_paths, reference_record_to_dict,
                       reference_with_paths)
@@ -18,7 +20,7 @@ from qroute.harness import (AlgorithmResult, ExperimentConfig, RequestSpec,
                             run_trial)
 from qroute.metrics import evaluate
 from qroute.netmodel import TOPOLOGIES, ScenarioParams, build_lattice
-from qroute.pathfinder import _shortest_paths, build_path_info, k_shortest_paths
+from qroute.pathfinder import PathSet, _shortest_paths, build_path_info, k_shortest_paths
 from qroute.reports import record_from_dict, record_to_dict
 from qroute.scheduler import RoutingParams
 
@@ -177,6 +179,44 @@ def windows(draw):
     return config, draw(st.integers(0, 2**16))
 
 
+def test_node_tuple_path_set_equals_keyed_build():
+    kinds = Counter()
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(windows(), st.data())
+    def check(window, data):
+        config, seed = window
+        ctx = prepare_trial(config, seed)
+        if ctx.reason is not None:
+            return
+        paths = ctx.paths
+        path_edges = {p.key: p.edge_keys() for p in sorted(paths, key=lambda p: p.key)}
+        keyed = PathSet(path_edges, {p.key: p.length for p in paths})
+        caps = ctx.revised.capacity_map()
+        for order in (paths, reversed(paths), data.draw(st.permutations(paths))):
+            info = build_path_info(ctx.revised, order, ctx.params.l_max)
+            assert info == keyed and info.path_edges == path_edges
+            assert info.edges == tuple(sorted({e for route in path_edges.values()
+                                               for e in route}))
+            assert info.values() == keyed.values()
+            for l_max in sorted({1, 2, ctx.params.l_max, 20}):
+                assert info.kept(l_max) == keyed.kept(l_max)
+            assert (info.capacities(ctx.revised) == keyed.capacities(ctx.revised)
+                    == tuple(caps[e] for e in info.edges))
+            assert info.capacities(ctx.revised) is info.capacities(ctx.revised)
+        # an inactive path edge is not read as a capacity
+        dead = data.draw(st.sampled_from(info.edges))
+        failed = replace(ctx.revised, active=tuple(on and e != dead for e, on in
+                                                   zip(ctx.revised.edges, ctx.revised.active)))
+        for built in (info, keyed):
+            with pytest.raises(KeyError):
+                built.capacities(failed)
+        kinds[config.kind] += 1
+
+    check()
+    assert set(kinds) == set(TOPOLOGIES)
+
+
 def assert_same_bytes(record):
     """Both serializers write the record, and the record read back from it,
     byte for byte alike."""
@@ -209,7 +249,7 @@ def check_window(config, seed):
                                                            config.scenario.p_in))
     assert_same_bytes(replace(record, results=degraded))
     caps = ctx.revised.capacity_map()
-    info = build_path_info(ctx.paths, ctx.params.l_max)
+    info = build_path_info(ctx.revised, ctx.paths, ctx.params.l_max)
     live = {info.keys[p] for p in info.kept(ctx.params.l_max).live_paths}
     outcomes = {name: result.outcome for name, result in record.results.items()}
     for outcome in outcomes.values():

@@ -69,8 +69,8 @@ def test_record_json_roundtrip(tmp_path):
     data = payload["records"][0]
     paths = record.results["PS"].outcome.paths
     assert len(data["paths"]["path_edges"]) == len(record.results["PS"].outcome.flows)
-    assert data["paths"]["capacities"] == list(record.capacities) == paths.capacities(
-        prepare_trial(small_config(), 77).revised)
+    assert data["paths"]["capacities"] == list(record.capacities) == list(paths.capacities(
+        prepare_trial(small_config(), 77).revised))
     for name, res in data["results"].items():
         assert set(res["outcome"]) <= {"algorithm", "flows", "allocations"}
         assert ("allocations" in res["outcome"]) == (name == "PS")

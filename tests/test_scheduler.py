@@ -463,7 +463,7 @@ def routed_instance(seed=0):
     net = qroute.deactivate_low_capacity_edges(net, 5)
     paths = (qroute.k_shortest_paths(net, 0, 24, 6, request_id=0)
              + qroute.k_shortest_paths(net, 4, 20, 6, request_id=1))
-    info = qroute.build_path_info(paths, 5)
+    info = qroute.build_path_info(net, paths, 5)
     f_min = qroute.compute_f_min(net, 5)
     return net, info, RoutingParams(k=6, l_max=5, alpha=1.0, beta=1.0, f_min=f_min)
 
@@ -491,7 +491,7 @@ def test_infeasible_outcome_rejected():
     net = line_network([3])
     outcome = RoutingOutcome("PS", {(0, 0): 10}, PathSet({(0, 0): ((0, 1),)}, {(0, 0): 1}))
     with pytest.raises(InvariantError, match="exceeds capacity"):
-        _assert_feasible(outcome, net)
+        _assert_feasible(outcome, outcome.paths.capacities(net))
 
 
 def test_run_algorithm_checks_each_core_for_feasibility(monkeypatch):
@@ -503,6 +503,21 @@ def test_run_algorithm_checks_each_core_for_feasibility(monkeypatch):
         monkeypatch.setattr(scheduler, core, lambda *args, result=result: result)
         with pytest.raises(InvariantError, match="exceeds capacity"):
             run_algorithm(name, line_network([3]), info, params())
+
+
+def test_run_algorithm_checks_the_f_min_floor(monkeypatch):
+    # three one-hop paths on one edge; l_max = 2 keeps the first two there,
+    # so those are live and (2, 0) is not. A live path below f_min, or a
+    # path that is not live with flow, is caught on PS and on PU
+    keys = [(r, 0) for r in range(3)]
+    info = PathSet(dict.fromkeys(keys, ((0, 1),)), dict.fromkeys(keys, 1))
+    assert info.kept(2).live_paths == [0, 1]
+    for flows, message in (([4, 5, 0], "below f_min"), ([5, 5, 3], "not live")):
+        for name, core, result in [("PS", "_proportional_share", (flows, {})),
+                                   ("PU", "_propagatory_core", flows)]:
+            monkeypatch.setattr(scheduler, core, lambda *args, result=result: result)
+            with pytest.raises(InvariantError, match=message):
+                run_algorithm(name, line_network([30]), info, params(l_max=2, f_min=5))
 
 
 def test_outcome_rejects_flows_off_the_path_set_order():
@@ -671,7 +686,8 @@ def random_routed_window(rng, kind):
     ctx = prepare_trial(config, int(rng.integers(0, 2**31)))
     if ctx.reason is not None:
         return None
-    return ctx.revised, build_path_info(ctx.paths, ctx.params.l_max), ctx.params, ctx.requests
+    info = build_path_info(ctx.revised, ctx.paths, ctx.params.l_max)
+    return ctx.revised, info, ctx.params, ctx.requests
 
 
 def test_pu_core_matches_reference_on_random_windows():
