@@ -41,48 +41,52 @@ class Path:
         return tuple(map(edge_key, self.nodes, self.nodes[1:]))
 
 
-def _shortest_paths(masks: EdgeMasks, root: tuple[int, ...], t: int, banned: int = 0,
-                    banned_next: int = 0) -> Iterator[tuple[int, ...]]:
-    """Every shortest path, in (length, node sequence) order, that starts
-    with ``root`` and continues from ``u = root[-1]`` to t without entering
-    the nodes of ``banned`` and without a first hop in ``banned_next``.
+def _reached(offsets: tuple[tuple[int, int], ...], frontier: int) -> int:
+    """The nodes one active edge away from those of ``frontier``."""
+    reached = 0
+    for off, mask in offsets:
+        reached |= (frontier & mask) << off | (frontier >> off) & mask
+    return reached
 
-    ``banned`` and ``banned_next`` are node bitmasks. In Yen's loop
-    ``banned`` holds ``root[:-1]``, and ``banned_next`` the next hops
-    ``p[i + 1]`` of the accepted paths ``p`` that share the root: every edge
-    Yen bans at spur index ``i`` is ``(p[i], p[i + 1]) = (u, p[i + 1])``, so
-    all of them touch ``u`` and matter only for the first hop. ``banned``
-    holds neither ``u`` nor ``t``.
 
-    A BFS from t keeps one bitmask per level. With F the frontier and M the
-    mask of edge offset ``off``, one level is the OR of ``((F & M) << off) |
-    ((F >> off) & M)`` over all offsets, minus the nodes already seen; banned
-    nodes, t and u start seen. It stops at the first level that meets u's
-    allowed first hops; every level below is complete and independent of
-    u's edges. Each node of a level has a neighbour on the level below, so
-    the levels hold the shortest-path DAG to t, and a depth-first walk down
-    them from u that takes neighbours in ascending id never dead-ends and
-    yields every shortest continuation once, in lexicographic order.
-    """
+def _levels_to(masks: EdgeMasks, u: int, t: int, banned: int,
+               first_hops: int) -> list[int] | None:
+    """BFS levels from t, as node bitmasks, up to the first that meets
+    ``first_hops``, the allowed first hops of u; None when the search runs
+    out first.
+
+    With F the frontier and M the mask of edge offset ``off``, one level is
+    the OR of ``((F & M) << off) | ((F >> off) & M)`` over all offsets,
+    minus the nodes already seen; the nodes of ``banned``, t and u start
+    seen. Every level kept is complete and independent of u's edges, and
+    each node of a level has a neighbour on the level below, so the levels
+    hold the shortest-path DAG from u's allowed first hops to t."""
     offsets, neighbours = masks
-    u = root[-1]
-    first_hops = neighbours[u] & ~banned_next
     frontier = 1 << t
     unseen = ((1 << len(neighbours)) - 1) ^ (banned | frontier | 1 << u)
     levels = []
     while not frontier & first_hops:
         if not frontier:
-            return
+            return None
         levels.append(frontier)
-        reached = 0
-        for off, mask in offsets:
-            reached |= (frontier & mask) << off | (frontier >> off) & mask
-        frontier = reached & unseen
+        frontier = _reached(offsets, frontier) & unseen
         unseen ^= frontier
     levels.append(frontier)
-    # stack[j]: the untried nodes for nodes[len(root) + j], on levels[-1 - j]
-    nodes = list(root)
-    stack = [first_hops & frontier]
+    return levels
+
+
+def _shortest_paths(masks: EdgeMasks, s: int, t: int) -> Iterator[tuple[int, ...]]:
+    """Every shortest s-t path over active edges, in (length, node
+    sequence) order: the s-t shortest-path DAG. A depth-first walk down the
+    BFS levels from s that takes neighbours in ascending id never dead-ends
+    and yields every shortest path once, in lexicographic order."""
+    neighbours = masks.neighbours
+    levels = _levels_to(masks, s, t, 0, neighbours[s])
+    if levels is None:
+        return
+    # stack[j]: the untried nodes for nodes[1 + j], on levels[-1 - j]
+    nodes = [s]
+    stack = [neighbours[s] & levels[-1]]
     while stack:
         choices = stack[-1]
         if not choices:
@@ -98,9 +102,66 @@ def _shortest_paths(masks: EdgeMasks, root: tuple[int, ...], t: int, banned: int
             continue
         below = neighbours[node] & levels[d - 1]
         if not below:
-            raise InvariantError(f"spur walk found no neighbor of node {node} at distance {d - 1}")
+            raise InvariantError(f"DAG walk found no neighbor of node {node} at distance {d - 1}")
         nodes.append(node)
         stack.append(below)
+
+
+def _spur_search(masks: EdgeMasks, root: tuple[int, ...], t: int, banned: int,
+                 banned_next: int) -> tuple[int, ...] | None:
+    """The smallest path in (length, node sequence) order that starts with
+    ``root`` and continues from ``u = root[-1]`` to t without entering the
+    nodes of ``banned`` and without a first hop in ``banned_next``; None
+    when there is none.
+
+    ``banned`` and ``banned_next`` are node bitmasks. In Yen's loop
+    ``banned`` holds ``root[:-1]``, and ``banned_next`` the next hops
+    ``p[i + 1]`` of the accepted paths ``p`` that share the root: every edge
+    Yen bans at spur index ``i`` is ``(p[i], p[i + 1]) = (u, p[i + 1])``, so
+    all of them touch ``u`` and matter only for the first hop. ``banned``
+    holds neither ``u`` nor ``t``. The walk down the BFS levels from u steps
+    to the lowest node of each level below, which is the first path a
+    depth-first walk in ascending id would yield.
+    """
+    neighbours = masks.neighbours
+    first_hops = neighbours[root[-1]] & ~banned_next
+    levels = _levels_to(masks, root[-1], t, banned, first_hops)
+    if levels is None:
+        return None
+    nodes = list(root)
+    below = first_hops & levels[-1]
+    for d in range(len(levels) - 2, -1, -1):
+        node = (below & -below).bit_length() - 1
+        nodes.append(node)
+        below = neighbours[node] & levels[d]
+        if not below:
+            raise InvariantError(f"spur walk found no neighbor of node {node} at distance {d}")
+    nodes.append(t)
+    return tuple(nodes)
+
+
+def _distance(offsets: tuple[tuple[int, int], ...], levels: list[int], hops: int,
+              limit: int) -> int | None:
+    """The distance to t over all active edges of the nearest node of
+    ``hops`` when it is at most ``limit``, else ``limit + 1``; None when
+    hops is empty or the BFS runs out within ``limit`` levels without
+    meeting it. ``levels[d]`` holds the nodes d hops from t, starting from
+    ``[1 << t]``; the list grows in place no deeper than ``limit``, and
+    ends in 0 once the BFS has run out."""
+    if not hops:
+        return None
+    d = 0
+    while not hops & levels[d]:
+        if not levels[d]:
+            return None
+        if d == limit:
+            return d + 1
+        d += 1
+        if d == len(levels):
+            # the neighbours of level d - 1 lie on levels d - 2, d - 1 and d
+            seen = levels[-1] | (levels[-2] if d > 1 else 0)
+            levels.append(_reached(offsets, levels[-1]) & ~seen)
+    return d
 
 
 def k_shortest_paths(net: Network, s: int, t: int, k: int,
@@ -111,24 +172,51 @@ def k_shortest_paths(net: Network, s: int, t: int, k: int,
 
     The order is total, so when the s-t shortest-path DAG holds at least k
     paths, its first k (from ``_shortest_paths``) are the answer. Otherwise
-    Yen's algorithm runs; each spur search, the first yield of
-    ``_shortest_paths``, gives the smallest path that shares the root
-    ``prev[:i + 1]`` and whose next hop is not that of an accepted path
-    sharing the root. Lawler's (1972) restriction spurs each path only from
-    the index at which it left its parent: the spurs below it were the
-    parent's already. The spur sets then partition the paths not yet
-    accepted, so each candidate is found exactly once, the heap needs no
-    duplicate check, and its smallest entry is always the next path.
+    Yen's algorithm runs. The spur search at index i of an accepted path
+    ``prev`` (``_spur_search``) gives the smallest path of its spur set: the
+    paths that share the root ``prev[:i + 1]`` and whose next hop is not
+    that of an accepted path sharing the root. Lawler's (1972) restriction
+    spurs each path only from the index at which it left its parent: the
+    spurs below it were the parent's already. The spur sets then partition
+    the paths not yet accepted, so each candidate is found exactly once,
+    the heap needs no duplicate check, and its smallest path is always the
+    next one, once every spur set has given its smallest.
+
+    Spur searches are deferred. Visiting an index pushes ``(bound, root)``
+    with the masks of the moment instead of a path. With d the smallest
+    distance to t, over all active edges, of u's allowed first hops, the
+    bound is the larger of ``len(prev) - 1`` and ``i + 1 + d``; a spur with
+    no such hop, or none that reaches t, has an empty set and pushes
+    nothing. The entry sorts at or below every path of its set: those paths
+    follow ``prev`` in the order, so none is shorter than ``len(prev) - 1``
+    hops; none is shorter than ``i + 1 + d`` either; and the root, which
+    holds no t, is a proper prefix of each, so it sorts first among equal
+    lengths. Only the entry on top of the heap runs its search, and the path
+    it finds takes the entry's place. A path on top thus sorts at or below
+    every path of every set, so the paths popped are those of eager Yen, in
+    the same order, and a spur whose entry never reaches the top is never
+    searched.
+
+    The distance levels, one BFS from t per call, grow only as deep as a
+    bound needs. A push reads them down to the depth that tells whether the
+    bound exceeds ``len(prev) - 1``, and takes a hop found no nearer as one
+    level past it, which keeps the bound a bound. An entry on top whose
+    first hops all lie beyond its bound is pushed back with the bound one
+    higher, until no hop does.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if s == t:
         raise ValueError("source and terminal must differ")
     masks = net.edge_masks()
-    shortest = list(islice(_shortest_paths(masks, (s,), t), k))
+    offsets, neighbours = masks
+    shortest = list(islice(_shortest_paths(masks, s, t), k))
     # with fewer than k shortest paths, Yen starts from the smallest
     accepted = shortest if len(shortest) == k else shortest[:1]
-    candidates: list[tuple[int, tuple[int, ...], int]] = []
+    # (length, path, i) for a path found at spur index i, and (bound, root,
+    # banned, banned_next) for a spur not searched yet
+    heap: list[tuple] = []
+    levels = [1 << t]
     deviation = 0
     while 0 < len(accepted) < k:
         prev = accepted[-1]
@@ -142,13 +230,29 @@ def k_shortest_paths(net: Network, s: int, t: int, k: int,
             banned_next = 0
             for p in sharing:
                 banned_next |= 1 << p[i + 1]
-            cand = next(_shortest_paths(masks, prev[:i + 1], t, banned, banned_next), None)
-            if cand is not None:
-                heapq.heappush(candidates, (len(cand) - 1, cand, i))
+            d = _distance(offsets, levels, neighbours[u] & ~(banned | banned_next),
+                          len(prev) - 2 - i)
+            if d is not None:
+                heapq.heappush(heap, (max(len(prev) - 1, i + 1 + d), prev[:i + 1],
+                                      banned, banned_next))
             banned |= 1 << u
-        if not candidates:
+        # only a path ends in t: search the spurs whose entries sort first
+        while heap and heap[0][1][-1] != t:
+            bound, root, banned, banned_next = heap[0]
+            i = len(root) - 1
+            d = _distance(offsets, levels, neighbours[root[-1]] & ~(banned | banned_next),
+                          bound - i - 1)
+            if d is not None and i + 1 + d > bound:
+                heapq.heapreplace(heap, (bound + 1, root, banned, banned_next))
+                continue
+            cand = None if d is None else _spur_search(masks, root, t, banned, banned_next)
+            if cand is None:
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(heap, (len(cand) - 1, cand, i))
+        if not heap:
             break
-        _, best, deviation = heapq.heappop(candidates)
+        _, best, deviation = heapq.heappop(heap)
         accepted.append(best)
     return [Path(request_id, rank, nodes) for rank, nodes in enumerate(accepted)]
 

@@ -8,8 +8,12 @@ each stage to its oracles and tests):
 - lattice: ``expected_edge_count`` for ``build_lattice``, and
   ``reference_edge_masks`` for ``Network.edge_masks``;
 - purification: ``reference_purify_network``;
-- k shortest paths: the exhaustive ``enumerate_loopless_paths`` and
-  ``reference_k_shortest_paths`` (Yen over the BFS ``_lex_shortest``);
+- k shortest paths: the exhaustive ``enumerate_loopless_paths``,
+  ``reference_k_shortest_paths`` (eager Yen, which runs the BFS
+  ``_lex_shortest`` at every spur index, where ``k_shortest_paths`` defers
+  each search until its bound reaches the top of the heap), and
+  ``yen_spurs`` (the spurs Yen visits, read from its output, where the
+  eager Yen runs a search each);
 - H, its truncation and the two-stage rules, and PS:
   ``reference_truncate_edge_paths``, ``reference_two_stage_weights``,
   ``reference_apportion_two_stage``, ``reference_kept`` and
@@ -303,6 +307,31 @@ def reference_k_shortest_paths(net: Network, s: int, t: int, k: int,
         _, best = heapq.heappop(candidates)
         accepted.append(best)
     return [Path(request_id, rank, nodes) for rank, nodes in enumerate(accepted)]
+
+
+def yen_spurs(paths: Sequence[tuple[int, ...]],
+              k: int) -> list[tuple[tuple[int, ...], frozenset[int]]]:
+    """The spurs that Yen with Lawler's restriction visits, in visiting
+    order, when its k shortest paths are ``paths`` (node tuples, in order):
+    per spur index of an accepted path p, the root ``p[:i + 1]`` and the
+    banned next hops, those of the paths accepted so far that share the
+    root. None when the shortest-path DAG holds k paths and answers alone.
+
+    Yen spurs every path it accepts but the k-th, each from the index at
+    which it left its parent: the earlier path it shares the longest prefix
+    with (index 0 for the first path). An eager Yen runs one spur search per
+    spur, with these masks.
+    """
+    if not paths or (len(paths) == k and len(paths[-1]) == len(paths[0])):
+        return []
+    spurs = []
+    for j, p in enumerate(paths if len(paths) < k else paths[:-1]):
+        shared = [next((n for n, (a, b) in enumerate(zip(p, q)) if a != b), len(p))
+                  for q in paths[:j]]
+        for i in range(max(shared, default=1) - 1, len(p) - 1):
+            root = p[:i + 1]
+            spurs.append((root, frozenset(q[i + 1] for q in paths[:j + 1] if q[:i + 1] == root)))
+    return spurs
 
 
 # ------------------------------------------------------------ H and its rules

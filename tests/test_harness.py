@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import (KeyedOutcome, reference_evaluate, reference_run_trial,
-                      reference_with_paths, untimed)
+                      reference_with_paths, untimed, yen_spurs)
 
-from qroute import harness, pathfinder
+from qroute import harness
 from qroute.config import load_config
 from qroute.harness import (ExperimentConfig, ObjectiveWeights, RequestSpec,
                             aggregate, degrade_outcome, failure_experiment,
@@ -114,25 +114,20 @@ def test_run_trial_matches_reference(kind):
 BASELINE = pathlib.Path(__file__).resolve().parent.parent / "configs" / "baseline.yml"
 
 
-def test_pinned_baseline_windows_skip_yen(monkeypatch):
+def test_pinned_baseline_windows_skip_yen():
     # configs/baseline.yml pins two requests at lattice offset (3, 3), whose
     # shortest-path DAG holds C(6, 3) = 20 paths on the complete lattice, and
     # k = 10. On most revised networks it still holds k, so k_shortest_paths
-    # takes its prefix and runs no spur search.
+    # takes its prefix and Yen visits no spur index.
     config = load_config(str(BASELINE))
-    roots = []
-    shortest_paths = pathfinder._shortest_paths
-    monkeypatch.setattr(pathfinder, "_shortest_paths",
-                        lambda masks, root, *args: roots.append(root)
-                        or shortest_paths(masks, root, *args))
     windows, yen_windows = 60, 0
     for seed in range(windows):
-        roots.clear()
         ctx = prepare_trial(config, seed)
         reference = reference_with_paths(ctx)
         assert (ctx.paths, ctx.reason) == (reference.paths, reference.reason)
-        # one search from each request's source, and spur searches if Yen ran
-        yen_windows += len(roots) > len(ctx.requests)
+        yen_windows += any(
+            yen_spurs([p.nodes for p in ctx.paths if p.request_id == r.id], ctx.params.k)
+            for r in ctx.requests)
         if seed < 10:
             assert untimed(record_to_dict(run_trial(config, seed))) == \
                 untimed(record_to_dict(reference_run_trial(config, seed)))

@@ -3,7 +3,8 @@ asserts, so they must still fire under ``python -O``; and the conditions
 under which k_shortest_paths answers with the shortest-path DAG's prefix
 instead of running Yen, the two-stage apportionment splits tied weights in
 closed form, and PU's residual deduction takes its closed form, are ordinary
-comparisons, so those shortcuts must still equal their references there.
+comparisons, so those shortcuts must still equal their references there;
+so are the bounds that order Yen's deferred spur searches on its heap.
 PU's two-pass stop is one too, so ``test_pu_stops_at_the_fixed_point``
 must still find no edge over capacity and no path left with room there, and
 so is the rule by which a window reuses PS's and PU's schedules across
@@ -36,6 +37,8 @@ INVARIANT_TESTS = {
 
 #: k_shortest_paths, DAG prefix and Yen alike, against the reference Yen and
 #: the exhaustive oracle on DAGs holding k - 1, k and k + 1 shortest paths;
+#: Yen's deferred spur searches against the reference Yen, each at a spur
+#: Yen visited, and fewer than eager Yen's;
 #: the two-stage apportionment, closed form and weighed, against its
 #: reference; PU's closed-form residual against the bulk and unit-step oracles;
 #: PU's two-pass stop against the fixed point's definition; a window's reused
@@ -45,7 +48,8 @@ INVARIANT_TESTS = {
 REUSE_TESTS = {
     "tests/test_netmodel.py": ("test_edge_masks_equal_reference_build",),
     "tests/test_pathfinder.py": (
-        "test_shortest_path_dag_with_k_minus_1_k_and_k_plus_1_paths",),
+        "test_shortest_path_dag_with_k_minus_1_k_and_k_plus_1_paths",
+        "test_spur_searches_are_deferred"),
     "tests/test_properties.py": ("test_node_tuple_path_set_equals_keyed_build",),
     "tests/test_scheduler.py": ("test_tied_weights_apportion_in_closed_form",
                                 "test_pu_residual_on_tied_lengths_matches_oracles",

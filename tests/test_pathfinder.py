@@ -1,15 +1,17 @@
+from collections import Counter
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
 import pytest
 from conftest import _lex_shortest as reference_lex_shortest
 from conftest import (abstract_network, adjacency, assert_kept_views,
-                      enumerate_loopless_paths, reference_k_shortest_paths)
+                      enumerate_loopless_paths, reference_k_shortest_paths, yen_spurs)
 
 from qroute import pathfinder
 from qroute.netmodel import TOPOLOGIES, EdgeMasks, InvariantError, build_lattice
-from qroute.pathfinder import (Path, PathSet, _shortest_paths, build_path_info, edge_key,
-                               k_shortest_paths)
+from qroute.pathfinder import (Path, PathSet, _shortest_paths, _spur_search, build_path_info,
+                               edge_key, k_shortest_paths)
 
 
 def active_lattice(rows, cols, kind="square", dead_edges=()):
@@ -185,20 +187,26 @@ def random_active_lattice(rng, kind, rows, cols, dead_rate):
     return replace(net, active=tuple(bool(rng.random() >= dead_rate) for _ in net.edges))
 
 
-def test_matches_reference_yen_on_random_instances():
-    # spur searches that stop at the spur node, next-hop bans and Lawler's
-    # restriction give the node sequences of the full-BFS, every-index Yen
+def random_instances():
+    """(n, net, s, t, k) for 2400 small lattices of all three kinds, a third
+    each with no, 10% and 30% of the edges dead, and k from 1 to 30."""
     rng = np.random.default_rng(20)
-    disconnected = fewer_than_k = 0
     for n in range(2400):
         kind = TOPOLOGIES[n % len(TOPOLOGIES)]
         rows, cols = (int(x) for x in rng.integers(2, 9, size=2))
         net = random_active_lattice(rng, kind, rows, cols, (0.0, 0.1, 0.3)[n // 3 % 3])
         s, t = (int(x) for x in rng.choice(net.node_count, size=2, replace=False))
-        k = int(rng.integers(1, 31))
+        yield n, net, s, t, int(rng.integers(1, 31))
+
+
+def test_matches_reference_yen_on_random_instances():
+    # spur searches that stop at the spur node, next-hop bans and Lawler's
+    # restriction give the node sequences of the full-BFS, every-index Yen
+    disconnected = fewer_than_k = 0
+    for n, net, s, t, k in random_instances():
         got = k_shortest_paths(net, s, t, k, request_id=n)
         assert got == reference_k_shortest_paths(net, s, t, k, request_id=n), \
-            (kind, rows, cols, s, t, k)
+            (net.kind, net.rows, net.cols, s, t, k)
         disconnected += not got
         fewer_than_k += 0 < len(got) < k
     assert disconnected > 20 and fewer_than_k > 20
@@ -221,13 +229,12 @@ def components(adj):
     return out
 
 
-def test_matches_reference_yen_on_benchmark_sized_lattices():
-    # the lattice sizes of the benchmark, where the bitsets span many digits
-    # and spur searches many BFS levels. Every other pair on the sparsest
-    # lattices lies in one small component (4-30 nodes), which has fewer than
-    # k paths more often than not.
+def benchmark_sized_instances():
+    """(n, net, s, t, k) for 90 lattices of the benchmark's sizes, where the
+    bitsets span many digits and spur searches many BFS levels. Every other
+    pair on the sparsest lattices lies in one small component (4-30 nodes),
+    which has fewer than k paths more often than not."""
     rng = np.random.default_rng(21)
-    disconnected = fewer_than_k = 0
     for n in range(90):
         kind = TOPOLOGIES[n % len(TOPOLOGIES)]
         rows, cols = (int(x) for x in rng.integers(12, 25, size=2))
@@ -236,10 +243,15 @@ def test_matches_reference_yen_on_benchmark_sized_lattices():
         small = [c for c in components(adjacency(net)) if 4 <= len(c) <= 30]
         pool = small[int(rng.integers(len(small)))] if small and n % 2 else range(net.node_count)
         s, t = (int(x) for x in rng.choice(pool, size=2, replace=False))
-        k = int(rng.integers(1, 31))
+        yield n, net, s, t, int(rng.integers(1, 31))
+
+
+def test_matches_reference_yen_on_benchmark_sized_lattices():
+    disconnected = fewer_than_k = 0
+    for n, net, s, t, k in benchmark_sized_instances():
         got = k_shortest_paths(net, s, t, k, request_id=n)
         assert got == reference_k_shortest_paths(net, s, t, k, request_id=n), \
-            (kind, rows, cols, s, t, k)
+            (net.kind, net.rows, net.cols, s, t, k)
         disconnected += not got
         fewer_than_k += 0 < len(got) < k
     assert disconnected >= 3 and fewer_than_k >= 3
@@ -257,30 +269,35 @@ def nodes_of(mask):
 
 
 def record_spur_calls(monkeypatch):
-    """Wrap pathfinder._shortest_paths; returns the list of (u, t,
-    banned_nodes, banned_next, result) it fills, one entry per call:
-    ``banned_nodes`` is the root without u, in path order, and ``result``
-    the u-t part of the first path yielded (a spur search's candidate), or
-    None. Checks that the banned mask is exactly the root without u and that
-    the paths start with the root. The first call of each
-    ``k_shortest_paths`` is the one from ``(s,)``; any later call is a spur
-    search of Yen."""
+    """Wrap pathfinder._spur_search, which runs one spur search of Yen;
+    returns the list of (u, t, banned_nodes, banned_next, result) it fills,
+    one entry per search: ``banned_nodes`` is the root without u, in path
+    order, and ``result`` the u-t part of the path found, or None. Checks
+    that the banned mask is exactly the root without u and that the path
+    starts with the root."""
     calls = []
-    shortest_paths = pathfinder._shortest_paths
+    spur_search = pathfinder._spur_search
 
-    def recorded(masks, root, t, banned=0, banned_next=0):
-        paths = shortest_paths(masks, root, t, banned, banned_next)
-        cand = next(paths, None)
+    def recorded(masks, root, t, banned, banned_next):
+        cand = spur_search(masks, root, t, banned, banned_next)
         assert banned == bits(root[:-1])
         assert cand is None or cand[:len(root)] == root
         result = None if cand is None else cand[len(root) - 1:]
         calls.append((root[-1], t, root[:-1], set(nodes_of(banned_next)), result))
-        if cand is not None:
-            yield cand
-            yield from paths
+        return cand
 
-    monkeypatch.setattr(pathfinder, "_shortest_paths", recorded)
+    monkeypatch.setattr(pathfinder, "_spur_search", recorded)
     return calls
+
+
+def visited_spurs(calls, paths, k):
+    """The spurs, (root, banned next hops), that Yen visited to return
+    ``paths`` for this k; checks that each spur search in ``calls``, those
+    of that one call, ran at one of them with its masks, at most once."""
+    visited = yen_spurs([p.nodes for p in paths], k)
+    searched = Counter(((*nodes, u), frozenset(next_)) for u, _, nodes, next_, _ in calls)
+    assert searched <= Counter(visited)
+    return visited
 
 
 # 0 - 1 - 2
@@ -292,10 +309,9 @@ SQUARE_2x3_MASKS = active_lattice(2, 3).edge_masks()
 
 def spur(u, t, banned_nodes=(), banned_next=()):
     """The spur search on SQUARE_2x3 from u with the root ``(*banned_nodes,
-    u)``: the first path of _shortest_paths; returns its u-t part, or None."""
+    u)``; returns the u-t part of the path found, or None."""
     root = (*banned_nodes, u)
-    cand = next(_shortest_paths(SQUARE_2x3_MASKS, root, t, bits(banned_nodes),
-                                bits(banned_next)), None)
+    cand = _spur_search(SQUARE_2x3_MASKS, root, t, bits(banned_nodes), bits(banned_next))
     return None if cand is None else cand[len(banned_nodes):]
 
 
@@ -342,7 +358,7 @@ def with_row_path(net, s, t):
     """``net`` with the row segment from s to t's column revived, and the
     node there (one column over when t shares s's column). The segment is
     then the only shortest path between them on every lattice kind, so the
-    shortest-path DAG holds one path and Yen runs its spur searches."""
+    shortest-path DAG holds one path and Yen runs."""
     y, sx, tx = s // net.cols, s % net.cols, t % net.cols
     if tx == sx:
         tx = (sx + 1) % net.cols
@@ -352,26 +368,20 @@ def with_row_path(net, s, t):
     return replace(net, active=tuple(on or e in row for e, on in zip(net.edges, net.active))), t
 
 
-def spur_searches(calls, start):
-    """Spur searches recorded since ``calls[start]``, the call from ``(s,)``
-    of one ``k_shortest_paths``."""
-    return len(calls) - start - 1
-
-
 def test_spur_matches_reference_lex_shortest_on_yen_calls(monkeypatch):
     # every spur search of Yen runs on benchmark-sized lattices, replayed
     # through the reference BFS, which bans the edges (u, x) for x in banned_next
     calls = record_spur_calls(monkeypatch)
     rng = np.random.default_rng(22)
     replayed = 0
-    for n in range(24):
+    for n in range(81):
         kind = TOPOLOGIES[n % len(TOPOLOGIES)]
         net = random_active_lattice(rng, kind, 16, 16, (0.0, 0.1, 0.3)[n // 3 % 3])
         s, t = (int(x) for x in rng.choice(net.node_count, size=2, replace=False))
         net, t = with_row_path(net, s, t)
         calls.clear()
-        k_shortest_paths(net, s, t, 10)
-        assert spur_searches(calls, 0) > 0
+        paths = k_shortest_paths(net, s, t, 10)
+        assert visited_spurs(calls, paths, 10)
         adj = adjacency(net)
         for u, t_, banned_nodes, banned_next, result in calls:
             assert reference_lex_shortest(
@@ -385,13 +395,13 @@ def test_terminal_is_never_a_spur_node(monkeypatch):
     calls = record_spur_calls(monkeypatch)
     rng = np.random.default_rng(4)
     for kind in TOPOLOGIES:
-        for _ in range(10):
+        for _ in range(15):
             net = random_active_lattice(rng, kind, 4, 5, 0.1)
             s, t = (int(x) for x in rng.choice(net.node_count, size=2, replace=False))
             start = len(calls)
             paths = k_shortest_paths(net, s, t, 15)
             # fewer than k shortest paths, so Yen ran (unless s and t are cut off)
-            assert spur_searches(calls, start) > 0 or not paths
+            assert visited_spurs(calls[start:], paths, 15) or not paths
     assert len(calls) > 500
     for u, t, banned_nodes, banned_next, _ in calls:
         assert u != t and u not in banned_nodes and t not in banned_nodes
@@ -400,26 +410,48 @@ def test_terminal_is_never_a_spur_node(monkeypatch):
 
 def test_lawler_skips_spur_that_finds_a_candidate_twice(monkeypatch):
     # s = 0, t = 5 on SQUARE_2x3, k = 4: the shortest-path DAG holds the three
-    # paths of length 3, so Yen runs from the first. Path A = (0, 1, 2, 5)
-    # spurs at 0 -> C = (0, 3, 4, 5) and at 1 -> B = (0, 1, 4, 5); B is
-    # accepted next. Plain Yen would spur B at index 0 too and find C a second
-    # time, from a second parent; B left A at index 1, so it is spurred from
-    # index 1 only and C is found once, with A's deviation index. C, spurred
-    # from 0, finds D = (0, 3, 4, 1, 2, 5) at index 2.
+    # paths of length 3, so Yen runs from the first, A = (0, 1, 2, 5). A spur
+    # at index 0 finds C = (0, 3, 4, 5), one at 1 finds B = (0, 1, 4, 5), and
+    # B is accepted next. Plain Yen would spur B at index 0 too and find C a
+    # second time, from a second parent; B left A at index 1, so it is
+    # spurred from index 1 only and C is found once, with A's deviation
+    # index. C, spurred from 0, finds D = (0, 3, 4, 1, 2, 5) at index 2.
+    #
+    # Searches are deferred. Nodes 2 and 4 are 1 hop from t, 1 and 3 are 2,
+    # and 0 is 3. A at 0 (first hop 3) and at 1 (first hop 4) have the bound
+    # 3, A's length; A at 2 has no first hop (1 is banned, 5 is A's).
+    # (3, (0,)) is on top: its search finds C; (3, (0, 1)) then sorts below
+    # (3, C): its search finds B, on top, accepted. B at 1 has no first hop
+    # (2 and 4 are A's and B's); B at 2 (first hop 3) has the bound
+    # 2 + 1 + 2 = 5. C is on top, accepted. C at 0 and 1 have no first hop;
+    # C at 2 (first hop 1) has the bound 5 too. (Both enter the heap with 4,
+    # as deep as a push reads the distances, and are raised to 5 on top.)
+    # B's entry sorts first and finds nothing, as 3 leads only to the banned
+    # 0; C's finds D, the fourth path, and no other spur is searched.
     net = active_lattice(2, 3)
     assert adjacency(net) == SQUARE_2x3
     calls = record_spur_calls(monkeypatch)
     paths = k_shortest_paths(net, 0, 5, 4)
     assert [p.nodes for p in paths] == [(0, 1, 2, 5), (0, 1, 4, 5), (0, 3, 4, 5),
                                         (0, 3, 4, 1, 2, 5)]
-    assert [(u, nodes, next_) for u, _, nodes, next_, _ in calls] == [
-        (0, (), set()),                                    # the DAG, A first
-        (0, (), {1}), (1, (0,), {2}), (2, (0, 1), {5}),    # A at 0, 1, 2
-        (1, (0,), {2, 4}), (4, (0, 1), {5}),               # B at 1, 2
-        (0, (), {1, 3}), (3, (0,), {4}), (4, (0, 3), {5}),  # C at 0, 1, 2
+    assert calls == [
+        (0, 5, (), {1}, (0, 3, 4, 5)),            # A at 0, finds C
+        (1, 5, (0,), {2}, (1, 4, 5)),             # A at 1, finds B
+        (4, 5, (0, 1), {5}, None),                # B at 2
+        (4, 5, (0, 3), {5}, (4, 1, 2, 5)),        # C at 2, finds D
     ]
-    candidates = [nodes + result for _, _, nodes, _, result in calls if result]
-    assert len(candidates) == len(set(candidates)) == 4
+    visited = yen_spurs([p.nodes for p in paths], 4)
+    assert visited == [
+        ((0,), {1}), ((0, 1), {2}), ((0, 1, 2), {5}),       # A at 0, 1, 2
+        ((0, 1), {2, 4}), ((0, 1, 4), {5}),                 # B at 1, 2
+        ((0,), {1, 3}), ((0, 3), {4}), ((0, 3, 4), {5}),    # C at 0, 1, 2
+    ]
+    # the spurs never searched, A at 2, B at 1 and C at 0 and 1, have no
+    # allowed first hop and would have found nothing
+    searched = [((*nodes, u), next_) for u, _, nodes, next_, _ in calls]
+    never = [spur_ for spur_ in visited if spur_ not in searched]
+    assert never == [((0, 1, 2), {5}), ((0, 1), {2, 4}), ((0,), {1, 3}), ((0, 3), {4})]
+    assert all(spur(root[-1], 5, root[:-1], next_) is None for root, next_ in never)
     # the skipped spur, B at index 0, would have found C again
     assert spur(0, 5, (), {1}) == (0, 3, 4, 5)
 
@@ -435,18 +467,20 @@ def test_candidates_are_found_once(monkeypatch):
             calls.clear()
             paths = k_shortest_paths(net, s, t, 20)
             # fewer than k shortest paths, so Yen ran (unless s and t are cut off)
-            assert spur_searches(calls, 0) > 0 or not paths
-            searches += spur_searches(calls, 0)
+            assert visited_spurs(calls, paths, 20) or not paths
+            searches += len(calls)
             candidates = [nodes + result for _, _, nodes, _, result in calls if result]
             assert len(candidates) == len(set(candidates))
-            assert {p.nodes for p in paths} <= set(candidates)
+            # the first path is the DAG's, and every later one a spur search's
+            assert {p.nodes for p in paths[1:]} <= set(candidates)
     assert searches > 0
 
 
 def test_shortest_path_dag_with_k_minus_1_k_and_k_plus_1_paths(monkeypatch):
     # with m shortest s-t paths, k = m + 1, m and m - 1 give a DAG that holds
     # k - 1, k and k + 1 of them. The DAG's own prefix answers k <= m with no
-    # spur search; k = m + 1 needs Yen for its one longer path.
+    # spur index visited; k = m + 1 needs Yen, and a spur search for its one
+    # longer path.
     calls = record_spur_calls(monkeypatch)
     for rows, cols, kind, s, t, dead_edges in [
             (3, 3, "square", 0, 8, ()), (3, 4, "square", 1, 10, [(5, 6)]),
@@ -461,11 +495,33 @@ def test_shortest_path_dag_with_k_minus_1_k_and_k_plus_1_paths(monkeypatch):
             paths = k_shortest_paths(net, s, t, k, request_id=1)
             assert [p.nodes for p in paths] == oracle[:k]
             assert paths == reference_k_shortest_paths(net, s, t, k, request_id=1)
-            searches = spur_searches(calls, 0)
-            assert searches > 0 if k > m else searches == 0
+            visited = visited_spurs(calls, paths, k)
+            assert (visited and calls) if k > m else not visited and not calls
 
 
-def test_walk_without_closer_neighbour_raises_invariant_error():
+def test_spur_searches_are_deferred(monkeypatch):
+    # on the instances of both reference tests above, Yen returns the
+    # reference paths while it searches a spur only once its entry reaches
+    # the top of the heap: never more searches than spurs visited, and over
+    # all instances fewer than the visited spurs whose search finds a path,
+    # all of which eager Yen searches
+    calls = record_spur_calls(monkeypatch)
+    searched = finding = 0
+    for n, net, s, t, k in chain(random_instances(), benchmark_sized_instances()):
+        calls.clear()
+        got = k_shortest_paths(net, s, t, k, request_id=n)
+        assert got == reference_k_shortest_paths(net, s, t, k, request_id=n), \
+            (net.kind, net.rows, net.cols, s, t, k)
+        visited = visited_spurs(calls, got, k)
+        assert len(calls) <= len(visited)
+        searched += len(calls)
+        masks = net.edge_masks()
+        finding += sum(_spur_search(masks, root, t, bits(root[:-1]), bits(next_)) is not None
+                       for root, next_ in visited)
+    assert searched < finding
+
+
+def test_walk_without_closer_neighbour_raises_invariant_error(monkeypatch):
     # an explicit check, so it also holds under python -O. Masks whose
     # neighbour bits disagree with the offset masks: BFS from t = 0 reaches
     # every node along the offset-1 edges, but the broken node does not list
@@ -473,8 +529,19 @@ def test_walk_without_closer_neighbour_raises_invariant_error():
     path4 = (0b111, (0b0010, 0b0101, 0b1010, 0b0100))  # 0 - 1 - 2 - 3
     broken = EdgeMasks(((1, path4[0]),), path4[1][:2] + (0b1000,) + path4[1][3:])
     with pytest.raises(InvariantError, match="no neighbor of node 2 at distance 1"):
-        next(_shortest_paths(broken, (3,), 0))
+        next(_shortest_paths(broken, 3, 0))
+    with pytest.raises(InvariantError, match="no neighbor of node 2 at distance 1"):
+        _spur_search(broken, (3,), 0, 0, 0)
     # 0 - 1 - 2 where 1 does not list 0
     broken = EdgeMasks(((1, 0b011),), (0b010, 0b100, 0b010))
     with pytest.raises(InvariantError, match="no neighbor of node 1 at distance 0"):
-        next(_shortest_paths(broken, (2,), 0))
+        next(_shortest_paths(broken, 2, 0))
+    # the 2x2 square 0 - 1 - 3 - 2 - 0 where 3 does not list 1, through
+    # k_shortest_paths: the DAG from s = 0 to t = 1 is their edge alone, so
+    # k = 2 runs Yen, whose spur at 0 walks round through 2 and stalls at 3
+    net = active_lattice(2, 2)
+    offsets, neighbours = net.edge_masks()
+    broken = EdgeMasks(offsets, neighbours[:3] + (0b0100,))
+    monkeypatch.setattr(type(net), "edge_masks", lambda self: broken)
+    with pytest.raises(InvariantError, match="spur walk found no neighbor of node 3 at distance 0"):
+        k_shortest_paths(net, 0, 1, 2)

@@ -109,7 +109,7 @@ def test_k_shortest_paths_equal_reference_yen_on_damaged_lattices():
         paths = k_shortest_paths(net, s, t, k, request_id=2)
         assert paths == reference_k_shortest_paths(net, s, t, k, request_id=2)
         # does the shortest-path DAG alone hold the k paths?
-        covered[len(list(islice(_shortest_paths(net.edge_masks(), (s,), t), k))) == k] += 1
+        covered[len(list(islice(_shortest_paths(net.edge_masks(), s, t), k))) == k] += 1
 
     check()
     # the DAG's prefix answered some queries and Yen the others
