@@ -195,7 +195,6 @@ def route_window(ctx: TrialContext, points: Sequence[RoutingParams],
         raise ValueError(f"algorithms must name some of {ALGORITHMS} once each, got {algorithms}")
     summary = _summarize(ctx.revised)
     infos: dict[int, PathSet] = {}
-    capacities: dict[int, tuple[int, ...]] = {}  # per k, by edge id of its PathSet
     schedules: dict[tuple, AlgorithmResult] = {}  # result per (k, schedule_key)
     scores: dict[tuple, MetricsReport] = {}  # report per (k, flows)
     records = []
@@ -206,13 +205,12 @@ def route_window(ctx: TrialContext, points: Sequence[RoutingParams],
         results: dict[str, AlgorithmResult] = {}
         for name in algorithms:
             if ctx.reason is not None:
-                results[name] = AlgorithmResult(RoutingOutcome(name, {}, PathSet({}, {})),
+                results[name] = AlgorithmResult(RoutingOutcome(name, {}, PathSet((), [], (), [])),
                                                 zero_report(ctx.requests, ctx.reason))
                 continue
             if point.k not in infos:
                 infos[point.k] = build_path_info(
                     ctx.revised, (p for p in ctx.paths if p.rank < point.k), point.l_max)
-                capacities[point.k] = infos[point.k].capacities(ctx.revised)
             key = (point.k, schedule_key(name, infos[point.k], params))
             if key not in schedules:
                 t0 = time.perf_counter()
@@ -223,9 +221,9 @@ def route_window(ctx: TrialContext, points: Sequence[RoutingParams],
                     scores[scored] = evaluate(outcome, ctx.revised, ctx.requests, p_in)
                 schedules[key] = AlgorithmResult(outcome, scores[scored], dt)
             results[name] = schedules[key]
+        capacities = () if ctx.reason is not None else infos[point.k].capacities(ctx.revised)
         records.append(TrialRecord(ctx.seed, params, ctx.requests, summary, results,
-                                   ctx.stage_seconds, ctx.reason,
-                                   capacities.get(point.k, ())))
+                                   ctx.stage_seconds, ctx.reason, capacities))
     # the records keep their PathSets; the truncated views were only for routing
     for info in infos.values():
         info.release_views()

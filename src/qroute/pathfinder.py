@@ -49,44 +49,42 @@ def _reached(offsets: tuple[tuple[int, int], ...], frontier: int) -> int:
     return reached
 
 
-def _levels_to(masks: EdgeMasks, u: int, t: int, banned: int,
-               first_hops: int) -> list[int] | None:
-    """BFS levels from t, as node bitmasks, up to the first that meets
-    ``first_hops``, the allowed first hops of u; None when the search runs
-    out first.
-
-    With F the frontier and M the mask of edge offset ``off``, one level is
-    the OR of ``((F & M) << off) | ((F >> off) & M)`` over all offsets,
-    minus the nodes already seen; the nodes of ``banned``, t and u start
-    seen. Every level kept is complete and independent of u's edges, and
-    each node of a level has a neighbour on the level below, so the levels
-    hold the shortest-path DAG from u's allowed first hops to t."""
-    offsets, neighbours = masks
-    frontier = 1 << t
-    unseen = ((1 << len(neighbours)) - 1) ^ (banned | frontier | 1 << u)
-    levels = []
-    while not frontier & first_hops:
-        if not frontier:
+def _distance(offsets: tuple[tuple[int, int], ...], levels: list[int], hops: int) -> int | None:
+    """The distance to t over all active edges of the nearest node of
+    ``hops``; None when hops is empty or none of its nodes reaches t.
+    ``levels[d]`` holds the nodes d hops from t, starting from ``[1 << t]``:
+    one BFS from t, as node bitmasks, that grows in place only as deep as a
+    call needs, and ends in 0 once it has run out. With F the last level and
+    M the mask of edge offset ``off``, the next is the OR of ``((F & M) <<
+    off) | ((F >> off) & M)`` over all offsets, minus the last two levels."""
+    if not hops:
+        return None
+    d = 0
+    while not hops & levels[d]:
+        if not levels[d]:
             return None
-        levels.append(frontier)
-        frontier = _reached(offsets, frontier) & unseen
-        unseen ^= frontier
-    levels.append(frontier)
-    return levels
+        d += 1
+        if d == len(levels):
+            # the neighbours of level d - 1 lie on levels d - 2, d - 1 and d
+            seen = levels[-1] | (levels[-2] if d > 1 else 0)
+            levels.append(_reached(offsets, levels[-1]) & ~seen)
+    return d
 
 
-def _shortest_paths(masks: EdgeMasks, s: int, t: int) -> Iterator[tuple[int, ...]]:
+def _shortest_paths(masks: EdgeMasks, levels: list[int], s: int,
+                    t: int) -> Iterator[tuple[int, ...]]:
     """Every shortest s-t path over active edges, in (length, node
-    sequence) order: the s-t shortest-path DAG. A depth-first walk down the
-    BFS levels from s that takes neighbours in ascending id never dead-ends
-    and yields every shortest path once, in lexicographic order."""
+    sequence) order: the s-t shortest-path DAG. ``levels`` are the BFS
+    levels from t that ``_distance`` grows. A depth-first walk down them from
+    s that takes neighbours in ascending id never dead-ends and yields every
+    shortest path once, in lexicographic order."""
     neighbours = masks.neighbours
-    levels = _levels_to(masks, s, t, 0, neighbours[s])
-    if levels is None:
+    top = _distance(masks.offsets, levels, neighbours[s])
+    if top is None:
         return
-    # stack[j]: the untried nodes for nodes[1 + j], on levels[-1 - j]
+    # stack[j]: the untried nodes for nodes[1 + j], on levels[top - j]
     nodes = [s]
-    stack = [neighbours[s] & levels[-1]]
+    stack = [neighbours[s] & levels[top]]
     while stack:
         choices = stack[-1]
         if not choices:
@@ -96,9 +94,9 @@ def _shortest_paths(masks: EdgeMasks, s: int, t: int) -> Iterator[tuple[int, ...
         low = choices & -choices
         stack[-1] = choices ^ low
         node = low.bit_length() - 1
-        d = len(levels) - len(stack)
+        d = top + 1 - len(stack)
         if not d:
-            yield (*nodes, node)
+            yield (*nodes, t)
             continue
         below = neighbours[node] & levels[d - 1]
         if not below:
@@ -119,18 +117,28 @@ def _spur_search(masks: EdgeMasks, root: tuple[int, ...], t: int, banned: int,
     ``p[i + 1]`` of the accepted paths ``p`` that share the root: every edge
     Yen bans at spur index ``i`` is ``(p[i], p[i + 1]) = (u, p[i + 1])``, so
     all of them touch ``u`` and matter only for the first hop. ``banned``
-    holds neither ``u`` nor ``t``. The walk down the BFS levels from u steps
-    to the lowest node of each level below, which is the first path a
-    depth-first walk in ascending id would yield.
+    holds neither ``u`` nor ``t``. A BFS from t, with the nodes of
+    ``banned``, t and u seen from the start, runs up to the first level that
+    meets u's allowed first hops. Its levels are complete and independent of
+    u's edges, and each node of a level has a neighbour on the level below,
+    so the walk down them that steps to the lowest such node is the first
+    path a depth-first walk in ascending id would yield.
     """
-    neighbours = masks.neighbours
-    first_hops = neighbours[root[-1]] & ~banned_next
-    levels = _levels_to(masks, root[-1], t, banned, first_hops)
-    if levels is None:
-        return None
+    offsets, neighbours = masks
+    u = root[-1]
+    first_hops = neighbours[u] & ~banned_next
+    frontier = 1 << t
+    unseen = ((1 << len(neighbours)) - 1) ^ (banned | frontier | 1 << u)
+    levels = []
+    while not frontier & first_hops:
+        if not frontier:
+            return None
+        levels.append(frontier)
+        frontier = _reached(offsets, frontier) & unseen
+        unseen ^= frontier
     nodes = list(root)
-    below = first_hops & levels[-1]
-    for d in range(len(levels) - 2, -1, -1):
+    below = first_hops & frontier
+    for d in range(len(levels) - 1, -1, -1):
         node = (below & -below).bit_length() - 1
         nodes.append(node)
         below = neighbours[node] & levels[d]
@@ -138,30 +146,6 @@ def _spur_search(masks: EdgeMasks, root: tuple[int, ...], t: int, banned: int,
             raise InvariantError(f"spur walk found no neighbor of node {node} at distance {d}")
     nodes.append(t)
     return tuple(nodes)
-
-
-def _distance(offsets: tuple[tuple[int, int], ...], levels: list[int], hops: int,
-              limit: int) -> int | None:
-    """The distance to t over all active edges of the nearest node of
-    ``hops`` when it is at most ``limit``, else ``limit + 1``; None when
-    hops is empty or the BFS runs out within ``limit`` levels without
-    meeting it. ``levels[d]`` holds the nodes d hops from t, starting from
-    ``[1 << t]``; the list grows in place no deeper than ``limit``, and
-    ends in 0 once the BFS has run out."""
-    if not hops:
-        return None
-    d = 0
-    while not hops & levels[d]:
-        if not levels[d]:
-            return None
-        if d == limit:
-            return d + 1
-        d += 1
-        if d == len(levels):
-            # the neighbours of level d - 1 lie on levels d - 2, d - 1 and d
-            seen = levels[-1] | (levels[-2] if d > 1 else 0)
-            levels.append(_reached(offsets, levels[-1]) & ~seen)
-    return d
 
 
 def k_shortest_paths(net: Network, s: int, t: int, k: int,
@@ -197,26 +181,26 @@ def k_shortest_paths(net: Network, s: int, t: int, k: int,
     the same order, and a spur whose entry never reaches the top is never
     searched.
 
-    The distance levels, one BFS from t per call, grow only as deep as a
-    bound needs. A push reads them down to the depth that tells whether the
-    bound exceeds ``len(prev) - 1``, and takes a hop found no nearer as one
-    level past it, which keeps the bound a bound. An entry on top whose
-    first hops all lie beyond its bound is pushed back with the bound one
-    higher, until no hop does.
+    One BFS from t per call gives both the DAG walk's levels and every d;
+    it grows only as deep as the farthest of them.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    for node in (s, t):
+        if not 0 <= node < net.node_count:
+            raise ValueError(f"node {node} is not on the {net.rows}x{net.cols} lattice "
+                             f"(nodes 0..{net.node_count - 1})")
     if s == t:
         raise ValueError("source and terminal must differ")
     masks = net.edge_masks()
     offsets, neighbours = masks
-    shortest = list(islice(_shortest_paths(masks, s, t), k))
+    levels = [1 << t]
+    shortest = list(islice(_shortest_paths(masks, levels, s, t), k))
     # with fewer than k shortest paths, Yen starts from the smallest
     accepted = shortest if len(shortest) == k else shortest[:1]
     # (length, path, i) for a path found at spur index i, and (bound, root,
     # banned, banned_next) for a spur not searched yet
     heap: list[tuple] = []
-    levels = [1 << t]
     deviation = 0
     while 0 < len(accepted) < k:
         prev = accepted[-1]
@@ -230,26 +214,19 @@ def k_shortest_paths(net: Network, s: int, t: int, k: int,
             banned_next = 0
             for p in sharing:
                 banned_next |= 1 << p[i + 1]
-            d = _distance(offsets, levels, neighbours[u] & ~(banned | banned_next),
-                          len(prev) - 2 - i)
+            d = _distance(offsets, levels, neighbours[u] & ~(banned | banned_next))
             if d is not None:
                 heapq.heappush(heap, (max(len(prev) - 1, i + 1 + d), prev[:i + 1],
                                       banned, banned_next))
             banned |= 1 << u
         # only a path ends in t: search the spurs whose entries sort first
         while heap and heap[0][1][-1] != t:
-            bound, root, banned, banned_next = heap[0]
-            i = len(root) - 1
-            d = _distance(offsets, levels, neighbours[root[-1]] & ~(banned | banned_next),
-                          bound - i - 1)
-            if d is not None and i + 1 + d > bound:
-                heapq.heapreplace(heap, (bound + 1, root, banned, banned_next))
-                continue
-            cand = None if d is None else _spur_search(masks, root, t, banned, banned_next)
+            _, root, banned, banned_next = heap[0]
+            cand = _spur_search(masks, root, t, banned, banned_next)
             if cand is None:
                 heapq.heappop(heap)
             else:
-                heapq.heapreplace(heap, (len(cand) - 1, cand, i))
+                heapq.heapreplace(heap, (len(cand) - 1, cand, len(root) - 1))
         if not heap:
             break
         _, best, deviation = heapq.heappop(heap)
@@ -313,31 +290,14 @@ class PathSet:
     sorted order; each path is held once, as edge ids, and every reader
     works on these ids. ``path_edges`` is the keyed form, built from the ids
     on each read. ``build_path_info`` builds one from a network's lattice
-    edge indices; this constructor, from a keyed form.
+    edge indices, and ``from_edges`` from a keyed form.
     """
 
-    def __init__(self, path_edges: dict[PathKey, tuple[Edge, ...]],
-                 lengths: dict[PathKey, int]) -> None:
-        keys = sorted(path_edges)
-        edges = tuple(sorted({e for route in path_edges.values() for e in route}))
-        index = {e: j for j, e in enumerate(edges)}
-        self._index(tuple(keys), [lengths[key] for key in keys], edges,
-                    [list(map(index.__getitem__, path_edges[key])) for key in keys])
-
-    @classmethod
-    def _from_hops(cls, keys: tuple[PathKey, ...], lengths: list[int],
-                   lattice: tuple[Edge, ...], hops: list[list[int]]) -> PathSet:
-        """The PathSet of the paths ``keys``, in key order, whose ``hops``
-        are indices into the sorted edge tuple ``lattice``."""
-        info = cls.__new__(cls)
-        info._index(keys, lengths, lattice, hops)
-        return info
-
-    def _index(self, keys: tuple[PathKey, ...], lengths: list[int],
-               lattice: tuple[Edge, ...], hops: list[list[int]]) -> None:
-        """Number the edges of the paths ``keys`` (in key order), whose
-        ``hops`` are indices into the sorted edge tuple ``lattice``, in
-        lattice order, and build H as it goes."""
+    def __init__(self, keys: tuple[PathKey, ...], lengths: list[int],
+                 lattice: tuple[Edge, ...], hops: list[list[int]]) -> None:
+        """The paths ``keys``, in key order, whose ``hops`` are indices into
+        the sorted edge tuple ``lattice``; their edges are numbered in
+        lattice order, and H is built as it goes."""
         #: path id -> key
         self.keys = keys
         #: path id -> length in hops
@@ -353,6 +313,17 @@ class PathSet:
         self._incidence: list[list[int]] | None = list(filter(None, on))
         self._kept: dict[int, KeptPaths] = {}
         self._capacities: tuple[Network, tuple[int, ...]] | None = None
+
+    @classmethod
+    def from_edges(cls, path_edges: dict[PathKey, tuple[Edge, ...]],
+                   lengths: dict[PathKey, int]) -> PathSet:
+        """The PathSet of a keyed form: path key -> its edges in path order,
+        and path key -> its length."""
+        keys = sorted(path_edges)
+        edges = tuple(sorted({e for route in path_edges.values() for e in route}))
+        index = {e: j for j, e in enumerate(edges)}
+        return cls(tuple(keys), [lengths[key] for key in keys], edges,
+                   [list(map(index.__getitem__, path_edges[key])) for key in keys])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PathSet):
@@ -438,7 +409,6 @@ def build_path_info(net: Network, paths: Iterable[Path], l_max: int) -> PathSet:
     paths = sorted(paths, key=attrgetter("request_id", "rank"))
     by_node = net.edge_index()
     hops = [[by_node[a][b] for a, b in zip(p.nodes, p.nodes[1:])] for p in paths]
-    info = PathSet._from_hops(tuple(p.key for p in paths), [p.length for p in paths],
-                              net.edges, hops)
+    info = PathSet(tuple(p.key for p in paths), [p.length for p in paths], net.edges, hops)
     info.kept(l_max)
     return info

@@ -210,9 +210,10 @@ def record_from_dict(data: dict) -> TrialRecord:
     """The record ``record_to_dict`` wrote; a missing or misshapen
     ``paths.capacities`` or PS ``allocations`` raises ValueError with its
     key path."""
-    paths = PathSet({_decode_pathkey(k): tuple(_decode_edge(e) for e in edges)
-                     for k, edges in data["paths"]["path_edges"].items()},
-                    {_decode_pathkey(k): v for k, v in data["paths"]["lengths"].items()})
+    paths = PathSet.from_edges(
+        {_decode_pathkey(k): tuple(_decode_edge(e) for e in edges)
+         for k, edges in data["paths"]["path_edges"].items()},
+        {_decode_pathkey(k): v for k, v in data["paths"]["lengths"].items()})
     if "capacities" not in data["paths"]:
         raise ValueError("paths.capacities: missing; the record predates per-edge "
                          "capacities and cannot be read")

@@ -72,8 +72,8 @@ def line_network(capacities):
 
 def info_from_path_edges(path_edges, lengths=None):
     """Path set for abstract instances (length defaults to edge count)."""
-    return PathSet(path_edges, {key: (lengths or {}).get(key, len(edges))
-                                for key, edges in path_edges.items()})
+    return PathSet.from_edges(path_edges, {key: (lengths or {}).get(key, len(edges))
+                                           for key, edges in path_edges.items()})
 
 
 def random_fill_instance(rng, max_paths=4, max_edges=6, max_cap=12):
@@ -845,7 +845,7 @@ def reference_route_all(net: Network, paths: Sequence[Path], requests: Sequence[
 
 def reference_zero_results(algorithms: Sequence[str], requests: Sequence[Request],
                            reason: str) -> dict[str, AlgorithmResult]:
-    return {name: AlgorithmResult(RoutingOutcome(name, {}, PathSet({}, {})),
+    return {name: AlgorithmResult(RoutingOutcome(name, {}, PathSet.from_edges({}, {})),
                                   zero_report(requests, reason))
             for name in algorithms}
 

@@ -6,6 +6,7 @@ run is deterministic.
 """
 import time
 from dataclasses import replace
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -347,47 +348,45 @@ def test_criterion_10_determinism(tmp_path, monkeypatch):
 
 # -------------------------------------------------------------- criterion 11
 
-def median_schedule_seconds(cfg, algorithm, n_trials=15, batch=5, rounds=3):
-    """Seconds per ``run_algorithm`` call on the routable windows of
-    ``n_trials`` seeds: the median over windows of the mean of ``batch``
-    calls, best of ``rounds`` rounds, so that a few calls descheduled on a
-    busy host do not set it."""
-    windows = []
-    for i in range(n_trials):
-        ctx = prepare_trial(cfg, cfg.base_seed + i)
-        if ctx.reason is not None:
-            continue
-        info = build_path_info(ctx.revised, ctx.paths, ctx.params.l_max)
-        windows.append((ctx.revised, info, ctx.params))
-    medians = []
+def median_schedule_seconds(cfgs, algorithm, n_trials=15, batch=5, rounds=3):
+    """Per config, seconds per ``run_algorithm`` call on the routable
+    windows of ``n_trials`` seeds: the median over windows of the mean of
+    ``batch`` calls, best of ``rounds`` rounds, so that a few calls
+    descheduled on a busy host do not set it. Each round times the i-th
+    window of every config back to back before the next i, so that a host
+    whose speed changes during a round slows every config alike."""
+    rungs = []
+    for cfg in cfgs:
+        contexts = (prepare_trial(cfg, cfg.base_seed + i) for i in range(n_trials))
+        rungs.append([(ctx.revised, build_path_info(ctx.revised, ctx.paths, ctx.params.l_max),
+                       ctx.params) for ctx in contexts if ctx.reason is None])
+    best = [float("inf")] * len(cfgs)
     for _ in range(rounds):
-        times = []
-        for net, info, params in windows:
-            t0 = time.perf_counter()
-            for _ in range(batch):
-                run_algorithm(algorithm, net, info, params)
-            times.append((time.perf_counter() - t0) / batch)
-        medians.append(float(np.median(times)))
-    return min(medians)
+        times = [[] for _ in cfgs]
+        for windows in zip_longest(*rungs):
+            for window, rung_times in zip(windows, times):
+                if window is not None:
+                    t0 = time.perf_counter()
+                    for _ in range(batch):
+                        run_algorithm(algorithm, *window)
+                    rung_times.append((time.perf_counter() - t0) / batch)
+        best = [min(b, float(np.median(t))) for b, t in zip(best, times)]
+    return best
 
 
 def test_criterion_11_complexity_smoke():
     # PS: doubling |R|*k should not triple the scheduler time
     ladder = [(2, 5), (4, 5), (4, 10)]
-    ps_times = []
-    for n_req, k in ladder:
-        cfg = replace(BASELINE,
-                      routing=replace(BASELINE.routing, k=k),
-                      requests=RequestSpec(count=n_req, distance=3))
-        ps_times.append(median_schedule_seconds(cfg, "PS"))
+    ps_times = median_schedule_seconds(
+        [replace(BASELINE, routing=replace(BASELINE.routing, k=k),
+                 requests=RequestSpec(count=n_req, distance=3)) for n_req, k in ladder], "PS")
     for slow, fast in zip(ps_times[1:], ps_times):
         assert slow <= 3.0 * fast, f"PS times {ps_times} exceed 3x per doubling"
 
     # PU: at most linear growth in C0
-    pu_times = []
-    for c0 in (25, 50, 100):
-        cfg = replace(BASELINE, scenario=replace(BASELINE.scenario, c0=c0))
-        pu_times.append(median_schedule_seconds(cfg, "PU"))
+    pu_times = median_schedule_seconds(
+        [replace(BASELINE, scenario=replace(BASELINE.scenario, c0=c0)) for c0 in (25, 50, 100)],
+        "PU")
     for slow, fast in zip(pu_times[1:], pu_times):
         assert slow <= 2.5 * fast, f"PU times {pu_times} exceed 2.5x per C0 doubling"
     report(11, "complexity smoke",

@@ -167,8 +167,8 @@ def test_aggregate_order_independent():
 
 def mc_outcome():
     return RoutingOutcome("PS", {(0, 0): 5, (0, 1): 3},
-                          PathSet({(0, 0): ((0, 1),) * 3, (0, 1): ((1, 2),) * 4},
-                                  {(0, 0): 3, (0, 1): 4}))
+                          PathSet.from_edges({(0, 0): ((0, 1),) * 3, (0, 1): ((1, 2),) * 4},
+                                             {(0, 0): 3, (0, 1): 4}))
 
 
 def test_swap_monte_carlo_perfect_swaps():
@@ -186,7 +186,8 @@ def test_swap_monte_carlo_zero_success():
 @pytest.mark.parametrize("p_in", [1.5, float("nan"), -0.2])
 def test_swap_monte_carlo_rejects_bad_p_in(p_in):
     # one-hop paths draw no swap, yet p_in is checked as throughput checks it
-    one_hop = RoutingOutcome("PS", {(0, 0): 5}, PathSet({(0, 0): ((0, 1),)}, {(0, 0): 1}))
+    one_hop = RoutingOutcome("PS", {(0, 0): 5},
+                             PathSet.from_edges({(0, 0): ((0, 1),)}, {(0, 0): 1}))
     reqs = [Request(0, 0, 9, demand=1)]
     with pytest.raises(ValueError, match="p_in"):
         throughput(one_hop, reqs, p_in)

@@ -14,7 +14,7 @@ NET = line_network([100] * 8)
 
 
 def make_outcome(flows, lengths, path_edges, algorithm="PS"):
-    return RoutingOutcome(algorithm, flows, PathSet(path_edges, lengths))
+    return RoutingOutcome(algorithm, flows, PathSet.from_edges(path_edges, lengths))
 
 
 def simple_outcome():

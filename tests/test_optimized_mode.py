@@ -4,7 +4,9 @@ under which k_shortest_paths answers with the shortest-path DAG's prefix
 instead of running Yen, the two-stage apportionment splits tied weights in
 closed form, and PU's residual deduction takes its closed form, are ordinary
 comparisons, so those shortcuts must still equal their references there;
-so are the bounds that order Yen's deferred spur searches on its heap.
+so are the bounds that order Yen's deferred spur searches on its heap,
+whose distances come, like the DAG walk's levels, from the call's one BFS
+from the terminal.
 PU's two-pass stop is one too, so ``test_pu_stops_at_the_fixed_point``
 must still find no edge over capacity and no path left with room there, and
 so is the rule by which a window reuses PS's and PU's schedules across

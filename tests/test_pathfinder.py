@@ -1,3 +1,4 @@
+import pathlib
 from collections import Counter
 from dataclasses import replace
 from itertools import chain
@@ -8,7 +9,8 @@ from conftest import _lex_shortest as reference_lex_shortest
 from conftest import (abstract_network, adjacency, assert_kept_views,
                       enumerate_loopless_paths, reference_k_shortest_paths, yen_spurs)
 
-from qroute import pathfinder
+from qroute import harness, pathfinder
+from qroute.config import load_config
 from qroute.netmodel import TOPOLOGIES, EdgeMasks, InvariantError, build_lattice
 from qroute.pathfinder import (Path, PathSet, _shortest_paths, _spur_search, build_path_info,
                                edge_key, k_shortest_paths)
@@ -103,6 +105,13 @@ def test_argument_validation():
         k_shortest_paths(net, 2, 2, 1)
 
 
+@pytest.mark.parametrize("s, t, node", [(0, 9, 9), (9, 0, 9), (-1, 4, -1), (0, -2, -2)])
+def test_out_of_range_node_is_rejected(s, t, node):
+    # neither a silent [] nor a bare IndexError or shift error
+    with pytest.raises(ValueError, match=rf"node {node} is not on the 3x3 lattice"):
+        k_shortest_paths(active_lattice(3, 3), s, t, 2)
+
+
 def test_determinism():
     net = active_lattice(4, 4)
     a = k_shortest_paths(net, 0, 15, 9)
@@ -134,7 +143,7 @@ def test_build_path_info_empty():
     assert info.values() == [] and info.edges == () and info.keys == ()
     assert info.path_edges == {} and info.lengths == []
     assert info.kept(3) == ([], [], [], [], [])
-    assert info == PathSet({}, {})
+    assert info == PathSet.from_edges({}, {})
 
 
 def test_path_set_per_path_views():
@@ -159,10 +168,10 @@ def test_path_set_per_path_views():
     # the keyed form is not stored but rebuilt from the ids, into an equal PathSet
     assert "path_edges" not in vars(info)
     path_edges, lengths = info.path_edges, dict(zip(info.keys, info.lengths))
-    assert PathSet(path_edges, lengths) == info
+    assert PathSet.from_edges(path_edges, lengths) == info
     key = paths[0].key
-    assert PathSet({**path_edges, key: path_edges[key][::-1]}, lengths) != info
-    assert PathSet(path_edges, {**lengths, key: lengths[key] + 1}) != info
+    assert PathSet.from_edges({**path_edges, key: path_edges[key][::-1]}, lengths) != info
+    assert PathSet.from_edges(path_edges, {**lengths, key: lengths[key] + 1}) != info
 
 
 def test_path_set_kept_matches_per_edge_truncation():
@@ -424,8 +433,7 @@ def test_lawler_skips_spur_that_finds_a_candidate_twice(monkeypatch):
     # (3, C): its search finds B, on top, accepted. B at 1 has no first hop
     # (2 and 4 are A's and B's); B at 2 (first hop 3) has the bound
     # 2 + 1 + 2 = 5. C is on top, accepted. C at 0 and 1 have no first hop;
-    # C at 2 (first hop 1) has the bound 5 too. (Both enter the heap with 4,
-    # as deep as a push reads the distances, and are raised to 5 on top.)
+    # C at 2 (first hop 1) has the bound 5 too.
     # B's entry sorts first and finds nothing, as 3 leads only to the banned
     # 0; C's finds D, the fourth path, and no other spur is searched.
     net = active_lattice(2, 3)
@@ -521,6 +529,49 @@ def test_spur_searches_are_deferred(monkeypatch):
     assert searched < finding
 
 
+def test_one_bfs_from_t_per_call(monkeypatch):
+    # on the large_lattice benchmark windows (seeds 3-42), the DAG walk and
+    # the spur bounds of one k_shortest_paths call read one BFS from t, so no
+    # frontier is expanded twice outside the spur searches, which run their
+    # own BFS with banned nodes
+    config = load_config(str(pathlib.Path(__file__).resolve().parent.parent
+                             / "winbench" / "configs" / "large_lattice.yml"))
+    reached, spur_search = pathfinder._reached, pathfinder._spur_search
+    ksp = harness.k_shortest_paths
+    frontiers = []
+    in_spur = False
+    calls = searches = 0
+
+    def recorded_reached(offsets, frontier):
+        if not in_spur:
+            frontiers.append(frontier)
+        return reached(offsets, frontier)
+
+    def recorded_spur_search(*args):
+        nonlocal in_spur, searches
+        in_spur, searches = True, searches + 1
+        try:
+            return spur_search(*args)
+        finally:
+            in_spur = False
+
+    def recorded_ksp(*args, **kwargs):
+        nonlocal calls
+        frontiers.clear()
+        paths = ksp(*args, **kwargs)
+        calls += 1
+        assert len(frontiers) == len(set(frontiers)), f"a level repeats in call {calls}"
+        return paths
+
+    monkeypatch.setattr(pathfinder, "_reached", recorded_reached)
+    monkeypatch.setattr(pathfinder, "_spur_search", recorded_spur_search)
+    monkeypatch.setattr(harness, "k_shortest_paths", recorded_ksp)
+    for seed in range(3, 43):
+        harness.prepare_trial(config, seed)
+    # 12 requests per window, and Yen ran on some of them
+    assert calls == 40 * 12 and searches > 0
+
+
 def test_walk_without_closer_neighbour_raises_invariant_error(monkeypatch):
     # an explicit check, so it also holds under python -O. Masks whose
     # neighbour bits disagree with the offset masks: BFS from t = 0 reaches
@@ -529,13 +580,13 @@ def test_walk_without_closer_neighbour_raises_invariant_error(monkeypatch):
     path4 = (0b111, (0b0010, 0b0101, 0b1010, 0b0100))  # 0 - 1 - 2 - 3
     broken = EdgeMasks(((1, path4[0]),), path4[1][:2] + (0b1000,) + path4[1][3:])
     with pytest.raises(InvariantError, match="no neighbor of node 2 at distance 1"):
-        next(_shortest_paths(broken, 3, 0))
+        next(_shortest_paths(broken, [1 << 0], 3, 0))
     with pytest.raises(InvariantError, match="no neighbor of node 2 at distance 1"):
         _spur_search(broken, (3,), 0, 0, 0)
     # 0 - 1 - 2 where 1 does not list 0
     broken = EdgeMasks(((1, 0b011),), (0b010, 0b100, 0b010))
     with pytest.raises(InvariantError, match="no neighbor of node 1 at distance 0"):
-        next(_shortest_paths(broken, 2, 0))
+        next(_shortest_paths(broken, [1 << 0], 2, 0))
     # the 2x2 square 0 - 1 - 3 - 2 - 0 where 3 does not list 1, through
     # k_shortest_paths: the DAG from s = 0 to t = 1 is their edge alone, so
     # k = 2 runs Yen, whose spur at 0 walks round through 2 and stalls at 3

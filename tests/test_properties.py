@@ -109,7 +109,7 @@ def test_k_shortest_paths_equal_reference_yen_on_damaged_lattices():
         paths = k_shortest_paths(net, s, t, k, request_id=2)
         assert paths == reference_k_shortest_paths(net, s, t, k, request_id=2)
         # does the shortest-path DAG alone hold the k paths?
-        covered[len(list(islice(_shortest_paths(net.edge_masks(), s, t), k))) == k] += 1
+        covered[len(list(islice(_shortest_paths(net.edge_masks(), [1 << t], s, t), k))) == k] += 1
 
     check()
     # the DAG's prefix answered some queries and Yen the others
@@ -191,7 +191,7 @@ def test_node_tuple_path_set_equals_keyed_build():
             return
         paths = ctx.paths
         path_edges = {p.key: p.edge_keys() for p in sorted(paths, key=lambda p: p.key)}
-        keyed = PathSet(path_edges, {p.key: p.length for p in paths})
+        keyed = PathSet.from_edges(path_edges, {p.key: p.length for p in paths})
         caps = ctx.revised.capacity_map()
         for order in (paths, reversed(paths), data.draw(st.permutations(paths))):
             info = build_path_info(ctx.revised, order, ctx.params.l_max)
