@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
-from .netmodel import Edge, Network, Request
+from .netmodel import Network, Request
 from .scheduler import RoutingOutcome, left_sum
 
 
@@ -15,7 +15,6 @@ class MetricsReport:
 
     throughput: float
     min_flow: float
-    utilization: dict[Edge, float]
     u_ave: float
     u_var: float
     stretch_per_request: dict[int, float]
@@ -139,9 +138,10 @@ def evaluate(outcome: RoutingOutcome, net: Network, requests: Sequence[Request],
     """Every measure of one routing outcome, from one pass over its flows.
 
     F and F_min are the sum and minimum of the per-request terms of ``tally``;
-    u is used/capacity per edge carrying flow; gamma is the mean per-request
-    stretch; J_req is Jain's index over weighted per-request flows and J_path
-    the per-path index as printed (|R| normalizer, may exceed 1), next to a
+    U_ave and U_var are the mean and variance of used/capacity over the edges
+    carrying flow, in edge-id order; gamma is the mean per-request stretch;
+    J_req is Jain's index over weighted per-request flows and J_path the
+    per-path index as printed (|R| normalizer, may exceed 1), next to a
     variant normalized by the number of paths. An undefined measure reads 0
     and is flagged instead of raising.
     """
@@ -152,8 +152,8 @@ def evaluate(outcome: RoutingOutcome, net: Network, requests: Sequence[Request],
     t = tally(outcome, weights, p_in)
     n = len(requests)
     caps = net.capacity_map()
-    u = {e: used / caps[e] for e, used in zip(outcome.paths.edges, outcome.usage) if used > 0}
-    u_ave, u_var = _mean_var(list(u.values()))
+    u = [used / caps[e] for e, used in zip(outcome.paths.edges, outcome.usage) if used > 0]
+    u_ave, u_var = _mean_var(u)
     stretches = list(t.stretch.values())
     shares = [w * t.flow[r] for r, w in weights.items()]
     denom = n * left_sum(s * s for s in shares)
@@ -166,7 +166,6 @@ def evaluate(outcome: RoutingOutcome, net: Network, requests: Sequence[Request],
     return MetricsReport(
         throughput=left_sum(t.terms.values()),
         min_flow=min(t.terms.values()),
-        utilization=u,
         u_ave=u_ave,
         u_var=u_var,
         stretch_per_request=t.stretch,
@@ -182,7 +181,7 @@ def evaluate(outcome: RoutingOutcome, net: Network, requests: Sequence[Request],
 def zero_report(requests: Sequence[Request], reason: str) -> MetricsReport:
     """All-zero report for trials that could not route (no edges / no paths)."""
     return MetricsReport(
-        throughput=0.0, min_flow=0.0, utilization={}, u_ave=0.0, u_var=0.0,
+        throughput=0.0, min_flow=0.0, u_ave=0.0, u_var=0.0,
         stretch_per_request={}, stretch=0.0, jain_requests=0.0,
         jain_paths=0.0, jain_paths_normalized=0.0,
         demand_satisfied={r.id: False for r in requests},

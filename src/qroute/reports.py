@@ -4,7 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import xml.etree.ElementTree as ET
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .harness import AlgorithmResult, NetworkSummary, TrialRecord, report_values
 from .metrics import MetricsReport
@@ -100,14 +100,13 @@ def _decode_edge(text: str) -> tuple[int, int]:
 
 
 def outcome_to_dict(outcome: RoutingOutcome, key_str: dict[PathKey, str]) -> dict:
-    """Flows, and PS's allocations as one list per edge id, in the order of
-    that edge's ``kept(l_max).keys``; the paths are written once per record.
-    ``key_str`` holds the strings of the PathSet's keys; flows and
-    allocations are in key and edge order already."""
+    """Flows, and PS's allocation rows, one list per edge id; the paths are
+    written once per record. ``key_str`` holds the strings of the PathSet's
+    keys; flows are in key order already."""
     data = {"algorithm": outcome.algorithm,
             "flows": {key_str[k]: v for k, v in outcome.flows.items()}}
     if outcome.allocations is not None:
-        data["allocations"] = [list(alloc.values()) for alloc in outcome.allocations.values()]
+        data["allocations"] = [list(row) for row in outcome.allocations]
     return data
 
 
@@ -116,62 +115,53 @@ def _check_length(items: Sequence, expected: int, where: str, what: str) -> None
         raise ValueError(f"{where}: {len(items)} entries, expected {expected} ({what})")
 
 
-def outcome_from_dict(data: dict, paths: PathSet, l_max: int, where: str) -> RoutingOutcome:
-    """The outcome over ``paths``; PS's allocations are keyed again from
-    ``paths.kept(l_max)``. ``where`` is the key path of ``data``."""
+def _check_counts(values: Iterable, where: str) -> None:
+    for v in values:
+        if type(v) is not int or v < 0:
+            raise ValueError(f"{where}: {v!r} is not a non-negative int")
+
+
+def outcome_from_dict(data: dict, paths: PathSet, keys: list[str], l_max: int,
+                      where: str) -> RoutingOutcome:
+    """The outcome over ``paths``, whose keys are written as ``keys``; PS's
+    allocation rows are checked against ``paths.kept(l_max)`` and kept as
+    they are. ``where`` is the key path of ``data``."""
+    flows = data["flows"]
+    if list(flows) != keys:
+        raise ValueError(f"{where}.flows: must hold every path of paths.path_edges, "
+                         "in key order")
+    _check_counts(flows.values(), f"{where}.flows")
     allocations = None
     if "allocations" in data:
         rows = data["allocations"]
         kept = paths.kept(l_max).keys
         _check_length(rows, len(kept), f"{where}.allocations", "one list per path edge")
-        allocations = {}
         for e, (ids, row) in enumerate(zip(kept, rows)):
             _check_length(row, len(ids), f"{where}.allocations[{e}]",
                           f"the paths kept on edge {paths.edges[e]} at l_max = {l_max}")
-            allocations[paths.edges[e]] = {paths.keys[p]: v for p, v in zip(ids, row)}
-    return RoutingOutcome(
-        algorithm=data["algorithm"],
-        flows={_decode_pathkey(k): v for k, v in data["flows"].items()},
-        paths=paths, allocations=allocations)
+            _check_counts(row, f"{where}.allocations[{e}]")
+        allocations = tuple(map(tuple, rows))
+    return RoutingOutcome(data["algorithm"], dict(zip(paths.keys, flows.values())), paths,
+                          allocations)
 
 
 def report_to_dict(report: MetricsReport) -> dict:
-    """The report without its utilization, which the record's capacities and
-    the outcome's flows give; stretch is in request order already."""
-    return {
-        "throughput": report.throughput,
-        "min_flow": report.min_flow,
-        "u_ave": report.u_ave,
-        "u_var": report.u_var,
-        "stretch_per_request": {str(r): g for r, g in report.stretch_per_request.items()},
-        "stretch": report.stretch,
-        "jain_requests": report.jain_requests,
-        "jain_paths": report.jain_paths,
-        "jain_paths_normalized": report.jain_paths_normalized,
-        "demand_satisfied": {str(r): ok for r, ok in sorted(report.demand_satisfied.items())},
-        "flags": list(report.flags),
-    }
+    """The report's fields, in field order; stretch is in request order
+    already."""
+    return {**vars(report),
+            "stretch_per_request": {str(r): g for r, g in report.stretch_per_request.items()},
+            "demand_satisfied": {str(r): ok for r, ok
+                                 in sorted(report.demand_satisfied.items())},
+            "flags": list(report.flags)}
 
 
-def report_from_dict(data: dict, outcome: RoutingOutcome,
-                     capacities: Sequence[int]) -> MetricsReport:
-    """The report, with its utilization rebuilt as ``evaluate`` builds it:
-    used / cap per edge that carries flow, ``capacities`` by edge id."""
-    utilization = {e: used / cap for e, used, cap
-                   in zip(outcome.paths.edges, outcome.usage, capacities) if used > 0}
-    return MetricsReport(
-        throughput=data["throughput"],
-        min_flow=data["min_flow"],
-        utilization=utilization,
-        u_ave=data["u_ave"],
-        u_var=data["u_var"],
-        stretch_per_request={int(r): g for r, g in data["stretch_per_request"].items()},
-        stretch=data["stretch"],
-        jain_requests=data["jain_requests"],
-        jain_paths=data["jain_paths"],
-        jain_paths_normalized=data["jain_paths_normalized"],
-        demand_satisfied={int(r): ok for r, ok in data["demand_satisfied"].items()},
-        flags=tuple(data["flags"]))
+def report_from_dict(data: dict) -> MetricsReport:
+    """The report ``report_to_dict`` wrote, as it stands."""
+    return MetricsReport(**{
+        **data,
+        "stretch_per_request": {int(r): g for r, g in data["stretch_per_request"].items()},
+        "demand_satisfied": {int(r): ok for r, ok in data["demand_satisfied"].items()},
+        "flags": tuple(data["flags"])})
 
 
 def record_to_dict(record: TrialRecord) -> dict:
@@ -208,26 +198,31 @@ def record_to_dict(record: TrialRecord) -> dict:
 
 def record_from_dict(data: dict) -> TrialRecord:
     """The record ``record_to_dict`` wrote; a missing or misshapen
-    ``paths.capacities`` or PS ``allocations`` raises ValueError with its
+    ``paths.lengths`` or ``paths.capacities``, or flows or PS
+    ``allocations`` that do not match the paths, raise ValueError with their
     key path."""
+    path_edges, lengths = data["paths"]["path_edges"], data["paths"]["lengths"]
+    if lengths.keys() != path_edges.keys():
+        raise ValueError("paths.lengths: must hold one length per path of paths.path_edges")
     paths = PathSet.from_edges(
         {_decode_pathkey(k): tuple(_decode_edge(e) for e in edges)
-         for k, edges in data["paths"]["path_edges"].items()},
-        {_decode_pathkey(k): v for k, v in data["paths"]["lengths"].items()})
+         for k, edges in path_edges.items()},
+        {_decode_pathkey(k): v for k, v in lengths.items()})
+    keys = [_encode_pathkey(key) for key in paths.keys]
     if "capacities" not in data["paths"]:
         raise ValueError("paths.capacities: missing; the record predates per-edge "
                          "capacities and cannot be read")
     capacities = tuple(data["paths"]["capacities"])
     _check_length(capacities, len(paths.edges), "paths.capacities", "one per path edge")
+    _check_counts(capacities, "paths.capacities")
     params = RoutingParams(**data["params"])
     results = {}
     for name, res in data["results"].items():
-        outcome = outcome_from_dict(res["outcome"], paths, params.l_max,
+        outcome = outcome_from_dict(res["outcome"], paths, keys, params.l_max,
                                     f"results.{name}.outcome")
-        results[name] = AlgorithmResult(outcome,
-                                        report_from_dict(res["report"], outcome, capacities),
+        results[name] = AlgorithmResult(outcome, report_from_dict(res["report"]),
                                         res["schedule_seconds"])
-    # the allocations were keyed through the kept views; the record needs none
+    # the allocations were checked against the kept views; the record needs none
     paths.release_views()
     return TrialRecord(
         seed=data["seed"],

@@ -43,13 +43,15 @@ class RoutingOutcome:
     PS's per-edge allocations (PF's and PU's tables are their flows).
 
     ``flows`` holds every path of ``paths`` in key order, so its values line
-    up with path ids.
+    up with path ids. ``allocations`` holds one row per edge id, the units of
+    the paths ``paths.kept(l_max).keys[e]`` in that order, as the trial
+    record stores them.
     """
 
     algorithm: str
     flows: dict[PathKey, int]
     paths: PathSet
-    allocations: dict[Edge, dict[PathKey, int]] | None = None
+    allocations: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         if tuple(self.flows) != self.paths.keys:
@@ -172,29 +174,29 @@ def _apportion_two_stage(groups: RequestGroups, lengths: Sequence[float],
 
 def _proportional_share(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
                         f_min: int, alpha: float, beta: float
-                        ) -> tuple[list[int], dict[Edge, dict[PathKey, int]]]:
+                        ) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
     """Edge-local allocation: every kept path gets the f_min floor, the rest
     of the capacity is split by the two-stage proportional rule. A path's
     flow is its smallest allocation (the short-board constraint), and 0 when
-    it is not kept on every edge it crosses. Flows by path id and the
-    allocations per edge, ``capacity`` by edge id."""
-    keys, lengths = info.keys, info.lengths
-    flows = [0] * len(keys)
+    it is not kept on every edge it crosses. Flows by path id and one
+    allocation row per edge id, in ``kept.keys`` order; ``capacity`` by
+    edge id."""
+    flows = [0] * len(info.keys)
     for p in kept.live_paths:
         flows[p] = math.inf
-    allocations: dict[Edge, dict[PathKey, int]] = {}
+    allocations = []
     for e, (ids, groups) in enumerate(zip(kept.keys, kept.groups)):
         spare = capacity[e] - f_min * len(ids)
         if spare < 0:
             raise InvariantError(
                 f"edge {info.edges[e]} kept below l_max * f_min; was Step 1 skipped?")
-        extra = _apportion_two_stage(groups, lengths, spare, -alpha, beta)
-        alloc = allocations[info.edges[e]] = {}
-        for p, x in zip(ids, extra):
-            alloc[keys[p]] = share = f_min + x
+        row = tuple(f_min + x for x in _apportion_two_stage(groups, info.lengths, spare,
+                                                            -alpha, beta))
+        for p, share in zip(ids, row):
             if share < flows[p]:
                 flows[p] = share
-    return flows, allocations
+        allocations.append(row)
+    return flows, tuple(allocations)
 
 
 def _progressive_fill(info: PathSet, capacity: Sequence[int]) -> list[int]:

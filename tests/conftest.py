@@ -100,6 +100,16 @@ def by_key(info: PathSet, ids: Iterable[int], values: Iterable) -> dict[PathKey,
     return {info.keys[p]: value for p, value in zip(ids, values)}
 
 
+def keyed_allocations(outcome: RoutingOutcome, l_max: int) -> dict[Edge, dict[PathKey, int]]:
+    """PS's allocation rows keyed as the keyed oracles hold them: row e by
+    the edge ``info.edges[e]``, its entries by the paths
+    ``info.kept(l_max).keys[e]``."""
+    info = outcome.paths
+    return {e: dict(zip(map(info.keys.__getitem__, ids), row, strict=True))
+            for e, ids, row in zip(info.edges, info.kept(l_max).keys, outcome.allocations,
+                                   strict=True)}
+
+
 def truncate_keys(keys: Sequence[PathKey], lengths: dict[PathKey, int],
                   l_max: int) -> list[PathKey]:
     """``truncate_edge_paths`` over path keys, numbered in key order."""
@@ -712,14 +722,16 @@ def reference_per_request_throughput(outcome: KeyedOutcome, requests: Sequence[R
 
 
 def reference_utilization_stats(outcome: KeyedOutcome,
-                                net: Network) -> tuple[dict[Edge, float], float, float, bool]:
+                                net: Network) -> tuple[float, float, bool]:
+    """U_ave and U_var over used/capacity of the edges carrying flow, in
+    edge order, and whether there are none."""
     caps = net.capacity_map()
     usage = outcome.edge_usage()
     u = {e: used / caps[e] for e, used in usage.items() if used > 0}
     if not u:
-        return {}, 0.0, 0.0, True
+        return 0.0, 0.0, True
     values = np.fromiter(u.values(), dtype=float)
-    return u, float(values.mean()), float(values.var()), False
+    return float(values.mean()), float(values.var()), False
 
 
 def reference_stretch_factor(outcome: KeyedOutcome) -> tuple[dict[int, float], float, bool]:
@@ -765,7 +777,7 @@ def reference_evaluate(outcome: KeyedOutcome, net: Network, requests: Sequence[R
                        p_in: float) -> MetricsReport:
     """Every measure by its own pass over the keyed flows."""
     flags: list[str] = []
-    u, u_ave, u_var, no_traffic = reference_utilization_stats(outcome, net)
+    u_ave, u_var, no_traffic = reference_utilization_stats(outcome, net)
     if no_traffic:
         flags.append("no_traffic")
     per_req_stretch, stretch, stretch_undef = reference_stretch_factor(outcome)
@@ -785,7 +797,6 @@ def reference_evaluate(outcome: KeyedOutcome, net: Network, requests: Sequence[R
     return MetricsReport(
         throughput=ordered_sum(terms.values()),
         min_flow=min(terms.values()),
-        utilization=u,
         u_ave=u_ave,
         u_var=u_var,
         stretch_per_request=per_req_stretch,
@@ -885,15 +896,21 @@ def _reference_edge(edge: Edge) -> str:
     return f"{edge[0]}-{edge[1]}"
 
 
-def reference_outcome_to_dict(outcome: RoutingOutcome) -> dict:
+def reference_outcome_to_dict(outcome: RoutingOutcome, l_max: int) -> dict:
     data = {
         "algorithm": outcome.algorithm,
         "flows": {_reference_pathkey(k): v for k, v in sorted(outcome.flows.items())},
     }
     if outcome.allocations is not None:
-        # one list per edge, in edge order, of its allocations in key order
-        data["allocations"] = [[v for _, v in sorted(alloc.items())]
-                               for _, alloc in sorted(outcome.allocations.items())]
+        # PS's rows keyed by the edges and kept keys of ``reference_kept``,
+        # then one list per edge, in edge order, of its allocations in key order
+        paths = outcome.paths
+        kept = reference_kept(paths.path_edges, dict(zip(paths.keys, paths.lengths)),
+                              l_max)[0]
+        alloc = {e: dict(zip(keys, row, strict=True))
+                 for (e, keys), row in zip(kept.items(), outcome.allocations, strict=True)}
+        data["allocations"] = [[v for _, v in sorted(a.items())]
+                               for _, a in sorted(alloc.items())]
     return data
 
 
@@ -933,7 +950,7 @@ def reference_record_to_dict(record: TrialRecord) -> dict:
                            for k, edges in sorted(paths.path_edges.items())},
             "capacities": list(record.capacities),
         },
-        "results": {name: {"outcome": reference_outcome_to_dict(res.outcome),
+        "results": {name: {"outcome": reference_outcome_to_dict(res.outcome, record.params.l_max),
                            "report": reference_report_to_dict(res.report),
                            "schedule_seconds": res.schedule_seconds}
                     for name, res in record.results.items()},

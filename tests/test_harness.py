@@ -299,7 +299,7 @@ def test_edge_usage_built_once_per_outcome(monkeypatch):
     monkeypatch.setattr(RoutingOutcome, "usage", view)
     record = run_trial(small_config(), 5)
     assert record.reason is None
-    # the feasibility check and utilization_stats both read each outcome's usage
+    # the feasibility check and evaluate both read each outcome's usage, built once
     assert sorted(built) == ["PF", "PS", "PU"]
     outcome = record.results["PS"].outcome
     assert outcome.usage is outcome.usage

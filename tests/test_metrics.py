@@ -82,8 +82,11 @@ def _net_one_edge(capacity=10):
 def test_utilization_single_edge():
     out = make_outcome({(0, 0): 3, (1, 0): 4}, {(0, 0): 1, (1, 0): 1},
                        {(0, 0): ((0, 1),), (1, 0): ((0, 1),)})
-    rep = report(out, requests(2), net=_net_one_edge(10))
-    assert rep.utilization == {(0, 1): pytest.approx(0.7)}
+    net = _net_one_edge(10)
+    rep = report(out, requests(2), net=net)
+    # per-edge u, by edge id, from the outcome's usage and the capacities
+    assert [used / cap for used, cap in zip(out.usage, out.paths.capacities(net))] == \
+        [pytest.approx(0.7)]
     assert rep.u_ave == pytest.approx(0.7)
     assert rep.u_var == 0.0
     assert "no_traffic" not in rep.flags
@@ -102,7 +105,8 @@ def test_utilization_excludes_zero_flow_edges():
     out = make_outcome({(0, 0): 5, (1, 0): 0}, {(0, 0): 1, (1, 0): 1},
                        {(0, 0): ((0, 1),), (1, 0): ((1, 2),)})
     rep = report(out, requests(2), net=net)
-    assert (1, 2) not in rep.utilization and rep.u_ave == 1.0
+    # (1, 2) carries no flow; counted at u = 0 it would make U_ave 0.5
+    assert rep.u_ave == 1.0 and rep.u_var == 0.0
     assert "no_traffic" not in rep.flags
 
 
@@ -110,7 +114,7 @@ def test_utilization_no_traffic_flag():
     out = make_outcome({(0, 0): 0}, {(0, 0): 1}, {(0, 0): ((0, 1),)})
     rep = report(out, requests(1), net=_net_one_edge())
     assert "no_traffic" in rep.flags
-    assert rep.utilization == {} and rep.u_ave == 0.0 and rep.u_var == 0.0
+    assert not any(out.usage) and rep.u_ave == 0.0 and rep.u_var == 0.0
 
 
 def test_stretch_all_flow_on_shortest():

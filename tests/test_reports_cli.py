@@ -5,7 +5,7 @@ import pathlib
 import xml.etree.ElementTree as ET
 
 import pytest
-from conftest import untimed
+from conftest import keyed_allocations, untimed
 
 from qroute import cli, harness
 from qroute.harness import ExperimentConfig, RequestSpec, prepare_trial, replicate, run_trial
@@ -74,14 +74,18 @@ def test_record_json_roundtrip(tmp_path):
     for name, res in data["results"].items():
         assert set(res["outcome"]) <= {"algorithm", "flows", "allocations"}
         assert ("allocations" in res["outcome"]) == (name == "PS")
-        # utilization is rebuilt on read from the capacities and the flows
+        # no per-edge utilization is stored; the read outcome's usage and the
+        # record's capacities give it
         assert "utilization" not in res["report"]
-        assert any(loaded[0].results[name].report.utilization.values())
-    # PS's allocations: one list per edge id, in the order of the paths kept there
+        assert any(used / cap for used, cap in zip(loaded[0].results[name].outcome.usage,
+                                                   loaded[0].capacities))
+    # PS's allocations: one list per edge id, in the order of the paths kept
+    # there, as the outcome holds them
     kept = paths.kept(record.params.l_max).keys
-    allocations = record.results["PS"].outcome.allocations
+    allocations = keyed_allocations(record.results["PS"].outcome, record.params.l_max)
     assert data["results"]["PS"]["outcome"]["allocations"] == [
         [allocations[paths.edges[e]][paths.keys[p]] for p in ids] for e, ids in enumerate(kept)]
+    assert loaded[0].results["PS"].outcome.allocations == record.results["PS"].outcome.allocations
 
 
 def test_record_dict_roundtrip_degenerate():
@@ -95,12 +99,36 @@ def test_record_dict_roundtrip_degenerate():
     (lambda d: d["paths"].pop("capacities"), r"paths\.capacities: missing"),
     (lambda d: d["paths"]["capacities"].pop(), r"paths\.capacities: \d+ entries"),
     (lambda d: d["paths"]["capacities"].append(1), r"paths\.capacities: \d+ entries"),
+    (lambda d: d["paths"]["capacities"].__setitem__(0, "x"),
+     r"paths\.capacities: 'x' is not a non-negative int"),
     (lambda d: d["results"]["PS"]["outcome"]["allocations"].pop(),
      r"results\.PS\.outcome\.allocations: \d+ entries"),
     (lambda d: d["results"]["PS"]["outcome"]["allocations"][2].append(1),
      r"results\.PS\.outcome\.allocations\[2\]: \d+ entries"),
     (lambda d: d["results"]["PS"]["outcome"]["allocations"][0].pop(),
      r"results\.PS\.outcome\.allocations\[0\]: \d+ entries"),
+    (lambda d: d["results"]["PS"]["outcome"]["allocations"][1].__setitem__(0, "x"),
+     r"results\.PS\.outcome\.allocations\[1\]: 'x' is not a non-negative int"),
+    (lambda d: d["results"]["PS"]["outcome"]["allocations"][0].__setitem__(0, -1),
+     r"results\.PS\.outcome\.allocations\[0\]: -1 is not a non-negative int"),
+    (lambda d: d["results"]["PF"]["outcome"]["flows"].__setitem__("0:0", 1.5),
+     r"results\.PF\.outcome\.flows: 1\.5 is not a non-negative int"),
+    (lambda d: d["results"]["PU"]["outcome"]["flows"].__setitem__("0:0", -4),
+     r"results\.PU\.outcome\.flows: -4 is not a non-negative int"),
+    (lambda d: d["results"]["PS"]["outcome"]["flows"].__setitem__("0:0", "3"),
+     r"results\.PS\.outcome\.flows: '3' is not a non-negative int"),
+    (lambda d: d["results"]["PS"]["outcome"]["flows"].__setitem__("0:0", True),
+     r"results\.PS\.outcome\.flows: True is not a non-negative int"),
+    (lambda d: d["results"]["PF"]["outcome"].__setitem__(
+        "flows", dict(reversed(d["results"]["PF"]["outcome"]["flows"].items()))),
+     r"results\.PF\.outcome\.flows: must hold every path .* in key order"),
+    (lambda d: d["results"]["PU"]["outcome"]["flows"].__setitem__("9:9", 0),
+     r"results\.PU\.outcome\.flows: must hold every path .* in key order"),
+    (lambda d: d["results"]["PU"]["outcome"]["flows"].pop("0:0"),
+     r"results\.PU\.outcome\.flows: must hold every path .* in key order"),
+    (lambda d: d["paths"]["lengths"].pop("0:0"), r"paths\.lengths: must hold one length"),
+    (lambda d: d["paths"]["lengths"].__setitem__("9:9", 3),
+     r"paths\.lengths: must hold one length"),
 ])
 def test_record_from_dict_rejects_misshapen_capacities_and_allocations(change, where):
     data = record_to_dict(run_trial(small_config(), 77))

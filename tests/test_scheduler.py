@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (KeyedOutcome, abstract_network, assert_integer_max_min,
-                      assert_kept_views, by_key, info_from_path_edges, line_network,
+                      assert_kept_views, by_key, info_from_path_edges, keyed_allocations,
+                      line_network,
                       progressive_fill_by_key, propagatory_core_by_key,
                       random_fill_instance, reference_apportion_two_stage,
                       reference_evaluate, reference_flow_determination, reference_kept,
@@ -284,28 +285,29 @@ def test_proportional_share_worked_example():
     # floors 1,1,1 then 7 spare units apportioned 3.5/1.75/1.75 stage-wise
     net, _ = abstract_instance([10], {(0, 0): [0]})
     info = one_edge({(0, 0): 4, (1, 0): 4, (1, 1): 6})
-    allocations = run_algorithm("PS", net, info, params()).allocations
+    allocations = keyed_allocations(run_algorithm("PS", net, info, params()), 10)
     assert allocations[(0, 1)] == {(0, 0): 5, (1, 0): 3, (1, 1): 2}
 
 
 def test_proportional_share_sole_claimant():
     net = line_network([8])
     info = one_edge({(0, 0): 3})
-    allocations = run_algorithm("PS", net, info, params()).allocations
+    allocations = keyed_allocations(run_algorithm("PS", net, info, params()), 10)
     assert allocations[(0, 1)] == {(0, 0): 8}
 
 
 def test_proportional_share_tie_broken_by_rank():
     net = line_network([9])
     info = one_edge({(0, 0): 4, (0, 1): 4})
-    allocations = run_algorithm("PS", net, info, params()).allocations
+    allocations = keyed_allocations(run_algorithm("PS", net, info, params()), 10)
     assert allocations[(0, 1)] == {(0, 0): 5, (0, 1): 4}
 
 
 def test_proportional_share_respects_capacity():
     net = line_network([10])
     info = one_edge({(r, 0): 5 for r in range(4)})
-    allocations = run_algorithm("PS", net, info, params(alpha=1.5, beta=0.7)).allocations
+    allocations = keyed_allocations(run_algorithm("PS", net, info,
+                                                  params(alpha=1.5, beta=0.7)), 10)
     assert sum(allocations[(0, 1)].values()) == 10
 
 
@@ -320,8 +322,8 @@ def test_flow_determination_short_board():
     # a sole claimant takes each edge whole, so its allocations are 4, 6 and 3
     net, info = abstract_instance([4, 6, 3], {(0, 0): [0, 1, 2]})
     outcome = run_algorithm("PS", net, info, params())
-    assert outcome.allocations == {(0, 1): {(0, 0): 4}, (2, 3): {(0, 0): 6},
-                                   (4, 5): {(0, 0): 3}}
+    assert keyed_allocations(outcome, 10) == {(0, 1): {(0, 0): 4}, (2, 3): {(0, 0): 6},
+                                              (4, 5): {(0, 0): 3}}
     assert outcome.flows[(0, 0)] == 3
 
 
@@ -546,7 +548,7 @@ def pu_table(outcome, info, l_max):
 
 def test_schedule_table_allocations_within_capacity():
     net, info, p = routed_instance(8)
-    allocations = run_algorithm("PS", net, info, p).allocations
+    allocations = keyed_allocations(run_algorithm("PS", net, info, p), p.l_max)
     caps = net.capacity_map()
     for e, alloc in allocations.items():
         assert sum(alloc.values()) <= caps[e]
@@ -563,8 +565,8 @@ def test_flow_equals_floor_when_all_allocations_at_floor():
     # two paths share both edges; f_min = 2 fills each capacity-4 edge with floors
     net, info = abstract_instance([4, 4], {(0, 0): [0, 1], (1, 0): [0, 1]})
     outcome = run_algorithm("PS", net, info, params(f_min=2))
-    assert outcome.allocations == {(0, 1): {(0, 0): 2, (1, 0): 2},
-                                   (2, 3): {(0, 0): 2, (1, 0): 2}}
+    assert keyed_allocations(outcome, 10) == {(0, 1): {(0, 0): 2, (1, 0): 2},
+                                              (2, 3): {(0, 0): 2, (1, 0): 2}}
     assert outcome.flows == {(0, 0): 2, (1, 0): 2}
 
 
@@ -745,7 +747,8 @@ def test_cores_match_keyed_references_on_random_windows():
             assert repr(report) == repr(reference_evaluate(KeyedOutcome.of(outcome), net,
                                                            requests, p_in)), (kind, n, name)
             if name == "PS":
-                assert [(e, list(a.items())) for e, a in outcome.allocations.items()] == \
+                keyed = keyed_allocations(outcome, p.l_max)
+                assert [(e, list(a.items())) for e, a in keyed.items()] == \
                     [(e, list(a.items())) for e, a in allocations.items()]
         compared[kind] += 1
         compared["truncated"] += len(live_paths) < len(info.keys)
