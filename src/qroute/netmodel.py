@@ -275,16 +275,19 @@ def inject_failures(net: Network, mode: str, count: int,
     return replace(net, active=tuple(on and not f for on, f in zip(net.active, failed)))
 
 
-def _offset_pairs(net: Network, distance: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=8)
+def _offset_pairs(rows: int, cols: int, distance: int) -> tuple[tuple[int, int], ...]:
+    """Every (s, t) node pair at lattice offset (+-distance, +-distance), in
+    the order requests are drawn from; one tuple per lattice shape."""
     pairs = []
-    for sy in range(net.rows):
-        for sx in range(net.cols):
+    for sy in range(rows):
+        for sx in range(cols):
             for dy in (-distance, distance):
                 for dx in (-distance, distance):
                     tx, ty = sx + dx, sy + dy
-                    if 0 <= tx < net.cols and 0 <= ty < net.rows:
-                        pairs.append((node_id(sx, sy, net.cols), node_id(tx, ty, net.cols)))
-    return pairs
+                    if 0 <= tx < cols and 0 <= ty < rows:
+                        pairs.append((node_id(sx, sy, cols), node_id(tx, ty, cols)))
+    return tuple(pairs)
 
 
 def distance_error(distance: int, rows: int, cols: int) -> str | None:
@@ -310,7 +313,7 @@ def generate_requests(net: Network, count: int, distance: int | None,
         reason = distance_error(distance, net.rows, net.cols)
         if reason:
             raise ValueError(reason)
-        pairs = _offset_pairs(net, distance)
+        pairs = _offset_pairs(net.rows, net.cols, distance)
         for i in range(count):
             s, t = pairs[int(rng.integers(len(pairs)))]
             requests.append(Request(i, s, t, demand, weight))

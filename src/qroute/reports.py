@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from typing import Iterable, Sequence
 
 from .harness import AlgorithmResult, NetworkSummary, TrialRecord, report_values
@@ -115,6 +116,16 @@ def _check_length(items: Sequence, expected: int, where: str, what: str) -> None
         raise ValueError(f"{where}: {len(items)} entries, expected {expected} ({what})")
 
 
+def _check_fields(cls: type, data: dict, where: str) -> None:
+    """``data`` holds exactly the fields of the dataclass ``cls``, so that
+    ``cls(**data)`` neither fails nor fills in a default."""
+    names = [f.name for f in fields(cls)]
+    if data.keys() != set(names):
+        missing = [name for name in names if name not in data]
+        extra = [key for key in data if key not in names]
+        raise ValueError(f"{where}: missing keys {missing}, extra keys {extra}")
+
+
 def _check_counts(values: Iterable, where: str) -> None:
     for v in values:
         if type(v) is not int or v < 0:
@@ -198,16 +209,21 @@ def record_to_dict(record: TrialRecord) -> dict:
 
 def record_from_dict(data: dict) -> TrialRecord:
     """The record ``record_to_dict`` wrote; a missing or misshapen
-    ``paths.lengths`` or ``paths.capacities``, or flows or PS
-    ``allocations`` that do not match the paths, raise ValueError with their
-    key path."""
+    ``paths.lengths`` or ``paths.capacities``, a path edge that is not
+    ``u-v``, flows or PS ``allocations`` that do not match the paths, and
+    params, requests, network or reports without exactly their fields raise
+    ValueError with their key path."""
     path_edges, lengths = data["paths"]["path_edges"], data["paths"]["lengths"]
     if lengths.keys() != path_edges.keys():
         raise ValueError("paths.lengths: must hold one length per path of paths.path_edges")
-    paths = PathSet.from_edges(
-        {_decode_pathkey(k): tuple(_decode_edge(e) for e in edges)
-         for k, edges in path_edges.items()},
-        {_decode_pathkey(k): v for k, v in lengths.items()})
+    routes = {}
+    for k, edges in path_edges.items():
+        try:
+            routes[_decode_pathkey(k)] = tuple(map(_decode_edge, edges))
+        except ValueError:
+            raise ValueError(f"paths.path_edges.{k}: {edges} is not a path 'r:l' of "
+                             "edges 'u-v'") from None
+    paths = PathSet.from_edges(routes, {_decode_pathkey(k): v for k, v in lengths.items()})
     keys = [_encode_pathkey(key) for key in paths.keys]
     if "capacities" not in data["paths"]:
         raise ValueError("paths.capacities: missing; the record predates per-edge "
@@ -215,11 +231,16 @@ def record_from_dict(data: dict) -> TrialRecord:
     capacities = tuple(data["paths"]["capacities"])
     _check_length(capacities, len(paths.edges), "paths.capacities", "one per path edge")
     _check_counts(capacities, "paths.capacities")
+    _check_fields(RoutingParams, data["params"], "params")
+    for i, r in enumerate(data["requests"]):
+        _check_fields(Request, r, f"requests[{i}]")
+    _check_fields(NetworkSummary, data["network"], "network")
     params = RoutingParams(**data["params"])
     results = {}
     for name, res in data["results"].items():
         outcome = outcome_from_dict(res["outcome"], paths, keys, params.l_max,
                                     f"results.{name}.outcome")
+        _check_fields(MetricsReport, res["report"], f"results.{name}.report")
         results[name] = AlgorithmResult(outcome, report_from_dict(res["report"]),
                                         res["schedule_seconds"])
     # the allocations were checked against the kept views; the record needs none

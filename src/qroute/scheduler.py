@@ -128,11 +128,33 @@ def largest_remainder(quotas: Sequence[float], total: int) -> list[int]:
     return base
 
 
-def _even(total: int, n: int) -> list[int]:
-    """``largest_remainder`` over n equal quotas: each takes total // n, and
-    the earliest total % n positions one more."""
+def _requests_tie(groups: RequestGroups, beta: float) -> bool:
+    """Whether the request stage's weights n_r^beta all tie: one group,
+    beta == 0 (either sign), or groups of one size."""
+    return len(groups) == 1 or beta == 0 or len({len(group) for group in groups}) == 1
+
+
+def _paths_tie(lengths: Iterable[float], path_exp: float) -> bool:
+    """Whether the path stage's weights d^path_exp all tie over ``lengths``:
+    path_exp == 0 (either sign), or at most one length."""
+    return path_exp == 0 or len(set(lengths)) <= 1
+
+
+def _even(total: int, n: int, floor: int = 0) -> tuple[int, ...]:
+    """``largest_remainder`` over n equal quotas, plus ``floor`` on each: each
+    takes total // n, and the earliest total % n positions one more."""
     q, r = divmod(total, n)
-    return [q + 1] * r + [q] * (n - r)
+    q += floor
+    return (q + 1,) * r + (q,) * (n - r)
+
+
+def _even_split(groups: RequestGroups, total: int, floor: int = 0) -> tuple[int, ...]:
+    """``_apportion_two_stage`` where both stages' weights tie, plus ``floor``
+    on each path: ``_even`` over the requests, then over each one's paths."""
+    if len(groups) == 1:
+        return _even(total, len(groups[0]), floor)
+    return tuple([x for group, units in zip(groups, _even(total, len(groups)))
+                  for x in _even(units, len(group), floor)])
 
 
 def _apportion_two_stage(groups: RequestGroups, lengths: Sequence[float],
@@ -142,16 +164,15 @@ def _apportion_two_stage(groups: RequestGroups, lengths: Sequence[float],
     request id), then within each request by d^path_exp (ties by rank).
 
     A lone request or a lone path takes all its units. When a stage's weights
-    all tie (beta == 0 or groups of one size; path_exp == 0 or paths of one
-    length), ``_even`` splits its units without computing weights. That is
-    exact: equal weights give bitwise-equal quotas, which
-    ``largest_remainder`` floors to one base before handing the units left
-    over to the earliest positions.
+    all tie (``_requests_tie``, ``_paths_tie``), ``_even`` splits its units
+    without computing weights. That is exact: equal weights give
+    bitwise-equal quotas, which ``largest_remainder`` floors to one base
+    before handing the units left over to the earliest positions.
     """
     n = len(groups)
     if n == 1:
         request_units = [total]
-    elif beta == 0 or len({len(group) for group in groups}) == 1:
+    elif _requests_tie(groups, beta):
         request_units = _even(total, n)
     else:
         request_raw = [float(len(group)) ** beta for group in groups]
@@ -162,7 +183,7 @@ def _apportion_two_stage(groups: RequestGroups, lengths: Sequence[float],
     for group, units in zip(groups, request_units):
         if len(group) == 1:
             shares.append(units)
-        elif path_exp == 0 or len({lengths[p] for p in group}) == 1:
+        elif _paths_tie(map(lengths.__getitem__, group), path_exp):
             shares.extend(_even(units, len(group)))
         else:
             path_raw = [float(lengths[p]) ** path_exp for p in group]
@@ -180,7 +201,14 @@ def _proportional_share(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
     flow is its smallest allocation (the short-board constraint), and 0 when
     it is not kept on every edge it crosses. Flows by path id and one
     allocation row per edge id, in ``kept.keys`` order; ``capacity`` by
-    edge id."""
+    edge id.
+
+    A lone path takes the edge's capacity, and an edge whose weights all tie
+    takes ``_even_split``; only the others compute weights. Whether every
+    path stage ties is decided once per call, over all the lengths.
+    """
+    lengths = info.lengths
+    paths_tie = _paths_tie(lengths, -alpha)
     flows = [0] * len(info.keys)
     for p in kept.live_paths:
         flows[p] = math.inf
@@ -190,8 +218,15 @@ def _proportional_share(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
         if spare < 0:
             raise InvariantError(
                 f"edge {info.edges[e]} kept below l_max * f_min; was Step 1 skipped?")
-        row = tuple(f_min + x for x in _apportion_two_stage(groups, info.lengths, spare,
-                                                            -alpha, beta))
+        if len(ids) == 1:
+            row = (capacity[e],)
+        elif _requests_tie(groups, beta) and (
+                paths_tie or len(groups) == 1 and _paths_tie(map(lengths.__getitem__, ids),
+                                                             -alpha)):
+            row = _even_split(groups, spare, f_min)
+        else:
+            row = tuple([f_min + x for x in _apportion_two_stage(groups, lengths, spare,
+                                                                 -alpha, beta)])
         for p, share in zip(ids, row):
             if share < flows[p]:
                 flows[p] = share

@@ -2,7 +2,8 @@
 asserts, so they must still fire under ``python -O``; and the conditions
 under which k_shortest_paths answers with the shortest-path DAG's prefix
 instead of running Yen, the two-stage apportionment splits tied weights in
-closed form, and PU's residual deduction takes its closed form, are ordinary
+closed form, PS builds the rows of lone paths and tied edges without it,
+and PU's residual deduction takes its closed form, are ordinary
 comparisons, so those shortcuts must still equal their references there;
 so are the bounds that order Yen's deferred spur searches on its heap,
 whose distances come, like the DAG walk's levels, from the call's one BFS
@@ -42,7 +43,9 @@ INVARIANT_TESTS = {
 #: Yen's deferred spur searches against the reference Yen, each at a spur
 #: Yen visited, and fewer than eager Yen's;
 #: the two-stage apportionment, closed form and weighed, against its
-#: reference; PU's closed-form residual against the bulk and unit-step oracles;
+#: reference; PS's rows for lone paths and tied edges, built without the
+#: apportionment call, against it and the keyed reference; PU's closed-form
+#: residual against the bulk and unit-step oracles;
 #: PU's two-pass stop against the fixed point's definition; a window's reused
 #: PS and PU schedules against routing each point alone; edge masks cleared
 #: edge by edge against a build from the active edges; the PathSet built
@@ -54,6 +57,7 @@ REUSE_TESTS = {
         "test_spur_searches_are_deferred"),
     "tests/test_properties.py": ("test_node_tuple_path_set_equals_keyed_build",),
     "tests/test_scheduler.py": ("test_tied_weights_apportion_in_closed_form",
+                                "test_proportional_share_rows_in_closed_form_match_references",
                                 "test_pu_residual_on_tied_lengths_matches_oracles",
                                 "test_pu_stops_at_the_fixed_point"),
     "tests/test_sweep.py": ("test_route_window_reuse_equals_each_point_alone",

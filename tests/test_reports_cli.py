@@ -129,6 +129,19 @@ def test_record_dict_roundtrip_degenerate():
     (lambda d: d["paths"]["lengths"].pop("0:0"), r"paths\.lengths: must hold one length"),
     (lambda d: d["paths"]["lengths"].__setitem__("9:9", 3),
      r"paths\.lengths: must hold one length"),
+    # a missing or extra field, or a malformed edge, names its key path; a
+    # field with a dataclass default is not filled in
+    (lambda d: d["results"]["PS"]["report"].pop("u_ave"),
+     r"results\.PS\.report: missing keys \['u_ave'\], extra keys \[\]"),
+    (lambda d: d["results"]["PF"]["report"].__setitem__("utilization", {}),
+     r"results\.PF\.report: missing keys \[\], extra keys \['utilization'\]"),
+    (lambda d: d["paths"]["path_edges"]["0:0"].__setitem__(0, "1-x"),
+     r"paths\.path_edges\.0:0: \['1-x'.* is not a path 'r:l' of edges 'u-v'"),
+    (lambda d: d["network"].pop("active_edges"),
+     r"network: missing keys \['active_edges'\]"),
+    (lambda d: d["requests"][0].pop("demand"), r"requests\[0\]: missing keys \['demand'\]"),
+    (lambda d: d["requests"][1].pop("weight"), r"requests\[1\]: missing keys \['weight'\]"),
+    (lambda d: d["params"].pop("f_min"), r"params: missing keys \['f_min'\]"),
 ])
 def test_record_from_dict_rejects_misshapen_capacities_and_allocations(change, where):
     data = record_to_dict(run_trial(small_config(), 77))

@@ -224,6 +224,105 @@ def test_tied_weights_apportion_in_closed_form(monkeypatch):
     assert len(seen) == 8 and min(seen.values()) > 0, seen
 
 
+@st.composite
+def ps_instances(draw):
+    """Disjoint edges crossed by 1-4 requests of 1-5 paths each, every path
+    a nonempty edge subset or every edge, so that requests often meet an
+    edge with equally many paths. One length for the whole PathSet, or per
+    request one length or free lengths, from a narrow range so that lengths
+    often tie across requests; l_max truncates or not; f_min and the spare
+    units on each edge vary."""
+    n_edges = draw(st.integers(1, 6))
+    edges = [(2 * i, 2 * i + 1) for i in range(n_edges)]
+    one_length = draw(st.booleans())
+    sizes = draw(st.one_of(st.integers(1, 5).map(lambda n: [n] * 3),
+                           st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+    routes = st.lists(st.sampled_from(edges), min_size=1, unique=True).map(sorted)
+    path_edges, lengths = {}, {}
+    d = draw(st.integers(1, 6))
+    for r, n in enumerate(sizes):
+        tied = one_length or draw(st.booleans())
+        d_r = d if one_length else draw(st.integers(1, 6))
+        for l in range(n):
+            path_edges[(r, l)] = tuple(edges if draw(st.booleans()) else draw(routes))
+            lengths[(r, l)] = d_r if tied else draw(st.integers(1, 6))
+    l_max = draw(st.integers(1, len(path_edges)))
+    f_min = draw(st.integers(0, 5))
+    capacity = {e: f_min * l_max + draw(st.integers(0, 60) | st.integers(61, 10**5))
+                for e in edges}
+    return (path_edges, lengths, l_max, f_min, capacity,
+            draw(st.sampled_from((0.0, -0.0, 0.5, 1.0, 2.0))),
+            draw(st.sampled_from((0.0, 0.5, 1.0))))
+
+
+def test_proportional_share_rows_in_closed_form_match_references(monkeypatch):
+    # a lone path takes its edge's capacity and an edge whose weights all tie
+    # takes _even_split; only the other edges call _apportion_two_stage. Every
+    # row equals f_min + _apportion_two_stage over the edge, and the rows and
+    # flows equal the keyed reference over reference_kept
+    calls = Counter()
+    for name in ("_even_split", "_apportion_two_stage"):
+        def spy(*args, _inner=getattr(scheduler, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(scheduler, name, spy)
+    seen = Counter()
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(ps_instances())
+    def check(instance):
+        path_edges, lengths, l_max, f_min, capacity, alpha, beta = instance
+        info = PathSet.from_edges(path_edges, lengths)
+        kept = info.kept(l_max)
+        caps = [capacity[e] for e in info.edges]
+        calls.clear()
+        flows, rows = _proportional_share(info, kept, caps, f_min, alpha, beta)
+        params = RoutingParams(l_max=l_max, alpha=alpha, beta=beta, f_min=f_min)
+        ref_kept, _, _ = reference_kept(path_edges, lengths, l_max)
+        want = reference_proportional_share(abstract_network(capacity), ref_kept, lengths,
+                                            params)
+        got = {e: dict(zip(map(info.keys.__getitem__, ids), row, strict=True))
+               for e, ids, row in zip(info.edges, kept.keys, rows, strict=True)}
+        assert [(e, list(a.items())) for e, a in got.items()] == \
+            [(e, list(a.items())) for e, a in want.items()]
+        assert list(zip(info.keys, flows)) == \
+            list(reference_flow_determination(want, path_edges).items())
+        one_length = len(set(lengths.values())) == 1
+        branches = Counter()
+        for ids, groups, cap, row in zip(kept.keys, kept.groups, caps, rows):
+            assert row == tuple(f_min + x for x in _apportion_two_stage(
+                groups, info.lengths, cap - f_min * len(ids), -alpha, beta))
+            edge_lengths = {info.lengths[p] for p in ids}
+            if len(ids) == 1:
+                shape = "lone path"
+            elif len(groups) == 1:
+                shape = ("one request, tied lengths" if len(edge_lengths) == 1
+                         else "one request, mixed lengths")
+            elif len({len(group) for group in groups}) == 1 and beta != 0:
+                shape = "groups of one size, beta != 0"
+            elif beta == 0:
+                shape = "groups at beta == 0"
+            else:
+                shape = "weighed requests"
+            # the path stage ties over the PathSet, or over a lone group
+            tied = shape != "weighed requests" and (
+                alpha == 0 or one_length or len(groups) == 1 and len(edge_lengths) == 1)
+            if len(ids) > 1:
+                branches["_even_split" if tied else "_apportion_two_stage"] += 1
+            seen[shape] += 1
+            seen[("tied" if tied else "weighed", "one length" if one_length
+                  else "mixed lengths")] += len(ids) > 1
+            seen["alpha == -0.0"] += alpha == 0 and math.copysign(1.0, alpha) < 0
+            # tied lengths on a multi-request edge of a mixed-length PathSet still
+            # go to _apportion_two_stage unless alpha == 0
+            seen["groups of one length, mixed PathSet"] += (
+                len(groups) > 1 and len(edge_lengths) == 1 and not one_length)
+        assert calls == branches
+
+    check()
+    assert len(seen) == 12 and min(seen.values()) > 0, seen
+
+
 # ------------------------------------------------------------------ weights
 
 def test_two_stage_weights_uniform():
