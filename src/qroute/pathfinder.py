@@ -17,10 +17,6 @@ PathKey = tuple[int, int]
 RequestGroups = tuple[tuple[int, ...], ...]
 
 
-def edge_key(a: int, b: int) -> Edge:
-    return (a, b) if a < b else (b, a)
-
-
 @dataclass(frozen=True)
 class Path:
     """One loopless route for a request, ranked within its k-shortest output."""
@@ -36,9 +32,6 @@ class Path:
     @property
     def key(self) -> PathKey:
         return (self.request_id, self.rank)
-
-    def edge_keys(self) -> tuple[Edge, ...]:
-        return tuple(map(edge_key, self.nodes, self.nodes[1:]))
 
 
 def _reached(offsets: tuple[tuple[int, int], ...], frontier: int) -> int:

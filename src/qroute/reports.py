@@ -5,13 +5,15 @@ import csv
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import fields
-from typing import Iterable, Sequence
+from functools import cache, lru_cache
+from types import UnionType
+from typing import Sequence, get_type_hints
 
-from .harness import AlgorithmResult, NetworkSummary, TrialRecord, report_values
+from .harness import AlgorithmResult, TrialRecord, report_values
 from .metrics import MetricsReport
-from .netmodel import Network, Request, node_label, node_xy
+from .netmodel import Network, node_label, node_xy
 from .pathfinder import PathKey, PathSet
-from .scheduler import RoutingOutcome, RoutingParams
+from .scheduler import RoutingOutcome
 
 TRIAL_COLUMNS = ("seed", "algorithm", "k", "l_max", "alpha", "beta",
                  "F", "F_min", "U_ave", "U_var", "gamma", "J_req", "J_path",
@@ -95,6 +97,7 @@ def _encode_edge(edge: tuple[int, int]) -> str:
     return f"{edge[0]}-{edge[1]}"
 
 
+@lru_cache(maxsize=4096)  # a record repeats an edge on every path that crosses it
 def _decode_edge(text: str) -> tuple[int, int]:
     u, v = text.split("-")
     return int(u), int(v)
@@ -116,63 +119,84 @@ def _check_length(items: Sequence, expected: int, where: str, what: str) -> None
         raise ValueError(f"{where}: {len(items)} entries, expected {expected} ({what})")
 
 
-def _check_fields(cls: type, data: dict, where: str) -> None:
-    """``data`` holds exactly the fields of the dataclass ``cls``, so that
-    ``cls(**data)`` neither fails nor fills in a default."""
-    names = [f.name for f in fields(cls)]
-    if data.keys() != set(names):
-        missing = [name for name in names if name not in data]
-        extra = [key for key in data if key not in names]
-        raise ValueError(f"{where}: missing keys {missing}, extra keys {extra}")
+#: the JSON types of a scalar annotation's values, and its name in errors
+_SCALARS = {int: ({int}, "a non-negative int"), float: ({int, float}, "a number"),
+            bool: ({bool}, "a bool"), str: ({str}, "a string")}
 
 
-def _check_counts(values: Iterable, where: str) -> None:
+@cache
+def _hints(cls: type) -> dict:
+    return {f.name: get_type_hints(cls)[f.name] for f in fields(cls)}
+
+
+def _each(tp, values: list, where: str) -> list:
+    """``values`` read by ``tp``; scalars (ints are >= 0) in one pass."""
+    if tp not in _SCALARS:
+        return [_decode(tp, v, f"{where}[{i}]") for i, v in enumerate(values)]
+    allowed, name = _SCALARS[tp]
     for v in values:
-        if type(v) is not int or v < 0:
-            raise ValueError(f"{where}: {v!r} is not a non-negative int")
+        if type(v) not in allowed or tp is int and v < 0:
+            raise ValueError(f"{where}: {v!r} is not {name}")
+    return values
+
+
+def _decode(tp, value, where: str):
+    """``value`` read from JSON by the annotation ``tp``: a scalar, ``X | None``,
+    ``tuple[X, ...]``, ``dict[int, X]`` or a dataclass, at key path ``where``."""
+    if tp in _SCALARS:
+        return _each(tp, [value], where)[0]
+    if type(tp) is UnionType:  # X | None
+        return None if value is None else _decode(tp.__args__[0], value, where)
+    origin = getattr(tp, "__origin__", None)
+    if origin is tuple and type(value) is list:
+        return tuple(_each(tp.__args__[0], value, where))
+    if origin is dict and type(value) is dict and all(map(str.isdecimal, value)):
+        return dict(zip(map(int, value), _each(tp.__args__[1], list(value.values()), where)))
+    if origin is None and type(value) is dict:
+        return _load(tp, value, where)
+    raise ValueError(f"{where}: {value!r} is not a {tp if origin else tp.__name__}")
+
+
+def _load(cls: type, data: dict, where: str):
+    """``cls`` from an object of exactly its fields, each read by its annotation."""
+    hints = _hints(cls)
+    if data.keys() != hints.keys():
+        raise ValueError(f"{where}: missing keys {[n for n in hints if n not in data]}, "
+                         f"extra keys {[k for k in data if k not in hints]}")
+    values = {name: _decode(tp, data[name], f"{where}.{name}") for name, tp in hints.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def outcome_from_dict(data: dict, paths: PathSet, keys: list[str], l_max: int,
                       where: str) -> RoutingOutcome:
-    """The outcome over ``paths``, whose keys are written as ``keys``; PS's
-    allocation rows are checked against ``paths.kept(l_max)`` and kept as
-    they are. ``where`` is the key path of ``data``."""
-    flows = data["flows"]
+    """The outcome at key path ``where`` over ``paths``, its keys written as
+    ``keys``; PS's rows are checked against ``paths.kept(l_max)``."""
+    flows, hints = data["flows"], _hints(RoutingOutcome)
     if list(flows) != keys:
         raise ValueError(f"{where}.flows: must hold every path of paths.path_edges, "
                          "in key order")
-    _check_counts(flows.values(), f"{where}.flows")
-    allocations = None
-    if "allocations" in data:
-        rows = data["allocations"]
+    _each(hints["flows"].__args__[1], list(flows.values()), f"{where}.flows")
+    allocations = _decode(hints["allocations"], data.get("allocations"), f"{where}.allocations")
+    if allocations is not None:
         kept = paths.kept(l_max).keys
-        _check_length(rows, len(kept), f"{where}.allocations", "one list per path edge")
-        for e, (ids, row) in enumerate(zip(kept, rows)):
+        _check_length(allocations, len(kept), f"{where}.allocations", "one list per path edge")
+        for e, (ids, row) in enumerate(zip(kept, allocations)):
             _check_length(row, len(ids), f"{where}.allocations[{e}]",
                           f"the paths kept on edge {paths.edges[e]} at l_max = {l_max}")
-            _check_counts(row, f"{where}.allocations[{e}]")
-        allocations = tuple(map(tuple, rows))
     return RoutingOutcome(data["algorithm"], dict(zip(paths.keys, flows.values())), paths,
                           allocations)
 
 
 def report_to_dict(report: MetricsReport) -> dict:
-    """The report's fields, in field order; stretch is in request order
-    already."""
+    """The report's fields, in field order; stretch is in request order already."""
     return {**vars(report),
             "stretch_per_request": {str(r): g for r, g in report.stretch_per_request.items()},
             "demand_satisfied": {str(r): ok for r, ok
                                  in sorted(report.demand_satisfied.items())},
             "flags": list(report.flags)}
-
-
-def report_from_dict(data: dict) -> MetricsReport:
-    """The report ``report_to_dict`` wrote, as it stands."""
-    return MetricsReport(**{
-        **data,
-        "stretch_per_request": {int(r): g for r, g in data["stretch_per_request"].items()},
-        "demand_satisfied": {int(r): ok for r, ok in data["demand_satisfied"].items()},
-        "flags": tuple(data["flags"])})
 
 
 def record_to_dict(record: TrialRecord) -> dict:
@@ -185,12 +209,8 @@ def record_to_dict(record: TrialRecord) -> dict:
     key_str = dict(zip(paths.keys, keys))
     return {
         "seed": record.seed,
-        "params": {"k": record.params.k, "l_max": record.params.l_max,
-                   "alpha": record.params.alpha, "beta": record.params.beta,
-                   "f_min": record.params.f_min},
-        "requests": [{"id": r.id, "source": r.source, "terminal": r.terminal,
-                      "demand": r.demand, "weight": r.weight}
-                     for r in record.requests],
+        "params": vars(record.params).copy(),
+        "requests": [vars(r).copy() for r in record.requests],
         "network": vars(record.network).copy(),
         "paths": {
             "lengths": dict(zip(keys, paths.lengths)),
@@ -208,11 +228,11 @@ def record_to_dict(record: TrialRecord) -> dict:
 
 
 def record_from_dict(data: dict) -> TrialRecord:
-    """The record ``record_to_dict`` wrote; a missing or misshapen
-    ``paths.lengths`` or ``paths.capacities``, a path edge that is not
-    ``u-v``, flows or PS ``allocations`` that do not match the paths, and
-    params, requests, network or reports without exactly their fields raise
-    ValueError with their key path."""
+    """The record ``record_to_dict`` wrote; paths, capacities, flows, allocations
+    or sections that do not fit raise ValueError with their key path."""
+    hints = _hints(TrialRecord)
+    sections = {name: _decode(hints[name], data[name], name)
+                for name in ("seed", "params", "requests", "network", "reason")}
     path_edges, lengths = data["paths"]["path_edges"], data["paths"]["lengths"]
     if lengths.keys() != path_edges.keys():
         raise ValueError("paths.lengths: must hold one length per path of paths.path_edges")
@@ -228,32 +248,18 @@ def record_from_dict(data: dict) -> TrialRecord:
     if "capacities" not in data["paths"]:
         raise ValueError("paths.capacities: missing; the record predates per-edge "
                          "capacities and cannot be read")
-    capacities = tuple(data["paths"]["capacities"])
+    capacities = _decode(hints["capacities"], data["paths"]["capacities"], "paths.capacities")
     _check_length(capacities, len(paths.edges), "paths.capacities", "one per path edge")
-    _check_counts(capacities, "paths.capacities")
-    _check_fields(RoutingParams, data["params"], "params")
-    for i, r in enumerate(data["requests"]):
-        _check_fields(Request, r, f"requests[{i}]")
-    _check_fields(NetworkSummary, data["network"], "network")
-    params = RoutingParams(**data["params"])
     results = {}
     for name, res in data["results"].items():
-        outcome = outcome_from_dict(res["outcome"], paths, keys, params.l_max,
+        outcome = outcome_from_dict(res["outcome"], paths, keys, sections["params"].l_max,
                                     f"results.{name}.outcome")
-        _check_fields(MetricsReport, res["report"], f"results.{name}.report")
-        results[name] = AlgorithmResult(outcome, report_from_dict(res["report"]),
-                                        res["schedule_seconds"])
+        report = _decode(MetricsReport, res["report"], f"results.{name}.report")
+        results[name] = AlgorithmResult(outcome, report, res["schedule_seconds"])
     # the allocations were checked against the kept views; the record needs none
     paths.release_views()
-    return TrialRecord(
-        seed=data["seed"],
-        params=params,
-        requests=tuple(Request(**r) for r in data["requests"]),
-        network=NetworkSummary(**data["network"]),
-        results=results,
-        stage_seconds=dict(data["stage_seconds"]),
-        reason=data["reason"],
-        capacities=capacities)
+    return TrialRecord(**sections, results=results, stage_seconds=dict(data["stage_seconds"]),
+                       capacities=capacities)
 
 
 def write_records_json(records: Sequence[TrialRecord], path: str,

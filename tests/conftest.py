@@ -43,8 +43,7 @@ from qroute.metrics import MetricsReport, zero_report
 from qroute.netmodel import (TOPOLOGIES, Edge, EdgeMasks, InvariantError, Network, Request,
                              ScenarioParams, build_lattice, deactivate_low_capacity_edges,
                              sample_edge_states)
-from qroute.pathfinder import (Path, PathKey, PathSet, build_path_info, edge_key,
-                               truncate_edge_paths)
+from qroute.pathfinder import Path, PathKey, PathSet, build_path_info, truncate_edge_paths
 from qroute.purification import pump_fidelity
 from qroute.scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams, _progressive_fill,
                               _propagatory_core, compute_f_min, largest_remainder,
@@ -223,6 +222,11 @@ def adjacency(net: Network) -> dict[int, list[int]]:
     return adj
 
 
+def edge_keys(nodes: Sequence[int]) -> tuple[Edge, ...]:
+    """The edges along the node sequence ``nodes``, each as (smaller, larger)."""
+    return tuple((a, b) if a < b else (b, a) for a, b in zip(nodes, nodes[1:]))
+
+
 def enumerate_loopless_paths(net, s, t):
     """Exhaustive DFS oracle: every simple s-t path over active edges,
     sorted by (length, node sequence)."""
@@ -251,13 +255,15 @@ def _lex_shortest(adj: dict[int, list[int]], s: int, t: int,
     """
     if s in banned_nodes or t in banned_nodes:
         return None
+    # a banned edge is banned in either direction
+    banned_edges = banned_edges | {(b, a) for a, b in banned_edges}
     dist = {t: 0}
     frontier = [t]
     while frontier:
         nxt = []
         for u in frontier:
             for v in adj[u]:
-                if v in dist or v in banned_nodes or edge_key(u, v) in banned_edges:
+                if v in dist or v in banned_nodes or (u, v) in banned_edges:
                     continue
                 dist[v] = dist[u] + 1
                 nxt.append(v)
@@ -268,7 +274,7 @@ def _lex_shortest(adj: dict[int, list[int]], s: int, t: int,
     u = s
     while u != t:
         for v in adj[u]:
-            if v in banned_nodes or edge_key(u, v) in banned_edges:
+            if v in banned_nodes or (u, v) in banned_edges:
                 continue
             if dist.get(v, -1) == dist[u] - 1:
                 nodes.append(v)
@@ -304,7 +310,7 @@ def reference_k_shortest_paths(net: Network, s: int, t: int, k: int,
             root = prev[:i + 1]
             banned_nodes = frozenset(root[:-1])
             banned_edges = frozenset(
-                edge_key(p[i], p[i + 1]) for p in accepted if p[:i + 1] == root)
+                edge_keys(p[i:i + 2])[0] for p in accepted if p[:i + 1] == root)
             spur = _lex_shortest(adj, root[-1], t, banned_nodes, banned_edges)
             if spur is None:
                 continue

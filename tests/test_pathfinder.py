@@ -6,14 +6,14 @@ from itertools import chain
 import numpy as np
 import pytest
 from conftest import _lex_shortest as reference_lex_shortest
-from conftest import (abstract_network, adjacency, assert_kept_views,
+from conftest import (abstract_network, adjacency, assert_kept_views, edge_keys,
                       enumerate_loopless_paths, reference_k_shortest_paths, yen_spurs)
 
 from qroute import harness, pathfinder
 from qroute.config import load_config
 from qroute.netmodel import TOPOLOGIES, EdgeMasks, InvariantError, build_lattice
 from qroute.pathfinder import (Path, PathSet, _shortest_paths, _spur_search, build_path_info,
-                               edge_key, k_shortest_paths)
+                               k_shortest_paths)
 
 
 def active_lattice(rows, cols, kind="square", dead_edges=()):
@@ -64,7 +64,7 @@ def test_respects_inactive_edges():
     net = active_lattice(3, 3, dead_edges=[(0, 1)])
     paths = k_shortest_paths(net, 0, 8, 8)
     for p in paths:
-        assert (0, 1) not in p.edge_keys()
+        assert (0, 1) not in edge_keys(p.nodes)
     oracle = enumerate_loopless_paths(net, 0, 8)
     assert [p.nodes for p in paths] == [tuple(q) for q in oracle[:8]]
 
@@ -153,11 +153,11 @@ def test_path_set_per_path_views():
     info = build_path_info(net, paths, 5)
     assert list(info.keys) == sorted(p.key for p in paths)
     assert list(info.path_edges) == list(info.keys)
-    assert list(info.edges) == sorted({e for p in paths for e in p.edge_keys()})
+    assert list(info.edges) == sorted({e for p in paths for e in edge_keys(p.nodes)})
     for p in paths:
         i = info.keys.index(p.key)
-        assert info.path_edges[p.key] == p.edge_keys()
-        assert tuple(info.edges[e] for e in info.edge_ids[i]) == p.edge_keys()
+        assert info.path_edges[p.key] == edge_keys(p.nodes)
+        assert tuple(info.edges[e] for e in info.edge_ids[i]) == edge_keys(p.nodes)
         assert info.lengths[i] == p.length
     # H lists each path id under exactly the edges its path crosses, ascending
     for e, ids in enumerate(info.values()):
@@ -359,7 +359,7 @@ def test_spur_matches_reference_lex_shortest():
                 for banned_next in ((), tuple(SQUARE_2x3[u][:1]), tuple(SQUARE_2x3[u][1:])):
                     ref = reference_lex_shortest(
                         SQUARE_2x3, u, t, frozenset(banned),
-                        frozenset(edge_key(u, x) for x in banned_next))
+                        frozenset(edge_keys((u, x))[0] for x in banned_next))
                     assert spur(u, t, banned, set(banned_next)) == ref
 
 
@@ -395,7 +395,7 @@ def test_spur_matches_reference_lex_shortest_on_yen_calls(monkeypatch):
         for u, t_, banned_nodes, banned_next, result in calls:
             assert reference_lex_shortest(
                 adj, u, t_, frozenset(banned_nodes),
-                frozenset(edge_key(u, x) for x in banned_next)) == result
+                frozenset(edge_keys((u, x))[0] for x in banned_next)) == result
         replayed += len(calls)
     assert replayed > 1000
 

@@ -9,7 +9,7 @@ from dataclasses import replace
 from itertools import islice
 
 import pytest
-from conftest import (assert_integer_max_min, reference_grid_search,
+from conftest import (assert_integer_max_min, edge_keys, reference_grid_search,
                       reference_k_shortest_paths, reference_record_to_dict,
                       reference_with_paths)
 from hypothesis import given, settings
@@ -55,7 +55,7 @@ def test_paths_are_loopless_active_and_ordered(query):
     for p in paths:
         assert p.nodes[0] == s and p.nodes[-1] == t
         assert len(set(p.nodes)) == len(p.nodes)
-        assert all(e in active for e in p.edge_keys())
+        assert all(e in active for e in edge_keys(p.nodes))
     order = [(p.length, p.nodes) for p in paths]
     assert order == sorted(order)
 
@@ -88,7 +88,8 @@ def damaged_queries(draw):
         rate = draw(st.sampled_from((1, 3)))
         dead = {e for e in net.edges if draw(st.integers(0, 9)) < rate}
     elif mode == "on_paths":
-        on_paths = sorted({e for p in k_shortest_paths(net, s, t, k) for e in p.edge_keys()})
+        on_paths = sorted({e for p in k_shortest_paths(net, s, t, k)
+                           for e in edge_keys(p.nodes)})
         dead = set(draw(st.lists(st.sampled_from(on_paths), min_size=1, max_size=3)))
     else:
         node = draw(st.sampled_from((s, t)))
@@ -190,7 +191,7 @@ def test_node_tuple_path_set_equals_keyed_build():
         if ctx.reason is not None:
             return
         paths = ctx.paths
-        path_edges = {p.key: p.edge_keys() for p in sorted(paths, key=lambda p: p.key)}
+        path_edges = {p.key: edge_keys(p.nodes) for p in sorted(paths, key=lambda p: p.key)}
         keyed = PathSet.from_edges(path_edges, {p.key: p.length for p in paths})
         caps = ctx.revised.capacity_map()
         for order in (paths, reversed(paths), data.draw(st.permutations(paths))):

@@ -142,6 +142,29 @@ def test_record_dict_roundtrip_degenerate():
     (lambda d: d["requests"][0].pop("demand"), r"requests\[0\]: missing keys \['demand'\]"),
     (lambda d: d["requests"][1].pop("weight"), r"requests\[1\]: missing keys \['weight'\]"),
     (lambda d: d["params"].pop("f_min"), r"params: missing keys \['f_min'\]"),
+    # a value its field's annotation does not admit, or its constructor
+    # rejects, names its key path
+    (lambda d: d["requests"][0].__setitem__("demand", "x"),
+     r"requests\[0\]\.demand: 'x' is not a non-negative int"),
+    (lambda d: d["params"].__setitem__("k", 0), r"params: k must be >= 1, got 0"),
+    (lambda d: d["results"]["PS"]["report"].__setitem__("u_ave", "x"),
+     r"results\.PS\.report\.u_ave: 'x' is not a number"),
+    (lambda d: d["network"].__setitem__("active_edges", "x"),
+     r"network\.active_edges: 'x' is not a non-negative int"),
+    (lambda d: d["params"].__setitem__("alpha", "x"), r"params\.alpha: 'x' is not a number"),
+    (lambda d: d["params"].__setitem__("f_min", -1),
+     r"params\.f_min: -1 is not a non-negative int"),
+    (lambda d: d["requests"][1].__setitem__("terminal", d["requests"][1]["source"]),
+     r"requests\[1\]: source and terminal must differ"),
+    (lambda d: d["requests"][0].__setitem__("weight", 0), r"requests\[0\]: weight must be > 0"),
+    (lambda d: d["results"]["PF"]["report"].__setitem__("flags", [1]),
+     r"results\.PF\.report\.flags: 1 is not a string"),
+    (lambda d: d["results"]["PU"]["report"]["stretch_per_request"].__setitem__("a", 1.0),
+     r"results\.PU\.report\.stretch_per_request: .*'a'.* is not a dict\[int, float\]"),
+    (lambda d: d["results"]["PU"]["report"]["demand_satisfied"].__setitem__("0", "yes"),
+     r"results\.PU\.report\.demand_satisfied: 'yes' is not a bool"),
+    (lambda d: d.__setitem__("seed", "x"), r"seed: 'x' is not a non-negative int"),
+    (lambda d: d.__setitem__("reason", 5), r"reason: 5 is not a string"),
 ])
 def test_record_from_dict_rejects_misshapen_capacities_and_allocations(change, where):
     data = record_to_dict(run_trial(small_config(), 77))
