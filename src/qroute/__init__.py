@@ -4,7 +4,7 @@ from .netmodel import (Edge, InvariantError, Network, Request,
                        ScenarioParams, build_lattice, deactivate_low_capacity_edges,
                        generate_requests, inject_failures, sample_edge_states)
 from .purification import pump_fidelity, purify_network
-from .pathfinder import (Path, PathKey, PathSet, build_path_info, k_shortest_paths,
+from .pathfinder import (PathKey, PathSet, build_path_info, k_shortest_paths,
                          truncate_edge_paths)
 from .scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams,
                         compute_f_min, run_algorithm, two_stage_weights)
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS", "ConfigError", "Edge", "ExperimentConfig",
-    "InvariantError", "MetricsReport", "Network", "ObjectiveWeights", "Path",
+    "InvariantError", "MetricsReport", "Network", "ObjectiveWeights",
     "PathKey", "PathSet", "Request",
     "RequestSpec", "RoutingOutcome", "RoutingParams", "ScenarioParams",
     "TrialRecord", "build_lattice",

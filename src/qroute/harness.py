@@ -14,7 +14,7 @@ from .metrics import MetricsReport, _check_p_in, evaluate, throughput, zero_repo
 from .netmodel import (Network, Request, ScenarioParams, build_lattice,
                        deactivate_low_capacity_edges, generate_requests,
                        inject_failures, sample_edge_states)
-from .pathfinder import Path, PathSet, build_path_info, k_shortest_paths
+from .pathfinder import PathSet, build_path_info, k_shortest_paths
 from .purification import purify_network
 from .scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams, compute_f_min,
                         run_algorithm, schedule_key)
@@ -107,7 +107,8 @@ class TrialContext:
     revised: Network
     requests: tuple[Request, ...]
     params: RoutingParams
-    paths: tuple[Path, ...]
+    #: request id -> its k shortest paths as node tuples, by rank
+    paths: dict[int, list[tuple[int, ...]]]
     reason: str | None = None
     stage_seconds: dict[str, float] = field(default_factory=dict)
 
@@ -139,21 +140,20 @@ def prepare_trial(config: ExperimentConfig, seed: int) -> TrialContext:
 
     f_min = compute_f_min(revised, config.routing.l_max) if revised.active_edges() else 0
     return _with_paths(TrialContext(seed, revised, requests,
-                                    replace(config.routing, f_min=f_min), (),
+                                    replace(config.routing, f_min=f_min), {},
                                     stage_seconds=stage))
 
 
 def _with_paths(ctx: TrialContext) -> TrialContext:
     """The context with the k shortest paths of every request on its network
-    (a disconnected request contributes none), or the reason it has none."""
+    (none for a disconnected request), or the reason it has none."""
     if not ctx.revised.active_edges():
         return replace(ctx, reason="no_active_edges")
     t0 = time.perf_counter()
-    paths = tuple(path for r in ctx.requests
-                  for path in k_shortest_paths(ctx.revised, r.source, r.terminal,
-                                               ctx.params.k, request_id=r.id))
+    paths = {r.id: k_shortest_paths(ctx.revised, r.source, r.terminal, ctx.params.k)
+             for r in ctx.requests}
     ctx.stage_seconds["paths"] = time.perf_counter() - t0
-    return replace(ctx, paths=paths, reason=None if paths else "no_paths")
+    return replace(ctx, paths=paths, reason=None if any(paths.values()) else "no_paths")
 
 
 def _uncovered_requests(record: TrialRecord) -> int:
@@ -210,7 +210,7 @@ def route_window(ctx: TrialContext, points: Sequence[RoutingParams],
                 continue
             if point.k not in infos:
                 infos[point.k] = build_path_info(
-                    ctx.revised, (p for p in ctx.paths if p.rank < point.k), point.l_max)
+                    ctx.revised, {r: p[:point.k] for r, p in ctx.paths.items()}, point.l_max)
             key = (point.k, schedule_key(name, infos[point.k], params))
             if key not in schedules:
                 t0 = time.perf_counter()
@@ -277,14 +277,6 @@ def _map_seeds(task, args: list[tuple]) -> list:
     return [task(a) for a in args]
 
 
-def run_trials(config: ExperimentConfig, seeds: Sequence[int]) -> list[TrialRecord]:
-    """One trial per seed, in seed order, and one warning for the (seed,
-    request) pairs whose demand k*f_min cannot cover."""
-    records = _map_seeds(_trial_task, [(config, s) for s in seeds])
-    _warn_uncovered(sum(map(_uncovered_requests, records)), "(seed, request) pairs")
-    return records
-
-
 def _seeds(config: ExperimentConfig) -> list[int]:
     """Replication seeds ``base_seed + i``."""
     if config.replications < 1:
@@ -296,18 +288,6 @@ def report_values(rep: MetricsReport) -> dict[str, float]:
     return {"F": rep.throughput, "F_min": rep.min_flow, "U_ave": rep.u_ave,
             "U_var": rep.u_var, "gamma": rep.stretch, "J_req": rep.jain_requests,
             "J_path": rep.jain_paths}
-
-
-def aggregate(records: Sequence[TrialRecord],
-              algorithms: Sequence[str]) -> dict[str, dict[str, tuple[float, float]]]:
-    """Per-algorithm (mean, standard error) of every metric.
-
-    Records are reduced in seed order so the result is bit-identical no
-    matter how the trials were scheduled.
-    """
-    ordered = sorted(records, key=lambda r: r.seed)
-    return aggregate_reports({name: [rec.results[name].report for rec in ordered]
-                              for name in algorithms})
 
 
 def aggregate_reports(reports: dict[str, Sequence[MetricsReport]]
@@ -331,9 +311,14 @@ def aggregate_reports(reports: dict[str, Sequence[MetricsReport]]
 
 def replicate(config: ExperimentConfig) -> tuple[list[TrialRecord],
                                                  dict[str, dict[str, tuple[float, float]]]]:
-    """Seeded replications (seed = base_seed + index) with aggregated statistics."""
-    records = run_trials(config, _seeds(config))
-    return records, aggregate(records, config.algorithms)
+    """Seeded replications (seed = base_seed + index), in seed order, with
+    each algorithm's (mean, standard error) of every metric reduced in that
+    order, and one warning for the (seed, request) pairs whose demand k*f_min
+    cannot cover."""
+    records = _map_seeds(_trial_task, [(config, s) for s in _seeds(config)])
+    _warn_uncovered(sum(map(_uncovered_requests, records)), "(seed, request) pairs")
+    return records, aggregate_reports({name: [rec.results[name].report for rec in records]
+                                       for name in config.algorithms})
 
 
 # ---------------------------------------------------------------- sweep engine
@@ -558,7 +543,7 @@ def _failure_seed(args: tuple) -> list[tuple[tuple[str, int, str], tuple]]:
         # Steps 2-5 only: the window's f_min (a Step-1 parameter) is kept, and
         # it stays feasible because the failed graph's edges are a subset of G'
         (replanned,) = route_window(
-            _with_paths(TrialContext(seed, failed, ctx.requests, ctx.params, ())),
+            _with_paths(TrialContext(seed, failed, ctx.requests, ctx.params, {})),
             [ctx.params], config.algorithms, p_in)
         for alg, res in before.results.items():
             survived = degrade_outcome(res.outcome, dead)

@@ -4,34 +4,15 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress, groupby, islice
-from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .netmodel import Edge, EdgeMasks, InvariantError, Network
 
-#: (request_id, path rank) identifies one enumerated path
+#: (request id, path rank) identifies one enumerated path
 PathKey = tuple[int, int]
 #: one edge's path ids grouped by request: a tuple of ids per request, in id order
 RequestGroups = tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class Path:
-    """One loopless route for a request, ranked within its k-shortest output."""
-
-    request_id: int
-    rank: int
-    nodes: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.nodes) - 1
-
-    @property
-    def key(self) -> PathKey:
-        return (self.request_id, self.rank)
 
 
 def _reached(offsets: tuple[tuple[int, int], ...], frontier: int) -> int:
@@ -141,11 +122,11 @@ def _spur_search(masks: EdgeMasks, root: tuple[int, ...], t: int, banned: int,
     return tuple(nodes)
 
 
-def k_shortest_paths(net: Network, s: int, t: int, k: int,
-                     request_id: int = 0) -> list[Path]:
-    """The k shortest loopless s-t paths over active edges, ordered by
-    (length, node sequence); fewer when fewer exist, empty when s and t are
-    disconnected in G'.
+def k_shortest_paths(net: Network, s: int, t: int, k: int) -> list[tuple[int, ...]]:
+    """The k shortest loopless s-t paths over active edges, as node tuples
+    ordered by (length, node sequence); fewer when fewer exist, empty when s
+    and t are disconnected in G'. The first j of them are the answer for k =
+    j.
 
     The order is total, so when the s-t shortest-path DAG holds at least k
     paths, its first k (from ``_shortest_paths``) are the answer. Otherwise
@@ -224,7 +205,7 @@ def k_shortest_paths(net: Network, s: int, t: int, k: int,
             break
         _, best, deviation = heapq.heappop(heap)
         accepted.append(best)
-    return [Path(request_id, rank, nodes) for rank, nodes in enumerate(accepted)]
+    return accepted
 
 
 def truncate_edge_paths(ids: list[int], request_of: Sequence[int],
@@ -394,14 +375,19 @@ def _incidence(routes: Iterable[Sequence[int]], size: int) -> list[list[int]]:
     return on
 
 
-def build_path_info(net: Network, paths: Iterable[Path], l_max: int) -> PathSet:
-    """Assemble the window's PathSet from the paths found on ``net``, with
-    its ``kept(l_max)`` view built before it returns, so that its cost counts
+def build_path_info(net: Network, paths: Mapping[int, Sequence[tuple[int, ...]]],
+                    l_max: int) -> PathSet:
+    """Assemble the window's PathSet from the paths found on ``net``, given
+    as request id -> its node tuples by rank; path ``(r, rank)`` is
+    ``paths[r][rank]``, and keys are numbered in request-id order. Its
+    ``kept(l_max)`` view is built before it returns, so that its cost counts
     as path information. Each hop is read by its index in ``net.edges``,
     whose order is the sorted edge order, so no edge key is built."""
-    paths = sorted(paths, key=attrgetter("request_id", "rank"))
+    ids = sorted(paths)
+    routes = [nodes for r in ids for nodes in paths[r]]
     by_node = net.edge_index()
-    hops = [[by_node[a][b] for a, b in zip(p.nodes, p.nodes[1:])] for p in paths]
-    info = PathSet(tuple(p.key for p in paths), [p.length for p in paths], net.edges, hops)
+    hops = [[by_node[a][b] for a, b in zip(p, p[1:])] for p in routes]
+    info = PathSet(tuple((r, rank) for r in ids for rank in range(len(paths[r]))),
+                   [len(p) - 1 for p in routes], net.edges, hops)
     info.kept(l_max)
     return info

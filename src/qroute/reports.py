@@ -13,7 +13,7 @@ from .harness import AlgorithmResult, TrialRecord, report_values
 from .metrics import MetricsReport
 from .netmodel import Network, node_label, node_xy
 from .pathfinder import PathKey, PathSet
-from .scheduler import RoutingOutcome
+from .scheduler import ALGORITHMS, RoutingOutcome
 
 TRIAL_COLUMNS = ("seed", "algorithm", "k", "l_max", "alpha", "beta",
                  "F", "F_min", "U_ave", "U_var", "gamma", "J_req", "J_path",
@@ -157,12 +157,17 @@ def _decode(tp, value, where: str):
     raise ValueError(f"{where}: {value!r} is not a {tp if origin else tp.__name__}")
 
 
+def _check_keys(data: dict, names: Sequence[str], where: str) -> None:
+    """``data`` must hold exactly the keys ``names``."""
+    if data.keys() != set(names):
+        raise ValueError(f"{where}: missing keys {[n for n in names if n not in data]}, "
+                         f"extra keys {[k for k in data if k not in names]}")
+
+
 def _load(cls: type, data: dict, where: str):
     """``cls`` from an object of exactly its fields, each read by its annotation."""
     hints = _hints(cls)
-    if data.keys() != hints.keys():
-        raise ValueError(f"{where}: missing keys {[n for n in hints if n not in data]}, "
-                         f"extra keys {[k for k in data if k not in hints]}")
+    _check_keys(data, list(hints), where)
     values = {name: _decode(tp, data[name], f"{where}.{name}") for name, tp in hints.items()}
     try:
         return cls(**values)
@@ -170,24 +175,33 @@ def _load(cls: type, data: dict, where: str):
         raise ValueError(f"{where}: {exc}") from None
 
 
-def outcome_from_dict(data: dict, paths: PathSet, keys: list[str], l_max: int,
-                      where: str) -> RoutingOutcome:
-    """The outcome at key path ``where`` over ``paths``, its keys written as
-    ``keys``; PS's rows are checked against ``paths.kept(l_max)``."""
-    flows, hints = data["flows"], _hints(RoutingOutcome)
+def outcome_from_dict(name: str, data: dict, paths: PathSet, keys: list[str],
+                      l_max: int) -> RoutingOutcome:
+    """Result ``name``'s outcome over ``paths``, its keys written as ``keys``.
+    Only PS, in a window with paths, has allocation rows; they are checked
+    against ``paths.kept(l_max)``."""
+    where, hints = f"results.{name}.outcome", _hints(RoutingOutcome)
+    has_rows = name == "PS" and bool(paths.keys)
+    _check_keys(data, ("algorithm", "flows", "allocations") if has_rows
+                else ("algorithm", "flows"), where)
+    if data["algorithm"] != name:
+        raise ValueError(f"{where}.algorithm: {data['algorithm']!r} is not its result's "
+                         f"name {name!r}")
+    flows = data["flows"]
     if list(flows) != keys:
         raise ValueError(f"{where}.flows: must hold every path of paths.path_edges, "
                          "in key order")
     _each(hints["flows"].__args__[1], list(flows.values()), f"{where}.flows")
-    allocations = _decode(hints["allocations"], data.get("allocations"), f"{where}.allocations")
-    if allocations is not None:
+    allocations = None
+    if has_rows:  # read by the annotation without its None
+        allocations = _decode(hints["allocations"].__args__[0], data["allocations"],
+                              f"{where}.allocations")
         kept = paths.kept(l_max).keys
         _check_length(allocations, len(kept), f"{where}.allocations", "one list per path edge")
         for e, (ids, row) in enumerate(zip(kept, allocations)):
             _check_length(row, len(ids), f"{where}.allocations[{e}]",
                           f"the paths kept on edge {paths.edges[e]} at l_max = {l_max}")
-    return RoutingOutcome(data["algorithm"], dict(zip(paths.keys, flows.values())), paths,
-                          allocations)
+    return RoutingOutcome(name, dict(zip(paths.keys, flows.values())), paths, allocations)
 
 
 def report_to_dict(report: MetricsReport) -> dict:
@@ -228,14 +242,18 @@ def record_to_dict(record: TrialRecord) -> dict:
 
 
 def record_from_dict(data: dict) -> TrialRecord:
-    """The record ``record_to_dict`` wrote; paths, capacities, flows, allocations
+    """The record ``record_to_dict`` wrote; keys, paths, capacities, results
     or sections that do not fit raise ValueError with their key path."""
+    _check_keys(data, ("seed", "params", "requests", "network", "paths", "results",
+                       "stage_seconds", "reason"), "record")
     hints = _hints(TrialRecord)
     sections = {name: _decode(hints[name], data[name], name)
                 for name in ("seed", "params", "requests", "network", "reason")}
+    _check_keys(data["paths"], ("lengths", "path_edges", "capacities"), "paths")
     path_edges, lengths = data["paths"]["path_edges"], data["paths"]["lengths"]
     if lengths.keys() != path_edges.keys():
         raise ValueError("paths.lengths: must hold one length per path of paths.path_edges")
+    _each(int, list(lengths.values()), "paths.lengths")
     routes = {}
     for k, edges in path_edges.items():
         try:
@@ -245,15 +263,14 @@ def record_from_dict(data: dict) -> TrialRecord:
                              "edges 'u-v'") from None
     paths = PathSet.from_edges(routes, {_decode_pathkey(k): v for k, v in lengths.items()})
     keys = [_encode_pathkey(key) for key in paths.keys]
-    if "capacities" not in data["paths"]:
-        raise ValueError("paths.capacities: missing; the record predates per-edge "
-                         "capacities and cannot be read")
     capacities = _decode(hints["capacities"], data["paths"]["capacities"], "paths.capacities")
     _check_length(capacities, len(paths.edges), "paths.capacities", "one per path edge")
     results = {}
     for name, res in data["results"].items():
-        outcome = outcome_from_dict(res["outcome"], paths, keys, sections["params"].l_max,
-                                    f"results.{name}.outcome")
+        if name not in ALGORITHMS:
+            raise ValueError(f"results.{name}: not one of {ALGORITHMS}")
+        _check_keys(res, ("outcome", "report", "schedule_seconds"), f"results.{name}")
+        outcome = outcome_from_dict(name, res["outcome"], paths, keys, sections["params"].l_max)
         report = _decode(MetricsReport, res["report"], f"results.{name}.report")
         results[name] = AlgorithmResult(outcome, report, res["schedule_seconds"])
     # the allocations were checked against the kept views; the record needs none

@@ -37,13 +37,13 @@ import numpy as np
 from qroute.config import ConfigError, _fail
 from qroute.harness import (METRIC_FIELDS, AlgorithmResult, ExperimentConfig,
                             ObjectiveWeights, RequestSpec, TrialContext, TrialRecord,
-                            _resolve_requests, _summarize, aggregate, objective_value,
+                            _resolve_requests, _summarize, aggregate_reports, objective_value,
                             parameter_grid)
 from qroute.metrics import MetricsReport, zero_report
 from qroute.netmodel import (TOPOLOGIES, Edge, EdgeMasks, InvariantError, Network, Request,
                              ScenarioParams, build_lattice, deactivate_low_capacity_edges,
                              sample_edge_states)
-from qroute.pathfinder import Path, PathKey, PathSet, build_path_info, truncate_edge_paths
+from qroute.pathfinder import PathKey, PathSet, build_path_info, truncate_edge_paths
 from qroute.purification import pump_fidelity
 from qroute.scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams, _progressive_fill,
                               _propagatory_core, compute_f_min, largest_remainder,
@@ -285,13 +285,13 @@ def _lex_shortest(adj: dict[int, list[int]], s: int, t: int,
     return tuple(nodes)
 
 
-def reference_k_shortest_paths(net: Network, s: int, t: int, k: int,
-                               request_id: int = 0) -> list[Path]:
+def reference_k_shortest_paths(net: Network, s: int, t: int, k: int) -> list[tuple[int, ...]]:
     """Reference Yen: full BFS per spur, banned edges as tuples, every spur
     index of every accepted path (no deviation-index restriction).
 
-    Returns up to k loopless paths ordered by (length, node sequence); fewer
-    when fewer exist, empty when s and t are disconnected in G'.
+    Returns up to k loopless paths as node tuples, ordered by (length, node
+    sequence); fewer when fewer exist, empty when s and t are disconnected in
+    G'.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -322,7 +322,7 @@ def reference_k_shortest_paths(net: Network, s: int, t: int, k: int,
             break
         _, best = heapq.heappop(candidates)
         accepted.append(best)
-    return [Path(request_id, rank, nodes) for rank, nodes in enumerate(accepted)]
+    return accepted
 
 
 def yen_spurs(paths: Sequence[tuple[int, ...]],
@@ -831,7 +831,7 @@ def reference_prepare_trial(config: ExperimentConfig, seed: int) -> TrialContext
     revised = deactivate_low_capacity_edges(purified, config.routing.l_max)
     f_min = compute_f_min(revised, config.routing.l_max) if revised.active_edges() else 0
     return reference_with_paths(TrialContext(seed, revised, requests,
-                                             replace(config.routing, f_min=f_min), ()))
+                                             replace(config.routing, f_min=f_min), {}))
 
 
 def reference_with_paths(ctx: TrialContext) -> TrialContext:
@@ -839,14 +839,14 @@ def reference_with_paths(ctx: TrialContext) -> TrialContext:
     (``reference_k_shortest_paths``) per request on the context's network."""
     if not ctx.revised.active_edges():
         return replace(ctx, reason="no_active_edges")
-    paths = tuple(path for r in ctx.requests
-                  for path in reference_k_shortest_paths(ctx.revised, r.source, r.terminal,
-                                                         ctx.params.k, request_id=r.id))
-    return replace(ctx, paths=paths, reason=None if paths else "no_paths")
+    paths = {r.id: reference_k_shortest_paths(ctx.revised, r.source, r.terminal, ctx.params.k)
+             for r in ctx.requests}
+    return replace(ctx, paths=paths, reason=None if any(paths.values()) else "no_paths")
 
 
-def reference_route_all(net: Network, paths: Sequence[Path], requests: Sequence[Request],
-                        params: RoutingParams, algorithms: Sequence[str],
+def reference_route_all(net: Network, paths: dict[int, list[tuple[int, ...]]],
+                        requests: Sequence[Request], params: RoutingParams,
+                        algorithms: Sequence[str],
                         p_in: float) -> dict[str, AlgorithmResult]:
     """Steps 3-5 for every selected algorithm on one realized network, each
     scored by ``reference_evaluate``; the outcomes share the window's one
@@ -887,7 +887,8 @@ def reference_replicate(config: ExperimentConfig) -> tuple[
     """``replicate`` over ``reference_run_trial``: seeds base_seed + i."""
     records = [reference_run_trial(config, config.base_seed + i)
                for i in range(config.replications)]
-    return records, aggregate(records, config.algorithms)
+    return records, aggregate_reports({name: [rec.results[name].report for rec in records]
+                                       for name in config.algorithms})
 
 
 # ------------------------------------------------------------ record encoding

@@ -15,8 +15,8 @@ from conftest import (assert_integer_max_min, enumerate_loopless_paths,
 
 import qroute
 from qroute.harness import (ExperimentConfig, RequestSpec, WORKERS_ENV,
-                            aggregate, failure_experiment, prepare_trial,
-                            replicate, run_trials, swap_monte_carlo)
+                            failure_experiment, prepare_trial, replicate,
+                            swap_monte_carlo)
 from qroute.netmodel import ScenarioParams, build_lattice
 from qroute.pathfinder import build_path_info, k_shortest_paths
 from qroute.reports import write_trial_csv
@@ -125,7 +125,7 @@ def test_criterion_3_path_enumeration_oracle():
                     continue
                 oracle = [tuple(p) for p in enumerate_loopless_paths(net, s, t)]
                 for k in range(1, 9):
-                    got = [p.nodes for p in k_shortest_paths(net, s, t, k)]
+                    got = k_shortest_paths(net, s, t, k)
                     assert got == oracle[:k], f"mismatch at {rows}x{cols} {s}->{t} k={k}"
                 checked += 1
     report(3, "path-enumeration oracle",
@@ -327,21 +327,20 @@ def test_criterion_9_failure_robustness():
 
 def test_criterion_10_determinism(tmp_path, monkeypatch):
     cfg = replace(BASELINE, replications=5)
-    seeds = [cfg.base_seed + i for i in range(5)]
 
     monkeypatch.setenv(WORKERS_ENV, "1")
-    serial = run_trials(cfg, seeds)
+    serial, serial_aggregate = replicate(cfg)
     write_trial_csv(serial, str(tmp_path / "serial_a.csv"))
-    write_trial_csv(run_trials(cfg, seeds), str(tmp_path / "serial_b.csv"))
+    write_trial_csv(replicate(cfg)[0], str(tmp_path / "serial_b.csv"))
     assert (tmp_path / "serial_a.csv").read_bytes() == \
         (tmp_path / "serial_b.csv").read_bytes()
 
     monkeypatch.setenv(WORKERS_ENV, "2")
-    parallel = run_trials(cfg, seeds)
+    parallel, parallel_aggregate = replicate(cfg)
     write_trial_csv(parallel, str(tmp_path / "parallel.csv"))
     assert (tmp_path / "serial_a.csv").read_bytes() == \
         (tmp_path / "parallel.csv").read_bytes()
-    assert aggregate(serial, ALGS) == aggregate(parallel, ALGS)
+    assert serial_aggregate == parallel_aggregate
     report(10, "determinism",
            detail="re-run and 2-worker CSVs byte-identical; aggregates equal")
 

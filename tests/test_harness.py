@@ -10,10 +10,10 @@ from conftest import (KeyedOutcome, reference_evaluate, reference_run_trial,
 from qroute import harness
 from qroute.config import load_config
 from qroute.harness import (ExperimentConfig, ObjectiveWeights, RequestSpec,
-                            aggregate, degrade_outcome, failure_experiment,
+                            degrade_outcome, failure_experiment,
                             grid_search_parameters, objective_value, parameter_grid,
                             prepare_trial, replicate, report_values, request_sweep,
-                            run_trial, run_trials, swap_monte_carlo, WORKERS_ENV)
+                            run_trial, swap_monte_carlo, WORKERS_ENV)
 from qroute.metrics import evaluate, throughput
 from qroute.netmodel import Request, ScenarioParams, inject_failures
 from qroute.pathfinder import PathSet
@@ -126,8 +126,7 @@ def test_pinned_baseline_windows_skip_yen():
         reference = reference_with_paths(ctx)
         assert (ctx.paths, ctx.reason) == (reference.paths, reference.reason)
         yen_windows += any(
-            yen_spurs([p.nodes for p in ctx.paths if p.request_id == r.id], ctx.params.k)
-            for r in ctx.requests)
+            yen_spurs(ctx.paths[r.id], ctx.params.k) for r in ctx.requests)
         if seed < 10:
             assert untimed(record_to_dict(run_trial(config, seed))) == \
                 untimed(record_to_dict(reference_run_trial(config, seed)))
@@ -149,18 +148,10 @@ def test_replicate_single_equals_trial():
 def test_parallel_matches_serial(monkeypatch):
     cfg = small_config(replications=6)
     monkeypatch.setenv(WORKERS_ENV, "1")
-    serial = run_trials(cfg, [cfg.base_seed + i for i in range(6)])
+    serial = replicate(cfg)
     monkeypatch.setenv(WORKERS_ENV, "2")
-    parallel = run_trials(cfg, [cfg.base_seed + i for i in range(6)])
+    parallel = replicate(cfg)
     assert serial == parallel
-    assert aggregate(serial, cfg.algorithms) == aggregate(parallel, cfg.algorithms)
-
-
-def test_aggregate_order_independent():
-    cfg = small_config(replications=5)
-    records, _ = replicate(cfg)
-    assert aggregate(records, cfg.algorithms) == \
-        aggregate(list(reversed(records)), cfg.algorithms)
 
 
 # ---------------------------------------------------------------- Monte Carlo

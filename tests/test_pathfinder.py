@@ -12,7 +12,7 @@ from conftest import (abstract_network, adjacency, assert_kept_views, edge_keys,
 from qroute import harness, pathfinder
 from qroute.config import load_config
 from qroute.netmodel import TOPOLOGIES, EdgeMasks, InvariantError, build_lattice
-from qroute.pathfinder import (Path, PathSet, _shortest_paths, _spur_search, build_path_info,
+from qroute.pathfinder import (PathSet, _shortest_paths, _spur_search, build_path_info,
                                k_shortest_paths)
 
 
@@ -26,9 +26,7 @@ def active_lattice(rows, cols, kind="square", dead_edges=()):
 
 def test_two_by_two_opposite_corners():
     net = active_lattice(2, 2)
-    paths = k_shortest_paths(net, 0, 3, 2)
-    assert [p.nodes for p in paths] == [(0, 1, 3), (0, 2, 3)]
-    assert all(p.length == 2 for p in paths)
+    assert k_shortest_paths(net, 0, 3, 2) == [(0, 1, 3), (0, 2, 3)]
     # only two loopless routes exist at all, so asking for more returns two
     assert len(k_shortest_paths(net, 0, 3, 5)) == 2
 
@@ -37,8 +35,7 @@ def test_k1_single_shortest():
     net = active_lattice(3, 3)
     paths = k_shortest_paths(net, 0, 8, 1)
     assert len(paths) == 1
-    assert paths[0].rank == 0
-    assert paths[0].length == 4
+    assert len(paths[0]) - 1 == 4
 
 
 def test_three_by_three_corner_six_monotone_paths():
@@ -46,9 +43,9 @@ def test_three_by_three_corner_six_monotone_paths():
     net = active_lattice(3, 3)
     paths = k_shortest_paths(net, 0, 8, 6)
     assert len(paths) == 6
-    assert all(p.length == 4 for p in paths)
+    assert all(len(p) - 1 == 4 for p in paths)
     oracle = enumerate_loopless_paths(net, 0, 8)
-    assert [p.nodes for p in paths] == [tuple(p) for p in oracle[:6]]
+    assert paths == [tuple(p) for p in oracle[:6]]
 
 
 def test_matches_exhaustive_oracle_sample_pairs():
@@ -56,17 +53,16 @@ def test_matches_exhaustive_oracle_sample_pairs():
     for s, t in [(0, 8), (1, 7), (2, 6), (3, 5), (0, 5)]:
         oracle = enumerate_loopless_paths(net, s, t)
         for k in (1, 3, 8):
-            got = [p.nodes for p in k_shortest_paths(net, s, t, k)]
-            assert got == [tuple(p) for p in oracle[:k]]
+            assert k_shortest_paths(net, s, t, k) == [tuple(p) for p in oracle[:k]]
 
 
 def test_respects_inactive_edges():
     net = active_lattice(3, 3, dead_edges=[(0, 1)])
     paths = k_shortest_paths(net, 0, 8, 8)
     for p in paths:
-        assert (0, 1) not in edge_keys(p.nodes)
+        assert (0, 1) not in edge_keys(p)
     oracle = enumerate_loopless_paths(net, 0, 8)
-    assert [p.nodes for p in paths] == [tuple(q) for q in oracle[:8]]
+    assert paths == [tuple(q) for q in oracle[:8]]
 
 
 def test_disconnected_returns_empty():
@@ -78,10 +74,10 @@ def test_disconnected_returns_empty():
 def test_lengths_nondecreasing_and_rank0_is_bfs_distance():
     net = active_lattice(4, 4, dead_edges=[(5, 6), (9, 10)])
     paths = k_shortest_paths(net, 0, 15, 10)
-    lengths = [p.length for p in paths]
+    lengths = [len(p) - 1 for p in paths]
     assert lengths == sorted(lengths)
     oracle = enumerate_loopless_paths(net, 0, 15)
-    assert paths[0].length == len(oracle[0]) - 1
+    assert lengths[0] == len(oracle[0]) - 1
 
 
 @pytest.mark.parametrize("kind", TOPOLOGIES)
@@ -120,8 +116,7 @@ def test_determinism():
 
 
 def test_build_path_info_single_path():
-    path = Path(0, 0, (0, 1, 2, 5))
-    info = build_path_info(active_lattice(2, 3), [path], 10)
+    info = build_path_info(active_lattice(2, 3), {0: [(0, 1, 2, 5)]}, 10)
     assert info.edges == ((0, 1), (1, 2), (2, 5))
     assert info.values() == [[0], [0], [0]]
     assert info.keys == ((0, 0),) and info.lengths == [3]
@@ -129,18 +124,18 @@ def test_build_path_info_single_path():
 
 
 def test_build_path_info_shared_edge():
-    a = Path(0, 0, (0, 1, 2))
-    b = Path(1, 0, (3, 1, 2))
     # a hand-built network with the three edges; no lattice holds (1, 2) and (1, 3)
     net = abstract_network({(0, 1): 5, (1, 2): 5, (1, 3): 5})
-    info = build_path_info(net, [a, b], 10)
+    info = build_path_info(net, {1: [(3, 1, 2)], 0: [(0, 1, 2)]}, 10)
     assert info.keys == ((0, 0), (1, 0))
     assert info.values()[info.edges.index((1, 2))] == [0, 1]
 
 
 def test_build_path_info_empty():
-    info = build_path_info(active_lattice(2, 2), [], 3)
+    info = build_path_info(active_lattice(2, 2), {}, 3)
     assert info.values() == [] and info.edges == () and info.keys == ()
+    # a request without paths adds no key
+    assert build_path_info(active_lattice(2, 2), {0: [], 1: []}, 3) == info
     assert info.path_edges == {} and info.lengths == []
     assert info.kept(3) == ([], [], [], [], [])
     assert info == PathSet.from_edges({}, {})
@@ -148,36 +143,35 @@ def test_build_path_info_empty():
 
 def test_path_set_per_path_views():
     net = active_lattice(3, 3)
-    paths = (k_shortest_paths(net, 0, 8, 5, request_id=2)
-             + k_shortest_paths(net, 2, 6, 5, request_id=0))
+    paths = {2: k_shortest_paths(net, 0, 8, 5), 0: k_shortest_paths(net, 2, 6, 5)}
     info = build_path_info(net, paths, 5)
-    assert list(info.keys) == sorted(p.key for p in paths)
+    by_key = {(r, rank): nodes for r, routes in paths.items() for rank, nodes in enumerate(routes)}
+    assert list(info.keys) == sorted(by_key)
     assert list(info.path_edges) == list(info.keys)
-    assert list(info.edges) == sorted({e for p in paths for e in edge_keys(p.nodes)})
-    for p in paths:
-        i = info.keys.index(p.key)
-        assert info.path_edges[p.key] == edge_keys(p.nodes)
-        assert tuple(info.edges[e] for e in info.edge_ids[i]) == edge_keys(p.nodes)
-        assert info.lengths[i] == p.length
+    assert list(info.edges) == sorted({e for p in by_key.values() for e in edge_keys(p)})
+    for key, p in by_key.items():
+        i = info.keys.index(key)
+        assert info.path_edges[key] == edge_keys(p)
+        assert tuple(info.edges[e] for e in info.edge_ids[i]) == edge_keys(p)
+        assert info.lengths[i] == len(p) - 1
     # H lists each path id under exactly the edges its path crosses, ascending
     for e, ids in enumerate(info.values()):
         assert ids == sorted(set(ids))
         assert all(e in info.edge_ids[p] for p in ids)
     assert sum(map(len, info.values())) == sum(map(len, info.edge_ids))
-    assert info == build_path_info(net, reversed(paths), 2)
+    assert info == build_path_info(net, dict(reversed(paths.items())), 2)
     # the keyed form is not stored but rebuilt from the ids, into an equal PathSet
     assert "path_edges" not in vars(info)
     path_edges, lengths = info.path_edges, dict(zip(info.keys, info.lengths))
     assert PathSet.from_edges(path_edges, lengths) == info
-    key = paths[0].key
+    key = (2, 0)
     assert PathSet.from_edges({**path_edges, key: path_edges[key][::-1]}, lengths) != info
     assert PathSet.from_edges(path_edges, {**lengths, key: lengths[key] + 1}) != info
 
 
 def test_path_set_kept_matches_per_edge_truncation():
     net = active_lattice(4, 4)
-    paths = (k_shortest_paths(net, 0, 15, 10, request_id=0)
-             + k_shortest_paths(net, 3, 12, 10, request_id=1))
+    paths = {0: k_shortest_paths(net, 0, 15, 10), 1: k_shortest_paths(net, 3, 12, 10)}
     info = build_path_info(net, paths, 1)
     for l_max in (1, 2, 4, 20):
         assert info.kept(l_max) is info.kept(l_max)
@@ -213,8 +207,8 @@ def test_matches_reference_yen_on_random_instances():
     # restriction give the node sequences of the full-BFS, every-index Yen
     disconnected = fewer_than_k = 0
     for n, net, s, t, k in random_instances():
-        got = k_shortest_paths(net, s, t, k, request_id=n)
-        assert got == reference_k_shortest_paths(net, s, t, k, request_id=n), \
+        got = k_shortest_paths(net, s, t, k)
+        assert got == reference_k_shortest_paths(net, s, t, k), \
             (net.kind, net.rows, net.cols, s, t, k)
         disconnected += not got
         fewer_than_k += 0 < len(got) < k
@@ -258,8 +252,8 @@ def benchmark_sized_instances():
 def test_matches_reference_yen_on_benchmark_sized_lattices():
     disconnected = fewer_than_k = 0
     for n, net, s, t, k in benchmark_sized_instances():
-        got = k_shortest_paths(net, s, t, k, request_id=n)
-        assert got == reference_k_shortest_paths(net, s, t, k, request_id=n), \
+        got = k_shortest_paths(net, s, t, k)
+        assert got == reference_k_shortest_paths(net, s, t, k), \
             (net.kind, net.rows, net.cols, s, t, k)
         disconnected += not got
         fewer_than_k += 0 < len(got) < k
@@ -303,7 +297,7 @@ def visited_spurs(calls, paths, k):
     """The spurs, (root, banned next hops), that Yen visited to return
     ``paths`` for this k; checks that each spur search in ``calls``, those
     of that one call, ran at one of them with its masks, at most once."""
-    visited = yen_spurs([p.nodes for p in paths], k)
+    visited = yen_spurs(paths, k)
     searched = Counter(((*nodes, u), frozenset(next_)) for u, _, nodes, next_, _ in calls)
     assert searched <= Counter(visited)
     return visited
@@ -440,15 +434,14 @@ def test_lawler_skips_spur_that_finds_a_candidate_twice(monkeypatch):
     assert adjacency(net) == SQUARE_2x3
     calls = record_spur_calls(monkeypatch)
     paths = k_shortest_paths(net, 0, 5, 4)
-    assert [p.nodes for p in paths] == [(0, 1, 2, 5), (0, 1, 4, 5), (0, 3, 4, 5),
-                                        (0, 3, 4, 1, 2, 5)]
+    assert paths == [(0, 1, 2, 5), (0, 1, 4, 5), (0, 3, 4, 5), (0, 3, 4, 1, 2, 5)]
     assert calls == [
         (0, 5, (), {1}, (0, 3, 4, 5)),            # A at 0, finds C
         (1, 5, (0,), {2}, (1, 4, 5)),             # A at 1, finds B
         (4, 5, (0, 1), {5}, None),                # B at 2
         (4, 5, (0, 3), {5}, (4, 1, 2, 5)),        # C at 2, finds D
     ]
-    visited = yen_spurs([p.nodes for p in paths], 4)
+    visited = yen_spurs(paths, 4)
     assert visited == [
         ((0,), {1}), ((0, 1), {2}), ((0, 1, 2), {5}),       # A at 0, 1, 2
         ((0, 1), {2, 4}), ((0, 1, 4), {5}),                 # B at 1, 2
@@ -480,7 +473,7 @@ def test_candidates_are_found_once(monkeypatch):
             candidates = [nodes + result for _, _, nodes, _, result in calls if result]
             assert len(candidates) == len(set(candidates))
             # the first path is the DAG's, and every later one a spur search's
-            assert {p.nodes for p in paths[1:]} <= set(candidates)
+            assert set(paths[1:]) <= set(candidates)
     assert searches > 0
 
 
@@ -500,9 +493,9 @@ def test_shortest_path_dag_with_k_minus_1_k_and_k_plus_1_paths(monkeypatch):
         assert 2 <= m < len(oracle)
         for k in (m + 1, m, m - 1):
             calls.clear()
-            paths = k_shortest_paths(net, s, t, k, request_id=1)
-            assert [p.nodes for p in paths] == oracle[:k]
-            assert paths == reference_k_shortest_paths(net, s, t, k, request_id=1)
+            paths = k_shortest_paths(net, s, t, k)
+            assert paths == oracle[:k]
+            assert paths == reference_k_shortest_paths(net, s, t, k)
             visited = visited_spurs(calls, paths, k)
             assert (visited and calls) if k > m else not visited and not calls
 
@@ -517,8 +510,8 @@ def test_spur_searches_are_deferred(monkeypatch):
     searched = finding = 0
     for n, net, s, t, k in chain(random_instances(), benchmark_sized_instances()):
         calls.clear()
-        got = k_shortest_paths(net, s, t, k, request_id=n)
-        assert got == reference_k_shortest_paths(net, s, t, k, request_id=n), \
+        got = k_shortest_paths(net, s, t, k)
+        assert got == reference_k_shortest_paths(net, s, t, k), \
             (net.kind, net.rows, net.cols, s, t, k)
         visited = visited_spurs(calls, got, k)
         assert len(calls) <= len(visited)

@@ -46,17 +46,15 @@ def lattice_queries(draw):
 @given(lattice_queries())
 def test_paths_are_loopless_active_and_ordered(query):
     net, s, t, k = query
-    paths = k_shortest_paths(net, s, t, k, request_id=3)
+    paths = k_shortest_paths(net, s, t, k)
     active = {e for e, on in zip(net.edges, net.active) if on}
     assert len(paths) <= k
-    assert [p.rank for p in paths] == list(range(len(paths)))
-    assert all(p.request_id == 3 for p in paths)
-    assert len({p.nodes for p in paths}) == len(paths)
+    assert len(set(paths)) == len(paths)
     for p in paths:
-        assert p.nodes[0] == s and p.nodes[-1] == t
-        assert len(set(p.nodes)) == len(p.nodes)
-        assert all(e in active for e in edge_keys(p.nodes))
-    order = [(p.length, p.nodes) for p in paths]
+        assert p[0] == s and p[-1] == t
+        assert len(set(p)) == len(p)
+        assert all(e in active for e in edge_keys(p))
+    order = [(len(p), p) for p in paths]
     assert order == sorted(order)
 
 
@@ -88,8 +86,7 @@ def damaged_queries(draw):
         rate = draw(st.sampled_from((1, 3)))
         dead = {e for e in net.edges if draw(st.integers(0, 9)) < rate}
     elif mode == "on_paths":
-        on_paths = sorted({e for p in k_shortest_paths(net, s, t, k)
-                           for e in edge_keys(p.nodes)})
+        on_paths = sorted({e for p in k_shortest_paths(net, s, t, k) for e in edge_keys(p)})
         dead = set(draw(st.lists(st.sampled_from(on_paths), min_size=1, max_size=3)))
     else:
         node = draw(st.sampled_from((s, t)))
@@ -107,8 +104,8 @@ def test_k_shortest_paths_equal_reference_yen_on_damaged_lattices():
     @given(damaged_queries())
     def check(query):
         net, s, t, k = query
-        paths = k_shortest_paths(net, s, t, k, request_id=2)
-        assert paths == reference_k_shortest_paths(net, s, t, k, request_id=2)
+        paths = k_shortest_paths(net, s, t, k)
+        assert paths == reference_k_shortest_paths(net, s, t, k)
         # does the shortest-path DAG alone hold the k paths?
         covered[len(list(islice(_shortest_paths(net.edge_masks(), [1 << t], s, t), k))) == k] += 1
 
@@ -190,12 +187,16 @@ def test_node_tuple_path_set_equals_keyed_build():
         ctx = prepare_trial(config, seed)
         if ctx.reason is not None:
             return
+        # request id -> node tuples by rank; path (r, rank) is paths[r][rank]
         paths = ctx.paths
-        path_edges = {p.key: edge_keys(p.nodes) for p in sorted(paths, key=lambda p: p.key)}
-        keyed = PathSet.from_edges(path_edges, {p.key: p.length for p in paths})
+        routes = {(r, rank): nodes for r in sorted(paths) for rank, nodes in enumerate(paths[r])}
+        path_edges = {key: edge_keys(nodes) for key, nodes in routes.items()}
+        keyed = PathSet.from_edges(path_edges, {key: len(p) - 1 for key, p in routes.items()})
         caps = ctx.revised.capacity_map()
-        for order in (paths, reversed(paths), data.draw(st.permutations(paths))):
-            info = build_path_info(ctx.revised, order, ctx.params.l_max)
+        ids = list(paths)
+        for order in (ids, ids[::-1], data.draw(st.permutations(ids))):
+            # the same dict in another insertion order
+            info = build_path_info(ctx.revised, {r: paths[r] for r in order}, ctx.params.l_max)
             assert info == keyed and info.path_edges == path_edges
             assert info.edges == tuple(sorted({e for route in path_edges.values()
                                                for e in route}))

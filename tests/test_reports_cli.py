@@ -92,11 +92,17 @@ def test_record_dict_roundtrip_degenerate():
     cfg = small_config(scenario=ScenarioParams(c0=50, p_out=0.0))
     record = run_trial(cfg, 1)
     assert record.capacities == ()
-    assert record_from_dict(record_to_dict(record)) == record
+    data = record_to_dict(record)
+    assert record_from_dict(data) == record
+    # a window without paths has no PS allocation rows
+    data["results"]["PS"]["outcome"]["allocations"] = []
+    with pytest.raises(ValueError, match=r"results\.PS\.outcome: missing keys \[\], "
+                                         r"extra keys \['allocations'\]"):
+        record_from_dict(data)
 
 
 @pytest.mark.parametrize("change, where", [
-    (lambda d: d["paths"].pop("capacities"), r"paths\.capacities: missing"),
+    (lambda d: d["paths"].pop("capacities"), r"paths: missing keys \['capacities'\]"),
     (lambda d: d["paths"]["capacities"].pop(), r"paths\.capacities: \d+ entries"),
     (lambda d: d["paths"]["capacities"].append(1), r"paths\.capacities: \d+ entries"),
     (lambda d: d["paths"]["capacities"].__setitem__(0, "x"),
@@ -165,6 +171,29 @@ def test_record_dict_roundtrip_degenerate():
      r"results\.PU\.report\.demand_satisfied: 'yes' is not a bool"),
     (lambda d: d.__setitem__("seed", "x"), r"seed: 'x' is not a non-negative int"),
     (lambda d: d.__setitem__("reason", 5), r"reason: 5 is not a string"),
+    # the record's own sections: their keys, the results' names and the
+    # path lengths
+    (lambda d: d.__setitem__("extra", 1), r"record: missing keys \[\], extra keys \['extra'\]"),
+    (lambda d: d["results"]["PS"].__setitem__("extra", 1),
+     r"results\.PS: missing keys \[\], extra keys \['extra'\]"),
+    (lambda d: d["results"].__setitem__("XY", d["results"]["PF"]),
+     r"results\.XY: not one of \('PS', 'PF', 'PU'\)"),
+    (lambda d: d["results"]["PS"]["outcome"].__setitem__("algorithm", "PF"),
+     r"results\.PS\.outcome\.algorithm: 'PF' is not its result's name 'PS'"),
+    (lambda d: d["paths"]["lengths"].__setitem__("0:0", -1),
+     r"paths\.lengths: -1 is not a non-negative int"),
+    (lambda d: d["paths"]["lengths"].__setitem__("0:0", "x"),
+     r"paths\.lengths: 'x' is not a non-negative int"),
+    (lambda d: d["results"]["PF"].pop("report"), r"results\.PF: missing keys \['report'\]"),
+    (lambda d: d["paths"].pop("lengths"), r"paths: missing keys \['lengths'\]"),
+    # PS's outcome, and only PS's, holds allocation rows
+    (lambda d: d["results"]["PS"]["outcome"].pop("allocations"),
+     r"results\.PS\.outcome: missing keys \['allocations'\]"),
+    (lambda d: d["results"]["PS"]["outcome"].__setitem__("allocations", None),
+     r"results\.PS\.outcome\.allocations: None is not a tuple"),
+    (lambda d: d["results"]["PF"]["outcome"].__setitem__(
+        "allocations", d["results"]["PS"]["outcome"]["allocations"]),
+     r"results\.PF\.outcome: missing keys \[\], extra keys \['allocations'\]"),
 ])
 def test_record_from_dict_rejects_misshapen_capacities_and_allocations(change, where):
     data = record_to_dict(run_trial(small_config(), 77))

@@ -562,8 +562,7 @@ def routed_instance(seed=0):
     net = qroute.sample_edge_states(net, qroute.ScenarioParams(c0=60), rng)
     net = qroute.purify_network(net, 0.8)
     net = qroute.deactivate_low_capacity_edges(net, 5)
-    paths = (qroute.k_shortest_paths(net, 0, 24, 6, request_id=0)
-             + qroute.k_shortest_paths(net, 4, 20, 6, request_id=1))
+    paths = {0: qroute.k_shortest_paths(net, 0, 24, 6), 1: qroute.k_shortest_paths(net, 4, 20, 6)}
     info = qroute.build_path_info(net, paths, 5)
     f_min = qroute.compute_f_min(net, 5)
     return net, info, RoutingParams(k=6, l_max=5, alpha=1.0, beta=1.0, f_min=f_min)

@@ -82,7 +82,7 @@ def test_sweeps_call_no_per_point_replicate(monkeypatch):
         raise AssertionError("a sweep ran a whole window per point")
     config = sweep_config(replications=2)
     expected = reference_grid_search(config), reference_request_sweep(config, (2, 3))
-    for name in ("replicate", "run_trials", "run_trial"):
+    for name in ("replicate", "run_trial"):
         monkeypatch.setattr(harness, name, forbidden)
     assert (grid_search_parameters(config), request_sweep(config, (2, 3))) == expected
 
@@ -119,7 +119,7 @@ def test_each_stage_runs_once_per_key(monkeypatch):
                 ctx = harness.prepare_trial(replace(
                     config, requests=spec, routing=RoutingParams(k=ks[-1], l_max=l_max)), seed)
                 if ctx.reason is None:
-                    tied += [len({p.length for p in ctx.paths if p.rank < k}) <= 1
+                    tied += [len({len(p) for ps in ctx.paths.values() for p in ps[:k]}) <= 1
                              for k in ks]
     routable = len(tied) // len(ks)
     calls = count_calls(monkeypatch, ("prepare_trial", "k_shortest_paths",
@@ -223,8 +223,8 @@ def test_route_window_reuse_equals_each_point_alone():
         assert [results_of(r) for r in together] == routed_alone(ctx, points, ALGORITHMS, p_in)
         for pk in ks:
             # the rule fires at a k whose paths, more than one, have one length
-            paths = [p for p in ctx.paths if p.rank < pk]
-            fired = len(paths) > 1 and len({p.length for p in paths}) == 1
+            paths = [p for ps in ctx.paths.values() for p in ps[:pk]]
+            fired = len(paths) > 1 and len(set(map(len, paths))) == 1
             seen[kind, fired] += 1
     # every kind has k's on both sides of the rule
     assert all(seen[kind, fired] >= 2 for kind in TOPOLOGIES for fired in (True, False)), seen
@@ -238,7 +238,7 @@ def test_pu_at_beta_1_reads_alpha_on_one_length():
                               requests=RequestSpec(count=4, distance=3))
     ctx = harness.prepare_trial(config, 49)
     assert ctx.reason is None
-    assert {p.length for p in ctx.paths if p.rank < 10} == {6}
+    assert {len(p) - 1 for ps in ctx.paths.values() for p in ps[:10]} == {6}
     points = [RoutingParams(k=10, l_max=6, alpha=alpha, beta=1.0) for alpha in ALPHAS]
     together = [results_of(r) for r in harness.route_window(ctx, points, ALGORITHMS, 0.9)]
     assert together == routed_alone(ctx, points, ALGORITHMS, 0.9)
