@@ -264,7 +264,7 @@ class PathSet:
     sorted order; each path is held once, as edge ids, and every reader
     works on these ids. ``path_edges`` is the keyed form, built from the ids
     on each read. ``build_path_info`` builds one from a network's lattice
-    edge indices, and ``from_edges`` from a keyed form.
+    edge indices, and ``reports.record_from_dict`` from a record's arrays.
     """
 
     def __init__(self, keys: tuple[PathKey, ...], lengths: list[int],
@@ -287,17 +287,6 @@ class PathSet:
         self._incidence: list[list[int]] | None = list(filter(None, on))
         self._kept: dict[int, KeptPaths] = {}
         self._capacities: tuple[Network, tuple[int, ...]] | None = None
-
-    @classmethod
-    def from_edges(cls, path_edges: dict[PathKey, tuple[Edge, ...]],
-                   lengths: dict[PathKey, int]) -> PathSet:
-        """The PathSet of a keyed form: path key -> its edges in path order,
-        and path key -> its length."""
-        keys = sorted(path_edges)
-        edges = tuple(sorted({e for route in path_edges.values() for e in route}))
-        index = {e: j for j, e in enumerate(edges)}
-        return cls(tuple(keys), [lengths[key] for key in keys], edges,
-                   [list(map(index.__getitem__, path_edges[key])) for key in keys])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PathSet):

@@ -5,14 +5,14 @@ import csv
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import fields
-from functools import cache, lru_cache
+from functools import cache
 from types import UnionType
 from typing import Sequence, get_type_hints
 
 from .harness import AlgorithmResult, TrialRecord, report_values
 from .metrics import MetricsReport
 from .netmodel import Network, node_label, node_xy
-from .pathfinder import PathKey, PathSet
+from .pathfinder import PathSet
 from .scheduler import ALGORITHMS, RoutingOutcome
 
 TRIAL_COLUMNS = ("seed", "algorithm", "k", "l_max", "alpha", "beta",
@@ -84,31 +84,10 @@ def write_table_csv(rows: Sequence[dict], path: str) -> None:
 
 # ------------------------------------------------------- lossless JSON records
 
-def _encode_pathkey(key: tuple[int, int]) -> str:
-    return f"{key[0]}:{key[1]}"
-
-
-def _decode_pathkey(text: str) -> tuple[int, int]:
-    r, l = text.split(":")
-    return int(r), int(l)
-
-
-def _encode_edge(edge: tuple[int, int]) -> str:
-    return f"{edge[0]}-{edge[1]}"
-
-
-@lru_cache(maxsize=4096)  # a record repeats an edge on every path that crosses it
-def _decode_edge(text: str) -> tuple[int, int]:
-    u, v = text.split("-")
-    return int(u), int(v)
-
-
-def outcome_to_dict(outcome: RoutingOutcome, key_str: dict[PathKey, str]) -> dict:
-    """Flows, and PS's allocation rows, one list per edge id; the paths are
-    written once per record. ``key_str`` holds the strings of the PathSet's
-    keys; flows are in key order already."""
-    data = {"algorithm": outcome.algorithm,
-            "flows": {key_str[k]: v for k, v in outcome.flows.items()}}
+def outcome_to_dict(outcome: RoutingOutcome) -> dict:
+    """Flows as one list by path id, and PS's allocation rows, one list per
+    edge id; the paths are written once per record."""
+    data = {"algorithm": outcome.algorithm, "flows": list(outcome.flows.values())}
     if outcome.allocations is not None:
         data["allocations"] = [list(row) for row in outcome.allocations]
     return data
@@ -157,8 +136,10 @@ def _decode(tp, value, where: str):
     raise ValueError(f"{where}: {value!r} is not a {tp if origin else tp.__name__}")
 
 
-def _check_keys(data: dict, names: Sequence[str], where: str) -> None:
-    """``data`` must hold exactly the keys ``names``."""
+def _check_keys(data, names: Sequence[str], where: str) -> None:
+    """``data`` must be an object of exactly the keys ``names``."""
+    if type(data) is not dict:
+        raise ValueError(f"{where}: {data!r} is not an object")
     if data.keys() != set(names):
         raise ValueError(f"{where}: missing keys {[n for n in names if n not in data]}, "
                          f"extra keys {[k for k in data if k not in names]}")
@@ -175,11 +156,9 @@ def _load(cls: type, data: dict, where: str):
         raise ValueError(f"{where}: {exc}") from None
 
 
-def outcome_from_dict(name: str, data: dict, paths: PathSet, keys: list[str],
-                      l_max: int) -> RoutingOutcome:
-    """Result ``name``'s outcome over ``paths``, its keys written as ``keys``.
-    Only PS, in a window with paths, has allocation rows; they are checked
-    against ``paths.kept(l_max)``."""
+def outcome_from_dict(name: str, data: dict, paths: PathSet, l_max: int) -> RoutingOutcome:
+    """Result ``name``'s outcome over ``paths``. Only PS, in a window with
+    paths, has allocation rows; they are checked against ``paths.kept(l_max)``."""
     where, hints = f"results.{name}.outcome", _hints(RoutingOutcome)
     has_rows = name == "PS" and bool(paths.keys)
     _check_keys(data, ("algorithm", "flows", "allocations") if has_rows
@@ -187,11 +166,8 @@ def outcome_from_dict(name: str, data: dict, paths: PathSet, keys: list[str],
     if data["algorithm"] != name:
         raise ValueError(f"{where}.algorithm: {data['algorithm']!r} is not its result's "
                          f"name {name!r}")
-    flows = data["flows"]
-    if list(flows) != keys:
-        raise ValueError(f"{where}.flows: must hold every path of paths.path_edges, "
-                         "in key order")
-    _each(hints["flows"].__args__[1], list(flows.values()), f"{where}.flows")
+    flows = _decode(tuple[int, ...], data["flows"], f"{where}.flows")
+    _check_length(flows, len(paths.keys), f"{where}.flows", "one flow per path key")
     allocations = None
     if has_rows:  # read by the annotation without its None
         allocations = _decode(hints["allocations"].__args__[0], data["allocations"],
@@ -201,7 +177,7 @@ def outcome_from_dict(name: str, data: dict, paths: PathSet, keys: list[str],
         for e, (ids, row) in enumerate(zip(kept, allocations)):
             _check_length(row, len(ids), f"{where}.allocations[{e}]",
                           f"the paths kept on edge {paths.edges[e]} at l_max = {l_max}")
-    return RoutingOutcome(name, dict(zip(paths.keys, flows.values())), paths, allocations)
+    return RoutingOutcome(name, dict(zip(paths.keys, flows)), paths, allocations)
 
 
 def report_to_dict(report: MetricsReport) -> dict:
@@ -214,31 +190,61 @@ def report_to_dict(report: MetricsReport) -> dict:
 
 
 def record_to_dict(record: TrialRecord) -> dict:
-    """The record as JSON-ready data. Its outcomes share one PathSet, so the
-    paths and their edges' capacities are written once, and each path key
-    and edge is encoded to a string once per record."""
+    """The record as JSON-ready data. Its outcomes share one PathSet, so its
+    arrays and its edges' capacities are written once."""
     paths = next(iter(record.results.values())).outcome.paths
-    keys = [_encode_pathkey(key) for key in paths.keys]
-    edges = [_encode_edge(e) for e in paths.edges]
-    key_str = dict(zip(paths.keys, keys))
     return {
         "seed": record.seed,
         "params": vars(record.params).copy(),
         "requests": [vars(r).copy() for r in record.requests],
         "network": vars(record.network).copy(),
         "paths": {
-            "lengths": dict(zip(keys, paths.lengths)),
-            "path_edges": {key: [edges[e] for e in ids]
-                           for key, ids in zip(keys, paths.edge_ids)},
+            "keys": list(map(list, paths.keys)),
+            "edges": list(map(list, paths.edges)),
+            "edge_ids": list(map(list, paths.edge_ids)),
             "capacities": list(record.capacities),
         },
-        "results": {name: {"outcome": outcome_to_dict(res.outcome, key_str),
+        "results": {name: {"outcome": outcome_to_dict(res.outcome),
                            "report": report_to_dict(res.report),
                            "schedule_seconds": res.schedule_seconds}
                     for name, res in record.results.items()},
         "stage_seconds": dict(record.stage_seconds),
         "reason": record.reason,
     }
+
+
+def _ascending_pairs(value, where: str) -> tuple[tuple[int, int], ...]:
+    """``value`` read as strictly ascending pairs of non-negative ints."""
+    pairs = _decode(tuple[tuple[int, ...], ...], value, where)
+    for i, pair in enumerate(pairs):
+        _check_length(pair, 2, f"{where}[{i}]", "a pair")
+        if i and pair <= pairs[i - 1]:
+            raise ValueError(f"{where}[{i}]: {list(pair)} does not follow "
+                             f"{list(pairs[i - 1])} in ascending order")
+    return pairs
+
+
+def _paths_from_dict(data: dict) -> PathSet:
+    """The PathSet of a record's ``paths``: its keys, its sorted edges
+    ``[u, v]`` with u < v, and each path's edge ids, every edge crossed by
+    some path. A path's length is its number of edges."""
+    _check_keys(data, ("keys", "edges", "edge_ids", "capacities"), "paths")
+    keys = _ascending_pairs(data["keys"], "paths.keys")
+    edges = _ascending_pairs(data["edges"], "paths.edges")
+    for j, (u, v) in enumerate(edges):
+        if u >= v:
+            raise ValueError(f"paths.edges[{j}]: {[u, v]} is not an edge [u, v] with u < v")
+    edge_ids = _decode(tuple[tuple[int, ...], ...], data["edge_ids"], "paths.edge_ids")
+    _check_length(edge_ids, len(keys), "paths.edge_ids", "one list per path key")
+    for p, ids in enumerate(edge_ids):
+        if not ids or max(ids) >= len(edges):
+            raise ValueError(f"paths.edge_ids[{p}]: {list(ids)} is not a non-empty list "
+                             f"of ids below {len(edges)}")
+    uncrossed = set(range(len(edges))).difference(*edge_ids)
+    if uncrossed:
+        j = min(uncrossed)
+        raise ValueError(f"paths.edges[{j}]: {list(edges[j])} is crossed by no path")
+    return PathSet(keys, [len(ids) for ids in edge_ids], edges, edge_ids)
 
 
 def record_from_dict(data: dict) -> TrialRecord:
@@ -249,28 +255,18 @@ def record_from_dict(data: dict) -> TrialRecord:
     hints = _hints(TrialRecord)
     sections = {name: _decode(hints[name], data[name], name)
                 for name in ("seed", "params", "requests", "network", "reason")}
-    _check_keys(data["paths"], ("lengths", "path_edges", "capacities"), "paths")
-    path_edges, lengths = data["paths"]["path_edges"], data["paths"]["lengths"]
-    if lengths.keys() != path_edges.keys():
-        raise ValueError("paths.lengths: must hold one length per path of paths.path_edges")
-    _each(int, list(lengths.values()), "paths.lengths")
-    routes = {}
-    for k, edges in path_edges.items():
-        try:
-            routes[_decode_pathkey(k)] = tuple(map(_decode_edge, edges))
-        except ValueError:
-            raise ValueError(f"paths.path_edges.{k}: {edges} is not a path 'r:l' of "
-                             "edges 'u-v'") from None
-    paths = PathSet.from_edges(routes, {_decode_pathkey(k): v for k, v in lengths.items()})
-    keys = [_encode_pathkey(key) for key in paths.keys]
+    paths = _paths_from_dict(data["paths"])
     capacities = _decode(hints["capacities"], data["paths"]["capacities"], "paths.capacities")
     _check_length(capacities, len(paths.edges), "paths.capacities", "one per path edge")
+    if type(data["results"]) is not dict or not data["results"]:
+        raise ValueError(f"results: {data['results']!r} is not an object of one result "
+                         "or more")
     results = {}
     for name, res in data["results"].items():
         if name not in ALGORITHMS:
             raise ValueError(f"results.{name}: not one of {ALGORITHMS}")
         _check_keys(res, ("outcome", "report", "schedule_seconds"), f"results.{name}")
-        outcome = outcome_from_dict(name, res["outcome"], paths, keys, sections["params"].l_max)
+        outcome = outcome_from_dict(name, res["outcome"], paths, sections["params"].l_max)
         report = _decode(MetricsReport, res["report"], f"results.{name}.report")
         results[name] = AlgorithmResult(outcome, report, res["schedule_seconds"])
     # the allocations were checked against the kept views; the record needs none
@@ -304,7 +300,7 @@ def _edge_traffic(outcome: RoutingOutcome, net: Network) -> list[dict]:
         if flow <= 0:
             continue
         for e in ids:
-            breakdown.setdefault(outcome.paths.edges[e], {})[_encode_pathkey(key)] = flow
+            breakdown.setdefault(outcome.paths.edges[e], {})[f"{key[0]}:{key[1]}"] = flow
     rows = []
     for e, capacity, active in zip(net.edges, net.capacity, net.active):
         used = usage.get(e, 0)

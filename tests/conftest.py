@@ -70,9 +70,14 @@ def line_network(capacities):
 
 
 def info_from_path_edges(path_edges, lengths=None):
-    """Path set for abstract instances (length defaults to edge count)."""
-    return PathSet.from_edges(path_edges, {key: (lengths or {}).get(key, len(edges))
-                                           for key, edges in path_edges.items()})
+    """The PathSet of a keyed form: path key -> its edges in path order, and
+    path key -> its length (the edge count where ``lengths`` has none)."""
+    keys = sorted(path_edges)
+    edges = tuple(sorted({e for route in path_edges.values() for e in route}))
+    index = {e: j for j, e in enumerate(edges)}
+    lengths = lengths or {}
+    return PathSet(tuple(keys), [lengths.get(key, len(path_edges[key])) for key in keys],
+                   edges, [list(map(index.__getitem__, path_edges[key])) for key in keys])
 
 
 def random_fill_instance(rng, max_paths=4, max_edges=6, max_cap=12):
@@ -862,7 +867,7 @@ def reference_route_all(net: Network, paths: dict[int, list[tuple[int, ...]]],
 
 def reference_zero_results(algorithms: Sequence[str], requests: Sequence[Request],
                            reason: str) -> dict[str, AlgorithmResult]:
-    return {name: AlgorithmResult(RoutingOutcome(name, {}, PathSet.from_edges({}, {})),
+    return {name: AlgorithmResult(RoutingOutcome(name, {}, info_from_path_edges({}, {})),
                                   zero_report(requests, reason))
             for name in algorithms}
 
@@ -895,18 +900,10 @@ def reference_replicate(config: ExperimentConfig) -> tuple[
 # Every dict is re-encoded and sorted where it is written. It is the oracle
 # for the one-pass serializer ``reports.record_to_dict``.
 
-def _reference_pathkey(key: PathKey) -> str:
-    return f"{key[0]}:{key[1]}"
-
-
-def _reference_edge(edge: Edge) -> str:
-    return f"{edge[0]}-{edge[1]}"
-
-
 def reference_outcome_to_dict(outcome: RoutingOutcome, l_max: int) -> dict:
     data = {
         "algorithm": outcome.algorithm,
-        "flows": {_reference_pathkey(k): v for k, v in sorted(outcome.flows.items())},
+        "flows": [v for _, v in sorted(outcome.flows.items())],
     }
     if outcome.allocations is not None:
         # PS's rows keyed by the edges and kept keys of ``reference_kept``,
@@ -939,8 +936,12 @@ def reference_report_to_dict(report: MetricsReport) -> dict:
 
 
 def reference_record_to_dict(record: TrialRecord) -> dict:
-    # a record's outcomes share one path set, so its paths are written once
-    paths = next(iter(record.results.values())).outcome.paths
+    # a record's outcomes share one path set, so its paths are written once:
+    # keys in sorted order, the sorted set of their edges, and each path's
+    # edges as indices into it
+    paths = sorted(next(iter(record.results.values())).outcome.paths.path_edges.items())
+    edges = sorted({e for _, route in paths for e in route})
+    index = {e: j for j, e in enumerate(edges)}
     return {
         "seed": record.seed,
         "params": {"k": record.params.k, "l_max": record.params.l_max,
@@ -951,10 +952,9 @@ def reference_record_to_dict(record: TrialRecord) -> dict:
                      for r in record.requests],
         "network": vars(record.network).copy(),
         "paths": {
-            "lengths": {_reference_pathkey(k): v
-                        for k, v in sorted(zip(paths.keys, paths.lengths))},
-            "path_edges": {_reference_pathkey(k): [_reference_edge(e) for e in edges]
-                           for k, edges in sorted(paths.path_edges.items())},
+            "keys": [[r, rank] for (r, rank), _ in paths],
+            "edges": [[u, v] for u, v in edges],
+            "edge_ids": [[index[e] for e in route] for _, route in paths],
             "capacities": list(record.capacities),
         },
         "results": {name: {"outcome": reference_outcome_to_dict(res.outcome, record.params.l_max),

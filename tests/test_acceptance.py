@@ -273,7 +273,6 @@ def test_criterion_7_k_dependence():
 
 # --------------------------------------------------------------- criterion 8
 
-@pytest.mark.slow
 def test_criterion_8_fidelity_threshold_sweep():
     # k=20 gives the path diversity that makes the edge-exploration
     # effect dominate utilization as the threshold thins the topology

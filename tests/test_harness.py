@@ -1,11 +1,12 @@
+import json
 import pathlib
 from functools import cached_property
 
 import numpy as np
 import pytest
 
-from conftest import (KeyedOutcome, reference_evaluate, reference_run_trial,
-                      reference_with_paths, untimed, yen_spurs)
+from conftest import (KeyedOutcome, info_from_path_edges, reference_evaluate,
+                      reference_run_trial, reference_with_paths, untimed, yen_spurs)
 
 from qroute import harness
 from qroute.config import load_config
@@ -16,7 +17,6 @@ from qroute.harness import (ExperimentConfig, ObjectiveWeights, RequestSpec,
                             run_trial, swap_monte_carlo, WORKERS_ENV)
 from qroute.metrics import evaluate, throughput
 from qroute.netmodel import Request, ScenarioParams, inject_failures
-from qroute.pathfinder import PathSet
 from qroute.reports import record_to_dict
 from qroute.scheduler import RoutingParams, RoutingOutcome, _assert_feasible
 
@@ -152,14 +152,17 @@ def test_parallel_matches_serial(monkeypatch):
     monkeypatch.setenv(WORKERS_ENV, "2")
     parallel = replicate(cfg)
     assert serial == parallel
+    # each record writes the same JSON under either worker count
+    assert ([json.dumps(untimed(record_to_dict(r))) for r in serial[0]]
+            == [json.dumps(untimed(record_to_dict(r))) for r in parallel[0]])
 
 
 # ---------------------------------------------------------------- Monte Carlo
 
 def mc_outcome():
     return RoutingOutcome("PS", {(0, 0): 5, (0, 1): 3},
-                          PathSet.from_edges({(0, 0): ((0, 1),) * 3, (0, 1): ((1, 2),) * 4},
-                                             {(0, 0): 3, (0, 1): 4}))
+                          info_from_path_edges({(0, 0): ((0, 1),) * 3, (0, 1): ((1, 2),) * 4},
+                                               {(0, 0): 3, (0, 1): 4}))
 
 
 def test_swap_monte_carlo_perfect_swaps():
@@ -178,7 +181,7 @@ def test_swap_monte_carlo_zero_success():
 def test_swap_monte_carlo_rejects_bad_p_in(p_in):
     # one-hop paths draw no swap, yet p_in is checked as throughput checks it
     one_hop = RoutingOutcome("PS", {(0, 0): 5},
-                             PathSet.from_edges({(0, 0): ((0, 1),)}, {(0, 0): 1}))
+                             info_from_path_edges({(0, 0): ((0, 1),)}, {(0, 0): 1}))
     reqs = [Request(0, 0, 9, demand=1)]
     with pytest.raises(ValueError, match="p_in"):
         throughput(one_hop, reqs, p_in)

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from conftest import line_network
+from conftest import info_from_path_edges, line_network
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qroute.metrics import _fsum, _mean_var, evaluate, tally, throughput, zero_report
 from qroute.netmodel import Request
-from qroute.pathfinder import PathSet
 from qroute.scheduler import RoutingOutcome
 
 #: covers every edge the outcomes below route over
@@ -14,7 +13,7 @@ NET = line_network([100] * 8)
 
 
 def make_outcome(flows, lengths, path_edges, algorithm="PS"):
-    return RoutingOutcome(algorithm, flows, PathSet.from_edges(path_edges, lengths))
+    return RoutingOutcome(algorithm, flows, info_from_path_edges(path_edges, lengths))
 
 
 def simple_outcome():

@@ -21,6 +21,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: every test that expects an InvariantError, by file
@@ -83,5 +85,6 @@ def test_invariant_errors_raise_under_python_O():
     run_under_python_O(INVARIANT_TESTS)
 
 
+@pytest.mark.slow
 def test_shortest_path_prefix_matches_yen_under_python_O():
     run_under_python_O(REUSE_TESTS)

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from conftest import _lex_shortest as reference_lex_shortest
 from conftest import (abstract_network, adjacency, assert_kept_views, edge_keys,
-                      enumerate_loopless_paths, reference_k_shortest_paths, yen_spurs)
+                      enumerate_loopless_paths, info_from_path_edges,
+                      reference_k_shortest_paths, yen_spurs)
 
 from qroute import harness, pathfinder
 from qroute.config import load_config
 from qroute.netmodel import TOPOLOGIES, EdgeMasks, InvariantError, build_lattice
-from qroute.pathfinder import (PathSet, _shortest_paths, _spur_search, build_path_info,
+from qroute.pathfinder import (_shortest_paths, _spur_search, build_path_info,
                                k_shortest_paths)
 
 
@@ -138,7 +139,7 @@ def test_build_path_info_empty():
     assert build_path_info(active_lattice(2, 2), {0: [], 1: []}, 3) == info
     assert info.path_edges == {} and info.lengths == []
     assert info.kept(3) == ([], [], [], [], [])
-    assert info == PathSet.from_edges({}, {})
+    assert info == info_from_path_edges({}, {})
 
 
 def test_path_set_per_path_views():
@@ -163,10 +164,10 @@ def test_path_set_per_path_views():
     # the keyed form is not stored but rebuilt from the ids, into an equal PathSet
     assert "path_edges" not in vars(info)
     path_edges, lengths = info.path_edges, dict(zip(info.keys, info.lengths))
-    assert PathSet.from_edges(path_edges, lengths) == info
+    assert info_from_path_edges(path_edges, lengths) == info
     key = (2, 0)
-    assert PathSet.from_edges({**path_edges, key: path_edges[key][::-1]}, lengths) != info
-    assert PathSet.from_edges(path_edges, {**lengths, key: lengths[key] + 1}) != info
+    assert info_from_path_edges({**path_edges, key: path_edges[key][::-1]}, lengths) != info
+    assert info_from_path_edges(path_edges, {**lengths, key: lengths[key] + 1}) != info
 
 
 def test_path_set_kept_matches_per_edge_truncation():

@@ -9,9 +9,9 @@ from dataclasses import replace
 from itertools import islice
 
 import pytest
-from conftest import (assert_integer_max_min, edge_keys, reference_grid_search,
-                      reference_k_shortest_paths, reference_record_to_dict,
-                      reference_with_paths)
+from conftest import (assert_integer_max_min, edge_keys, info_from_path_edges,
+                      reference_grid_search, reference_k_shortest_paths,
+                      reference_record_to_dict, reference_with_paths)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +20,7 @@ from qroute.harness import (AlgorithmResult, ExperimentConfig, RequestSpec,
                             run_trial)
 from qroute.metrics import evaluate
 from qroute.netmodel import TOPOLOGIES, ScenarioParams, build_lattice
-from qroute.pathfinder import PathSet, _shortest_paths, build_path_info, k_shortest_paths
+from qroute.pathfinder import _shortest_paths, build_path_info, k_shortest_paths
 from qroute.reports import record_from_dict, record_to_dict
 from qroute.scheduler import RoutingParams
 
@@ -191,7 +191,7 @@ def test_node_tuple_path_set_equals_keyed_build():
         paths = ctx.paths
         routes = {(r, rank): nodes for r in sorted(paths) for rank, nodes in enumerate(paths[r])}
         path_edges = {key: edge_keys(nodes) for key, nodes in routes.items()}
-        keyed = PathSet.from_edges(path_edges, {key: len(p) - 1 for key, p in routes.items()})
+        keyed = info_from_path_edges(path_edges, {key: len(p) - 1 for key, p in routes.items()})
         caps = ctx.revised.capacity_map()
         ids = list(paths)
         for order in (ids, ids[::-1], data.draw(st.permutations(ids))):

@@ -68,7 +68,7 @@ def test_record_json_roundtrip(tmp_path):
     # per record, not per algorithm
     data = payload["records"][0]
     paths = record.results["PS"].outcome.paths
-    assert len(data["paths"]["path_edges"]) == len(record.results["PS"].outcome.flows)
+    assert len(data["paths"]["keys"]) == len(record.results["PS"].outcome.flows)
     assert data["paths"]["capacities"] == list(record.capacities) == list(paths.capacities(
         prepare_trial(small_config(), 77).revised))
     for name, res in data["results"].items():
@@ -117,32 +117,63 @@ def test_record_dict_roundtrip_degenerate():
      r"results\.PS\.outcome\.allocations\[1\]: 'x' is not a non-negative int"),
     (lambda d: d["results"]["PS"]["outcome"]["allocations"][0].__setitem__(0, -1),
      r"results\.PS\.outcome\.allocations\[0\]: -1 is not a non-negative int"),
-    (lambda d: d["results"]["PF"]["outcome"]["flows"].__setitem__("0:0", 1.5),
+    (lambda d: d["results"]["PF"]["outcome"]["flows"].__setitem__(0, 1.5),
      r"results\.PF\.outcome\.flows: 1\.5 is not a non-negative int"),
-    (lambda d: d["results"]["PU"]["outcome"]["flows"].__setitem__("0:0", -4),
+    (lambda d: d["results"]["PU"]["outcome"]["flows"].__setitem__(0, -4),
      r"results\.PU\.outcome\.flows: -4 is not a non-negative int"),
-    (lambda d: d["results"]["PS"]["outcome"]["flows"].__setitem__("0:0", "3"),
+    (lambda d: d["results"]["PS"]["outcome"]["flows"].__setitem__(0, "3"),
      r"results\.PS\.outcome\.flows: '3' is not a non-negative int"),
-    (lambda d: d["results"]["PS"]["outcome"]["flows"].__setitem__("0:0", True),
+    (lambda d: d["results"]["PS"]["outcome"]["flows"].__setitem__(0, True),
      r"results\.PS\.outcome\.flows: True is not a non-negative int"),
+    (lambda d: d["results"]["PU"]["outcome"]["flows"].append(0),
+     r"results\.PU\.outcome\.flows: \d+ entries, expected \d+ \(one flow per path key\)"),
+    (lambda d: d["results"]["PU"]["outcome"]["flows"].pop(),
+     r"results\.PU\.outcome\.flows: \d+ entries, expected \d+ \(one flow per path key\)"),
+    # the old layout: flows keyed by "r:l", and paths as "u-v" strings with
+    # their lengths
     (lambda d: d["results"]["PF"]["outcome"].__setitem__(
-        "flows", dict(reversed(d["results"]["PF"]["outcome"]["flows"].items()))),
-     r"results\.PF\.outcome\.flows: must hold every path .* in key order"),
-    (lambda d: d["results"]["PU"]["outcome"]["flows"].__setitem__("9:9", 0),
-     r"results\.PU\.outcome\.flows: must hold every path .* in key order"),
-    (lambda d: d["results"]["PU"]["outcome"]["flows"].pop("0:0"),
-     r"results\.PU\.outcome\.flows: must hold every path .* in key order"),
-    (lambda d: d["paths"]["lengths"].pop("0:0"), r"paths\.lengths: must hold one length"),
-    (lambda d: d["paths"]["lengths"].__setitem__("9:9", 3),
-     r"paths\.lengths: must hold one length"),
+        "flows", {"0:0": 1, "0:1": 2}), r"results\.PF\.outcome\.flows: \{'0:0': 1.* is not a"),
+    (lambda d: d.__setitem__("paths", {"lengths": {"0:0": 1}, "path_edges": {"0:0": ["0-1"]},
+                                       "capacities": [5]}),
+     r"paths: missing keys \['keys', 'edges', 'edge_ids'\], "
+     r"extra keys \['lengths', 'path_edges'\]"),
+    # keys and edges: strictly ascending pairs of non-negative ints, each
+    # edge [u, v] with u < v and crossed by some path
+    (lambda d: d["paths"]["keys"].reverse(),
+     r"paths\.keys\[1\]: \[\d+, \d+\] does not follow \[\d+, \d+\] in ascending order"),
+    (lambda d: d["paths"]["keys"].__setitem__(1, d["paths"]["keys"][0]),
+     r"paths\.keys\[1\]: \[0, 0\] does not follow \[0, 0\] in ascending order"),
+    (lambda d: d["paths"]["keys"][0].append(0),
+     r"paths\.keys\[0\]: 3 entries, expected 2 \(a pair\)"),
+    (lambda d: d["paths"]["keys"].__setitem__(0, "0:0"),
+     r"paths\.keys\[0\]: '0:0' is not a tuple"),
+    (lambda d: d["paths"]["keys"][0].__setitem__(0, -1),
+     r"paths\.keys\[0\]: -1 is not a non-negative int"),
+    (lambda d: d["paths"]["edges"].reverse(),
+     r"paths\.edges\[1\]: .* does not follow .* in ascending order"),
+    (lambda d: d["paths"]["edges"][0].pop(),
+     r"paths\.edges\[0\]: 1 entries, expected 2 \(a pair\)"),
+    (lambda d: d["paths"]["edges"][-1].reverse(),
+     r"paths\.edges\[\d+\]: \[\d+, \d+\] is not an edge \[u, v\] with u < v"),
+    (lambda d: d["paths"]["edges"].append([998, 999]),
+     r"paths\.edges\[\d+\]: \[998, 999\] is crossed by no path"),
+    # each path's edge ids: one non-empty list per key, of ids below len(edges)
+    (lambda d: d["paths"]["edge_ids"].pop(),
+     r"paths\.edge_ids: \d+ entries, expected \d+ \(one list per path key\)"),
+    (lambda d: d["paths"]["edge_ids"].__setitem__(0, []),
+     r"paths\.edge_ids\[0\]: \[\] is not a non-empty list of ids below \d+"),
+    (lambda d: d["paths"]["edge_ids"][1].append(len(d["paths"]["edges"])),
+     r"paths\.edge_ids\[1\]: \[.*\] is not a non-empty list of ids below \d+"),
+    (lambda d: d["paths"]["edge_ids"][0].__setitem__(0, -1),
+     r"paths\.edge_ids\[0\]: -1 is not a non-negative int"),
+    (lambda d: d["paths"]["edge_ids"].__setitem__(0, ["27-28"]),
+     r"paths\.edge_ids\[0\]: '27-28' is not a non-negative int"),
     # a missing or extra field, or a malformed edge, names its key path; a
     # field with a dataclass default is not filled in
     (lambda d: d["results"]["PS"]["report"].pop("u_ave"),
      r"results\.PS\.report: missing keys \['u_ave'\], extra keys \[\]"),
     (lambda d: d["results"]["PF"]["report"].__setitem__("utilization", {}),
      r"results\.PF\.report: missing keys \[\], extra keys \['utilization'\]"),
-    (lambda d: d["paths"]["path_edges"]["0:0"].__setitem__(0, "1-x"),
-     r"paths\.path_edges\.0:0: \['1-x'.* is not a path 'r:l' of edges 'u-v'"),
     (lambda d: d["network"].pop("active_edges"),
      r"network: missing keys \['active_edges'\]"),
     (lambda d: d["requests"][0].pop("demand"), r"requests\[0\]: missing keys \['demand'\]"),
@@ -171,8 +202,8 @@ def test_record_dict_roundtrip_degenerate():
      r"results\.PU\.report\.demand_satisfied: 'yes' is not a bool"),
     (lambda d: d.__setitem__("seed", "x"), r"seed: 'x' is not a non-negative int"),
     (lambda d: d.__setitem__("reason", 5), r"reason: 5 is not a string"),
-    # the record's own sections: their keys, the results' names and the
-    # path lengths
+    # the record's own sections: objects of their keys, and one result or
+    # more, each named in ALGORITHMS
     (lambda d: d.__setitem__("extra", 1), r"record: missing keys \[\], extra keys \['extra'\]"),
     (lambda d: d["results"]["PS"].__setitem__("extra", 1),
      r"results\.PS: missing keys \[\], extra keys \['extra'\]"),
@@ -180,12 +211,14 @@ def test_record_dict_roundtrip_degenerate():
      r"results\.XY: not one of \('PS', 'PF', 'PU'\)"),
     (lambda d: d["results"]["PS"]["outcome"].__setitem__("algorithm", "PF"),
      r"results\.PS\.outcome\.algorithm: 'PF' is not its result's name 'PS'"),
-    (lambda d: d["paths"]["lengths"].__setitem__("0:0", -1),
-     r"paths\.lengths: -1 is not a non-negative int"),
-    (lambda d: d["paths"]["lengths"].__setitem__("0:0", "x"),
-     r"paths\.lengths: 'x' is not a non-negative int"),
     (lambda d: d["results"]["PF"].pop("report"), r"results\.PF: missing keys \['report'\]"),
-    (lambda d: d["paths"].pop("lengths"), r"paths: missing keys \['lengths'\]"),
+    (lambda d: d.__setitem__("paths", 5), r"paths: 5 is not an object"),
+    (lambda d: d.__setitem__("results", []), r"results: \[\] is not an object"),
+    (lambda d: d.__setitem__("results", {}),
+     r"results: \{\} is not an object of one result or more"),
+    (lambda d: d["results"].__setitem__("PS", 5), r"results\.PS: 5 is not an object"),
+    (lambda d: d["results"]["PS"].__setitem__("outcome", 5),
+     r"results\.PS\.outcome: 5 is not an object"),
     # PS's outcome, and only PS's, holds allocation rows
     (lambda d: d["results"]["PS"]["outcome"].pop("allocations"),
      r"results\.PS\.outcome: missing keys \['allocations'\]"),
@@ -451,7 +484,8 @@ PINNED_DIGESTS = {
     "sweep.csv": "c2049647ad6b95ba4c62c436565a94228bc7201033cc1ac75121e4a306bb0ad5",
     "requests.csv": "78b072e28539ba0da6d0ebdc6e7961d543e26c227becea434c8c2aac1b51c523",
     "failures.csv": "0ec34cbff911bb7a971b635db336d7aa5ef210af7861e94a781be6daf96c0b1b",
-    "trial.json": "7fdf54925a34c35015ee2fa865f54af51fced4ee45cbad9abd9f312f2b492ee9",
+    "trial.json": "a79e8d79f8c2a625764307f5333d4e02eb6fc5a4b002e104ea078e7f68fe2472",
+    "trials.json": "c4a206637e8be9b94ff5a1032efc9a4d6c5510efb3a091bb8d14539ab30da525",
     "traffic_PS.json": "90eb4e0aaeb757cbfd55d1b562da97df836661739578fc5fa479614b6217fdca",
     "traffic_PF.json": "83da183b32a0050781c6a29e7ec09714c0e9627b2fbda0fd62169003a23c6b1d",
     "traffic_PU.json": "e83f6d90811c507e4601cc89f60c853524b2f05257991963395e0a742386f429",
@@ -464,9 +498,10 @@ PINNED_DIGESTS = {
 
 
 def _pinned_digest(path: pathlib.Path) -> str:
-    """sha256 of an output file; trial.json is hashed without its wall-clock
-    fields (``stage_seconds`` and each result's ``schedule_seconds``)."""
-    if path.name != "trial.json":
+    """sha256 of an output file; trial.json and trials.json are hashed without
+    their records' wall-clock fields (``stage_seconds`` and each result's
+    ``schedule_seconds``)."""
+    if path.name not in ("trial.json", "trials.json"):
         return hashlib.sha256(path.read_bytes()).hexdigest()
     payload = json.loads(path.read_text())
     for record in payload["records"]:

@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (KeyedOutcome, abstract_network, assert_integer_max_min,
@@ -25,7 +25,7 @@ from qroute.config import config_from_mapping
 from qroute.harness import ExperimentConfig, RequestSpec, prepare_trial, run_trial
 from qroute.metrics import evaluate
 from qroute.netmodel import TOPOLOGIES, InvariantError, ScenarioParams
-from qroute.pathfinder import PathSet, build_path_info
+from qroute.pathfinder import build_path_info
 from qroute.scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams,
                               _apportion_two_stage, _assert_feasible,
                               _propagatory_core, _proportional_share, compute_f_min,
@@ -270,9 +270,13 @@ def test_proportional_share_rows_in_closed_form_match_references(monkeypatch):
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(ps_instances())
+    # one request's two paths of unlike lengths on one edge, which the drawn
+    # examples need not hold
+    @example(({(0, 0): ((0, 1),), (0, 1): ((0, 1),)}, {(0, 0): 1, (0, 1): 2}, 2, 0,
+              {(0, 1): 10}, 1.0, 1.0))
     def check(instance):
         path_edges, lengths, l_max, f_min, capacity, alpha, beta = instance
-        info = PathSet.from_edges(path_edges, lengths)
+        info = info_from_path_edges(path_edges, lengths)
         kept = info.kept(l_max)
         caps = [capacity[e] for e in info.edges]
         calls.clear()
@@ -590,14 +594,14 @@ def test_infeasible_outcome_rejected():
     # 10 units on a capacity-3 edge; an explicit check, so it also holds under python -O
     net = line_network([3])
     outcome = RoutingOutcome("PS", {(0, 0): 10},
-                             PathSet.from_edges({(0, 0): ((0, 1),)}, {(0, 0): 1}))
+                             info_from_path_edges({(0, 0): ((0, 1),)}, {(0, 0): 1}))
     with pytest.raises(InvariantError, match="exceeds capacity"):
         _assert_feasible(outcome, outcome.paths.capacities(net))
 
 
 def test_run_algorithm_checks_each_core_for_feasibility(monkeypatch):
     # a core that puts 10 units on a capacity-3 edge is caught on every path
-    info = PathSet.from_edges({(0, 0): ((0, 1),)}, {(0, 0): 1})
+    info = info_from_path_edges({(0, 0): ((0, 1),)}, {(0, 0): 1})
     for name, core, result in [("PS", "_proportional_share", ([10], {})),
                                ("PF", "_progressive_fill", [10]),
                                ("PU", "_propagatory_core", [10])]:
@@ -611,7 +615,7 @@ def test_run_algorithm_checks_the_f_min_floor(monkeypatch):
     # so those are live and (2, 0) is not. A live path below f_min, or a
     # path that is not live with flow, is caught on PS and on PU
     keys = [(r, 0) for r in range(3)]
-    info = PathSet.from_edges(dict.fromkeys(keys, ((0, 1),)), dict.fromkeys(keys, 1))
+    info = info_from_path_edges(dict.fromkeys(keys, ((0, 1),)), dict.fromkeys(keys, 1))
     assert info.kept(2).live_paths == [0, 1]
     for flows, message in (([4, 5, 0], "below f_min"), ([5, 5, 3], "not live")):
         for name, core, result in [("PS", "_proportional_share", (flows, {})),
@@ -623,7 +627,7 @@ def test_run_algorithm_checks_the_f_min_floor(monkeypatch):
 
 def test_outcome_rejects_flows_off_the_path_set_order():
     # the metrics zip flows with per-path-id lists, so the order is checked
-    paths = PathSet.from_edges({(0, 0): ((0, 1),), (1, 0): ((1, 2),)}, {(0, 0): 1, (1, 0): 1})
+    paths = info_from_path_edges({(0, 0): ((0, 1),), (1, 0): ((1, 2),)}, {(0, 0): 1, (1, 0): 1})
     RoutingOutcome("PS", {(0, 0): 1, (1, 0): 2}, paths)
     for flows in ({(1, 0): 2, (0, 0): 1}, {(0, 0): 1}):
         with pytest.raises(ValueError, match="key order"):
@@ -702,7 +706,7 @@ def test_bulk_steps_match_unit_step_oracles():
         assert progressive_fill_by_key(path_edges, capacity) == \
             unit_progressive_fill(path_edges, capacity)
         # no edge holds more keys than there are paths, so all paths are live
-        info = PathSet.from_edges(path_edges, lengths)
+        info = info_from_path_edges(path_edges, lengths)
         kept = info.kept(len(path_edges))
         assert {info.edges[e]: [info.keys[p] for p in ids]
                 for e, ids in enumerate(kept.live_keys) if ids} == keys_by_edge
@@ -749,7 +753,7 @@ def test_pu_residual_on_tied_lengths_matches_oracles():
     @given(tied_pu_windows())
     def check(window):
         capacity, lengths, path_edges, f_min, alpha, beta = window
-        info = PathSet.from_edges(path_edges, lengths)
+        info = info_from_path_edges(path_edges, lengths)
         # l_max = #paths keeps every path live
         keys_by_edge = {info.edges[e]: [info.keys[p] for p in ids]
                         for e, ids in enumerate(info.kept(len(path_edges)).live_keys)}
@@ -921,7 +925,7 @@ def test_pu_stops_at_the_fixed_point():
     def small(seed, max_cap):
         capacity, _, lengths, path_edges, f_min, alpha, beta = \
             random_schedule_instance(np.random.default_rng(seed), max_cap)
-        info = PathSet.from_edges(path_edges, lengths)
+        info = info_from_path_edges(path_edges, lengths)
         check(info, len(path_edges), [capacity[e] for e in info.edges], f_min, alpha,
               beta, "small")
 
@@ -929,7 +933,7 @@ def test_pu_stops_at_the_fixed_point():
     @given(tied_pu_windows())
     def tied(window):
         capacity, lengths, path_edges, f_min, alpha, beta = window
-        info = PathSet.from_edges(path_edges, lengths)
+        info = info_from_path_edges(path_edges, lengths)
         try:
             check(info, len(path_edges), [capacity[e] for e in info.edges], f_min, alpha,
                   beta, "tied")
@@ -961,7 +965,7 @@ def test_pu_raises_a_path_the_silent_steps_skipped():
     # (3, 4) first; a stop after len(edges) = 3 silent steps in a row ended
     # there, before edge (0, 1) raised its path to 2
     pe = {(0, 0): ((1, 2), (3, 4)), (0, 1): ((0, 1),), (1, 0): ((0, 1), (1, 2), (3, 4))}
-    info = PathSet.from_edges(pe, {key: len(route) for key, route in pe.items()})
+    info = info_from_path_edges(pe, {key: len(route) for key, route in pe.items()})
     assert _propagatory_core(info, info.kept(3), [3, 3, 3], 1, 1.0, 1.0) == [2, 2, 1]
 
 
@@ -993,7 +997,7 @@ def test_one_path_length_leaves_ps_and_pu_at_beta_0_blind_to_alpha():
         # alphas within the config's bound: length**|alpha| * l_max**2 * c0 is finite
         headroom = math.log(sys.float_info.max) - 2 * math.log(l_max) - math.log(max_cap)
         alphas = [s * headroom / math.log(max(length, 2)) for s in scales]
-        tied = PathSet.from_edges(path_edges, dict.fromkeys(lengths, length))
+        tied = info_from_path_edges(path_edges, dict.fromkeys(lengths, length))
         kept, caps = tied.kept(l_max), [capacity[e] for e in tied.edges]
         assert len({repr(_proportional_share(tied, kept, caps, f_min, alpha, beta))
                     for alpha in alphas}) == 1
@@ -1008,7 +1012,7 @@ def test_one_path_length_leaves_ps_and_pu_at_beta_0_blind_to_alpha():
                     for alpha in alphas}
         assert len(keys("PS", tied)) == 1
         assert len(keys("PU", tied)) == (1 if beta == 0 else len(set(alphas)))
-        mixed = PathSet.from_edges(path_edges, lengths)
+        mixed = info_from_path_edges(path_edges, lengths)
         if len(set(lengths.values())) > 1:
             assert len(keys("PS", mixed)) == len(keys("PU", mixed)) == len(set(alphas))
             seen["mixed"] += 1
