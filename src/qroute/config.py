@@ -64,7 +64,7 @@ def _fail(path: str, lines: dict[str, int], message: str) -> None:
 @dataclass(frozen=True)
 class _Number:
     """Rule for an int or float key: bounds are inclusive unless ``lo_open``;
-    ``nullable`` admits null. NaN is rejected, since it passes every bound."""
+    ``nullable`` admits null. NaN and +-inf fail: NaN passes every bound, inf an absent one."""
 
     kind: type
     lo: float | None = None
@@ -82,8 +82,8 @@ class _Number:
             _fail(path, lines, f"expected a number, got {value!r}")
         else:
             value = float(value)
-            if math.isnan(value):
-                _fail(path, lines, "expected a number, got nan")
+            if not math.isfinite(value):
+                _fail(path, lines, f"expected a number, got {value}")
         lo = self.lo
         if lo is not None and (value <= lo if self.lo_open else value < lo):
             _fail(path, lines, f"value {value} below allowed range")

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import logging
 import os
-import time
 from dataclasses import dataclass, field, replace
 from itertools import product
 from typing import Iterable, Sequence
@@ -80,7 +79,6 @@ class NetworkSummary:
 class AlgorithmResult:
     outcome: RoutingOutcome
     report: MetricsReport
-    schedule_seconds: float = field(default=0.0, compare=False)
 
 
 @dataclass
@@ -92,7 +90,6 @@ class TrialRecord:
     requests: tuple[Request, ...]
     network: NetworkSummary
     results: dict[str, AlgorithmResult]
-    stage_seconds: dict[str, float] = field(default_factory=dict, compare=False)
     reason: str | None = None
     #: the capacity of each edge of the results' PathSet, by edge id; () when
     #: the window is degenerate
@@ -110,7 +107,6 @@ class TrialContext:
     #: request id -> its k shortest paths as node tuples, by rank
     paths: dict[int, list[tuple[int, ...]]]
     reason: str | None = None
-    stage_seconds: dict[str, float] = field(default_factory=dict)
 
 
 def _resolve_requests(config: ExperimentConfig, net: Network,
@@ -126,22 +122,14 @@ def _resolve_requests(config: ExperimentConfig, net: Network,
 def prepare_trial(config: ExperimentConfig, seed: int) -> TrialContext:
     """Steps 0-2: initialize, purify, revise topology, and enumerate paths."""
     rng = np.random.default_rng(seed)
-    stage: dict[str, float] = {}
-    t0 = time.perf_counter()
     net = build_lattice(config.rows, config.cols, config.kind)
     net = sample_edge_states(net, config.scenario, rng)
     requests = _resolve_requests(config, net, rng)
-    stage["initialize"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
     purified = purify_network(net, config.scenario.f_th)
     revised = deactivate_low_capacity_edges(purified, config.routing.l_max)
-    stage["purify"] = time.perf_counter() - t0
-
     f_min = compute_f_min(revised, config.routing.l_max) if revised.active_edges() else 0
     return _with_paths(TrialContext(seed, revised, requests,
-                                    replace(config.routing, f_min=f_min), {},
-                                    stage_seconds=stage))
+                                    replace(config.routing, f_min=f_min), {}))
 
 
 def _with_paths(ctx: TrialContext) -> TrialContext:
@@ -149,10 +137,8 @@ def _with_paths(ctx: TrialContext) -> TrialContext:
     (none for a disconnected request), or the reason it has none."""
     if not ctx.revised.active_edges():
         return replace(ctx, reason="no_active_edges")
-    t0 = time.perf_counter()
     paths = {r.id: k_shortest_paths(ctx.revised, r.source, r.terminal, ctx.params.k)
              for r in ctx.requests}
-    ctx.stage_seconds["paths"] = time.perf_counter() - t0
     return replace(ctx, paths=paths, reason=None if any(paths.values()) else "no_paths")
 
 
@@ -213,17 +199,15 @@ def route_window(ctx: TrialContext, points: Sequence[RoutingParams],
                     ctx.revised, {r: p[:point.k] for r, p in ctx.paths.items()}, point.l_max)
             key = (point.k, schedule_key(name, infos[point.k], params))
             if key not in schedules:
-                t0 = time.perf_counter()
                 outcome = run_algorithm(name, ctx.revised, infos[point.k], params)
-                dt = time.perf_counter() - t0
                 scored = (point.k, tuple(outcome.flows.values()))
                 if scored not in scores:
                     scores[scored] = evaluate(outcome, ctx.revised, ctx.requests, p_in)
-                schedules[key] = AlgorithmResult(outcome, scores[scored], dt)
+                schedules[key] = AlgorithmResult(outcome, scores[scored])
             results[name] = schedules[key]
         capacities = () if ctx.reason is not None else infos[point.k].capacities(ctx.revised)
         records.append(TrialRecord(ctx.seed, params, ctx.requests, summary, results,
-                                   ctx.stage_seconds, ctx.reason, capacities))
+                                   ctx.reason, capacities))
     # the records keep their PathSets; the truncated views were only for routing
     for info in infos.values():
         info.release_views()

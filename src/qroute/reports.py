@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 from functools import cache
@@ -109,12 +110,12 @@ def _hints(cls: type) -> dict:
 
 
 def _each(tp, values: list, where: str) -> list:
-    """``values`` read by ``tp``; scalars (ints are >= 0) in one pass."""
+    """``values`` read by ``tp``; scalars (ints are >= 0, floats finite) in one pass."""
     if tp not in _SCALARS:
         return [_decode(tp, v, f"{where}[{i}]") for i, v in enumerate(values)]
     allowed, name = _SCALARS[tp]
     for v in values:
-        if type(v) not in allowed or tp is int and v < 0:
+        if type(v) not in allowed or tp is int and v < 0 or tp is float and not math.isfinite(v):
             raise ValueError(f"{where}: {v!r} is not {name}")
     return values
 
@@ -204,11 +205,12 @@ def record_to_dict(record: TrialRecord) -> dict:
             "edge_ids": list(map(list, paths.edge_ids)),
             "capacities": list(record.capacities),
         },
+        # the two timing keys are constants, kept because winbench's record_bytes reads them
         "results": {name: {"outcome": outcome_to_dict(res.outcome),
                            "report": report_to_dict(res.report),
-                           "schedule_seconds": res.schedule_seconds}
+                           "schedule_seconds": 0.0}
                     for name, res in record.results.items()},
-        "stage_seconds": dict(record.stage_seconds),
+        "stage_seconds": {},
         "reason": record.reason,
     }
 
@@ -268,11 +270,10 @@ def record_from_dict(data: dict) -> TrialRecord:
         _check_keys(res, ("outcome", "report", "schedule_seconds"), f"results.{name}")
         outcome = outcome_from_dict(name, res["outcome"], paths, sections["params"].l_max)
         report = _decode(MetricsReport, res["report"], f"results.{name}.report")
-        results[name] = AlgorithmResult(outcome, report, res["schedule_seconds"])
+        results[name] = AlgorithmResult(outcome, report)
     # the allocations were checked against the kept views; the record needs none
     paths.release_views()
-    return TrialRecord(**sections, results=results, stage_seconds=dict(data["stage_seconds"]),
-                       capacities=capacities)
+    return TrialRecord(**sections, results=results, capacities=capacities)
 
 
 def write_records_json(records: Sequence[TrialRecord], path: str,
@@ -286,9 +287,22 @@ def write_records_json(records: Sequence[TrialRecord], path: str,
 
 
 def read_records_json(path: str) -> list[TrialRecord]:
+    """The records of a ``write_records_json`` file, an object of a ``records`` list
+    and maybe ``config_provenance``; what does not fit raises ValueError with its key path."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    return [record_from_dict(d) for d in payload["records"]]
+    names = ("records", "config_provenance") if type(payload) is dict \
+        and "config_provenance" in payload else ("records",)
+    _check_keys(payload, names, path)
+    if type(payload["records"]) is not list:
+        raise ValueError(f"records: {payload['records']!r} is not a list")
+    records = []
+    for i, data in enumerate(payload["records"]):
+        try:
+            records.append(record_from_dict(data))
+        except ValueError as exc:
+            raise ValueError(f"records[{i}]: {exc}") from None
+    return records
 
 
 # ------------------------------------------------------------- traffic export

@@ -959,21 +959,11 @@ def reference_record_to_dict(record: TrialRecord) -> dict:
         },
         "results": {name: {"outcome": reference_outcome_to_dict(res.outcome, record.params.l_max),
                            "report": reference_report_to_dict(res.report),
-                           "schedule_seconds": res.schedule_seconds}
+                           "schedule_seconds": 0.0}
                     for name, res in record.results.items()},
-        "stage_seconds": dict(record.stage_seconds),
+        "stage_seconds": {},
         "reason": record.reason,
     }
-
-
-def untimed(record: dict) -> dict:
-    """A ``record_to_dict`` record without its wall-clock fields
-    (``stage_seconds`` and each result's ``schedule_seconds``); changes
-    ``record`` and returns it."""
-    del record["stage_seconds"]
-    for result in record["results"].values():
-        del result["schedule_seconds"]
-    return record
 
 
 # ------------------------------------------------------------ per-point sweeps

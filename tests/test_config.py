@@ -160,18 +160,20 @@ def test_overflowing_weight_exponent_exits_1_with_key_and_line(tmp_path, capsys,
 
 FLOAT_KEYS = [f"{section}.{key}" for section, rules in _RULES.items()
               for key, rule in rules.items() if isinstance(rule, _Number) and rule.kind is float]
-NAN_VALUES = [(path, ".nan") for path in FLOAT_KEYS] + \
+NAN_VALUES = [(path, v) for path in FLOAT_KEYS for v in (".nan", ".inf", "-.inf")] + \
     [(path, "[0.5, .nan]") for path in FLOAT_KEYS if path.startswith("routing.")]
 
 
 @pytest.mark.parametrize("path, value", NAN_VALUES, ids=[f"{p}={v}" for p, v in NAN_VALUES])
 def test_nan_exits_1_with_key_and_line(tmp_path, capsys, path, value):
-    # NaN compares false with every bound, so the rule must reject it by name
+    # NaN compares false with every bound, and most float keys have no upper
+    # bound for inf, so the rule must reject both by name
     section, key = path.split(".")
     cfg = write(tmp_path, f"lattice: {{rows: 4, cols: 4}}\n{section}:\n  {key}: {value}\n")
     assert cli.main(["run", "-c", cfg, "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert f"{path}: expected a number, got nan (line 3)" in err, err
+    shown = value.strip("[]").split(", ")[-1].replace(".", "")
+    assert f"{path}: expected a number, got {shown} (line 3)" in err, err
     assert not (tmp_path / "out").exists()
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (KeyedOutcome, info_from_path_edges, reference_evaluate,
-                      reference_run_trial, reference_with_paths, untimed, yen_spurs)
+                      reference_run_trial, reference_with_paths, yen_spurs)
 
 from qroute import harness
 from qroute.config import load_config
@@ -106,8 +106,7 @@ def test_run_trial_matches_reference(kind):
         for seed in range(12):
             record = run_trial(cfg, seed)
             reasons.add(record.reason)
-            assert untimed(record_to_dict(record)) == \
-                untimed(record_to_dict(reference_run_trial(cfg, seed)))
+            assert record_to_dict(record) == record_to_dict(reference_run_trial(cfg, seed))
     assert reasons == {None, "no_active_edges", "no_paths"}
 
 
@@ -128,8 +127,8 @@ def test_pinned_baseline_windows_skip_yen():
         yen_windows += any(
             yen_spurs(ctx.paths[r.id], ctx.params.k) for r in ctx.requests)
         if seed < 10:
-            assert untimed(record_to_dict(run_trial(config, seed))) == \
-                untimed(record_to_dict(reference_run_trial(config, seed)))
+            assert record_to_dict(run_trial(config, seed)) == \
+                record_to_dict(reference_run_trial(config, seed))
     assert 0 < yen_windows < windows // 2
 
 
@@ -153,8 +152,8 @@ def test_parallel_matches_serial(monkeypatch):
     parallel = replicate(cfg)
     assert serial == parallel
     # each record writes the same JSON under either worker count
-    assert ([json.dumps(untimed(record_to_dict(r))) for r in serial[0]]
-            == [json.dumps(untimed(record_to_dict(r))) for r in parallel[0]])
+    assert ([json.dumps(record_to_dict(r)) for r in serial[0]]
+            == [json.dumps(record_to_dict(r)) for r in parallel[0]])
 
 
 # ---------------------------------------------------------------- Monte Carlo
@@ -371,11 +370,6 @@ def test_objective_value_formula():
     expected = (report.throughput + 2.0 * report.u_ave
                 - 3.0 * report.u_var - 4.0 * report.stretch)
     assert objective_value(report, weights) == pytest.approx(expected)
-
-
-def test_prepare_trial_stage_timings_present():
-    ctx = prepare_trial(small_config(), 3)
-    assert {"initialize", "purify", "paths"} <= set(ctx.stage_seconds)
 
 
 def test_request_sweep_statistical_trends():

@@ -1,11 +1,12 @@
 import csv
 import hashlib
 import json
+import math
 import pathlib
 import xml.etree.ElementTree as ET
 
 import pytest
-from conftest import keyed_allocations, untimed
+from conftest import keyed_allocations
 
 from qroute import cli, harness
 from qroute.harness import ExperimentConfig, RequestSpec, prepare_trial, replicate, run_trial
@@ -86,6 +87,26 @@ def test_record_json_roundtrip(tmp_path):
     assert data["results"]["PS"]["outcome"]["allocations"] == [
         [allocations[paths.edges[e]][paths.keys[p]] for p in ids] for e, ids in enumerate(kept)]
     assert loaded[0].results["PS"].outcome.allocations == record.results["PS"].outcome.allocations
+
+
+@pytest.mark.parametrize("payload, where", [
+    (lambda record: [], r"records\.json: \[\] is not an object"),
+    (lambda record: {}, r"records\.json: missing keys \['records'\], extra keys \[\]"),
+    (lambda record: {"records": 5}, r"records: 5 is not a list"),
+    (lambda record: {"records": [], "extra": 1},
+     r"records\.json: missing keys \[\], extra keys \['extra'\]"),
+    (lambda record: {"records": [record, 5]}, r"records\[1\]: record: 5 is not an object"),
+    # written as JSON's Infinity, which Python's json reads back
+    (lambda record: {"records": [record, {**record, "params": {**record["params"],
+                                                           "alpha": math.inf}}],
+                     "config_provenance": {}},
+     r"records\[1\]: params\.alpha: inf is not a number"),
+])
+def test_read_records_json_rejects_misshapen_payloads(tmp_path, payload, where):
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps(payload(record_to_dict(run_trial(small_config(), 77)))))
+    with pytest.raises(ValueError, match=where):
+        read_records_json(str(path))
 
 
 def test_record_dict_roundtrip_degenerate():
@@ -189,6 +210,12 @@ def test_record_dict_roundtrip_degenerate():
     (lambda d: d["network"].__setitem__("active_edges", "x"),
      r"network\.active_edges: 'x' is not a non-negative int"),
     (lambda d: d["params"].__setitem__("alpha", "x"), r"params\.alpha: 'x' is not a number"),
+    # JSON's NaN and Infinity are read by Python's json, but are no numbers here
+    (lambda d: d["requests"][0].__setitem__("weight", math.nan),
+     r"requests\[0\]\.weight: nan is not a number"),
+    (lambda d: d["params"].__setitem__("alpha", math.inf), r"params\.alpha: inf is not a number"),
+    (lambda d: d["results"]["PS"]["report"].__setitem__("u_ave", math.nan),
+     r"results\.PS\.report\.u_ave: nan is not a number"),
     (lambda d: d["params"].__setitem__("f_min", -1),
      r"params\.f_min: -1 is not a non-negative int"),
     (lambda d: d["requests"][1].__setitem__("terminal", d["requests"][1]["source"]),
@@ -484,8 +511,8 @@ PINNED_DIGESTS = {
     "sweep.csv": "c2049647ad6b95ba4c62c436565a94228bc7201033cc1ac75121e4a306bb0ad5",
     "requests.csv": "78b072e28539ba0da6d0ebdc6e7961d543e26c227becea434c8c2aac1b51c523",
     "failures.csv": "0ec34cbff911bb7a971b635db336d7aa5ef210af7861e94a781be6daf96c0b1b",
-    "trial.json": "a79e8d79f8c2a625764307f5333d4e02eb6fc5a4b002e104ea078e7f68fe2472",
-    "trials.json": "c4a206637e8be9b94ff5a1032efc9a4d6c5510efb3a091bb8d14539ab30da525",
+    "trial.json": "0fe97743ebaa36cdc27df62fd3fdb7ea91d70821d1945133f35a4d01def95813",
+    "trials.json": "012ada99419e8bf9f95068371582e4b9f06054eba4da240e56f2e0e7aee07606",
     "traffic_PS.json": "90eb4e0aaeb757cbfd55d1b562da97df836661739578fc5fa479614b6217fdca",
     "traffic_PF.json": "83da183b32a0050781c6a29e7ec09714c0e9627b2fbda0fd62169003a23c6b1d",
     "traffic_PU.json": "e83f6d90811c507e4601cc89f60c853524b2f05257991963395e0a742386f429",
@@ -495,18 +522,6 @@ PINNED_DIGESTS = {
     "hexagonal/trials.csv": "b7428932b05778bc6ae30e377f5b6eeec67d4fa1a3b6e9a9c1ccad15138ab11f",
     "triangular/trials.csv": "c5833bd2aeb19658055b847d273aedf812b7c31437d881c69b4d2f5a69fabe36",
 }
-
-
-def _pinned_digest(path: pathlib.Path) -> str:
-    """sha256 of an output file; trial.json and trials.json are hashed without
-    their records' wall-clock fields (``stage_seconds`` and each result's
-    ``schedule_seconds``)."""
-    if path.name not in ("trial.json", "trials.json"):
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-    payload = json.loads(path.read_text())
-    for record in payload["records"]:
-        untimed(record)
-    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
 
 
 def test_cli_outputs_match_pinned_digests(tmp_path):
@@ -534,7 +549,7 @@ def test_cli_outputs_match_pinned_digests(tmp_path):
         assert cli.main(["replicate", "-c", cfg, "--replications", "6",
                          "--out-dir", str(out_dir / kind)]) == 0
     for name, digest in PINNED_DIGESTS.items():
-        assert _pinned_digest(out_dir / name) == digest, name
+        assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_cli_runtime_error_exit_code(tmp_path):
