@@ -169,7 +169,9 @@ def route_window(ctx: TrialContext, points: Sequence[RoutingParams],
     Every point has the context's l_max and a k no larger than the one its
     paths were enumerated with; a point's paths are the first k ranks of each
     request (Yen's output is prefix-stable in k). Per k the PathSet is built
-    and its capacities read once, and each algorithm runs once per
+    and its capacities read once; ``build_path_info`` returns an earlier
+    window's PathSet when the paths are equal, and its memo, not the window,
+    decides when the views go. Each algorithm runs once per
     ``schedule_key``: PF once, PS and PU once per (alpha, beta), or per beta
     when every path has one length (PU at beta = 0 only); a point whose key
     repeats reuses that result. An outcome with the flows of an earlier one
@@ -208,9 +210,6 @@ def route_window(ctx: TrialContext, points: Sequence[RoutingParams],
         capacities = () if ctx.reason is not None else infos[point.k].capacities(ctx.revised)
         records.append(TrialRecord(ctx.seed, params, ctx.requests, summary, results,
                                    ctx.reason, capacities))
-    # the records keep their PathSets; the truncated views were only for routing
-    for info in infos.values():
-        info.release_views()
     return records
 
 

@@ -265,6 +265,8 @@ class PathSet:
     works on these ids. ``path_edges`` is the keyed form, built from the ids
     on each read. ``build_path_info`` builds one from a network's lattice
     edge indices, and ``reports.record_from_dict`` from a record's arrays.
+    Nothing changes a PathSet once it is built, so windows with equal paths
+    share one.
     """
 
     def __init__(self, keys: tuple[PathKey, ...], lengths: list[int],
@@ -287,6 +289,11 @@ class PathSet:
         self._incidence: list[list[int]] | None = list(filter(None, on))
         self._kept: dict[int, KeptPaths] = {}
         self._capacities: tuple[Network, tuple[int, ...]] | None = None
+
+    def __getstate__(self) -> dict:
+        """Pickle the paths without H, the ``kept`` views and capacities,
+        which hold a Network; they are built again on first read."""
+        return {**vars(self), "_incidence": None, "_kept": {}, "_capacities": None}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PathSet):
@@ -318,7 +325,8 @@ class PathSet:
 
     def release_views(self) -> None:
         """Drop H, the cached ``kept`` views and capacities; a later call
-        builds them again."""
+        builds them again. ``build_path_info`` calls it on the PathSet its
+        memo evicts, so that at most ``_MEMO_SIZE`` PathSets hold views."""
         self._incidence = None
         self._kept.clear()
         self._capacities = None
@@ -364,19 +372,39 @@ def _incidence(routes: Iterable[Sequence[int]], size: int) -> list[list[int]]:
     return on
 
 
+#: how many PathSets ``build_path_info`` keeps. With fixed requests a
+#: window's paths mostly repeat one of the last two windows'; random requests
+#: never hit, and there 8 entries measured slower, since each holds its views
+_MEMO_SIZE = 2
+#: (lattice edges, paths by request) -> its PathSet, least recently used first
+_memo: dict[tuple, PathSet] = {}
+
+
 def build_path_info(net: Network, paths: Mapping[int, Sequence[tuple[int, ...]]],
                     l_max: int) -> PathSet:
-    """Assemble the window's PathSet from the paths found on ``net``, given
-    as request id -> its node tuples by rank; path ``(r, rank)`` is
-    ``paths[r][rank]``, and keys are numbered in request-id order. Its
-    ``kept(l_max)`` view is built before it returns, so that its cost counts
-    as path information. Each hop is read by its index in ``net.edges``,
-    whose order is the sorted edge order, so no edge key is built."""
-    ids = sorted(paths)
-    routes = [nodes for r in ids for nodes in paths[r]]
-    by_node = net.edge_index()
-    hops = [[by_node[a][b] for a, b in zip(p, p[1:])] for p in routes]
-    info = PathSet(tuple((r, rank) for r in ids for rank in range(len(paths[r]))),
-                   [len(p) - 1 for p in routes], net.edges, hops)
+    """The window's PathSet of the paths found on ``net``, given as request
+    id -> its node tuples by rank; path ``(r, rank)`` is ``paths[r][rank]``,
+    and keys are numbered in request-id order. Its ``kept(l_max)`` view is
+    built before it returns, so that its cost counts as path information.
+
+    A PathSet depends only on ``net.edges`` and the paths, so the last
+    ``_MEMO_SIZE`` built are kept, views and all, and a call with equal
+    edges and paths returns the same object: windows with equal paths share
+    it. The memo decides how long views live: the PathSet it evicts releases
+    them before the next one is built. Each hop is read by its index in
+    ``net.edges``, whose order is the sorted edge order, so no edge key is
+    built."""
+    ranked = tuple((r, tuple(paths[r])) for r in sorted(paths))
+    key = (net.edges, ranked)
+    info = _memo.pop(key, None)
+    if info is None:
+        if len(_memo) == _MEMO_SIZE:
+            _memo.pop(next(iter(_memo))).release_views()
+        routes = [nodes for _, by_rank in ranked for nodes in by_rank]
+        by_node = net.edge_index()
+        hops = [[by_node[a][b] for a, b in zip(p, p[1:])] for p in routes]
+        info = PathSet(tuple((r, rank) for r, by_rank in ranked for rank in range(len(by_rank))),
+                       [len(p) - 1 for p in routes], net.edges, hops)
+    _memo[key] = info
     info.kept(l_max)
     return info

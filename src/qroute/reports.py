@@ -122,7 +122,8 @@ def _each(tp, values: list, where: str) -> list:
 
 def _decode(tp, value, where: str):
     """``value`` read from JSON by the annotation ``tp``: a scalar, ``X | None``,
-    ``tuple[X, ...]``, ``dict[int, X]`` or a dataclass, at key path ``where``."""
+    ``tuple[X, ...]``, ``dict[int, X]``, ``dict[str, X]`` or a dataclass, at key
+    path ``where``."""
     if tp in _SCALARS:
         return _each(tp, [value], where)[0]
     if type(tp) is UnionType:  # X | None
@@ -130,8 +131,10 @@ def _decode(tp, value, where: str):
     origin = getattr(tp, "__origin__", None)
     if origin is tuple and type(value) is list:
         return tuple(_each(tp.__args__[0], value, where))
-    if origin is dict and type(value) is dict and all(map(str.isdecimal, value)):
-        return dict(zip(map(int, value), _each(tp.__args__[1], list(value.values()), where)))
+    if origin is dict and type(value) is dict:
+        key_type, value_type = tp.__args__
+        if key_type is str or all(map(str.isdecimal, value)):
+            return dict(zip(map(key_type, value), _each(value_type, list(value.values()), where)))
     if origin is None and type(value) is dict:
         return _load(tp, value, where)
     raise ValueError(f"{where}: {value!r} is not a {tp if origin else tp.__name__}")
@@ -296,6 +299,8 @@ def read_records_json(path: str) -> list[TrialRecord]:
     _check_keys(payload, names, path)
     if type(payload["records"]) is not list:
         raise ValueError(f"records: {payload['records']!r} is not a list")
+    if "config_provenance" in payload:
+        _decode(dict[str, str], payload["config_provenance"], "config_provenance")
     records = []
     for i, data in enumerate(payload["records"]):
         try:

@@ -1,5 +1,6 @@
 import json
 import pathlib
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from conftest import (KeyedOutcome, info_from_path_edges, reference_evaluate,
                       reference_run_trial, reference_with_paths, yen_spurs)
 
-from qroute import harness
+from qroute import harness, pathfinder
 from qroute.config import load_config
 from qroute.harness import (ExperimentConfig, ObjectiveWeights, RequestSpec,
                             degrade_outcome, failure_experiment,
@@ -60,14 +61,24 @@ def test_path_set_built_once_per_trial(monkeypatch):
         return info
 
     monkeypatch.setattr(harness, "build_path_info", counted)
+    monkeypatch.setattr(pathfinder, "_memo", {})
     records = [run_trial(small_config(), seed) for seed in range(8)]
     routable = [rec for rec in records if rec.reason is None]
     assert routable and len(calls) == len(routable)
+    # the PathSets in the order of their last use
+    last_used = {}
     for rec in routable:
         ps, pf, pu = (rec.results[name].outcome for name in ("PS", "PF", "PU"))
         assert ps.paths is pf.paths is pu.paths
-        # a record keeps its paths but not H or the views that only routing reads
-        assert not ps.paths._kept and ps.paths._incidence is None
+        last_used.pop(id(ps.paths), None)
+        last_used[id(ps.paths)] = ps.paths
+    # a record keeps its paths; H and the views that only routing reads stay
+    # while the memo holds them, which it does for the last two PathSets only
+    order = list(last_used.values())
+    released, held = order[:-2], order[-2:]
+    assert len(held) == 2 and list(map(id, pathfinder._memo.values())) == list(map(id, held))
+    assert all(info._kept and info._incidence is not None for info in held)
+    assert all(not info._kept and info._incidence is None for info in released)
     assert calls == [[rec.params.l_max] for rec in routable]
 
 
@@ -154,6 +165,23 @@ def test_parallel_matches_serial(monkeypatch):
     # each record writes the same JSON under either worker count
     assert ([json.dumps(record_to_dict(r)) for r in serial[0]]
             == [json.dumps(record_to_dict(r)) for r in parallel[0]])
+
+
+def test_replicate_bytes_do_not_depend_on_the_memo(monkeypatch):
+    # build_path_info hands a window an earlier window's PathSet when their
+    # paths are equal; a cold memo, one that another config's windows filled,
+    # and the seeds in reverse order all give the same bytes per seed
+    config = load_config(str(BASELINE))
+    monkeypatch.setattr(pathfinder, "_memo", {})
+    records = replicate(config)[0]
+    cold = [json.dumps(record_to_dict(r)) for r in records]
+    assert len({id(r.results["PS"].outcome.paths) for r in records}) < len(records) / 2
+    # the same pinned requests at another capacity: equal paths, other networks
+    replicate(replace(config, scenario=replace(config.scenario, c0=10000)))
+    warm = [json.dumps(record_to_dict(r)) for r in replicate(config)[0]]
+    seeds = range(config.base_seed, config.base_seed + config.replications)
+    backwards = [json.dumps(record_to_dict(run_trial(config, s))) for s in reversed(seeds)]
+    assert cold == warm == backwards[::-1]
 
 
 # ---------------------------------------------------------------- Monte Carlo
@@ -427,9 +455,8 @@ def test_request_sweep_count_two_matches_replicate():
                        routing=RoutingParams(k=4, l_max=8, alpha=1.0, beta=1.0),
                        requests=RequestSpec(count=9, distance=None, demand=2))
     rows = request_sweep(cfg, counts=(2,))
-    from dataclasses import replace as drep
-    direct_cfg = drep(cfg, requests=drep(cfg.requests, count=2, distance=None,
-                                         pairs=None))
+    direct_cfg = replace(cfg, requests=replace(cfg.requests, count=2, distance=None,
+                                               pairs=None))
     _, agg = replicate(direct_cfg)
     for row in rows:
         assert row["F_mean"] == pytest.approx(agg[row["algorithm"]]["F"][0])

@@ -1,4 +1,5 @@
 import pathlib
+import pickle
 from collections import Counter
 from dataclasses import replace
 from itertools import chain
@@ -178,12 +179,50 @@ def test_path_set_kept_matches_per_edge_truncation():
         assert info.kept(l_max) is info.kept(l_max)
         assert_kept_views(info, l_max)
         # given l_max, build_path_info builds this view before it returns
-        assert build_path_info(net, paths, l_max)._kept.keys() == {l_max}
+        assert l_max in build_path_info(net, paths, l_max)._kept
     # release_views drops H and the views; both come back equal from edge_ids
     incidence, views = info.values(), info.kept(2)
     info.release_views()
     assert info._incidence is None and not info._kept
     assert info.kept(2) == views and info.values() == incidence
+
+
+def test_build_path_info_memo_keeps_the_last_two(monkeypatch):
+    monkeypatch.setattr(pathfinder, "_memo", {})
+    net = active_lattice(4, 4)
+    ranked = k_shortest_paths(net, 0, 15, 4)
+
+    def build(k, l_max=2):
+        return build_path_info(net, {0: ranked[:k]}, l_max)
+
+    first, second, third = build(1), build(2), build(3)
+    # the third distinct build evicts the first, which drops its views but
+    # stays a whole PathSet
+    assert first._kept == {} and first._incidence is None and first._capacities is None
+    assert all(info._kept and info._incidence is not None for info in (second, third))
+    # equal paths give the same object back, with its views, and a hit at
+    # another l_max adds that view
+    assert build(2) is second and build(3, 1) is third and third._kept.keys() == {1, 2}
+    rebuilt = build(1)
+    assert rebuilt is not first and rebuilt == first
+    # the hits made ``third`` the more recently used, so ``second`` went
+    assert second._incidence is None and build(3) is third
+    # the same paths on another lattice's edges are another PathSet
+    assert build_path_info(active_lattice(4, 5), {0: [(0, 1)]}, 2) \
+        is not build_path_info(net, {0: [(0, 1)]}, 2)
+
+
+def test_path_set_pickles_without_views():
+    net = active_lattice(4, 4)
+    info = build_path_info(net, {0: k_shortest_paths(net, 0, 15, 4)}, 2)
+    info.capacities(net)
+    copy = pickle.loads(pickle.dumps(info))
+    assert copy == info and copy.path_edges == info.path_edges
+    assert (copy._incidence, copy._kept, copy._capacities) == (None, {}, None)
+    # the original keeps its views, and the copy builds equal ones
+    assert info._kept and info._incidence is not None and info._capacities is not None
+    assert copy.kept(2) == info.kept(2) and copy.capacities(net) == info.capacities(net)
+    assert len(pickle.dumps(info)) == len(pickle.dumps(copy))
 
 
 def random_active_lattice(rng, kind, rows, cols, dead_rate):

@@ -2,7 +2,10 @@ import csv
 import hashlib
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -101,6 +104,12 @@ def test_record_json_roundtrip(tmp_path):
                                                            "alpha": math.inf}}],
                      "config_provenance": {}},
      r"records\[1\]: params\.alpha: inf is not a number"),
+    (lambda record: {"records": [record], "config_provenance": 5},
+     r"config_provenance: 5 is not a dict\[str, str\]"),
+    (lambda record: {"records": [record], "config_provenance": []},
+     r"config_provenance: \[\] is not a dict\[str, str\]"),
+    (lambda record: {"records": [record], "config_provenance": {"a": 1}},
+     r"config_provenance: 1 is not a string"),
 ])
 def test_read_records_json_rejects_misshapen_payloads(tmp_path, payload, where):
     path = tmp_path / "records.json"
@@ -407,6 +416,22 @@ def test_cli_duplicate_algorithms_exit_code(tmp_path, capsys, command):
 
 def test_cli_usage_error_exit_code(tmp_path):
     assert cli.main(["frobnicate"]) == 1
+
+
+def test_python_m_qroute_runs_the_cli(tmp_path):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+    def qroute(*args):
+        return subprocess.run([sys.executable, "-m", "qroute", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = qroute("--help")
+    assert done.returncode == 0 and "usage" in done.stdout
+    bad = write_config(tmp_path, "scenario: {p_in: 2.0}\n")
+    done = qroute("run", "-c", bad, "--out-dir", str(tmp_path / "o"))
+    assert done.returncode == 1 and "config error" in done.stderr
 
 
 def test_cli_negative_seed_flag_is_a_config_error(tmp_path, capsys):
