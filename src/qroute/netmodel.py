@@ -49,11 +49,14 @@ class EdgeMasks(NamedTuple):
 
 class LatticeIndex(NamedTuple):
     """What a network's edge tuple fixes, whatever the edges' state: the
-    edge masks with every edge active, and per node a map from each
-    neighbour to the index of their edge in the tuple."""
+    edge masks with every edge active, per node a map from each neighbour
+    to the index of their edge in the tuple, and the lattice's own k
+    shortest paths that ``pathfinder.k_shortest_paths`` has found."""
 
     masks: EdgeMasks
     edge_index: tuple[dict[int, int], ...]
+    #: (s, t, k) -> (the indices of the edges the paths cross, the paths)
+    paths: dict[tuple[int, int, int], tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]
 
 
 @lru_cache(maxsize=8)
@@ -69,7 +72,7 @@ def _lattice_index(edges: tuple[Edge, ...], node_count: int) -> LatticeIndex:
         neighbours[v] |= 1 << u
         edge_index[u][v] = edge_index[v][u] = j
     return LatticeIndex(EdgeMasks(tuple(sorted(by_offset.items())), tuple(neighbours)),
-                        tuple(edge_index))
+                        tuple(edge_index), {})
 
 
 @dataclass
@@ -159,10 +162,10 @@ class Network:
         """Active edges as per-offset and per-node bitmasks."""
         return self._edge_masks
 
-    def edge_index(self) -> tuple[dict[int, int], ...]:
-        """Per node, each lattice neighbour -> the index of their edge in
-        ``edges``, over every edge, active or not."""
-        return self._lattice.edge_index
+    def lattice(self) -> LatticeIndex:
+        """What ``edges`` fixes, whatever the edges' state, shared by every
+        network on the same edges."""
+        return self._lattice
 
     @cached_property
     def _capacity_map(self) -> dict[Edge, int]:

@@ -122,11 +122,60 @@ def _spur_search(masks: EdgeMasks, root: tuple[int, ...], t: int, banned: int,
     return tuple(nodes)
 
 
+#: how many (s, t, k) answers each lattice keeps, oldest dropped first.
+#: Pinned requests need one per request and k; random requests seldom
+#: repeat, and on a lattice never fully active nothing is stored
+_LATTICE_PATHS_SIZE = 64
+
+
 def k_shortest_paths(net: Network, s: int, t: int, k: int) -> list[tuple[int, ...]]:
     """The k shortest loopless s-t paths over active edges, as node tuples
     ordered by (length, node sequence); fewer when fewer exist, empty when s
     and t are disconnected in G'. The first j of them are the answer for k =
     j.
+
+    G' is a subset of its lattice's edges, so every path of G' is a path of
+    the lattice. Hence when every edge of the lattice's own k smallest paths
+    is active in ``net``, those paths are G''s k smallest too; and when the
+    lattice holds fewer than k paths, G' holds the same ones. The lattice
+    (``net.lattice()``, shared by every network on its edges) keeps the
+    answers to the last ``_LATTICE_PATHS_SIZE`` keys (s, t, k) with the
+    indices of the edges they cross, and a call whose network has all those
+    edges active returns them without a search. Only a network with every
+    lattice edge active stores an answer: its masks are the lattice's own,
+    so the search's answer is the lattice's by definition. Otherwise
+    ``_yen`` searches G'.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    for node in (s, t):
+        if not 0 <= node < net.node_count:
+            raise ValueError(f"node {node} is not on the {net.rows}x{net.cols} lattice "
+                             f"(nodes 0..{net.node_count - 1})")
+    if s == t:
+        raise ValueError("source and terminal must differ")
+    lattice = net.lattice()
+    key = (s, t, k)
+    entry = lattice.paths.get(key)
+    if entry is not None:
+        crossed, paths = entry
+        active = net.active
+        if all(map(active.__getitem__, crossed)):
+            return list(paths)
+    masks = net.edge_masks()
+    accepted = _yen(masks, s, t, k)
+    if masks is lattice.masks:
+        stored = lattice.paths
+        if len(stored) == _LATTICE_PATHS_SIZE:
+            del stored[next(iter(stored))]
+        by_node = lattice.edge_index
+        crossed = {by_node[a][b] for p in accepted for a, b in zip(p, p[1:])}
+        stored[key] = (tuple(sorted(crossed)), tuple(accepted))
+    return accepted
+
+
+def _yen(masks: EdgeMasks, s: int, t: int, k: int) -> list[tuple[int, ...]]:
+    """``k_shortest_paths`` over the active edges of ``masks``, searched.
 
     The order is total, so when the s-t shortest-path DAG holds at least k
     paths, its first k (from ``_shortest_paths``) are the answer. Otherwise
@@ -158,15 +207,6 @@ def k_shortest_paths(net: Network, s: int, t: int, k: int) -> list[tuple[int, ..
     One BFS from t per call gives both the DAG walk's levels and every d;
     it grows only as deep as the farthest of them.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    for node in (s, t):
-        if not 0 <= node < net.node_count:
-            raise ValueError(f"node {node} is not on the {net.rows}x{net.cols} lattice "
-                             f"(nodes 0..{net.node_count - 1})")
-    if s == t:
-        raise ValueError("source and terminal must differ")
-    masks = net.edge_masks()
     offsets, neighbours = masks
     levels = [1 << t]
     shortest = list(islice(_shortest_paths(masks, levels, s, t), k))
@@ -401,7 +441,7 @@ def build_path_info(net: Network, paths: Mapping[int, Sequence[tuple[int, ...]]]
         if len(_memo) == _MEMO_SIZE:
             _memo.pop(next(iter(_memo))).release_views()
         routes = [nodes for _, by_rank in ranked for nodes in by_rank]
-        by_node = net.edge_index()
+        by_node = net.lattice().edge_index
         hops = [[by_node[a][b] for a, b in zip(p, p[1:])] for p in routes]
         info = PathSet(tuple((r, rank) for r, by_rank in ranked for rank in range(len(by_rank))),
                        [len(p) - 1 for p in routes], net.edges, hops)

@@ -109,14 +109,17 @@ def _hints(cls: type) -> dict:
     return {f.name: get_type_hints(cls)[f.name] for f in fields(cls)}
 
 
-def _each(tp, values: list, where: str) -> list:
-    """``values`` read by ``tp``; scalars (ints are >= 0, floats finite) in one pass."""
+def _each(tp, values: list, where: str, suffixes: Sequence[str] | None = None) -> list:
+    """``values`` read by ``tp``, value i at key path ``where`` + ``suffixes[i]``,
+    or ``where[i]`` without them; scalars (ints are >= 0, floats finite) in one pass."""
+    def at(i: int) -> str:
+        return f"{where}[{i}]" if suffixes is None else where + suffixes[i]
     if tp not in _SCALARS:
-        return [_decode(tp, v, f"{where}[{i}]") for i, v in enumerate(values)]
+        return [_decode(tp, v, at(i)) for i, v in enumerate(values)]
     allowed, name = _SCALARS[tp]
-    for v in values:
+    for i, v in enumerate(values):
         if type(v) not in allowed or tp is int and v < 0 or tp is float and not math.isfinite(v):
-            raise ValueError(f"{where}: {v!r} is not {name}")
+            raise ValueError(f"{at(i)}: {v!r} is not {name}")
     return values
 
 
@@ -125,7 +128,7 @@ def _decode(tp, value, where: str):
     ``tuple[X, ...]``, ``dict[int, X]``, ``dict[str, X]`` or a dataclass, at key
     path ``where``."""
     if tp in _SCALARS:
-        return _each(tp, [value], where)[0]
+        return _each(tp, [value], where, ("",))[0]
     if type(tp) is UnionType:  # X | None
         return None if value is None else _decode(tp.__args__[0], value, where)
     origin = getattr(tp, "__origin__", None)
@@ -134,7 +137,8 @@ def _decode(tp, value, where: str):
     if origin is dict and type(value) is dict:
         key_type, value_type = tp.__args__
         if key_type is str or all(map(str.isdecimal, value)):
-            return dict(zip(map(key_type, value), _each(value_type, list(value.values()), where)))
+            return dict(zip(map(key_type, value), _each(value_type, list(value.values()), where,
+                                                        [f".{key}" for key in value])))
     if origin is None and type(value) is dict:
         return _load(tp, value, where)
     raise ValueError(f"{where}: {value!r} is not a {tp if origin else tp.__name__}")

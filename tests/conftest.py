@@ -33,7 +33,9 @@ from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence
 
 import numpy as np
+import pytest
 
+from qroute import netmodel
 from qroute.config import ConfigError, _fail
 from qroute.harness import (METRIC_FIELDS, AlgorithmResult, ExperimentConfig,
                             ObjectiveWeights, RequestSpec, TrialContext, TrialRecord,
@@ -48,6 +50,18 @@ from qroute.purification import pump_fidelity
 from qroute.scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams, _progressive_fill,
                               _propagatory_core, compute_f_min, largest_remainder,
                               run_algorithm)
+
+
+# ------------------------------------------------------------ isolation
+
+@pytest.fixture(autouse=True)
+def empty_lattice_paths():
+    """Each test starts with no lattice holding k shortest paths: one that an
+    earlier test left on the same lattice would answer ``k_shortest_paths``
+    in place of the search a test spies on. Networks built from here on get
+    a new ``LatticeIndex``, with an empty ``paths``."""
+    netmodel.build_lattice.cache_clear()
+    netmodel._lattice_index.cache_clear()
 
 
 # ------------------------------------------------------------ instances

@@ -17,7 +17,7 @@ from qroute.harness import (ExperimentConfig, ObjectiveWeights, RequestSpec,
                             prepare_trial, replicate, report_values, request_sweep,
                             run_trial, swap_monte_carlo, WORKERS_ENV)
 from qroute.metrics import evaluate, throughput
-from qroute.netmodel import Request, ScenarioParams, inject_failures
+from qroute.netmodel import Request, ScenarioParams, build_lattice, inject_failures
 from qroute.reports import record_to_dict
 from qroute.scheduler import RoutingParams, RoutingOutcome, _assert_feasible
 
@@ -182,6 +182,38 @@ def test_replicate_bytes_do_not_depend_on_the_memo(monkeypatch):
     seeds = range(config.base_seed, config.base_seed + config.replications)
     backwards = [json.dumps(record_to_dict(run_trial(config, s))) for s in reversed(seeds)]
     assert cold == warm == backwards[::-1]
+
+
+def test_replicate_bytes_do_not_depend_on_the_lattice_paths(monkeypatch):
+    # k_shortest_paths answers a request with its lattice's stored paths when
+    # G' keeps every edge they cross. A cold store, one that another config's
+    # windows filled, the seeds in reverse order and two worker processes all
+    # give the same bytes per seed.
+    config = load_config(str(BASELINE))
+    monkeypatch.setenv(WORKERS_ENV, "1")
+    searches = []
+    yen = pathfinder._yen
+
+    def recorded_yen(masks, s, t, k):
+        searches.append((s, t, k))
+        return yen(masks, s, t, k)
+
+    monkeypatch.setattr(pathfinder, "_yen", recorded_yen)
+    stored = build_lattice(config.rows, config.cols, config.kind).lattice().paths
+    assert not stored
+    cold = [json.dumps(record_to_dict(r)) for r in replicate(config)[0]]
+    # two pinned requests per window, and most windows search for neither
+    assert stored and 0 < len(searches) < config.replications / 2
+    # the same pinned requests at another capacity store the lattice's paths
+    stored.clear()
+    replicate(replace(config, scenario=replace(config.scenario, c0=10000)))
+    assert set(stored) == {(27, 54, 10), (30, 51, 10)}
+    warm = [json.dumps(record_to_dict(r)) for r in replicate(config)[0]]
+    seeds = range(config.base_seed, config.base_seed + config.replications)
+    backwards = [json.dumps(record_to_dict(run_trial(config, s))) for s in reversed(seeds)]
+    monkeypatch.setenv(WORKERS_ENV, "2")
+    parallel = [json.dumps(record_to_dict(r)) for r in replicate(config)[0]]
+    assert cold == warm == backwards[::-1] == parallel
 
 
 # ---------------------------------------------------------------- Monte Carlo

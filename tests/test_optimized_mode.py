@@ -1,8 +1,8 @@
 """Pipeline invariants are explicit checks that raise InvariantError, not
 asserts, so they must still fire under ``python -O``; and the conditions
 under which k_shortest_paths answers with the shortest-path DAG's prefix
-instead of running Yen, the two-stage apportionment splits tied weights in
-closed form, PS builds the rows of lone paths and tied edges without it,
+instead of running Yen, or with its lattice's stored paths instead of
+searching, the two-stage apportionment splits tied weights in closed form, PS builds the rows of lone paths and tied edges without it,
 and PU's residual deduction takes its closed form, are ordinary
 comparisons, so those shortcuts must still equal their references there;
 so are the bounds that order Yen's deferred spur searches on its heap,
@@ -42,6 +42,8 @@ INVARIANT_TESTS = {
 
 #: k_shortest_paths, DAG prefix and Yen alike, against the reference Yen and
 #: the exhaustive oracle on DAGs holding k - 1, k and k + 1 shortest paths;
+#: its lattice's stored paths, reused only while G' keeps their edges,
+#: against the reference Yen;
 #: Yen's deferred spur searches against the reference Yen, each at a spur
 #: Yen visited, and fewer than eager Yen's;
 #: the two-stage apportionment, closed form and weighed, against its
@@ -56,7 +58,8 @@ REUSE_TESTS = {
     "tests/test_netmodel.py": ("test_edge_masks_equal_reference_build",),
     "tests/test_pathfinder.py": (
         "test_shortest_path_dag_with_k_minus_1_k_and_k_plus_1_paths",
-        "test_spur_searches_are_deferred"),
+        "test_spur_searches_are_deferred",
+        "test_lattice_paths_answer_g_prime_exactly_when_their_edges_stay_active"),
     "tests/test_properties.py": ("test_node_tuple_path_set_equals_keyed_build",),
     "tests/test_scheduler.py": ("test_tied_weights_apportion_in_closed_form",
                                 "test_proportional_share_rows_in_closed_form_match_references",

@@ -46,7 +46,8 @@ def test_readme_names_resolve():
 
 def test_every_conftest_definition_is_read_by_a_test():
     # each top-level def, class or assignment of conftest must be reachable
-    # from a name a test module imports, through conftest's own references
+    # from a name a test module imports, or from an autouse fixture, which
+    # every test runs, through conftest's own references
     definitions: dict[str, ast.stmt] = {}
     for node in ast.parse((TESTS / "conftest.py").read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -61,6 +62,8 @@ def test_every_conftest_definition_is_read_by_a_test():
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.ImportFrom) and node.module == "conftest"
             for alias in node.names]
+    todo += [name for name, node in definitions.items() if isinstance(node, ast.FunctionDef)
+             and any("autouse=True" in ast.unparse(d) for d in node.decorator_list)]
     reached: set[str] = set()
     while todo:
         name = todo.pop()

@@ -605,6 +605,89 @@ def test_one_bfs_from_t_per_call(monkeypatch):
     assert calls == 40 * 12 and searches > 0
 
 
+def spy_searches(monkeypatch):
+    """The (s, t, k) of every search ``k_shortest_paths`` runs, in order."""
+    searches = []
+    yen = pathfinder._yen
+
+    def recorded_yen(masks, s, t, k):
+        searches.append((s, t, k))
+        return yen(masks, s, t, k)
+
+    monkeypatch.setattr(pathfinder, "_yen", recorded_yen)
+    return searches
+
+
+def test_lattice_paths_answer_g_prime_exactly_when_their_edges_stay_active(monkeypatch):
+    # small lattices of all three kinds: a call on the all-active network
+    # stores the lattice's k smallest paths with the edges they cross. On a
+    # random active subset, a call returns them with no search when it keeps
+    # all those edges, whatever it dropped elsewhere, and searches when it
+    # lost one; both give the reference Yen's paths. A network with an
+    # inactive edge never stores an answer.
+    searches = spy_searches(monkeypatch)
+    rng = np.random.default_rng(23)
+    reused = searched = 0
+    for n in range(240):
+        kind = TOPOLOGIES[n % len(TOPOLOGIES)]
+        rows, cols = (int(x) for x in rng.integers(2, 6, size=2))
+        full = active_lattice(rows, cols, kind)
+        s, t = (int(x) for x in rng.choice(full.node_count, size=2, replace=False))
+        k = int(rng.integers(1, 16))
+        cache = full.lattice().paths
+        cache.clear()
+        searches.clear()
+        lattice_paths = k_shortest_paths(full, s, t, k)
+        assert searches == [(s, t, k)] and lattice_paths == reference_k_shortest_paths(full, s, t, k)
+        crossed = {full.edges.index(e) for p in lattice_paths for e in edge_keys(p)}
+        assert cache == {(s, t, k): (tuple(sorted(crossed)), tuple(lattice_paths))}
+        # the answer is a new list each time
+        lattice_paths.clear()
+        assert k_shortest_paths(full, s, t, k) == reference_k_shortest_paths(full, s, t, k)
+        off_path = [j for j in range(len(full.edges)) if j not in crossed]
+        for mode in ("off path", "on path", "random"):
+            if mode == "off path" and off_path:
+                dead = {j for j in off_path if rng.random() < 0.4} or {off_path[0]}
+            elif mode == "on path" and crossed:
+                dead = {sorted(crossed)[int(rng.integers(len(crossed)))]}
+                dead |= {j for j in range(len(full.edges)) if rng.random() < 0.2}
+            else:
+                dead = {j for j in range(len(full.edges)) if rng.random() < 0.2} or {0}
+            net = replace(full, active=tuple(j not in dead for j in range(len(full.edges))))
+            stored = dict(cache)
+            searches.clear()
+            got = k_shortest_paths(net, s, t, k)
+            assert got == reference_k_shortest_paths(net, s, t, k), (kind, rows, cols, s, t, k)
+            lost = bool(dead & crossed)
+            assert searches == ([(s, t, k)] if lost else []), (mode, kind, rows, cols, s, t, k)
+            reused += not lost
+            searched += lost
+            # another key on the damaged network: a search, and nothing stored
+            searches.clear()
+            assert k_shortest_paths(net, t, s, k) == reference_k_shortest_paths(net, t, s, k)
+            assert searches == [(t, s, k)] and cache == stored
+    assert reused > 150 and searched > 150
+
+
+def test_lattice_paths_stay_within_their_bound(monkeypatch):
+    # 200 random (s, t) pairs on one all-active lattice: each stores its
+    # answer, and the lattice keeps the last _LATTICE_PATHS_SIZE keys stored
+    searches = spy_searches(monkeypatch)
+    net = active_lattice(5, 5, "triangular")
+    cache = net.lattice().paths
+    rng = np.random.default_rng(24)
+    stored = []
+    for _ in range(200):
+        s, t = (int(x) for x in rng.choice(net.node_count, size=2, replace=False))
+        searches.clear()
+        assert k_shortest_paths(net, s, t, 3) == reference_k_shortest_paths(net, s, t, 3)
+        if searches:
+            stored.append((s, t, 3))
+        assert len(cache) <= pathfinder._LATTICE_PATHS_SIZE
+        assert list(cache) == stored[-pathfinder._LATTICE_PATHS_SIZE:]
+    assert len(stored) > pathfinder._LATTICE_PATHS_SIZE
+
+
 def test_walk_without_closer_neighbour_raises_invariant_error(monkeypatch):
     # an explicit check, so it also holds under python -O. Masks whose
     # neighbour bits disagree with the offset masks: BFS from t = 0 reaches

@@ -109,7 +109,7 @@ def test_record_json_roundtrip(tmp_path):
     (lambda record: {"records": [record], "config_provenance": []},
      r"config_provenance: \[\] is not a dict\[str, str\]"),
     (lambda record: {"records": [record], "config_provenance": {"a": 1}},
-     r"config_provenance: 1 is not a string"),
+     r"config_provenance\.a: 1 is not a string"),
 ])
 def test_read_records_json_rejects_misshapen_payloads(tmp_path, payload, where):
     path = tmp_path / "records.json"
@@ -136,7 +136,7 @@ def test_record_dict_roundtrip_degenerate():
     (lambda d: d["paths"]["capacities"].pop(), r"paths\.capacities: \d+ entries"),
     (lambda d: d["paths"]["capacities"].append(1), r"paths\.capacities: \d+ entries"),
     (lambda d: d["paths"]["capacities"].__setitem__(0, "x"),
-     r"paths\.capacities: 'x' is not a non-negative int"),
+     r"paths\.capacities\[0\]: 'x' is not a non-negative int"),
     (lambda d: d["results"]["PS"]["outcome"]["allocations"].pop(),
      r"results\.PS\.outcome\.allocations: \d+ entries"),
     (lambda d: d["results"]["PS"]["outcome"]["allocations"][2].append(1),
@@ -144,17 +144,17 @@ def test_record_dict_roundtrip_degenerate():
     (lambda d: d["results"]["PS"]["outcome"]["allocations"][0].pop(),
      r"results\.PS\.outcome\.allocations\[0\]: \d+ entries"),
     (lambda d: d["results"]["PS"]["outcome"]["allocations"][1].__setitem__(0, "x"),
-     r"results\.PS\.outcome\.allocations\[1\]: 'x' is not a non-negative int"),
+     r"results\.PS\.outcome\.allocations\[1\]\[0\]: 'x' is not a non-negative int"),
     (lambda d: d["results"]["PS"]["outcome"]["allocations"][0].__setitem__(0, -1),
-     r"results\.PS\.outcome\.allocations\[0\]: -1 is not a non-negative int"),
-    (lambda d: d["results"]["PF"]["outcome"]["flows"].__setitem__(0, 1.5),
-     r"results\.PF\.outcome\.flows: 1\.5 is not a non-negative int"),
+     r"results\.PS\.outcome\.allocations\[0\]\[0\]: -1 is not a non-negative int"),
+    (lambda d: d["results"]["PF"]["outcome"]["flows"].__setitem__(2, 1.5),
+     r"results\.PF\.outcome\.flows\[2\]: 1\.5 is not a non-negative int"),
     (lambda d: d["results"]["PU"]["outcome"]["flows"].__setitem__(0, -4),
-     r"results\.PU\.outcome\.flows: -4 is not a non-negative int"),
-    (lambda d: d["results"]["PS"]["outcome"]["flows"].__setitem__(0, "3"),
-     r"results\.PS\.outcome\.flows: '3' is not a non-negative int"),
+     r"results\.PU\.outcome\.flows\[0\]: -4 is not a non-negative int"),
+    (lambda d: d["results"]["PS"]["outcome"]["flows"].__setitem__(1, "3"),
+     r"results\.PS\.outcome\.flows\[1\]: '3' is not a non-negative int"),
     (lambda d: d["results"]["PS"]["outcome"]["flows"].__setitem__(0, True),
-     r"results\.PS\.outcome\.flows: True is not a non-negative int"),
+     r"results\.PS\.outcome\.flows\[0\]: True is not a non-negative int"),
     (lambda d: d["results"]["PU"]["outcome"]["flows"].append(0),
      r"results\.PU\.outcome\.flows: \d+ entries, expected \d+ \(one flow per path key\)"),
     (lambda d: d["results"]["PU"]["outcome"]["flows"].pop(),
@@ -178,7 +178,7 @@ def test_record_dict_roundtrip_degenerate():
     (lambda d: d["paths"]["keys"].__setitem__(0, "0:0"),
      r"paths\.keys\[0\]: '0:0' is not a tuple"),
     (lambda d: d["paths"]["keys"][0].__setitem__(0, -1),
-     r"paths\.keys\[0\]: -1 is not a non-negative int"),
+     r"paths\.keys\[0\]\[0\]: -1 is not a non-negative int"),
     (lambda d: d["paths"]["edges"].reverse(),
      r"paths\.edges\[1\]: .* does not follow .* in ascending order"),
     (lambda d: d["paths"]["edges"][0].pop(),
@@ -195,9 +195,9 @@ def test_record_dict_roundtrip_degenerate():
     (lambda d: d["paths"]["edge_ids"][1].append(len(d["paths"]["edges"])),
      r"paths\.edge_ids\[1\]: \[.*\] is not a non-empty list of ids below \d+"),
     (lambda d: d["paths"]["edge_ids"][0].__setitem__(0, -1),
-     r"paths\.edge_ids\[0\]: -1 is not a non-negative int"),
+     r"paths\.edge_ids\[0\]\[0\]: -1 is not a non-negative int"),
     (lambda d: d["paths"]["edge_ids"].__setitem__(0, ["27-28"]),
-     r"paths\.edge_ids\[0\]: '27-28' is not a non-negative int"),
+     r"paths\.edge_ids\[0\]\[0\]: '27-28' is not a non-negative int"),
     # a missing or extra field, or a malformed edge, names its key path; a
     # field with a dataclass default is not filled in
     (lambda d: d["results"]["PS"]["report"].pop("u_ave"),
@@ -231,11 +231,11 @@ def test_record_dict_roundtrip_degenerate():
      r"requests\[1\]: source and terminal must differ"),
     (lambda d: d["requests"][0].__setitem__("weight", 0), r"requests\[0\]: weight must be > 0"),
     (lambda d: d["results"]["PF"]["report"].__setitem__("flags", [1]),
-     r"results\.PF\.report\.flags: 1 is not a string"),
+     r"results\.PF\.report\.flags\[0\]: 1 is not a string"),
     (lambda d: d["results"]["PU"]["report"]["stretch_per_request"].__setitem__("a", 1.0),
      r"results\.PU\.report\.stretch_per_request: .*'a'.* is not a dict\[int, float\]"),
     (lambda d: d["results"]["PU"]["report"]["demand_satisfied"].__setitem__("0", "yes"),
-     r"results\.PU\.report\.demand_satisfied: 'yes' is not a bool"),
+     r"results\.PU\.report\.demand_satisfied\.0: 'yes' is not a bool"),
     (lambda d: d.__setitem__("seed", "x"), r"seed: 'x' is not a non-negative int"),
     (lambda d: d.__setitem__("reason", 5), r"reason: 5 is not a string"),
     # the record's own sections: objects of their keys, and one result or
