@@ -5,7 +5,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from itertools import compress, groupby, islice
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .netmodel import Edge, EdgeMasks, InvariantError, Network
 
@@ -329,11 +329,15 @@ class PathSet:
         self._incidence: list[list[int]] | None = list(filter(None, on))
         self._kept: dict[int, KeptPaths] = {}
         self._capacities: tuple[Network, tuple[int, ...]] | None = None
+        #: the schedulers' plans by key; None until ``keep_plans``
+        self._plans: dict[tuple, Any] | None = None
 
     def __getstate__(self) -> dict:
-        """Pickle the paths without H, the ``kept`` views and capacities,
-        which hold a Network; they are built again on first read."""
-        return {**vars(self), "_incidence": None, "_kept": {}, "_capacities": None}
+        """Pickle the paths without H, the ``kept`` views, the plans and
+        capacities, which hold a Network; they are built again on first
+        read."""
+        return {**vars(self), "_incidence": None, "_kept": {}, "_capacities": None,
+                "_plans": None}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PathSet):
@@ -364,12 +368,35 @@ class PathSet:
         return self._capacities[1]
 
     def release_views(self) -> None:
-        """Drop H, the cached ``kept`` views and capacities; a later call
-        builds them again. ``build_path_info`` calls it on the PathSet its
-        memo evicts, so that at most ``_MEMO_SIZE`` PathSets hold views."""
+        """Drop H, the cached ``kept`` views and capacities, and stop
+        keeping plans; a later call builds the views again. ``build_path_info``
+        calls it on the PathSet its memo evicts, so that at most
+        ``_MEMO_SIZE`` PathSets hold views or plans."""
         self._incidence = None
         self._kept.clear()
         self._capacities = None
+        self._plans = None
+
+    def keep_plans(self) -> None:
+        """From now on, ``plan`` keeps what schedulers compute from these
+        paths alone for their later runs on them. ``build_path_info`` calls
+        it when its memo hands the PathSet to another window: a plan pays
+        only on a PathSet scheduled in more than one window, since within
+        one window each (algorithm, l_max, alpha, beta) runs once."""
+        if self._plans is None:
+            self._plans = {}
+
+    def plan(self, key: tuple, new: Callable[[], Any]) -> Any:
+        """The plan stored under ``key``, ``new()`` the first time (see
+        ``scheduler.run_algorithm``); None unless ``keep_plans`` was called
+        since the PathSet was built or last released."""
+        plans = self._plans
+        if plans is None:
+            return None
+        plan = plans.get(key)
+        if plan is None:
+            plan = plans[key] = new()
+        return plan
 
     def kept(self, l_max: int) -> KeptPaths:
         """H truncated to l_max keys per edge and the views derived from it;
@@ -430,14 +457,18 @@ def build_path_info(net: Network, paths: Mapping[int, Sequence[tuple[int, ...]]]
     A PathSet depends only on ``net.edges`` and the paths, so the last
     ``_MEMO_SIZE`` built are kept, views and all, and a call with equal
     edges and paths returns the same object: windows with equal paths share
-    it. The memo decides how long views live: the PathSet it evicts releases
-    them before the next one is built. Each hop is read by its index in
-    ``net.edges``, whose order is the sorted edge order, so no edge key is
-    built."""
+    it. A PathSet handed out again keeps PS and PU plans from then on
+    (``keep_plans``), so later windows reuse what the earlier ones computed
+    from the paths alone. The memo decides how long views and plans live:
+    the PathSet it evicts releases them before the next one is built. Each
+    hop is read by its index in ``net.edges``, whose order is the sorted
+    edge order, so no edge key is built."""
     ranked = tuple((r, tuple(paths[r])) for r in sorted(paths))
     key = (net.edges, ranked)
     info = _memo.pop(key, None)
-    if info is None:
+    if info is not None:
+        info.keep_plans()
+    else:
         if len(_memo) == _MEMO_SIZE:
             _memo.pop(next(iter(_memo))).release_views()
         routes = [nodes for _, by_rank in ranked for nodes in by_rank]

@@ -117,13 +117,16 @@ def two_stage_weights(groups: RequestGroups, lengths: Sequence[float],
 
 
 def largest_remainder(quotas: Sequence[float], total: int) -> list[int]:
-    """Hamilton apportionment of ``total`` units; ties favor earlier positions."""
-    base = [math.floor(q) for q in quotas]
+    """Hamilton apportionment of ``total`` units; ties favor earlier positions.
+    The units left after flooring go to the largest remainders, found by a
+    stable sort of the positions on ``floor - quota``."""
+    base = list(map(math.floor, quotas))
     short = total - sum(base)
     if not 0 <= short <= len(base):
         raise InvariantError(f"quotas {list(quotas)} do not sum to total {total}")
     if short:
-        for _, i in sorted([(b - q, i) for i, (b, q) in enumerate(zip(base, quotas))])[:short]:
+        rest = list(map(operator.sub, base, quotas))
+        for i in sorted(range(len(base)), key=rest.__getitem__)[:short]:
             base[i] += 1
     return base
 
@@ -157,6 +160,57 @@ def _even_split(groups: RequestGroups, total: int, floor: int = 0) -> tuple[int,
                   for x in _even(units, len(group), floor)])
 
 
+def _split(groups: RequestGroups, lengths: Sequence[float], path_exp: float,
+           beta: float) -> tuple:
+    """The part of ``_apportion_two_stage`` that does not read the total:
+    ``(requests, paths)``, the request stage and one path stage per group.
+    A stage that has one share or whose weights all tie (``_requests_tie``,
+    ``_paths_tie``) is its number of shares; any other is the left sum of
+    its raw weights and the weights. It reads only the paths, the exponent
+    and beta, so a plan keeps it for ``_apportion``. It is made of tuples of
+    numbers, which the garbage collector stops tracking, so a plan that
+    lives for many windows does not grow the collector's full passes."""
+    if _requests_tie(groups, beta):
+        requests: int | tuple = len(groups)
+    else:
+        request_raw = tuple([float(len(group)) ** beta for group in groups])
+        requests = (left_sum(request_raw), request_raw)
+    paths: list[int | tuple] = []
+    for group in groups:
+        if len(group) == 1 or _paths_tie(map(lengths.__getitem__, group), path_exp):
+            paths.append(len(group))
+        else:
+            path_raw = tuple([float(lengths[p]) ** path_exp for p in group])
+            paths.append((left_sum(path_raw), path_raw))
+    return requests, tuple(paths)
+
+
+def _apportion(split: tuple, total: int, floor: int = 0) -> list[int]:
+    """``total`` units apportioned by a ``_split``, plus ``floor`` on each
+    path, in the float operations of ``_apportion_two_stage``: ``total * w /
+    raw_total`` per request and ``units * w / path_total`` per path, so the
+    shares are bitwise equal."""
+    requests, paths = split
+    if isinstance(requests, int):
+        request_units = (total,) if requests == 1 else _even(total, requests)
+    else:
+        raw_total, request_raw = requests
+        request_units = largest_remainder([total * w / raw_total for w in request_raw],
+                                          total)
+    shares: list[int] = []
+    for stage, units in zip(paths, request_units):
+        if isinstance(stage, int):
+            if stage == 1:
+                shares.append(units + floor)
+            else:
+                shares.extend(_even(units, stage, floor))
+        else:
+            path_total, path_raw = stage
+            path_units = largest_remainder([units * w / path_total for w in path_raw], units)
+            shares.extend([floor + x for x in path_units] if floor else path_units)
+    return shares
+
+
 def _apportion_two_stage(groups: RequestGroups, lengths: Sequence[float],
                          total: int, path_exp: float, beta: float) -> list[int]:
     """Stage-wise integer apportionment over one edge's path ids grouped by
@@ -168,6 +222,10 @@ def _apportion_two_stage(groups: RequestGroups, lengths: Sequence[float],
     without computing weights. That is exact: equal weights give
     bitwise-equal quotas, which ``largest_remainder`` floors to one base
     before handing the units left over to the earliest positions.
+
+    ``_apportion(_split(...), total)`` gives the same shares by the same
+    float operations, in the two parts a plan keeps apart. A run without a
+    plan calls this instead, which builds nothing to keep.
     """
     n = len(groups)
     if n == 1:
@@ -194,7 +252,7 @@ def _apportion_two_stage(groups: RequestGroups, lengths: Sequence[float],
 
 
 def _proportional_share(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
-                        f_min: int, alpha: float, beta: float
+                        f_min: int, alpha: float, beta: float, plan: list | None = None
                         ) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
     """Edge-local allocation: every kept path gets the f_min floor, the rest
     of the capacity is split by the two-stage proportional rule. A path's
@@ -206,9 +264,19 @@ def _proportional_share(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
     A lone path takes the edge's capacity, and an edge whose weights all tie
     takes ``_even_split``; only the others compute weights. Whether every
     path stage ties is decided once per call, over all the lengths.
+
+    Which of these an edge takes, its branch, reads only the paths, alpha
+    and beta, not the capacities: None for a lone path, True for
+    ``_even_split``, else the edge's ``_split``. A run on an empty ``plan``
+    records the branches as it goes, and puts them in ``plan`` once every
+    row is built, so a run that raises leaves it empty; a run on a filled
+    ``plan`` reads them back and tests no tie and computes no weight. A run
+    without a plan records nothing and weighs with ``_apportion_two_stage``.
     """
     lengths = info.lengths
-    paths_tie = _paths_tie(lengths, -alpha)
+    replay = bool(plan)
+    branches = plan if replay else [None] * len(kept.keys)
+    paths_tie = not replay and _paths_tie(lengths, -alpha)
     flows = [0] * len(info.keys)
     for p in kept.live_paths:
         flows[p] = math.inf
@@ -218,19 +286,33 @@ def _proportional_share(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
         if spare < 0:
             raise InvariantError(
                 f"edge {info.edges[e]} kept below l_max * f_min; was Step 1 skipped?")
-        if len(ids) == 1:
+        if replay:
+            branch = branches[e]
+            if branch is None:
+                row = (capacity[e],)
+            elif branch is True:
+                row = _even_split(groups, spare, f_min)
+            else:
+                row = tuple(_apportion(branch, spare, f_min))
+        elif len(ids) == 1:
             row = (capacity[e],)
         elif _requests_tie(groups, beta) and (
                 paths_tie or len(groups) == 1 and _paths_tie(map(lengths.__getitem__, ids),
                                                              -alpha)):
+            branches[e] = True
             row = _even_split(groups, spare, f_min)
-        else:
+        elif plan is None:
             row = tuple([f_min + x for x in _apportion_two_stage(groups, lengths, spare,
                                                                  -alpha, beta)])
+        else:
+            branch = branches[e] = _split(groups, lengths, -alpha, beta)
+            row = tuple(_apportion(branch, spare, f_min))
         for p, share in zip(ids, row):
             if share < flows[p]:
                 flows[p] = share
         allocations.append(row)
+    if plan is not None and not replay:
+        plan[:] = branches
     return flows, tuple(allocations)
 
 
@@ -274,7 +356,8 @@ def _progressive_fill(info: PathSet, capacity: Sequence[int]) -> list[int]:
 
 
 def _propagatory_core(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
-                      f_min: int, alpha: float, beta: float) -> list[int]:
+                      f_min: int, alpha: float, beta: float,
+                      plan: tuple[dict, dict] | None = None) -> list[int]:
     """Global schedule-table allocation: each live path's desired capacity
     starts at its bottleneck; oversubscribed edges deduct (two-stage weights
     with longer paths deducted more, never below f_min), undersubscribed
@@ -294,6 +377,13 @@ def _propagatory_core(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
     capacity). Each path keeps the count of saturated edges on its route,
     updated only when an edge's usage crosses its capacity, so raises skip
     paths with a nonzero count unread.
+
+    An edge's deduction ``_split`` and raise order read only its paths,
+    alpha and beta, not the capacities. ``plan`` holds them by edge id, in
+    two dicts: each is computed the first time its edge deducts or raises in
+    a run on the plan, and later runs read it back. A run without a plan
+    deducts with ``_apportion_two_stage`` and keeps its raise orders for
+    itself.
     """
     path_edges, lengths = info.edge_ids, info.lengths
     keys_by_edge, groups = kept.live_keys, kept.live_groups
@@ -307,7 +397,7 @@ def _propagatory_core(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
         if usage[e] >= capacity[e]:
             for p in ids:
                 blocked[p] += 1
-    orders: dict[int, list[int]] = {}
+    splits, orders = plan if plan is not None else ({}, {})
 
     def deduct(e: int) -> None:
         """Cut the apportioned excess (never below f_min), then the residual.
@@ -323,8 +413,14 @@ def _propagatory_core(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
         ids = keys_by_edge[e]
         before = list(map(f_max.__getitem__, ids))
         need = usage[e] - capacity[e]
-        for p, assigned in zip(ids, _apportion_two_stage(groups[e], lengths, need,
-                                                          alpha, beta)):
+        if plan is None:
+            shares = _apportion_two_stage(groups[e], lengths, need, alpha, beta)
+        else:
+            split = splits.get(e)
+            if split is None:
+                split = splits[e] = _split(groups[e], lengths, alpha, beta)
+            shares = _apportion(split, need)
+        for p, assigned in zip(ids, shares):
             room = f_max[p] - f_min
             cut = assigned if assigned < room else room
             if cut > 0:
@@ -365,16 +461,19 @@ def _propagatory_core(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
         edges all have room. Raises only add usage, so a path that does not
         fit never fits again, and each path in turn takes all its room at
         once: its smallest slack, which fills at least one edge of its route
-        and no edge past capacity. The weight order depends only on the
-        edge's paths; it is built the first time one of them has room.
+        and no edge past capacity. The weight order reads only the edge's
+        paths, alpha and beta, so the plan keeps it: the first run on the
+        plan in which the edge raises with a path that has room builds it,
+        and later runs read it back.
         """
         ids = keys_by_edge[e]
         if all(map(blocked.__getitem__, ids)):
             return
-        if e not in orders:
+        order = orders.get(e)
+        if order is None:
             weights = two_stage_weights(groups[e], lengths, alpha, beta)
-            orders[e] = [p for _, p in sorted(zip([-w for w in weights], ids))]
-        for p in orders[e]:
+            order = orders[e] = tuple([p for _, p in sorted(zip([-w for w in weights], ids))])
+        for p in order:
             if usage[e] >= capacity[e]:
                 break
             if not blocked[p]:
@@ -436,7 +535,15 @@ def run_algorithm(name: str, net: Network, info: PathSet,
     and, for PS and PU, that every live path holds at least f_min and every
     other path nothing; explicit checks that also run under ``python -O``.
     PS and PU schedule the paths kept at ``params.l_max`` above the f_min
-    floor; PF fills every enumerated path, with neither."""
+    floor; PF fills every enumerated path, with neither.
+
+    PS and PU run on ``info``'s plan under (name, l_max, alpha, beta) once
+    the PathSet keeps plans (``PathSet.keep_plans``), so a window that the
+    memo hands an earlier window's PathSet computes no weight, tie or raise
+    order an earlier run did. alpha and beta may be -0.0 or 0.0, which are
+    equal keys and share a plan: ``_paths_tie`` and ``_requests_tie`` test
+    ``== 0``, and ``x ** -0.0 == x ** 0.0 == 1.0``.
+    """
     if name not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {name!r}, expected one of {ALGORITHMS}")
     capacity = info.capacities(net)
@@ -445,7 +552,9 @@ def run_algorithm(name: str, net: Network, info: PathSet,
         flows = _progressive_fill(info, capacity)
     else:
         kept, f_min = info.kept(params.l_max), params.require_f_min()
-        args = (info, kept, capacity, f_min, params.alpha, params.beta)
+        plan = info.plan((name, params.l_max, params.alpha, params.beta),
+                         list if name == "PS" else _pu_plan)
+        args = (info, kept, capacity, f_min, params.alpha, params.beta, plan)
         if name == "PS":
             flows, allocations = _proportional_share(*args)
         else:
@@ -454,6 +563,11 @@ def run_algorithm(name: str, net: Network, info: PathSet,
     outcome = RoutingOutcome(name, dict(zip(info.keys, flows)), info, allocations)
     _assert_feasible(outcome, capacity)
     return outcome
+
+
+def _pu_plan() -> tuple[dict, dict]:
+    """An empty PU plan: deduction splits and raise orders by edge id."""
+    return {}, {}
 
 
 def _assert_floor(name: str, info: PathSet, flows: Sequence[int],

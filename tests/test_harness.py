@@ -169,19 +169,30 @@ def test_parallel_matches_serial(monkeypatch):
 
 def test_replicate_bytes_do_not_depend_on_the_memo(monkeypatch):
     # build_path_info hands a window an earlier window's PathSet when their
-    # paths are equal; a cold memo, one that another config's windows filled,
-    # and the seeds in reverse order all give the same bytes per seed
+    # paths are equal, with the PS and PU plans that earlier windows left on
+    # it; a cold memo, one that another config's windows filled and planned,
+    # the seeds in reverse order and two worker processes all give the same
+    # bytes per seed
     config = load_config(str(BASELINE))
+    monkeypatch.setenv(WORKERS_ENV, "1")
     monkeypatch.setattr(pathfinder, "_memo", {})
     records = replicate(config)[0]
     cold = [json.dumps(record_to_dict(r)) for r in records]
     assert len({id(r.results["PS"].outcome.paths) for r in records}) < len(records) / 2
     # the same pinned requests at another capacity: equal paths, other networks
     replicate(replace(config, scenario=replace(config.scenario, c0=10000)))
-    warm = [json.dumps(record_to_dict(r)) for r in replicate(config)[0]]
+    # a PathSet the memo handed out again holds a PS and a PU plan
+    planned = [info for info in pathfinder._memo.values() if info._plans is not None]
+    assert planned and all(len(info._plans) == 2 for info in planned)
+    again = replicate(config)[0]
+    warm = [json.dumps(record_to_dict(r)) for r in again]
+    # windows of this run scheduled PathSets that the run at c0 = 10000 had planned
+    assert any(r.results["PS"].outcome.paths is info for r in again for info in planned)
     seeds = range(config.base_seed, config.base_seed + config.replications)
     backwards = [json.dumps(record_to_dict(run_trial(config, s))) for s in reversed(seeds)]
-    assert cold == warm == backwards[::-1]
+    monkeypatch.setenv(WORKERS_ENV, "2")
+    parallel = [json.dumps(record_to_dict(r)) for r in replicate(config)[0]]
+    assert cold == warm == backwards[::-1] == parallel
 
 
 def test_replicate_bytes_do_not_depend_on_the_lattice_paths(monkeypatch):

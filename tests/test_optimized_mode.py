@@ -2,9 +2,10 @@
 asserts, so they must still fire under ``python -O``; and the conditions
 under which k_shortest_paths answers with the shortest-path DAG's prefix
 instead of running Yen, or with its lattice's stored paths instead of
-searching, the two-stage apportionment splits tied weights in closed form, PS builds the rows of lone paths and tied edges without it,
-and PU's residual deduction takes its closed form, are ordinary
-comparisons, so those shortcuts must still equal their references there;
+searching, the two-stage apportionment splits tied weights in closed form,
+PS builds the rows of lone paths and tied edges without it, PS and PU reuse
+a PathSet's plans, and PU's residual deduction takes its closed form, are
+ordinary comparisons, so those shortcuts must still equal their references there;
 so are the bounds that order Yen's deferred spur searches on its heap,
 whose distances come, like the DAG walk's levels, from the call's one BFS
 from the terminal.
@@ -46,10 +47,14 @@ INVARIANT_TESTS = {
 #: against the reference Yen;
 #: Yen's deferred spur searches against the reference Yen, each at a spur
 #: Yen visited, and fewer than eager Yen's;
-#: the two-stage apportionment, closed form and weighed, against its
-#: reference; PS's rows for lone paths and tied edges, built without the
-#: apportionment call, against it and the keyed reference; PU's closed-form
-#: residual against the bulk and unit-step oracles;
+#: the two-stage apportionment, closed form and weighed, and its plan form
+#: (``_apportion`` of ``_split``) against its
+#: reference, and largest_remainder's stable sort against its definition;
+#: PS's rows for lone paths and tied edges, built without the apportionment
+#: call, against it and the keyed reference, and replayed from a plan;
+#: PS and PU run on plans reused across points, 0.0 and -0.0 alike, against
+#: cold plans and the keyed references; PU's closed-form residual against
+#: the bulk and unit-step oracles;
 #: PU's two-pass stop against the fixed point's definition; a window's reused
 #: PS and PU schedules against routing each point alone; edge masks cleared
 #: edge by edge against a build from the active edges; the PathSet built
@@ -62,7 +67,9 @@ REUSE_TESTS = {
         "test_lattice_paths_answer_g_prime_exactly_when_their_edges_stay_active"),
     "tests/test_properties.py": ("test_node_tuple_path_set_equals_keyed_build",),
     "tests/test_scheduler.py": ("test_tied_weights_apportion_in_closed_form",
+                                "test_largest_remainder_matches_reference",
                                 "test_proportional_share_rows_in_closed_form_match_references",
+                                "test_plans_match_cold_runs_and_keyed_references_on_random_windows",
                                 "test_pu_residual_on_tied_lengths_matches_oracles",
                                 "test_pu_stops_at_the_fixed_point"),
     "tests/test_sweep.py": ("test_route_window_reuse_equals_each_point_alone",

@@ -16,6 +16,7 @@ from qroute.config import load_config
 from qroute.netmodel import TOPOLOGIES, EdgeMasks, InvariantError, build_lattice
 from qroute.pathfinder import (_shortest_paths, _spur_search, build_path_info,
                                k_shortest_paths)
+from qroute.scheduler import RoutingParams, compute_f_min, run_algorithm
 
 
 def active_lattice(rows, cols, kind="square", dead_edges=()):
@@ -187,6 +188,14 @@ def test_path_set_kept_matches_per_edge_truncation():
     assert info.kept(2) == views and info.values() == incidence
 
 
+def route(net, info, l_max=2):
+    """PS and PU on ``info`` at ``l_max``; each leaves its plan there if
+    ``info`` keeps plans."""
+    params = RoutingParams(l_max=l_max, f_min=compute_f_min(net, l_max))
+    for name in ("PS", "PU"):
+        run_algorithm(name, net, info, params)
+
+
 def test_build_path_info_memo_keeps_the_last_two(monkeypatch):
     monkeypatch.setattr(pathfinder, "_memo", {})
     net = active_lattice(4, 4)
@@ -195,18 +204,30 @@ def test_build_path_info_memo_keeps_the_last_two(monkeypatch):
     def build(k, l_max=2):
         return build_path_info(net, {0: ranked[:k]}, l_max)
 
-    first, second, third = build(1), build(2), build(3)
-    # the third distinct build evicts the first, which drops its views but
-    # stays a whole PathSet
+    first, second = build(1), build(2)
+    # a PathSet keeps plans once the memo hands it out again
+    route(net, first)
+    assert first._plans is None
+    assert build(1) is first and build(2) is second
+    route(net, first)
+    route(net, second)
+    assert len(first._plans) == len(second._plans) == 2
+    third = build(3)
+    assert build(3) is third
+    route(net, third)
+    # the third distinct build evicts the first, which drops its views and
+    # plans but stays a whole PathSet
     assert first._kept == {} and first._incidence is None and first._capacities is None
-    assert all(info._kept and info._incidence is not None for info in (second, third))
+    assert first._plans is None
+    assert all(info._kept and info._incidence is not None and len(info._plans) == 2
+               for info in (second, third))
     # equal paths give the same object back, with its views, and a hit at
     # another l_max adds that view
     assert build(2) is second and build(3, 1) is third and third._kept.keys() == {1, 2}
     rebuilt = build(1)
     assert rebuilt is not first and rebuilt == first
     # the hits made ``third`` the more recently used, so ``second`` went
-    assert second._incidence is None and build(3) is third
+    assert second._incidence is None and second._plans is None and build(3) is third
     # the same paths on another lattice's edges are another PathSet
     assert build_path_info(active_lattice(4, 5), {0: [(0, 1)]}, 2) \
         is not build_path_info(net, {0: [(0, 1)]}, 2)
@@ -215,12 +236,14 @@ def test_build_path_info_memo_keeps_the_last_two(monkeypatch):
 def test_path_set_pickles_without_views():
     net = active_lattice(4, 4)
     info = build_path_info(net, {0: k_shortest_paths(net, 0, 15, 4)}, 2)
-    info.capacities(net)
+    info.keep_plans()
+    route(net, info)
     copy = pickle.loads(pickle.dumps(info))
     assert copy == info and copy.path_edges == info.path_edges
-    assert (copy._incidence, copy._kept, copy._capacities) == (None, {}, None)
-    # the original keeps its views, and the copy builds equal ones
+    assert (copy._incidence, copy._kept, copy._capacities, copy._plans) == (None, {}, None, None)
+    # the original keeps its views and plans, and the copy builds equal ones
     assert info._kept and info._incidence is not None and info._capacities is not None
+    assert len(info._plans) == 2
     assert copy.kept(2) == info.kept(2) and copy.capacities(net) == info.capacities(net)
     assert len(pickle.dumps(info)) == len(pickle.dumps(copy))
 

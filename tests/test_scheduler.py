@@ -1,6 +1,7 @@
 import copy
 import itertools
 import math
+import pickle
 import re
 import sys
 from collections import Counter
@@ -16,6 +17,7 @@ from conftest import (KeyedOutcome, abstract_network, assert_integer_max_min,
                       progressive_fill_by_key, propagatory_core_by_key,
                       random_fill_instance, reference_apportion_two_stage,
                       reference_evaluate, reference_flow_determination, reference_kept,
+                      reference_largest_remainder,
                       reference_propagatory_core, reference_proportional_share,
                       reference_truncate_edge_paths, reference_two_stage_weights,
                       truncate_keys, unit_progressive_fill, unit_propagatory_core)
@@ -27,9 +29,9 @@ from qroute.metrics import evaluate
 from qroute.netmodel import TOPOLOGIES, InvariantError, ScenarioParams
 from qroute.pathfinder import build_path_info
 from qroute.scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams,
-                              _apportion_two_stage, _assert_feasible,
+                              _apportion, _apportion_two_stage, _assert_feasible,
                               _propagatory_core, _proportional_share, compute_f_min,
-                              largest_remainder, run_algorithm, schedule_key,
+                              _split, largest_remainder, run_algorithm, schedule_key,
                               two_stage_weights)
 
 
@@ -183,7 +185,9 @@ def apportion_edges(draw):
 def test_tied_weights_apportion_in_closed_form(monkeypatch):
     # each stage whose weights tie is split by _even, each other stage of
     # more than one quota by largest_remainder; the shares equal the
-    # key-based reference, which always computes the weights
+    # key-based reference, which always computes the weights, and so does
+    # _apportion of the edge's _split, the form a plan keeps, with a floor
+    # added or not
     calls = Counter()
     for name in ("_even", "largest_remainder"):
         def spy(*args, _inner=getattr(scheduler, name), _name=name):
@@ -222,6 +226,9 @@ def test_tied_weights_apportion_in_closed_form(monkeypatch):
                 seen["paths of one length, path_exp != 0"] += tied and path_exp != 0
                 seen["path_exp == -0.0"] += path_exp == 0 and math.copysign(1.0, path_exp) < 0
         assert calls == want
+        split = _split(groups, info.lengths, path_exp, beta)
+        assert _apportion(split, total) == got
+        assert _apportion(split, total, 7) == [7 + x for x in got]
         seen["total > 10**5"] += total > 10**5
 
     check()
@@ -261,11 +268,13 @@ def ps_instances(draw):
 
 def test_proportional_share_rows_in_closed_form_match_references(monkeypatch):
     # a lone path takes its edge's capacity and an edge whose weights all tie
-    # takes _even_split; only the other edges call _apportion_two_stage. Every
-    # row equals f_min + _apportion_two_stage over the edge, and the rows and
-    # flows equal the keyed reference over reference_kept
+    # takes _even_split; only the other edges call _split, on a cold plan,
+    # or _apportion_two_stage, without a plan. Every row equals f_min +
+    # _apportion_two_stage over the edge, and the rows and flows equal the
+    # keyed reference over reference_kept. A second run on the plan gives the
+    # same rows and flows and computes no weight
     calls = Counter()
-    for name in ("_even_split", "_apportion_two_stage"):
+    for name in ("_even_split", "_split", "_apportion_two_stage", "two_stage_weights"):
         def spy(*args, _inner=getattr(scheduler, name), _name=name):
             calls[_name] += 1
             return _inner(*args)
@@ -274,17 +283,32 @@ def test_proportional_share_rows_in_closed_form_match_references(monkeypatch):
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(ps_instances())
-    # one request's two paths of unlike lengths on one edge, which the drawn
-    # examples need not hold
+    # one request's two paths of unlike lengths on one edge, and two
+    # requests' paths of one length on an edge of a mixed-length PathSet,
+    # which the drawn examples need not hold
     @example(({(0, 0): ((0, 1),), (0, 1): ((0, 1),)}, {(0, 0): 1, (0, 1): 2}, 2, 0,
               {(0, 1): 10}, 1.0, 1.0))
+    @example(({(0, 0): ((0, 1),), (1, 0): ((0, 1),), (1, 1): ((1, 2), (2, 3))},
+              {(0, 0): 1, (1, 0): 1, (1, 1): 2}, 3, 0,
+              {(0, 1): 10, (1, 2): 10, (2, 3): 10}, 1.0, 1.0))
     def check(instance):
         path_edges, lengths, l_max, f_min, capacity, alpha, beta = instance
         info = info_from_path_edges(path_edges, lengths)
         kept = info.kept(l_max)
         caps = [capacity[e] for e in info.edges]
         calls.clear()
-        flows, rows = _proportional_share(info, kept, caps, f_min, alpha, beta)
+        plan = []
+        flows, rows = _proportional_share(info, kept, caps, f_min, alpha, beta, plan)
+        cold = Counter(calls)
+        assert len(plan) == len(kept.keys)
+        calls.clear()
+        assert _proportional_share(info, kept, caps, f_min, alpha, beta, plan) == \
+            (flows, rows)
+        assert calls["_split"] == calls["two_stage_weights"] == 0
+        assert calls["_even_split"] == cold["_even_split"]
+        calls.clear()
+        assert _proportional_share(info, kept, caps, f_min, alpha, beta) == (flows, rows)
+        plain = Counter(calls)
         params = RoutingParams(l_max=l_max, alpha=alpha, beta=beta, f_min=f_min)
         ref_kept, _, _ = reference_kept(path_edges, lengths, l_max)
         want = reference_proportional_share(abstract_network(capacity), ref_kept, lengths,
@@ -316,16 +340,18 @@ def test_proportional_share_rows_in_closed_form_match_references(monkeypatch):
             tied = shape != "weighed requests" and (
                 alpha == 0 or one_length or len(groups) == 1 and len(edge_lengths) == 1)
             if len(ids) > 1:
-                branches["_even_split" if tied else "_apportion_two_stage"] += 1
+                branches["_even_split" if tied else "_split"] += 1
             seen[shape] += 1
             seen[("tied" if tied else "weighed", "one length" if one_length
                   else "mixed lengths")] += len(ids) > 1
             seen["alpha == -0.0"] += alpha == 0 and math.copysign(1.0, alpha) < 0
             # tied lengths on a multi-request edge of a mixed-length PathSet still
-            # go to _apportion_two_stage unless alpha == 0
+            # go to _split unless alpha == 0
             seen["groups of one length, mixed PathSet"] += (
                 len(groups) > 1 and len(edge_lengths) == 1 and not one_length)
-        assert calls == branches
+        assert cold == branches
+        assert plain == Counter(_even_split=branches["_even_split"],
+                                _apportion_two_stage=branches["_split"])
 
     check()
     assert len(seen) == 12 and min(seen.values()) > 0, seen
@@ -368,6 +394,16 @@ def test_largest_remainder_rejects_quotas_off_total():
     # an explicit check, so it also holds under python -O
     with pytest.raises(InvariantError, match="do not sum"):
         largest_remainder([0.1, 0.1], 5)
+
+
+@given(st.lists(st.integers(0, 6), min_size=1, max_size=8), st.integers(0, 200))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_largest_remainder_matches_reference(weights, total):
+    # small integer weights give equal quotas, whose remainders tie
+    if not any(weights):
+        weights = [w + 1 for w in weights]
+    quotas = [total * w / sum(weights) for w in weights]
+    assert largest_remainder(quotas, total) == reference_largest_remainder(quotas, total)
 
 
 @given(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=8), st.integers(0, 200))
@@ -823,18 +859,24 @@ def test_pu_core_matches_reference_on_random_windows():
     assert all(compared[kind] >= 10 for kind in TOPOLOGIES) and compared["truncated"]
 
 
-def test_cores_match_keyed_references_on_random_windows():
+def keyed_reference_windows():
+    """90 random windows, a third on each lattice kind, the degenerate ones
+    skipped: (kind, n, the window of ``random_routed_window``, and the alpha,
+    beta and p_in drawn for it)."""
     rng = np.random.default_rng(4242)
-    compared = Counter()
     for n in range(90):
         kind = TOPOLOGIES[n % len(TOPOLOGIES)]
         window = random_routed_window(rng, kind)
         if window is None:
             continue
-        net, info, p, requests = window
         alpha, beta = (float(x) for x in rng.choice([0.0, 0.5, 1.0, 2.0], size=2))
+        yield kind, n, window, alpha, beta, float(rng.choice([0.5, 0.9, 1.0]))
+
+
+def test_cores_match_keyed_references_on_random_windows():
+    compared = Counter()
+    for kind, n, (net, info, p, requests), alpha, beta, p_in in keyed_reference_windows():
         p = RoutingParams(k=p.k, l_max=p.l_max, alpha=alpha, beta=beta, f_min=p.f_min)
-        p_in = float(rng.choice([0.5, 0.9, 1.0]))
         caps = net.capacity_map()
         lengths = dict(zip(info.keys, info.lengths))
         kept, live_keys, live_paths = reference_kept(info.path_edges, lengths, p.l_max)
@@ -862,6 +904,60 @@ def test_cores_match_keyed_references_on_random_windows():
                                        for key, edges in live_paths.items())
     assert all(compared[kind] >= 10 for kind in TOPOLOGIES), compared
     assert compared["truncated"] and compared["PU deducted"], compared
+
+
+def test_plans_match_cold_runs_and_keyed_references_on_random_windows():
+    # PS and PU run on one PathSet that keeps plans, as the memo's hits do,
+    # through points that repeat and that give alpha and beta as 0.0 and as
+    # -0.0, equal keys that share a plan; every outcome equals a run on a new
+    # PathSet of the same paths, whose plan that run records, and the keyed
+    # references
+    compared = Counter()
+    for kind, n, (net, built, p, _), alpha, beta, _ in keyed_reference_windows():
+        # the memo may hand out a PathSet that an earlier test routed
+        info = pickle.loads(pickle.dumps(built))
+        assert info._plans is None
+        info.keep_plans()
+        caps = net.capacity_map()
+        lengths = dict(zip(info.keys, info.lengths))
+        points = [(p.l_max, alpha, beta), (p.l_max, 0.0, 0.5), (1, 2.0, -0.0),
+                  (p.l_max, -0.0, 0.5), (p.l_max, alpha, beta), (1, 2.0, 0.0)]
+        references = {}
+        for l_max, a, b in points:
+            params = RoutingParams(k=p.k, l_max=l_max, alpha=a, beta=b, f_min=p.f_min)
+            # the references run on their own at -0.0
+            point = (l_max, repr(a), repr(b))
+            if point not in references:
+                kept, live_keys, live_paths = reference_kept(info.path_edges, lengths, l_max)
+                allocations = reference_proportional_share(net, kept, lengths, params)
+                f_max = reference_propagatory_core(caps, live_keys, lengths, live_paths,
+                                                   p.f_min, a, b)
+                references[point] = {
+                    "PS": (reference_flow_determination(allocations, info.path_edges),
+                           allocations),
+                    "PU": ({key: f_max.get(key, 0) for key in info.path_edges}, None)}
+            for name, (flows, allocations) in references[point].items():
+                compared["warm"] += (name, l_max, a, b) in info._plans
+                outcome = run_algorithm(name, net, info, params)
+                fresh = info_from_path_edges(info.path_edges, lengths)
+                fresh.keep_plans()
+                cold = run_algorithm(name, net, fresh, params)
+                assert len(fresh._plans) == 1
+                assert outcome.flows == cold.flows and outcome.allocations == cold.allocations, \
+                    (kind, n, name, l_max, a, b)
+                assert list(outcome.flows.items()) == list(flows.items()), (kind, n, name)
+                if name == "PS":
+                    keyed = keyed_allocations(outcome, l_max)
+                    assert [(e, list(x.items())) for e, x in keyed.items()] == \
+                        [(e, list(x.items())) for e, x in allocations.items()]
+        # one plan per algorithm and distinct point, 0.0 and -0.0 alike
+        assert len(info._plans) == 2 * len(set(points)) < 2 * len(references)
+        compared[kind] += 1
+        compared["truncated at l_max 1"] += any(len(ids) > 1 for ids in info.values())
+    assert all(compared[kind] >= 10 for kind in TOPOLOGIES), compared
+    assert compared["truncated at l_max 1"], compared
+    # a repeat or a -0.0 finds its plan: at least 3 of the 6 points per window
+    assert compared["warm"] >= 3 * 2 * sum(compared[kind] for kind in TOPOLOGIES), compared
 
 
 def test_kept_views_match_definitions_on_random_windows():
