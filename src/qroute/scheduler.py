@@ -117,16 +117,13 @@ def two_stage_weights(groups: RequestGroups, lengths: Sequence[float],
 
 
 def largest_remainder(quotas: Sequence[float], total: int) -> list[int]:
-    """Hamilton apportionment of ``total`` units; ties favor earlier positions.
-    The units left after flooring go to the largest remainders, found by a
-    stable sort of the positions on ``floor - quota``."""
-    base = list(map(math.floor, quotas))
+    """Hamilton apportionment of ``total`` units; ties favor earlier positions."""
+    base = [math.floor(q) for q in quotas]
     short = total - sum(base)
     if not 0 <= short <= len(base):
         raise InvariantError(f"quotas {list(quotas)} do not sum to total {total}")
     if short:
-        rest = list(map(operator.sub, base, quotas))
-        for i in sorted(range(len(base)), key=rest.__getitem__)[:short]:
+        for _, i in sorted([(b - q, i) for i, (b, q) in enumerate(zip(base, quotas))])[:short]:
             base[i] += 1
     return base
 
@@ -161,35 +158,35 @@ def _even_split(groups: RequestGroups, total: int, floor: int = 0) -> tuple[int,
 
 
 def _split(groups: RequestGroups, lengths: Sequence[float], path_exp: float,
-           beta: float) -> tuple:
+           beta: float) -> tuple[int | tuple, list]:
     """The part of ``_apportion_two_stage`` that does not read the total:
     ``(requests, paths)``, the request stage and one path stage per group.
     A stage that has one share or whose weights all tie (``_requests_tie``,
     ``_paths_tie``) is its number of shares; any other is the left sum of
     its raw weights and the weights. It reads only the paths, the exponent
-    and beta, so a plan keeps it for ``_apportion``. It is made of tuples of
-    numbers, which the garbage collector stops tracking, so a plan that
-    lives for many windows does not grow the collector's full passes."""
+    and beta, so a plan can keep it for ``_apportion``. It keeps the weight
+    lists it computes, not copies, which every run without a plan would pay
+    for."""
     if _requests_tie(groups, beta):
         requests: int | tuple = len(groups)
     else:
-        request_raw = tuple([float(len(group)) ** beta for group in groups])
+        request_raw = [float(len(group)) ** beta for group in groups]
         requests = (left_sum(request_raw), request_raw)
-    paths: list[int | tuple] = []
+    paths: list[int | tuple[float, list[float]]] = []
     for group in groups:
         if len(group) == 1 or _paths_tie(map(lengths.__getitem__, group), path_exp):
             paths.append(len(group))
         else:
-            path_raw = tuple([float(lengths[p]) ** path_exp for p in group])
+            path_raw = [float(lengths[p]) ** path_exp for p in group]
             paths.append((left_sum(path_raw), path_raw))
-    return requests, tuple(paths)
+    return requests, paths
 
 
 def _apportion(split: tuple, total: int, floor: int = 0) -> list[int]:
     """``total`` units apportioned by a ``_split``, plus ``floor`` on each
-    path, in the float operations of ``_apportion_two_stage``: ``total * w /
-    raw_total`` per request and ``units * w / path_total`` per path, so the
-    shares are bitwise equal."""
+    path: ``largest_remainder`` over ``total * w / raw_total`` per request,
+    then over ``units * w / path_total`` per path of each request, and
+    ``_even`` for a stage whose weights tie."""
     requests, paths = split
     if isinstance(requests, int):
         request_units = (total,) if requests == 1 else _even(total, requests)
@@ -199,11 +196,10 @@ def _apportion(split: tuple, total: int, floor: int = 0) -> list[int]:
                                           total)
     shares: list[int] = []
     for stage, units in zip(paths, request_units):
-        if isinstance(stage, int):
-            if stage == 1:
-                shares.append(units + floor)
-            else:
-                shares.extend(_even(units, stage, floor))
+        if stage == 1:
+            shares.append(units + floor)
+        elif isinstance(stage, int):
+            shares.extend(_even(units, stage, floor))
         else:
             path_total, path_raw = stage
             path_units = largest_remainder([units * w / path_total for w in path_raw], units)
@@ -223,32 +219,11 @@ def _apportion_two_stage(groups: RequestGroups, lengths: Sequence[float],
     bitwise-equal quotas, which ``largest_remainder`` floors to one base
     before handing the units left over to the earliest positions.
 
-    ``_apportion(_split(...), total)`` gives the same shares by the same
-    float operations, in the two parts a plan keeps apart. A run without a
-    plan calls this instead, which builds nothing to keep.
+    It is ``_apportion`` of ``_split``: the part that reads the total and
+    the part that does not, which a plan keeps (``_proportional_share``,
+    ``_propagatory_core``).
     """
-    n = len(groups)
-    if n == 1:
-        request_units = [total]
-    elif _requests_tie(groups, beta):
-        request_units = _even(total, n)
-    else:
-        request_raw = [float(len(group)) ** beta for group in groups]
-        raw_total = left_sum(request_raw)
-        request_units = largest_remainder(
-            [total * w / raw_total for w in request_raw], total)
-    shares: list[int] = []
-    for group, units in zip(groups, request_units):
-        if len(group) == 1:
-            shares.append(units)
-        elif _paths_tie(map(lengths.__getitem__, group), path_exp):
-            shares.extend(_even(units, len(group)))
-        else:
-            path_raw = [float(lengths[p]) ** path_exp for p in group]
-            path_total = left_sum(path_raw)
-            shares.extend(largest_remainder([units * w / path_total for w in path_raw],
-                                            units))
-    return shares
+    return _apportion(_split(groups, lengths, path_exp, beta), total)
 
 
 def _proportional_share(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
@@ -267,11 +242,11 @@ def _proportional_share(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
 
     Which of these an edge takes, its branch, reads only the paths, alpha
     and beta, not the capacities: None for a lone path, True for
-    ``_even_split``, else the edge's ``_split``. A run on an empty ``plan``
-    records the branches as it goes, and puts them in ``plan`` once every
-    row is built, so a run that raises leaves it empty; a run on a filled
-    ``plan`` reads them back and tests no tie and computes no weight. A run
-    without a plan records nothing and weighs with ``_apportion_two_stage``.
+    ``_even_split``, else the edge's ``_split``, which ``_apportion``
+    evaluates at the edge's spare capacity. A run records the branches as
+    it goes and, given an empty ``plan``, puts them there once every row is
+    built, so a run that raises leaves it empty; a run on a filled ``plan``
+    reads them back and tests no tie and computes no weight.
     """
     lengths = info.lengths
     replay = bool(plan)
@@ -301,9 +276,6 @@ def _proportional_share(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
                                                              -alpha)):
             branches[e] = True
             row = _even_split(groups, spare, f_min)
-        elif plan is None:
-            row = tuple([f_min + x for x in _apportion_two_stage(groups, lengths, spare,
-                                                                 -alpha, beta)])
         else:
             branch = branches[e] = _split(groups, lengths, -alpha, beta)
             row = tuple(_apportion(branch, spare, f_min))
@@ -382,8 +354,7 @@ def _propagatory_core(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
     alpha and beta, not the capacities. ``plan`` holds them by edge id, in
     two dicts: each is computed the first time its edge deducts or raises in
     a run on the plan, and later runs read it back. A run without a plan
-    deducts with ``_apportion_two_stage`` and keeps its raise orders for
-    itself.
+    keeps them in two dicts of its own.
     """
     path_edges, lengths = info.edge_ids, info.lengths
     keys_by_edge, groups = kept.live_keys, kept.live_groups
@@ -413,14 +384,10 @@ def _propagatory_core(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
         ids = keys_by_edge[e]
         before = list(map(f_max.__getitem__, ids))
         need = usage[e] - capacity[e]
-        if plan is None:
-            shares = _apportion_two_stage(groups[e], lengths, need, alpha, beta)
-        else:
-            split = splits.get(e)
-            if split is None:
-                split = splits[e] = _split(groups[e], lengths, alpha, beta)
-            shares = _apportion(split, need)
-        for p, assigned in zip(ids, shares):
+        split = splits.get(e)
+        if split is None:
+            split = splits[e] = _split(groups[e], lengths, alpha, beta)
+        for p, assigned in zip(ids, _apportion(split, need)):
             room = f_max[p] - f_min
             cut = assigned if assigned < room else room
             if cut > 0:
@@ -472,7 +439,7 @@ def _propagatory_core(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
         order = orders.get(e)
         if order is None:
             weights = two_stage_weights(groups[e], lengths, alpha, beta)
-            order = orders[e] = tuple([p for _, p in sorted(zip([-w for w in weights], ids))])
+            order = orders[e] = [p for _, p in sorted(zip([-w for w in weights], ids))]
         for p in order:
             if usage[e] >= capacity[e]:
                 break

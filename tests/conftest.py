@@ -16,8 +16,8 @@ each stage to its oracles and tests):
   eager Yen runs a search each);
 - H, its truncation and the two-stage rules, and PS:
   ``reference_truncate_edge_paths``, ``reference_two_stage_weights``,
-  ``reference_largest_remainder``, ``reference_apportion_two_stage``,
-  ``reference_kept`` and ``reference_proportional_share``;
+  ``reference_apportion_two_stage``, ``reference_kept`` and
+  ``reference_proportional_share``;
 - PF: ``unit_progressive_fill``; PU: ``unit_propagatory_core`` (unit
   steps) and ``reference_propagatory_core`` (bulk steps, fast enough for
   whole windows);
@@ -28,7 +28,6 @@ each stage to its oracles and tests):
   ``reference_config_from_mapping``.
 """
 import heapq
-import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence
@@ -49,7 +48,8 @@ from qroute.netmodel import (TOPOLOGIES, Edge, EdgeMasks, InvariantError, Networ
 from qroute.pathfinder import PathKey, PathSet, build_path_info, truncate_edge_paths
 from qroute.purification import pump_fidelity
 from qroute.scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams, _progressive_fill,
-                              _propagatory_core, compute_f_min, run_algorithm)
+                              _propagatory_core, compute_f_min, largest_remainder,
+                              run_algorithm)
 
 
 # ------------------------------------------------------------ isolation
@@ -431,17 +431,6 @@ def reference_two_stage_weights(keys: Iterable[PathKey], lengths: dict[PathKey, 
     return weights
 
 
-def reference_largest_remainder(quotas: Sequence[float], total: int) -> list[int]:
-    """Hamilton apportionment from its definition: each position takes its
-    quota's floor, and the units left go one each to the largest remainders
-    ``quota - floor``, ties to the earlier position."""
-    base = [math.floor(q) for q in quotas]
-    ranked = sorted(range(len(quotas)), key=lambda i: (-(quotas[i] - base[i]), i))
-    for i in ranked[:total - sum(base)]:
-        base[i] += 1
-    return base
-
-
 def reference_apportion_two_stage(keys: Iterable[PathKey], lengths: dict[PathKey, int],
                                   total: int, path_exp: float,
                                   beta: float) -> dict[PathKey, int]:
@@ -450,13 +439,13 @@ def reference_apportion_two_stage(keys: Iterable[PathKey], lengths: dict[PathKey
     by_request = _by_request(keys)
     request_raw = [float(len(group)) ** beta for group in by_request.values()]
     raw_total = ordered_sum(request_raw)
-    request_units = reference_largest_remainder(
+    request_units = largest_remainder(
         [total * w / raw_total for w in request_raw], total)
     shares: dict[PathKey, int] = {}
     for group, units in zip(by_request.values(), request_units):
         path_raw = [float(lengths[key]) ** path_exp for key in group]
         path_total = ordered_sum(path_raw)
-        path_units = reference_largest_remainder(
+        path_units = largest_remainder(
             [units * w / path_total for w in path_raw], units)
         shares.update(zip(group, path_units))
     return shares

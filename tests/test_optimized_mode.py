@@ -47,9 +47,8 @@ INVARIANT_TESTS = {
 #: against the reference Yen;
 #: Yen's deferred spur searches against the reference Yen, each at a spur
 #: Yen visited, and fewer than eager Yen's;
-#: the two-stage apportionment, closed form and weighed, and its plan form
-#: (``_apportion`` of ``_split``) against its
-#: reference, and largest_remainder's stable sort against its definition;
+#: the two-stage apportionment, closed form and weighed, and its two parts
+#: (``_apportion`` of ``_split``) against its reference;
 #: PS's rows for lone paths and tied edges, built without the apportionment
 #: call, against it and the keyed reference, and replayed from a plan;
 #: PS and PU run on plans reused across points, 0.0 and -0.0 alike, against
@@ -67,7 +66,6 @@ REUSE_TESTS = {
         "test_lattice_paths_answer_g_prime_exactly_when_their_edges_stay_active"),
     "tests/test_properties.py": ("test_node_tuple_path_set_equals_keyed_build",),
     "tests/test_scheduler.py": ("test_tied_weights_apportion_in_closed_form",
-                                "test_largest_remainder_matches_reference",
                                 "test_proportional_share_rows_in_closed_form_match_references",
                                 "test_plans_match_cold_runs_and_keyed_references_on_random_windows",
                                 "test_pu_residual_on_tied_lengths_matches_oracles",

@@ -17,7 +17,6 @@ from conftest import (KeyedOutcome, abstract_network, assert_integer_max_min,
                       progressive_fill_by_key, propagatory_core_by_key,
                       random_fill_instance, reference_apportion_two_stage,
                       reference_evaluate, reference_flow_determination, reference_kept,
-                      reference_largest_remainder,
                       reference_propagatory_core, reference_proportional_share,
                       reference_truncate_edge_paths, reference_two_stage_weights,
                       truncate_keys, unit_progressive_fill, unit_propagatory_core)
@@ -185,9 +184,8 @@ def apportion_edges(draw):
 def test_tied_weights_apportion_in_closed_form(monkeypatch):
     # each stage whose weights tie is split by _even, each other stage of
     # more than one quota by largest_remainder; the shares equal the
-    # key-based reference, which always computes the weights, and so does
-    # _apportion of the edge's _split, the form a plan keeps, with a floor
-    # added or not
+    # key-based reference, which always computes the weights; _apportion of
+    # the edge's _split, the form PS and PU call, adds a floor to each share
     calls = Counter()
     for name in ("_even", "largest_remainder"):
         def spy(*args, _inner=getattr(scheduler, name), _name=name):
@@ -226,9 +224,8 @@ def test_tied_weights_apportion_in_closed_form(monkeypatch):
                 seen["paths of one length, path_exp != 0"] += tied and path_exp != 0
                 seen["path_exp == -0.0"] += path_exp == 0 and math.copysign(1.0, path_exp) < 0
         assert calls == want
-        split = _split(groups, info.lengths, path_exp, beta)
-        assert _apportion(split, total) == got
-        assert _apportion(split, total, 7) == [7 + x for x in got]
+        assert _apportion(_split(groups, info.lengths, path_exp, beta), total, 7) == \
+            [7 + x for x in got]
         seen["total > 10**5"] += total > 10**5
 
     check()
@@ -268,13 +265,13 @@ def ps_instances(draw):
 
 def test_proportional_share_rows_in_closed_form_match_references(monkeypatch):
     # a lone path takes its edge's capacity and an edge whose weights all tie
-    # takes _even_split; only the other edges call _split, on a cold plan,
-    # or _apportion_two_stage, without a plan. Every row equals f_min +
-    # _apportion_two_stage over the edge, and the rows and flows equal the
-    # keyed reference over reference_kept. A second run on the plan gives the
-    # same rows and flows and computes no weight
+    # takes _even_split; only the other edges call _split, with a plan to
+    # record or without one. Every row equals f_min + _apportion_two_stage
+    # over the edge, and the rows and flows equal the keyed reference over
+    # reference_kept. A second run on the recorded plan gives the same rows
+    # and flows and computes no weight
     calls = Counter()
-    for name in ("_even_split", "_split", "_apportion_two_stage", "two_stage_weights"):
+    for name in ("_even_split", "_split", "two_stage_weights"):
         def spy(*args, _inner=getattr(scheduler, name), _name=name):
             calls[_name] += 1
             return _inner(*args)
@@ -349,9 +346,7 @@ def test_proportional_share_rows_in_closed_form_match_references(monkeypatch):
             # go to _split unless alpha == 0
             seen["groups of one length, mixed PathSet"] += (
                 len(groups) > 1 and len(edge_lengths) == 1 and not one_length)
-        assert cold == branches
-        assert plain == Counter(_even_split=branches["_even_split"],
-                                _apportion_two_stage=branches["_split"])
+        assert cold == plain == branches
 
     check()
     assert len(seen) == 12 and min(seen.values()) > 0, seen
@@ -394,16 +389,6 @@ def test_largest_remainder_rejects_quotas_off_total():
     # an explicit check, so it also holds under python -O
     with pytest.raises(InvariantError, match="do not sum"):
         largest_remainder([0.1, 0.1], 5)
-
-
-@given(st.lists(st.integers(0, 6), min_size=1, max_size=8), st.integers(0, 200))
-@settings(derandomize=True, max_examples=300, deadline=None)
-def test_largest_remainder_matches_reference(weights, total):
-    # small integer weights give equal quotas, whose remainders tie
-    if not any(weights):
-        weights = [w + 1 for w in weights]
-    quotas = [total * w / sum(weights) for w in weights]
-    assert largest_remainder(quotas, total) == reference_largest_remainder(quotas, total)
 
 
 @given(st.lists(st.floats(0.0, 50.0), min_size=1, max_size=8), st.integers(0, 200))
