@@ -50,11 +50,17 @@ class EdgeMasks(NamedTuple):
 class LatticeIndex(NamedTuple):
     """What a network's edge tuple fixes, whatever the edges' state: the
     edge masks with every edge active, per node a map from each neighbour
-    to the index of their edge in the tuple, and the lattice's own k
-    shortest paths that ``pathfinder.k_shortest_paths`` has found."""
+    to the index of their edge in the tuple, whether the lattice is
+    bipartite, and the lattice's own k shortest paths that
+    ``pathfinder.k_shortest_paths`` has found."""
 
     masks: EdgeMasks
     edge_index: tuple[dict[int, int], ...]
+    #: whether the nodes split into two sides that every edge joins; then
+    #: every network on these edges splits the same way, and all its s-t
+    #: paths have lengths of one parity (square and hexagonal lattices are
+    #: bipartite, triangular ones are not)
+    bipartite: bool
     #: (s, t, k) -> (the indices of the edges the paths cross, the paths)
     paths: dict[tuple[int, int, int], tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]]
 
@@ -71,8 +77,18 @@ def _lattice_index(edges: tuple[Edge, ...], node_count: int) -> LatticeIndex:
         neighbours[u] |= 1 << v
         neighbours[v] |= 1 << u
         edge_index[u][v] = edge_index[v][u] = j
+    # two-colour each component by BFS; an edge within one colour closes an odd cycle
+    colour = [-1] * node_count
+    for root in range(node_count):
+        if colour[root] < 0:
+            colour[root], queue = 0, [root]
+            for u in queue:
+                for v in edge_index[u]:
+                    if colour[v] < 0:
+                        colour[v] = 1 - colour[u]
+                        queue.append(v)
     return LatticeIndex(EdgeMasks(tuple(sorted(by_offset.items())), tuple(neighbours)),
-                        tuple(edge_index), {})
+                        tuple(edge_index), all(colour[u] != colour[v] for u, v in edges), {})
 
 
 @dataclass

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from itertools import compress, groupby, islice
+from itertools import chain, compress, groupby, islice
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .netmodel import Edge, EdgeMasks, InvariantError, Network
@@ -23,14 +23,24 @@ def _reached(offsets: tuple[tuple[int, int], ...], frontier: int) -> int:
     return reached
 
 
+def _level(offsets: tuple[tuple[int, int], ...], levels: list[int], d: int) -> int:
+    """The nodes d hops from t over all active edges. ``levels[d]`` holds
+    them, starting from ``[1 << t]``: one BFS from t, as node bitmasks, that
+    grows in place only as deep as a call needs, and ends in 0 once it has
+    run out. With F the last level and M the mask of edge offset ``off``, the
+    next is the OR of ``((F & M) << off) | ((F >> off) & M)`` over all
+    offsets, minus the last two levels."""
+    while len(levels) <= d and levels[-1]:
+        # the neighbours of the last level lie on it and the levels beside it
+        seen = levels[-1] | (levels[-2] if len(levels) > 1 else 0)
+        levels.append(_reached(offsets, levels[-1]) & ~seen)
+    return levels[d] if d < len(levels) else 0
+
+
 def _distance(offsets: tuple[tuple[int, int], ...], levels: list[int], hops: int) -> int | None:
     """The distance to t over all active edges of the nearest node of
     ``hops``; None when hops is empty or none of its nodes reaches t.
-    ``levels[d]`` holds the nodes d hops from t, starting from ``[1 << t]``:
-    one BFS from t, as node bitmasks, that grows in place only as deep as a
-    call needs, and ends in 0 once it has run out. With F the last level and
-    M the mask of edge offset ``off``, the next is the OR of ``((F & M) <<
-    off) | ((F >> off) & M)`` over all offsets, minus the last two levels."""
+    ``levels`` are those of ``_level``."""
     if not hops:
         return None
     d = 0
@@ -39,9 +49,7 @@ def _distance(offsets: tuple[tuple[int, int], ...], levels: list[int], hops: int
             return None
         d += 1
         if d == len(levels):
-            # the neighbours of level d - 1 lie on levels d - 2, d - 1 and d
-            seen = levels[-1] | (levels[-2] if d > 1 else 0)
-            levels.append(_reached(offsets, levels[-1]) & ~seen)
+            _level(offsets, levels, d)
     return d
 
 
@@ -49,7 +57,7 @@ def _shortest_paths(masks: EdgeMasks, levels: list[int], s: int,
                     t: int) -> Iterator[tuple[int, ...]]:
     """Every shortest s-t path over active edges, in (length, node
     sequence) order: the s-t shortest-path DAG. ``levels`` are the BFS
-    levels from t that ``_distance`` grows. A depth-first walk down them from
+    levels from t that ``_level`` grows. A depth-first walk down them from
     s that takes neighbours in ascending id never dead-ends and yields every
     shortest path once, in lexicographic order."""
     neighbours = masks.neighbours
@@ -77,6 +85,46 @@ def _shortest_paths(masks: EdgeMasks, levels: list[int], s: int,
             raise InvariantError(f"DAG walk found no neighbor of node {node} at distance {d - 1}")
         nodes.append(node)
         stack.append(below)
+
+
+def _detour_paths(masks: EdgeMasks, levels: list[int], s: int, t: int,
+                  length: int) -> Iterator[tuple[int, ...]]:
+    """Every simple s-t path of exactly ``length`` hops over active edges,
+    in node-sequence order; ``levels`` are the BFS levels from t that
+    ``_level`` grows. A depth-first search from s takes neighbours in
+    ascending id, so it yields the paths in lexicographic order. A step
+    with h hops left may enter t only when h is 1, and otherwise a node
+    other than t at most h - 1 hops from it and not on the path yet: every
+    simple path of that length passes. At most two hops past the distance
+    of s, as ``_yen`` asks, a partial path climbs a level at most once,
+    which keeps the search polynomial."""
+    offsets, neighbours = masks
+    # enter[h]: the nodes a step with h hops left may enter
+    enter = [0, 1 << t]
+    near = 1 << t
+    for h in range(2, length + 1):
+        near |= _level(offsets, levels, h - 1)
+        enter.append(near ^ 1 << t)
+    # stack[j]: the untried nodes for nodes[1 + j], a step with length - j hops left
+    nodes = [s]
+    on_path = 1 << s
+    stack = [neighbours[s] & enter[length]]
+    while stack:
+        choices = stack[-1]
+        if not choices:
+            stack.pop()
+            on_path ^= 1 << nodes.pop()
+            continue
+        low = choices & -choices
+        stack[-1] = choices ^ low
+        h = length - len(stack)
+        if not h:
+            yield (*nodes, t)
+            continue
+        node = low.bit_length() - 1
+        nodes.append(node)
+        on_path |= low
+        stack.append(neighbours[node] & enter[h] & ~on_path)
 
 
 def _spur_search(masks: EdgeMasks, root: tuple[int, ...], t: int, banned: int,
@@ -144,7 +192,10 @@ def k_shortest_paths(net: Network, s: int, t: int, k: int) -> list[tuple[int, ..
     edges active returns them without a search. Only a network with every
     lattice edge active stores an answer: its masks are the lattice's own,
     so the search's answer is the lattice's by definition. Otherwise
-    ``_yen`` searches G'.
+    ``_yen`` searches G': the shortest-path DAG, then the paths one detour
+    past it, then Yen's algorithm for what those leave. The lattice tells
+    it whether G' can hold a path one hop longer than the shortest: not when
+    the lattice is bipartite.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -163,7 +214,7 @@ def k_shortest_paths(net: Network, s: int, t: int, k: int) -> list[tuple[int, ..
         if all(map(active.__getitem__, crossed)):
             return list(paths)
     masks = net.edge_masks()
-    accepted = _yen(masks, s, t, k)
+    accepted = _yen(masks, s, t, k, lattice.bipartite)
     if masks is lattice.masks:
         stored = lattice.paths
         if len(stored) == _LATTICE_PATHS_SIZE:
@@ -174,20 +225,51 @@ def k_shortest_paths(net: Network, s: int, t: int, k: int) -> list[tuple[int, ..
     return accepted
 
 
-def _yen(masks: EdgeMasks, s: int, t: int, k: int) -> list[tuple[int, ...]]:
-    """``k_shortest_paths`` over the active edges of ``masks``, searched.
+def _yen(masks: EdgeMasks, s: int, t: int, k: int, bipartite: bool) -> list[tuple[int, ...]]:
+    """``k_shortest_paths`` over the active edges of ``masks``, searched;
+    ``bipartite`` tells whether the network's lattice is.
 
-    The order is total, so when the s-t shortest-path DAG holds at least k
-    paths, its first k (from ``_shortest_paths``) are the answer. Otherwise
-    Yen's algorithm runs. The spur search at index i of an accepted path
-    ``prev`` (``_spur_search``) gives the smallest path of its spur set: the
-    paths that share the root ``prev[:i + 1]`` and whose next hop is not
-    that of an accepted path sharing the root. Lawler's (1972) restriction
-    spurs each path only from the index at which it left its parent: the
-    spurs below it were the parent's already. The spur sets then partition
-    the paths not yet accepted, so each candidate is found exactly once,
-    the heap needs no duplicate check, and its smallest path is always the
-    next one, once every spur set has given its smallest.
+    The order is total: by length, then by node sequence. With L the
+    length of the shortest paths, three steps take the paths in that order
+    and stop at k:
+
+    - ``_shortest_paths`` walks the s-t shortest-path DAG: every path of L
+      hops, in order;
+    - with fewer than k, ``_detour_paths`` adds every simple path of L + 1
+      hops, then of L + 2, each length in order. A bipartite network has no
+      path of L + 1 hops, so that length is skipped there;
+    - with fewer than k still, ``_lawler_yen`` runs from the first shortest
+      path and returns the k paths (fewer when fewer exist).
+
+    All three read one BFS from t per call, grown only as deep as the
+    farthest of them needs.
+    """
+    levels = [1 << t]
+    found = list(islice(_shortest_paths(masks, levels, s, t), k))
+    if 0 < len(found) < k:
+        hops = len(found[0]) - 1
+        detours = chain.from_iterable(_detour_paths(masks, levels, s, t, hops + extra)
+                                      for extra in ((2,) if bipartite else (1, 2)))
+        found += islice(detours, k - len(found))
+        if len(found) < k:
+            return _lawler_yen(masks, levels, found[0], t, k)
+    return found
+
+
+def _lawler_yen(masks: EdgeMasks, levels: list[int], first: tuple[int, ...], t: int,
+                k: int) -> list[tuple[int, ...]]:
+    """The k smallest s-t paths by Yen's algorithm, from ``first``, the
+    smallest; ``levels`` are the BFS levels from t that ``_level`` grows.
+
+    The spur search at index i of an accepted path ``prev``
+    (``_spur_search``) gives the smallest path of its spur set: the paths
+    that share the root ``prev[:i + 1]`` and whose next hop is not that of
+    an accepted path sharing the root. Lawler's (1972) restriction spurs
+    each path only from the index at which it left its parent: the spurs
+    below it were the parent's already. The spur sets then partition the
+    paths not yet accepted, so each candidate is found exactly once, the
+    heap needs no duplicate check, and its smallest path is always the next
+    one, once every spur set has given its smallest.
 
     Spur searches are deferred. Visiting an index pushes ``(bound, root)``
     with the masks of the moment instead of a path. With d the smallest
@@ -202,21 +284,15 @@ def _yen(masks: EdgeMasks, s: int, t: int, k: int) -> list[tuple[int, ...]]:
     it finds takes the entry's place. A path on top thus sorts at or below
     every path of every set, so the paths popped are those of eager Yen, in
     the same order, and a spur whose entry never reaches the top is never
-    searched.
-
-    One BFS from t per call gives both the DAG walk's levels and every d;
-    it grows only as deep as the farthest of them.
+    searched. Every d reads ``levels``.
     """
     offsets, neighbours = masks
-    levels = [1 << t]
-    shortest = list(islice(_shortest_paths(masks, levels, s, t), k))
-    # with fewer than k shortest paths, Yen starts from the smallest
-    accepted = shortest if len(shortest) == k else shortest[:1]
+    accepted = [first]
     # (length, path, i) for a path found at spur index i, and (bound, root,
     # banned, banned_next) for a spur not searched yet
     heap: list[tuple] = []
     deviation = 0
-    while 0 < len(accepted) < k:
+    while len(accepted) < k:
         prev = accepted[-1]
         # the root prev[:i] as a node mask and the accepted paths sharing it,
         # both extended by one node per spur index

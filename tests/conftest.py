@@ -10,10 +10,12 @@ each stage to its oracles and tests):
 - purification: ``reference_purify_network``;
 - k shortest paths: the exhaustive ``enumerate_loopless_paths``,
   ``reference_k_shortest_paths`` (eager Yen, which runs the BFS
-  ``_lex_shortest`` at every spur index, where ``k_shortest_paths`` defers
-  each search until its bound reaches the top of the heap), and
-  ``yen_spurs`` (the spurs Yen visits, read from its output, where the
-  eager Yen runs a search each);
+  ``_lex_shortest`` at every spur index, where ``k_shortest_paths`` takes
+  the shortest-path DAG's paths and those one detour past it first, and
+  runs Yen only for the rest, deferring each search until its bound
+  reaches the top of the heap), and ``yen_spurs`` (the spurs Yen visits
+  from the first shortest path, read from its output, where the eager Yen
+  runs a search each);
 - H, its truncation and the two-stage rules, and PS:
   ``reference_truncate_edge_paths``, ``reference_two_stage_weights``,
   ``reference_apportion_two_stage``, ``reference_kept`` and
@@ -350,7 +352,7 @@ def yen_spurs(paths: Sequence[tuple[int, ...]],
     order, when its k shortest paths are ``paths`` (node tuples, in order):
     per spur index of an accepted path p, the root ``p[:i + 1]`` and the
     banned next hops, those of the paths accepted so far that share the
-    root. None when the shortest-path DAG holds k paths and answers alone.
+    root. Empty when the shortest-path DAG holds k paths and answers alone.
 
     Yen spurs every path it accepts but the k-th, each from the index at
     which it left its parent: the earlier path it shares the longest prefix

@@ -205,9 +205,9 @@ def test_replicate_bytes_do_not_depend_on_the_lattice_paths(monkeypatch):
     searches = []
     yen = pathfinder._yen
 
-    def recorded_yen(masks, s, t, k):
+    def recorded_yen(masks, s, t, k, bipartite):
         searches.append((s, t, k))
-        return yen(masks, s, t, k)
+        return yen(masks, s, t, k, bipartite)
 
     monkeypatch.setattr(pathfinder, "_yen", recorded_yen)
     stored = build_lattice(config.rows, config.cols, config.kind).lattice().paths

@@ -1,14 +1,16 @@
 """Pipeline invariants are explicit checks that raise InvariantError, not
 asserts, so they must still fire under ``python -O``; and the conditions
-under which k_shortest_paths answers with the shortest-path DAG's prefix
-instead of running Yen, or with its lattice's stored paths instead of
-searching, the two-stage apportionment splits tied weights in closed form,
+under which k_shortest_paths answers with the shortest-path DAG's prefix,
+or with the paths one detour past it, instead of running Yen, or with its
+lattice's stored paths instead of searching, the parity rule by which the
+detour search skips paths one hop past the DAG on bipartite lattices, the
+two-stage apportionment splits tied weights in closed form,
 PS builds the rows of lone paths and tied edges without it, PS and PU reuse
 a PathSet's plans, and PU's residual deduction takes its closed form, are
 ordinary comparisons, so those shortcuts must still equal their references there;
 so are the bounds that order Yen's deferred spur searches on its heap,
-whose distances come, like the DAG walk's levels, from the call's one BFS
-from the terminal.
+whose distances come, like the levels of the DAG walk and the detour
+search, from the call's one BFS from the terminal.
 PU's two-pass stop is one too, so ``test_pu_stops_at_the_fixed_point``
 must still find no edge over capacity and no path left with room there, and
 so is the rule by which a window reuses PS's and PU's schedules across
@@ -41,8 +43,9 @@ INVARIANT_TESTS = {
         "test_uncoverable_residual_raises_invariant_error"),
 }
 
-#: k_shortest_paths, DAG prefix and Yen alike, against the reference Yen and
-#: the exhaustive oracle on DAGs holding k - 1, k and k + 1 shortest paths;
+#: k_shortest_paths, DAG prefix, detour search and Yen alike, against the
+#: reference Yen on random lattices, each exit taken, and the exhaustive
+#: oracle on DAGs holding k - 1, k and k + 1 shortest paths;
 #: its lattice's stored paths, reused only while G' keeps their edges,
 #: against the reference Yen;
 #: Yen's deferred spur searches against the reference Yen, each at a spur
@@ -61,6 +64,8 @@ INVARIANT_TESTS = {
 REUSE_TESTS = {
     "tests/test_netmodel.py": ("test_edge_masks_equal_reference_build",),
     "tests/test_pathfinder.py": (
+        "test_matches_reference_yen_through_each_exit",
+        "test_only_a_lattice_with_an_odd_cycle_has_paths_one_hop_past_the_dag",
         "test_shortest_path_dag_with_k_minus_1_k_and_k_plus_1_paths",
         "test_spur_searches_are_deferred",
         "test_lattice_paths_answer_g_prime_exactly_when_their_edges_stay_active"),

@@ -14,8 +14,8 @@ from conftest import (abstract_network, adjacency, assert_kept_views, edge_keys,
 from qroute import harness, pathfinder
 from qroute.config import load_config
 from qroute.netmodel import TOPOLOGIES, EdgeMasks, InvariantError, build_lattice
-from qroute.pathfinder import (_shortest_paths, _spur_search, build_path_info,
-                               k_shortest_paths)
+from qroute.pathfinder import (_lawler_yen, _shortest_paths, _spur_search, _yen,
+                               build_path_info, k_shortest_paths)
 from qroute.scheduler import RoutingParams, compute_f_min, run_algorithm
 
 
@@ -323,6 +323,64 @@ def test_matches_reference_yen_on_benchmark_sized_lattices():
     assert disconnected >= 3 and fewer_than_k >= 3
 
 
+def test_matches_reference_yen_through_each_exit(monkeypatch):
+    # random lattices of all three kinds with 0-50% of the edges dead and k
+    # from 1 to 30, small k more often: the DAG alone, the detour search and
+    # Yen's fallback each answer enough of them that none of the three goes
+    # untested
+    detours, fallbacks = spy(monkeypatch, "_detour_paths"), spy(monkeypatch, "_lawler_yen")
+    rng = np.random.default_rng(25)
+    exits = Counter()
+    for n in range(900):
+        kind = TOPOLOGIES[n % len(TOPOLOGIES)]
+        rows, cols = (int(x) for x in rng.integers(2, 8, size=2))
+        net = random_active_lattice(rng, kind, rows, cols, 0.5 * rng.random())
+        s, t = (int(x) for x in rng.choice(net.node_count, size=2, replace=False))
+        k = int(rng.integers(1, 1 + int(rng.integers(1, 31))))  # small k more often
+        detours.clear()
+        fallbacks.clear()
+        got = k_shortest_paths(net, s, t, k)
+        assert got == reference_k_shortest_paths(net, s, t, k), (kind, rows, cols, s, t, k)
+        if got:
+            exits[kind, "Yen" if fallbacks else "detour" if detours else "DAG"] += 1
+    by_exit = Counter()
+    for (_, way), count in exits.items():
+        by_exit[way] += count
+    assert by_exit["DAG"] >= 120 and by_exit["detour"] >= 100 and by_exit["Yen"] >= 300, exits
+    assert len(exits) == 9 and min(exits.values()) >= 5, exits
+
+
+def test_only_a_lattice_with_an_odd_cycle_has_paths_one_hop_past_the_dag(monkeypatch):
+    # square and hexagonal lattices are bipartite, so every s-t path has the
+    # parity of the shortest and the detour search skips L + 1 hops there;
+    # triangular ones are not
+    for rows, cols in ((2, 2), (3, 4), (5, 3)):
+        for kind in TOPOLOGIES:
+            assert build_lattice(rows, cols, kind).lattice().bipartite == (kind != "triangular")
+    # a hand-made network is two-coloured from its edges: a path, then a triangle
+    assert abstract_network({(0, 1): 5, (1, 2): 5}).lattice().bipartite
+    assert not abstract_network({(0, 1): 5, (1, 2): 5, (0, 2): 5}).lattice().bipartite
+    # the 2x2 triangular lattice from corner 0 to corner 3: the diagonal,
+    # then the two paths one hop longer, with no Yen
+    detours, fallbacks = spy(monkeypatch, "_detour_paths"), spy(monkeypatch, "_lawler_yen")
+    net = active_lattice(2, 2, "triangular")
+    assert k_shortest_paths(net, 0, 3, 3) == [(0, 3), (0, 1, 3), (0, 2, 3)]
+    assert [length for *_, length in detours] == [2] and not fallbacks
+    # on square and hexagonal lattices only L + 2 is searched
+    for kind in ("square", "hexagonal"):
+        detours.clear()
+        paths = k_shortest_paths(active_lattice(3, 3, kind), 0, 8, 8)
+        assert paths == reference_k_shortest_paths(active_lattice(3, 3, kind), 0, 8, 8)
+        assert [length for *_, length in detours] == [6]
+    # on a triangular lattice, taking it for bipartite would skip the paths
+    # of L + 1 hops for those of L + 2
+    net = active_lattice(3, 3, "triangular")
+    expected = reference_k_shortest_paths(net, 0, 5, 4)
+    assert [len(p) - 1 for p in expected] == [2, 2, 3, 3]
+    assert _yen(net.edge_masks(), 0, 5, 4, False) == expected
+    assert [len(p) - 1 for p in _yen(net.edge_masks(), 0, 5, 4, True)] == [2, 2, 4, 4]
+
+
 def bits(nodes):
     mask = 0
     for node in nodes:
@@ -354,6 +412,35 @@ def record_spur_calls(monkeypatch):
 
     monkeypatch.setattr(pathfinder, "_spur_search", recorded)
     return calls
+
+
+def spy(monkeypatch, name):
+    """The arguments of every call of ``pathfinder.<name>``, in order."""
+    calls = []
+    real = getattr(pathfinder, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pathfinder, name, recorded)
+    return calls
+
+
+def yen_fallback(calls, net, s, t, k):
+    """The k shortest s-t paths of ``_lawler_yen``, the last step of
+    ``_yen``, run alone from the first shortest path over the active edges
+    of ``net``; checks that they are ``k_shortest_paths``'s, and drops from
+    ``calls`` (``record_spur_calls``) the spur searches of that call, so
+    that those after ``start`` are the fallback's alone."""
+    start = len(calls)
+    expected = k_shortest_paths(net, s, t, k)
+    del calls[start:]
+    masks, levels = net.edge_masks(), [1 << t]
+    first = next(_shortest_paths(masks, levels, s, t), None)
+    paths = [] if first is None else _lawler_yen(masks, levels, first, t, k)
+    assert paths == expected
+    return paths
 
 
 def visited_spurs(calls, paths, k):
@@ -435,8 +522,9 @@ def with_row_path(net, s, t):
 
 
 def test_spur_matches_reference_lex_shortest_on_yen_calls(monkeypatch):
-    # every spur search of Yen runs on benchmark-sized lattices, replayed
-    # through the reference BFS, which bans the edges (u, x) for x in banned_next
+    # every spur search of Yen's fallback, run alone on benchmark-sized
+    # lattices, replayed through the reference BFS, which bans the edges
+    # (u, x) for x in banned_next
     calls = record_spur_calls(monkeypatch)
     rng = np.random.default_rng(22)
     replayed = 0
@@ -446,7 +534,7 @@ def test_spur_matches_reference_lex_shortest_on_yen_calls(monkeypatch):
         s, t = (int(x) for x in rng.choice(net.node_count, size=2, replace=False))
         net, t = with_row_path(net, s, t)
         calls.clear()
-        paths = k_shortest_paths(net, s, t, 10)
+        paths = yen_fallback(calls, net, s, t, 10)
         assert visited_spurs(calls, paths, 10)
         adj = adjacency(net)
         for u, t_, banned_nodes, banned_next, result in calls:
@@ -465,8 +553,9 @@ def test_terminal_is_never_a_spur_node(monkeypatch):
             net = random_active_lattice(rng, kind, 4, 5, 0.1)
             s, t = (int(x) for x in rng.choice(net.node_count, size=2, replace=False))
             start = len(calls)
-            paths = k_shortest_paths(net, s, t, 15)
-            # fewer than k shortest paths, so Yen ran (unless s and t are cut off)
+            paths = yen_fallback(calls, net, s, t, 15)
+            # fewer than k shortest paths, so Yen visited spurs (unless s and
+            # t are cut off)
             assert visited_spurs(calls[start:], paths, 15) or not paths
     assert len(calls) > 500
     for u, t, banned_nodes, banned_next, _ in calls:
@@ -476,7 +565,9 @@ def test_terminal_is_never_a_spur_node(monkeypatch):
 
 def test_lawler_skips_spur_that_finds_a_candidate_twice(monkeypatch):
     # s = 0, t = 5 on SQUARE_2x3, k = 4: the shortest-path DAG holds the three
-    # paths of length 3, so Yen runs from the first, A = (0, 1, 2, 5). A spur
+    # paths of length 3, and the detour search finds the fourth, D, two hops
+    # longer. Yen's fallback, run alone, starts from the first, A = (0, 1, 2,
+    # 5). A spur
     # at index 0 finds C = (0, 3, 4, 5), one at 1 finds B = (0, 1, 4, 5), and
     # B is accepted next. Plain Yen would spur B at index 0 too and find C a
     # second time, from a second parent; B left A at index 1, so it is
@@ -496,7 +587,7 @@ def test_lawler_skips_spur_that_finds_a_candidate_twice(monkeypatch):
     net = active_lattice(2, 3)
     assert adjacency(net) == SQUARE_2x3
     calls = record_spur_calls(monkeypatch)
-    paths = k_shortest_paths(net, 0, 5, 4)
+    paths = yen_fallback(calls, net, 0, 5, 4)
     assert paths == [(0, 1, 2, 5), (0, 1, 4, 5), (0, 3, 4, 5), (0, 3, 4, 1, 2, 5)]
     assert calls == [
         (0, 5, (), {1}, (0, 3, 4, 5)),            # A at 0, finds C
@@ -529,8 +620,9 @@ def test_candidates_are_found_once(monkeypatch):
             net = random_active_lattice(rng, kind, 5, 5, 0.1)
             s, t = (int(x) for x in rng.choice(net.node_count, size=2, replace=False))
             calls.clear()
-            paths = k_shortest_paths(net, s, t, 20)
-            # fewer than k shortest paths, so Yen ran (unless s and t are cut off)
+            paths = yen_fallback(calls, net, s, t, 20)
+            # fewer than k shortest paths, so Yen visited spurs (unless s and
+            # t are cut off)
             assert visited_spurs(calls, paths, 20) or not paths
             searches += len(calls)
             candidates = [nodes + result for _, _, nodes, _, result in calls if result]
@@ -543,9 +635,12 @@ def test_candidates_are_found_once(monkeypatch):
 def test_shortest_path_dag_with_k_minus_1_k_and_k_plus_1_paths(monkeypatch):
     # with m shortest s-t paths, k = m + 1, m and m - 1 give a DAG that holds
     # k - 1, k and k + 1 of them. The DAG's own prefix answers k <= m with no
-    # spur index visited; k = m + 1 needs Yen, and a spur search for its one
-    # longer path.
+    # detour search and no spur index visited; k = m + 1 needs one more
+    # path, which the detour search finds one detour past the DAG on all
+    # but the damaged hexagonal lattice, where only Yen's fallback does.
+    # Yen's fallback, run alone, needs a spur search for it.
     calls = record_spur_calls(monkeypatch)
+    detours = spy(monkeypatch, "_detour_paths")
     for rows, cols, kind, s, t, dead_edges in [
             (3, 3, "square", 0, 8, ()), (3, 4, "square", 1, 10, [(5, 6)]),
             (3, 4, "hexagonal", 0, 11, ()), (4, 4, "hexagonal", 3, 12, [(5, 9)]),
@@ -556,40 +651,52 @@ def test_shortest_path_dag_with_k_minus_1_k_and_k_plus_1_paths(monkeypatch):
         assert 2 <= m < len(oracle)
         for k in (m + 1, m, m - 1):
             calls.clear()
+            detours.clear()
             paths = k_shortest_paths(net, s, t, k)
             assert paths == oracle[:k]
             assert paths == reference_k_shortest_paths(net, s, t, k)
+            # the detour search finds a path at most 2 hops longer than the
+            # DAG's, and Yen's fallback, with its spur searches, any other
+            assert bool(detours) == (k > m)
+            assert bool(calls) == (len(paths[-1]) > len(paths[0]) + 2)
+            if k > m:
+                calls.clear()
+                yen_fallback(calls, net, s, t, k)
             visited = visited_spurs(calls, paths, k)
             assert (visited and calls) if k > m else not visited and not calls
 
 
 def test_spur_searches_are_deferred(monkeypatch):
-    # on the instances of both reference tests above, Yen returns the
-    # reference paths while it searches a spur only once its entry reaches
-    # the top of the heap: never more searches than spurs visited, and over
-    # all instances fewer than the visited spurs whose search finds a path,
-    # all of which eager Yen searches
+    # on the instances of both reference tests above where the DAG holds
+    # fewer than k paths, Yen's fallback, run alone, returns the reference
+    # paths while it searches a spur only once its entry reaches the top of
+    # the heap: never more searches than spurs visited, and over all
+    # instances fewer than the visited spurs whose search finds a path, all
+    # of which eager Yen searches
     calls = record_spur_calls(monkeypatch)
     searched = finding = 0
     for n, net, s, t, k in chain(random_instances(), benchmark_sized_instances()):
-        calls.clear()
         got = k_shortest_paths(net, s, t, k)
         assert got == reference_k_shortest_paths(net, s, t, k), \
             (net.kind, net.rows, net.cols, s, t, k)
+        calls.clear()
+        if yen_spurs(got, k):
+            yen_fallback(calls, net, s, t, k)
         visited = visited_spurs(calls, got, k)
         assert len(calls) <= len(visited)
         searched += len(calls)
         masks = net.edge_masks()
         finding += sum(_spur_search(masks, root, t, bits(root[:-1]), bits(next_)) is not None
                        for root, next_ in visited)
-    assert searched < finding
+    assert 0 < searched < finding
 
 
 def test_one_bfs_from_t_per_call(monkeypatch):
-    # on the large_lattice benchmark windows (seeds 3-42), the DAG walk and
-    # the spur bounds of one k_shortest_paths call read one BFS from t, so no
-    # frontier is expanded twice outside the spur searches, which run their
-    # own BFS with banned nodes
+    # on the large_lattice benchmark windows (seeds 3-42), the DAG walk, the
+    # detour search and the spur bounds of Yen's fallback in one
+    # k_shortest_paths call read one BFS from t, so no frontier is expanded
+    # twice outside the spur searches, which run their own BFS with banned
+    # nodes
     config = load_config(str(pathlib.Path(__file__).resolve().parent.parent
                              / "winbench" / "configs" / "large_lattice.yml"))
     reached, spur_search = pathfinder._reached, pathfinder._spur_search
@@ -622,10 +729,12 @@ def test_one_bfs_from_t_per_call(monkeypatch):
     monkeypatch.setattr(pathfinder, "_reached", recorded_reached)
     monkeypatch.setattr(pathfinder, "_spur_search", recorded_spur_search)
     monkeypatch.setattr(harness, "k_shortest_paths", recorded_ksp)
+    detours, fallbacks = spy(monkeypatch, "_detour_paths"), spy(monkeypatch, "_lawler_yen")
     for seed in range(3, 43):
         harness.prepare_trial(config, seed)
-    # 12 requests per window, and Yen ran on some of them
-    assert calls == 40 * 12 and searches > 0
+    # 12 requests per window; the detour search ran on some of them, and
+    # Yen's fallback, with its spur searches, on fewer
+    assert calls == 40 * 12 and 0 < len(fallbacks) < len(detours) and searches > 0
 
 
 def spy_searches(monkeypatch):
@@ -633,9 +742,9 @@ def spy_searches(monkeypatch):
     searches = []
     yen = pathfinder._yen
 
-    def recorded_yen(masks, s, t, k):
+    def recorded_yen(masks, s, t, k, bipartite):
         searches.append((s, t, k))
-        return yen(masks, s, t, k)
+        return yen(masks, s, t, k, bipartite)
 
     monkeypatch.setattr(pathfinder, "_yen", recorded_yen)
     return searches
@@ -727,8 +836,10 @@ def test_walk_without_closer_neighbour_raises_invariant_error(monkeypatch):
     with pytest.raises(InvariantError, match="no neighbor of node 1 at distance 0"):
         next(_shortest_paths(broken, [1 << 0], 2, 0))
     # the 2x2 square 0 - 1 - 3 - 2 - 0 where 3 does not list 1, through
-    # k_shortest_paths: the DAG from s = 0 to t = 1 is their edge alone, so
-    # k = 2 runs Yen, whose spur at 0 walks round through 2 and stalls at 3
+    # k_shortest_paths: the DAG from s = 0 to t = 1 is their edge alone, and
+    # the detour search finds no 3-hop path, as 3 does not list 1; so k = 2
+    # runs Yen's fallback, whose spur at 0 walks round through 2 and stalls
+    # at 3
     net = active_lattice(2, 2)
     offsets, neighbours = net.edge_masks()
     broken = EdgeMasks(offsets, neighbours[:3] + (0b0100,))

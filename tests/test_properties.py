@@ -110,7 +110,8 @@ def test_k_shortest_paths_equal_reference_yen_on_damaged_lattices():
         covered[len(list(islice(_shortest_paths(net.edge_masks(), [1 << t], s, t), k))) == k] += 1
 
     check()
-    # the DAG's prefix answered some queries and Yen the others
+    # the DAG's prefix answered some queries, and the detour search or Yen
+    # the others
     assert covered[True] and covered[False]
 
 
