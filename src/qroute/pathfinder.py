@@ -3,8 +3,7 @@ path information set over dense path and edge ids."""
 from __future__ import annotations
 
 import heapq
-from collections import Counter
-from itertools import chain, compress, groupby, islice
+from itertools import chain, groupby, islice
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .netmodel import Edge, EdgeMasks, InvariantError, Network
@@ -333,13 +332,18 @@ def truncate_edge_paths(ids: list[int], request_of: Sequence[int],
     numbered in key order. Ids rank by (not its request's only path on this
     edge, length, id), and the first l_max are kept: a request's only path
     evicts the longest of the others, and if such paths alone exceed l_max
-    the shortest of them win. Result is ascending.
+    the shortest of them win. The lone paths are the request groups of one
+    id, and a stable sort of ascending ids on length ranks by (length, id).
+    Result is ascending.
     """
     if len(ids) <= l_max:
         return ids
-    counts = Counter(request_of[p] for p in ids)
-    ranked = sorted(ids, key=lambda p: (counts[request_of[p]] > 1, lengths[p], p))
-    return sorted(ranked[:l_max])
+    groups = request_groups(ids, request_of)
+    lone = [group[0] for group in groups if len(group) == 1]
+    if len(lone) >= l_max:
+        return sorted(sorted(lone, key=lengths.__getitem__)[:l_max])
+    others = [p for group in groups if len(group) > 1 for p in group] if lone else ids
+    return sorted(lone + sorted(others, key=lengths.__getitem__)[:l_max - len(lone)])
 
 
 def request_groups(ids: Sequence[int], request_of: Sequence[int]) -> RequestGroups:
@@ -388,21 +392,20 @@ class PathSet:
     def __init__(self, keys: tuple[PathKey, ...], lengths: list[int],
                  lattice: tuple[Edge, ...], hops: list[list[int]]) -> None:
         """The paths ``keys``, in key order, whose ``hops`` are indices into
-        the sorted edge tuple ``lattice``; their edges are numbered in
-        lattice order, and H is built as it goes."""
+        the sorted edge tuple ``lattice``; the edges they cross are numbered
+        in lattice order, and H is built over those edges alone."""
         #: path id -> key
         self.keys = keys
         #: path id -> length in hops
         self.lengths = lengths
-        on = _incidence(hops, len(lattice))
         # edge id -> the edge's index in ``lattice``, ascending
-        lattice_index = list(compress(range(len(lattice)), on))
+        lattice_index = sorted(set(chain.from_iterable(hops)))
         #: edge id -> edge, sorted
         self.edges = tuple(map(lattice.__getitem__, lattice_index))
         edge_id = dict(zip(lattice_index, range(len(self.edges))))
         #: path id -> the ids of the edges it traverses, in path order
         self.edge_ids = [tuple(map(edge_id.__getitem__, route)) for route in hops]
-        self._incidence: list[list[int]] | None = list(filter(None, on))
+        self._incidence: list[list[int]] | None = _incidence(self.edge_ids, len(self.edges))
         self._kept: dict[int, KeptPaths] = {}
         self._capacities: tuple[Network, tuple[int, ...]] | None = None
         #: the schedulers' plans by key; None until ``keep_plans``
@@ -479,25 +482,22 @@ class PathSet:
         computed once per l_max."""
         if l_max not in self._kept:
             request_of = [r for r, _ in self.keys]
-            incidence = self.values()
-            kept = [truncate_edge_paths(ids, request_of, self.lengths, l_max)
-                    for ids in incidence]
+            kept = list(self.values())
+            # the paths that a crowded edge drops, which are live nowhere
+            dead: set[int] = set()
+            for e, ids in enumerate(kept):
+                if len(ids) > l_max:
+                    kept[e] = truncate_edge_paths(ids, request_of, self.lengths, l_max)
+                    dead.update(set(ids).difference(kept[e]))
             groups = [request_groups(ids, request_of) for ids in kept]
-            if any(len(ids) > l_max for ids in incidence):
-                times_kept = [0] * len(request_of)
-                for ids in kept:
-                    for p in ids:
-                        times_kept[p] += 1
-                live = [n == len(ids) for n, ids in zip(times_kept, self.edge_ids)]
-                live_keys: list[list[int]] = []
-                live_groups: list[RequestGroups] = []
-                for ids, grouped in zip(kept, groups):
-                    ok = [p for p in ids if live[p]]
-                    if len(ok) < len(ids):
-                        ids, grouped = ok, request_groups(ok, request_of)
-                    live_keys.append(ids)
-                    live_groups.append(grouped)
-                live_paths = [p for p, ok in enumerate(live) if ok]
+            if dead:
+                # only the edges a dead path crosses lose paths from their views
+                live_keys, live_groups = kept[:], groups[:]
+                for e in {e for p in dead for e in self.edge_ids[p]}:
+                    ok = [p for p in kept[e] if p not in dead]
+                    if len(ok) < len(kept[e]):
+                        live_keys[e], live_groups[e] = ok, request_groups(ok, request_of)
+                live_paths = [p for p in range(len(request_of)) if p not in dead]
             else:
                 # nothing was truncated, so every path is live on every edge
                 live_keys, live_groups, live_paths = kept, groups, list(range(len(request_of)))

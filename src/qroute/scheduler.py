@@ -123,7 +123,8 @@ def largest_remainder(quotas: Sequence[float], total: int) -> list[int]:
     if not 0 <= short <= len(base):
         raise InvariantError(f"quotas {list(quotas)} do not sum to total {total}")
     if short:
-        for _, i in sorted([(b - q, i) for i, (b, q) in enumerate(zip(base, quotas))])[:short]:
+        below = [b - q for b, q in zip(base, quotas)]
+        for i in sorted(range(len(base)), key=below.__getitem__)[:short]:
             base[i] += 1
     return base
 
@@ -296,34 +297,33 @@ def _progressive_fill(info: PathSet, capacity: Sequence[int]) -> list[int]:
     is below its active-path count saturates and freezes those paths (the
     sub-count leftover stays unallocated); the remaining active paths then
     all gain one unit. Between two freeze events the rounds only repeat, and
-    the next event comes after ``min_e floor(slack_e / n_active_e)`` rounds,
-    so this jumps there at once and gives the same flows as the round-by-round
-    rule in at most #paths + 1 steps. Every active path holds the same flow,
-    the number of rounds so far, so a path's flow is that count when it freezes.
+    the next event comes after ``min_e floor(slack_e / n_active_e)`` rounds
+    over the open edges, those with active paths, so this jumps there at once
+    (0 rounds if an edge holds more paths than units), in at most #paths + 1
+    events. The jump leaves exactly the edges that attain the min with slack
+    below their count, and freezing only lowers the others' counts, so an
+    event freezes the active paths of those edges alone, at the level all hold.
     """
     path_edges, on_edge = info.edge_ids, info.values()
     flows = [0] * len(path_edges)
     slack = list(capacity)
     n_active = [len(ids) for ids in on_edge]
     active = [True] * len(path_edges)
-    left = len(path_edges)
+    open_edges = list(range(len(on_edge)))  # every edge of a PathSet carries a path
     level = 0
-    while left:
-        frozen = [p for e, n in enumerate(n_active) if slack[e] < n
-                  for p in on_edge[e] if active[p]]
-        for p in frozen:
-            if active[p]:
-                active[p] = False
-                flows[p] = level
-                left -= 1
-                for e in path_edges[p]:
-                    n_active[e] -= 1
-        # every edge still carrying active paths has slack >= n_active here
-        rounds = min((slack[e] // n for e, n in enumerate(n_active) if n), default=0)
+    while open_edges:
+        rounds = min([slack[e] // n_active[e] for e in open_edges])
         level += rounds
-        for e, n in enumerate(n_active):
-            if n:
-                slack[e] -= rounds * n
+        for e in open_edges:
+            slack[e] -= rounds * n_active[e]
+        for e in [e for e in open_edges if slack[e] < n_active[e]]:
+            for p in on_edge[e]:
+                if active[p]:
+                    active[p] = False
+                    flows[p] = level
+                    for e2 in path_edges[p]:
+                        n_active[e2] -= 1
+        open_edges = [e for e in open_edges if n_active[e]]
     return flows
 
 

@@ -18,8 +18,8 @@ each stage to its oracles and tests):
   runs a search each);
 - H, its truncation and the two-stage rules, and PS:
   ``reference_truncate_edge_paths``, ``reference_two_stage_weights``,
-  ``reference_apportion_two_stage``, ``reference_kept`` and
-  ``reference_proportional_share``;
+  ``reference_largest_remainder``, ``reference_apportion_two_stage``,
+  ``reference_kept`` and ``reference_proportional_share``;
 - PF: ``unit_progressive_fill``; PU: ``unit_propagatory_core`` (unit
   steps) and ``reference_propagatory_core`` (bulk steps, fast enough for
   whole windows);
@@ -30,6 +30,7 @@ each stage to its oracles and tests):
   ``reference_config_from_mapping``.
 """
 import heapq
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence
@@ -50,8 +51,7 @@ from qroute.netmodel import (TOPOLOGIES, Edge, EdgeMasks, InvariantError, Networ
 from qroute.pathfinder import PathKey, PathSet, build_path_info, truncate_edge_paths
 from qroute.purification import pump_fidelity
 from qroute.scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams, _progressive_fill,
-                              _propagatory_core, compute_f_min, largest_remainder,
-                              run_algorithm)
+                              _propagatory_core, compute_f_min, run_algorithm)
 
 
 # ------------------------------------------------------------ isolation
@@ -433,6 +433,20 @@ def reference_two_stage_weights(keys: Iterable[PathKey], lengths: dict[PathKey, 
     return weights
 
 
+def reference_largest_remainder(quotas: Sequence[float], total: int) -> list[int]:
+    """Hamilton apportionment of ``total`` units from its definition: each
+    position takes its quota's floor, and the ``short = total - sum(floors)``
+    positions with the largest remainders take one unit more, picked one at
+    a time, a tie to the lower position."""
+    base = [math.floor(q) for q in quotas]
+    remainders = [q - b for q, b in zip(quotas, base)]
+    picked: set[int] = set()
+    for _ in range(total - sum(base)):
+        picked.add(max((i for i in range(len(base)) if i not in picked),
+                       key=lambda i: (remainders[i], -i)))
+    return [b + (i in picked) for i, b in enumerate(base)]
+
+
 def reference_apportion_two_stage(keys: Iterable[PathKey], lengths: dict[PathKey, int],
                                   total: int, path_exp: float,
                                   beta: float) -> dict[PathKey, int]:
@@ -441,13 +455,13 @@ def reference_apportion_two_stage(keys: Iterable[PathKey], lengths: dict[PathKey
     by_request = _by_request(keys)
     request_raw = [float(len(group)) ** beta for group in by_request.values()]
     raw_total = ordered_sum(request_raw)
-    request_units = largest_remainder(
+    request_units = reference_largest_remainder(
         [total * w / raw_total for w in request_raw], total)
     shares: dict[PathKey, int] = {}
     for group, units in zip(by_request.values(), request_units):
         path_raw = [float(lengths[key]) ** path_exp for key in group]
         path_total = ordered_sum(path_raw)
-        path_units = largest_remainder(
+        path_units = reference_largest_remainder(
             [units * w / path_total for w in path_raw], units)
         shares.update(zip(group, path_units))
     return shares

@@ -6,8 +6,9 @@ lattice's stored paths instead of searching, the parity rule by which the
 detour search skips paths one hop past the DAG on bipartite lattices, the
 two-stage apportionment splits tied weights in closed form,
 PS builds the rows of lone paths and tied edges without it, PS and PU reuse
-a PathSet's plans, and PU's residual deduction takes its closed form, are
-ordinary comparisons, so those shortcuts must still equal their references there;
+a PathSet's plans, PU's residual deduction takes its closed form,
+``largest_remainder`` ranks tied remainders by a stable sort, and PF
+freezes only the edges each jump filled, are ordinary comparisons, so those shortcuts must still equal their references there;
 so are the bounds that order Yen's deferred spur searches on its heap,
 whose distances come, like the levels of the DAG walk and the detour
 search, from the call's one BFS from the terminal.
@@ -50,6 +51,9 @@ INVARIANT_TESTS = {
 #: against the reference Yen;
 #: Yen's deferred spur searches against the reference Yen, each at a spur
 #: Yen visited, and fewer than eager Yen's;
+#: ``largest_remainder``'s stable sort of positions on remainders that tie
+#: exactly against its reference; PF's freeze events, each freezing only
+#: the edges its jump filled, against unit rounds;
 #: the two-stage apportionment, closed form and weighed, and its two parts
 #: (``_apportion`` of ``_split``) against its reference;
 #: PS's rows for lone paths and tied edges, built without the apportionment
@@ -70,7 +74,9 @@ REUSE_TESTS = {
         "test_spur_searches_are_deferred",
         "test_lattice_paths_answer_g_prime_exactly_when_their_edges_stay_active"),
     "tests/test_properties.py": ("test_node_tuple_path_set_equals_keyed_build",),
-    "tests/test_scheduler.py": ("test_tied_weights_apportion_in_closed_form",
+    "tests/test_scheduler.py": ("test_largest_remainder_ties_match_reference",
+                                "test_pf_freeze_events_match_unit_rounds",
+                                "test_tied_weights_apportion_in_closed_form",
                                 "test_proportional_share_rows_in_closed_form_match_references",
                                 "test_plans_match_cold_runs_and_keyed_references_on_random_windows",
                                 "test_pu_residual_on_tied_lengths_matches_oracles",

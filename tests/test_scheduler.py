@@ -17,6 +17,7 @@ from conftest import (KeyedOutcome, abstract_network, assert_integer_max_min,
                       progressive_fill_by_key, propagatory_core_by_key,
                       random_fill_instance, reference_apportion_two_stage,
                       reference_evaluate, reference_flow_determination, reference_kept,
+                      reference_largest_remainder,
                       reference_propagatory_core, reference_proportional_share,
                       reference_truncate_edge_paths, reference_two_stage_weights,
                       truncate_keys, unit_progressive_fill, unit_propagatory_core)
@@ -26,7 +27,7 @@ from qroute.config import config_from_mapping
 from qroute.harness import ExperimentConfig, RequestSpec, prepare_trial, run_trial
 from qroute.metrics import evaluate
 from qroute.netmodel import TOPOLOGIES, InvariantError, ScenarioParams
-from qroute.pathfinder import build_path_info
+from qroute.pathfinder import build_path_info, truncate_edge_paths
 from qroute.scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams,
                               _apportion, _apportion_two_stage, _assert_feasible,
                               _propagatory_core, _proportional_share, compute_f_min,
@@ -107,6 +108,51 @@ def test_truncate_sole_overflow_capped():
     lengths = {(r, 0): 4 + r for r in range(5)}
     kept = truncate_keys(list(lengths), lengths, 3)
     assert [r for r, _ in kept] == [0, 1, 2]
+
+
+def test_truncate_lone_overflow_ties_by_id():
+    # lone paths alone exceed l_max: the shortest win, equal lengths by id,
+    # and request 6's two paths give way to them although they are shorter
+    lengths = {(0, 0): 5, (1, 0): 3, (2, 0): 3, (3, 0): 4, (4, 0): 3, (5, 0): 6,
+               (6, 0): 1, (6, 1): 1}
+    for l_max, want in ((3, [(1, 0), (2, 0), (4, 0)]), (2, [(1, 0), (2, 0)])):
+        assert truncate_keys(list(lengths), lengths, l_max) == \
+            reference_truncate_edge_paths(lengths, lengths, l_max) == want
+
+
+def test_truncate_lengths_tie_across_requests():
+    # the lone (2, 0) stays; the others rank by length, and equal lengths
+    # in two requests by id, whatever the request
+    lengths = {(0, 0): 4, (0, 1): 4, (0, 2): 5, (0, 3): 5, (1, 0): 4, (1, 1): 5, (1, 2): 4,
+               (2, 0): 9}
+    for l_max, want in ((5, [(0, 0), (0, 1), (1, 0), (1, 2), (2, 0)]),
+                        (4, [(0, 0), (0, 1), (1, 0), (2, 0)]),
+                        (6, [(0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0)])):
+        assert truncate_keys(list(lengths), lengths, l_max) == \
+            reference_truncate_edge_paths(lengths, lengths, l_max) == want
+
+
+def test_truncate_uncrowded_edge_returns_its_list():
+    ids = [0, 2, 3]
+    assert truncate_edge_paths(ids, [0, 0, 1, 1], [4, 4, 4, 4], 3) is ids
+
+
+def test_path_dropped_on_one_crowded_edge_leaves_every_live_view():
+    # at l_max 2 only edge 0 is crowded, with request 0's three paths, and it
+    # drops the longest, (0, 2), id 2. Edges 1 and 2, which (0, 2) also
+    # crosses, keep it but lose it from their live views and groups; the
+    # other edges' live views are their kept lists
+    net, info = abstract_instance([10, 10, 10, 10], {(0, 0): [0], (0, 1): [0, 3],
+                                                     (0, 2): [0, 1, 2], (1, 0): [1],
+                                                     (2, 0): [2, 3]})
+    assert info.values() == [[0, 1, 2], [2, 3], [2, 4], [1, 4]]
+    assert_kept_views(info, 2)
+    kept = info.kept(2)
+    assert kept.keys == [[0, 1], [2, 3], [2, 4], [1, 4]]
+    assert kept.live_keys == [[0, 1], [3], [4], [1, 4]]
+    assert kept.live_groups == [((0, 1),), ((3,),), ((4,),), ((1,), (4,))]
+    assert kept.live_paths == [0, 1, 3, 4]
+    assert kept.live_keys[0] is kept.keys[0] and kept.live_keys[3] is kept.keys[3]
 
 
 def random_edge_paths(rng):
@@ -385,6 +431,25 @@ def test_largest_remainder_examples():
     assert largest_remainder([0.0, 0.0], 0) == [0, 0]
 
 
+def test_largest_remainder_ties_match_reference():
+    # remainders that tie exactly go to the lower positions: thirds, equal
+    # weights, two tiers of ties, every position short (quotas a hair below
+    # whole numbers, so short == len) and nothing to hand out
+    cases = [([total / 3] * 3, total) for total in range(7)]
+    cases += [([total * w / (n * w)] * n, total)
+              for n in range(1, 6) for total in range(11) for w in (1.0, 0.7, 3.0)]
+    cases += [([2 / 3] * 3 + [1 / 3] * 3, 3), ([1 / 3, 2 / 3] * 3, 3)]
+    cases += [([1 - 2**-53] * n, n) for n in range(1, 5)]
+    cases += [([3 - 2**-51, 1 - 2**-53], 4), ([0.0] * 3, 0), ([0.0], 0)]
+    for quotas, total in cases:
+        assert largest_remainder(quotas, total) == \
+            reference_largest_remainder(quotas, total), (quotas, total)
+    assert largest_remainder([1 / 3] * 3, 2) == [1, 1, 0]
+    assert largest_remainder([1 / 3, 2 / 3] * 3, 3) == [0, 1, 0, 1, 0, 1]
+    assert largest_remainder([1 - 2**-53] * 3, 3) == [1, 1, 1]
+    assert largest_remainder([0.0] * 3, 0) == [0, 0, 0]
+
+
 def test_largest_remainder_rejects_quotas_off_total():
     # an explicit check, so it also holds under python -O
     with pytest.raises(InvariantError, match="do not sum"):
@@ -398,6 +463,7 @@ def test_largest_remainder_properties(weights, total):
         weights = [w + 1.0 for w in weights]
     quotas = [total * w / sum(weights) for w in weights]
     result = largest_remainder(quotas, total)
+    assert result == reference_largest_remainder(quotas, total)
     assert sum(result) == total
     assert all(abs(x - q) < 1.0 + 1e-9 for x, q in zip(result, quotas))
 
@@ -481,6 +547,37 @@ def test_pf_leftover_stays_unallocated():
 def test_pf_zero_freeze_when_paths_exceed_capacity():
     paths = {(r, 0): ((0, 1),) for r in range(4)}
     assert fill(paths, {(0, 1): 3}) == {(r, 0): 0 for r in range(4)}
+
+
+def test_pf_freeze_events_match_unit_rounds(monkeypatch):
+    # each event jumps min floor(slack / n) rounds over the open edges, read
+    # by one ``min`` call, and freezes the paths of the edges the jump filled
+    jumps = []
+
+    def spy(values):
+        jumps.append(min(values))
+        return jumps[-1]
+
+    monkeypatch.setattr(scheduler, "min", spy, raising=False)
+    e0, e1, e2 = (0, 1), (2, 3), (4, 5)
+    cases = (
+        # one jump of 3 rounds fills edges e0 and e1 (slack 1 below 2 paths
+        # each); every path freezes, and e2 leaves the open set with them
+        ({(0, 0): (e0, e2), (0, 1): (e0,), (1, 0): (e1, e2), (1, 1): (e1,)},
+         {e0: 7, e1: 7, e2: 20}, {(0, 0): 3, (0, 1): 3, (1, 0): 3, (1, 1): 3}, [3]),
+        # e0 starts with slack 1 below its 2 paths, so they freeze at level 0
+        ({(0, 0): (e0, e1), (1, 0): (e0,), (2, 0): (e1,)},
+         {e0: 1, e1: 9}, {(0, 0): 0, (1, 0): 0, (2, 0): 9}, [0, 9]),
+        # e1's only path freezes on e0, so e1 leaves the open set with slack
+        # left and no path to divide it by
+        ({(0, 0): (e0,), (1, 0): (e0, e1), (2, 0): (e2,)},
+         {e0: 4, e1: 30, e2: 10}, {(0, 0): 2, (1, 0): 2, (2, 0): 10}, [2, 8]),
+    )
+    for path_edges, capacity, flows, events in cases:
+        jumps.clear()
+        assert fill(path_edges, capacity) == unit_progressive_fill(path_edges, capacity) \
+            == flows
+        assert jumps == events
 
 
 def test_pf_matches_max_min_oracle_on_random_instances():
