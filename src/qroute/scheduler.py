@@ -6,12 +6,20 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .netmodel import Edge, InvariantError, Network
 from .pathfinder import KeptPaths, PathKey, PathSet, RequestGroups
 
 ALGORITHMS = ("PS", "PF", "PU")
+
+#: kept edges from which ``_proportional_share`` runs ``_share_arrays``: the
+#: crossover measured on tie-dominated windows, below which the arrays' fixed
+#: cost exceeds the loop's interpreter work
+_SHARE_ARRAYS_MIN_EDGES = 96
 
 
 @dataclass
@@ -227,6 +235,87 @@ def _apportion_two_stage(groups: RequestGroups, lengths: Sequence[float],
     return _apportion(_split(groups, lengths, path_exp, beta), total)
 
 
+def _apportion_rows(totals: np.ndarray, counts: np.ndarray, values: np.ndarray,
+                    distinct: Iterable[int], exponent: float) -> np.ndarray:
+    """One stage of ``_apportion`` on every segment at once: segment s holds
+    the next ``counts[s]`` elements of ``values`` (group sizes or path
+    lengths, each at least 1) and splits ``totals[s]`` units over them by
+    ``value ** exponent``. The units by element, bit for bit those of
+    ``_apportion``.
+
+    Each segment is a row of a zero-padded matrix. A row whose weights all
+    tie (exponent 0, or one value) takes ``_even``'s split in integers; the
+    others are weighed. Their raw weights are Python's ``**``, once per
+    ``distinct`` value, and a row's total is the last column of its
+    ``cumsum``, which adds left to right as ``left_sum`` does
+    (``np.add.reduce`` adds pairwise and rounds differently from 3 terms
+    up). ``largest_remainder`` then floors ``total * w / raw_total``, and a
+    stable sort of each row on floor - quota ranks the remainders, ties to
+    the lower position."""
+    mask = np.arange(counts.max()) < counts[:, None]
+    even, extra = np.divmod(totals, counts)
+    units = even[:, None] + (np.arange(mask.shape[1]) < extra[:, None])
+    if exponent == 0:
+        return units[mask]
+    padded = np.zeros(mask.shape, np.int64)
+    padded[mask] = values
+    weighed = np.flatnonzero(((padded != padded[:, :1]) & mask).any(axis=1))
+    if weighed.size:
+        distinct = sorted(distinct)
+        table = np.zeros(distinct[-1] + 1)
+        table[distinct] = [float(x) ** exponent for x in distinct]
+        weights = table[padded[weighed]]
+        totals = totals[weighed]
+        quotas = totals[:, None] * weights / np.cumsum(weights, axis=1)[:, -1:]
+        floors = np.floor(quotas)
+        shares = floors.astype(np.int64)
+        short = totals - shares.sum(axis=1)
+        bad = np.flatnonzero((short < 0) | (short > counts[weighed]))
+        if bad.size:
+            s = bad[0]
+            raise InvariantError(f"quotas {quotas[s, :counts[weighed[s]]].tolist()} do "
+                                 f"not sum to total {totals[s]}")
+        # floor - quota is at most 0, so the padding's 1.0 ranks last
+        rank = np.argsort(np.argsort(np.where(mask[weighed], floors - quotas, 1.0), axis=1,
+                                     kind="stable"), axis=1)
+        units[weighed] = shares + (rank < short[:, None])
+    return units[mask]
+
+
+def _share_arrays(info: PathSet, kept: KeptPaths, capacity: Sequence[int], f_min: int,
+                  alpha: float, beta: float
+                  ) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
+    """``_proportional_share`` on arrays, every edge at once: bit for bit
+    the flows and rows of its loop.
+
+    The kept incidences are read as flat segments: groups by edge, and
+    paths by group. ``_apportion_rows`` splits each edge's spare capacity
+    over its groups by n_r^beta, then each group's units over its paths by
+    d^-alpha. It takes no plan: it tests every tie and weighs every edge in
+    a few array passes."""
+    groups_per_edge = list(map(len, kept.groups))
+    paths_per_edge = list(map(len, kept.keys))
+    ends = list(accumulate(paths_per_edge))
+    sizes = list(map(len, chain.from_iterable(kept.groups)))
+    ids = np.fromiter(chain.from_iterable(kept.keys), np.intp, ends[-1])
+    spare = np.array(capacity, dtype=np.int64) - f_min * np.array(paths_per_edge)
+    if (spare < 0).any():
+        e = np.flatnonzero(spare < 0)[0]
+        raise InvariantError(
+            f"edge {info.edges[e]} kept below l_max * f_min; was Step 1 skipped?")
+    sizes_array = np.array(sizes)
+    units = _apportion_rows(spare, np.array(groups_per_edge), sizes_array, set(sizes),
+                            beta)
+    shares = f_min + _apportion_rows(units, sizes_array, np.array(info.lengths)[ids],
+                                     set(info.lengths), -alpha)
+    lowest = np.full(len(info.keys), np.iinfo(np.int64).max)
+    np.minimum.at(lowest, ids, shares)
+    flows = np.zeros_like(lowest)
+    flows[kept.live_paths] = lowest[kept.live_paths]
+    flat = shares.tolist()
+    return flows.tolist(), tuple([tuple(flat[a:b]) for a, b in zip([0, *ends], ends)])
+
+
 def _proportional_share(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
                         f_min: int, alpha: float, beta: float, plan: list | None = None
                         ) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
@@ -248,7 +337,14 @@ def _proportional_share(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
     it goes and, given an empty ``plan``, puts them there once every row is
     built, so a run that raises leaves it empty; a run on a filled ``plan``
     reads them back and tests no tie and computes no weight.
+
+    From ``_SHARE_ARRAYS_MIN_EDGES`` kept edges on, ``_share_arrays`` gives
+    the same flows and rows on arrays and runs instead of the loop, with no
+    plan: on ``large_lattice`` windows its cold run costs less than the
+    loop's replay.
     """
+    if len(kept.keys) >= _SHARE_ARRAYS_MIN_EDGES:
+        return _share_arrays(info, kept, capacity, f_min, alpha, beta)
     lengths = info.lengths
     replay = bool(plan)
     branches = plan if replay else [None] * len(kept.keys)
@@ -507,7 +603,8 @@ def run_algorithm(name: str, net: Network, info: PathSet,
     PS and PU run on ``info``'s plan under (name, l_max, alpha, beta) once
     the PathSet keeps plans (``PathSet.keep_plans``), so a window that the
     memo hands an earlier window's PathSet computes no weight, tie or raise
-    order an earlier run did. alpha and beta may be -0.0 or 0.0, which are
+    order an earlier run did; PS's arrays, which run on large windows, take
+    no plan. alpha and beta may be -0.0 or 0.0, which are
     equal keys and share a plan: ``_paths_tie`` and ``_requests_tie`` test
     ``== 0``, and ``x ** -0.0 == x ** 0.0 == 1.0``.
     """

@@ -38,6 +38,7 @@ INVARIANT_TESTS = {
     "tests/test_scheduler.py": (
         "test_largest_remainder_rejects_quotas_off_total",
         "test_proportional_share_rejects_floor_above_capacity",
+        "test_share_arrays_rejects_floor_above_capacity",
         "test_infeasible_outcome_rejected",
         "test_run_algorithm_checks_each_core_for_feasibility",
         "test_run_algorithm_checks_the_f_min_floor",

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import json
 import math
 import pickle
 import re
@@ -28,11 +29,12 @@ from qroute.harness import ExperimentConfig, RequestSpec, prepare_trial, run_tri
 from qroute.metrics import evaluate
 from qroute.netmodel import TOPOLOGIES, InvariantError, ScenarioParams
 from qroute.pathfinder import build_path_info, truncate_edge_paths
+from qroute.reports import record_to_dict
 from qroute.scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams,
                               _apportion, _apportion_two_stage, _assert_feasible,
-                              _propagatory_core, _proportional_share, compute_f_min,
-                              _split, largest_remainder, run_algorithm, schedule_key,
-                              two_stage_weights)
+                              _propagatory_core, _proportional_share, _share_arrays,
+                              compute_f_min, _split, largest_remainder, left_sum,
+                              run_algorithm, schedule_key, two_stage_weights)
 
 
 def abstract_instance(edge_caps, paths, lengths=None):
@@ -315,7 +317,8 @@ def test_proportional_share_rows_in_closed_form_match_references(monkeypatch):
     # record or without one. Every row equals f_min + _apportion_two_stage
     # over the edge, and the rows and flows equal the keyed reference over
     # reference_kept. A second run on the recorded plan gives the same rows
-    # and flows and computes no weight
+    # and flows and computes no weight, and so does _share_arrays, called
+    # directly on these small windows
     calls = Counter()
     for name in ("_even_split", "_split", "two_stage_weights"):
         def spy(*args, _inner=getattr(scheduler, name), _name=name):
@@ -352,6 +355,7 @@ def test_proportional_share_rows_in_closed_form_match_references(monkeypatch):
         calls.clear()
         assert _proportional_share(info, kept, caps, f_min, alpha, beta) == (flows, rows)
         plain = Counter(calls)
+        assert _share_arrays(info, kept, caps, f_min, alpha, beta) == (flows, rows)
         params = RoutingParams(l_max=l_max, alpha=alpha, beta=beta, f_min=f_min)
         ref_kept, _, _ = reference_kept(path_edges, lengths, l_max)
         want = reference_proportional_share(abstract_network(capacity), ref_kept, lengths,
@@ -508,6 +512,89 @@ def test_proportional_share_respects_capacity():
 def test_proportional_share_rejects_floor_above_capacity():
     with pytest.raises(InvariantError, match="Step 1"):
         run_algorithm("PS", line_network([3]), one_edge({(0, 0): 1}), params(f_min=5))
+
+
+def test_share_arrays_rejects_floor_above_capacity():
+    info = one_edge({(0, 0): 1})
+    with pytest.raises(InvariantError, match=r"edge \(0, 1\).*Step 1"):
+        _share_arrays(info, info.kept(10), [3], 5, 0.0, 0.0)
+
+
+#: eight paths of one request whose weights d**-1 add to 1.422222222222222
+#: in numpy's pairwise order and to 1.4222222222222223 left to right; at 32
+#: units the two totals apportion differently
+EIGHT_LENGTHS = (3, 3, 4, 9, 9, 10, 10, 12)
+
+#: hand-built PS windows: path -> edges, path -> length, edge -> capacity,
+#: l_max, f_min, alpha, beta
+SHARE_WINDOWS = {
+    "lone path": ({(0, 0): ((0, 1),)}, {(0, 0): 3}, {(0, 1): 7}, 10, 2, 1.0, 1.0),
+    "groups of one size, beta != 0": (
+        {(0, 0): ((0, 1),), (0, 1): ((0, 1),), (1, 0): ((0, 1),), (1, 1): ((0, 1),)},
+        {(0, 0): 2, (0, 1): 5, (1, 0): 3, (1, 1): 4}, {(0, 1): 23}, 10, 1, 1.0, 1.5),
+    "groups at beta == 0": (
+        {(0, 0): ((0, 1),), (1, 0): ((0, 1),), (1, 1): ((0, 1),), (1, 2): ((0, 1),)},
+        {(0, 0): 2, (1, 0): 2, (1, 1): 3, (1, 2): 7}, {(0, 1): 19}, 10, 1, 1.0, 0.0),
+    "alpha == 0": (
+        {(0, 0): ((0, 1),), (1, 0): ((0, 1),), (1, 1): ((0, 1),), (1, 2): ((0, 1),)},
+        {(0, 0): 2, (1, 0): 2, (1, 1): 3, (1, 2): 7}, {(0, 1): 19}, 10, 1, 0.0, 1.0),
+    "one length per group": (
+        {(0, 0): ((0, 1),), (1, 0): ((0, 1),), (1, 1): ((0, 1),), (1, 2): ((0, 1),)},
+        {(0, 0): 2, (1, 0): 5, (1, 1): 5, (1, 2): 5}, {(0, 1): 19}, 10, 1, 2.0, 1.0),
+    "both stages weighed": (
+        {(0, 0): ((0, 1),), (1, 0): ((0, 1),), (1, 1): ((0, 1),), (2, 0): ((0, 1),),
+         (2, 1): ((0, 1),), (2, 2): ((0, 1),)},
+        {(0, 0): 4, (1, 0): 2, (1, 1): 6, (2, 0): 3, (2, 1): 4, (2, 2): 9}, {(0, 1): 47},
+        10, 2, 1.0, 1.0),
+    "eight mixed lengths": (
+        {(0, l): ((0, 1),) for l in range(8)}, dict(zip([(0, l) for l in range(8)],
+                                                        EIGHT_LENGTHS)),
+        {(0, 1): 40}, 10, 1, 1.0, 1.0),
+    "spare 0": (
+        {(0, 0): ((0, 1),), (1, 0): ((0, 1),), (1, 1): ((0, 1),)},
+        {(0, 0): 2, (1, 0): 3, (1, 1): 6}, {(0, 1): 6}, 10, 2, 1.0, 1.0),
+    "no unit left over": (
+        {(0, 0): ((0, 1),), (0, 1): ((0, 1),)}, {(0, 0): 1, (0, 1): 2}, {(0, 1): 5},
+        10, 1, 1.0, 1.0),
+    # flows are each path's smallest row entry, and 0 for the path that the
+    # crowded edge (2, 3) drops, though edge (0, 1) keeps it
+    "several edges, a path dropped": (
+        {(0, 0): ((0, 1), (2, 3)), (0, 1): ((2, 3), (4, 5)), (1, 0): ((0, 1), (2, 3)),
+         (1, 1): ((2, 3),), (1, 2): ((0, 1), (2, 3), (4, 5))},
+        {(0, 0): 2, (0, 1): 2, (1, 0): 3, (1, 1): 1, (1, 2): 5},
+        {(0, 1): 30, (2, 3): 41, (4, 5): 17}, 4, 3, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("window", SHARE_WINDOWS.values(), ids=SHARE_WINDOWS)
+def test_share_arrays_match_the_loop_and_the_keyed_reference(window):
+    path_edges, lengths, capacity, l_max, f_min, alpha, beta = window
+    info = info_from_path_edges(path_edges, lengths)
+    kept = info.kept(l_max)
+    caps = [capacity[e] for e in info.edges]
+    flows, rows = _share_arrays(info, kept, caps, f_min, alpha, beta)
+    assert len(kept.keys) < scheduler._SHARE_ARRAYS_MIN_EDGES
+    assert (flows, rows) == _proportional_share(info, kept, caps, f_min, alpha, beta)
+    assert all(type(x) is int for x in itertools.chain(flows, *rows))
+    ref_kept, _, _ = reference_kept(path_edges, lengths, l_max)
+    want = reference_proportional_share(
+        abstract_network(capacity), ref_kept, lengths,
+        RoutingParams(l_max=l_max, alpha=alpha, beta=beta, f_min=f_min))
+    assert [(e, list(zip(map(info.keys.__getitem__, ids), row)))
+            for e, ids, row in zip(info.edges, kept.keys, rows)] == \
+        [(e, list(a.items())) for e, a in want.items()]
+    assert list(zip(info.keys, flows)) == \
+        list(reference_flow_determination(want, path_edges).items())
+
+
+def test_eight_mixed_lengths_apportion_by_the_left_sum():
+    # the window above is one that a pairwise sum, as np.add.reduce adds
+    # eight terms, would split differently
+    w = [float(d) ** -1.0 for d in EIGHT_LENGTHS]
+    pairwise = ((w[0] + w[1]) + (w[2] + w[3])) + ((w[4] + w[5]) + (w[6] + w[7]))
+    assert pairwise != left_sum(w)
+    assert largest_remainder([32 * x / pairwise for x in w], 32) != \
+        largest_remainder([32 * x / left_sum(w) for x in w], 32)
 
 
 # -------------------------------------------------------- flow determination
@@ -980,12 +1067,45 @@ def test_cores_match_keyed_references_on_random_windows():
                 keyed = keyed_allocations(outcome, p.l_max)
                 assert [(e, list(a.items())) for e, a in keyed.items()] == \
                     [(e, list(a.items())) for e, a in allocations.items()]
+                # the arrays, whichever side of their threshold the window is
+                assert _share_arrays(info, info.kept(p.l_max), info.capacities(net), p.f_min,
+                                     alpha, beta) == \
+                    (list(outcome.flows.values()), outcome.allocations)
         compared[kind] += 1
         compared["truncated"] += len(live_paths) < len(info.keys)
         compared["PU deducted"] += any(f_max[key] < min(caps[e] for e in edges)
                                        for key, edges in live_paths.items())
     assert all(compared[kind] >= 10 for kind in TOPOLOGIES), compared
     assert compared["truncated"] and compared["PU deducted"], compared
+
+
+def test_share_arrays_records_equal_the_loop_on_seeded_windows(monkeypatch):
+    # seeded windows on each lattice kind, 8x8 ones with two requests below
+    # the arrays' threshold and 16x16 ones with twelve above it, give equal
+    # records whether PS runs the loop on every window, the arrays on every
+    # window, or each as _proportional_share selects
+    kept_edges = {kind: [] for kind in TOPOLOGIES}
+    share = scheduler._proportional_share
+
+    def spy(info, kept, *args):
+        kept_edges[kind].append(len(kept.keys))
+        return share(info, kept, *args)
+
+    monkeypatch.setattr(scheduler, "_proportional_share", spy)
+    selected = scheduler._SHARE_ARRAYS_MIN_EDGES
+    for kind in TOPOLOGIES:
+        for rows, count in ((8, 2), (16, 12)):
+            config = ExperimentConfig(rows=rows, cols=rows, kind=kind,
+                                      requests=RequestSpec(count=count, distance=None))
+            for seed in range(4):
+                records = []
+                for threshold in (10**9, 1, selected):
+                    monkeypatch.setattr(scheduler, "_SHARE_ARRAYS_MIN_EDGES", threshold)
+                    records.append(json.dumps(record_to_dict(run_trial(config, seed))))
+                assert records[0] == records[1] == records[2], (kind, rows, seed)
+    for kind, sizes in kept_edges.items():
+        # three runs per window
+        assert min(sizes) < selected <= max(sizes), (kind, sizes)
 
 
 def test_plans_match_cold_runs_and_keyed_references_on_random_windows():
