@@ -139,7 +139,8 @@ def evaluate(outcome: RoutingOutcome, net: Network, requests: Sequence[Request],
 
     F and F_min are the sum and minimum of the per-request terms of ``tally``;
     U_ave and U_var are the mean and variance of used/capacity over the edges
-    carrying flow, in edge-id order; gamma is the mean per-request stretch;
+    carrying flow, in edge-id order, with the capacities the PathSet keeps
+    for ``net``; gamma is the mean per-request stretch;
     J_req is Jain's index over weighted per-request flows and J_path the
     per-path index as printed (|R| normalizer, may exceed 1), next to a
     variant normalized by the number of paths. An undefined measure reads 0
@@ -151,8 +152,11 @@ def evaluate(outcome: RoutingOutcome, net: Network, requests: Sequence[Request],
     weights = {r.id: r.weight for r in requests}
     t = tally(outcome, weights, p_in)
     n = len(requests)
-    caps = net.capacity_map()
-    u = [used / caps[e] for e, used in zip(outcome.paths.edges, outcome.usage) if used > 0]
+    try:
+        caps = outcome.paths.capacities(net)
+    except KeyError:  # ``net`` lost edges of the paths, which must carry no flow
+        caps = [net.capacity_map().get(e, 0) for e in outcome.paths.edges]
+    u = [used / cap for used, cap in zip(outcome.usage, caps) if used > 0]
     u_ave, u_var = _mean_var(u)
     stretches = list(t.stretch.values())
     shares = [w * t.flow[r] for r, w in weights.items()]

@@ -358,6 +358,40 @@ def request_groups(ids: Sequence[int], request_of: Sequence[int]) -> RequestGrou
     return tuple([tuple(group) for _, group in groupby(ids, request_of.__getitem__)])
 
 
+class EdgeGroups:
+    """Per edge id, ``request_groups`` of its ids in ``keys``, computed the
+    first time they are read and kept; equal to a view or a list of the same
+    groups."""
+
+    __slots__ = ("keys", "_request_of", "_cache", "_full")
+
+    def __init__(self, keys: list[list[int]], request_of: Sequence[int]) -> None:
+        self.keys, self._request_of = keys, request_of
+        self._cache: list[RequestGroups | None] = [None] * len(keys)
+        self._full = False
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (EdgeGroups, list)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, e: int) -> RequestGroups:
+        groups = self._cache[e]
+        if groups is None:
+            groups = self._cache[e] = request_groups(self.keys[e], self._request_of)
+        return groups
+
+    def __iter__(self) -> Iterator[RequestGroups]:
+        if not self._full:  # one pass computes every edge's groups not read yet
+            self._cache = [groups or request_groups(ids, self._request_of)
+                           for ids, groups in zip(self.keys, self._cache)]
+            self._full = True
+        return iter(self._cache)
+
+
 class KeptPaths(NamedTuple):
     """What the schedulers read of a PathSet at one l_max, as path and edge
     ids. It depends on nothing else, so ``PathSet.kept`` builds it once per
@@ -366,12 +400,12 @@ class KeptPaths(NamedTuple):
 
     #: per edge, the ids of the paths kept there (H truncated to l_max keys)
     keys: list[list[int]]
-    #: ``keys`` grouped by request
-    groups: list[RequestGroups]
+    #: ``keys`` grouped by request, edge by edge as read
+    groups: EdgeGroups
     #: per edge, ``keys`` without the paths that are not live (empty where none)
     live_keys: list[list[int]]
-    #: ``live_keys`` grouped by request
-    live_groups: list[RequestGroups]
+    #: ``live_keys`` grouped by request, edge by edge as read
+    live_groups: EdgeGroups
     #: ids of the live paths, which are kept on every edge they traverse
     live_paths: list[int]
 
@@ -398,6 +432,8 @@ class PathSet:
         self.keys = keys
         #: path id -> length in hops
         self.lengths = lengths
+        #: path id -> request id
+        self.request_of = [r for r, _ in keys]
         # edge id -> the edge's index in ``lattice``, ascending
         lattice_index = sorted(set(chain.from_iterable(hops)))
         #: edge id -> edge, sorted
@@ -479,9 +515,9 @@ class PathSet:
 
     def kept(self, l_max: int) -> KeptPaths:
         """H truncated to l_max keys per edge and the views derived from it;
-        computed once per l_max."""
+        computed once per l_max, but an edge's groups only when first read."""
         if l_max not in self._kept:
-            request_of = [r for r, _ in self.keys]
+            request_of = self.request_of
             kept = list(self.values())
             # the paths that a crowded edge drops, which are live nowhere
             dead: set[int] = set()
@@ -489,14 +525,15 @@ class PathSet:
                 if len(ids) > l_max:
                     kept[e] = truncate_edge_paths(ids, request_of, self.lengths, l_max)
                     dead.update(set(ids).difference(kept[e]))
-            groups = [request_groups(ids, request_of) for ids in kept]
+            groups = EdgeGroups(kept, request_of)
             if dead:
                 # only the edges a dead path crosses lose paths from their views
-                live_keys, live_groups = kept[:], groups[:]
+                live_keys = kept[:]
                 for e in {e for p in dead for e in self.edge_ids[p]}:
                     ok = [p for p in kept[e] if p not in dead]
                     if len(ok) < len(kept[e]):
-                        live_keys[e], live_groups[e] = ok, request_groups(ok, request_of)
+                        live_keys[e] = ok
+                live_groups = EdgeGroups(live_keys, request_of)
                 live_paths = [p for p in range(len(request_of)) if p not in dead]
             else:
                 # nothing was truncated, so every path is live on every edge
@@ -519,8 +556,8 @@ def _incidence(routes: Iterable[Sequence[int]], size: int) -> list[list[int]]:
 #: window's paths mostly repeat one of the last two windows'; random requests
 #: never hit, and there 8 entries measured slower, since each holds its views
 _MEMO_SIZE = 2
-#: (lattice edges, paths by request) -> its PathSet, least recently used first
-_memo: dict[tuple, PathSet] = {}
+#: paths by request -> (the lattice edges, their PathSet), least recently used first
+_memo: dict[tuple, tuple[tuple[Edge, ...], PathSet]] = {}
 
 
 def build_path_info(net: Network, paths: Mapping[int, Sequence[tuple[int, ...]]],
@@ -533,25 +570,30 @@ def build_path_info(net: Network, paths: Mapping[int, Sequence[tuple[int, ...]]]
     A PathSet depends only on ``net.edges`` and the paths, so the last
     ``_MEMO_SIZE`` built are kept, views and all, and a call with equal
     edges and paths returns the same object: windows with equal paths share
-    it. A PathSet handed out again keeps PS and PU plans from then on
+    it. Each entry holds its edges, which every network of one lattice
+    shares, so they are compared by identity first and never hashed. A
+    PathSet handed out again keeps PS and PU plans from then on
     (``keep_plans``), so later windows reuse what the earlier ones computed
     from the paths alone. The memo decides how long views and plans live:
     the PathSet it evicts releases them before the next one is built. Each
     hop is read by its index in ``net.edges``, whose order is the sorted
     edge order, so no edge key is built."""
     ranked = tuple((r, tuple(paths[r])) for r in sorted(paths))
-    key = (net.edges, ranked)
-    info = _memo.pop(key, None)
-    if info is not None:
+    edges = net.edges
+    entry = _memo.pop(ranked, None)
+    if entry is not None and (entry[0] is edges or entry[0] == edges):
+        info = entry[1]
         info.keep_plans()
     else:
-        if len(_memo) == _MEMO_SIZE:
-            _memo.pop(next(iter(_memo))).release_views()
+        if entry is not None:
+            entry[1].release_views()
+        elif len(_memo) == _MEMO_SIZE:
+            _memo.pop(next(iter(_memo)))[1].release_views()
         routes = [nodes for _, by_rank in ranked for nodes in by_rank]
         by_node = net.lattice().edge_index
         hops = [[by_node[a][b] for a, b in zip(p, p[1:])] for p in routes]
         info = PathSet(tuple((r, rank) for r, by_rank in ranked for rank in range(len(by_rank))),
-                       [len(p) - 1 for p in routes], net.edges, hops)
-    _memo[key] = info
+                       [len(p) - 1 for p in routes], edges, hops)
+    _memo[ranked] = (edges, info)
     info.kept(l_max)
     return info

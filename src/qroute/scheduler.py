@@ -6,7 +6,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -158,7 +158,7 @@ def _even(total: int, n: int, floor: int = 0) -> tuple[int, ...]:
 
 
 def _even_split(groups: RequestGroups, total: int, floor: int = 0) -> tuple[int, ...]:
-    """``_apportion_two_stage`` where both stages' weights tie, plus ``floor``
+    """``_apportion`` of a ``_split`` whose stages all tie, plus ``floor``
     on each path: ``_even`` over the requests, then over each one's paths."""
     if len(groups) == 1:
         return _even(total, len(groups[0]), floor)
@@ -168,14 +168,17 @@ def _even_split(groups: RequestGroups, total: int, floor: int = 0) -> tuple[int,
 
 def _split(groups: RequestGroups, lengths: Sequence[float], path_exp: float,
            beta: float) -> tuple[int | tuple, list]:
-    """The part of ``_apportion_two_stage`` that does not read the total:
-    ``(requests, paths)``, the request stage and one path stage per group.
-    A stage that has one share or whose weights all tie (``_requests_tie``,
-    ``_paths_tie``) is its number of shares; any other is the left sum of
-    its raw weights and the weights. It reads only the paths, the exponent
-    and beta, so a plan can keep it for ``_apportion``. It keeps the weight
-    lists it computes, not copies, which every run without a plan would pay
-    for."""
+    """The two-stage apportionment over one edge's path ids grouped by
+    request, but for the total, which ``_apportion`` takes: units go to
+    requests by n_r^beta (ties by request id), then within each request by
+    d^path_exp (ties by rank). It is ``(requests, paths)``, the request stage
+    and one path stage per group. A stage with one share or whose weights
+    all tie (``_requests_tie``, ``_paths_tie``) is its number of shares,
+    which ``_even`` splits exactly: equal weights give bitwise-equal quotas,
+    which ``largest_remainder`` floors to one base before handing the units
+    left over to the earliest positions. Any other stage is the left sum of
+    its raw weights and the weights, the lists it computed, not copies. It
+    reads only the paths, the exponent and beta, so a plan can keep it."""
     if _requests_tie(groups, beta):
         requests: int | tuple = len(groups)
     else:
@@ -214,25 +217,6 @@ def _apportion(split: tuple, total: int, floor: int = 0) -> list[int]:
             path_units = largest_remainder([units * w / path_total for w in path_raw], units)
             shares.extend([floor + x for x in path_units] if floor else path_units)
     return shares
-
-
-def _apportion_two_stage(groups: RequestGroups, lengths: Sequence[float],
-                         total: int, path_exp: float, beta: float) -> list[int]:
-    """Stage-wise integer apportionment over one edge's path ids grouped by
-    request, in group order: units go to requests by n_r^beta (ties by
-    request id), then within each request by d^path_exp (ties by rank).
-
-    A lone request or a lone path takes all its units. When a stage's weights
-    all tie (``_requests_tie``, ``_paths_tie``), ``_even`` splits its units
-    without computing weights. That is exact: equal weights give
-    bitwise-equal quotas, which ``largest_remainder`` floors to one base
-    before handing the units left over to the earliest positions.
-
-    It is ``_apportion`` of ``_split``: the part that reads the total and
-    the part that does not, which a plan keeps (``_proportional_share``,
-    ``_propagatory_core``).
-    """
-    return _apportion(_split(groups, lengths, path_exp, beta), total)
 
 
 def _apportion_rows(totals: np.ndarray, counts: np.ndarray, values: np.ndarray,
@@ -289,31 +273,37 @@ def _share_arrays(info: PathSet, kept: KeptPaths, capacity: Sequence[int], f_min
     the flows and rows of its loop.
 
     The kept incidences are read as flat segments: groups by edge, and
-    paths by group. ``_apportion_rows`` splits each edge's spare capacity
-    over its groups by n_r^beta, then each group's units over its paths by
-    d^-alpha. It takes no plan: it tests every tie and weighs every edge in
-    a few array passes."""
-    groups_per_edge = list(map(len, kept.groups))
-    paths_per_edge = list(map(len, kept.keys))
-    ends = list(accumulate(paths_per_edge))
-    sizes = list(map(len, chain.from_iterable(kept.groups)))
+    paths by group. A group starts where an edge starts or the request
+    changes, as in ``request_groups``, so no group is built.
+    ``_apportion_rows`` splits each edge's spare capacity over its groups by
+    n_r^beta, then each group's units over its paths by d^-alpha. It takes
+    no plan: it tests every tie and weighs every edge in a few array
+    passes."""
+    paths_per_edge = np.fromiter(map(len, kept.keys), np.intp, len(kept.keys))
+    ends = np.cumsum(paths_per_edge)
     ids = np.fromiter(chain.from_iterable(kept.keys), np.intp, ends[-1])
-    spare = np.array(capacity, dtype=np.int64) - f_min * np.array(paths_per_edge)
+    spare = np.array(capacity, dtype=np.int64) - f_min * paths_per_edge
     if (spare < 0).any():
         e = np.flatnonzero(spare < 0)[0]
         raise InvariantError(
             f"edge {info.edges[e]} kept below l_max * f_min; was Step 1 skipped?")
-    sizes_array = np.array(sizes)
-    units = _apportion_rows(spare, np.array(groups_per_edge), sizes_array, set(sizes),
-                            beta)
-    shares = f_min + _apportion_rows(units, sizes_array, np.array(info.lengths)[ids],
+    requests = np.array(info.request_of)[ids]
+    starts = np.empty(ids.size, bool)
+    starts[0] = True
+    np.not_equal(requests[1:], requests[:-1], out=starts[1:])
+    starts[ends[:-1]] = True
+    firsts = np.flatnonzero(starts)
+    sizes = np.diff(firsts, append=ids.size)
+    units = _apportion_rows(spare, np.diff(np.searchsorted(firsts, ends), prepend=0), sizes,
+                            set(sizes.tolist()), beta)
+    shares = f_min + _apportion_rows(units, sizes, np.array(info.lengths)[ids],
                                      set(info.lengths), -alpha)
     lowest = np.full(len(info.keys), np.iinfo(np.int64).max)
     np.minimum.at(lowest, ids, shares)
     flows = np.zeros_like(lowest)
     flows[kept.live_paths] = lowest[kept.live_paths]
-    flat = shares.tolist()
-    return flows.tolist(), tuple([tuple(flat[a:b]) for a, b in zip([0, *ends], ends)])
+    flat, bounds = shares.tolist(), ends.tolist()
+    return flows.tolist(), tuple([tuple(flat[a:b]) for a, b in zip([0, *bounds], bounds)])
 
 
 def _proportional_share(info: PathSet, kept: KeptPaths, capacity: Sequence[int],
@@ -574,7 +564,7 @@ def schedule_key(name: str, info: PathSet, params: RoutingParams) -> tuple:
     reads none of it; PS and PU read l_max, f_min and beta, and alpha unless
     every path of ``info`` has one length and the core is PS, or PU at beta 0.
 
-    With one length, ``_apportion_two_stage`` splits every group evenly, so
+    With one length, ``_split`` ties every path stage (``_paths_tie``), so
     neither PS nor PU's deduction reads alpha. PU's raise order sorts
     ``two_stage_weights``; at beta == 0, on an edge of G groups, a path in a
     group of n weighs fl(1/G) * fl(x / S_n(x)), with x = d**-alpha and S_n

@@ -76,7 +76,8 @@ def test_path_set_built_once_per_trial(monkeypatch):
     # while the memo holds them, which it does for the last two PathSets only
     order = list(last_used.values())
     released, held = order[:-2], order[-2:]
-    assert len(held) == 2 and list(map(id, pathfinder._memo.values())) == list(map(id, held))
+    assert len(held) == 2
+    assert [id(info) for _, info in pathfinder._memo.values()] == list(map(id, held))
     assert all(info._kept and info._incidence is not None for info in held)
     assert all(not info._kept and info._incidence is None for info in released)
     assert calls == [[rec.params.l_max] for rec in routable]
@@ -182,7 +183,7 @@ def test_replicate_bytes_do_not_depend_on_the_memo(monkeypatch):
     # the same pinned requests at another capacity: equal paths, other networks
     replicate(replace(config, scenario=replace(config.scenario, c0=10000)))
     # a PathSet the memo handed out again holds a PS and a PU plan
-    planned = [info for info in pathfinder._memo.values() if info._plans is not None]
+    planned = [info for _, info in pathfinder._memo.values() if info._plans is not None]
     assert planned and all(len(info._plans) == 2 for info in planned)
     again = replicate(config)[0]
     warm = [json.dumps(record_to_dict(r)) for r in again]

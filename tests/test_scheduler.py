@@ -23,15 +23,15 @@ from conftest import (KeyedOutcome, abstract_network, assert_integer_max_min,
                       reference_truncate_edge_paths, reference_two_stage_weights,
                       truncate_keys, unit_progressive_fill, unit_propagatory_core)
 
-from qroute import scheduler
+from qroute import pathfinder, scheduler
 from qroute.config import config_from_mapping
 from qroute.harness import ExperimentConfig, RequestSpec, prepare_trial, run_trial
 from qroute.metrics import evaluate
 from qroute.netmodel import TOPOLOGIES, InvariantError, ScenarioParams
-from qroute.pathfinder import build_path_info, truncate_edge_paths
+from qroute.pathfinder import build_path_info, request_groups, truncate_edge_paths
 from qroute.reports import record_to_dict
 from qroute.scheduler import (ALGORITHMS, RoutingOutcome, RoutingParams,
-                              _apportion, _apportion_two_stage, _assert_feasible,
+                              _apportion, _assert_feasible,
                               _propagatory_core, _proportional_share, _share_arrays,
                               compute_f_min, _split, largest_remainder, left_sum,
                               run_algorithm, schedule_key, two_stage_weights)
@@ -198,8 +198,8 @@ def test_key_based_rules_match_entry_based_references():
             # the lone-key shortcut beside other requests, with units to hand out
             seen["single-key group"] += len(counts) > 1 and 1 in counts.values() and total > 0
             for path_exp in (-alpha, alpha):
-                assert list(by_key(info, ids, _apportion_two_stage(
-                    groups, info.lengths, total, path_exp, beta)).items()) == \
+                assert list(by_key(info, ids, _apportion(
+                    _split(groups, info.lengths, path_exp, beta), total)).items()) == \
                     list(reference_apportion_two_stage(keys, lengths, total, path_exp,
                                                        beta).items())
     assert min(seen.values()) > 0 and len(seen) == 7
@@ -254,7 +254,7 @@ def test_tied_weights_apportion_in_closed_form(monkeypatch):
         (groups,) = info.kept(len(lengths)).groups
         ids = [p for group in groups for p in group]
         calls.clear()
-        got = _apportion_two_stage(groups, info.lengths, total, path_exp, beta)
+        got = _apportion(_split(groups, info.lengths, path_exp, beta), total)
         assert list(by_key(info, ids, got).items()) == \
             list(reference_apportion_two_stage(lengths, lengths, total, path_exp,
                                                beta).items())
@@ -314,11 +314,11 @@ def ps_instances(draw):
 def test_proportional_share_rows_in_closed_form_match_references(monkeypatch):
     # a lone path takes its edge's capacity and an edge whose weights all tie
     # takes _even_split; only the other edges call _split, with a plan to
-    # record or without one. Every row equals f_min + _apportion_two_stage
-    # over the edge, and the rows and flows equal the keyed reference over
-    # reference_kept. A second run on the recorded plan gives the same rows
-    # and flows and computes no weight, and so does _share_arrays, called
-    # directly on these small windows
+    # record or without one. Every row equals _apportion of the edge's
+    # _split with the f_min floor, and the rows and flows equal the keyed
+    # reference over reference_kept. A second run on the recorded plan gives
+    # the same rows and flows and computes no weight, and so does
+    # _share_arrays, called directly on these small windows
     calls = Counter()
     for name in ("_even_split", "_split", "two_stage_weights"):
         def spy(*args, _inner=getattr(scheduler, name), _name=name):
@@ -369,8 +369,8 @@ def test_proportional_share_rows_in_closed_form_match_references(monkeypatch):
         one_length = len(set(lengths.values())) == 1
         branches = Counter()
         for ids, groups, cap, row in zip(kept.keys, kept.groups, caps, rows):
-            assert row == tuple(f_min + x for x in _apportion_two_stage(
-                groups, info.lengths, cap - f_min * len(ids), -alpha, beta))
+            assert row == tuple(_apportion(_split(groups, info.lengths, -alpha, beta),
+                                           cap - f_min * len(ids), f_min))
             edge_lengths = {info.lengths[p] for p in ids}
             if len(ids) == 1:
                 shape = "lone path"
@@ -1106,6 +1106,116 @@ def test_share_arrays_records_equal_the_loop_on_seeded_windows(monkeypatch):
     for kind, sizes in kept_edges.items():
         # three runs per window
         assert min(sizes) < selected <= max(sizes), (kind, sizes)
+
+
+def seeded_windows(seeds=range(3)):
+    """(kind, prepared window) on each lattice kind: 8x8 windows with two
+    requests, below the PS arrays' threshold, and 16x16 ones with twelve,
+    above it; degenerate windows are skipped."""
+    for kind in TOPOLOGIES:
+        for rows, count in ((8, 2), (16, 12)):
+            config = ExperimentConfig(rows=rows, cols=rows, kind=kind,
+                                      requests=RequestSpec(count=count, distance=None))
+            for seed in seeds:
+                ctx = prepare_trial(config, seed)
+                if ctx.reason is None:
+                    yield kind, ctx
+
+
+def cold_path_set(ctx):
+    """The window's PathSet with no view built: a copy, which the memo does
+    not hold."""
+    return pickle.loads(pickle.dumps(build_path_info(ctx.revised, ctx.paths, ctx.params.l_max)))
+
+
+def test_request_groups_are_computed_per_edge_on_first_read():
+    # an edge's groups, read by index in any order or in a pass over every
+    # edge, are request_groups of its kept or live list; each is computed
+    # once and kept with its view. On windows on both sides of the arrays'
+    # threshold, with crowded edges that drop paths from the live views
+    rng = np.random.default_rng(41)
+    seen = Counter()
+    for kind, ctx in seeded_windows():
+        info = cold_path_set(ctx)
+        for l_max in (ctx.params.l_max, 2):
+            kept = info.kept(l_max)
+            for keys, groups in ((kept.keys, kept.groups), (kept.live_keys, kept.live_groups)):
+                want = [request_groups(ids, info.request_of) for ids in keys]
+                first = {int(e): None for e in rng.permutation(len(keys))[:len(keys) // 2]}
+                for e in first:
+                    first[e] = groups[e]
+                    assert first[e] == want[e] and groups[e] is first[e]
+                assert len(groups) == len(want) and list(groups) == want and groups == want
+                assert all(groups[e] is got for e, got in first.items())
+            assert_kept_views(info, l_max)
+            seen[kind] += 1
+            seen["arrays" if len(kept.keys) >= scheduler._SHARE_ARRAYS_MIN_EDGES else "loop"] += 1
+            seen["paths dropped"] += len(kept.live_paths) < len(info.keys)
+    assert len(seen) == len(TOPOLOGIES) + 3, seen
+
+
+def test_share_arrays_group_sizes_are_those_of_request_groups(monkeypatch):
+    # _share_arrays starts a group where an edge starts or the request
+    # changes: its request stage splits each edge over as many groups as
+    # request_groups forms, of the same sizes, in the same order
+    apportion_rows, stages = scheduler._apportion_rows, []
+
+    def spy(totals, counts, values, *args):
+        stages.append((counts.tolist(), values.tolist()))
+        return apportion_rows(totals, counts, values, *args)
+
+    monkeypatch.setattr(scheduler, "_apportion_rows", spy)
+    compared = Counter()
+    for kind, ctx in seeded_windows():
+        info = build_path_info(ctx.revised, ctx.paths, ctx.params.l_max)
+        for l_max in (ctx.params.l_max, 2):
+            kept = info.kept(l_max)
+            stages.clear()
+            scheduler._share_arrays(info, kept, info.capacities(ctx.revised),
+                                    compute_f_min(ctx.revised, l_max), 1.0, 1.0)
+            assert stages[0] == ([len(groups) for groups in kept.groups],
+                                 [len(group) for groups in kept.groups for group in groups])
+            compared[kind] += 1
+            compared["several groups on an edge"] += any(len(g) > 1 for g in kept.groups)
+    assert len(compared) == len(TOPOLOGIES) + 1, compared
+
+
+def test_schedulers_compute_only_the_groups_they_read(monkeypatch):
+    # on a cold window above the arrays' threshold PS computes no group, and
+    # PU computes, once each, the live groups of the edges it deducts on or
+    # orders for raising: the groups it passes to _split or
+    # two_stage_weights. Below the threshold the loop computes every kept
+    # edge's groups once, and a second run none
+    made, read = [], []
+    make = pathfinder.request_groups
+    monkeypatch.setattr(pathfinder, "request_groups",
+                        lambda ids, request_of: made.append(tuple(ids)) or make(ids, request_of))
+    for name in ("_split", "two_stage_weights"):
+        def spy(groups, *args, _inner=getattr(scheduler, name)):
+            read.append(tuple(itertools.chain.from_iterable(groups)))
+            return _inner(groups, *args)
+        monkeypatch.setattr(scheduler, name, spy)
+    seen = Counter()
+    for kind, ctx in seeded_windows():
+        info = cold_path_set(ctx)
+        kept = info.kept(ctx.params.l_max)  # truncation groups the crowded edges' lists
+        made.clear()
+        read.clear()
+        if len(kept.keys) < scheduler._SHARE_ARRAYS_MIN_EDGES:
+            for _ in range(2):
+                run_algorithm("PS", ctx.revised, info, ctx.params)
+                assert len(made) == len(kept.keys)
+            seen["loop"] += 1
+            continue
+        run_algorithm("PS", ctx.revised, info, ctx.params)
+        assert made == [] and read == [] and set(kept.groups._cache) == {None}
+        for _ in range(2):
+            run_algorithm("PU", ctx.revised, info, ctx.params)
+            computed = [e for e, groups in enumerate(kept.live_groups._cache) if groups]
+            assert len(made) == len(computed) and set(made) <= set(read)
+        assert 0 < len(computed) < sum(map(bool, kept.live_keys))
+        seen[kind] += 1
+    assert len(seen) == len(TOPOLOGIES) + 1, seen
 
 
 def test_plans_match_cold_runs_and_keyed_references_on_random_windows():
